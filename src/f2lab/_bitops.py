@@ -23,16 +23,6 @@ def budget_bytes(override: int | None = None) -> int:
     return _DEFAULT_BUDGET_BYTES
 
 
-def worker_count(override: int | None = None) -> int:
-    """Worker count used to shard Monte-Carlo streams (env F2LAB_THREADS)."""
-    if override is not None:
-        return max(1, int(override))
-    env = os.environ.get("F2LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return 1
-
-
 def ones(n: int) -> int:
     """n consecutive set bits."""
     return (1 << n) - 1

@@ -21,15 +21,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ._bitops import (budget_bytes, gray_flips, linear_form_table, ones,
-                      var_mask, worker_count)
+from ._bitops import budget_bytes, gray_flips, linear_form_table, ones, var_mask
 from .errors import CapacityError
-from .f2linalg import BitMatrix, BitVec, mat_rank, span_rank_histogram, _batched_rank_histogram
+from .f2linalg import BitMatrix, mat_rank, span_rank_histogram, _batched_rank_histogram
 from .prng import Prng
 from .tensors import DenseTensor, Polynomial, first_block_slices
 
 BRUTEFORCE_MAX_BITS = 30  # full-table enumerations up to 2^30 inputs
 CORR_MAX_VARS = 26
+_MC_BLOCK = 1 << 16            # Monte-Carlo samples per bit-sliced block,
+_MC_PLANE_BITS = 8 << 20       # fewer when one block's d*k planes pass 1 MiB
 
 
 @dataclass(frozen=True, order=False)
@@ -344,31 +345,50 @@ def bias_bruteforce(t: DenseTensor, *, budget: int | None = None) -> DyadicRatio
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
-def bias_mc(t: DenseTensor, samples: int, confidence: float, seed: int,
-            *, threads: int | None = None) -> BiasEstimate:
+def _sliced_form(bits: int, planes: list[list[int]], j: int, k: int) -> int:
+    """f of the (d-j)-tensor `bits` on every sample of a block at once.
+
+    planes[j][c] holds coordinate c of block j for all samples, sample s
+    at bit s; bit s of the result is the form at sample s's blocks j..d-1.
+    """
+    if j == len(planes) - 1:
+        out = 0
+        while bits:
+            low = bits & -bits
+            out ^= planes[j][low.bit_length() - 1]
+            bits ^= low
+        return out
+    step = k ** (len(planes) - 1 - j)
+    mask = ones(step)
+    out = 0
+    for c in range(k):
+        sub = (bits >> (c * step)) & mask
+        if sub:
+            out ^= planes[j][c] & _sliced_form(sub, planes, j + 1, k)
+    return out
+
+
+def bias_mc(t: DenseTensor, samples: int, confidence: float,
+            seed: int) -> BiasEstimate:
     """Signed Monte-Carlo estimate of E(-1)^f_T with a Hoeffding CI.
 
-    Samples are sharded over `threads` substreams of (seed, worker);
-    the result depends only on (seed, worker count).
+    Bit-sliced: samples are drawn in blocks of up to 2^16, one plane per
+    coordinate (block-major, coordinate-minor draw order, sample s at
+    bit s), and the form is contracted over the planes, so a block costs
+    about nnz(T) big-int AND/XORs.  The result depends only on the seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    from .tensors import evaluate  # local import keeps module load light
-    w = worker_count(threads)
-    root = Prng(seed)
+    halfwidth = _hoeffding_halfwidth(samples, confidence)
+    k, d = t.k, t.d
+    block = max(64, min(_MC_BLOCK, _MC_PLANE_BITS // (d * k)))
+    rng = Prng(seed)
     acc = 0
-    done = 0
-    for widx in range(w):
-        shard = samples // w + (1 if widx < samples % w else 0)
-        rng = root.split(widx)
-        k, d = t.k, t.d
-        for _ in range(shard):
-            xs = [BitVec(k, rng.bits(k)) for _ in range(d)]
-            acc += 1 - 2 * evaluate(t, xs)
-        done += shard
-    assert done == samples
-    return BiasEstimate(point=acc / samples,
-                        ci_halfwidth=_hoeffding_halfwidth(samples, confidence),
+    for start in range(0, samples, block):
+        n = min(block, samples - start)
+        planes = [[rng.bits(n) for _ in range(k)] for _ in range(d)]
+        acc += n - 2 * _sliced_form(t.bits, planes, 0, k).bit_count()
+    return BiasEstimate(point=acc / samples, ci_halfwidth=halfwidth,
                         samples=samples, confidence=confidence, seed=seed)
 
 

@@ -5,8 +5,8 @@ and the verification suite.  `--json` switches any command to machine
 output.  Exit codes: 0 when every assertion holds, 1 when a verified
 statement fails, 2 for usage, format, or capacity errors.
 
-Environment: F2LAB_THREADS (Monte-Carlo worker sharding) and
-F2LAB_BUDGET_BYTES (enumeration guard) are read by the library.
+Environment: F2LAB_BUDGET_BYTES (enumeration guard) is read by the
+library.
 """
 
 from __future__ import annotations

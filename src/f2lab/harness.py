@@ -28,7 +28,7 @@ from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
 from .report import REPORT_ONLY, VerificationReport, fmt_float
 from .tensors import (DenseTensor, Polynomial, RankDecomposition, RankOneTerm,
                       explicit_form_tensor, matmul_tensor, random_rank_decomp,
-                      random_tensor, trace_tensor)
+                      random_tensor, tensor_from_decomp, trace_tensor)
 
 MOMENT_TENSOR_BITS_LIMIT = 16      # 2^(k^d) tensors enumerated
 TUPLE_BITS_LIMIT = 24              # 2^(k t d) vector tuples enumerated
@@ -286,7 +286,6 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
     min_bias = D.one()
     for _ in range(trials):
         decomp = random_rank_decomp(d, k, t, rng.u64())
-        from .tensors import tensor_from_decomp
         b = bias_exact(tensor_from_decomp(decomp))
         if b < floor:
             holds = False
@@ -347,7 +346,6 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     closed = (D.one() - q ** d) + q ** d * (D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t)
     relaxed = D.from_ratio(d, k) + D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
     relaxed_ok = closed <= relaxed
-    from .tensors import tensor_from_decomp
     nbits = k * t * d
     if nbits <= TUPLE_BITS_LIMIT:
         def all_biases():

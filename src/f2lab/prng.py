@@ -1,13 +1,15 @@
-"""Seedable, splittable counter-based pseudo-random generator.
+"""Seedable counter-based pseudo-random generator.
 
 SplitMix64 over a counter: output i is a fixed mix of (seed, i), so
-streams can be split deterministically for sharded sampling and results
-are reproducible from (seed, worker count) alone.  Streams are stable
+results are reproducible from the seed alone.  Streams are stable
 within this implementation; no cross-implementation bit-equality is
 promised, which is why reports carry seeds rather than expected values.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -21,7 +23,7 @@ def _mix(z: int) -> int:
 
 
 class Prng:
-    """Counter-based generator; `split` derives independent substreams."""
+    """Counter-based generator: output i is `_mix(base + i * golden)`."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -33,13 +35,20 @@ class Prng:
         return _mix(self._base + self._i * _GOLDEN)
 
     def bits(self, n: int) -> int:
-        """Uniform n-bit integer."""
-        out = 0
-        got = 0
-        while got < n:
-            out |= self.u64() << got
-            got += 64
-        return out & ((1 << n) - 1)
+        """Uniform n-bit integer: the next ceil(n/64) words, word w at
+        bits [64w, 64w+64), truncated to n bits."""
+        if n < 0:
+            raise ValueError("bits() needs n >= 0")
+        if n <= 64:
+            return self.u64() & ((1 << n) - 1) if n else 0
+        nwords = (n + 63) >> 6
+        first = self._base + (self._i + 1) * _GOLDEN
+        self._i += nwords
+        buf = array("Q", map(_mix, range(first, first + nwords * _GOLDEN, _GOLDEN)))
+        buf[-1] &= _M64 >> (-n & 63)
+        if sys.byteorder == "big":
+            buf.byteswap()
+        return int.from_bytes(buf, "little")
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n)."""
@@ -47,17 +56,9 @@ class Prng:
             raise ValueError("below() needs n >= 1")
         nbits = (n - 1).bit_length()
         while True:
-            x = self.bits(nbits) if nbits else 0
+            x = self.bits(nbits)
             if x < n:
                 return x
 
     def float01(self) -> float:
         return self.u64() / float(1 << 64)
-
-    def split(self, tag: int) -> "Prng":
-        """Independent substream identified by (seed, tag)."""
-        child = Prng(0)
-        child.seed = self.seed
-        child._base = _mix(self._base ^ _mix(tag * _GOLDEN + 1))
-        child._i = 0
-        return child

@@ -2,14 +2,16 @@
 
 import pytest
 
-from f2lab.bias import (BiasEstimate, DyadicRational as D, bias_bruteforce,
-                        bias_exact, bias_mc, corr_class_max, corr_exact)
+from f2lab.bias import (_MC_BLOCK, BiasEstimate, DyadicRational as D,
+                        bias_bruteforce, bias_exact, bias_mc, corr_class_max,
+                        corr_exact)
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import BitMatrix, BitVec, mat_rank
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
-                           RankOneTerm, explicit_form_tensor, first_block_slices,
-                           matmul_tensor, random_tensor, trace_tensor)
+                           RankOneTerm, evaluate, explicit_form_tensor,
+                           first_block_slices, matmul_tensor, random_tensor,
+                           trace_tensor)
 
 rng = Prng(31337)
 
@@ -141,13 +143,44 @@ def test_bias_mc_coverage():
     assert hits >= 95
 
 
-def test_bias_mc_worker_sharding_determinism(monkeypatch):
+def test_bias_mc_depends_only_on_seed():
     t = trace_tensor(3)
-    a = bias_mc(t, 999, 0.9, seed=5, threads=3)
-    b = bias_mc(t, 999, 0.9, seed=5, threads=3)
-    c = bias_mc(t, 999, 0.9, seed=5, threads=1)
-    assert a == b
-    assert a.samples == c.samples  # same contract, different schedule
+    a = bias_mc(t, 999, 0.9, seed=5)
+    assert a == bias_mc(t, 999, 0.9, seed=5)
+    assert a.point != bias_mc(t, 999, 0.9, seed=6).point
+
+
+def _bias_mc_reference(t, samples, seed):
+    """Sum of 1 - 2 f(x) over the samples bias_mc draws, one evaluate call
+    per sample: block-major planes of rng.bits(n), sample s at bit s."""
+    k, d = t.k, t.d
+    rng = Prng(seed)
+    acc = 0
+    for start in range(0, samples, _MC_BLOCK):
+        n = min(_MC_BLOCK, samples - start)
+        planes = [[rng.bits(n) for _ in range(k)] for _ in range(d)]
+        for s in range(n):
+            xs = [BitVec(k, sum(((p >> s) & 1) << c for c, p in enumerate(block)))
+                  for block in planes]
+            acc += 1 - 2 * evaluate(t, xs)
+    return acc
+
+
+@pytest.mark.parametrize("d,k,samples", [
+    (1, 5, 700), (2, 3, 1000), (3, 3, _MC_BLOCK + 1001), (4, 2, 999)])
+def test_bias_mc_matches_per_sample_evaluate(d, k, samples):
+    t = random_tensor(d, k, 40 + d)
+    est = bias_mc(t, samples, 0.95, seed=d)
+    assert est.point == _bias_mc_reference(t, samples, d) / samples
+
+
+def test_bias_mc_rejects_bad_confidence_before_sampling(monkeypatch):
+    def no_draws(seed):
+        raise AssertionError("drew samples before validating confidence")
+    monkeypatch.setattr("f2lab.bias.Prng", no_draws)
+    for confidence in (0.0, 1.0, 1.5):
+        with pytest.raises(ValueError, match="confidence"):
+            bias_mc(trace_tensor(2), 100, confidence, seed=1)
 
 
 def test_corr_exact_cases():
