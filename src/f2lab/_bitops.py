@@ -65,6 +65,34 @@ def linear_form_table(support: int, m: int) -> int:
     return t
 
 
+def form_table(bits: int, dims: int, k: int) -> int:
+    """Truth table over 2^(k*dims) inputs of the dims-linear form `bits`.
+
+    `bits` is a packed tensor of side k (first index slowest).  The input
+    index packs the blocks with the first block at the high bits, so
+    bits [x * 2^(k(dims-1)), (x+1) * 2^(k(dims-1))) hold the residual
+    table at first-block value x.  dims == 1 is `linear_form_table`.
+    """
+    if dims == 1:
+        return linear_form_table(bits, k)
+    step = k ** (dims - 1)
+    mask = ones(step)
+    tabs = [0]
+    for i in range(k):
+        s = (bits >> (i * step)) & mask
+        ti = form_table(s, dims - 1, k) if s else 0
+        tabs += [a ^ ti for a in tabs] if ti else tabs  # tabs[x] = xor of t_i, i in x
+    width = 1 << (k * (dims - 1))
+    if width >= 8:  # a power of two, so whole bytes
+        nb = width >> 3
+        return int.from_bytes(b"".join(a.to_bytes(nb, "little") for a in tabs),
+                              "little")
+    out = 0
+    for x, a in enumerate(tabs):
+        out |= a << (x * width)
+    return out
+
+
 def gray_flips(nbits: int):
     """Yield the bit flipped at each step of a full Gray-code walk.
 

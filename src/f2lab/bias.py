@@ -19,9 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from ._bitops import budget_bytes, gray_flips, linear_form_table, ones, var_mask
+from ._bitops import (budget_bytes, form_table, gray_flips, linear_form_table,
+                      ones, var_mask)
 from .errors import CapacityError
 from .f2linalg import BitMatrix, mat_rank, span_rank_histogram, _batched_rank_histogram
 from .prng import Prng
@@ -187,31 +189,10 @@ def _tail_matrix_planes(t: DenseTensor, prefix_bits: int) -> list[list[int]]:
 
     Block r (0-based, r <= d-3) occupies bits [(d-3-r)k, (d-2-r)k) of the
     prefix index, so the first block is slowest, matching the flat
-    layout of the tensor itself.
+    layout of the tensor itself.  Entry (i, j) is itself a (d-2)-linear
+    form of the prefix; its plane is that form's `form_table`.
     """
     k, d = t.k, t.d
-    m = prefix_bits
-
-    def table(bits: int, dims: int) -> int:
-        # truth table of the dims-linear form of `bits` over k*dims inputs,
-        # first block at the high bits of the input index
-        if dims == 1:
-            return linear_form_table(bits, k)
-        step = k ** (dims - 1)
-        mask = ones(step)
-        slices = [(bits >> (i * step)) & mask for i in range(k)]
-        width = 1 << (k * (dims - 1))
-        out = 0
-        for x in range(1 << k):
-            acc = 0
-            xb = x
-            while xb:
-                low = xb & -xb
-                acc ^= slices[low.bit_length() - 1]
-                xb ^= low
-            out |= table(acc, dims - 1) << (x * width)
-        return out
-
     planes = [[0] * k for _ in range(k)]
     kk = k * k
     for i in range(k):
@@ -220,7 +201,7 @@ def _tail_matrix_planes(t: DenseTensor, prefix_bits: int) -> list[list[int]]:
             pos = i * k + j
             for p in range(k ** (d - 2)):
                 sub |= ((t.bits >> (p * kk + pos)) & 1) << p
-            planes[i][j] = table(sub, d - 2)
+            planes[i][j] = form_table(sub, d - 2, k)
     return planes
 
 
@@ -440,65 +421,9 @@ def corr_exact(t: DenseTensor, poly: Polynomial, *,
 
 
 def _monomials_upto(n: int, degree: int) -> list[tuple[int, ...]]:
-    from itertools import combinations
     out: list[tuple[int, ...]] = []
     for deg in range(degree + 1):
         out.extend(combinations(range(n), deg))
-    return out
-
-
-def _full_table(t: DenseTensor) -> int:
-    """Whole truth table of f_T, input indices packed block-major with
-    the first block at the high bits.  Small n only (the caller guards)."""
-    k = t.k
-    vm_cache = [var_mask(i, k) for i in range(k)]
-    if t.d == 1:
-        return linear_form_table(t.bits, k)
-
-    out = 0
-    width = 1 << k
-
-    def walk(bits: int, dims: int, base: int):
-        nonlocal out
-        if dims == 2:
-            row_tables = []
-            for i in range(k):
-                row = (bits >> (i * k)) & ones(k)
-                rt = 0
-                rb = row
-                while rb:
-                    low = rb & -rb
-                    rt ^= vm_cache[low.bit_length() - 1]
-                    rb ^= low
-                row_tables.append(rt)
-            tbl = 0
-            val = 0
-            # ascending order of the (d-1)th block value
-            for x in range(1 << k):
-                delta = val ^ x
-                while delta:
-                    lowb = delta & -delta
-                    tbl ^= row_tables[lowb.bit_length() - 1]
-                    delta ^= lowb
-                val = x
-                out |= tbl << (base + x * width)
-            return
-        step = t.k ** (dims - 1)
-        mask = ones(step)
-        slices = [(bits >> (i * step)) & mask for i in range(k)]
-        sub = 1 << (k * (dims - 1))
-        cur = 0
-        val = 0
-        for x in range(1 << k):
-            delta = val ^ x
-            while delta:
-                lowb = delta & -delta
-                cur ^= slices[lowb.bit_length() - 1]
-                delta ^= lowb
-            val = x
-            walk(cur, dims - 1, base + x * sub)
-
-    walk(t.bits, t.d, 0)
     return out
 
 
@@ -511,6 +436,11 @@ def corr_class_max(t: DenseTensor, degree: int, *,
     the guard message reports that size.
     """
     n = t.k * t.d
+    if n > CORR_MAX_VARS:
+        raise CapacityError(
+            f"corr_class_max builds 2^{n}-bit truth tables "
+            f"(guard 2^{CORR_MAX_VARS})",
+            required=1 << n, budget=1 << CORR_MAX_VARS)
     monos = _monomials_upto(n, min(degree, n))
     class_bits = len(monos)
     limit = max(16, (8 * budget_bytes(budget)).bit_length() - 1)
@@ -519,7 +449,7 @@ def corr_class_max(t: DenseTensor, degree: int, *,
             f"degree-{degree} class over {n} variables has 2^{class_bits} "
             f"polynomials; enumeration budget is 2^{min(limit, 24)}",
             required=class_bits, budget=min(limit, 24))
-    ftab = _full_table(t)
+    ftab = form_table(t.bits, t.d, t.k)
     size = 1 << n
     mono_tables = []
     for mono in monos:

@@ -351,6 +351,8 @@ def read_tensor(fp, *, budget: int | None = None) -> DenseTensor:
     lines = fp.read().splitlines()
     if len(lines) < 3 or lines[0].strip() != "F2T1":
         raise FormatError("missing F2T1 header")
+    if any(ln.strip() for ln in lines[3:]):
+        raise FormatError("unexpected text after the F2T1 payload line")
     try:
         fields = dict(part.split("=", 1) for part in lines[1].split())
         d = int(fields["d"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from f2lab._bitops import form_table
 from f2lab.bias import (_MC_BLOCK, BiasEstimate, DyadicRational as D,
                         bias_bruteforce, bias_exact, bias_mc, corr_class_max,
                         corr_exact)
@@ -90,6 +91,39 @@ def test_exact_equals_bruteforce_sweep():
             continue
         t = random_tensor(d, k, rng.u64())
         assert bias_exact(t) == bias_bruteforce(t)
+
+
+def _form_table_reference(t):
+    """Bit x of the table is f_T at the blocks packed in x, first block high."""
+    k, d = t.k, t.d
+    out = 0
+    for x in range(1 << (k * d)):
+        xs = [BitVec(k, (x >> ((d - 1 - j) * k)) & ((1 << k) - 1))
+              for j in range(d)]
+        out |= evaluate(t, xs) << x
+    return out
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(1, 4)]
+                         + [(1, 4), (2, 4), (3, 4)])
+def test_form_table_matches_evaluate(d, k):
+    step = k ** (d - 1)
+    for seed in (1, 2):
+        t = random_tensor(d, k, 100 * d + 10 * k + seed)
+        # clear the last first-block slice too, so zero slices are covered
+        holed = DenseTensor(d, k, t.bits & ((1 << ((k - 1) * step)) - 1))
+        for u in (t, holed):
+            assert form_table(u.bits, d, k) == _form_table_reference(u)
+
+
+@pytest.mark.parametrize("d,k", [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2)])
+def test_exact_equals_bruteforce_high_degree(d, k):
+    # d >= 5 ranks residual matrices over (d-2)-linear planes
+    for seed in range(4):
+        t = random_tensor(d, k, 1000 * d + 10 * k + seed)
+        assert bias_exact(t) == bias_bruteforce(t)
+    e = explicit_form_tensor(d, k)
+    assert bias_exact(e) == bias_bruteforce(e)
 
 
 def test_bilinear_bias_is_rank_law():
@@ -240,3 +274,22 @@ def test_corr_class_max_guard_reports_size():
     with pytest.raises(CapacityError) as ei:
         corr_class_max(random_tensor(2, 4, 1), 4)
     assert "2^" in str(ei.value)
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_corr_class_max_degree_zero_is_bias(seed):
+    # the degree-0 class is {0, 1}, so its maximum correlation is the bias
+    t = random_tensor(3, 8, seed)
+    val, wit = corr_class_max(t, 0)
+    assert val == bias_exact(t)
+    assert wit.degree() <= 0
+
+
+def test_corr_class_max_guards_table_size(monkeypatch):
+    def no_tables(*args):
+        raise AssertionError("built a truth table before the guard")
+    monkeypatch.setattr("f2lab.bias.form_table", no_tables)
+    with pytest.raises(CapacityError) as ei:
+        corr_class_max(DenseTensor.zeros(3, 9), 0)
+    assert ei.value.required == 1 << 27
+    assert ei.value.budget == 1 << 26

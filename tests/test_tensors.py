@@ -159,6 +159,11 @@ def test_tensor_file_roundtrip():
 
 def test_tensor_file_format_errors():
     assert tensor_from_string("F2T1\nd=3 k=2\nff\n").bits == 255
+    assert tensor_from_string("F2T1\nd=3 k=2\nff\n\n  \n").bits == 255
+    with pytest.raises(FormatError):
+        tensor_from_string("F2T1\nd=3 k=2\nff\ngarbage\n")  # trailing line
+    with pytest.raises(FormatError):
+        tensor_from_string("F2T1\nd=3 k=2\nff\n\n00\n")
     with pytest.raises(FormatError):
         tensor_from_string("F2X1\nd=3 k=2\nff\n")
     with pytest.raises(FormatError):
