@@ -31,6 +31,7 @@ from .tensors import DenseTensor, Polynomial, first_block_slices
 
 BRUTEFORCE_MAX_BITS = 30  # full-table enumerations up to 2^30 inputs
 CORR_MAX_VARS = 26
+CORR_CLASS_WORK_LOG2 = 40  # corr_class_max: class size x 2^n table bits XORed
 _MC_BLOCK = 1 << 16            # Monte-Carlo samples per bit-sliced block,
 _MC_PLANE_BITS = 8 << 20       # fewer when one block's d*k planes pass 1 MiB
 
@@ -433,7 +434,8 @@ def corr_class_max(t: DenseTensor, degree: int, *,
     <= `degree`, with one maximizer.
 
     Enumerates the whole class; the class has 2^(#monomials) members and
-    the guard message reports that size.
+    the guard message reports that size.  Each member costs one XOR and
+    popcount of a 2^n-bit table, and that work is guarded too.
     """
     n = t.k * t.d
     if n > CORR_MAX_VARS:
@@ -448,7 +450,12 @@ def corr_class_max(t: DenseTensor, degree: int, *,
         raise CapacityError(
             f"degree-{degree} class over {n} variables has 2^{class_bits} "
             f"polynomials; enumeration budget is 2^{min(limit, 24)}",
-            required=class_bits, budget=min(limit, 24))
+            required=1 << class_bits, budget=1 << min(limit, 24))
+    if class_bits + n > CORR_CLASS_WORK_LOG2:
+        raise CapacityError(
+            f"degree-{degree} class over {n} variables needs 2^{class_bits + n} "
+            f"table-bit XORs; work budget is 2^{CORR_CLASS_WORK_LOG2}",
+            required=1 << (class_bits + n), budget=1 << CORR_CLASS_WORK_LOG2)
     ftab = form_table(t.bits, t.d, t.k)
     size = 1 << n
     mono_tables = []

@@ -142,16 +142,6 @@ class BitMatrix:
             out |= parity(r.bits & v.bits) << i
         return BitVec(self.nrows, out)
 
-    def transpose(self) -> "BitMatrix":
-        out = [0] * self.cols
-        for i, r in enumerate(self.rows):
-            b = r.bits
-            while b:
-                j = ctz(b)
-                b &= b - 1
-                out[j] |= 1 << i
-        return BitMatrix.from_row_ints(out, self.nrows)
-
 
 @dataclass(frozen=True)
 class Subspace:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from itertools import product
-from math import comb
+from math import comb, prod
 from typing import Callable, Sequence
 
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
@@ -26,9 +27,9 @@ from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
                    rank_lb_bias)
 from .report import REPORT_ONLY, VerificationReport, fmt_float
-from .tensors import (DenseTensor, Polynomial, RankDecomposition, RankOneTerm,
-                      explicit_form_tensor, matmul_tensor, random_rank_decomp,
-                      random_tensor, tensor_from_decomp, trace_tensor)
+from .tensors import (DenseTensor, Polynomial, explicit_form_tensor, matmul_tensor,
+                      outer_bits, random_rank_decomp, random_tensor,
+                      tensor_from_decomp, trace_tensor)
 
 MOMENT_TENSOR_BITS_LIMIT = 16      # 2^(k^d) tensors enumerated
 TUPLE_BITS_LIMIT = 24              # 2^(k t d) vector tuples enumerated
@@ -48,22 +49,25 @@ def _report(name: str, params: Sequence[tuple[str, str]], start: float,
         elapsed_ms=(time.perf_counter() - start) * 1e3)
 
 
-def _rank_one_bits(vectors: Sequence[int], d: int, k: int) -> int:
-    acc = 1
-    for v in vectors:
-        nxt = 0
-        rest = acc
-        while rest:
-            low = rest & -rest
-            nxt |= v << ((low.bit_length() - 1) * k)
-            rest ^= low
-        acc = nxt
-    return acc
+def _rank_one_census(d: int, k: int) -> dict[int, int]:
+    """Each rank-one d-tensor (packed bits) -> the number of the (2^k)^d
+    vector tuples whose outer product it is."""
+    return Counter(outer_bits(vs, k) for vs in product(range(1 << k), repeat=d))
 
 
-def _all_vector_tuples(count: int, k: int):
-    """Iterate all (2^k)^count tuples of packed vectors."""
-    return product(range(1 << k), repeat=count)
+def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
+    """Each sum of t rank-one d-tensors -> the number of the (2^k)^(td)
+    vector tuples giving it: the t-fold XOR convolution of the rank-one
+    census."""
+    one = _rank_one_census(d, k)
+    sums = {0: 1}
+    for _ in range(t):
+        nxt = Counter()
+        for s, c in sums.items():
+            for x, m in one.items():
+                nxt[s ^ x] += c * m
+        sums = nxt
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +89,7 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     lhs = dyadic_mean(
         (bias_exact(DenseTensor(d, k, bits)) ** t for bits in range(1 << cells)),
         cells)
-    zero_count = 0
-    for tup in _all_vector_tuples(t * d, k):
-        acc = 0
-        for i in range(t):
-            acc ^= _rank_one_bits(tup[i * d:(i + 1) * d], d, k)
-        if acc == 0:
-            zero_count += 1
-    rhs = D.from_ratio(zero_count, k * t * d)
+    rhs = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
     holds = lhs == rhs
     return _report(
         "moment-identity", [("d", str(d)), ("k", str(k)), ("t", str(t))], start,
@@ -115,14 +112,7 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     if k * t * d > TUPLE_BITS_LIMIT:
         raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
                             required=k * t * d, budget=TUPLE_BITS_LIMIT)
-    zero_count = 0
-    for tup in _all_vector_tuples(t * d, k):
-        acc = 0
-        for i in range(t):
-            acc ^= _rank_one_bits(tup[i * d:(i + 1) * d], d, k)
-        if acc == 0:
-            zero_count += 1
-    exact = D.from_ratio(zero_count, k * t * d)
+    exact = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
     applies = d < 2.0 ** (eps * k / 5.0) and t < eps * (k ** (d - 1)) / 5.0
@@ -156,10 +146,7 @@ def _random_subspace(ambient: int, dim: int, rng: Prng) -> Subspace:
 
 
 def _membership_prob(s: Subspace, d: int, k: int) -> D:
-    hits = 0
-    for tup in _all_vector_tuples(d, k):
-        if s.contains_bits(_rank_one_bits(tup, d, k)):
-            hits += 1
+    hits = sum(c for x, c in _rank_one_census(d, k).items() if s.contains_bits(x))
     return D.from_ratio(hits, k * d)
 
 
@@ -202,9 +189,8 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     if k * t * d > TUPLE_BITS_LIMIT:
         raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard")
     counts = [0] * (t + 1)
-    for tup in _all_vector_tuples(t * d, k):
-        rows = [_rank_one_bits(tup[i * d:(i + 1) * d], d, k) for i in range(t)]
-        counts[rank_of_row_ints(rows)] += 1
+    for combo in product(_rank_one_census(d, k).items(), repeat=t):
+        counts[rank_of_row_ints([x for x, _ in combo])] += prod(c for _, c in combo)
     total = k * t * d
     dist = [D.from_ratio(c, total) for c in counts]
     assert sum(counts) == 1 << total
@@ -348,13 +334,10 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     relaxed_ok = closed <= relaxed
     nbits = k * t * d
     if nbits <= TUPLE_BITS_LIMIT:
-        def all_biases():
-            for tup in _all_vector_tuples(t * d, k):
-                terms = tuple(
-                    RankOneTerm(tuple(BitVec(k, v) for v in tup[i * d:(i + 1) * d]))
-                    for i in range(t))
-                yield bias_exact(tensor_from_decomp(RankDecomposition(d, k, terms)))
-        mean = dyadic_mean(all_biases(), nbits)
+        total = D.zero()
+        for x, c in _sum_census(d, k, t).items():
+            total = total + D.from_ratio(c, 0) * bias_exact(DenseTensor(d, k, x))
+        mean = D.from_ratio(total.numerator, total.exponent + nbits)
         holds = mean == closed and relaxed_ok
         return _report(
             "expected-bias",

@@ -76,6 +76,21 @@ class DenseTensor:
         return DenseTensor(self.d, self.k, self.bits ^ other.bits)
 
 
+def outer_bits(vectors: Sequence[int], k: int) -> int:
+    """Packed bits of v_1 (x) ... (x) v_m for packed k-bit vectors, first
+    factor slowest (the flat layout of DenseTensor)."""
+    acc = 1  # the empty product
+    for v in vectors:
+        nxt = 0
+        rest = acc
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt |= v << ((low.bit_length() - 1) * k)
+        acc = nxt
+    return acc
+
+
 @dataclass(frozen=True)
 class RankOneTerm:
     """u_1 (x) ... (x) u_d, entries prod_j u_j(i_j)."""
@@ -100,18 +115,7 @@ class RankOneTerm:
 
     def tensor_bits(self) -> int:
         """Packed bits of the outer product."""
-        k = self.k
-        acc = 1  # the empty product
-        for v in self.vectors:
-            nxt = 0
-            rest = acc
-            while rest:
-                low = rest & -rest
-                p = low.bit_length() - 1
-                rest ^= low
-                nxt |= v.bits << (p * k)
-            acc = nxt
-        return acc
+        return outer_bits([v.bits for v in self.vectors], self.k)
 
 
 @dataclass(frozen=True)

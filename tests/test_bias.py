@@ -3,9 +3,9 @@
 import pytest
 
 from f2lab._bitops import form_table
-from f2lab.bias import (_MC_BLOCK, BiasEstimate, DyadicRational as D,
-                        bias_bruteforce, bias_exact, bias_mc, corr_class_max,
-                        corr_exact)
+from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, BiasEstimate,
+                        DyadicRational as D, bias_bruteforce, bias_exact,
+                        bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import BitMatrix, BitVec, mat_rank
 from f2lab.prng import Prng
@@ -274,6 +274,10 @@ def test_corr_class_max_guard_reports_size():
     with pytest.raises(CapacityError) as ei:
         corr_class_max(random_tensor(2, 4, 1), 4)
     assert "2^" in str(ei.value)
+    # counts, like every other capacity error: 163 monomials of degree
+    # <= 4 in 8 variables against the 2^24-member cap
+    assert ei.value.required == 1 << 163
+    assert ei.value.budget == 1 << 24
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -293,3 +297,15 @@ def test_corr_class_max_guards_table_size(monkeypatch):
         corr_class_max(DenseTensor.zeros(3, 9), 0)
     assert ei.value.required == 1 << 27
     assert ei.value.budget == 1 << 26
+
+
+def test_corr_class_max_guards_work(monkeypatch):
+    # degree 1 over 20 variables: 2^21 members, each a 2^20-bit table XOR
+    def no_tables(*args):
+        raise AssertionError("built a truth table before the guard")
+    monkeypatch.setattr("f2lab.bias.form_table", no_tables)
+    with pytest.raises(CapacityError) as ei:
+        corr_class_max(DenseTensor.zeros(4, 5), 1)
+    assert ei.value.required == 1 << 41
+    assert ei.value.budget == 1 << CORR_CLASS_WORK_LOG2 == 1 << 40
+

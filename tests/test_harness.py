@@ -1,9 +1,14 @@
 """Harness experiments: frozen exact values and suite behavior."""
 
+import json
+from collections import Counter
+from itertools import product
+from pathlib import Path
+
 import pytest
 
 from f2lab.errors import CapacityError
-from f2lab.harness import (run_all, verify_bias_matmul, verify_bias_tail,
+from f2lab.harness import (_sum_census, run_all, verify_bias_matmul, verify_bias_tail,
                            verify_bias_trace, verify_corank_margin,
                            verify_expected_bias, verify_explicit_form,
                            verify_joint_vanishing, verify_linear_preimage,
@@ -13,8 +18,35 @@ from f2lab.harness import (run_all, verify_bias_matmul, verify_bias_tail,
 from f2lab.report import REPORT_ONLY
 
 
+QUICK_PROFILE = Path(__file__).parent / "data" / "quick_profile.json"
+
+
 def measured(report):
     return dict(report.measured)
+
+
+def _literal_sum_census(d, k, t):
+    """Every (2^k)^(td) vector tuple, its t rank-one tensors built entry
+    by entry and XORed."""
+    cells = list(product(range(k), repeat=d))
+    ref = Counter()
+    for tup in product(range(1 << k), repeat=t * d):
+        acc = 0
+        for i in range(t):
+            vs = tup[i * d:(i + 1) * d]
+            for flat, idx in enumerate(cells):
+                if all((v >> j) & 1 for v, j in zip(vs, idx)):
+                    acc ^= 1 << flat
+        ref[acc] += 1
+    return ref
+
+
+@pytest.mark.parametrize("d,k,t", [(2, 1, 1), (2, 2, 2), (2, 2, 3), (3, 1, 2),
+                                   (3, 2, 1)])
+def test_sum_census_matches_literal_enumeration(d, k, t):
+    census = _sum_census(d, k, t)
+    assert dict(census) == dict(_literal_sum_census(d, k, t))
+    assert sum(census.values()) == 1 << (k * t * d)
 
 
 class TestMomentIdentity:
@@ -185,6 +217,20 @@ class TestSuite:
         names = {r.name for r in reports}
         assert {"moment-identity", "sum-zero", "bias-trace", "bias-matmul",
                 "corank-margin", "profile-max", "scalar-inequalities"} <= names
+
+    def test_quick_profile_matches_golden_file(self):
+        """The quick profile, timings stripped, equals tests/data/quick_profile.json.
+
+        This is the byte-identical gate for refactors.  A change that
+        deliberately moves a seeded or exact value regenerates the file
+        (the JSON list of `to_dict(timing=False)` over `run_all("quick")`,
+        `indent=1, sort_keys=True`) and says so in CHANGES.md.
+        """
+        got = [r.to_dict(timing=False) for r in run_all("quick")]
+        want = json.loads(QUICK_PROFILE.read_text())
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w
 
     def test_exhaustive_reports_deterministic(self):
         a = verify_moment_identity(2, 2, 2)

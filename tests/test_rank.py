@@ -1,6 +1,7 @@
 """Rank search, the bias ladder, code certificates, rank distributions."""
 
 import json
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ from f2lab.bias import DyadicRational as D, bias_exact
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import BitMatrix, BitVec, mat_rank
 from f2lab.prng import Prng
-from f2lab.rank import (code_certificate, corank_bound_margin, decompositions,
+from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, decompositions,
                         matmul_bias_exact, mrrw_rank_lb, rank_count,
                         rank_exact, rank_lb_bias)
 from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm,
@@ -16,6 +17,13 @@ from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm,
                            tensor_from_decomp, trace_tensor)
 
 rng = Prng(90210)
+
+
+def test_base_terms_order():
+    # decompositions() yields in this order: first factor slowest
+    bits, vecs = _base_terms(3, 2)
+    assert vecs == list(product(range(1, 4), repeat=3))
+    assert bits[0] == 1 and bits[-1] == (1 << 8) - 1 and len(set(bits)) == 27
 
 
 def test_rank_exact_trivia():

@@ -11,7 +11,7 @@ from f2lab.gf2k import make_field, trace
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, contract, evaluate,
-                           explicit_form_tensor, matmul_tensor,
+                           explicit_form_tensor, matmul_tensor, outer_bits,
                            random_rank_decomp, random_tensor, read_decomp,
                            read_poly, read_tensor, tensor_from_decomp,
                            tensor_from_string, tensor_to_string, trace_tensor,
@@ -28,6 +28,32 @@ def test_tensor_from_decomp_cases():
     assert t.nnz() == 1 and t.entry((0, 0, 0)) == 1
     doubled = RankDecomposition(3, 2, one_term.terms * 2)
     assert tensor_from_decomp(doubled).bits == 0
+
+
+def _outer_reference(vs, k):
+    # entry (i_1..i_m), flat index in first-slowest order, is set exactly
+    # when every u_j has bit i_j set
+    bits = 0
+    for flat, idx in enumerate(product(range(k), repeat=len(vs))):
+        if all((v >> i) & 1 for v, i in zip(vs, idx)):
+            bits |= 1 << flat
+    return bits
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2])
+def test_outer_bits_all_vectors(d, k):
+    for vs in product(range(1 << k), repeat=d):
+        assert outer_bits(vs, k) == _outer_reference(vs, k), vs
+
+
+def test_outer_bits_random_k3():
+    for d in range(1, 5):
+        for _ in range(40):
+            vs = [rng.bits(3) for _ in range(d)]
+            assert outer_bits(vs, 3) == _outer_reference(vs, 3), vs
+            term = RankOneTerm(tuple(BitVec(3, v) for v in vs))
+            assert term.tensor_bits() == outer_bits(vs, 3)
 
 
 def test_evaluate_matches_field_arithmetic():
