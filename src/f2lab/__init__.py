@@ -9,7 +9,7 @@ it.
 
 from .bias import (BiasEstimate, DyadicRational, bias_bruteforce, bias_exact,
                    bias_mc, corr_class_max, corr_exact)
-from .errors import CapacityError, FormatError
+from .errors import CapacityError, FormatError, InvariantError
 from .f2linalg import (BitMatrix, BitVec, Subspace, block_pivot_dims,
                        dual_space, echelonize, kernel, mat_rank, min_weight,
                        span_rank_histogram, subspace_contains)

@@ -3,7 +3,8 @@
 One binary, subcommands for generation, bias/correlation, rank bounds,
 and the verification suite.  `--json` switches any command to machine
 output.  Exit codes: 0 when every assertion holds, 1 when a verified
-statement fails, 2 for usage, format, or capacity errors.
+statement fails, 2 for usage, format, or capacity errors, 3 when an
+internal invariant of a computed result is violated (a program fault).
 
 Environment: F2LAB_BUDGET_BYTES (enumeration guard) is read by the
 library.
@@ -17,7 +18,7 @@ import sys
 
 from . import harness, numerics, rank, tensors
 from .bias import bias_bruteforce, bias_exact, bias_mc, corr_class_max, corr_exact
-from .errors import CapacityError, FormatError
+from .errors import CapacityError, FormatError, InvariantError
 from .report import fmt_float
 
 
@@ -296,6 +297,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FormatError, CapacityError, FileNotFoundError, ValueError) as exc:
         print(f"f2lab: error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"f2lab: error: invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

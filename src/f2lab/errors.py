@@ -18,3 +18,11 @@ class CapacityError(Exception):
 
 class FormatError(ValueError):
     """A file did not match its declared on-disk format."""
+
+
+class InvariantError(Exception):
+    """A computed result failed a check that must hold by construction.
+
+    Raised in place of `assert`, which `python -O` removes: it means the
+    program, not its input, is at fault.
+    """

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from ._bitops import budget_bytes, ctz, gray_flips, ones, parity
-from .errors import CapacityError
+from .errors import CapacityError, InvariantError
 from .prng import Prng
 
 MIN_WEIGHT_DIM_LIMIT = 28  # exhaustive codeword walk guard
@@ -265,7 +265,8 @@ def kernel(a: BitMatrix) -> Subspace:
                 v |= 1 << p
         basis.append(BitVec(a.cols, v))
     ker = echelonize(basis, a.cols)
-    assert ker.dim == a.cols - len(rows), "rank-nullity violated"
+    if ker.dim != a.cols - len(rows):
+        raise InvariantError("rank-nullity violated")
     return ker
 
 
@@ -314,7 +315,8 @@ def block_pivot_dims(s: Subspace, num_blocks: int, block_size: int) -> tuple[int
     dims = [0] * num_blocks
     for p in s.pivots:
         dims[p // block_size] += 1
-    assert sum(dims) == s.dim
+    if sum(dims) != s.dim:
+        raise InvariantError("block pivot counts do not sum to the dimension")
     return tuple(dims)
 
 
@@ -379,7 +381,8 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
             if not m:
                 break
         counts[r] = m.bit_count()
-    assert sum(counts) == nlanes
+    if sum(counts) != nlanes:
+        raise InvariantError("rank histogram does not cover every lane")
     return counts
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._bitops import parity
+from .errors import InvariantError
 from .f2linalg import BitVec
 
 MAX_DEGREE = 64
@@ -71,7 +72,7 @@ def _smallest_irreducible(k: int) -> int:
         mask = (1 << k) | low
         if _is_irreducible(mask, k):
             return mask
-    raise AssertionError(f"no irreducible of degree {k}")
+    raise InvariantError(f"no irreducible of degree {k}")
 
 
 class Gf2kField:
@@ -178,7 +179,7 @@ def make_field(k: int) -> Gf2kField:
             cur = _poly_mulmod(cur, cur, modulus, k)
             acc ^= cur
         if acc not in (0, 1):
-            raise AssertionError("trace left the prime subfield")
+            raise InvariantError("trace left the prime subfield")
         tmask |= acc << i
     return Gf2kField(k, modulus, tmask)
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
                    corr_exact, dyadic_mean)
-from .errors import CapacityError
+from .errors import CapacityError, InvariantError
 from .f2linalg import (BitMatrix, BitVec, Subspace, echelonize,
                        rank_of_row_ints)
 from .numerics import f_dk_bound, inequality_checks, profile_max_check
@@ -82,10 +82,10 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     cells = k ** d
     if cells > MOMENT_TENSOR_BITS_LIMIT:
         raise CapacityError(f"2^{cells} tensors exceed the 2^{MOMENT_TENSOR_BITS_LIMIT} guard",
-                            required=cells, budget=MOMENT_TENSOR_BITS_LIMIT)
+                            required=1 << cells, budget=1 << MOMENT_TENSOR_BITS_LIMIT)
     if k * t * d > TUPLE_BITS_LIMIT:
         raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
-                            required=k * t * d, budget=TUPLE_BITS_LIMIT)
+                            required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
     lhs = dyadic_mean(
         (bias_exact(DenseTensor(d, k, bits)) ** t for bits in range(1 << cells)),
         cells)
@@ -111,7 +111,7 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
         raise ValueError("d must be >= 2")
     if k * t * d > TUPLE_BITS_LIMIT:
         raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
-                            required=k * t * d, budget=TUPLE_BITS_LIMIT)
+                            required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
     exact = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
@@ -156,7 +156,8 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int],
     against the refined bound f_{d,k}(dim U) and its relaxation."""
     start = time.perf_counter()
     if k * d > ASSIGN_BITS_LIMIT:
-        raise CapacityError(f"2^{k*d} tuples exceed the 2^{ASSIGN_BITS_LIMIT} guard")
+        raise CapacityError(f"2^{k*d} tuples exceed the 2^{ASSIGN_BITS_LIMIT} guard",
+                            required=1 << (k * d), budget=1 << ASSIGN_BITS_LIMIT)
     ambient = k ** d
     rng = Prng(seed)
     checked = 0
@@ -187,13 +188,15 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     tensors, against the binomial-style bound for every r."""
     start = time.perf_counter()
     if k * t * d > TUPLE_BITS_LIMIT:
-        raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard")
+        raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
+                            required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
     counts = [0] * (t + 1)
     for combo in product(_rank_one_census(d, k).items(), repeat=t):
         counts[rank_of_row_ints([x for x, _ in combo])] += prod(c for _, c in combo)
     total = k * t * d
     dist = [D.from_ratio(c, total) for c in counts]
-    assert sum(counts) == 1 << total
+    if sum(counts) != 1 << total:
+        raise InvariantError("span-dimension counts do not cover every tuple")
     base = (d + 2.0 ** (t / k ** (d - 1))) / 2.0 ** k
     holds = True
     worst_ratio = 0.0
@@ -291,7 +294,8 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
     probability computed exactly per random tuple."""
     start = time.perf_counter()
     if k * d > ASSIGN_BITS_LIMIT:
-        raise CapacityError(f"2^{k*d} assignments exceed the 2^{ASSIGN_BITS_LIMIT} guard")
+        raise CapacityError(f"2^{k*d} assignments exceed the 2^{ASSIGN_BITS_LIMIT} guard",
+                            required=1 << (k * d), budget=1 << ASSIGN_BITS_LIMIT)
     floor = D.from_ratio((1 << d) - 1, d) ** t
     rng = Prng(seed)
     holds = True
@@ -349,7 +353,8 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     if samples is None or seed is None:
         raise CapacityError(
             f"2^{nbits} decompositions exceed the exhaustive guard; "
-            "pass samples and seed for Monte-Carlo mode")
+            "pass samples and seed for Monte-Carlo mode",
+            required=1 << nbits, budget=1 << TUPLE_BITS_LIMIT)
     rng = Prng(seed)
     acc = 0.0
     for _ in range(samples):
@@ -470,7 +475,8 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
     #{x : h(x) = a} <= #{x : h(x) = 0}, counted by full enumeration."""
     start = time.perf_counter()
     if k > PREIMAGE_K_LIMIT:
-        raise CapacityError(f"preimage counting needs k <= {PREIMAGE_K_LIMIT}")
+        raise CapacityError(f"preimage counting needs k <= {PREIMAGE_K_LIMIT}",
+                            required=1 << k, budget=1 << PREIMAGE_K_LIMIT)
     rng = Prng(seed)
     holds = True
     for _ in range(trials):

@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 
+from .errors import InvariantError
 from .prng import Prng
 from .report import VerificationReport, fmt_float
 
@@ -60,7 +61,8 @@ def f_dk_bound(d: int, k: int, u: float) -> float:
     q = (1.0 - 2.0 ** -k) ** (d - 1)
     val = (1.0 - q) + q * 2.0 ** (u / k ** (d - 1)) / 2.0 ** k
     relaxed = d * 2.0 ** -k + 2.0 ** (u / k ** (d - 1)) / 2.0 ** k
-    assert val <= relaxed + 1e-12
+    if val > relaxed + 1e-12:
+        raise InvariantError("f_dk bound exceeds its relaxation")
     return val
 
 
@@ -83,7 +85,8 @@ def mrrw_constant(tol: float) -> tuple[float, float]:
         return _h2(0.5 - math.sqrt(rho * (1.0 - rho))) - rho
 
     lo, hi = 1e-12, 0.5 - 1e-12
-    assert g(lo) > 0 > g(hi)
+    if not g(lo) > 0 > g(hi):
+        raise InvariantError("mrrw bisection bracket has no sign change")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if g(mid) > 0:

@@ -1,9 +1,9 @@
 """Tensor rank for small instances and rank lower bounds.
 
-Three bound routes live here:
+Three rank routes live here:
 
-* the exact meet-in-the-middle search (`rank_exact`), usable as ground
-  truth at toy sizes;
+* the exact slice-span search (`rank_exact`), ground truth at toy
+  sizes (d=3, k <= 3, and the 2x2 matrix product);
 * the bias ladder (`rank_lb_bias`): any tensor whose form has bias b
   has rank at least the first t with (1 - 2^(1-d))^t <= b, by exact
   rational comparison;
@@ -25,9 +25,9 @@ from typing import Iterator
 
 from ._bitops import budget_bytes
 from .bias import DyadicRational, bias_exact
-from .errors import CapacityError
-from .f2linalg import (BitMatrix, BitVec, dual_space, kernel, mat_rank,
-                       min_weight, rank_of_row_ints, span_rank_histogram)
+from .errors import CapacityError, InvariantError
+from .f2linalg import (BitMatrix, BitVec, _rref, dual_space, kernel, min_weight,
+                       rank_of_row_ints, span_rank_histogram)
 from .numerics import mrrw_constant
 from .tensors import (DenseTensor, RankDecomposition, RankOneTerm, first_block_slices,
                       outer_bits, tensor_from_decomp)
@@ -89,56 +89,58 @@ def _base_terms(d: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
     return [outer_bits(vs, k) for vs in vecs], vecs
 
 
-def _mitm_budget_entries(budget: int | None) -> int:
-    return max(1 << 12, budget_bytes(budget) // 64)
-
-
-def _check_search_size(nbase: int, half: int, budget: int | None):
-    entries = comb(nbase, half) if half <= nbase else 0
-    cap = _mitm_budget_entries(budget)
+def _check_search_size(d: int, k: int, m: int, budget: int | None):
+    """Refuse, before anything is listed, the sets of m of the (2^k-1)^d
+    rank-one d-tensors (or the tensors alone, if more) beyond the budget."""
+    nbase = ((1 << k) - 1) ** d
+    entries = max(nbase, comb(nbase, m))
+    cap = max(1 << 12, budget_bytes(budget) // 64)
     if entries > cap:
         raise CapacityError(
-            f"meet-in-the-middle table of C({nbase},{half}) = {entries} "
-            f"entries exceeds the {cap}-entry budget",
-            required=entries, budget=cap)
+            f"sets of {m} of the {nbase} rank-one tensors need {entries} "
+            f"entries, over the {cap}-entry budget", required=entries, budget=cap)
+
+
+def _slice_span_search(span: list[int], rank_ones: list[int], width: int,
+                       t_max: int) -> int | None:
+    """Least r <= t_max for which a new r-dimensional W = S + span(r - dim S
+    of the rank-ones) is spanned by the rank-ones inside it, else None."""
+    lookup = set(rank_ones)
+    for r in range(len(span), t_max + 1):
+        seen: set[int] = set()  # each W of dimension r, RREF rows packed into one int
+        for extra in combinations(rank_ones, r - len(span)):
+            rows, _ = _rref(span + list(extra))
+            key = sum(row << (i * width) for i, row in enumerate(rows))
+            if len(rows) < r or key in seen:
+                continue
+            seen.add(key)
+            elements = [0]
+            for row in rows:
+                elements += [e ^ row for e in elements]
+            if rank_of_row_ints(lookup.intersection(elements)) == r:
+                return r
+    return None
 
 
 def rank_exact(t: DenseTensor, t_max: int, *, budget: int | None = None) -> int | None:
     """Exact tensor rank if it is <= t_max, else None.
 
-    d=2 delegates to matrix rank (never guards); d=1 is 0/1.  Otherwise
-    a meet-in-the-middle search over sums of rank-one tensors with
-    canonical packed-bits hashing; the table budget guards the search.
+    rank(T) is the least r such that the span S of the first-block slices
+    lies in the span of r rank-one (d-1)-tensors (Buergisser-Clausen-
+    Shokrollahi); for d <= 2 it is s = dim S.  The C(#rank-ones, t_max - s)
+    sets of rank-ones tried beyond S are guarded before any search.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    if t.bits == 0:
-        return 0
-    if t.d == 1:
-        return 1 if t_max >= 1 else None
-    if t.d == 2:
-        r = mat_rank(BitMatrix.from_row_ints(first_block_slices(t), t.k))
-        return r if r <= t_max else None
-    base_bits, _ = _base_terms(t.d, t.k)
-    _check_search_size(len(base_bits), (t_max + 1) // 2, budget)
-    # sums of exactly m distinct base terms, for m up to ceil(t_max/2)
-    sums: list[set[int]] = [{0}]
-    for m in range(1, (t_max + 1) // 2 + 1):
-        layer: set[int] = set()
-        for combo in combinations(base_bits, m):
-            acc = 0
-            for b in combo:
-                acc ^= b
-            layer.add(acc)
-        sums.append(layer)
-    for tt in range(1, t_max + 1):
-        a = (tt + 1) // 2
-        b = tt - a
-        probe = sums[b]
-        target = t.bits
-        if any((target ^ v) in probe for v in sums[a]):
-            return tt
-    return None
+    span, _ = _rref(first_block_slices(t))
+    s = len(span)
+    if s > t_max:
+        return None
+    if t.d <= 2 or s == 0:
+        return s
+    _check_search_size(t.d - 1, t.k, t_max - s, budget)
+    rank_ones, _ = _base_terms(t.d - 1, t.k)
+    return _slice_span_search(span, rank_ones, t.k ** (t.d - 1), t_max)
 
 
 def decompositions(t: DenseTensor, length: int, *,
@@ -150,13 +152,8 @@ def decompositions(t: DenseTensor, length: int, *,
     """
     if t.d < 2:
         raise ValueError("decomposition search needs d >= 2")
+    _check_search_size(t.d, t.k, length, budget)
     base_bits, base_vecs = _base_terms(t.d, t.k)
-    total = comb(len(base_bits), length)
-    cap = _mitm_budget_entries(budget)
-    if total > cap:
-        raise CapacityError(
-            f"enumerating C({len(base_bits)},{length}) = {total} combinations "
-            f"exceeds the {cap}-entry budget", required=total, budget=cap)
     for idxs in combinations(range(len(base_bits)), length):
         acc = 0
         for i in idxs:
@@ -242,11 +239,12 @@ def code_certificate(decomp: RankDecomposition, *,
     reconstructed = DyadicRational.from_ratio(num, top + t - ker.dim)
     tensor = tensor_from_decomp(decomp)
     direct = bias_exact(tensor, budget=budget)
-    assert reconstructed == direct, "code-certificate bias identity violated"
+    if reconstructed != direct:
+        raise InvariantError("code-certificate bias identity violated")
     # nondegenerate in the first block: no x != 0 kills the whole form,
     # i.e. the k first-index slices are linearly independent
-    if rank_of_row_ints(first_block_slices(tensor)) == k:
-        assert ker.dim == t - k, "kernel dimension should be t - k"
+    if rank_of_row_ints(first_block_slices(tensor)) == k and ker.dim != t - k:
+        raise InvariantError("kernel dimension should be t - k")
     return RankBoundCertificate(
         method="code",
         lower_bound=rank_lb_bias(direct, 3),
@@ -318,5 +316,6 @@ def matmul_bias_exact(n: int) -> DyadicRational:
     if n <= 2:
         # imported here so that perfbench, which traces tensors.matmul_tensor, sees the call
         from .tensors import matmul_tensor
-        assert value == bias_exact(matmul_tensor(n))
+        if value != bias_exact(matmul_tensor(n)):
+            raise InvariantError("matmul bias disagrees with the generic tensor route")
     return value

@@ -401,6 +401,8 @@ def read_decomp(fp) -> RankDecomposition:
         t = int(fields["t"])
     except (ValueError, KeyError) as exc:
         raise FormatError(f"bad F2D1 header: {lines[0]!r}") from exc
+    if d < 1 or k < 1:
+        raise FormatError("d and k must be positive")
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != t:
         raise FormatError(f"expected {t} term lines, found {len(body)}")

@@ -52,6 +52,28 @@ def test_gen_random_rank_and_certify(tmp_path):
     assert "reconstructed_bias" in payload
 
 
+def test_invariant_violation_exits_3_under_optimize(tmp_path):
+    # the certificate's bias identity is checked even under python -O,
+    # where assert statements are stripped
+    path = tmp_path / "d.f2d"
+    run_cli("gen", "random-rank", "--d", "3", "--k", "2", "--t", "3",
+            "--seed", "5", "--out", str(path))
+    script = (
+        "import sys\n"
+        "from f2lab import cli, rank\n"
+        "from f2lab.bias import DyadicRational\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit(99)\n"
+        "rank.bias_exact = lambda t, budget=None: DyadicRational.zero()\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, "rank", "certify", str(path)],
+        capture_output=True, text=True)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == ("f2lab: error: invariant violated: "
+                           "code-certificate bias identity violated\n")
+
+
 def test_rank_exact_and_lb(tmp_path):
     path = tmp_path / "t.f2t"
     run_cli("gen", "trace", "--k", "2", "--out", str(path))

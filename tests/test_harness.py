@@ -1,6 +1,7 @@
 """Harness experiments: frozen exact values and suite behavior."""
 
 import json
+import re
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -47,6 +48,27 @@ def test_sum_census_matches_literal_enumeration(d, k, t):
     census = _sum_census(d, k, t)
     assert dict(census) == dict(_literal_sum_census(d, k, t))
     assert sum(census.values()) == 1 << (k * t * d)
+
+
+@pytest.mark.parametrize("call,bits,limit,message", [
+    (lambda: verify_moment_identity(3, 3, 2), 27, 16, "2^27 tensors exceed the 2^16 guard"),
+    (lambda: verify_moment_identity(2, 2, 7), 28, 24, "2^28 tuples exceed the 2^24 guard"),
+    (lambda: verify_sum_zero(2, 4, 4), 32, 24, "2^32 tuples exceed the 2^24 guard"),
+    (lambda: verify_subspace_membership(2, 12, [1], 1, 0), 24, 22,
+     "2^24 tuples exceed the 2^22 guard"),
+    (lambda: verify_span_dimension(2, 4, 4), 32, 24, "2^32 tuples exceed the 2^24 guard"),
+    (lambda: verify_joint_vanishing(2, 12, 1, 1, 0), 24, 22,
+     "2^24 assignments exceed the 2^22 guard"),
+    (lambda: verify_expected_bias(2, 4, 4), 32, 24,
+     "2^32 decompositions exceed the exhaustive guard"),
+    (lambda: verify_linear_preimage(17, 1, 0), 17, 16, "preimage counting needs k <= 16"),
+], ids=["moment-tensors", "moment-tuples", "sum-zero", "subspace-membership",
+        "span-dimension", "joint-vanishing", "expected-bias", "linear-preimage"])
+def test_capacity_guards_report_counts(call, bits, limit, message):
+    with pytest.raises(CapacityError, match=re.escape(message)) as ei:
+        call()
+    assert ei.value.required == 1 << bits
+    assert ei.value.budget == 1 << limit
 
 
 class TestMomentIdentity:

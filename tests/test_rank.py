@@ -2,9 +2,12 @@
 
 import json
 from itertools import product
+from math import comb
 
 import pytest
 
+import f2lab.rank as rank_mod
+from f2lab._bitops import budget_bytes
 from f2lab.bias import DyadicRational as D, bias_exact
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import BitMatrix, BitVec, mat_rank
@@ -13,8 +16,8 @@ from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, deco
                         matmul_bias_exact, mrrw_rank_lb, rank_count,
                         rank_exact, rank_lb_bias)
 from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm,
-                           matmul_tensor, random_rank_decomp, random_tensor,
-                           tensor_from_decomp, trace_tensor)
+                           first_block_slices, matmul_tensor, random_rank_decomp,
+                           random_tensor, tensor_from_decomp, trace_tensor)
 
 rng = Prng(90210)
 
@@ -40,18 +43,54 @@ def test_rank_exact_trace2():
     assert rank_exact(t, 2) is None
 
 
-def test_rank_exact_d2_matches_matrix_rank():
+def _fail(*args, **kwargs):
+    raise AssertionError("listed or searched rank-one tensors")
+
+
+def test_rank_exact_d2_matches_matrix_rank(monkeypatch):
+    # d <= 2: every nonzero vector is rank-one, so nothing is enumerated
+    monkeypatch.setattr(rank_mod, "_base_terms", _fail)
     for _ in range(100):
         k = 1 + rng.below(6)
         t = random_tensor(2, k, rng.u64())
-        from f2lab.tensors import first_block_slices
         r = mat_rank(BitMatrix.from_row_ints(first_block_slices(t), k))
         assert rank_exact(t, k) == r
+    t = random_tensor(2, 24, 5)
+    assert rank_exact(t, 24) == mat_rank(BitMatrix.from_row_ints(first_block_slices(t), 24))
 
 
-def test_rank_exact_guard():
-    with pytest.raises(CapacityError):
-        rank_exact(matmul_tensor(2), 6)
+def test_rank_exact_matches_decomposition_oracle():
+    # independent brute force: the least L with a decomposition into L
+    # distinct rank-one terms, over every d=3 k=2 tensor
+    for bits in range(1 << 8):
+        t = DenseTensor(3, 2, bits)
+        least = next(n for n in range(9) if next(decompositions(t, n), None) is not None)
+        assert rank_exact(t, 8) == least
+
+
+def test_rank_exact_known_values():
+    assert rank_exact(trace_tensor(3), 6) == 6
+    assert rank_exact(trace_tensor(3), 5) is None
+    assert rank_exact(matmul_tensor(2), 7) == 7  # Hopcroft-Kerr 1971
+
+
+def test_rank_exact_guard(monkeypatch):
+    monkeypatch.setattr(rank_mod, "_slice_span_search", _fail)
+    monkeypatch.setattr(rank_mod, "_base_terms", _fail)
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    cap = max(4096, budget_bytes() // 64)
+    # matmul2: s = 4, so t_max = 8 needs C(225, 4) sets of rank-one matrices
+    with pytest.raises(CapacityError) as ei:
+        rank_exact(matmul_tensor(2), 8)
+    assert ei.value.required == comb(225, 4) == 103_962_600
+    assert ei.value.budget == cap
+    # trace12 at t_max = s lists no set but 4095^2 rank-one matrices
+    with pytest.raises(CapacityError) as ei:
+        rank_exact(trace_tensor(12), 12)
+    assert ei.value.required == 4095 ** 2 and ei.value.budget == cap
+    with pytest.raises(CapacityError) as ei:
+        next(decompositions(trace_tensor(3), 4))
+    assert ei.value.required == comb(7 ** 3, 4) and ei.value.budget == cap
 
 
 def test_decomposition_is_rank_witness():

@@ -211,6 +211,9 @@ def test_decomp_file_roundtrip_and_errors():
         read_decomp(io.StringIO("F2D1 d=3 k=2 t=2\n11 01 10\n"))
     with pytest.raises(FormatError):
         read_decomp(io.StringIO("F2D1 d=2 k=2 t=1\n11 0x\n"))
+    for head in ("F2D1 d=-1 k=2 t=0", "F2D1 d=0 k=2 t=0", "F2D1 d=3 k=0 t=0"):
+        with pytest.raises(FormatError, match="d and k must be positive"):
+            read_decomp(io.StringIO(head + "\n"))
 
 
 def test_poly_file_roundtrip_and_reduction():
