@@ -22,7 +22,7 @@ from ._bitops import budget_bytes, ctz, gray_flips, ones, parity
 from .errors import CapacityError, InvariantError
 from .prng import Prng
 
-MIN_WEIGHT_DIM_LIMIT = 28  # exhaustive codeword walk guard
+MIN_WEIGHT_DIM_LIMIT = 28  # exhaustive codeword count guard
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,10 @@ def min_weight(s: Subspace) -> int:
     """Minimum Hamming weight over nonzero elements.
 
     The zero space returns the sentinel ambient_dim + 1: certificate
-    paths treat "no nonzero codeword" as vacuously heavy.  Walks all
-    2^dim codewords with one XOR per step (Gray order).
+    paths treat "no nonzero codeword" as vacuously heavy.  Counts the
+    weight of all 2^dim codewords bit-sliced, one lane per codeword, in
+    the lane chunks of the rank kernel; the basis is independent, so only
+    the zero codeword has weight 0.
     """
     if s.dim == 0:
         return s.ambient_dim + 1
@@ -292,15 +294,15 @@ def min_weight(s: Subspace) -> int:
             f"min_weight over 2^{s.dim} codewords exceeds the dim <= "
             f"{MIN_WEIGHT_DIM_LIMIT} guard",
             required=1 << s.dim, budget=1 << MIN_WEIGHT_DIM_LIMIT)
-    rows = [v.bits for v in s.basis]
-    cur = 0
-    best = s.ambient_dim + 1
-    for flip in gray_flips(len(rows)):
-        cur ^= rows[flip]
-        w = cur.bit_count()
-        if w < best:
-            best = w
-    return best
+    n = s.ambient_dim
+    counts = [0] * (n + 1)
+    for planes, nlanes in _lane_chunks([[v.bits] for v in s.basis], 1, n, None):
+        counter = _LaneCounter(nlanes, n)
+        for coordinate in planes[0]:
+            counter.add(coordinate)
+        for w, c in enumerate(counter.histogram()):
+            counts[w] += c
+    return next(w for w in range(1, n + 1) if counts[w])
 
 
 def block_pivot_dims(s: Subspace, num_blocks: int, block_size: int) -> tuple[int, ...]:
@@ -324,6 +326,48 @@ def block_pivot_dims(s: Subspace, num_blocks: int, block_size: int) -> tuple[int
 # Batched rank histogram over a span of matrices (bit-sliced).
 # ---------------------------------------------------------------------------
 
+# Lanes per chunk, a measured constant.  At 2^16 lanes every plane is an
+# 8 KiB int and a k=22 chunk's planes and slot rows take about 8 MiB; at
+# 2^20 they are 128 KiB ints and about 120 MiB.  bias_exact(trace_tensor(22))
+# took a median 0.83 s at 2^16 and 1.32 s at 2^20 (five runs each, 2-vCPU
+# x86-64 host, Python 3.11).
+LANE_CHUNK_BITS = 16
+
+
+class _LaneCounter:
+    """A small count per lane, bit-sliced: planes[b] holds bit b of
+    every lane's count, and adding a lane mask is a ripple carry."""
+
+    def __init__(self, nlanes: int, top: int):
+        self.nlanes = nlanes
+        self.top = top
+        self.planes = [0] * top.bit_length()
+
+    def add(self, mask: int) -> None:
+        """Add one to the count of every lane set in `mask`."""
+        idx = 0
+        while mask:
+            carry = self.planes[idx] & mask
+            self.planes[idx] ^= mask
+            mask = carry
+            idx += 1
+
+    def histogram(self) -> list[int]:
+        """counts[v] = number of lanes whose count is v, for v = 0..top."""
+        full = ones(self.nlanes)
+        inverted = [full ^ plane for plane in self.planes]
+        counts = []
+        for v in range(self.top + 1):
+            m = full
+            for b, plane in enumerate(self.planes):
+                m &= plane if (v >> b) & 1 else inverted[b]
+                if not m:
+                    break
+            counts.append(m.bit_count())
+        if sum(counts) != self.nlanes:
+            raise InvariantError("lane histogram does not cover every lane")
+        return counts
+
 
 def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
                             nlanes: int) -> list[int]:
@@ -336,8 +380,7 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
     full = ones(nlanes)
     slot_occ = [0] * ncols
     slot_rows = [[0] * ncols for _ in range(ncols)]
-    maxrank = min(nrows, ncols)
-    counter = [0] * (maxrank.bit_length() + 1)
+    counter = _LaneCounter(nlanes, min(nrows, ncols))
 
     for i in range(nrows):
         row = list(planes[i])
@@ -365,25 +408,8 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
                 live ^= inst
                 if not live:
                     break
-        carry = installed
-        idx = 0
-        while carry:
-            nxt = counter[idx] & carry
-            counter[idx] ^= carry
-            carry = nxt
-            idx += 1
-
-    counts = [0] * (maxrank + 1)
-    for r in range(maxrank + 1):
-        m = full
-        for b, plane in enumerate(counter):
-            m &= plane if (r >> b) & 1 else (full ^ plane)
-            if not m:
-                break
-        counts[r] = m.bit_count()
-    if sum(counts) != nlanes:
-        raise InvariantError("rank histogram does not cover every lane")
-    return counts
+        counter.add(installed)
+    return counter.histogram()
 
 
 def _doubling_planes(gen_rows: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
@@ -407,12 +433,36 @@ def _doubling_planes(gen_rows: list[list[int]], nrows: int, ncols: int) -> list[
     return planes
 
 
+def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int,
+                 budget: int | None):
+    """Yield (planes, nlanes) chunks that together cover every one of the
+    2^m coefficient vectors of `gen_rows` exactly once.
+
+    The low generators are doubled into planes once.  Each later chunk
+    XORs one high generator into `base` (Gray order) and flips the shared
+    planes wherever `base` has a bit set.  The byte budget can only make
+    a chunk smaller than 2^LANE_CHUNK_BITS lanes.
+    """
+    lane_budget_bits = max(64, (budget_bytes(budget) * 8) // max(1, nrows * ncols))
+    chunk_m = min(len(gen_rows), max(1, lane_budget_bits.bit_length() - 1),
+                  LANE_CHUNK_BITS)
+    low, high = gen_rows[:chunk_m], gen_rows[chunk_m:]
+    nlanes = 1 << chunk_m
+    planes = _doubling_planes(low, nrows, ncols)
+    yield planes, nlanes
+    lane_ones = ones(nlanes)
+    base = [0] * nrows
+    for flip in gray_flips(len(high)):
+        base = [b ^ h for b, h in zip(base, high[flip])]
+        yield [[p ^ lane_ones if (bi >> j) & 1 else p for j, p in enumerate(pi)]
+               for pi, bi in zip(planes, base)], nlanes
+
+
 def span_rank_histogram(generators: Sequence[BitMatrix], *,
                         budget: int | None = None) -> list[int]:
     """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r}.
 
-    Exhausts all 2^m coefficient vectors; lanes are chunked so plane
-    memory stays within the byte budget.
+    Exhausts all 2^m coefficient vectors in lane chunks (`_lane_chunks`).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -421,32 +471,9 @@ def span_rank_histogram(generators: Sequence[BitMatrix], *,
     for g in generators:
         if g.nrows != nrows or g.cols != ncols:
             raise ValueError("generator shapes differ")
-    m = len(generators)
     gen_rows = [g.row_ints() for g in generators]
-
-    lane_budget_bits = max(64, (budget_bytes(budget) * 8) // max(1, nrows * ncols))
-    chunk_m = min(m, max(1, lane_budget_bits.bit_length() - 1), 20)
-    maxrank = min(nrows, ncols)
-    counts = [0] * (maxrank + 1)
-    low, high = gen_rows[:chunk_m], gen_rows[chunk_m:]
-    nlanes = 1 << chunk_m
-    for base_idx in range(1 << len(high)):
-        planes = _doubling_planes(low, nrows, ncols)
-        if base_idx:
-            lane_ones = ones(nlanes)
-            base = [0] * nrows
-            for j in range(len(high)):
-                if (base_idx >> j) & 1:
-                    for i in range(nrows):
-                        base[i] ^= high[j][i]
-            for i in range(nrows):
-                bi = base[i]
-                if not bi:
-                    continue
-                pi = planes[i]
-                for j in range(ncols):
-                    if (bi >> j) & 1:
-                        pi[j] ^= lane_ones
+    counts = [0] * (min(nrows, ncols) + 1)
+    for planes, nlanes in _lane_chunks(gen_rows, nrows, ncols, budget):
         part = _batched_rank_histogram(planes, nrows, ncols, nlanes)
         for r, c in enumerate(part):
             counts[r] += c

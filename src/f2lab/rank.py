@@ -199,7 +199,8 @@ def code_certificate(decomp: RankDecomposition, *,
         raise ValueError("code certificates are for 3-dimensional decompositions")
     k, t = decomp.k, decomp.t
     if k > 24:
-        raise CapacityError("dual-code enumeration needs k <= 24", required=1 << k)
+        raise CapacityError("dual-code enumeration needs k <= 24",
+                            required=1 << k, budget=1 << 24)
     a_cols = [term.vectors[0] for term in decomp.terms]
     a_rows = [0] * k
     for i, col in enumerate(a_cols):

@@ -1,5 +1,7 @@
 """Bias and correlation: exact routes agree, closed forms hit exactly."""
 
+from itertools import permutations
+
 import pytest
 
 from f2lab._bitops import form_table
@@ -7,7 +9,7 @@ from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
-from f2lab.f2linalg import BitMatrix, BitVec, mat_rank
+from f2lab.f2linalg import LANE_CHUNK_BITS, BitMatrix, BitVec, mat_rank
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
@@ -287,6 +289,42 @@ def test_corr_class_max_degree_zero_is_bias(seed):
     val, wit = corr_class_max(t, 0)
     assert val == bias_exact(t)
     assert wit.degree() <= 0
+
+
+def test_corr_class_max_affine_is_bias():
+    # summing out the first block against a.x leaves the indicator of
+    # {v(rest) = a}, whose mass is at most the kernel's: the affine class
+    # maximum is the bias, reached by a route that shares no rank kernel
+    prng = Prng(41)
+    for k in range(1, 6):
+        for _ in range(2):
+            t = random_tensor(3, k, prng.u64())
+            assert corr_class_max(t, 1)[0] == bias_exact(t)
+
+
+def permute_blocks(t, perm):
+    """The tensor whose block j is block perm[j] of t."""
+    k, d = t.k, t.d
+    out = 0
+    for flat in range(k ** d):
+        if (t.bits >> flat) & 1:
+            idx = [(flat // k ** (d - 1 - j)) % k for j in range(d)]
+            new = 0
+            for j in range(d):
+                new = new * k + idx[perm[j]]
+            out |= 1 << new
+    return DenseTensor(d, k, out)
+
+
+@pytest.mark.parametrize("k", [LANE_CHUNK_BITS + 1, LANE_CHUNK_BITS + 2])
+def test_bias_exact_block_permutation_invariant(k):
+    # every order of the blocks gives other slices, so other lane chunks
+    t = random_tensor(3, k, 50 + k)
+    want = bias_exact(t)
+    permuted = [permute_blocks(t, perm) for perm in permutations(range(3))]
+    assert len({p.bits for p in permuted}) == 6
+    for p in permuted:
+        assert bias_exact(p) == want
 
 
 def test_corr_class_max_guards_table_size(monkeypatch):

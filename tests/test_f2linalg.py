@@ -3,10 +3,10 @@
 import pytest
 
 from f2lab.errors import CapacityError
-from f2lab.f2linalg import (BitMatrix, BitVec, Subspace, block_pivot_dims,
-                            dual_space, echelonize, kernel, mat_rank,
-                            min_weight, rank_of_row_ints, span_rank_histogram,
-                            subspace_contains)
+from f2lab.f2linalg import (LANE_CHUNK_BITS, BitMatrix, BitVec, Subspace,
+                            block_pivot_dims, dual_space, echelonize, kernel,
+                            mat_rank, min_weight, rank_of_row_ints,
+                            span_rank_histogram, subspace_contains)
 from f2lab.prng import Prng
 
 
@@ -158,6 +158,38 @@ def test_min_weight():
     assert min_weight(echelonize([], 6)) == 7  # sentinel for the zero space
 
 
+def gray_walk_min_weight(s):
+    best = s.ambient_dim + 1
+    for e in s.elements_bits():
+        if e:
+            best = min(best, e.bit_count())
+    return best
+
+
+def test_min_weight_matches_gray_walk():
+    rng = Prng(12)
+    for dim in range(LANE_CHUNK_BITS + 3):
+        n = dim + rng.below(9)
+        vecs = []
+        while len(vecs) < dim:
+            v = BitVec.random(n, rng)
+            if echelonize(vecs + [v], n).dim > len(vecs):
+                vecs.append(v)
+        s = echelonize(vecs, n)
+        assert s.dim == dim
+        assert min_weight(s) == gray_walk_min_weight(s)
+
+
+def test_min_weight_only_in_a_high_chunk():
+    # the last basis row e_cap (weight 1) is the lone weight-1 word, and it
+    # is lane 0 of the second lane chunk; every other word has weight >= 2
+    n = LANE_CHUNK_BITS + 2
+    vecs = [BitVec(n, (1 << i) | (1 << (n - 1))) for i in range(LANE_CHUNK_BITS)]
+    s = echelonize(vecs + [BitVec.unit(n, LANE_CHUNK_BITS)], n)
+    assert s.basis[-1] == BitVec.unit(n, LANE_CHUNK_BITS)
+    assert min_weight(s) == gray_walk_min_weight(s) == 1
+
+
 def test_min_weight_guard():
     vecs = [BitVec.unit(40, j) for j in range(30)]
     with pytest.raises(CapacityError):
@@ -220,3 +252,19 @@ def test_span_rank_histogram_chunked():
     gens = [BitMatrix.random(4, 4, rng) for _ in range(9)]
     # a tiny budget forces lane chunking; result must not change
     assert span_rank_histogram(gens, budget=64) == span_rank_histogram(gens)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("extra", [1, 2])
+def test_span_rank_histogram_high_chunks(n, extra):
+    # the low generators keep the last row zero; the `extra` high ones share
+    # one nonzero last row, so the chunks of base h0 and h1 have rank-n
+    # matrices and the chunk of base h0 ^ h1 has none
+    rng = Prng(13 + 10 * n + extra)
+
+    def gen(last_row):
+        return BitMatrix.from_row_ints([rng.bits(n) for _ in range(n - 1)] + [last_row], n)
+
+    last = 1 + rng.below((1 << n) - 1)
+    gens = [gen(0) for _ in range(LANE_CHUNK_BITS)] + [gen(last) for _ in range(extra)]
+    assert span_rank_histogram(gens) == brute_span_hist(gens)

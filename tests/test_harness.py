@@ -16,7 +16,9 @@ from f2lab.harness import (_sum_census, run_all, verify_bias_matmul, verify_bias
                            verify_low_rank_bias_floor, verify_mc_bias,
                            verify_moment_identity, verify_span_dimension,
                            verify_subspace_membership, verify_sum_zero)
+from f2lab.rank import code_certificate
 from f2lab.report import REPORT_ONLY
+from f2lab.tensors import RankDecomposition
 
 
 QUICK_PROFILE = Path(__file__).parent / "data" / "quick_profile.json"
@@ -62,8 +64,11 @@ def test_sum_census_matches_literal_enumeration(d, k, t):
     (lambda: verify_expected_bias(2, 4, 4), 32, 24,
      "2^32 decompositions exceed the exhaustive guard"),
     (lambda: verify_linear_preimage(17, 1, 0), 17, 16, "preimage counting needs k <= 16"),
+    (lambda: code_certificate(RankDecomposition(3, 25, ())), 25, 24,
+     "dual-code enumeration needs k <= 24"),
 ], ids=["moment-tensors", "moment-tuples", "sum-zero", "subspace-membership",
-        "span-dimension", "joint-vanishing", "expected-bias", "linear-preimage"])
+        "span-dimension", "joint-vanishing", "expected-bias", "linear-preimage",
+        "code-certificate"])
 def test_capacity_guards_report_counts(call, bits, limit, message):
     with pytest.raises(CapacityError, match=re.escape(message)) as ei:
         call()

@@ -10,7 +10,7 @@ import f2lab.rank as rank_mod
 from f2lab._bitops import budget_bytes
 from f2lab.bias import DyadicRational as D, bias_exact
 from f2lab.errors import CapacityError
-from f2lab.f2linalg import BitMatrix, BitVec, mat_rank
+from f2lab.f2linalg import LANE_CHUNK_BITS, BitMatrix, BitVec, mat_rank, rank_of_row_ints
 from f2lab.prng import Prng
 from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, decompositions,
                         matmul_bias_exact, mrrw_rank_lb, rank_count,
@@ -162,6 +162,18 @@ def test_certificate_random_reconstruction():
         dec = random_rank_decomp(3, k, t_count, rng.u64())
         cert = code_certificate(dec)  # internal equality assert
         assert cert.kernel_dim + cert.dual_dim == t_count
+
+
+def test_certificate_dual_span_over_lane_chunks():
+    # k = t - 6 = LANE_CHUNK_BITS + 2: the dual span, bias_exact and
+    # min_weight all run over several lane chunks
+    k = LANE_CHUNK_BITS + 2
+    for seed in (61, 62):
+        dec = random_rank_decomp(3, k, k + 6, seed)
+        cert = code_certificate(dec)  # checks the bias identity itself
+        rank_a = rank_of_row_ints(term.vectors[0].bits for term in dec.terms)
+        assert rank_a > LANE_CHUNK_BITS
+        assert (cert.dual_dim, cert.kernel_dim) == (rank_a, dec.t - rank_a)
 
 
 def test_certificate_json():
