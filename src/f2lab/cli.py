@@ -6,6 +6,11 @@ output.  Exit codes: 0 when every assertion holds, 1 when a verified
 statement fails, 2 for usage, format, or capacity errors, 3 when an
 internal invariant of a computed result is violated (a program fault).
 
+`verify NAME` runs `harness.verify_<NAME>` (dashes for underscores) and
+passes each of its parameters the value of the flag of the same name, or
+None where there is no such flag, so the experiment's signature is the
+only list of its arguments.  `timed` sets the wall time of every report.
+
 Environment: F2LAB_BUDGET_BYTES (enumeration guard) is read by the
 library.
 """
@@ -13,27 +18,23 @@ library.
 from __future__ import annotations
 
 import argparse
+import inspect
+import io
 import json
 import sys
 
 from . import harness, numerics, rank, tensors
 from .bias import bias_bruteforce, bias_exact, bias_mc, corr_class_max, corr_exact
 from .errors import CapacityError, FormatError, InvariantError
-from .report import fmt_float
+from .report import fmt_float, timed
 
 
-def _read_tensor_arg(path: str) -> tensors.DenseTensor:
+def _read_arg(path: str, reader):
+    """`reader` applied to the file at `path`, or to stdin for "-"."""
     if path == "-":
-        return tensors.read_tensor(sys.stdin)
+        return reader(sys.stdin)
     with open(path, "r", encoding="ascii") as fp:
-        return tensors.read_tensor(fp)
-
-
-def _read_decomp_arg(path: str) -> tensors.RankDecomposition:
-    if path == "-":
-        return tensors.read_decomp(sys.stdin)
-    with open(path, "r", encoding="ascii") as fp:
-        return tensors.read_decomp(fp)
+        return reader(fp)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -63,7 +64,6 @@ def _cmd_gen(args) -> int:
     elif kind == "random":
         t = tensors.random_tensor(args.d, args.k, args.seed)
     else:  # random-rank
-        import io
         decomp = tensors.random_rank_decomp(args.d, args.k, args.t, args.seed)
         buf = io.StringIO()
         tensors.write_decomp(buf, decomp)
@@ -74,14 +74,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bias(args) -> int:
-    t = _read_tensor_arg(args.file)
-    if args.mode == "exact":
-        value = bias_exact(t)
-        _print_obj({"bias": str(value), "float": fmt_float(value.to_float())},
-                   args.json)
-        return 0
-    if args.mode == "brute":
-        value = bias_bruteforce(t)
+    t = _read_arg(args.file, tensors.read_tensor)
+    if args.mode != "mc":
+        value = (bias_exact if args.mode == "exact" else bias_bruteforce)(t)
         _print_obj({"bias": str(value), "float": fmt_float(value.to_float())},
                    args.json)
         return 0
@@ -97,13 +92,11 @@ def _cmd_bias(args) -> int:
 
 
 def _cmd_corr(args) -> int:
-    t = _read_tensor_arg(args.file)
+    t = _read_arg(args.file, tensors.read_tensor)
     if (args.poly is None) == (args.max_degree is None):
         raise FormatError("pass exactly one of --poly or --max-degree")
     if args.poly is not None:
-        with open(args.poly, "r", encoding="ascii") as fp:
-            poly = tensors.read_poly(fp)
-        value = corr_exact(t, poly)
+        value = corr_exact(t, _read_arg(args.poly, tensors.read_poly))
         _print_obj({"correlation": str(value), "float": fmt_float(value.to_float())},
                    args.json)
         return 0
@@ -120,20 +113,18 @@ def _cmd_corr(args) -> int:
 
 def _cmd_rank(args) -> int:
     if args.mode == "exact":
-        t = _read_tensor_arg(args.file)
+        t = _read_arg(args.file, tensors.read_tensor)
         r = rank.rank_exact(t, args.max_t)
         _print_obj({"rank": r if r is not None else f"exceeds {args.max_t}"},
                    args.json)
         return 0
     if args.mode == "lb":
-        if args.method != "bias":
-            raise FormatError(f"unknown lower-bound method {args.method!r}")
-        t = _read_tensor_arg(args.file)
+        t = _read_arg(args.file, tensors.read_tensor)
         b = bias_exact(t)
         lb = rank.rank_lb_bias(b, t.d)
         _print_obj({"bias": str(b), "rank_lower_bound": lb}, args.json)
         return 0
-    decomp = _read_decomp_arg(args.file)
+    decomp = _read_arg(args.file, tensors.read_decomp)
     cert = rank.code_certificate(decomp)
     if args.json:
         print(cert.to_json())
@@ -149,36 +140,18 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-_VERIFY_SINGLE = {
-    "moment-identity": lambda a: harness.verify_moment_identity(a.d, a.k, a.t),
-    "sum-zero": lambda a: harness.verify_sum_zero(a.d, a.k, a.t, a.eps),
-    "subspace-membership": lambda a: harness.verify_subspace_membership(
-        a.d, a.k, list(range(0, a.k ** a.d + 1, max(1, a.k ** a.d // 8))),
-        a.trials, a.seed),
-    "span-dimension": lambda a: harness.verify_span_dimension(a.d, a.k, a.t),
-    "bias-tail": lambda a: harness.verify_bias_tail(a.d, a.k, a.eps, a.samples, a.seed),
-    "low-rank-bias-floor": lambda a: harness.verify_low_rank_bias_floor(
-        a.d, a.k, a.t, a.trials, a.seed),
-    "joint-vanishing": lambda a: harness.verify_joint_vanishing(
-        a.d, a.k, a.t, a.trials, a.seed),
-    "expected-bias": lambda a: harness.verify_expected_bias(a.d, a.k, a.t),
-    "bias-trace": lambda a: harness.verify_bias_trace(a.k),
-    "bias-matmul": lambda a: harness.verify_bias_matmul(a.n),
-    "explicit-form": lambda a: harness.verify_explicit_form(a.d, a.k, a.samples, a.seed),
-    "linear-preimage": lambda a: harness.verify_linear_preimage(a.k, a.trials, a.seed),
-    "corank-margin": lambda a: harness.verify_corank_margin(a.n),
-    "mc-bias": lambda a: harness.verify_mc_bias(a.d, a.k, a.samples, 0.99, a.seed),
-}
-
-
 def _cmd_verify(args) -> int:
     if args.name == "all":
         reports = harness.run_all(args.profile)
     else:
-        if args.name not in _VERIFY_SINGLE:
-            names = ", ".join(sorted(_VERIFY_SINGLE) + ["all"])
-            raise FormatError(f"unknown experiment {args.name!r}; choose from: {names}")
-        reports = [_VERIFY_SINGLE[args.name](args)]
+        names = sorted(attr[len("verify_"):].replace("_", "-")
+                       for attr in vars(harness) if attr.startswith("verify_"))
+        if args.name not in names:
+            choices = ", ".join(names + ["all"])
+            raise FormatError(f"unknown experiment {args.name!r}; choose from: {choices}")
+        experiment = getattr(harness, "verify_" + args.name.replace("-", "_"))
+        params = inspect.signature(experiment).parameters
+        reports = [timed(experiment, **{p: getattr(args, p, None) for p in params})]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -194,7 +167,7 @@ def _cmd_mrrw(args) -> int:
 
 
 def _cmd_profile_max(args) -> int:
-    report = numerics.profile_max_check(args.k, args.u, args.trials, args.seed)
+    report = timed(numerics.profile_max_check, args.k, args.u, args.trials, args.seed)
     if args.json:
         print(report.to_json())
     else:
@@ -254,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("mode", choices=["exact", "lb", "certify"])
     r.add_argument("file", help="F2T1 (exact/lb) or F2D1 (certify), or -")
     r.add_argument("--max-t", type=int, default=4)
-    r.add_argument("--method", default="bias", help="lower-bound method (lb mode)")
     add_json(r)
     r.set_defaults(func=_cmd_rank)
 

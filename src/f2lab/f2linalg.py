@@ -441,9 +441,12 @@ def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int,
     The low generators are doubled into planes once.  Each later chunk
     XORs one high generator into `base` (Gray order) and flips the shared
     planes wherever `base` has a bit set.  The byte budget can only make
-    a chunk smaller than 2^LANE_CHUNK_BITS lanes.
+    a chunk smaller than 2^LANE_CHUNK_BITS lanes.  It covers every plane a
+    chunk holds at once: the shared and the flipped entry planes, and the
+    ncols^2 slot rows and ncols-entry row of `_batched_rank_histogram`.
     """
-    lane_budget_bits = max(64, (budget_bytes(budget) * 8) // max(1, nrows * ncols))
+    planes_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
+    lane_budget_bits = max(64, (budget_bytes(budget) * 8) // planes_per_lane)
     chunk_m = min(len(gen_rows), max(1, lane_budget_bits.bit_length() - 1),
                   LANE_CHUNK_BITS)
     low, high = gen_rows[:chunk_m], gen_rows[chunk_m:]

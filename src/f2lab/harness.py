@@ -11,7 +11,6 @@ tightness regression is visible even while everything still passes.
 from __future__ import annotations
 
 import math
-import time
 from collections import Counter
 from itertools import product
 from math import comb, prod
@@ -26,7 +25,7 @@ from .numerics import f_dk_bound, inequality_checks, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
                    rank_lb_bias)
-from .report import REPORT_ONLY, VerificationReport, fmt_float
+from .report import REPORT_ONLY, VerificationReport, fmt_float, timed
 from .tensors import (DenseTensor, Polynomial, explicit_form_tensor, matmul_tensor,
                       outer_bits, random_rank_decomp, random_tensor,
                       tensor_from_decomp, trace_tensor)
@@ -39,14 +38,13 @@ PREIMAGE_K_LIMIT = 16
 D = DyadicRational
 
 
-def _report(name: str, params: Sequence[tuple[str, str]], start: float,
+def _report(name: str, params: Sequence[tuple[str, str]],
             measured: Sequence[tuple[str, str]], bound: tuple[str, str],
             holds, method: str, samples: int | None = None,
             seed: int | None = None) -> VerificationReport:
     return VerificationReport(
         name=name, params=tuple(params), measured=tuple(measured),
-        bound=bound, holds=holds, method=method, samples=samples, seed=seed,
-        elapsed_ms=(time.perf_counter() - start) * 1e3)
+        bound=bound, holds=holds, method=method, samples=samples, seed=seed)
 
 
 def _rank_one_census(d: int, k: int) -> dict[int, int]:
@@ -78,7 +76,6 @@ def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
 def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     """E over all tensors of bias^t equals Pr[sum of t random rank-one
     tensors is zero]; both sides by full enumeration, compared exactly."""
-    start = time.perf_counter()
     cells = k ** d
     if cells > MOMENT_TENSOR_BITS_LIMIT:
         raise CapacityError(f"2^{cells} tensors exceed the 2^{MOMENT_TENSOR_BITS_LIMIT} guard",
@@ -92,7 +89,7 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     rhs = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
     holds = lhs == rhs
     return _report(
-        "moment-identity", [("d", str(d)), ("k", str(k)), ("t", str(t))], start,
+        "moment-identity", [("d", str(d)), ("k", str(k)), ("t", str(t))],
         [("moment", str(lhs)), ("vanish_prob", str(rhs))],
         ("equality", str(rhs)), holds, "exhaustive")
 
@@ -106,7 +103,6 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     preconditions d < 2^(eps k/5), t < eps k^(d-1)/5 hold, and is
     otherwise displayed report-only.
     """
-    start = time.perf_counter()
     if d < 2:
         raise ValueError("d must be >= 2")
     if k * t * d > TUPLE_BITS_LIMIT:
@@ -121,7 +117,6 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     return _report(
         "sum-zero",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("eps", fmt_float(eps))],
-        start,
         [("exact", str(exact)),
          ("headline", fmt_float(headline)),
          ("headline_asserted", "yes" if applies else "no")],
@@ -150,15 +145,20 @@ def _membership_prob(s: Subspace, d: int, k: int) -> D:
     return D.from_ratio(hits, k * d)
 
 
-def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int],
+def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | None,
                                trials: int, seed: int) -> VerificationReport:
     """Exact Pr[random rank-one tensor lies in U] for random subspaces U,
-    against the refined bound f_{d,k}(dim U) and its relaxation."""
-    start = time.perf_counter()
+    against the refined bound f_{d,k}(dim U) and its relaxation.
+
+    `subspace_dims=None` sweeps dim U from 0 to k^d in steps of
+    max(1, k^d // 8).
+    """
     if k * d > ASSIGN_BITS_LIMIT:
         raise CapacityError(f"2^{k*d} tuples exceed the 2^{ASSIGN_BITS_LIMIT} guard",
                             required=1 << (k * d), budget=1 << ASSIGN_BITS_LIMIT)
     ambient = k ** d
+    if subspace_dims is None:
+        subspace_dims = range(0, ambient + 1, max(1, ambient // 8))
     rng = Prng(seed)
     checked = 0
     worst_gap = math.inf
@@ -177,7 +177,6 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int],
         "subspace-membership",
         [("d", str(d)), ("k", str(k)),
          ("dims", ",".join(map(str, subspace_dims))), ("trials", str(trials))],
-        start,
         [("subspaces", str(checked)), ("min_gap_to_refined", fmt_float(worst_gap))],
         ("refined<=relaxed", "f_dk <= d/2^k + 2^(u/k^(d-1))/2^k"),
         holds, "exhaustive", samples=checked, seed=seed)
@@ -186,7 +185,6 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int],
 def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     """Exact distribution of dim span(T_1..T_t) for independent rank-one
     tensors, against the binomial-style bound for every r."""
-    start = time.perf_counter()
     if k * t * d > TUPLE_BITS_LIMIT:
         raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
                             required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
@@ -208,7 +206,7 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
         if bound > 0:
             worst_ratio = max(worst_ratio, val / bound)
     return _report(
-        "span-dimension", [("d", str(d)), ("k", str(k)), ("t", str(t))], start,
+        "span-dimension", [("d", str(d)), ("k", str(k)), ("t", str(t))],
         [("distribution", " ".join(str(p) for p in dist)),
          ("worst_ratio_to_bound", fmt_float(worst_ratio))],
         ("bound", "C(t,r) ((d + 2^(t/k^(d-1)))/2^k)^(t-r)"),
@@ -230,7 +228,6 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
     agree with it within 3 Hoeffding standard errors; that cross-check
     is the asserted part.
     """
-    start = time.perf_counter()
     if samples < 1:
         raise ValueError("samples must be >= 1")
     threshold = 2.0 ** (-(1.0 - eps) * k)
@@ -256,7 +253,7 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
         holds = REPORT_ONLY
     return _report(
         "bias-tail",
-        [("d", str(d)), ("k", str(k)), ("eps", fmt_float(eps))], start,
+        [("d", str(d)), ("k", str(k)), ("eps", fmt_float(eps))],
         measured,
         ("asymptotic_tail_2^(-eps^2 k^d/20)", fmt_float(displayed)),
         holds, "monte-carlo", samples=samples, seed=seed)
@@ -266,7 +263,6 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
                                seed: int) -> VerificationReport:
     """bias >= (1 - 2^(1-d))^t for tensors given with t rank-one terms,
     by exact rational comparison on random decompositions."""
-    start = time.perf_counter()
     if d < 2:
         raise ValueError("d must be >= 2")
     floor = D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
@@ -283,7 +279,6 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
     return _report(
         "low-rank-bias-floor",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("trials", str(trials))],
-        start,
         [("min_bias", str(min_bias))],
         ("floor", str(floor)), holds, "exhaustive", samples=trials, seed=seed)
 
@@ -292,7 +287,6 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
                            seed: int) -> VerificationReport:
     """Pr[all of t rank-one forms vanish] >= (1 - 2^-d)^t, with the
     probability computed exactly per random tuple."""
-    start = time.perf_counter()
     if k * d > ASSIGN_BITS_LIMIT:
         raise CapacityError(f"2^{k*d} assignments exceed the 2^{ASSIGN_BITS_LIMIT} guard",
                             required=1 << (k * d), budget=1 << ASSIGN_BITS_LIMIT)
@@ -315,7 +309,6 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
     return _report(
         "joint-vanishing",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("trials", str(trials))],
-        start,
         [("min_prob", str(min_pr))],
         ("floor", str(floor)), holds, "exhaustive", samples=trials, seed=seed)
 
@@ -329,7 +322,6 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     mode asserts Hoeffding-CI coverage.  Both assert the closed form is
     below the relaxed d 2^-k + (1-2^(1-d))^t.
     """
-    start = time.perf_counter()
     if d < 2:
         raise ValueError("d must be >= 2")
     q = D.one() - D.half_pow(k)
@@ -346,7 +338,6 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
         return _report(
             "expected-bias",
             [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "exhaustive")],
-            start,
             [("mean", str(mean)), ("closed_form", str(closed)),
              ("relaxed", str(relaxed))],
             ("equality", str(closed)), holds, "exhaustive")
@@ -366,7 +357,6 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     return _report(
         "expected-bias",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "monte-carlo")],
-        start,
         [("mean", fmt_float(mean_f)), ("closed_form", str(closed)),
          ("ci_halfwidth", fmt_float(hw))],
         ("coverage", str(closed)), holds, "monte-carlo", samples=samples, seed=seed)
@@ -380,7 +370,6 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
 def verify_bias_trace(k: int) -> VerificationReport:
     """Bias of the field-trace tensor equals 2 2^-k - 2^-2k exactly,
     via the rank fast path and (capacity permitting) literal brute force."""
-    start = time.perf_counter()
     formula = D.from_ratio((1 << (k + 1)) - 1, 2 * k)
     t = trace_tensor(k)
     fast = bias_exact(t)
@@ -391,7 +380,7 @@ def verify_bias_trace(k: int) -> VerificationReport:
         routes.append("brute")
         holds = holds and brute == formula
     return _report(
-        "bias-trace", [("k", str(k)), ("routes", "+".join(routes))], start,
+        "bias-trace", [("k", str(k)), ("routes", "+".join(routes))],
         [("bias", str(fast))],
         ("formula", str(formula)), holds, "exhaustive")
 
@@ -401,7 +390,6 @@ def verify_bias_matmul(n: int) -> VerificationReport:
     by tensor routes at n <= 2, against the n 2^(-3n^2/4) bound; the rank
     lower bound implied by the ladder is displayed next to the asymptotic
     1.8 n^2."""
-    start = time.perf_counter()
     value = matmul_bias_exact(n)
     routes = ["rank-distribution"]
     cross_ok = True
@@ -418,7 +406,7 @@ def verify_bias_matmul(n: int) -> VerificationReport:
         holds = cross_ok and bound_ok
     ladder = rank_lb_bias(value, 3)
     return _report(
-        "bias-matmul", [("n", str(n)), ("routes", "+".join(routes))], start,
+        "bias-matmul", [("n", str(n)), ("routes", "+".join(routes))],
         [("bias", str(value)), ("ladder_rank_lb", str(ladder)),
          ("asymptotic_1.8n^2", fmt_float(1.8 * n * n))],
         ("bound_n*2^(-3n^2/4)", fmt_float(n * 2.0 ** (-3.0 * n * n / 4.0))),
@@ -443,19 +431,18 @@ def _lifted_form(d: int, k: int, rng: Prng) -> Polynomial:
     return Polynomial.reduce(k * d, monos)
 
 
-def verify_explicit_form(d: int, k: int, g_samples: int,
+def verify_explicit_form(d: int, k: int, samples: int,
                          seed: int) -> VerificationReport:
     """The product-then-project form: bias equals 1 - (1-2^-k)^(d-1)
     exactly, and its correlation with random degree-(d-1) multilinear
     forms never exceeds (d-1) 2^-k."""
-    start = time.perf_counter()
     t = explicit_form_tensor(d, k)
     formula = D.one() - (D.one() - D.half_pow(k)) ** (d - 1)
     holds = bias_exact(t) == formula
     cap = D.from_ratio(d - 1, k)
     worst = D.zero()
     rng = Prng(seed)
-    for _ in range(g_samples):
+    for _ in range(samples):
         g = _lifted_form(d, k, rng)
         c = corr_exact(t, g)
         if c > cap:
@@ -464,16 +451,15 @@ def verify_explicit_form(d: int, k: int, g_samples: int,
             worst = c
     return _report(
         "explicit-form",
-        [("d", str(d)), ("k", str(k)), ("g_samples", str(g_samples))], start,
+        [("d", str(d)), ("k", str(k)), ("g_samples", str(samples))],
         [("bias", str(formula)), ("max_correlation_seen", str(worst))],
         ("correlation_cap", str(cap)), holds, "exhaustive",
-        samples=g_samples or None, seed=seed if g_samples else None)
+        samples=samples or None, seed=seed if samples else None)
 
 
 def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport:
     """For linear maps h, no fiber beats the kernel:
     #{x : h(x) = a} <= #{x : h(x) = 0}, counted by full enumeration."""
-    start = time.perf_counter()
     if k > PREIMAGE_K_LIMIT:
         raise CapacityError(f"preimage counting needs k <= {PREIMAGE_K_LIMIT}",
                             required=1 << k, budget=1 << PREIMAGE_K_LIMIT)
@@ -495,7 +481,7 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
         if fiber > kernel_size:
             holds = False
     return _report(
-        "linear-preimage", [("k", str(k)), ("trials", str(trials))], start,
+        "linear-preimage", [("k", str(k)), ("trials", str(trials))],
         [("trials", str(trials))],
         ("fiber<=kernel", "#h^-1(a) <= #h^-1(0)"),
         holds, "exhaustive", samples=trials, seed=seed)
@@ -509,27 +495,26 @@ def verify_corank_margin(n: int) -> VerificationReport:
     consequence (the matrix-product bias bound) is asserted, in
     `verify_bias_matmul`.
     """
-    start = time.perf_counter()
     rows = corank_bound_margin(n)
     worst = max(r[3] for r in rows)
     cells = " ".join(f"r={r}:{fmt_float(ratio)}" for r, _, _, ratio in rows)
     return _report(
-        "corank-margin", [("n", str(n))], start,
+        "corank-margin", [("n", str(n))],
         [("ratios", cells), ("worst_ratio", fmt_float(worst))],
         ("corank_bound", "2^(-(n-r)^2), not asserted"),
         REPORT_ONLY, "closed-form")
 
 
-def verify_mc_bias(d: int, k: int, samples: int, confidence: float,
-                   seed: int) -> VerificationReport:
+def verify_mc_bias(d: int, k: int, samples: int, seed: int) -> VerificationReport:
     """Monte-Carlo bias estimate of a random tensor is consistent with
     the exact value.
 
     Asserted at a 3.5-sigma band (sigma = 1/sqrt(samples), the worst
     case for a +-1 mean), so a single run is a stable regression check;
-    the reported Hoeffding half-width is the interval callers get.
+    the reported Hoeffding half-width, at 99% confidence, is the interval
+    callers get.
     """
-    start = time.perf_counter()
+    confidence = 0.99
     t = random_tensor(d, k, seed ^ 0x5EED)
     exact = bias_exact(t).to_float()
     est = bias_mc(t, samples, confidence, seed)
@@ -538,7 +523,6 @@ def verify_mc_bias(d: int, k: int, samples: int, confidence: float,
     return _report(
         "mc-bias",
         [("d", str(d)), ("k", str(k)), ("confidence", fmt_float(confidence))],
-        start,
         [("point", fmt_float(est.point)), ("exact", fmt_float(exact)),
          ("ci_halfwidth", fmt_float(est.ci_halfwidth))],
         ("allowed_dev", fmt_float(allowed)),
@@ -575,15 +559,15 @@ def _quick_plan() -> list[Callable[[], VerificationReport]]:
         lambda: verify_expected_bias(2, 1, 2),
         lambda: verify_expected_bias(2, 2, 1),
         lambda: verify_expected_bias(3, 2, 1),
-        lambda: verify_explicit_form(3, 2, g_samples=200, seed=304),
-        lambda: verify_explicit_form(4, 2, g_samples=100, seed=305),
-        lambda: verify_explicit_form(3, 3, g_samples=100, seed=306),
+        lambda: verify_explicit_form(3, 2, samples=200, seed=304),
+        lambda: verify_explicit_form(4, 2, samples=100, seed=305),
+        lambda: verify_explicit_form(3, 3, samples=100, seed=306),
         lambda: verify_linear_preimage(4, trials=150, seed=307),
         lambda: verify_linear_preimage(6, trials=100, seed=308),
         lambda: verify_corank_margin(2),
         lambda: verify_corank_margin(3),
         lambda: verify_corank_margin(4),
-        lambda: verify_mc_bias(3, 4, samples=20_000, confidence=0.99, seed=309),
+        lambda: verify_mc_bias(3, 4, samples=20_000, seed=309),
         lambda: profile_max_check(2, 2.0, random_trials=2_000, seed=310),
         lambda: profile_max_check(5, 13.7, random_trials=2_000, seed=311),
         lambda: inequality_checks(trials=20_000, seed=312),
@@ -614,12 +598,12 @@ def _full_plan() -> list[Callable[[], VerificationReport]]:
         lambda: verify_bias_tail(3, 3, 0.3, 2_000, seed=503),
         lambda: verify_expected_bias(3, 2, 2),
         lambda: verify_expected_bias(2, 3, 5, samples=4_000, seed=504),
-        lambda: verify_explicit_form(3, 2, g_samples=400, seed=505),
-        lambda: verify_explicit_form(4, 2, g_samples=300, seed=506),
-        lambda: verify_explicit_form(3, 3, g_samples=300, seed=507),
-        lambda: verify_explicit_form(2, 6, g_samples=200, seed=508),
+        lambda: verify_explicit_form(3, 2, samples=400, seed=505),
+        lambda: verify_explicit_form(4, 2, samples=300, seed=506),
+        lambda: verify_explicit_form(3, 3, samples=300, seed=507),
+        lambda: verify_explicit_form(2, 6, samples=200, seed=508),
         lambda: verify_linear_preimage(8, trials=200, seed=509),
-        lambda: verify_mc_bias(2, 8, samples=200_000, confidence=0.99, seed=510),
+        lambda: verify_mc_bias(2, 8, samples=200_000, seed=510),
         lambda: inequality_checks(trials=100_000, seed=511),
     ]
     for k in range(1, 7):
@@ -643,6 +627,6 @@ def run_all(profile: str) -> list[VerificationReport]:
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    reports = [fn() for fn in PROFILES[profile]()]
+    reports = [timed(fn) for fn in PROFILES[profile]()]
     reports.sort(key=lambda r: (r.name, r.params))
     return reports

@@ -10,7 +10,6 @@ inequalities the maximization proof leans on.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .errors import InvariantError
@@ -165,7 +164,6 @@ def profile_max_check(k: int, u: float, random_trials: int,
     Extreme points are enumerated exactly (their max must equal the
     bound); random feasible profiles must stay below it.
     """
-    start = time.perf_counter()
     if not 0 <= u <= k * k:
         raise ValueError("u must lie in [0, k^2]")
     bound = (2.0 ** k - 1.0) * 2.0 ** (u / k)
@@ -200,8 +198,7 @@ def profile_max_check(k: int, u: float, random_trials: int,
         holds=holds,
         method="closed-form",
         samples=random_trials or None,
-        seed=seed if random_trials else None,
-        elapsed_ms=(time.perf_counter() - start) * 1e3)
+        seed=seed if random_trials else None)
 
 
 def inequality_checks(trials: int, seed: int) -> VerificationReport:
@@ -212,7 +209,6 @@ def inequality_checks(trials: int, seed: int) -> VerificationReport:
     Both are checked cross-multiplied so the x = 1 and z = 1 boundary
     cases stay exact.
     """
-    start = time.perf_counter()
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = Prng(seed)
@@ -248,5 +244,4 @@ def inequality_checks(trials: int, seed: int) -> VerificationReport:
         holds=holds,
         method="monte-carlo",
         samples=trials,
-        seed=seed,
-        elapsed_ms=(time.perf_counter() - start) * 1e3)
+        seed=seed)

@@ -24,7 +24,7 @@ from math import comb
 from typing import Iterator
 
 from ._bitops import budget_bytes
-from .bias import DyadicRational, bias_exact
+from .bias import DyadicRational, _histogram_to_mean, bias_exact
 from .errors import CapacityError, InvariantError
 from .f2linalg import (BitMatrix, BitVec, _rref, dual_space, kernel, min_weight,
                        rank_of_row_ints, span_rank_histogram)
@@ -232,12 +232,8 @@ def code_certificate(decomp: RankDecomposition, *,
     else:
         gens = [pair_matrix(v.bits) for v in dual.basis]
         counts = span_rank_histogram(gens, budget=budget)
-    top = len(counts) - 1
-    num = 0
-    for r, c in enumerate(counts):
-        num += c << (top - r)
     # (|K| / 2^t) * sum_v 2^-rank(M_v)
-    reconstructed = DyadicRational.from_ratio(num, top + t - ker.dim)
+    reconstructed = _histogram_to_mean(counts, t - ker.dim)
     tensor = tensor_from_decomp(decomp)
     direct = bias_exact(tensor, budget=budget)
     if reconstructed != direct:

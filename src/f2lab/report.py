@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 REPORT_ONLY = "report-only"
 
@@ -20,7 +22,8 @@ class VerificationReport:
     displayed-but-unasserted ones (asymptotic constants); exhaustive
     reports carry exact values and no seed.  Equality and serialization
     ignore elapsed_ms so exhaustive reports are byte-identical across
-    runs.
+    runs.  Experiments do not read the clock: a report from a direct call
+    carries elapsed_ms = 0.0, and `timed` fills it in.
     """
 
     name: str
@@ -69,3 +72,10 @@ class VerificationReport:
             parts.append(" ".join(f"{k}={v}" for k, v in self.measured))
         parts.append(f"{self.bound[0]}={self.bound[1]}")
         return "  ".join(parts)
+
+
+def timed(fn: Callable[..., VerificationReport], *args, **kwargs) -> VerificationReport:
+    """Run one experiment and return its report with the wall time set."""
+    start = time.perf_counter()
+    report = fn(*args, **kwargs)
+    return replace(report, elapsed_ms=(time.perf_counter() - start) * 1e3)

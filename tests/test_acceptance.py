@@ -5,7 +5,9 @@ Each test prints one PASS line (visible with -s or -rP; the pytest -v
 status line itself is the per-criterion verdict either way).
 """
 
+import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,9 @@ from f2lab.rank import (code_certificate, corank_bound_margin, decompositions,
 from f2lab.tensors import (explicit_form_tensor, matmul_tensor,
                            random_rank_decomp, tensor_from_decomp,
                            trace_tensor)
+
+
+FULL_PROFILE = Path(__file__).parent / "data" / "full_profile.json"
 
 
 def _line(num, text):
@@ -211,5 +216,14 @@ def test_criterion_15_suite_profiles_within_budget():
     full_s = time.perf_counter() - start
     assert all(r.ok() for r in full), [r.format_line() for r in full if not r.ok()]
     assert full_s < 1800.0, f"full profile took {full_s:.1f}s"
+    # the gate for refactors: the full profile, timings
+    # stripped, equals tests/data/full_profile.json (regenerated the same
+    # way as tests/data/quick_profile.json when a value moves on purpose)
+    assert all(r.elapsed_ms > 0 for r in full)
+    got = [r.to_dict(timing=False) for r in full]
+    want = json.loads(FULL_PROFILE.read_text())
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
     _line(15, f"quick {quick_s:.1f}s (< 60s), full {full_s:.1f}s (< 30min), "
               f"zero failures")

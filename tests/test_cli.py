@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+from f2lab import harness
 from f2lab.cli import main
+
+EXPERIMENTS = sorted(name[len("verify_"):].replace("_", "-")
+                     for name in vars(harness) if name.startswith("verify_"))
 
 
 def run_cli(*args):
@@ -79,7 +83,7 @@ def test_rank_exact_and_lb(tmp_path):
     run_cli("gen", "trace", "--k", "2", "--out", str(path))
     code, out, _ = run_cli("rank", "exact", str(path), "--max-t", "4", "--json")
     assert code == 0 and json.loads(out)["rank"] == 3
-    code, out, _ = run_cli("rank", "lb", str(path), "--method", "bias", "--json")
+    code, out, _ = run_cli("rank", "lb", str(path), "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload == {"bias": "7/2^4", "rank_lower_bound": 3}
@@ -93,6 +97,10 @@ def test_corr_with_poly_and_class(tmp_path):
     code, out, _ = run_cli("corr", str(tpath), "--poly", str(ppath), "--json")
     assert code == 0
     assert "correlation" in json.loads(out)
+    proc = subprocess.run(
+        [sys.executable, "-m", "f2lab", "corr", str(tpath), "--poly", "-", "--json"],
+        input=ppath.read_text(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, out), proc.stderr
     code, out, _ = run_cli("corr", str(tpath), "--max-degree", "1", "--json")
     assert code == 0
     assert "max_correlation" in json.loads(out)
@@ -105,6 +113,43 @@ def test_verify_single_and_exit_codes():
     reports = json.loads(out)
     assert reports[0]["holds"] is True
     assert reports[0]["measured"][0]["value"] == "29/2^7"
+
+
+def verify_json(capsys, *argv):
+    assert main(["verify", *argv, "--json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_experiment_runs_by_name(capsys, name):
+    reports = verify_json(capsys, name, "--samples", "300", "--trials", "5")
+    assert [r["name"] for r in reports] == [name]
+    assert reports[0]["elapsed_ms"] > 0
+
+
+# each experiment's arguments as the CLI spelled them out before it read
+# the signatures, for `verify NAME --d 3 --k 2 --samples 60 --trials 3 --seed 4`
+OLD_CALLS = {
+    "subspace-membership": lambda: harness.verify_subspace_membership(
+        3, 2, list(range(0, 2 ** 3 + 1, max(1, 2 ** 3 // 8))), 3, 4),
+    "mc-bias": lambda: harness.verify_mc_bias(3, 2, 60, 4),
+    "explicit-form": lambda: harness.verify_explicit_form(3, 2, 60, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OLD_CALLS))
+def test_verify_by_name_matches_old_call(capsys, name):
+    got = verify_json(capsys, name, "--d", "3", "--k", "2", "--samples", "60",
+                      "--trials", "3", "--seed", "4")
+    assert got[0].pop("elapsed_ms") > 0
+    assert got == [OLD_CALLS[name]().to_dict(timing=False)]
+
+
+def test_verify_expected_bias_past_guard_samples(capsys):
+    report, = verify_json(capsys, "expected-bias", "--d", "2", "--k", "3", "--t", "5",
+                          "--samples", "500", "--seed", "3")
+    assert report["method"] == "monte-carlo"
+    assert (report["samples"], report["seed"]) == (500, 3)
 
 
 def test_verify_all_quick_json():
@@ -127,6 +172,7 @@ def test_mrrw_and_profile_max():
 def test_usage_errors_exit_2(tmp_path):
     code, _, err = run_cli("verify", "no-such-experiment")
     assert code == 2 and "unknown experiment" in err
+    assert len(EXPERIMENTS) == 14 and ", ".join(EXPERIMENTS + ["all"]) in err
     code, _, err = run_cli("bias", "exact", str(tmp_path / "missing.f2t"))
     assert code == 2
     bad = tmp_path / "bad.f2t"

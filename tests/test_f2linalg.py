@@ -1,5 +1,7 @@
 """f2linalg: rank, echelon bases, kernels, duals, weights, batching."""
 
+import tracemalloc
+
 import pytest
 
 from f2lab.errors import CapacityError
@@ -8,6 +10,7 @@ from f2lab.f2linalg import (LANE_CHUNK_BITS, BitMatrix, BitVec, Subspace,
                             mat_rank, min_weight, rank_of_row_ints,
                             span_rank_histogram, subspace_contains)
 from f2lab.prng import Prng
+from f2lab.tensors import first_block_slices, trace_tensor
 
 
 def dense_rank_oracle(rows, cols):
@@ -268,3 +271,20 @@ def test_span_rank_histogram_high_chunks(n, extra):
     last = 1 + rng.below((1 << n) - 1)
     gens = [gen(0) for _ in range(LANE_CHUNK_BITS)] + [gen(last) for _ in range(extra)]
     assert span_rank_histogram(gens) == brute_span_hist(gens)
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
+def test_span_rank_histogram_peak_within_budget(budget):
+    # 20x20 slices of trace_tensor(20), as bias_exact ranks them; 16 of the 20
+    # generators keep several chunks with high generators at every budget
+    k = 20
+    gens = [BitMatrix.from_row_ints([(s >> (i * k)) & ((1 << k) - 1) for i in range(k)], k)
+            for s in first_block_slices(trace_tensor(k))[:16]]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        span_rank_histogram(gens, budget=budget)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget, (peak, budget)

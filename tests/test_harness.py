@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from f2lab import harness
 from f2lab.errors import CapacityError
 from f2lab.harness import (_sum_census, run_all, verify_bias_matmul, verify_bias_tail,
                            verify_bias_trace, verify_corank_margin,
@@ -210,9 +211,9 @@ class TestExplicitTensors:
         assert verify_bias_matmul(1).holds == REPORT_ONLY
 
     def test_explicit_form(self):
-        r = verify_explicit_form(3, 2, g_samples=100, seed=13)
+        r = verify_explicit_form(3, 2, samples=100, seed=13)
         assert r.holds is True
-        r = verify_explicit_form(2, 3, g_samples=50, seed=14)
+        r = verify_explicit_form(2, 3, samples=50, seed=14)
         assert measured(r)["bias"] == "1/2^3"
         assert r.holds is True
 
@@ -228,7 +229,7 @@ def test_corank_margin_report_only():
 
 
 def test_mc_bias_experiment():
-    assert verify_mc_bias(3, 4, samples=20_000, confidence=0.99, seed=16).holds is True
+    assert verify_mc_bias(3, 4, samples=20_000, seed=16).holds is True
 
 
 class TestSuite:
@@ -258,6 +259,13 @@ class TestSuite:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert g == w
+
+    def test_run_all_times_every_report(self, monkeypatch):
+        plan = [lambda: verify_corank_margin(2), lambda: verify_moment_identity(2, 1, 1)]
+        monkeypatch.setitem(harness.PROFILES, "quick", lambda: plan)
+        reports = run_all("quick")
+        assert len(reports) == 2 and all(r.elapsed_ms > 0 for r in reports)
+        assert verify_corank_margin(2).elapsed_ms == 0.0
 
     def test_exhaustive_reports_deterministic(self):
         a = verify_moment_identity(2, 2, 2)
