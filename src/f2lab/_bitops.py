@@ -93,6 +93,14 @@ def form_table(bits: int, dims: int, k: int) -> int:
     return out
 
 
+def anf_table(anf: int, m: int) -> int:
+    """Truth table over 2^m inputs of the polynomial whose bit u is the
+    monomial prod_{i in u} x_i (the binary Moebius transform)."""
+    for v in range(m):
+        anf ^= (anf << (1 << v)) & var_mask(v, m)
+    return anf
+
+
 def gray_flips(nbits: int):
     """Yield the bit flipped at each step of a full Gray-code walk.
 

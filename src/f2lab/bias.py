@@ -4,15 +4,18 @@ Every exact probability here is a dyadic rational held as an integer
 numerator over a power-of-two denominator, so equality with closed
 forms is literal, not approximate.
 
-Two independent exact routes are kept deliberately separate:
+Two exact routes check each other:
 
-* `bias_bruteforce` walks every input assignment, counting ones of the
-  form block by block (the last block is materialized as a literal
-  truth table and popcounted).  It knows nothing about ranks.
+* `bias_bruteforce` popcounts truth tables over all 2^(kd) inputs: the
+  first-block slice tables from `_bitops.form_table`, XORed in Gray
+  order over the first block.  It knows nothing about ranks.
 * `bias_exact` enumerates only the first d-2 blocks; each residual
   bilinear form contributes 2^-rank, computed by the bit-sliced batched
   rank kernel.  All contributions are nonnegative probabilities, so the
   absolute value in the definition never needs a sign.
+
+At d = 3 the two share no code; from d = 4 on both build tables with
+`form_table`, which the tests check input by input against `evaluate`.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from ._bitops import (budget_bytes, form_table, gray_flips, linear_form_table,
-                      ones, var_mask)
+from ._bitops import (anf_table, budget_bytes, form_table, gray_flips,
+                      linear_form_table, ones, var_mask)
 from .errors import CapacityError
 from .f2linalg import BitMatrix, mat_rank, span_rank_histogram, _batched_rank_histogram
 from .prng import Prng
@@ -243,87 +246,48 @@ def bias_exact(t: DenseTensor, *, budget: int | None = None) -> DyadicRational:
 
 
 # ---------------------------------------------------------------------------
-# Literal brute force and correlation (streaming truth tables).
+# Brute force over whole truth tables, and Monte Carlo.
 # ---------------------------------------------------------------------------
 
 
-def _stream_ones(t: DenseTensor,
-                 prefix_chunk: Callable[[int], int] | None = None) -> int:
-    """Count inputs where the form (xor'ed with an optional polynomial
-    chunk) evaluates to 1, visiting every assignment.
-
-    Blocks 1..d-1 are enumerated outermost-first in Gray order; the last
-    block is materialized as a 2^k-bit truth table per prefix and
-    popcounted.  `prefix_chunk(prefix_value)` supplies the extra table
-    to xor in; prefix_value packs block j (0-based, j < d-1) at bits
-    [(d-2-j)k, (d-1-j)k).
-    """
-    k, d = t.k, t.d
-    vm = [var_mask(i, k) for i in range(k)]
-
-    if d == 1:
-        tbl = linear_form_table(t.bits, k)
-        if prefix_chunk is not None:
-            tbl ^= prefix_chunk(0)
-        return tbl.bit_count()
-
-    def base_case(matrix_bits: int, prefix_val: int) -> int:
-        # matrix_bits: k x k residual over the last two blocks
-        row_tables = []
-        for i in range(k):
-            row = (matrix_bits >> (i * k)) & ones(k)
-            rt = 0
-            rb = row
-            while rb:
-                low = rb & -rb
-                rt ^= vm[low.bit_length() - 1]
-                rb ^= low
-            row_tables.append(rt)
-        cnt = 0
-        tbl = 0
-        if prefix_chunk is None:
-            for flip in gray_flips(k):
-                tbl ^= row_tables[flip]
-                cnt += tbl.bit_count()
-        else:
-            val = prefix_val
-            cnt += prefix_chunk(val).bit_count()
-            for flip in gray_flips(k):
-                tbl ^= row_tables[flip]
-                val ^= 1 << flip
-                cnt += (tbl ^ prefix_chunk(val)).bit_count()
-        return cnt
-
-    def walk(bits: int, dims: int, prefix_val: int, shift: int) -> int:
-        if dims == 2:
-            return base_case(bits, prefix_val)
-        step = t.k ** (dims - 1)
-        mask = ones(step)
-        slices = [(bits >> (i * step)) & mask for i in range(k)]
-        cnt = walk(0, dims - 1, prefix_val, shift - k)
-        cur = 0
-        val = prefix_val
-        for flip in gray_flips(k):
-            cur ^= slices[flip]
-            val ^= 1 << (shift + flip)
-            cnt += walk(cur, dims - 1, val, shift - k)
-        return cnt
-
-    return walk(t.bits, d, 0, k * (d - 2))
+def _bruteforce_bytes(k: int, d: int) -> int:
+    """Bytes `bias_bruteforce` holds at once: 4 bytes per 30-bit digit of
+    a table, 64 bytes of headers per piece `form_table` joins, and 4 KiB
+    of frames and small lists."""
+    if d == 1:  # the table, a variable mask being built and their XOR
+        return 4096 + 5 * (4 * ((1 << k) // 30 + 1) + 64)
+    pieces = 1 << k if d > 2 else 1
+    # k slice tables, and the last one's list and join being built
+    return 4096 + (k + 4) * (4 * ((1 << (k * d - k)) // 30 + 1) + 64 * pieces)
 
 
 def bias_bruteforce(t: DenseTensor, *, budget: int | None = None) -> DyadicRational:
-    """Bias by literal enumeration of all 2^(kd) inputs.
+    """Bias by counting the ones of the form over all 2^(kd) inputs.
 
-    Independent of the rank identity used by `bias_exact`; the only
-    structure exploited is the block layout of the enumeration order.
+    d = 1 popcounts the linear form's table.  For d >= 2 the k first-block
+    slices are tabulated over the other blocks (`form_table`); a Gray walk
+    over the first block XORs one slice table into the residual table per
+    step and popcounts it.  The tables must fit the byte budget.
     """
-    n = t.k * t.d
+    k, d = t.k, t.d
+    n = k * d
     if n > BRUTEFORCE_MAX_BITS:
         raise CapacityError(
             f"bias_bruteforce over 2^{n} inputs (guard 2^{BRUTEFORCE_MAX_BITS})",
             required=1 << n, budget=1 << BRUTEFORCE_MAX_BITS)
-    ones_count = _stream_ones(t)
+    required = _bruteforce_bytes(k, d)
+    if required > budget_bytes(budget):
+        raise CapacityError(
+            f"bias_bruteforce holds {required} bytes of truth tables",
+            required=required, budget=budget_bytes(budget))
+    if d == 1:
+        ones_count = linear_form_table(t.bits, k).bit_count()
+    else:
+        tables = [form_table(s, d - 1, k) for s in first_block_slices(t)]
+        ones_count = residual = 0
+        for flip in gray_flips(k):
+            residual ^= tables[flip]
+            ones_count += residual.bit_count()
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
@@ -379,45 +343,26 @@ def bias_mc(t: DenseTensor, samples: int, confidence: float,
 # ---------------------------------------------------------------------------
 
 
-def _poly_chunk_fn(poly: Polynomial, d: int, k: int) -> Callable[[int], int]:
-    """Per-prefix truth-table chunks of `poly` over the last block.
-
-    Variable v (0-based) = block j0 = v // k, coordinate i0 = v % k.
-    Inside the joint enumeration, block j0 < d-1 lives at prefix bit
-    (d-2-j0)k + i0 and block d-1 is the tabulated axis.
-    """
-    tables = []
-    for mono in poly.monomials:
-        need = 0
-        low = ones(1 << k)
-        for v in mono:
-            j0, i0 = divmod(v, k)
-            if j0 == d - 1:
-                low &= var_mask(i0, k)
-            else:
-                need |= 1 << ((d - 2 - j0) * k + i0)
-        tables.append((need, low))
-
-    def chunk(prefix_val: int) -> int:
-        out = 0
-        for need, low in tables:
-            if prefix_val & need == need:
-                out ^= low
-        return out
-
-    return chunk
+def _input_bit(v: int, k: int, d: int) -> int:
+    """Truth-table input bit of polynomial variable v: coordinate v % k of
+    block v // k, with the first block at the high bits (`form_table`)."""
+    j, i = divmod(v, k)
+    return (d - 1 - j) * k + i
 
 
-def corr_exact(t: DenseTensor, poly: Polynomial, *,
-               budget: int | None = None) -> DyadicRational:
-    """Corr(f_T, P) = bias(f_T - P), by full enumeration of all inputs."""
-    n = t.k * t.d
+def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
+    """Corr(f_T, P) = bias(f_T - P), from the popcount of the XOR of the
+    2^n-bit truth tables of f_T and of P."""
+    k, d = t.k, t.d
+    n = k * d
     if poly.n != n:
         raise ValueError(f"polynomial has {poly.n} variables, form has {n}")
     if n > CORR_MAX_VARS:
         raise CapacityError(f"corr_exact over 2^{n} inputs (guard 2^{CORR_MAX_VARS})",
                             required=1 << n, budget=1 << CORR_MAX_VARS)
-    ones_count = _stream_ones(t, _poly_chunk_fn(poly, t.d, t.k))
+    anf = sum(1 << sum(1 << _input_bit(v, k, d) for v in mono)
+              for mono in poly.monomials)  # distinct monomials: no carries
+    ones_count = (form_table(t.bits, d, k) ^ anf_table(anf, n)).bit_count()
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
@@ -462,9 +407,7 @@ def corr_class_max(t: DenseTensor, degree: int, *,
     for mono in monos:
         mt = ones(size)
         for v in mono:
-            j0, i0 = divmod(v, t.k)
-            bitpos = (t.d - 1 - j0) * t.k + i0
-            mt &= var_mask(bitpos, n)
+            mt &= var_mask(_input_bit(v, t.k, t.d), n)
         mono_tables.append(mt)
 
     best_num = abs(size - 2 * (ftab.bit_count()))

@@ -124,10 +124,10 @@ def test_criterion_07_matmul_bias_and_rank_counts():
     _line(7, "matmul bias 29/128 both routes; bound holds n=2..4; counts match")
 
 
-def test_criterion_08_corank_margin_documented():
+def test_criterion_08_corank_margin_documented(quick_profile):
     rows = corank_bound_margin(2)
     assert rows[1][3] == pytest.approx(1.125)
-    reports = run_all("quick")
+    reports, _ = quick_profile
     margin_reports = [r for r in reports if r.name == "corank-margin"]
     assert margin_reports and all(r.holds == "report-only" for r in margin_reports)
     assert all(r.ok() for r in reports)
@@ -205,10 +205,8 @@ def test_criterion_14_tail_distribution_crosscheck():
               f"within {m['allowed_dev']}")
 
 
-def test_criterion_15_suite_profiles_within_budget():
-    start = time.perf_counter()
-    quick = run_all("quick")
-    quick_s = time.perf_counter() - start
+def test_criterion_15_suite_profiles_within_budget(quick_profile):
+    quick, quick_s = quick_profile
     assert all(r.ok() for r in quick), [r.format_line() for r in quick if not r.ok()]
     assert quick_s < 60.0, f"quick profile took {quick_s:.1f}s"
     start = time.perf_counter()

@@ -1,10 +1,11 @@
 """Bias and correlation: exact routes agree, closed forms hit exactly."""
 
+import tracemalloc
 from itertools import permutations
 
 import pytest
 
-from f2lab._bitops import form_table
+from f2lab._bitops import anf_table, budget_bytes, form_table
 from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
@@ -116,6 +117,119 @@ def test_form_table_matches_evaluate(d, k):
         holed = DenseTensor(d, k, t.bits & ((1 << ((k - 1) * step)) - 1))
         for u in (t, holed):
             assert form_table(u.bits, d, k) == _form_table_reference(u)
+
+
+def _table_bias(ones_count, n):
+    return D.from_ratio(abs((1 << n) - 2 * ones_count), n)
+
+
+@pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(1, 4)]
+                         + [(1, 5), (2, 4)])
+def test_bias_bruteforce_matches_per_input_count(d, k):
+    step = k ** (d - 1)
+    for seed in (1, 2):
+        t = random_tensor(d, k, 200 * d + 10 * k + seed)
+        # a zero first slice leaves a zero table on the most frequent flip
+        holed = DenseTensor(d, k, t.bits >> step << step)
+        for u in (t, holed):
+            want = _table_bias(_form_table_reference(u).bit_count(), k * d)
+            assert bias_bruteforce(u) == want
+
+
+def _poly_assignment(x, k, d):
+    """Polynomial variables j*k + i from the form's input x (block j of
+    the form at bits [(d-1-j)k, (d-j)k) of x)."""
+    out = 0
+    for j in range(d):
+        out |= ((x >> ((d - 1 - j) * k)) & ((1 << k) - 1)) << (j * k)
+    return out
+
+
+@pytest.mark.parametrize("d,k", [(1, 3), (2, 2), (2, 3), (3, 2), (4, 2), (3, 3)])
+def test_corr_exact_matches_per_input_count(d, k):
+    n = k * d
+    prng = Prng(60 + 10 * d + k)
+    t = random_tensor(d, k, prng.u64())
+    f = _form_table_reference(t)
+    spanning = [tuple(j * k + prng.below(k) for j in range(d)) for _ in range(3)]
+    polys = [Polynomial(n, ()), Polynomial(n, ((),)),
+             Polynomial.reduce(n, [(), (0,), (n - 1,), (0, n - 1)] + spanning),
+             Polynomial.reduce(n, [sorted({prng.below(n) for _ in range(1 + prng.below(4))})
+                                   for _ in range(8)])]
+    for p in polys:
+        ones_count = sum(((f >> x) & 1) ^ p.evaluate(_poly_assignment(x, k, d))
+                         for x in range(1 << n))
+        assert corr_exact(t, p) == _table_bias(ones_count, n), p
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_anf_table_matches_polynomial_evaluate(m):
+    prng = Prng(70 + m)
+    for _ in range(4):
+        p = Polynomial.reduce(m, [sorted({prng.below(m) for _ in range(prng.below(m + 1))})
+                                  for _ in range(1 + prng.below(6))])
+        anf = 0
+        for mono in p.monomials:
+            anf ^= 1 << sum(1 << v for v in mono)
+        table = anf_table(anf, m)
+        assert all((table >> x) & 1 == p.evaluate(x) for x in range(1 << m)), p
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_corr_exact_of_a_form_is_bias_of_the_sum(d):
+    # P_{T'} has one monomial per entry of T', so f_T - P_{T'} = f_{T ^ T'};
+    # bias_exact reaches the same value through ranks, with no truth table
+    prng = Prng(80 + d)
+    for k in range(1, 13 // d + 1):
+        n = k * d
+        for _ in range(3):
+            t = random_tensor(d, k, prng.u64())
+            other = random_tensor(d, k, prng.u64())
+            monos = []
+            for flat in range(k ** d):
+                if (other.bits >> flat) & 1:
+                    idx = [(flat // k ** (d - 1 - j)) % k for j in range(d)]
+                    monos.append(tuple(j * k + i for j, i in enumerate(idx)))
+            p = Polynomial.reduce(n, monos)
+            assert corr_exact(t, p) == bias_exact(DenseTensor(d, k, t.bits ^ other.bits))
+
+
+def _no_tables(*args):
+    raise AssertionError("built a truth table before the guard")
+
+
+def test_bias_bruteforce_guards_table_bytes(monkeypatch):
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
+    monkeypatch.setattr("f2lab.bias.linear_form_table", _no_tables)
+    # d = 30, k = 1: one 2^29-bit slice table alone is 64 MiB
+    for t, budget in [(DenseTensor.zeros(30, 1), None),
+                      (DenseTensor.zeros(1, 30), None),
+                      (trace_tensor(9), 1 << 18)]:
+        with pytest.raises(CapacityError) as ei:
+            bias_bruteforce(t, budget=budget)
+        assert ei.value.budget == budget_bytes(budget)
+        assert ei.value.required > ei.value.budget
+        assert ei.value.required >= (1 << (t.k * (t.d - 1))) // 8
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
+def test_bias_bruteforce_peak_within_budget(budget):
+    # every shape up to the first one the budget refuses
+    for d in (1, 2, 3, 4, 6, 9):
+        for k in range(1, 31):
+            t = random_tensor(d, k, 90 * d + k)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                try:
+                    bias_bruteforce(t, budget=budget)
+                except CapacityError:
+                    break
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, (d, k, peak, budget)
 
 
 @pytest.mark.parametrize("d,k", [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2)])
@@ -252,6 +366,15 @@ def test_corr_exact_symmetry_under_difference():
 def test_corr_exact_validates_variables():
     with pytest.raises(ValueError):
         corr_exact(trace_tensor(2), Polynomial(5, ()))
+
+
+def test_corr_exact_guards_table_size(monkeypatch):
+    monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
+    monkeypatch.setattr("f2lab.bias.anf_table", _no_tables)
+    with pytest.raises(CapacityError) as ei:
+        corr_exact(DenseTensor.zeros(3, 9), Polynomial(27, ((),)))
+    assert ei.value.required == 1 << 27
+    assert ei.value.budget == 1 << 26
 
 
 def test_corr_class_max_contains_self():

@@ -237,8 +237,8 @@ class TestSuite:
         with pytest.raises(ValueError):
             run_all("nope")
 
-    def test_quick_profile_green(self):
-        reports = run_all("quick")
+    def test_quick_profile_green(self, quick_profile):
+        reports, _ = quick_profile
         assert len(reports) > 40
         bad = [r for r in reports if not r.ok()]
         assert not bad, [r.format_line() for r in bad]
@@ -246,7 +246,7 @@ class TestSuite:
         assert {"moment-identity", "sum-zero", "bias-trace", "bias-matmul",
                 "corank-margin", "profile-max", "scalar-inequalities"} <= names
 
-    def test_quick_profile_matches_golden_file(self):
+    def test_quick_profile_matches_golden_file(self, quick_profile):
         """The quick profile, timings stripped, equals tests/data/quick_profile.json.
 
         This is the byte-identical gate for refactors.  A change that
@@ -254,7 +254,7 @@ class TestSuite:
         (the JSON list of `to_dict(timing=False)` over `run_all("quick")`,
         `indent=1, sort_keys=True`) and says so in CHANGES.md.
         """
-        got = [r.to_dict(timing=False) for r in run_all("quick")]
+        got = [r.to_dict(timing=False) for r in quick_profile[0]]
         want = json.loads(QUICK_PROFILE.read_text())
         assert len(got) == len(want)
         for g, w in zip(got, want):
