@@ -13,14 +13,24 @@ import os
 _DEFAULT_BUDGET_BYTES = 1 << 27  # 128 MiB of table bits per operation
 
 
-def budget_bytes(override: int | None = None) -> int:
-    """Enumeration/table budget in bytes (env F2LAB_BUDGET_BYTES)."""
-    if override is not None:
-        return int(override)
+def budget_bytes() -> int:
+    """Enumeration/table budget in bytes.
+
+    The environment variable F2LAB_BUDGET_BYTES is the only way to set it
+    and is read at each call.  It must be a positive integer (surrounding
+    whitespace is accepted); unset or empty means the 128 MiB default.
+    """
     env = os.environ.get("F2LAB_BUDGET_BYTES")
-    if env:
-        return int(env)
-    return _DEFAULT_BUDGET_BYTES
+    if not env:
+        return _DEFAULT_BUDGET_BYTES
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError("F2LAB_BUDGET_BYTES must be a positive integer (bytes), "
+                         f"got {env!r}")
+    return value
 
 
 def ones(n: int) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._bitops import (anf_table, budget_bytes, form_table, gray_flips,
+from ._bitops import (anf_table, budget_bytes, ctz, form_table, gray_flips,
                       linear_form_table, ones, var_mask)
 from .errors import CapacityError
 from .f2linalg import BitMatrix, mat_rank, span_rank_histogram, _batched_rank_histogram
@@ -61,9 +61,9 @@ class DyadicRational:
             raise ValueError("negative value")
         if numerator == 0:
             return cls(0, 0)
-        while numerator % 2 == 0 and exponent > 0:
-            numerator //= 2
-            exponent -= 1
+        s = min(ctz(numerator), max(exponent, 0))
+        numerator >>= s
+        exponent -= s
         if exponent < 0:
             raise ValueError("value exceeds dyadic range")
         return cls(numerator, exponent)
@@ -209,7 +209,7 @@ def _tail_matrix_planes(t: DenseTensor, prefix_bits: int) -> list[list[int]]:
     return planes
 
 
-def bias_exact(t: DenseTensor, *, budget: int | None = None) -> DyadicRational:
+def bias_exact(t: DenseTensor) -> DyadicRational:
     """|E (-1)^f_T| exactly.
 
     d=1 is 1 or 0 directly; d=2 is 2^-rank; for d >= 3 the first d-2
@@ -233,13 +233,13 @@ def bias_exact(t: DenseTensor, *, budget: int | None = None) -> DyadicRational:
         gens = [BitMatrix.from_row_ints(
                     [(s >> (i * k)) & ones(k) for i in range(k)], k)
                 for s in slices]
-        counts = span_rank_histogram(gens, budget=budget)
+        counts = span_rank_histogram(gens)
     else:
         plane_bytes = (k * k << prefix_bits) >> 3
-        if plane_bytes > budget_bytes(budget):
+        if plane_bytes > budget_bytes():
             raise CapacityError(
                 f"residual-matrix planes need {plane_bytes} bytes",
-                required=plane_bytes, budget=budget_bytes(budget))
+                required=plane_bytes, budget=budget_bytes())
         planes = _tail_matrix_planes(t, prefix_bits)
         counts = _batched_rank_histogram(planes, k, k, 1 << prefix_bits)
     return _histogram_to_mean(counts, prefix_bits)
@@ -261,7 +261,7 @@ def _bruteforce_bytes(k: int, d: int) -> int:
     return 4096 + (k + 4) * (4 * ((1 << (k * d - k)) // 30 + 1) + 64 * pieces)
 
 
-def bias_bruteforce(t: DenseTensor, *, budget: int | None = None) -> DyadicRational:
+def bias_bruteforce(t: DenseTensor) -> DyadicRational:
     """Bias by counting the ones of the form over all 2^(kd) inputs.
 
     d = 1 popcounts the linear form's table.  For d >= 2 the k first-block
@@ -276,10 +276,10 @@ def bias_bruteforce(t: DenseTensor, *, budget: int | None = None) -> DyadicRatio
             f"bias_bruteforce over 2^{n} inputs (guard 2^{BRUTEFORCE_MAX_BITS})",
             required=1 << n, budget=1 << BRUTEFORCE_MAX_BITS)
     required = _bruteforce_bytes(k, d)
-    if required > budget_bytes(budget):
+    if required > budget_bytes():
         raise CapacityError(
             f"bias_bruteforce holds {required} bytes of truth tables",
-            required=required, budget=budget_bytes(budget))
+            required=required, budget=budget_bytes())
     if d == 1:
         ones_count = linear_form_table(t.bits, k).bit_count()
     else:
@@ -373,8 +373,7 @@ def _monomials_upto(n: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
-def corr_class_max(t: DenseTensor, degree: int, *,
-                   budget: int | None = None) -> tuple[DyadicRational, Polynomial]:
+def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynomial]:
     """Exact max correlation over all multilinear polynomials of degree
     <= `degree`, with one maximizer.
 
@@ -390,7 +389,7 @@ def corr_class_max(t: DenseTensor, degree: int, *,
             required=1 << n, budget=1 << CORR_MAX_VARS)
     monos = _monomials_upto(n, min(degree, n))
     class_bits = len(monos)
-    limit = max(16, (8 * budget_bytes(budget)).bit_length() - 1)
+    limit = max(16, (8 * budget_bytes()).bit_length() - 1)
     if class_bits > min(limit, 24):
         raise CapacityError(
             f"degree-{degree} class over {n} variables has 2^{class_bits} "

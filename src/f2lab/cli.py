@@ -11,8 +11,10 @@ passes each of its parameters the value of the flag of the same name, or
 None where there is no such flag, so the experiment's signature is the
 only list of its arguments.  `timed` sets the wall time of every report.
 
-Environment: F2LAB_BUDGET_BYTES (enumeration guard) is read by the
-library.
+Environment: F2LAB_BUDGET_BYTES, the byte budget of every enumeration
+guard, is the only way to set that budget.  The library reads it at each
+call; it must be a positive integer, and any other value is an error
+(exit 2).
 """
 
 from __future__ import annotations

@@ -296,7 +296,7 @@ def min_weight(s: Subspace) -> int:
             required=1 << s.dim, budget=1 << MIN_WEIGHT_DIM_LIMIT)
     n = s.ambient_dim
     counts = [0] * (n + 1)
-    for planes, nlanes in _lane_chunks([[v.bits] for v in s.basis], 1, n, None):
+    for planes, nlanes in _lane_chunks([[v.bits] for v in s.basis], 1, n):
         counter = _LaneCounter(nlanes, n)
         for coordinate in planes[0]:
             counter.add(coordinate)
@@ -433,8 +433,7 @@ def _doubling_planes(gen_rows: list[list[int]], nrows: int, ncols: int) -> list[
     return planes
 
 
-def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int,
-                 budget: int | None):
+def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int):
     """Yield (planes, nlanes) chunks that together cover every one of the
     2^m coefficient vectors of `gen_rows` exactly once.
 
@@ -446,7 +445,7 @@ def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int,
     ncols^2 slot rows and ncols-entry row of `_batched_rank_histogram`.
     """
     planes_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
-    lane_budget_bits = max(64, (budget_bytes(budget) * 8) // planes_per_lane)
+    lane_budget_bits = max(64, (budget_bytes() * 8) // planes_per_lane)
     chunk_m = min(len(gen_rows), max(1, lane_budget_bits.bit_length() - 1),
                   LANE_CHUNK_BITS)
     low, high = gen_rows[:chunk_m], gen_rows[chunk_m:]
@@ -461,8 +460,7 @@ def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int,
                for pi, bi in zip(planes, base)], nlanes
 
 
-def span_rank_histogram(generators: Sequence[BitMatrix], *,
-                        budget: int | None = None) -> list[int]:
+def span_rank_histogram(generators: Sequence[BitMatrix]) -> list[int]:
     """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r}.
 
     Exhausts all 2^m coefficient vectors in lane chunks (`_lane_chunks`).
@@ -476,7 +474,7 @@ def span_rank_histogram(generators: Sequence[BitMatrix], *,
             raise ValueError("generator shapes differ")
     gen_rows = [g.row_ints() for g in generators]
     counts = [0] * (min(nrows, ncols) + 1)
-    for planes, nlanes in _lane_chunks(gen_rows, nrows, ncols, budget):
+    for planes, nlanes in _lane_chunks(gen_rows, nrows, ncols):
         part = _batched_rank_histogram(planes, nrows, ncols, nlanes)
         for r, c in enumerate(part):
             counts[r] += c

@@ -39,24 +39,19 @@ RANK_COUNT_MAX_N = 16
 class RankBoundCertificate:
     """A checked tensor-rank lower bound and the data that witnesses it."""
 
-    method: str                      # "bias" or "code"
+    method: str                      # always "code"
     lower_bound: int
-    bias_used: DyadicRational | None = None
-    kernel_dim: int | None = None
-    dual_dim: int | None = None
-    dual_min_weight: int | None = None
-    reconstructed_bias: DyadicRational | None = None
+    kernel_dim: int
+    dual_dim: int
+    dual_min_weight: int
+    reconstructed_bias: DyadicRational
 
     def to_json(self) -> str:
-        payload = {"method": self.method, "lower_bound": self.lower_bound}
-        if self.bias_used is not None:
-            payload["bias_used"] = str(self.bias_used)
-        if self.kernel_dim is not None:
-            payload["kernel_dim"] = self.kernel_dim
-            payload["dual_dim"] = self.dual_dim
-            payload["dual_min_weight"] = self.dual_min_weight
-            payload["reconstructed_bias"] = str(self.reconstructed_bias)
-        return json.dumps(payload, sort_keys=True)
+        return json.dumps({"method": self.method, "lower_bound": self.lower_bound,
+                           "kernel_dim": self.kernel_dim, "dual_dim": self.dual_dim,
+                           "dual_min_weight": self.dual_min_weight,
+                           "reconstructed_bias": str(self.reconstructed_bias)},
+                          sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -89,12 +84,12 @@ def _base_terms(d: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
     return [outer_bits(vs, k) for vs in vecs], vecs
 
 
-def _check_search_size(d: int, k: int, m: int, budget: int | None):
+def _check_search_size(d: int, k: int, m: int):
     """Refuse, before anything is listed, the sets of m of the (2^k-1)^d
     rank-one d-tensors (or the tensors alone, if more) beyond the budget."""
     nbase = ((1 << k) - 1) ** d
     entries = max(nbase, comb(nbase, m))
-    cap = max(1 << 12, budget_bytes(budget) // 64)
+    cap = max(1 << 12, budget_bytes() // 64)
     if entries > cap:
         raise CapacityError(
             f"sets of {m} of the {nbase} rank-one tensors need {entries} "
@@ -122,7 +117,7 @@ def _slice_span_search(span: list[int], rank_ones: list[int], width: int,
     return None
 
 
-def rank_exact(t: DenseTensor, t_max: int, *, budget: int | None = None) -> int | None:
+def rank_exact(t: DenseTensor, t_max: int) -> int | None:
     """Exact tensor rank if it is <= t_max, else None.
 
     rank(T) is the least r such that the span S of the first-block slices
@@ -138,13 +133,12 @@ def rank_exact(t: DenseTensor, t_max: int, *, budget: int | None = None) -> int 
         return None
     if t.d <= 2 or s == 0:
         return s
-    _check_search_size(t.d - 1, t.k, t_max - s, budget)
+    _check_search_size(t.d - 1, t.k, t_max - s)
     rank_ones, _ = _base_terms(t.d - 1, t.k)
     return _slice_span_search(span, rank_ones, t.k ** (t.d - 1), t_max)
 
 
-def decompositions(t: DenseTensor, length: int, *,
-                   budget: int | None = None) -> Iterator[RankDecomposition]:
+def decompositions(t: DenseTensor, length: int) -> Iterator[RankDecomposition]:
     """All decompositions of `t` into `length` distinct rank-one terms.
 
     Direct enumeration of term combinations; guarded by the same budget
@@ -152,7 +146,7 @@ def decompositions(t: DenseTensor, length: int, *,
     """
     if t.d < 2:
         raise ValueError("decomposition search needs d >= 2")
-    _check_search_size(t.d, t.k, length, budget)
+    _check_search_size(t.d, t.k, length)
     base_bits, base_vecs = _base_terms(t.d, t.k)
     for idxs in combinations(range(len(base_bits)), length):
         acc = 0
@@ -186,8 +180,7 @@ def rank_lb_bias(bias: DyadicRational, d: int) -> int:
     return t
 
 
-def code_certificate(decomp: RankDecomposition, *,
-                     budget: int | None = None) -> RankBoundCertificate:
+def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
     """Kernel/dual-code certificate for a d=3 decomposition.
 
     Builds the k x t matrix A of first-block vectors, K = ker(A) and its
@@ -231,11 +224,11 @@ def code_certificate(decomp: RankDecomposition, *,
         counts = [1]  # only v = 0, the zero matrix
     else:
         gens = [pair_matrix(v.bits) for v in dual.basis]
-        counts = span_rank_histogram(gens, budget=budget)
+        counts = span_rank_histogram(gens)
     # (|K| / 2^t) * sum_v 2^-rank(M_v)
     reconstructed = _histogram_to_mean(counts, t - ker.dim)
     tensor = tensor_from_decomp(decomp)
-    direct = bias_exact(tensor, budget=budget)
+    direct = bias_exact(tensor)
     if reconstructed != direct:
         raise InvariantError("code-certificate bias identity violated")
     # nondegenerate in the first block: no x != 0 kills the whole form,

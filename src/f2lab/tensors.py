@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from ._bitops import budget_bytes, ones
@@ -240,7 +241,7 @@ def matmul_tensor(n: int) -> DenseTensor:
     return DenseTensor(3, k, bits)
 
 
-def explicit_form_tensor(d: int, k: int, *, budget: int | None = None) -> DenseTensor:
+def explicit_form_tensor(d: int, k: int) -> DenseTensor:
     """Tensor of <x_1 * x_2 ... x_{d-1}, x_d>, products in GF(2^k).
 
     T(i_1..i_d) is coordinate i_d of the field product b_{i_1}...b_{i_{d-1}},
@@ -250,40 +251,28 @@ def explicit_form_tensor(d: int, k: int, *, budget: int | None = None) -> DenseT
     if d < 2:
         raise ValueError("d must be >= 2")
     size = k ** d
-    if size > 8 * budget_bytes(budget):
+    if size > 8 * budget_bytes():
         raise CapacityError(f"explicit_form_tensor({d},{k}) needs {size} bits",
-                            required=size, budget=8 * budget_bytes(budget))
+                            required=size, budget=8 * budget_bytes())
     field = make_field(k)
     bits = 0
-    # enumerate products over the first d-1 indices, then write k entries
-    idx = [0] * (d - 1)
-    while True:
+    # each product over the first d-1 indices fills k consecutive entries
+    for idx in product(range(k), repeat=d - 1):
         prod = 1
-        for i in idx:
-            prod = field.mul_bits(prod, 1 << i)
         base = 0
         for i in idx:
+            prod = field.mul_bits(prod, 1 << i)
             base = (base + i) * k
         bits |= prod << base
-        # odometer over the first d-1 indices, last fastest
-        pos = d - 2
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < k:
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
     return DenseTensor(d, k, bits)
 
 
-def random_tensor(d: int, k: int, seed: int, *, budget: int | None = None) -> DenseTensor:
+def random_tensor(d: int, k: int, seed: int) -> DenseTensor:
     """Uniform tensor, deterministic for a fixed seed."""
     size = k ** d
-    if size > 8 * budget_bytes(budget):
+    if size > 8 * budget_bytes():
         raise CapacityError(f"random_tensor({d},{k}) needs {size} bits",
-                            required=size, budget=8 * budget_bytes(budget))
+                            required=size, budget=8 * budget_bytes())
     return DenseTensor(d, k, Prng(seed).bits(size))
 
 
@@ -351,7 +340,7 @@ def write_tensor(fp, t: DenseTensor) -> None:
     fp.write(f"F2T1\nd={t.d} k={t.k}\n{_payload_bytes(t).hex()}\n")
 
 
-def read_tensor(fp, *, budget: int | None = None) -> DenseTensor:
+def read_tensor(fp) -> DenseTensor:
     lines = fp.read().splitlines()
     if len(lines) < 3 or lines[0].strip() != "F2T1":
         raise FormatError("missing F2T1 header")
@@ -365,7 +354,7 @@ def read_tensor(fp, *, budget: int | None = None) -> DenseTensor:
         raise FormatError(f"bad F2T1 shape line: {lines[1]!r}") from exc
     if d < 1 or k < 1:
         raise FormatError("d and k must be positive")
-    if k.bit_length() * d > 64 or k ** d > 8 * budget_bytes(budget):
+    if k.bit_length() * d > 64 or k ** d > 8 * budget_bytes():
         raise FormatError(f"tensor shape d={d} k={k} overflows the budget")
     size = k ** d
     try:

@@ -46,6 +46,31 @@ class TestDyadicRational:
     def test_integers_allowed(self):
         assert (D.one() + D.one()).to_float() == 2.0
 
+    def test_from_ratio_matches_halving_loop(self):
+        def halving(numerator, exponent):
+            # the loop `from_ratio` used before its one shift, as the reference
+            if numerator < 0:
+                raise ValueError("negative value")
+            if numerator == 0:
+                return 0, 0
+            while numerator % 2 == 0 and exponent > 0:
+                numerator //= 2
+                exponent -= 1
+            if exponent < 0:
+                raise ValueError("value exceeds dyadic range")
+            return numerator, exponent
+
+        for numerator in [-(3 << 200), -1, *range(65), 3 << 200]:
+            for exponent in range(-2, 71):
+                try:
+                    want = halving(numerator, exponent)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{exc}$"):
+                        D.from_ratio(numerator, exponent)
+                    continue
+                got = D.from_ratio(numerator, exponent)
+                assert (got.numerator, got.exponent) == want, (numerator, exponent)
+
 
 def test_bias_zero_tensor():
     z = DenseTensor.zeros(3, 2)
@@ -206,16 +231,21 @@ def test_bias_bruteforce_guards_table_bytes(monkeypatch):
     for t, budget in [(DenseTensor.zeros(30, 1), None),
                       (DenseTensor.zeros(1, 30), None),
                       (trace_tensor(9), 1 << 18)]:
+        if budget is None:
+            monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
         with pytest.raises(CapacityError) as ei:
-            bias_bruteforce(t, budget=budget)
-        assert ei.value.budget == budget_bytes(budget)
+            bias_bruteforce(t)
+        assert ei.value.budget == budget_bytes()
         assert ei.value.required > ei.value.budget
         assert ei.value.required >= (1 << (t.k * (t.d - 1))) // 8
 
 
 @pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
-def test_bias_bruteforce_peak_within_budget(budget):
+def test_bias_bruteforce_peak_within_budget(budget, monkeypatch):
     # every shape up to the first one the budget refuses
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
     for d in (1, 2, 3, 4, 6, 9):
         for k in range(1, 31):
             t = random_tensor(d, k, 90 * d + k)
@@ -223,7 +253,7 @@ def test_bias_bruteforce_peak_within_budget(budget):
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 try:
-                    bias_bruteforce(t, budget=budget)
+                    bias_bruteforce(t)
                 except CapacityError:
                     break
                 peak = tracemalloc.get_traced_memory()[1] - before

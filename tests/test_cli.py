@@ -33,6 +33,25 @@ def test_gen_and_bias_pipe(tmp_path):
     assert json.loads(out)["bias"] == "15/2^6"
 
 
+@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
+def test_bad_budget_env_exits_2(tmp_path, monkeypatch, capsys, value):
+    path = tmp_path / "t.f2t"
+    assert main(["gen", "trace", "--k", "3", "--out", str(path)]) == 0
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", value)
+    assert main(["bias", "exact", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "f2lab: error: F2LAB_BUDGET_BYTES must be a positive integer (bytes), "
+        f"got {value!r}\n")
+
+
+def test_budget_env_allows_surrounding_whitespace(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.f2t"
+    assert main(["gen", "trace", "--k", "3", "--out", str(path)]) == 0
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", " 4096 ")
+    assert main(["bias", "exact", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["bias"] == "15/2^6"
+
+
 def test_bias_mc_reports_seed(tmp_path):
     path = tmp_path / "t.f2t"
     run_cli("gen", "trace", "--k", "4", "--out", str(path))
@@ -68,7 +87,7 @@ def test_invariant_violation_exits_3_under_optimize(tmp_path):
         "from f2lab.bias import DyadicRational\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "rank.bias_exact = lambda t, budget=None: DyadicRational.zero()\n"
+        "rank.bias_exact = lambda t: DyadicRational.zero()\n"
         "sys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, "rank", "certify", str(path)],

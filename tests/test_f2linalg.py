@@ -250,11 +250,14 @@ def test_span_rank_histogram_vs_brute():
         assert span_rank_histogram(gens) == brute_span_hist(gens)
 
 
-def test_span_rank_histogram_chunked():
+def test_span_rank_histogram_chunked(monkeypatch):
     rng = Prng(11)
     gens = [BitMatrix.random(4, 4, rng) for _ in range(9)]
     # a tiny budget forces lane chunking; result must not change
-    assert span_rank_histogram(gens, budget=64) == span_rank_histogram(gens)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "64")
+    chunked = span_rank_histogram(gens)
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES")
+    assert chunked == span_rank_histogram(gens)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -274,16 +277,17 @@ def test_span_rank_histogram_high_chunks(n, extra):
 
 
 @pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
-def test_span_rank_histogram_peak_within_budget(budget):
+def test_span_rank_histogram_peak_within_budget(budget, monkeypatch):
     # 20x20 slices of trace_tensor(20), as bias_exact ranks them; 16 of the 20
     # generators keep several chunks with high generators at every budget
     k = 20
     gens = [BitMatrix.from_row_ints([(s >> (i * k)) & ((1 << k) - 1) for i in range(k)], k)
             for s in first_block_slices(trace_tensor(k))[:16]]
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        span_rank_histogram(gens, budget=budget)
+        span_rank_histogram(gens)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()

@@ -168,6 +168,19 @@ def test_explicit_form_tensor():
     assert contract(e3, 1, BitVec(4, 1)) == explicit_form_tensor(2, 4)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_explicit_form_tensor_entries(d):
+    # T(i_1..i_d) is coordinate i_d of b_{i_1} * ... * b_{i_{d-1}} in GF(2^k)
+    for k in range(1, 5):
+        field = make_field(k)
+        e = explicit_form_tensor(d, k)
+        for idx in product(range(k), repeat=d):
+            prod = 1
+            for i in idx[:-1]:
+                prod = field.mul_bits(prod, 1 << i)
+            assert e.entry(idx) == (prod >> idx[-1]) & 1, (d, k, idx)
+
+
 def test_random_decomp_determinism_and_balance():
     assert random_rank_decomp(3, 4, 5, seed=1) == random_rank_decomp(3, 4, 5, seed=1)
     assert random_rank_decomp(2, 3, 0, seed=1).t == 0
