@@ -5,6 +5,10 @@ and rank-one decompositions, exact (dyadic-rational) bias and
 correlation, tensor-rank lower bounds from bias and from kernel/dual-
 code certificates, and a reproducible verification harness over all of
 it.
+
+Field elements, matrix rows, subspace bases and tensors are plain
+packed ints (coordinate j at bit j).  `BitVec` adds a length only at the
+edges: rank-one terms, the F2D1 files and `evaluate`'s block vectors.
 """
 
 from .bias import (BiasEstimate, DyadicRational, bias_bruteforce, bias_exact,
@@ -13,7 +17,7 @@ from .errors import CapacityError, FormatError, InvariantError
 from .f2linalg import (BitMatrix, BitVec, Subspace, block_pivot_dims,
                        dual_space, echelonize, kernel, mat_rank, min_weight,
                        span_rank_histogram, subspace_contains)
-from .gf2k import FieldElement, Gf2kField, gf_add, gf_mul, make_field, trace
+from .gf2k import Gf2kField, make_field
 from .numerics import (MaxProblemPoint, f_dk_bound, inequality_checks,
                        mrrw_constant, profile_max_check)
 from .prng import Prng

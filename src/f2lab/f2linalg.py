@@ -1,7 +1,9 @@
 """Bit-packed exact linear algebra over F2.
 
-Vectors and matrix rows are Python ints (coordinate j at bit j), so row
-reduction is a word-parallel XOR.  Subspaces are kept in reduced row
+Matrix rows and subspace basis vectors are plain Python ints
+(coordinate j at bit j), so row reduction is a word-parallel XOR;
+`BitVec` is the length-carrying vector type at the edges (rank-one
+terms, the F2D1 files, `evaluate`).  Subspaces are kept in reduced row
 echelon form, which makes membership a deterministic reduction and the
 representation canonical (hashable, comparable).
 
@@ -15,7 +17,7 @@ computation and of the kernel/dual-code certificates.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ._bitops import budget_bytes, ctz, gray_flips, ones, parity
@@ -41,10 +43,6 @@ class BitVec:
     @classmethod
     def zeros(cls, length: int) -> "BitVec":
         return cls(length, 0)
-
-    @classmethod
-    def unit(cls, length: int, j: int) -> "BitVec":
-        return cls(length, 1 << j)
 
     @classmethod
     def from01(cls, s: str) -> "BitVec":
@@ -88,28 +86,19 @@ class BitVec:
 
 @dataclass(frozen=True)
 class BitMatrix:
-    """Matrix over F2; every row is a BitVec of length `cols`."""
+    """Matrix over F2 with `cols` columns; row i is the packed int rows[i]."""
 
-    rows: tuple[BitVec, ...]
+    rows: tuple[int, ...] = field(repr=False)
     cols: int
 
     def __post_init__(self):
         for r in self.rows:
-            if r.length != self.cols:
-                raise ValueError("row length != cols")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVec], cols: int | None = None) -> "BitMatrix":
-        rows = tuple(rows)
-        if cols is None:
-            if not rows:
-                raise ValueError("cols required for an empty matrix")
-            cols = rows[0].length
-        return cls(rows, cols)
+            if r < 0 or r >> self.cols:
+                raise ValueError("row outside F2^cols")
 
     @classmethod
     def from_row_ints(cls, ints: Sequence[int], cols: int) -> "BitMatrix":
-        return cls(tuple(BitVec(cols, b) for b in ints), cols)
+        return cls(tuple(ints), cols)
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
@@ -128,10 +117,9 @@ class BitMatrix:
         return len(self.rows)
 
     def entry(self, i: int, j: int) -> int:
-        return self.rows[i].get(j)
-
-    def row_ints(self) -> list[int]:
-        return [r.bits for r in self.rows]
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range")
+        return (self.rows[i] >> j) & 1
 
     def matvec(self, v: BitVec) -> BitVec:
         """A @ v for v in F2^cols."""
@@ -139,20 +127,21 @@ class BitMatrix:
             raise ValueError("length mismatch")
         out = 0
         for i, r in enumerate(self.rows):
-            out |= parity(r.bits & v.bits) << i
+            out |= parity(r & v.bits) << i
         return BitVec(self.nrows, out)
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of F2^ambient_dim held as a reduced-row-echelon basis.
+    """Subspace of F2^ambient_dim held as a reduced-row-echelon basis of
+    packed ints.
 
     Pivot columns are strictly increasing and each pivot column has a 1
     only in its own basis row, so the representation is canonical.
     """
 
     ambient_dim: int
-    basis: tuple[BitVec, ...]
+    basis: tuple[int, ...] = field(repr=False)
     pivots: tuple[int, ...]
 
     def __post_init__(self):
@@ -160,19 +149,18 @@ class Subspace:
             raise ValueError("basis/pivots length mismatch")
         prev = -1
         for v, p in zip(self.basis, self.pivots):
-            if v.length != self.ambient_dim:
-                raise ValueError("basis vector length != ambient_dim")
-            if v.bits == 0:
+            if v < 0 or v >> self.ambient_dim:
+                raise ValueError("basis vector outside F2^ambient_dim")
+            if v == 0:
                 raise ValueError("zero basis vector")
             if p <= prev:
                 raise ValueError("pivots not strictly increasing")
             prev = p
-            if ctz(v.bits) != p:
+            if ctz(v) != p:
                 raise ValueError("row pivot mismatch")
-        for v in self.basis:
-            for q, w in zip(self.pivots, self.basis):
-                if w is not v and (v.bits >> q) & 1:
-                    raise ValueError("basis not fully reduced")
+        for q in self.pivots:
+            if sum((v >> q) & 1 for v in self.basis) != 1:
+                raise ValueError("basis not fully reduced")
 
     @property
     def dim(self) -> int:
@@ -181,16 +169,15 @@ class Subspace:
     def contains_bits(self, bits: int) -> bool:
         for p, v in zip(self.pivots, self.basis):
             if (bits >> p) & 1:
-                bits ^= v.bits
+                bits ^= v
         return bits == 0
 
     def elements_bits(self):
         """Iterate all 2^dim elements (Gray-code order, starts at 0)."""
         cur = 0
         yield cur
-        rows = [v.bits for v in self.basis]
-        for flip in gray_flips(len(rows)):
-            cur ^= rows[flip]
+        for flip in gray_flips(self.dim):
+            cur ^= self.basis[flip]
             yield cur
 
 
@@ -230,18 +217,16 @@ def rank_of_row_ints(row_bits: Iterable[int]) -> int:
 
 def mat_rank(m: BitMatrix) -> int:
     """Row rank over F2; does not modify the input."""
-    return rank_of_row_ints(m.row_ints())
+    return rank_of_row_ints(m.rows)
 
 
-def echelonize(vectors: Iterable[BitVec], ambient_dim: int) -> Subspace:
-    """Canonical RREF subspace spanned by `vectors`."""
-    bits = []
-    for v in vectors:
-        if v.length != ambient_dim:
-            raise ValueError(f"vector length {v.length} != ambient {ambient_dim}")
-        bits.append(v.bits)
-    rows, pivots = _rref(bits)
-    return Subspace(ambient_dim, tuple(BitVec(ambient_dim, r) for r in rows), tuple(pivots))
+def echelonize(rows: Iterable[int], ambient_dim: int) -> Subspace:
+    """Canonical RREF subspace spanned by the packed rows."""
+    rows = list(rows)
+    if any(r < 0 or r >> ambient_dim for r in rows):
+        raise ValueError(f"row outside F2^{ambient_dim}")
+    basis, pivots = _rref(rows)
+    return Subspace(ambient_dim, tuple(basis), tuple(pivots))
 
 
 def subspace_contains(s: Subspace, v: BitVec) -> bool:
@@ -253,7 +238,7 @@ def subspace_contains(s: Subspace, v: BitVec) -> bool:
 
 def kernel(a: BitMatrix) -> Subspace:
     """Null space {v : A v = 0} of A acting on F2^cols."""
-    rows, pivots = _rref(a.row_ints())
+    rows, pivots = _rref(a.rows)
     pivot_set = set(pivots)
     basis = []
     for f in range(a.cols):
@@ -263,7 +248,7 @@ def kernel(a: BitMatrix) -> Subspace:
         for p, r in zip(pivots, rows):
             if (r >> f) & 1:
                 v |= 1 << p
-        basis.append(BitVec(a.cols, v))
+        basis.append(v)
     ker = echelonize(basis, a.cols)
     if ker.dim != a.cols - len(rows):
         raise InvariantError("rank-nullity violated")
@@ -273,9 +258,8 @@ def kernel(a: BitMatrix) -> Subspace:
 def dual_space(s: Subspace) -> Subspace:
     """Orthogonal complement under the standard bilinear form."""
     if s.dim == 0:
-        return echelonize([BitVec.unit(s.ambient_dim, j) for j in range(s.ambient_dim)],
-                          s.ambient_dim)
-    return kernel(BitMatrix.from_rows(s.basis, s.ambient_dim))
+        return echelonize([1 << j for j in range(s.ambient_dim)], s.ambient_dim)
+    return kernel(BitMatrix(s.basis, s.ambient_dim))
 
 
 def min_weight(s: Subspace) -> int:
@@ -296,7 +280,7 @@ def min_weight(s: Subspace) -> int:
             required=1 << s.dim, budget=1 << MIN_WEIGHT_DIM_LIMIT)
     n = s.ambient_dim
     counts = [0] * (n + 1)
-    for planes, nlanes in _lane_chunks([[v.bits] for v in s.basis], 1, n):
+    for planes, nlanes in _lane_chunks([[v] for v in s.basis], 1, n):
         counter = _LaneCounter(nlanes, n)
         for coordinate in planes[0]:
             counter.add(coordinate)
@@ -412,7 +396,8 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
     return counter.histogram()
 
 
-def _doubling_planes(gen_rows: list[list[int]], nrows: int, ncols: int) -> list[list[int]]:
+def _doubling_planes(gen_rows: Sequence[Sequence[int]], nrows: int,
+                     ncols: int) -> list[list[int]]:
     """Entry planes of sum(c_j G_j) over all 2^m coefficient vectors c.
 
     Lane b corresponds to coefficient vector b; built by doubling the
@@ -433,7 +418,7 @@ def _doubling_planes(gen_rows: list[list[int]], nrows: int, ncols: int) -> list[
     return planes
 
 
-def _lane_chunks(gen_rows: list[list[int]], nrows: int, ncols: int):
+def _lane_chunks(gen_rows: Sequence[Sequence[int]], nrows: int, ncols: int):
     """Yield (planes, nlanes) chunks that together cover every one of the
     2^m coefficient vectors of `gen_rows` exactly once.
 
@@ -472,7 +457,7 @@ def span_rank_histogram(generators: Sequence[BitMatrix]) -> list[int]:
     for g in generators:
         if g.nrows != nrows or g.cols != ncols:
             raise ValueError("generator shapes differ")
-    gen_rows = [g.row_ints() for g in generators]
+    gen_rows = [g.rows for g in generators]
     counts = [0] * (min(nrows, ncols) + 1)
     for planes, nlanes in _lane_chunks(gen_rows, nrows, ncols):
         part = _batched_rank_histogram(planes, nrows, ncols, nlanes)

@@ -1,7 +1,8 @@
 """Arithmetic in GF(2^k) in a polynomial basis, with the trace map.
 
-Field elements are coefficient vectors packed into ints (coefficient of
-x^j at bit j).  The modulus is the canonical irreducible of degree k:
+Field elements are plain ints: the coefficient of x^j sits at bit j, so
+addition is XOR and the only field operations are `mul_bits` and
+`trace_bits`.  The modulus is the canonical irreducible of degree k:
 the one whose packed mask is numerically smallest, so files and tensors
 built from the field are reproducible.  Bias and tensor rank of the
 constructions downstream are basis-independent, so the choice costs
@@ -15,7 +16,6 @@ from functools import lru_cache
 
 from ._bitops import parity
 from .errors import InvariantError
-from .f2linalg import BitVec
 
 MAX_DEGREE = 64
 
@@ -75,93 +75,20 @@ def _smallest_irreducible(k: int) -> int:
     raise InvariantError(f"no irreducible of degree {k}")
 
 
+@dataclass(frozen=True)
 class Gf2kField:
-    """GF(2^k) under the canonical modulus; immutable."""
+    """GF(2^k) under the canonical modulus; elements are packed ints."""
 
-    __slots__ = ("k", "modulus", "_trace_mask")
-
-    def __init__(self, k: int, modulus: int, trace_mask: int):
-        self.k = k
-        self.modulus = modulus
-        self._trace_mask = trace_mask
-
-    def __eq__(self, other):
-        return isinstance(other, Gf2kField) and (self.k, self.modulus) == (other.k, other.modulus)
-
-    def __hash__(self):
-        return hash((self.k, self.modulus))
-
-    def __repr__(self):
-        return f"Gf2kField(k={self.k}, modulus={bin(self.modulus)})"
-
-    def element(self, coeffs: int | BitVec) -> "FieldElement":
-        if isinstance(coeffs, BitVec):
-            if coeffs.length != self.k:
-                raise ValueError("coefficient vector length != k")
-            coeffs = coeffs.bits
-        if coeffs >> self.k:
-            raise ValueError("coefficients outside field degree")
-        return FieldElement(self, coeffs)
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def basis(self, i: int) -> "FieldElement":
-        """The basis element x^i (0 <= i < k)."""
-        if not 0 <= i < self.k:
-            raise IndexError("basis index out of range")
-        return FieldElement(self, 1 << i)
-
-    def elements(self):
-        for b in range(1 << self.k):
-            yield FieldElement(self, b)
+    k: int
+    modulus: int
+    trace_mask: int  # bit i = Trace(x^i), so Trace is a masked parity
 
     def mul_bits(self, a: int, b: int) -> int:
         return _poly_mulmod(a, b, self.modulus, self.k)
 
     def trace_bits(self, a: int) -> int:
-        return parity(a & self._trace_mask)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    field: Gf2kField
-    bits: int
-
-    @property
-    def coeffs(self) -> BitVec:
-        return BitVec(self.field.k, self.bits)
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        _same_field(self, other)
-        return FieldElement(self.field, self.bits ^ other.bits)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        _same_field(self, other)
-        return FieldElement(self.field, self.field.mul_bits(self.bits, other.bits))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        if e < 0:
-            raise ValueError("negative exponent")
-        acc = FieldElement(self.field, 1)
-        base = self
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
-
-    def __repr__(self):
-        return f"FieldElement({self.coeffs.to01()!r})"
-
-
-def _same_field(a: FieldElement, b: FieldElement):
-    if a.field != b.field:
-        raise ValueError("elements of different fields")
+        """Trace(a) = a + a^2 + ... + a^(2^(k-1)), as a bit."""
+        return parity(a & self.trace_mask)
 
 
 def make_field(k: int) -> Gf2kField:
@@ -182,17 +109,3 @@ def make_field(k: int) -> Gf2kField:
             raise InvariantError("trace left the prime subfield")
         tmask |= acc << i
     return Gf2kField(k, modulus, tmask)
-
-
-def gf_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    """Product in the shared field of a and b."""
-    return a * b
-
-
-def gf_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    return a + b
-
-
-def trace(a: FieldElement) -> int:
-    """Trace(a) = a + a^2 + ... + a^(2^(k-1)), as a bit."""
-    return a.field.trace_bits(a.bits)

@@ -20,8 +20,7 @@ from ._bitops import form_table
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
                    corr_exact, dyadic_mean)
 from .errors import CapacityError, InvariantError
-from .f2linalg import (BitMatrix, BitVec, Subspace, echelonize,
-                       rank_of_row_ints)
+from .f2linalg import BitMatrix, Subspace, echelonize, rank_of_row_ints
 from .numerics import f_dk_bound, inequality_checks, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
@@ -135,8 +134,7 @@ def _random_subspace(ambient: int, dim: int, rng: Prng) -> Subspace:
     if not 0 <= dim <= ambient:
         raise ValueError("dim out of range")
     while True:
-        vs = [BitVec.random(ambient, rng) for _ in range(dim)]
-        s = echelonize(vs, ambient)
+        s = echelonize([rng.bits(ambient) for _ in range(dim)], ambient)
         if s.dim == dim:
             return s
 
@@ -472,7 +470,7 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
         for x in range(1 << k):
             hx = 0
             for i in range(k):
-                hx |= ((h.rows[i].bits & x).bit_count() & 1) << i
+                hx |= ((h.rows[i] & x).bit_count() & 1) << i
             if hx == a:
                 fiber += 1
             if hx == 0:

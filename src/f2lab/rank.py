@@ -23,7 +23,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from ._bitops import budget_bytes
+from ._bitops import budget_bytes, ones
 from .bias import DyadicRational, _histogram_to_mean, bias_exact
 from .errors import CapacityError, InvariantError
 from .f2linalg import (BitMatrix, BitVec, _rref, dual_space, kernel, min_weight,
@@ -205,25 +205,20 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
     dual = dual_space(ker)
     dmw = min_weight(dual)
 
-    # M_v = sum over set coordinates of v of y_i (x) z_i
-    def pair_matrix(sel_bits: int) -> BitMatrix:
-        rows = [0] * k
-        s = sel_bits
-        while s:
-            low = s & -s
-            i = low.bit_length() - 1
-            s ^= low
-            y = decomp.terms[i].vectors[1].bits
-            z = decomp.terms[i].vectors[2].bits
-            for r in range(k):
-                if (y >> r) & 1:
-                    rows[r] ^= z
-        return BitMatrix.from_row_ints(rows, k)
-
     if dual.dim == 0:
         counts = [1]  # only v = 0, the zero matrix
     else:
-        gens = [pair_matrix(v.bits) for v in dual.basis]
+        # M_v = XOR of y_i (x) z_i over the set coordinates i of v
+        pairs = [outer_bits([u.bits for u in term.vectors[1:]], k)
+                 for term in decomp.terms]
+        gens = []
+        for v in dual.basis:
+            m = 0
+            for i, pair in enumerate(pairs):
+                if (v >> i) & 1:
+                    m ^= pair
+            gens.append(BitMatrix.from_row_ints(
+                [(m >> (r * k)) & ones(k) for r in range(k)], k))
         counts = span_rank_histogram(gens)
     # (|K| / 2^t) * sum_v 2^-rank(M_v)
     reconstructed = _histogram_to_mean(counts, t - ker.dim)
@@ -261,7 +256,8 @@ def mrrw_rank_lb(k: int) -> float:
 def rank_count(n: int) -> RankDistribution:
     """Exact rank counts of n x n matrices by the subspace product formula."""
     if not 1 <= n <= RANK_COUNT_MAX_N:
-        raise CapacityError(f"rank_count needs 1 <= n <= {RANK_COUNT_MAX_N}")
+        raise CapacityError(f"rank_count needs 1 <= n <= {RANK_COUNT_MAX_N}",
+                            required=n, budget=RANK_COUNT_MAX_N)
     counts = []
     for r in range(n + 1):
         surj = 1

@@ -19,7 +19,7 @@ File formats:
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -39,7 +39,7 @@ class DenseTensor:
 
     d: int
     k: int
-    bits: int
+    bits: int = field(repr=False)
 
     def __post_init__(self):
         if self.d < 1 or self.k < 1:
@@ -208,17 +208,17 @@ def trace_tensor(k: int) -> DenseTensor:
     """T(i,j,l) = Trace(b_i b_j b_l) in GF(2^k), polynomial basis."""
     if not 1 <= k <= TRACE_TENSOR_MAX_K:
         raise CapacityError(f"trace_tensor needs 1 <= k <= {TRACE_TENSOR_MAX_K}",
-                            required=k ** 3)
-    field = make_field(k)
+                            required=k ** 3, budget=TRACE_TENSOR_MAX_K ** 3)
+    gf = make_field(k)
     bits = 0
     flat = 0
     # flat = (i*k + j)*k + l walks l fastest, matching the layout
     for i in range(k):
         bi = 1 << i
         for j in range(k):
-            bij = field.mul_bits(bi, 1 << j)
+            bij = gf.mul_bits(bi, 1 << j)
             for l in range(k):
-                if field.trace_bits(field.mul_bits(bij, 1 << l)):
+                if gf.trace_bits(gf.mul_bits(bij, 1 << l)):
                     bits |= 1 << flat
                 flat += 1
     return DenseTensor(3, k, bits)
@@ -228,7 +228,7 @@ def matmul_tensor(n: int) -> DenseTensor:
     """The n x n matrix product tensor: entries at X_ij Y_jl Z_il."""
     if not 1 <= n <= MATMUL_TENSOR_MAX_N:
         raise CapacityError(f"matmul_tensor needs 1 <= n <= {MATMUL_TENSOR_MAX_N}",
-                            required=n ** 6)
+                            required=n ** 6, budget=MATMUL_TENSOR_MAX_N ** 6)
     k = n * n
     bits = 0
     for i in range(n):
@@ -254,14 +254,14 @@ def explicit_form_tensor(d: int, k: int) -> DenseTensor:
     if size > 8 * budget_bytes():
         raise CapacityError(f"explicit_form_tensor({d},{k}) needs {size} bits",
                             required=size, budget=8 * budget_bytes())
-    field = make_field(k)
+    gf = make_field(k)
     bits = 0
     # each product over the first d-1 indices fills k consecutive entries
     for idx in product(range(k), repeat=d - 1):
         prod = 1
         base = 0
         for i in idx:
-            prod = field.mul_bits(prod, 1 << i)
+            prod = gf.mul_bits(prod, 1 << i)
             base = (base + i) * k
         bits |= prod << base
     return DenseTensor(d, k, bits)

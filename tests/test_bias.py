@@ -444,14 +444,15 @@ def test_corr_class_max_degree_zero_is_bias(seed):
     assert wit.degree() <= 0
 
 
-def test_corr_class_max_affine_is_bias():
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_corr_class_max_affine_is_bias(d):
     # summing out the first block against a.x leaves the indicator of
     # {v(rest) = a}, whose mass is at most the kernel's: the affine class
     # maximum is the bias, reached by a route that shares no rank kernel
-    prng = Prng(41)
-    for k in range(1, 6):
+    prng = Prng(38 + d)
+    for k in range(1, 15 // d + 1):
         for _ in range(2):
-            t = random_tensor(3, k, prng.u64())
+            t = random_tensor(d, k, prng.u64())
             assert corr_class_max(t, 1)[0] == bias_exact(t)
 
 

@@ -10,7 +10,7 @@ from f2lab.f2linalg import (LANE_CHUNK_BITS, BitMatrix, BitVec, Subspace,
                             mat_rank, min_weight, rank_of_row_ints,
                             span_rank_histogram, subspace_contains)
 from f2lab.prng import Prng
-from f2lab.tensors import first_block_slices, trace_tensor
+from f2lab.tensors import first_block_slices, random_tensor, trace_tensor
 
 
 def dense_rank_oracle(rows, cols):
@@ -65,50 +65,59 @@ def test_rank_against_dense_oracle_large():
 
 
 def test_echelonize_examples():
-    e1, e2 = BitVec.from01("10"), BitVec.from01("01")
+    e1, e2 = 0b01, 0b10
     s = echelonize([e1, e1 ^ e2, e2], 2)
     assert s.dim == 2
-    assert [v.to01() for v in s.basis] == ["10", "01"]
+    assert s.basis == (e1, e2)
     assert echelonize([], 2).dim == 0
-    s = echelonize([BitVec.from01("1100"), BitVec.from01("0110"),
-                    BitVec.from01("1010")], 4)
+    s = echelonize([0b0011, 0b0110, 0b0101], 4)
     assert s.dim == 2
 
 
 def test_echelonize_rejects_length_mismatch():
     with pytest.raises(ValueError):
-        echelonize([BitVec.from01("101")], 4)
+        echelonize([0b10000], 4)
+    with pytest.raises(ValueError):
+        echelonize([-1], 4)
 
 
 def test_echelonize_idempotent():
     rng = Prng(5)
     for _ in range(500):
         n = 1 + rng.below(12)
-        vs = [BitVec.random(n, rng) for _ in range(rng.below(n + 2))]
+        vs = [rng.bits(n) for _ in range(rng.below(n + 2))]
         s = echelonize(vs, n)
         assert echelonize(s.basis, n) == s
 
 
 def test_subspace_invariants_enforced():
+    with pytest.raises(ValueError):  # 0b011 is not reduced at pivot 1
+        Subspace(3, (0b011, 0b010), (0, 1))
     with pytest.raises(ValueError):
-        Subspace(3, (BitVec.from01("110"), BitVec.from01("010")), (0, 1))
+        Subspace(3, (0b1000,), (3,))
+    with pytest.raises(ValueError):
+        Subspace(3, (0,), (0,))
+    with pytest.raises(ValueError):
+        Subspace(3, (0b010, 0b001), (1, 0))
+    with pytest.raises(ValueError):
+        Subspace(3, (0b110,), (2,))
 
 
 def test_contains_matches_rank_test():
     rng = Prng(6)
     for _ in range(10_000):
         n = 1 + rng.below(12)
-        vs = [BitVec.random(n, rng) for _ in range(rng.below(n + 1))]
+        vs = [rng.bits(n) for _ in range(rng.below(n + 1))]
         s = echelonize(vs, n)
         v = BitVec.random(n, rng)
-        by_rank = rank_of_row_ints([b.bits for b in s.basis] + [v.bits]) == s.dim
+        by_rank = rank_of_row_ints(list(s.basis) + [v.bits]) == s.dim
         assert subspace_contains(s, v) == by_rank
 
 
 def test_contains_trivia():
-    s = echelonize([BitVec.from01("1000"), BitVec.from01("0100")], 4)
+    s = echelonize([0b0001, 0b0010], 4)
     assert subspace_contains(s, BitVec.zeros(4))
-    e11 = echelonize([BitVec.from01("1000")], 4)  # e1 (x) e1 flattened, k=2
+    e11 = echelonize([0b0001], 4)  # e1 (x) e1 flattened, k=2
     assert subspace_contains(e11, BitVec.from01("1000"))
     assert not subspace_contains(e11, BitVec.from01("0001"))
 
@@ -116,9 +125,9 @@ def test_contains_trivia():
 def test_kernel_examples():
     assert kernel(BitMatrix.identity(5)).dim == 0
     assert kernel(BitMatrix.zeros(3, 4)).dim == 4
-    k = kernel(BitMatrix.from_rows([BitVec.from01("110"), BitVec.from01("011")]))
+    k = kernel(BitMatrix.from_row_ints([0b011, 0b110], 3))
     assert k.dim == 1
-    assert k.basis[0].to01() == "111"
+    assert k.basis == (0b111,)
 
 
 def test_kernel_annihilates():
@@ -130,13 +139,13 @@ def test_kernel_annihilates():
         ker = kernel(a)
         assert ker.dim == c - mat_rank(a)
         for v in ker.basis:
-            assert a.matvec(v).bits == 0
+            assert a.matvec(BitVec(c, v)).bits == 0
 
 
 def test_dual_examples():
-    full = echelonize([BitVec.unit(3, j) for j in range(3)], 3)
+    full = echelonize([1 << j for j in range(3)], 3)
     assert dual_space(full).dim == 0
-    d = dual_space(echelonize([BitVec.from01("111")], 3))
+    d = dual_space(echelonize([0b111], 3))
     assert d.dim == 2
     for bits in d.elements_bits():
         assert bits.bit_count() % 2 == 0  # even overlap with 111
@@ -148,16 +157,16 @@ def test_dual_involution_and_dimension():
     rng = Prng(8)
     for _ in range(300):
         n = 1 + rng.below(10)
-        s = echelonize([BitVec.random(n, rng) for _ in range(rng.below(n + 1))], n)
+        s = echelonize([rng.bits(n) for _ in range(rng.below(n + 1))], n)
         d = dual_space(s)
         assert s.dim + d.dim == n
         assert dual_space(d) == s
 
 
 def test_min_weight():
-    s = echelonize([BitVec.from01("1110"), BitVec.from01("0111")], 4)
-    assert min_weight(s) == 2  # the element 1001
-    assert min_weight(echelonize([BitVec.from01("1")], 1)) == 1
+    s = echelonize([0b0111, 0b1110], 4)
+    assert min_weight(s) == 2  # the element 0b1001
+    assert min_weight(echelonize([1], 1)) == 1
     assert min_weight(echelonize([], 6)) == 7  # sentinel for the zero space
 
 
@@ -175,7 +184,7 @@ def test_min_weight_matches_gray_walk():
         n = dim + rng.below(9)
         vecs = []
         while len(vecs) < dim:
-            v = BitVec.random(n, rng)
+            v = rng.bits(n)
             if echelonize(vecs + [v], n).dim > len(vecs):
                 vecs.append(v)
         s = echelonize(vecs, n)
@@ -187,14 +196,14 @@ def test_min_weight_only_in_a_high_chunk():
     # the last basis row e_cap (weight 1) is the lone weight-1 word, and it
     # is lane 0 of the second lane chunk; every other word has weight >= 2
     n = LANE_CHUNK_BITS + 2
-    vecs = [BitVec(n, (1 << i) | (1 << (n - 1))) for i in range(LANE_CHUNK_BITS)]
-    s = echelonize(vecs + [BitVec.unit(n, LANE_CHUNK_BITS)], n)
-    assert s.basis[-1] == BitVec.unit(n, LANE_CHUNK_BITS)
+    vecs = [(1 << i) | (1 << (n - 1)) for i in range(LANE_CHUNK_BITS)]
+    s = echelonize(vecs + [1 << LANE_CHUNK_BITS], n)
+    assert s.basis[-1] == 1 << LANE_CHUNK_BITS
     assert min_weight(s) == gray_walk_min_weight(s) == 1
 
 
 def test_min_weight_guard():
-    vecs = [BitVec.unit(40, j) for j in range(30)]
+    vecs = [1 << j for j in range(30)]
     with pytest.raises(CapacityError):
         min_weight(echelonize(vecs, 40))
 
@@ -202,11 +211,11 @@ def test_min_weight_guard():
 def test_block_pivot_dims_extremes():
     k, kp = 3, 4
     # V (x) full, dim V = 2 with pivots in the first two blocks
-    vecs = [BitVec(k * kp, (1 << j) << (i * kp)) for i in range(2) for j in range(kp)]
+    vecs = [(1 << j) << (i * kp) for i in range(2) for j in range(kp)]
     s = echelonize(vecs, k * kp)
     assert block_pivot_dims(s, k, kp) == (kp, kp, 0)
     # full (x) W, dim W = 2
-    vecs = [BitVec(k * kp, w << (i * kp)) for i in range(k) for w in (0b0011, 0b0101)]
+    vecs = [w << (i * kp) for i in range(k) for w in (0b0011, 0b0101)]
     s = echelonize(vecs, k * kp)
     assert block_pivot_dims(s, k, kp) == (2, 2, 2)
     assert block_pivot_dims(echelonize([], 12), 3, 4) == (0, 0, 0)
@@ -217,8 +226,7 @@ def test_block_pivot_dims_sum():
     for _ in range(1000):
         k = 1 + rng.below(4)
         kp = 1 + rng.below(4)
-        s = echelonize([BitVec.random(k * kp, rng)
-                        for _ in range(rng.below(k * kp + 1))], k * kp)
+        s = echelonize([rng.bits(k * kp) for _ in range(rng.below(k * kp + 1))], k * kp)
         assert sum(block_pivot_dims(s, k, kp)) == s.dim
 
 
@@ -235,7 +243,7 @@ def brute_span_hist(gens):
         for j in range(len(gens)):
             if (c >> j) & 1:
                 for i in range(nrows):
-                    rows[i] ^= gens[j].rows[i].bits
+                    rows[i] ^= gens[j].rows[i]
         counts[rank_of_row_ints(rows)] += 1
     return counts
 
@@ -292,3 +300,12 @@ def test_span_rank_histogram_peak_within_budget(budget, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= budget, (peak, budget)
+
+
+def test_repr_names_shape_not_the_bits():
+    # packed ints of more than about 14,000 bits exceed Python's 4,300-digit
+    # limit for int -> decimal str, so no repr may print one
+    assert repr(random_tensor(3, 30, 1)) == "DenseTensor(d=3, k=30)"
+    assert "cols=20000" in repr(BitMatrix.random(3, 20000, Prng(1)))
+    s = echelonize([Prng(2).bits(20000) for _ in range(3)], 20000)
+    assert "ambient_dim=20000" in repr(s) and "pivots=" in repr(s)

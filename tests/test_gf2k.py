@@ -1,8 +1,8 @@
-"""GF(2^k) arithmetic and the trace map."""
+"""GF(2^k) arithmetic and the trace map, on packed-int elements."""
 
 import pytest
 
-from f2lab.gf2k import _smallest_irreducible, gf_mul, make_field, trace
+from f2lab.gf2k import _smallest_irreducible, make_field
 
 
 def test_canonical_moduli():
@@ -21,38 +21,31 @@ def test_make_field_range():
 
 def test_gf4_multiplication_table():
     f = make_field(2)
-    w = f.basis(1)
-    assert (w * w).bits == 0b11          # x^2 = x + 1
-    assert gf_mul(w, f.one()) == w
-    assert gf_mul(w, f.zero()).bits == 0
-
-
-def test_field_mismatch_rejected():
-    a = make_field(2).one()
-    b = make_field(3).one()
-    with pytest.raises(ValueError):
-        gf_mul(a, b)
+    w = 0b10
+    assert f.mul_bits(w, w) == 0b11       # x^2 = x + 1
+    assert f.mul_bits(w, 1) == w
+    assert f.mul_bits(w, 0) == 0
 
 
 def test_trace_small_values():
     f4 = make_field(2)
-    assert trace(f4.zero()) == 0
-    assert trace(f4.one()) == 0           # 1 + 1
-    assert trace(f4.basis(1)) == 1        # w + w^2 = 1
+    assert f4.trace_bits(0) == 0
+    assert f4.trace_bits(1) == 0          # 1 + 1
+    assert f4.trace_bits(0b10) == 1       # w + w^2 = 1
     f8 = make_field(3)
-    assert trace(f8.one()) == 1           # three copies of 1
+    assert f8.trace_bits(1) == 1          # three copies of 1
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_trace_linear_and_frobenius(k):
     f = make_field(k)
-    els = list(f.elements())
+    els = range(1 << k)
     for a in els:
-        assert trace(a * a) == trace(a)
+        assert f.trace_bits(f.mul_bits(a, a)) == f.trace_bits(a)
     step = max(1, len(els) // 32)
     for a in els[::step]:
         for b in els[::step]:
-            assert trace(a + b) == trace(a) ^ trace(b)
+            assert f.trace_bits(a ^ b) == f.trace_bits(a) ^ f.trace_bits(b)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
@@ -64,29 +57,19 @@ def test_trace_balance(k):
 @pytest.mark.parametrize("k", range(1, 9))
 def test_trace_nondegenerate(k):
     f = make_field(k)
-    els = list(f.elements())
-    for a in els:
-        if a.bits:
-            assert any(trace(a * b) for b in els)
+    for a in range(1, 1 << k):
+        assert any(f.trace_bits(f.mul_bits(a, b)) for b in range(1 << k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_field_axioms_exhaustive(k):
     f = make_field(k)
-    els = list(f.elements())
+    mul = f.mul_bits
+    els = range(1 << k)
     for a in els:
-        assert (a * f.one()) == a
+        assert mul(a, 1) == a
         for b in els:
-            assert a * b == b * a
+            assert mul(a, b) == mul(b, a)
             for c in els:
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-
-
-def test_pow_matches_repeated_mul():
-    f = make_field(5)
-    a = f.element(0b10110)
-    acc = f.one()
-    for e in range(10):
-        assert a ** e == acc
-        acc = acc * a
+                assert mul(mul(a, b), c) == mul(a, mul(b, c))
+                assert mul(a, b ^ c) == mul(a, b) ^ mul(a, c)

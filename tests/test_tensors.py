@@ -1,13 +1,14 @@
 """Tensors, decompositions, explicit constructions, file formats."""
 
 import io
+import random
 from itertools import product
 
 import pytest
 
 from f2lab.errors import CapacityError, FormatError
 from f2lab.f2linalg import BitVec
-from f2lab.gf2k import make_field, trace
+from f2lab.gf2k import make_field
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, contract, evaluate,
@@ -61,7 +62,7 @@ def test_evaluate_matches_field_arithmetic():
     f4 = make_field(2)
     for a, b, c in product(range(4), repeat=3):
         got = evaluate(t, [BitVec(2, a), BitVec(2, b), BitVec(2, c)])
-        want = trace(f4.element(a) * f4.element(b) * f4.element(c))
+        want = f4.trace_bits(f4.mul_bits(f4.mul_bits(a, b), c))
         assert got == want
     # spec case: f(w, w, 1) = trace(w^2) = trace(w+1) = 1
     assert evaluate(t, [BitVec(2, 0b10), BitVec(2, 0b10), BitVec(2, 0b01)]) == 1
@@ -251,6 +252,42 @@ def test_file_roundtrip_random_sweep():
         buf = io.StringIO()
         write_decomp(buf, dec)
         assert read_decomp(io.StringIO(buf.getvalue())) == dec
+
+
+_VALID_TEXTS = {
+    "F2T1": (read_tensor, lambda buf: write_tensor(buf, random_tensor(3, 3, 5))),
+    "F2D1": (read_decomp, lambda buf: write_decomp(buf, random_rank_decomp(3, 4, 3, 5))),
+    "F2P1": (read_poly, lambda buf: write_poly(
+        buf, Polynomial.reduce(6, [(0, 1, 2), (), (3, 5), (1,)]))),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_VALID_TEXTS))
+def test_reader_mutations_return_or_raise_format_error(fmt):
+    # 2,000 seeded edits of a valid file, each one to three deletions,
+    # insertions, substitutions or truncations: a reader returns an object
+    # or raises FormatError, never anything else
+    reader, write = _VALID_TEXTS[fmt]
+    buf = io.StringIO()
+    write(buf)
+    text = buf.getvalue()
+    alphabet = sorted(set(text) | set("0123456789abcdef=-# \nx"))
+    rnd = random.Random(f"mutate-{fmt}")
+    for _ in range(2000):
+        chars = list(text)
+        for _ in range(1 + rnd.randrange(3)):
+            pos = rnd.randrange(len(chars) + 1)
+            op = rnd.choice(("delete", "insert", "substitute", "truncate"))
+            if op == "insert":
+                chars.insert(pos, rnd.choice(alphabet))
+            elif op == "truncate":
+                del chars[pos:]
+            elif pos < len(chars):
+                chars[pos:pos + 1] = [] if op == "delete" else [rnd.choice(alphabet)]
+        try:
+            reader(io.StringIO("".join(chars)))
+        except FormatError:
+            pass
 
 
 def test_polynomial_evaluate():
