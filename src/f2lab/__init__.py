@@ -14,9 +14,8 @@ edges: rank-one terms, the F2D1 files and `evaluate`'s block vectors.
 from .bias import (BiasEstimate, DyadicRational, bias_bruteforce, bias_exact,
                    bias_mc, corr_class_max, corr_exact)
 from .errors import CapacityError, FormatError, InvariantError
-from .f2linalg import (BitMatrix, BitVec, Subspace, block_pivot_dims,
-                       dual_space, echelonize, kernel, mat_rank, min_weight,
-                       span_rank_histogram, subspace_contains)
+from .f2linalg import (BitMatrix, BitVec, Subspace, dual_space, echelonize,
+                       kernel, mat_rank, min_weight, span_rank_histogram)
 from .gf2k import Gf2kField, make_field
 from .numerics import (MaxProblemPoint, f_dk_bound, inequality_checks,
                        mrrw_constant, profile_max_check)
@@ -26,9 +25,9 @@ from .rank import (RankBoundCertificate, RankDistribution, code_certificate,
                    mrrw_rank_lb, rank_count, rank_exact, rank_lb_bias)
 from .report import VerificationReport
 from .tensors import (DenseTensor, Polynomial, RankDecomposition, RankOneTerm,
-                      contract, evaluate, explicit_form_tensor, matmul_tensor,
+                      evaluate, explicit_form_tensor, matmul_tensor,
                       random_rank_decomp, random_tensor, read_decomp,
                       read_poly, read_tensor, tensor_from_decomp,
-                      trace_tensor, write_decomp, write_poly, write_tensor)
+                      trace_tensor, write_decomp, write_tensor)
 
 __version__ = "0.1.0"

@@ -81,13 +81,6 @@ class DyadicRational:
         """2^-e."""
         return cls(1, e)
 
-    @classmethod
-    def parse(cls, s: str) -> "DyadicRational":
-        num, _, rest = s.partition("/")
-        if not rest.startswith("2^"):
-            raise ValueError(f"not a dyadic literal: {s!r}")
-        return cls.from_ratio(int(num), int(rest[2:]))
-
     def _aligned(self, other: "DyadicRational") -> tuple[int, int, int]:
         e = max(self.exponent, other.exponent)
         return (self.numerator << (e - self.exponent),

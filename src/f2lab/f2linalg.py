@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ._bitops import budget_bytes, ctz, gray_flips, ones, parity
+from ._bitops import budget_bytes, ctz, gray_flips, ones
 from .errors import CapacityError, InvariantError
 from .prng import Prng
 
@@ -41,10 +41,6 @@ class BitVec:
             raise ValueError("bits outside declared length")
 
     @classmethod
-    def zeros(cls, length: int) -> "BitVec":
-        return cls(length, 0)
-
-    @classmethod
     def from01(cls, s: str) -> "BitVec":
         """Parse a '0'/'1' string, character j = coordinate j."""
         if set(s) - {"0", "1"}:
@@ -58,19 +54,6 @@ class BitVec:
     @classmethod
     def random(cls, length: int, rng: Prng) -> "BitVec":
         return cls(length, rng.bits(length))
-
-    def get(self, j: int) -> int:
-        if not 0 <= j < self.length:
-            raise IndexError(f"coordinate {j} out of range")
-        return (self.bits >> j) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def dot(self, other: "BitVec") -> int:
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return parity(self.bits & other.bits)
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.length != other.length:
@@ -100,35 +83,9 @@ class BitMatrix:
     def from_row_ints(cls, ints: Sequence[int], cols: int) -> "BitMatrix":
         return cls(tuple(ints), cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls.from_row_ints([1 << i for i in range(n)], n)
-
-    @classmethod
-    def zeros(cls, nrows: int, cols: int) -> "BitMatrix":
-        return cls.from_row_ints([0] * nrows, cols)
-
-    @classmethod
-    def random(cls, nrows: int, cols: int, rng: Prng) -> "BitMatrix":
-        return cls.from_row_ints([rng.bits(cols) for _ in range(nrows)], cols)
-
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def entry(self, i: int, j: int) -> int:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} out of range")
-        return (self.rows[i] >> j) & 1
-
-    def matvec(self, v: BitVec) -> BitVec:
-        """A @ v for v in F2^cols."""
-        if v.length != self.cols:
-            raise ValueError("length mismatch")
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= parity(r & v.bits) << i
-        return BitVec(self.nrows, out)
 
 
 @dataclass(frozen=True)
@@ -171,14 +128,6 @@ class Subspace:
             if (bits >> p) & 1:
                 bits ^= v
         return bits == 0
-
-    def elements_bits(self):
-        """Iterate all 2^dim elements (Gray-code order, starts at 0)."""
-        cur = 0
-        yield cur
-        for flip in gray_flips(self.dim):
-            cur ^= self.basis[flip]
-            yield cur
 
 
 def _rref(row_bits: Iterable[int]) -> tuple[list[int], list[int]]:
@@ -227,13 +176,6 @@ def echelonize(rows: Iterable[int], ambient_dim: int) -> Subspace:
         raise ValueError(f"row outside F2^{ambient_dim}")
     basis, pivots = _rref(rows)
     return Subspace(ambient_dim, tuple(basis), tuple(pivots))
-
-
-def subspace_contains(s: Subspace, v: BitVec) -> bool:
-    """Membership by reduction against the echelon basis."""
-    if v.length != s.ambient_dim:
-        raise ValueError("length mismatch")
-    return s.contains_bits(v.bits)
 
 
 def kernel(a: BitMatrix) -> Subspace:
@@ -287,23 +229,6 @@ def min_weight(s: Subspace) -> int:
         for w, c in enumerate(counter.histogram()):
             counts[w] += c
     return next(w for w in range(1, n + 1) if counts[w])
-
-
-def block_pivot_dims(s: Subspace, num_blocks: int, block_size: int) -> tuple[int, ...]:
-    """Pivot counts per coordinate block of size `block_size`.
-
-    For U spanned by an echelon basis of F2^(num_blocks*block_size) these
-    are the dims of the per-block projections U_j of the basis rows
-    pivoted in block j; they always sum to dim(U).
-    """
-    if s.ambient_dim != num_blocks * block_size:
-        raise ValueError("ambient_dim != num_blocks * block_size")
-    dims = [0] * num_blocks
-    for p in s.pivots:
-        dims[p // block_size] += 1
-    if sum(dims) != s.dim:
-        raise InvariantError("block pivot counts do not sum to the dimension")
-    return tuple(dims)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ._bitops import form_table
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
                    corr_exact, dyadic_mean)
 from .errors import CapacityError, InvariantError
-from .f2linalg import BitMatrix, Subspace, echelonize, rank_of_row_ints
+from .f2linalg import Subspace, echelonize, rank_of_row_ints
 from .numerics import f_dk_bound, inequality_checks, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
@@ -366,16 +366,18 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
 
 def verify_bias_trace(k: int) -> VerificationReport:
     """Bias of the field-trace tensor equals 2 2^-k - 2^-2k exactly, via
-    the rank fast path and (capacity permitting) a truth-table count."""
+    the rank fast path and, where its tables fit the byte budget, a
+    truth-table count."""
     formula = D.from_ratio((1 << (k + 1)) - 1, 2 * k)
     t = trace_tensor(k)
     fast = bias_exact(t)
     routes = ["fast"]
     holds = fast == formula
-    if 3 * k <= 30:
-        brute = bias_bruteforce(t)
+    try:
+        holds = bias_bruteforce(t) == formula and holds
         routes.append("brute")
-        holds = holds and brute == formula
+    except CapacityError:
+        pass  # tables over the byte budget: the fast route alone
     return _report(
         "bias-trace", [("k", str(k)), ("routes", "+".join(routes))],
         [("bias", str(fast))],
@@ -463,14 +465,14 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
     rng = Prng(seed)
     holds = True
     for _ in range(trials):
-        h = BitMatrix.random(k, k, rng)
+        h = [rng.bits(k) for _ in range(k)]
         a = rng.bits(k)
         fiber = 0
         kernel_size = 0
         for x in range(1 << k):
             hx = 0
             for i in range(k):
-                hx |= ((h.rows[i] & x).bit_count() & 1) << i
+                hx |= ((h[i] & x).bit_count() & 1) << i
             if hx == a:
                 fiber += 1
             if hx == 0:

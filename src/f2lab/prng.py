@@ -50,15 +50,5 @@ class Prng:
             buf.byteswap()
         return int.from_bytes(buf, "little")
 
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
-        nbits = (n - 1).bit_length()
-        while True:
-            x = self.bits(nbits)
-            if x < n:
-                return x
-
     def float01(self) -> float:
         return self.u64() / float(1 << 64)

@@ -51,30 +51,19 @@ class DenseTensor:
     def size(self) -> int:
         return self.k ** self.d
 
-    @classmethod
-    def zeros(cls, d: int, k: int) -> "DenseTensor":
-        return cls(d, k, 0)
-
-    def flat(self, idx: Sequence[int]) -> int:
-        if len(idx) != self.d:
-            raise ValueError("index arity != d")
-        f = 0
-        for i in idx:
-            if not 0 <= i < self.k:
-                raise IndexError("index out of range")
-            f = f * self.k + i
-        return f
-
-    def entry(self, idx: Sequence[int]) -> int:
-        return (self.bits >> self.flat(idx)) & 1
-
-    def nnz(self) -> int:
-        return self.bits.bit_count()
-
     def __xor__(self, other: "DenseTensor") -> "DenseTensor":
         if (self.d, self.k) != (other.d, other.k):
             raise ValueError("shape mismatch")
         return DenseTensor(self.d, self.k, self.bits ^ other.bits)
+
+
+def _tensor_bits(d: int, k: int) -> int:
+    """k^d, the bits of a tensor of this shape, or 2^64 when it has at least
+    that many.  2^((bit_length(k) - 1) d) <= k^d is tested first, so a huge
+    shape never forms k ** d (3 ** 10**7 alone takes seconds)."""
+    if (k.bit_length() - 1) * d >= 64:
+        return 1 << 64
+    return k ** d
 
 
 def outer_bits(vectors: Sequence[int], k: int) -> int:
@@ -151,32 +140,6 @@ def first_block_slices(t: DenseTensor) -> list[int]:
     return [(t.bits >> (i * step)) & mask for i in range(t.k)]
 
 
-def contract(t: DenseTensor, block: int, x: BitVec) -> DenseTensor:
-    """Substitute x into block `block` (1-based); returns a (d-1)-tensor.
-
-    evaluate(contract(T, j, x), rest) = evaluate(T, ..., x at j, ...).
-    """
-    if not 1 <= block <= t.d:
-        raise ValueError("block index out of range")
-    if x.length != t.k:
-        raise ValueError("vector length != k")
-    if t.d == 1:
-        raise ValueError("cannot contract a 1-dimensional tensor")
-    k = t.k
-    j0 = block - 1
-    stride = k ** (t.d - 1 - j0)  # flat distance between consecutive values of this index
-    chunk = ones(stride)
-    inner = 0
-    xb = x.bits
-    for c in range(k):
-        if (xb >> c) & 1:
-            # gather every run where index j0 equals c
-            for a in range(k ** j0):
-                seg = (t.bits >> (a * stride * k + c * stride)) & chunk
-                inner ^= seg << (a * stride)
-    return DenseTensor(t.d - 1, k, inner)
-
-
 def evaluate(t: DenseTensor, xs: Sequence[BitVec]) -> int:
     """f_T(x_1..x_d) over F2."""
     if len(xs) != t.d:
@@ -250,9 +213,10 @@ def explicit_form_tensor(d: int, k: int) -> DenseTensor:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    size = k ** d
+    size = _tensor_bits(d, k)
     if size > 8 * budget_bytes():
-        raise CapacityError(f"explicit_form_tensor({d},{k}) needs {size} bits",
+        raise CapacityError(f"explicit_form_tensor({d},{k}): its k^d bits exceed "
+                            f"the budget of {8 * budget_bytes()} bits",
                             required=size, budget=8 * budget_bytes())
     gf = make_field(k)
     bits = 0
@@ -269,9 +233,10 @@ def explicit_form_tensor(d: int, k: int) -> DenseTensor:
 
 def random_tensor(d: int, k: int, seed: int) -> DenseTensor:
     """Uniform tensor, deterministic for a fixed seed."""
-    size = k ** d
+    size = _tensor_bits(d, k)
     if size > 8 * budget_bytes():
-        raise CapacityError(f"random_tensor({d},{k}) needs {size} bits",
+        raise CapacityError(f"random_tensor({d},{k}): its k^d bits exceed "
+                            f"the budget of {8 * budget_bytes()} bits",
                             required=size, budget=8 * budget_bytes())
     return DenseTensor(d, k, Prng(seed).bits(size))
 
@@ -316,16 +281,6 @@ class Polynomial:
             acc.symmetric_difference_update({key})
         return cls(n, tuple(sorted(acc)))
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.monomials), default=0)
-
-    def evaluate(self, assignment_bits: int) -> int:
-        val = 0
-        for m in self.monomials:
-            if all((assignment_bits >> v) & 1 for v in m):
-                val ^= 1
-        return val
-
 
 # ---------------------------------------------------------------------------
 # File formats
@@ -354,9 +309,9 @@ def read_tensor(fp) -> DenseTensor:
         raise FormatError(f"bad F2T1 shape line: {lines[1]!r}") from exc
     if d < 1 or k < 1:
         raise FormatError("d and k must be positive")
-    if k.bit_length() * d > 64 or k ** d > 8 * budget_bytes():
+    size = _tensor_bits(d, k)
+    if size > 8 * budget_bytes():
         raise FormatError(f"tensor shape d={d} k={k} overflows the budget")
-    size = k ** d
     try:
         payload = bytes.fromhex(lines[2].strip())
     except ValueError as exc:
@@ -412,12 +367,6 @@ def read_decomp(fp) -> RankDecomposition:
     return RankDecomposition(d, k, tuple(terms))
 
 
-def write_poly(fp, poly: Polynomial) -> None:
-    fp.write(f"F2P1 n={poly.n}\n")
-    for m in poly.monomials:
-        fp.write("#\n" if not m else " ".join(str(v + 1) for v in m) + "\n")
-
-
 def read_poly(fp) -> Polynomial:
     lines = fp.read().splitlines()
     if not lines:
@@ -453,7 +402,3 @@ def tensor_to_string(t: DenseTensor) -> str:
     buf = io.StringIO()
     write_tensor(buf, t)
     return buf.getvalue()
-
-
-def tensor_from_string(s: str) -> DenseTensor:
-    return read_tensor(io.StringIO(s))

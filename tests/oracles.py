@@ -1,0 +1,81 @@
+"""Per-input reference routes the tests compare f2lab against.
+
+None of these is on a program path: each recomputes, one input or one
+element at a time, what the library computes in bulk, so a test can
+check a packed or bit-sliced route against a plain one.
+"""
+
+from f2lab._bitops import gray_flips, ones
+from f2lab.tensors import DenseTensor
+
+
+def below(rng, n):
+    """Uniform integer in [0, n) by rejection from rng.bits."""
+    if n <= 0:
+        raise ValueError("below() needs n >= 1")
+    nbits = (n - 1).bit_length()
+    while True:
+        x = rng.bits(nbits)
+        if x < n:
+            return x
+
+
+def entry(t, idx):
+    """T(i_1..i_d), the first index slowest."""
+    if len(idx) != t.d:
+        raise ValueError("index arity != d")
+    flat = 0
+    for i in idx:
+        if not 0 <= i < t.k:
+            raise IndexError("index out of range")
+        flat = flat * t.k + i
+    return (t.bits >> flat) & 1
+
+
+def contract(t, block, x):
+    """Substitute the BitVec x into block `block` (1-based); returns a
+    (d-1)-tensor with evaluate(contract(T, j, x), rest) = evaluate(T, ..., x
+    at j, ...)."""
+    if not 1 <= block <= t.d:
+        raise ValueError("block index out of range")
+    if x.length != t.k:
+        raise ValueError("vector length != k")
+    if t.d == 1:
+        raise ValueError("cannot contract a 1-dimensional tensor")
+    k = t.k
+    j0 = block - 1
+    stride = k ** (t.d - 1 - j0)  # flat distance between consecutive values of this index
+    chunk = ones(stride)
+    inner = 0
+    for c in range(k):
+        if (x.bits >> c) & 1:
+            # gather every run where index j0 equals c
+            for a in range(k ** j0):
+                seg = (t.bits >> (a * stride * k + c * stride)) & chunk
+                inner ^= seg << (a * stride)
+    return DenseTensor(t.d - 1, k, inner)
+
+
+def poly_eval(p, assignment_bits):
+    """The Polynomial p at the input whose variable v is bit v."""
+    val = 0
+    for m in p.monomials:
+        if all((assignment_bits >> v) & 1 for v in m):
+            val ^= 1
+    return val
+
+
+def span_elements(s):
+    """All 2^dim elements of the Subspace s, in Gray-code order from 0."""
+    cur = 0
+    yield cur
+    for flip in gray_flips(s.dim):
+        cur ^= s.basis[flip]
+        yield cur
+
+
+def write_poly(fp, poly):
+    """F2P1 text of poly, which read_poly reads back."""
+    fp.write(f"F2P1 n={poly.n}\n")
+    for m in poly.monomials:
+        fp.write("#\n" if not m else " ".join(str(v + 1) for v in m) + "\n")

@@ -16,15 +16,16 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            first_block_slices, matmul_tensor, random_tensor,
                            trace_tensor)
+from oracles import below, entry, poly_eval
 
 rng = Prng(31337)
 
 
 class TestDyadicRational:
-    def test_reduction_and_parse(self):
+    def test_reduction_and_str(self):
         assert str(D.from_ratio(4, 6)) == "1/2^4"
         assert D.from_ratio(0, 9) == D.zero()
-        assert D.parse("29/2^7") == D.from_ratio(29, 7)
+        assert str(D.from_ratio(29, 7)) == "29/2^7"
         with pytest.raises(ValueError):
             D(2, 1)   # not reduced
         with pytest.raises(ValueError):
@@ -73,7 +74,7 @@ class TestDyadicRational:
 
 
 def test_bias_zero_tensor():
-    z = DenseTensor.zeros(3, 2)
+    z = DenseTensor(3, 2, 0)
     assert bias_exact(z) == D.one()
     assert bias_bruteforce(z) == D.one()
 
@@ -113,8 +114,8 @@ def test_explicit_form_bias(d, k):
 
 def test_exact_equals_bruteforce_sweep():
     for _ in range(600):
-        d = 1 + rng.below(4)
-        k = 1 + rng.below(3)
+        d = 1 + below(rng, 4)
+        k = 1 + below(rng, 3)
         if k * d > 12:
             continue
         t = random_tensor(d, k, rng.u64())
@@ -176,13 +177,13 @@ def test_corr_exact_matches_per_input_count(d, k):
     prng = Prng(60 + 10 * d + k)
     t = random_tensor(d, k, prng.u64())
     f = _form_table_reference(t)
-    spanning = [tuple(j * k + prng.below(k) for j in range(d)) for _ in range(3)]
+    spanning = [tuple(j * k + below(prng, k) for j in range(d)) for _ in range(3)]
     polys = [Polynomial(n, ()), Polynomial(n, ((),)),
              Polynomial.reduce(n, [(), (0,), (n - 1,), (0, n - 1)] + spanning),
-             Polynomial.reduce(n, [sorted({prng.below(n) for _ in range(1 + prng.below(4))})
+             Polynomial.reduce(n, [sorted({below(prng, n) for _ in range(1 + below(prng, 4))})
                                    for _ in range(8)])]
     for p in polys:
-        ones_count = sum(((f >> x) & 1) ^ p.evaluate(_poly_assignment(x, k, d))
+        ones_count = sum(((f >> x) & 1) ^ poly_eval(p, _poly_assignment(x, k, d))
                          for x in range(1 << n))
         assert corr_exact(t, p) == _table_bias(ones_count, n), p
 
@@ -191,13 +192,13 @@ def test_corr_exact_matches_per_input_count(d, k):
 def test_anf_table_matches_polynomial_evaluate(m):
     prng = Prng(70 + m)
     for _ in range(4):
-        p = Polynomial.reduce(m, [sorted({prng.below(m) for _ in range(prng.below(m + 1))})
-                                  for _ in range(1 + prng.below(6))])
+        p = Polynomial.reduce(m, [sorted({below(prng, m) for _ in range(below(prng, m + 1))})
+                                  for _ in range(1 + below(prng, 6))])
         anf = 0
         for mono in p.monomials:
             anf ^= 1 << sum(1 << v for v in mono)
         table = anf_table(anf, m)
-        assert all((table >> x) & 1 == p.evaluate(x) for x in range(1 << m)), p
+        assert all((table >> x) & 1 == poly_eval(p, x) for x in range(1 << m)), p
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -228,8 +229,8 @@ def test_bias_bruteforce_guards_table_bytes(monkeypatch):
     monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
     monkeypatch.setattr("f2lab.bias.linear_form_table", _no_tables)
     # d = 30, k = 1: one 2^29-bit slice table alone is 64 MiB
-    for t, budget in [(DenseTensor.zeros(30, 1), None),
-                      (DenseTensor.zeros(1, 30), None),
+    for t, budget in [(DenseTensor(30, 1, 0), None),
+                      (DenseTensor(1, 30, 0), None),
                       (trace_tensor(9), 1 << 18)]:
         if budget is None:
             monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
@@ -274,7 +275,7 @@ def test_exact_equals_bruteforce_high_degree(d, k):
 
 def test_bilinear_bias_is_rank_law():
     for _ in range(300):
-        k = 2 + rng.below(5)
+        k = 2 + below(rng, 5)
         t = random_tensor(2, k, rng.u64())
         r = mat_rank(BitMatrix.from_row_ints(first_block_slices(t), k))
         assert bias_exact(t) == D.half_pow(r)
@@ -282,20 +283,20 @@ def test_bilinear_bias_is_rank_law():
 
 def test_trilinear_bias_floor():
     for _ in range(400):
-        k = 2 + rng.below(5)
+        k = 2 + below(rng, 5)
         t = random_tensor(3, k, rng.u64())
         assert bias_exact(t) >= D.from_ratio((1 << (k + 1)) - 1, 2 * k)
 
 
 def test_bias_capacity_guards():
     with pytest.raises(CapacityError):
-        bias_bruteforce(DenseTensor.zeros(2, 16))
+        bias_bruteforce(DenseTensor(2, 16, 0))
     with pytest.raises(CapacityError):
-        bias_exact(DenseTensor.zeros(4, 16))
+        bias_exact(DenseTensor(4, 16, 0))
 
 
 def test_bias_mc_zero_tensor_and_reproducibility():
-    est = bias_mc(DenseTensor.zeros(3, 2), 200, 0.95, seed=4)
+    est = bias_mc(DenseTensor(3, 2, 0), 200, 0.95, seed=4)
     assert est.point == 1.0
     assert bias_mc(trace_tensor(3), 500, 0.9, seed=8) == bias_mc(
         trace_tensor(3), 500, 0.9, seed=8)
@@ -370,10 +371,10 @@ def test_corr_exact_cases():
     for i in range(2):
         for j in range(2):
             for l in range(2):
-                if tr2.entry((i, j, l)):
+                if entry(tr2, (i, j, l)):
                     monos.append((i, 2 + j, 4 + l))
     assert corr_exact(tr2, Polynomial.reduce(6, monos)) == D.one()
-    z = DenseTensor.zeros(3, 2)
+    z = DenseTensor(3, 2, 0)
     assert corr_exact(z, Polynomial(6, ((0,),))) == D.zero()
 
 
@@ -383,11 +384,11 @@ def test_corr_exact_symmetry_under_difference():
     t = random_tensor(2, 2, 17)
     p = Polynomial.reduce(4, [(0,), (1, 3)])
     v1 = corr_exact(t, p)
-    zero = DenseTensor.zeros(2, 2)
+    zero = DenseTensor(2, 2, 0)
     f_monos = []
     for i in range(2):
         for j in range(2):
-            if t.entry((i, j)):
+            if entry(t, (i, j)):
                 f_monos.append((i, 2 + j))
     swapped = Polynomial.reduce(4, f_monos + list(p.monomials))
     assert corr_exact(zero, swapped) == v1
@@ -402,7 +403,7 @@ def test_corr_exact_guards_table_size(monkeypatch):
     monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
     monkeypatch.setattr("f2lab.bias.anf_table", _no_tables)
     with pytest.raises(CapacityError) as ei:
-        corr_exact(DenseTensor.zeros(3, 9), Polynomial(27, ((),)))
+        corr_exact(DenseTensor(3, 9, 0), Polynomial(27, ((),)))
     assert ei.value.required == 1 << 27
     assert ei.value.budget == 1 << 26
 
@@ -411,7 +412,7 @@ def test_corr_class_max_contains_self():
     t = random_tensor(2, 2, 5)
     val, _ = corr_class_max(t, 4)
     assert val == D.one()
-    val, wit = corr_class_max(DenseTensor.zeros(2, 2), 0)
+    val, wit = corr_class_max(DenseTensor(2, 2, 0), 0)
     assert val == D.one() and wit.monomials == ()
 
 
@@ -421,7 +422,7 @@ def test_corr_class_max_identity_affine():
     ident = DenseTensor(2, 2, 0b1001)
     val, wit = corr_class_max(ident, 1)
     assert val == D.from_ratio(1, 2)
-    assert wit.degree() <= 1
+    assert all(len(m) <= 1 for m in wit.monomials)
     assert corr_exact(ident, wit) == val
 
 
@@ -441,7 +442,7 @@ def test_corr_class_max_degree_zero_is_bias(seed):
     t = random_tensor(3, 8, seed)
     val, wit = corr_class_max(t, 0)
     assert val == bias_exact(t)
-    assert wit.degree() <= 0
+    assert all(not m for m in wit.monomials)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -486,7 +487,7 @@ def test_corr_class_max_guards_table_size(monkeypatch):
         raise AssertionError("built a truth table before the guard")
     monkeypatch.setattr("f2lab.bias.form_table", no_tables)
     with pytest.raises(CapacityError) as ei:
-        corr_class_max(DenseTensor.zeros(3, 9), 0)
+        corr_class_max(DenseTensor(3, 9, 0), 0)
     assert ei.value.required == 1 << 27
     assert ei.value.budget == 1 << 26
 
@@ -497,7 +498,7 @@ def test_corr_class_max_guards_work(monkeypatch):
         raise AssertionError("built a truth table before the guard")
     monkeypatch.setattr("f2lab.bias.form_table", no_tables)
     with pytest.raises(CapacityError) as ei:
-        corr_class_max(DenseTensor.zeros(4, 5), 1)
+        corr_class_max(DenseTensor(4, 5, 0), 1)
     assert ei.value.required == 1 << 41
     assert ei.value.budget == 1 << CORR_CLASS_WORK_LOG2 == 1 << 40
 

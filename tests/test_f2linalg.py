@@ -4,13 +4,26 @@ import tracemalloc
 
 import pytest
 
+from f2lab._bitops import parity
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import (LANE_CHUNK_BITS, BitMatrix, BitVec, Subspace,
-                            block_pivot_dims, dual_space, echelonize, kernel,
-                            mat_rank, min_weight, rank_of_row_ints,
-                            span_rank_histogram, subspace_contains)
+                            dual_space, echelonize, kernel, mat_rank,
+                            min_weight, rank_of_row_ints, span_rank_histogram)
 from f2lab.prng import Prng
 from f2lab.tensors import first_block_slices, random_tensor, trace_tensor
+from oracles import below, span_elements
+
+
+def identity(n):
+    return BitMatrix.from_row_ints([1 << i for i in range(n)], n)
+
+
+def zeros(nrows, cols):
+    return BitMatrix.from_row_ints([0] * nrows, cols)
+
+
+def random_matrix(nrows, cols, rng):
+    return BitMatrix.from_row_ints([rng.bits(cols) for _ in range(nrows)], cols)
 
 
 def dense_rank_oracle(rows, cols):
@@ -38,8 +51,8 @@ def dense_rank_oracle(rows, cols):
 
 
 def test_rank_identity_and_zero():
-    assert mat_rank(BitMatrix.identity(7)) == 7
-    assert mat_rank(BitMatrix.zeros(4, 5)) == 0
+    assert mat_rank(identity(7)) == 7
+    assert mat_rank(zeros(4, 5)) == 0
 
 
 def test_rank_dependent_rows():
@@ -49,8 +62,8 @@ def test_rank_dependent_rows():
 def test_rank_against_dense_oracle():
     rng = Prng(2024)
     for _ in range(10_000):
-        r = 1 + rng.below(10)
-        c = 1 + rng.below(10)
+        r = 1 + below(rng, 10)
+        c = 1 + below(rng, 10)
         rows = [rng.bits(c) for _ in range(r)]
         assert rank_of_row_ints(rows) == dense_rank_oracle(rows, c)
 
@@ -58,8 +71,8 @@ def test_rank_against_dense_oracle():
 def test_rank_against_dense_oracle_large():
     rng = Prng(77)
     for _ in range(30):
-        r = 32 + rng.below(33)
-        c = 32 + rng.below(33)
+        r = 32 + below(rng, 33)
+        c = 32 + below(rng, 33)
         rows = [rng.bits(c) for _ in range(r)]
         assert rank_of_row_ints(rows) == dense_rank_oracle(rows, c)
 
@@ -84,8 +97,8 @@ def test_echelonize_rejects_length_mismatch():
 def test_echelonize_idempotent():
     rng = Prng(5)
     for _ in range(500):
-        n = 1 + rng.below(12)
-        vs = [rng.bits(n) for _ in range(rng.below(n + 2))]
+        n = 1 + below(rng, 12)
+        vs = [rng.bits(n) for _ in range(below(rng, n + 2))]
         s = echelonize(vs, n)
         assert echelonize(s.basis, n) == s
 
@@ -106,25 +119,25 @@ def test_subspace_invariants_enforced():
 def test_contains_matches_rank_test():
     rng = Prng(6)
     for _ in range(10_000):
-        n = 1 + rng.below(12)
-        vs = [rng.bits(n) for _ in range(rng.below(n + 1))]
+        n = 1 + below(rng, 12)
+        vs = [rng.bits(n) for _ in range(below(rng, n + 1))]
         s = echelonize(vs, n)
-        v = BitVec.random(n, rng)
-        by_rank = rank_of_row_ints(list(s.basis) + [v.bits]) == s.dim
-        assert subspace_contains(s, v) == by_rank
+        v = rng.bits(n)
+        by_rank = rank_of_row_ints(list(s.basis) + [v]) == s.dim
+        assert s.contains_bits(v) == by_rank
 
 
 def test_contains_trivia():
     s = echelonize([0b0001, 0b0010], 4)
-    assert subspace_contains(s, BitVec.zeros(4))
+    assert s.contains_bits(0)
     e11 = echelonize([0b0001], 4)  # e1 (x) e1 flattened, k=2
-    assert subspace_contains(e11, BitVec.from01("1000"))
-    assert not subspace_contains(e11, BitVec.from01("0001"))
+    assert e11.contains_bits(BitVec.from01("1000").bits)
+    assert not e11.contains_bits(BitVec.from01("0001").bits)
 
 
 def test_kernel_examples():
-    assert kernel(BitMatrix.identity(5)).dim == 0
-    assert kernel(BitMatrix.zeros(3, 4)).dim == 4
+    assert kernel(identity(5)).dim == 0
+    assert kernel(zeros(3, 4)).dim == 4
     k = kernel(BitMatrix.from_row_ints([0b011, 0b110], 3))
     assert k.dim == 1
     assert k.basis == (0b111,)
@@ -133,13 +146,13 @@ def test_kernel_examples():
 def test_kernel_annihilates():
     rng = Prng(7)
     for _ in range(300):
-        r = 1 + rng.below(6)
-        c = 1 + rng.below(8)
-        a = BitMatrix.random(r, c, rng)
+        r = 1 + below(rng, 6)
+        c = 1 + below(rng, 8)
+        a = random_matrix(r, c, rng)
         ker = kernel(a)
         assert ker.dim == c - mat_rank(a)
         for v in ker.basis:
-            assert a.matvec(BitVec(c, v)).bits == 0
+            assert not any(parity(row & v) for row in a.rows)
 
 
 def test_dual_examples():
@@ -147,7 +160,7 @@ def test_dual_examples():
     assert dual_space(full).dim == 0
     d = dual_space(echelonize([0b111], 3))
     assert d.dim == 2
-    for bits in d.elements_bits():
+    for bits in span_elements(d):
         assert bits.bit_count() % 2 == 0  # even overlap with 111
     zero = echelonize([], 4)
     assert dual_space(zero).dim == 4
@@ -156,8 +169,8 @@ def test_dual_examples():
 def test_dual_involution_and_dimension():
     rng = Prng(8)
     for _ in range(300):
-        n = 1 + rng.below(10)
-        s = echelonize([rng.bits(n) for _ in range(rng.below(n + 1))], n)
+        n = 1 + below(rng, 10)
+        s = echelonize([rng.bits(n) for _ in range(below(rng, n + 1))], n)
         d = dual_space(s)
         assert s.dim + d.dim == n
         assert dual_space(d) == s
@@ -172,7 +185,7 @@ def test_min_weight():
 
 def gray_walk_min_weight(s):
     best = s.ambient_dim + 1
-    for e in s.elements_bits():
+    for e in span_elements(s):
         if e:
             best = min(best, e.bit_count())
     return best
@@ -181,7 +194,7 @@ def gray_walk_min_weight(s):
 def test_min_weight_matches_gray_walk():
     rng = Prng(12)
     for dim in range(LANE_CHUNK_BITS + 3):
-        n = dim + rng.below(9)
+        n = dim + below(rng, 9)
         vecs = []
         while len(vecs) < dim:
             v = rng.bits(n)
@@ -208,33 +221,6 @@ def test_min_weight_guard():
         min_weight(echelonize(vecs, 40))
 
 
-def test_block_pivot_dims_extremes():
-    k, kp = 3, 4
-    # V (x) full, dim V = 2 with pivots in the first two blocks
-    vecs = [(1 << j) << (i * kp) for i in range(2) for j in range(kp)]
-    s = echelonize(vecs, k * kp)
-    assert block_pivot_dims(s, k, kp) == (kp, kp, 0)
-    # full (x) W, dim W = 2
-    vecs = [w << (i * kp) for i in range(k) for w in (0b0011, 0b0101)]
-    s = echelonize(vecs, k * kp)
-    assert block_pivot_dims(s, k, kp) == (2, 2, 2)
-    assert block_pivot_dims(echelonize([], 12), 3, 4) == (0, 0, 0)
-
-
-def test_block_pivot_dims_sum():
-    rng = Prng(9)
-    for _ in range(1000):
-        k = 1 + rng.below(4)
-        kp = 1 + rng.below(4)
-        s = echelonize([rng.bits(k * kp) for _ in range(rng.below(k * kp + 1))], k * kp)
-        assert sum(block_pivot_dims(s, k, kp)) == s.dim
-
-
-def test_block_pivot_dims_shape_mismatch():
-    with pytest.raises(ValueError):
-        block_pivot_dims(echelonize([], 12), 3, 5)
-
-
 def brute_span_hist(gens):
     nrows, ncols = gens[0].nrows, gens[0].cols
     counts = [0] * (min(nrows, ncols) + 1)
@@ -251,16 +237,16 @@ def brute_span_hist(gens):
 def test_span_rank_histogram_vs_brute():
     rng = Prng(10)
     for _ in range(60):
-        m = 1 + rng.below(7)
-        nr = 1 + rng.below(5)
-        nc = 1 + rng.below(5)
-        gens = [BitMatrix.random(nr, nc, rng) for _ in range(m)]
+        m = 1 + below(rng, 7)
+        nr = 1 + below(rng, 5)
+        nc = 1 + below(rng, 5)
+        gens = [random_matrix(nr, nc, rng) for _ in range(m)]
         assert span_rank_histogram(gens) == brute_span_hist(gens)
 
 
 def test_span_rank_histogram_chunked(monkeypatch):
     rng = Prng(11)
-    gens = [BitMatrix.random(4, 4, rng) for _ in range(9)]
+    gens = [random_matrix(4, 4, rng) for _ in range(9)]
     # a tiny budget forces lane chunking; result must not change
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "64")
     chunked = span_rank_histogram(gens)
@@ -279,7 +265,7 @@ def test_span_rank_histogram_high_chunks(n, extra):
     def gen(last_row):
         return BitMatrix.from_row_ints([rng.bits(n) for _ in range(n - 1)] + [last_row], n)
 
-    last = 1 + rng.below((1 << n) - 1)
+    last = 1 + below(rng, (1 << n) - 1)
     gens = [gen(0) for _ in range(LANE_CHUNK_BITS)] + [gen(last) for _ in range(extra)]
     assert span_rank_histogram(gens) == brute_span_hist(gens)
 
@@ -306,6 +292,6 @@ def test_repr_names_shape_not_the_bits():
     # packed ints of more than about 14,000 bits exceed Python's 4,300-digit
     # limit for int -> decimal str, so no repr may print one
     assert repr(random_tensor(3, 30, 1)) == "DenseTensor(d=3, k=30)"
-    assert "cols=20000" in repr(BitMatrix.random(3, 20000, Prng(1)))
+    assert "cols=20000" in repr(random_matrix(3, 20000, Prng(1)))
     s = echelonize([Prng(2).bits(20000) for _ in range(3)], 20000)
     assert "ambient_dim=20000" in repr(s) and "pivots=" in repr(s)

@@ -18,6 +18,7 @@ from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, deco
 from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm,
                            first_block_slices, matmul_tensor, random_rank_decomp,
                            random_tensor, tensor_from_decomp, trace_tensor)
+from oracles import below
 
 rng = Prng(90210)
 
@@ -30,7 +31,7 @@ def test_base_terms_order():
 
 
 def test_rank_exact_trivia():
-    assert rank_exact(DenseTensor.zeros(3, 2), 5) == 0
+    assert rank_exact(DenseTensor(3, 2, 0), 5) == 0
     e1 = BitVec.from01("10")
     one = tensor_from_decomp(
         RankDecomposition(3, 2, (RankOneTerm((e1, e1, e1)),)))
@@ -51,7 +52,7 @@ def test_rank_exact_d2_matches_matrix_rank(monkeypatch):
     # d <= 2: every nonzero vector is rank-one, so nothing is enumerated
     monkeypatch.setattr(rank_mod, "_base_terms", _fail)
     for _ in range(100):
-        k = 1 + rng.below(6)
+        k = 1 + below(rng, 6)
         t = random_tensor(2, k, rng.u64())
         r = mat_rank(BitMatrix.from_row_ints(first_block_slices(t), k))
         assert rank_exact(t, k) == r
@@ -95,7 +96,7 @@ def test_rank_exact_guard(monkeypatch):
 
 def test_decomposition_is_rank_witness():
     for _ in range(1000):
-        t_count = rng.below(4)
+        t_count = below(rng, 4)
         dec = random_rank_decomp(3, 2, t_count, rng.u64())
         tensor = tensor_from_decomp(dec)
         r = rank_exact(tensor, t_count)
@@ -157,8 +158,8 @@ def test_certificate_independent_first_block():
 
 def test_certificate_random_reconstruction():
     for _ in range(150):
-        t_count = 1 + rng.below(5)
-        k = 2 + rng.below(2)
+        t_count = 1 + below(rng, 5)
+        k = 2 + below(rng, 2)
         dec = random_rank_decomp(3, k, t_count, rng.u64())
         cert = code_certificate(dec)  # internal equality assert
         assert cert.kernel_dim + cert.dual_dim == t_count

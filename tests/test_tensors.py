@@ -2,21 +2,23 @@
 
 import io
 import random
+import time
 from itertools import product
 
 import pytest
 
+from f2lab._bitops import parity
 from f2lab.errors import CapacityError, FormatError
 from f2lab.f2linalg import BitVec
 from f2lab.gf2k import make_field
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
-                           RankOneTerm, contract, evaluate,
-                           explicit_form_tensor, matmul_tensor, outer_bits,
-                           random_rank_decomp, random_tensor, read_decomp,
-                           read_poly, read_tensor, tensor_from_decomp,
-                           tensor_from_string, tensor_to_string, trace_tensor,
-                           write_decomp, write_poly, write_tensor)
+                           RankOneTerm, evaluate, explicit_form_tensor,
+                           matmul_tensor, outer_bits, random_rank_decomp,
+                           random_tensor, read_decomp, read_poly, read_tensor,
+                           tensor_from_decomp, tensor_to_string, trace_tensor,
+                           write_decomp, write_tensor)
+from oracles import below, contract, entry, poly_eval, write_poly
 
 rng = Prng(20240)
 
@@ -26,7 +28,7 @@ def test_tensor_from_decomp_cases():
     e1 = BitVec.from01("10")
     one_term = RankDecomposition(3, 2, (RankOneTerm((e1, e1, e1)),))
     t = tensor_from_decomp(one_term)
-    assert t.nnz() == 1 and t.entry((0, 0, 0)) == 1
+    assert t.bits.bit_count() == 1 and entry(t, (0, 0, 0)) == 1
     doubled = RankDecomposition(3, 2, one_term.terms * 2)
     assert tensor_from_decomp(doubled).bits == 0
 
@@ -70,16 +72,16 @@ def test_evaluate_matches_field_arithmetic():
 
 def test_evaluate_zero_block():
     t = random_tensor(3, 3, 99)
-    assert evaluate(t, [BitVec.zeros(3), BitVec(3, 5), BitVec(3, 7)]) == 0
+    assert evaluate(t, [BitVec(3, 0), BitVec(3, 5), BitVec(3, 7)]) == 0
 
 
 def test_evaluate_multilinear():
     for _ in range(300):
-        d = 2 + rng.below(3)
-        k = 1 + rng.below(3)
+        d = 2 + below(rng, 3)
+        k = 1 + below(rng, 3)
         t = random_tensor(d, k, rng.u64())
         xs = [BitVec.random(k, rng) for _ in range(d)]
-        j = rng.below(d)
+        j = below(rng, d)
         y = BitVec.random(k, rng)
         lhs = evaluate(t, xs[:j] + [xs[j] ^ y] + xs[j + 1:])
         rhs = evaluate(t, xs) ^ evaluate(t, xs[:j] + [y] + xs[j + 1:])
@@ -88,34 +90,34 @@ def test_evaluate_multilinear():
 
 def test_decomp_evaluation_agrees_with_inner_products():
     for _ in range(1000):
-        d = 2 + rng.below(2)
-        k = 1 + rng.below(3)
-        t_count = rng.below(4)
+        d = 2 + below(rng, 2)
+        k = 1 + below(rng, 3)
+        t_count = below(rng, 4)
         dec = random_rank_decomp(d, k, t_count, rng.u64())
         xs = [BitVec.random(k, rng) for _ in range(d)]
         direct = 0
         for term in dec.terms:
             prod_val = 1
             for u, x in zip(term.vectors, xs):
-                prod_val &= u.dot(x)
+                prod_val &= parity(u.bits & x.bits)
             direct ^= prod_val
         assert evaluate(tensor_from_decomp(dec), xs) == direct
 
 
 def test_contract_commutes_with_evaluate():
     for _ in range(300):
-        d = 2 + rng.below(3)
-        k = 1 + rng.below(3)
+        d = 2 + below(rng, 3)
+        k = 1 + below(rng, 3)
         t = random_tensor(d, k, rng.u64())
         xs = [BitVec.random(k, rng) for _ in range(d)]
-        j = 1 + rng.below(d)
+        j = 1 + below(rng, d)
         c = contract(t, j, xs[j - 1])
         assert evaluate(c, xs[:j - 1] + xs[j:]) == evaluate(t, xs)
 
 
 def test_contract_cases():
     m2 = matmul_tensor(2)
-    assert contract(m2, 2, BitVec.zeros(4)).bits == 0
+    assert contract(m2, 2, BitVec(4, 0)).bits == 0
     # substituting the identity for the third operand leaves the
     # bilinear form sum_ij X_ij Y_ji
     ident = BitVec.from01("1001")
@@ -130,7 +132,7 @@ def test_contract_cases():
     t = tensor_from_decomp(RankDecomposition(3, 3, (RankOneTerm((u, v, w)),)))
     x = BitVec.from01("100")
     expected = tensor_from_decomp(RankDecomposition(2, 3, (RankOneTerm((v, w)),)))
-    assert contract(t, 1, x) == (expected if u.dot(x) else DenseTensor.zeros(2, 3))
+    assert contract(t, 1, x) == (expected if parity(u.bits & x.bits) else DenseTensor(2, 3, 0))
 
 
 def test_trace_tensor_cyclic_symmetry():
@@ -138,7 +140,7 @@ def test_trace_tensor_cyclic_symmetry():
         t = trace_tensor(k)
         for idx in product(range(k), repeat=3):
             i, j, l = idx
-            assert t.entry((i, j, l)) == t.entry((j, l, i))
+            assert entry(t, (i, j, l)) == entry(t, (j, l, i))
 
 
 def test_trace_tensor_k1():
@@ -150,9 +152,22 @@ def test_trace_tensor_guard():
         trace_tensor(25)
 
 
+@pytest.mark.parametrize("build", [lambda: random_tensor(10000, 3, 0),
+                                   lambda: explicit_form_tensor(10000, 3),
+                                   lambda: random_tensor(10**7, 3, 0)])
+def test_builders_refuse_huge_shapes_at_once(build):
+    # 3 ** 10**7 alone takes seconds, and a k^d of more than 4,300 digits
+    # cannot be formatted into a message; the guard needs neither
+    start = time.perf_counter()
+    with pytest.raises(CapacityError) as ei:
+        build()
+    assert time.perf_counter() - start < 0.05
+    assert ei.value.required > ei.value.budget
+
+
 def test_matmul_tensor_entries():
     assert matmul_tensor(1).bits == 1
-    assert matmul_tensor(2).nnz() == 8
+    assert matmul_tensor(2).bits.bit_count() == 8
     ident = BitVec.from01("1001")
     assert evaluate(matmul_tensor(2), [ident, ident, ident]) == 0
     with pytest.raises(CapacityError):
@@ -163,7 +178,7 @@ def test_explicit_form_tensor():
     for k in range(1, 6):
         e = explicit_form_tensor(2, k)
         for i, j in product(range(k), repeat=2):
-            assert e.entry((i, j)) == (1 if i == j else 0)
+            assert entry(e, (i, j)) == (1 if i == j else 0)
     # contracting the first block with the field unit gives the identity form
     e3 = explicit_form_tensor(3, 4)
     assert contract(e3, 1, BitVec(4, 1)) == explicit_form_tensor(2, 4)
@@ -179,41 +194,44 @@ def test_explicit_form_tensor_entries(d):
             prod = 1
             for i in idx[:-1]:
                 prod = field.mul_bits(prod, 1 << i)
-            assert e.entry(idx) == (prod >> idx[-1]) & 1, (d, k, idx)
+            assert entry(e, idx) == (prod >> idx[-1]) & 1, (d, k, idx)
 
 
 def test_random_decomp_determinism_and_balance():
     assert random_rank_decomp(3, 4, 5, seed=1) == random_rank_decomp(3, 4, 5, seed=1)
     assert random_rank_decomp(2, 3, 0, seed=1).t == 0
     dec = random_rank_decomp(2, 64, 2000, seed=9)
-    total = sum(v.weight() for term in dec.terms for v in term.vectors)
+    total = sum(v.bits.bit_count() for term in dec.terms for v in term.vectors)
     freq = total / (2 * 2000 * 64)
     assert 0.49 <= freq <= 0.51
 
 
 def test_tensor_file_roundtrip():
     for t in [trace_tensor(3), matmul_tensor(2), random_tensor(4, 2, 7),
-              DenseTensor.zeros(2, 5)]:
-        assert tensor_from_string(tensor_to_string(t)) == t
+              DenseTensor(2, 5, 0)]:
+        assert read_tensor(io.StringIO(tensor_to_string(t))) == t
 
 
 def test_tensor_file_format_errors():
-    assert tensor_from_string("F2T1\nd=3 k=2\nff\n").bits == 255
-    assert tensor_from_string("F2T1\nd=3 k=2\nff\n\n  \n").bits == 255
+    assert read_tensor(io.StringIO("F2T1\nd=3 k=2\nff\n")).bits == 255
+    assert read_tensor(io.StringIO("F2T1\nd=3 k=2\nff\n\n  \n")).bits == 255
     with pytest.raises(FormatError):
-        tensor_from_string("F2T1\nd=3 k=2\nff\ngarbage\n")  # trailing line
+        read_tensor(io.StringIO("F2T1\nd=3 k=2\nff\ngarbage\n"))  # trailing line
     with pytest.raises(FormatError):
-        tensor_from_string("F2T1\nd=3 k=2\nff\n\n00\n")
+        read_tensor(io.StringIO("F2T1\nd=3 k=2\nff\n\n00\n"))
     with pytest.raises(FormatError):
-        tensor_from_string("F2X1\nd=3 k=2\nff\n")
+        read_tensor(io.StringIO("F2X1\nd=3 k=2\nff\n"))
     with pytest.raises(FormatError):
-        tensor_from_string("F2T1\nd=3 k=2\nf\n")       # short payload
+        read_tensor(io.StringIO("F2T1\nd=3 k=2\nf\n"))       # short payload
     with pytest.raises(FormatError):
-        tensor_from_string("F2T1\nd=3 k=2\nffff\n")    # long payload
+        read_tensor(io.StringIO("F2T1\nd=3 k=2\nffff\n"))    # long payload
     with pytest.raises(FormatError):
-        tensor_from_string("F2T1\nd=3 k=2\nzz\n")      # not hex
+        read_tensor(io.StringIO("F2T1\nd=3 k=2\nzz\n"))      # not hex
     with pytest.raises(FormatError):
-        tensor_from_string("F2T1\nd=99 k=99\n00\n")    # shape overflow
+        read_tensor(io.StringIO("F2T1\nd=99 k=99\n00\n"))    # shape overflow
+    with pytest.raises(FormatError):
+        read_tensor(io.StringIO("F2T1\nd=10000000 k=3\n00\n"))
+    assert read_tensor(io.StringIO("F2T1\nd=65 k=1\n01\n")) == DenseTensor(65, 1, 1)
 
 
 def test_decomp_file_roundtrip_and_errors():
@@ -244,11 +262,11 @@ def test_poly_file_roundtrip_and_reduction():
 
 def test_file_roundtrip_random_sweep():
     for _ in range(100):
-        d = 1 + rng.below(3)
-        k = 1 + rng.below(4)
+        d = 1 + below(rng, 3)
+        k = 1 + below(rng, 4)
         t = random_tensor(d, k, rng.u64())
-        assert tensor_from_string(tensor_to_string(t)) == t
-        dec = random_rank_decomp(d, k, rng.below(4), rng.u64())
+        assert read_tensor(io.StringIO(tensor_to_string(t))) == t
+        dec = random_rank_decomp(d, k, below(rng, 4), rng.u64())
         buf = io.StringIO()
         write_decomp(buf, dec)
         assert read_decomp(io.StringIO(buf.getvalue())) == dec
@@ -292,5 +310,5 @@ def test_reader_mutations_return_or_raise_format_error(fmt):
 
 def test_polynomial_evaluate():
     p = Polynomial.reduce(3, [(0, 1), ()])
-    assert p.evaluate(0b011) == 0  # x0 x1 + 1 at (1,1,0): 1 + 1
-    assert p.evaluate(0b001) == 1
+    assert poly_eval(p, 0b011) == 0  # x0 x1 + 1 at (1,1,0): 1 + 1
+    assert poly_eval(p, 0b001) == 1
