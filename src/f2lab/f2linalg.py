@@ -152,10 +152,11 @@ def _rref(row_bits: Iterable[int]) -> tuple[list[int], list[int]]:
 
 def rank_of_row_ints(row_bits: Iterable[int]) -> int:
     """Rank of a collection of packed rows (no BitMatrix wrapping)."""
+    # pivots keyed by the lowest set bit itself (r & -r): no ctz call per step
     pivot_rows: dict[int, int] = {}
     for r in row_bits:
         while r:
-            p = ctz(r)
+            p = r & -r
             pr = pivot_rows.get(p)
             if pr is None:
                 pivot_rows[p] = r

@@ -18,6 +18,9 @@ from .report import VerificationReport, fmt_float
 
 PROFILE_TOL = 1e-9
 INEQ_REL_TOL = 1e-12
+# trials per Prng.floats call in inequality_checks, which bounds the draws
+# held at once to 6 * _INEQ_BLOCK floats
+_INEQ_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -214,28 +217,29 @@ def inequality_checks(trials: int, seed: int) -> VerificationReport:
     rng = Prng(seed)
     worst = 0.0
     holds = True
-    for _ in range(trials):
-        r = 1.0 + 9.0 * rng.float01()
-        x = 1.0 + 7.0 * rng.float01()
-        y = 1.0 + (x - 1.0) * rng.float01()
-        lhs = (y ** r - 1.0) * (x - 1.0)
-        rhs = (x ** r - 1.0) * (y - 1.0)
-        slack = rhs - lhs
-        scale = max(1.0, abs(lhs), abs(rhs))
-        worst = min(worst, slack / scale)
-        if slack < -INEQ_REL_TOL * scale:
-            holds = False
+    for start in range(0, trials, _INEQ_BLOCK):
+        # six draws per trial, in the order the trials take them
+        draws = iter(rng.floats(6 * min(_INEQ_BLOCK, trials - start)))
+        for u_r, u_x, u_y, u_z, beta, lam in zip(*[draws] * 6):
+            r = 1.0 + 9.0 * u_r
+            x = 1.0 + 7.0 * u_x
+            y = 1.0 + (x - 1.0) * u_y
+            lhs = (y ** r - 1.0) * (x - 1.0)
+            rhs = (x ** r - 1.0) * (y - 1.0)
+            slack = rhs - lhs
+            scale = max(1.0, abs(lhs), abs(rhs))
+            worst = min(worst, slack / scale)
+            if slack < -INEQ_REL_TOL * scale:
+                holds = False
 
-        z = 1.0 + 7.0 * rng.float01()
-        beta = rng.float01()
-        lam = rng.float01()
-        lhs2 = (z ** lam - 1.0) * (z ** beta - 1.0)
-        rhs2 = (z ** (beta * lam) - 1.0) * (z - 1.0)
-        slack2 = rhs2 - lhs2
-        scale2 = max(1.0, abs(lhs2), abs(rhs2))
-        worst = min(worst, slack2 / scale2)
-        if slack2 < -INEQ_REL_TOL * scale2:
-            holds = False
+            z = 1.0 + 7.0 * u_z
+            lhs2 = (z ** lam - 1.0) * (z ** beta - 1.0)
+            rhs2 = (z ** (beta * lam) - 1.0) * (z - 1.0)
+            slack2 = rhs2 - lhs2
+            scale2 = max(1.0, abs(lhs2), abs(rhs2))
+            worst = min(worst, slack2 / scale2)
+            if slack2 < -INEQ_REL_TOL * scale2:
+                holds = False
     return VerificationReport(
         name="scalar-inequalities",
         params=(("trials", str(trials)),),

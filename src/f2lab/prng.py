@@ -1,9 +1,12 @@
 """Seedable counter-based pseudo-random generator.
 
 SplitMix64 over a counter: output i is a fixed mix of (seed, i), so
-results are reproducible from the seed alone.  Streams are stable
-within this implementation; no cross-implementation bit-equality is
-promised, which is why reports carry seeds rather than expected values.
+results are reproducible from the seed alone.  Multi-word draws
+(`bits` past 64 bits, `floats`) mix their words in parallel on one big
+int, and the stream is the one the word-at-a-time mix gives, so seeded
+values match earlier versions.  Streams are stable within this
+implementation; no cross-implementation bit-equality is promised, which
+is why reports carry seeds rather than expected values.
 """
 
 from __future__ import annotations
@@ -13,13 +16,51 @@ from array import array
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_TWO64 = float(1 << 64)
+# the SplitMix64 finalizer's multipliers
+_C1 = 0xBF58476D1CE4E5B9
+_C2 = 0x94D049BB133111EB
+
+# Word-parallel layout: word i of a chunk sits in the low half of 128-bit
+# field i, so a 64x64-bit product stays inside its field and what a right
+# shift spills out of field i + 1 lands in the high half of field i.
+# _CHUNK_WORDS is measured, like f2linalg's LANE_CHUNK_BITS, not an option.
+_CHUNK_WORDS = 1024
+_FIELD_BYTES = 16
+_ONES = int.from_bytes(b"\x01".ljust(_FIELD_BYTES, b"\x00") * _CHUNK_WORDS, "little")
+_STEPS = _GOLDEN * int.from_bytes(
+    b"".join(i.to_bytes(_FIELD_BYTES, "little") for i in range(_CHUNK_WORDS)), "little")
+_LOW_HALVES = _ONES * _M64
 
 
 def _mix(z: int) -> int:
     z &= _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z = ((z ^ (z >> 30)) * _C1) & _M64
+    z = ((z ^ (z >> 27)) * _C2) & _M64
     return z ^ (z >> 31)
+
+
+def _mix_words(first: int, n: int) -> bytearray:
+    """Little-endian bytes of `_mix(first + i * _GOLDEN)` for i < n, mixed
+    `_CHUNK_WORDS` words at a time on one big int.  `& mask` after every
+    shift-XOR and every product clears the high half of each field."""
+    out = bytearray(8 * n)
+    f = first & _M64
+    for start in range(0, n, _CHUNK_WORDS):
+        m = min(_CHUNK_WORDS, n - start)
+        ones, steps, mask = _ONES, _STEPS, _LOW_HALVES
+        if m < _CHUNK_WORDS:
+            low = (1 << (8 * _FIELD_BYTES * m)) - 1
+            ones, steps, mask = ones & low, steps & low, mask & low
+        z = (f * ones + steps) & mask
+        z = (((z ^ (z >> 30)) & mask) * _C1) & mask
+        z = (((z ^ (z >> 27)) & mask) * _C2) & mask
+        # this shift spills only into the high halves, which [0::2] drops
+        z ^= z >> 31
+        low_halves = array("Q", z.to_bytes(_FIELD_BYTES * m, "little"))[0::2]
+        out[8 * start:8 * (start + m)] = low_halves
+        f = (f + _CHUNK_WORDS * _GOLDEN) & _M64
+    return out
 
 
 class Prng:
@@ -34,6 +75,12 @@ class Prng:
         self._i += 1
         return _mix(self._base + self._i * _GOLDEN)
 
+    def _next_words(self, n: int) -> bytearray:
+        """Little-endian bytes of the next n words of the stream."""
+        first = self._base + (self._i + 1) * _GOLDEN
+        self._i += n
+        return _mix_words(first, n)
+
     def bits(self, n: int) -> int:
         """Uniform n-bit integer: the next ceil(n/64) words, word w at
         bits [64w, 64w+64), truncated to n bits."""
@@ -41,14 +88,20 @@ class Prng:
             raise ValueError("bits() needs n >= 0")
         if n <= 64:
             return self.u64() & ((1 << n) - 1) if n else 0
-        nwords = (n + 63) >> 6
-        first = self._base + (self._i + 1) * _GOLDEN
-        self._i += nwords
-        buf = array("Q", map(_mix, range(first, first + nwords * _GOLDEN, _GOLDEN)))
-        buf[-1] &= _M64 >> (-n & 63)
-        if sys.byteorder == "big":
-            buf.byteswap()
-        return int.from_bytes(buf, "little")
+        data = self._next_words((n + 63) >> 6)
+        del data[(n + 7) >> 3:]
+        if n & 7:
+            data[-1] &= (1 << (n & 7)) - 1
+        return int.from_bytes(data, "little")
 
     def float01(self) -> float:
-        return self.u64() / float(1 << 64)
+        return self.u64() / _TWO64
+
+    def floats(self, n: int) -> list[float]:
+        """`[self.float01() for _ in range(n)]`, drawn word-parallel."""
+        if n < 0:
+            raise ValueError("floats() needs n >= 0")
+        words = array("Q", self._next_words(n))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return [w / _TWO64 for w in words]

@@ -44,7 +44,10 @@ class DenseTensor:
     def __post_init__(self):
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be >= 1")
-        if self.bits < 0 or self.bits >> self.size:
+        # 2^((bit_length(k) - 1) d) <= k^d: bits that short fit without
+        # forming k ** d, which takes seconds for a huge shape
+        if self.bits < 0 or (self.bits.bit_length() > self.d * (self.k.bit_length() - 1)
+                             and self.bits >> self.size):
             raise ValueError("bits outside k^d entries")
 
     @property

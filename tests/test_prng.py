@@ -22,3 +22,45 @@ def test_bits_zero_and_negative():
     assert a.u64() == b.u64()  # bits(0) draws nothing
     with pytest.raises(ValueError, match="n >= 0"):
         a.bits(-1)
+
+
+def _word_stream(p, nwords):
+    """The next nwords of p as one little-endian int, drawn with u64."""
+    return sum(p.u64() << (64 * w) for w in range(nwords))
+
+
+@pytest.mark.parametrize("n", [64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, 64 * 2048 + 65])
+def test_bits_at_chunk_edges(n):
+    a, b = Prng(99), Prng(99)
+    a.u64(), b.u64()  # start off a chunk boundary of the counter
+    assert a.bits(n) == _word_stream(b, (n + 63) // 64) & ((1 << n) - 1)
+    assert a.u64() == b.u64()
+
+
+@pytest.mark.parametrize("wraps", [3, 5, 1 << 70])
+def test_bits_past_counter_wraps(wraps):
+    # the counter is reduced mod 2^64 only inside the mix
+    a, b = Prng(7), Prng(7)
+    a._i = b._i = wraps * (1 << 64) + 11
+    n = 64 * 1500 + 3
+    assert a.bits(n) == _word_stream(b, (n + 63) // 64) & ((1 << n) - 1)
+    assert a.u64() == b.u64()
+
+
+def test_u64_and_bits_interleaved():
+    a, b = Prng(2024), Prng(2024)
+    for n in (65, 1, 64 * 1024 + 7, 0, 200, 64, 129, 64 * 3000):
+        assert a.bits(n) == _word_stream(b, (n + 63) // 64) & ((1 << n) - 1), n
+        assert a.u64() == b.u64(), n
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 1023, 1024, 6 * 1024 + 5])
+def test_floats_are_float01_draws(n):
+    a, b = Prng(31), Prng(31)
+    assert a.floats(n) == [b.float01() for _ in range(n)]
+    assert a.u64() == b.u64()
+
+
+def test_floats_negative():
+    with pytest.raises(ValueError, match="n >= 0"):
+        Prng(0).floats(-1)

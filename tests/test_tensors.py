@@ -165,6 +165,25 @@ def test_builders_refuse_huge_shapes_at_once(build):
     assert ei.value.required > ei.value.budget
 
 
+def test_dense_tensor_huge_shape_small_bits_at_once():
+    # bits no longer than (bit_length(k) - 1) d fit in k^d entries, so the
+    # constructor accepts them without forming k ** d
+    start = time.perf_counter()
+    t = DenseTensor(10**7, 3, 1)
+    assert time.perf_counter() - start < 0.05
+    assert (t.d, t.k, t.bits) == (10**7, 3, 1)
+
+
+@pytest.mark.parametrize("d, k, bits", [(2, 3, 1 << 9), (3, 2, 1 << 8),
+                                        (2, 3, (1 << 10) - 1), (1, 1, 2), (4, 1, 2),
+                                        (2, 5, 1 << 25), (1, 3, -1)])
+def test_dense_tensor_rejects_bits_outside_shape(d, k, bits):
+    with pytest.raises(ValueError, match="outside k\\^d"):
+        DenseTensor(d, k, bits)
+    # the same bits cut to the k^d entries are accepted
+    DenseTensor(d, k, max(bits, 0) & ((1 << k ** d) - 1))
+
+
 def test_matmul_tensor_entries():
     assert matmul_tensor(1).bits == 1
     assert matmul_tensor(2).bits.bit_count() == 8
