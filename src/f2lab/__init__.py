@@ -6,16 +6,18 @@ correlation, tensor-rank lower bounds from bias and from kernel/dual-
 code certificates, and a reproducible verification harness over all of
 it.
 
-Field elements, matrix rows, subspace bases and tensors are plain
-packed ints (coordinate j at bit j).  `BitVec` adds a length only at the
-edges: rank-one terms, the F2D1 files and `evaluate`'s block vectors.
+Field elements, vectors, matrices, subspace bases and tensors are
+plain packed ints (coordinate j at bit j; a matrix is packed as a
+2-tensor, row i at bits [i ncols, (i+1) ncols)).  `BitVec` adds a length
+only at the edges: rank-one terms, the F2D1 files and `evaluate`'s block
+vectors.
 """
 
 from .bias import (BiasEstimate, DyadicRational, bias_bruteforce, bias_exact,
                    bias_mc, corr_class_max, corr_exact)
 from .errors import CapacityError, FormatError, InvariantError
-from .f2linalg import (BitMatrix, BitVec, Subspace, dual_space, echelonize,
-                       kernel, mat_rank, min_weight, span_rank_histogram)
+from .f2linalg import (BitVec, Subspace, dual_space, echelonize, kernel, mat_rank,
+                       min_weight, span_rank_histogram)
 from .gf2k import Gf2kField, make_field
 from .numerics import (MaxProblemPoint, f_dk_bound, inequality_checks,
                        mrrw_constant, profile_max_check)

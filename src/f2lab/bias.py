@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from ._bitops import (anf_table, budget_bytes, ctz, form_table, gray_flips,
                       linear_form_table, ones, var_mask)
 from .errors import CapacityError
-from .f2linalg import BitMatrix, mat_rank, span_rank_histogram, _batched_rank_histogram
+from .f2linalg import mat_rank, span_rank_histogram, _batched_rank_histogram
 from .prng import Prng
 from .tensors import DenseTensor, Polynomial, first_block_slices
 
@@ -213,8 +213,7 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
     if d == 1:
         return DyadicRational.one() if t.bits == 0 else DyadicRational.zero()
     if d == 2:
-        rows = first_block_slices(t)
-        return DyadicRational.half_pow(mat_rank(BitMatrix.from_row_ints(rows, k)))
+        return DyadicRational.half_pow(mat_rank(t.bits, k, k))
     prefix_bits = k * (d - 2)
     if prefix_bits > BRUTEFORCE_MAX_BITS:
         raise CapacityError(
@@ -222,11 +221,7 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
             f"(guard 2^{BRUTEFORCE_MAX_BITS})",
             required=1 << prefix_bits, budget=1 << BRUTEFORCE_MAX_BITS)
     if d == 3:
-        slices = first_block_slices(t)
-        gens = [BitMatrix.from_row_ints(
-                    [(s >> (i * k)) & ones(k) for i in range(k)], k)
-                for s in slices]
-        counts = span_rank_histogram(gens)
+        counts = span_rank_histogram(first_block_slices(t), k, k)
     else:
         plane_bytes = (k * k << prefix_bits) >> 3
         if plane_bytes > budget_bytes():

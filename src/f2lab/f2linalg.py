@@ -1,11 +1,14 @@
 """Bit-packed exact linear algebra over F2.
 
-Matrix rows and subspace basis vectors are plain Python ints
-(coordinate j at bit j), so row reduction is a word-parallel XOR;
-`BitVec` is the length-carrying vector type at the edges (rank-one
-terms, the F2D1 files, `evaluate`).  Subspaces are kept in reduced row
-echelon form, which makes membership a deterministic reduction and the
-representation canonical (hashable, comparable).
+Vectors are plain Python ints (coordinate j at bit j), so row
+reduction is a word-parallel XOR.  A whole nrows x ncols matrix is one
+int too, row i at bits [i ncols, (i+1) ncols): the layout of a 2-tensor,
+so a tensor's slices are matrices as they stand.  `kernel` and the
+echelon routines take a list of row ints instead.  `BitVec` is the
+length-carrying vector type at the edges (rank-one terms, the F2D1
+files, `evaluate`).  Subspaces are kept in reduced row echelon form,
+which makes membership a deterministic reduction and the representation
+canonical (hashable, comparable).
 
 Also hosts the batched rank kernel: given generator matrices
 G_1..G_m, it computes the histogram of rank(sum c_j G_j) over all 2^m
@@ -16,11 +19,10 @@ computation and of the kernel/dual-code certificates.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ._bitops import budget_bytes, ctz, gray_flips, ones
+from ._bitops import budget_bytes, gray_flips, ones
 from .errors import CapacityError, InvariantError
 from .prng import Prng
 
@@ -55,11 +57,6 @@ class BitVec:
     def random(cls, length: int, rng: Prng) -> "BitVec":
         return cls(length, rng.bits(length))
 
-    def __xor__(self, other: "BitVec") -> "BitVec":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVec(self.length, self.bits ^ other.bits)
-
     def to01(self) -> str:
         return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
 
@@ -68,90 +65,61 @@ class BitVec:
 
 
 @dataclass(frozen=True)
-class BitMatrix:
-    """Matrix over F2 with `cols` columns; row i is the packed int rows[i]."""
-
-    rows: tuple[int, ...] = field(repr=False)
-    cols: int
-
-    def __post_init__(self):
-        for r in self.rows:
-            if r < 0 or r >> self.cols:
-                raise ValueError("row outside F2^cols")
-
-    @classmethod
-    def from_row_ints(cls, ints: Sequence[int], cols: int) -> "BitMatrix":
-        return cls(tuple(ints), cols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
 class Subspace:
     """Subspace of F2^ambient_dim held as a reduced-row-echelon basis of
     packed ints.
 
-    Pivot columns are strictly increasing and each pivot column has a 1
-    only in its own basis row, so the representation is canonical.
+    A row's pivot is its lowest set bit.  Pivots are strictly increasing
+    and each pivot bit is set only in its own row, so the representation
+    is canonical.
     """
 
     ambient_dim: int
     basis: tuple[int, ...] = field(repr=False)
-    pivots: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.basis) != len(self.pivots):
-            raise ValueError("basis/pivots length mismatch")
-        prev = -1
-        for v, p in zip(self.basis, self.pivots):
+        prev = 0
+        for v in self.basis:
             if v < 0 or v >> self.ambient_dim:
                 raise ValueError("basis vector outside F2^ambient_dim")
             if v == 0:
                 raise ValueError("zero basis vector")
-            if p <= prev:
+            if v & -v <= prev:
                 raise ValueError("pivots not strictly increasing")
-            prev = p
-            if ctz(v) != p:
-                raise ValueError("row pivot mismatch")
-        for q in self.pivots:
-            if sum((v >> q) & 1 for v in self.basis) != 1:
-                raise ValueError("basis not fully reduced")
+            prev = v & -v
+        pivots = sum(v & -v for v in self.basis)
+        if any(v & pivots != v & -v for v in self.basis):
+            raise ValueError("basis not fully reduced")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains_bits(self, bits: int) -> bool:
-        for p, v in zip(self.pivots, self.basis):
-            if (bits >> p) & 1:
+        for v in self.basis:
+            if bits & v & -v:
                 bits ^= v
         return bits == 0
 
 
-def _rref(row_bits: Iterable[int]) -> tuple[list[int], list[int]]:
-    """Reduced row echelon form; pivots are lowest set bits, ascending."""
+def _rref(row_bits: Iterable[int]) -> list[int]:
+    """Reduced row echelon form, rows in ascending order of pivot (the
+    lowest set bit)."""
     rows: list[int] = []
-    pivots: list[int] = []
     for r in row_bits:
-        for p, pr in zip(pivots, rows):
-            if (r >> p) & 1:
+        for pr in rows:
+            if r & pr & -pr:
                 r ^= pr
-        if r == 0:
-            continue
-        p = ctz(r)
-        for i, pr in enumerate(rows):
-            if (pr >> p) & 1:
-                rows[i] = pr ^ r
-        idx = bisect_left(pivots, p)
-        pivots.insert(idx, p)
-        rows.insert(idx, r)
-    return rows, pivots
+        if r:
+            p = r & -r
+            rows = [pr ^ r if pr & p else pr for pr in rows]
+            rows.append(r)
+    rows.sort(key=lambda r: r & -r)
+    return rows
 
 
 def rank_of_row_ints(row_bits: Iterable[int]) -> int:
-    """Rank of a collection of packed rows (no BitMatrix wrapping)."""
+    """Rank of a collection of packed rows."""
     # pivots keyed by the lowest set bit itself (r & -r): no ctz call per step
     pivot_rows: dict[int, int] = {}
     for r in row_bits:
@@ -165,35 +133,44 @@ def rank_of_row_ints(row_bits: Iterable[int]) -> int:
     return len(pivot_rows)
 
 
-def mat_rank(m: BitMatrix) -> int:
-    """Row rank over F2; does not modify the input."""
-    return rank_of_row_ints(m.rows)
+def mat_rank(bits: int, nrows: int, ncols: int) -> int:
+    """Rank of the nrows x ncols matrix packed in `bits`, row i at bits
+    [i ncols, (i+1) ncols): the layout of a 2-tensor."""
+    if bits < 0 or bits >> (nrows * ncols):
+        raise ValueError(f"bits outside the {nrows} x {ncols} matrices")
+    mask = ones(ncols)
+    return rank_of_row_ints((bits >> (i * ncols)) & mask for i in range(nrows))
+
+
+def _check_rows(rows: Sequence[int], cols: int) -> None:
+    if any(r < 0 or r >> cols for r in rows):
+        raise ValueError(f"row outside F2^{cols}")
 
 
 def echelonize(rows: Iterable[int], ambient_dim: int) -> Subspace:
     """Canonical RREF subspace spanned by the packed rows."""
     rows = list(rows)
-    if any(r < 0 or r >> ambient_dim for r in rows):
-        raise ValueError(f"row outside F2^{ambient_dim}")
-    basis, pivots = _rref(rows)
-    return Subspace(ambient_dim, tuple(basis), tuple(pivots))
+    _check_rows(rows, ambient_dim)
+    return Subspace(ambient_dim, tuple(_rref(rows)))
 
 
-def kernel(a: BitMatrix) -> Subspace:
-    """Null space {v : A v = 0} of A acting on F2^cols."""
-    rows, pivots = _rref(a.rows)
-    pivot_set = set(pivots)
+def kernel(rows: Sequence[int], cols: int) -> Subspace:
+    """Null space {v : A v = 0} of the matrix A with these packed rows,
+    acting on F2^cols."""
+    _check_rows(rows, cols)
+    reduced = _rref(rows)
+    pivots = sum(r & -r for r in reduced)
     basis = []
-    for f in range(a.cols):
-        if f in pivot_set:
+    for f in range(cols):
+        if (pivots >> f) & 1:
             continue
         v = 1 << f
-        for p, r in zip(pivots, rows):
+        for r in reduced:
             if (r >> f) & 1:
-                v |= 1 << p
+                v |= r & -r
         basis.append(v)
-    ker = echelonize(basis, a.cols)
-    if ker.dim != a.cols - len(rows):
+    ker = echelonize(basis, cols)
+    if ker.dim != cols - len(reduced):
         raise InvariantError("rank-nullity violated")
     return ker
 
@@ -202,7 +179,7 @@ def dual_space(s: Subspace) -> Subspace:
     """Orthogonal complement under the standard bilinear form."""
     if s.dim == 0:
         return echelonize([1 << j for j in range(s.ambient_dim)], s.ambient_dim)
-    return kernel(BitMatrix(s.basis, s.ambient_dim))
+    return kernel(s.basis, s.ambient_dim)
 
 
 def min_weight(s: Subspace) -> int:
@@ -223,7 +200,7 @@ def min_weight(s: Subspace) -> int:
             required=1 << s.dim, budget=1 << MIN_WEIGHT_DIM_LIMIT)
     n = s.ambient_dim
     counts = [0] * (n + 1)
-    for planes, nlanes in _lane_chunks([[v] for v in s.basis], 1, n):
+    for planes, nlanes in _lane_chunks(s.basis, 1, n):
         counter = _LaneCounter(nlanes, n)
         for coordinate in planes[0]:
             counter.add(coordinate)
@@ -322,8 +299,7 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
     return counter.histogram()
 
 
-def _doubling_planes(gen_rows: Sequence[Sequence[int]], nrows: int,
-                     ncols: int) -> list[list[int]]:
+def _doubling_planes(gens: Sequence[int], nrows: int, ncols: int) -> list[list[int]]:
     """Entry planes of sum(c_j G_j) over all 2^m coefficient vectors c.
 
     Lane b corresponds to coefficient vector b; built by doubling the
@@ -331,10 +307,10 @@ def _doubling_planes(gen_rows: Sequence[Sequence[int]], nrows: int,
     """
     planes = [[0] * ncols for _ in range(nrows)]
     width = 1
-    for g in gen_rows:
+    for g in gens:
         w_ones = ones(width)
         for i in range(nrows):
-            gi = g[i]
+            gi = g >> (i * ncols)
             pi = planes[i]
             for j in range(ncols):
                 p = pi[j]
@@ -344,9 +320,9 @@ def _doubling_planes(gen_rows: Sequence[Sequence[int]], nrows: int,
     return planes
 
 
-def _lane_chunks(gen_rows: Sequence[Sequence[int]], nrows: int, ncols: int):
+def _lane_chunks(gens: Sequence[int], nrows: int, ncols: int):
     """Yield (planes, nlanes) chunks that together cover every one of the
-    2^m coefficient vectors of `gen_rows` exactly once.
+    2^m coefficient vectors of the packed generators exactly once.
 
     The low generators are doubled into planes once.  Each later chunk
     XORs one high generator into `base` (Gray order) and flips the shared
@@ -357,35 +333,32 @@ def _lane_chunks(gen_rows: Sequence[Sequence[int]], nrows: int, ncols: int):
     """
     planes_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
     lane_budget_bits = max(64, (budget_bytes() * 8) // planes_per_lane)
-    chunk_m = min(len(gen_rows), max(1, lane_budget_bits.bit_length() - 1),
+    chunk_m = min(len(gens), max(1, lane_budget_bits.bit_length() - 1),
                   LANE_CHUNK_BITS)
-    low, high = gen_rows[:chunk_m], gen_rows[chunk_m:]
+    low, high = gens[:chunk_m], gens[chunk_m:]
     nlanes = 1 << chunk_m
     planes = _doubling_planes(low, nrows, ncols)
     yield planes, nlanes
     lane_ones = ones(nlanes)
-    base = [0] * nrows
+    base = 0
     for flip in gray_flips(len(high)):
-        base = [b ^ h for b, h in zip(base, high[flip])]
-        yield [[p ^ lane_ones if (bi >> j) & 1 else p for j, p in enumerate(pi)]
-               for pi, bi in zip(planes, base)], nlanes
+        base ^= high[flip]
+        yield [[p ^ lane_ones if (base >> (i * ncols + j)) & 1 else p
+                for j, p in enumerate(pi)] for i, pi in enumerate(planes)], nlanes
 
 
-def span_rank_histogram(generators: Sequence[BitMatrix]) -> list[int]:
-    """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r}.
+def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int]:
+    """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r} for the packed
+    nrows x ncols generators G_j (row i at bits [i ncols, (i+1) ncols)).
 
     Exhausts all 2^m coefficient vectors in lane chunks (`_lane_chunks`).
     """
-    if not generators:
+    if not gens:
         raise ValueError("need at least one generator")
-    nrows = generators[0].nrows
-    ncols = generators[0].cols
-    for g in generators:
-        if g.nrows != nrows or g.cols != ncols:
-            raise ValueError("generator shapes differ")
-    gen_rows = [g.rows for g in generators]
+    if any(g < 0 or g >> (nrows * ncols) for g in gens):
+        raise ValueError(f"generator outside the {nrows} x {ncols} matrices")
     counts = [0] * (min(nrows, ncols) + 1)
-    for planes, nlanes in _lane_chunks(gen_rows, nrows, ncols):
+    for planes, nlanes in _lane_chunks(gens, nrows, ncols):
         part = _batched_rank_histogram(planes, nrows, ncols, nlanes)
         for r, c in enumerate(part):
             counts[r] += c

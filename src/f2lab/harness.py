@@ -230,6 +230,12 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     threshold = 2.0 ** (-(1.0 - eps) * k)
+    if d == 2:  # before sampling, so that a k beyond rank_count is refused at once
+        dist = rank_count(k)
+        p_exact = D.zero()
+        for r in range(k + 1):
+            if 2.0 ** -r >= threshold - 1e-15:
+                p_exact = p_exact + dist.prob(r)
     rng = Prng(seed)
     hits = 0
     for _ in range(samples):
@@ -240,11 +246,6 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
     displayed = 2.0 ** (-(eps * eps) * (k ** d) / 20.0)
     measured = [("empirical", fmt_float(empirical))]
     if d == 2:
-        dist = rank_count(k)
-        p_exact = D.zero()
-        for r in range(k + 1):
-            if 2.0 ** -r >= threshold - 1e-15:
-                p_exact = p_exact + dist.prob(r)
         se3 = 3.0 / (2.0 * math.sqrt(samples))
         holds: bool | str = abs(empirical - p_exact.to_float()) <= se3
         measured += [("exact_tail", str(p_exact)), ("allowed_dev", fmt_float(se3))]

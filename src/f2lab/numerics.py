@@ -18,9 +18,19 @@ from .report import VerificationReport, fmt_float
 
 PROFILE_TOL = 1e-9
 INEQ_REL_TOL = 1e-12
-# trials per Prng.floats call in inequality_checks, which bounds the draws
-# held at once to 6 * _INEQ_BLOCK floats
-_INEQ_BLOCK = 1024
+# trials per Prng.floats call in `_trial_draws`, which bounds the floats
+# held at once to width * _TRIAL_BLOCK
+_TRIAL_BLOCK = 1024
+
+
+def _trial_draws(rng: Prng, trials: int, width: int):
+    """Each trial's `width` floats in stream order, drawn with one
+    `Prng.floats` call per block of `_TRIAL_BLOCK` trials."""
+    for start in range(0, trials, _TRIAL_BLOCK):
+        n = min(_TRIAL_BLOCK, trials - start)
+        block = rng.floats(width * n)
+        for i in range(n):
+            yield block[i * width:(i + 1) * width]
 
 
 @dataclass(frozen=True)
@@ -124,10 +134,10 @@ def _extreme_points(k: int, u: float):
                     yield MaxProblemPoint(k, u, prof)
 
 
-def _random_feasible(k: int, u: float, rng: Prng) -> MaxProblemPoint:
-    """Random profile: draw, sort descending, rescale to sum u, clamp to
-    [0, k] redistributing any clamped excess."""
-    vals = sorted((rng.float01() for _ in range(k)), reverse=True)
+def _random_feasible(k: int, u: float, draws: list[float]) -> MaxProblemPoint:
+    """Random profile from k uniform draws: sort descending, rescale to sum
+    u, clamp to [0, k] redistributing any clamped excess."""
+    vals = sorted(draws, reverse=True)
     total = sum(vals)
     if total == 0.0:
         vals = [u / k] * k
@@ -181,10 +191,9 @@ def profile_max_check(k: int, u: float, random_trials: int,
             argmax_count = 1
         elif abs(val - best) <= PROFILE_TOL * max(1.0, abs(best)):
             argmax_count += 1
-    rng = Prng(seed)
     sampled_max = -math.inf
-    for _ in range(random_trials):
-        pt = _random_feasible(k, u, rng)
+    for draws in _trial_draws(Prng(seed), random_trials, k):
+        pt = _random_feasible(k, u, draws)
         sampled_max = max(sampled_max, pt.objective())
     scale = max(1.0, bound)
     holds = (abs(best - bound) <= PROFILE_TOL * scale
@@ -214,32 +223,28 @@ def inequality_checks(trials: int, seed: int) -> VerificationReport:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = Prng(seed)
     worst = 0.0
     holds = True
-    for start in range(0, trials, _INEQ_BLOCK):
-        # six draws per trial, in the order the trials take them
-        draws = iter(rng.floats(6 * min(_INEQ_BLOCK, trials - start)))
-        for u_r, u_x, u_y, u_z, beta, lam in zip(*[draws] * 6):
-            r = 1.0 + 9.0 * u_r
-            x = 1.0 + 7.0 * u_x
-            y = 1.0 + (x - 1.0) * u_y
-            lhs = (y ** r - 1.0) * (x - 1.0)
-            rhs = (x ** r - 1.0) * (y - 1.0)
-            slack = rhs - lhs
-            scale = max(1.0, abs(lhs), abs(rhs))
-            worst = min(worst, slack / scale)
-            if slack < -INEQ_REL_TOL * scale:
-                holds = False
+    for u_r, u_x, u_y, u_z, beta, lam in _trial_draws(Prng(seed), trials, 6):
+        r = 1.0 + 9.0 * u_r
+        x = 1.0 + 7.0 * u_x
+        y = 1.0 + (x - 1.0) * u_y
+        lhs = (y ** r - 1.0) * (x - 1.0)
+        rhs = (x ** r - 1.0) * (y - 1.0)
+        slack = rhs - lhs
+        scale = max(1.0, abs(lhs), abs(rhs))
+        worst = min(worst, slack / scale)
+        if slack < -INEQ_REL_TOL * scale:
+            holds = False
 
-            z = 1.0 + 7.0 * u_z
-            lhs2 = (z ** lam - 1.0) * (z ** beta - 1.0)
-            rhs2 = (z ** (beta * lam) - 1.0) * (z - 1.0)
-            slack2 = rhs2 - lhs2
-            scale2 = max(1.0, abs(lhs2), abs(rhs2))
-            worst = min(worst, slack2 / scale2)
-            if slack2 < -INEQ_REL_TOL * scale2:
-                holds = False
+        z = 1.0 + 7.0 * u_z
+        lhs2 = (z ** lam - 1.0) * (z ** beta - 1.0)
+        rhs2 = (z ** (beta * lam) - 1.0) * (z - 1.0)
+        slack2 = rhs2 - lhs2
+        scale2 = max(1.0, abs(lhs2), abs(rhs2))
+        worst = min(worst, slack2 / scale2)
+        if slack2 < -INEQ_REL_TOL * scale2:
+            holds = False
     return VerificationReport(
         name="scalar-inequalities",
         params=(("trials", str(trials)),),

@@ -4,7 +4,8 @@ SplitMix64 over a counter: output i is a fixed mix of (seed, i), so
 results are reproducible from the seed alone.  Multi-word draws
 (`bits` past 64 bits, `floats`) mix their words in parallel on one big
 int, and the stream is the one the word-at-a-time mix gives, so seeded
-values match earlier versions.  Streams are stable within this
+values match earlier versions.  Floats come in blocks only: one float is
+`floats(1)[0]`, the same word `u64() / 2^64` gives.  Streams are stable within this
 implementation; no cross-implementation bit-equality is promised, which
 is why reports carry seeds rather than expected values.
 """
@@ -94,11 +95,9 @@ class Prng:
             data[-1] &= (1 << (n & 7)) - 1
         return int.from_bytes(data, "little")
 
-    def float01(self) -> float:
-        return self.u64() / _TWO64
-
     def floats(self, n: int) -> list[float]:
-        """`[self.float01() for _ in range(n)]`, drawn word-parallel."""
+        """The next n words as floats in [0, 1), each `word / 2^64`, drawn
+        word-parallel."""
         if n < 0:
             raise ValueError("floats() needs n >= 0")
         words = array("Q", self._next_words(n))

@@ -23,11 +23,11 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from ._bitops import budget_bytes, ones
+from ._bitops import budget_bytes
 from .bias import DyadicRational, _histogram_to_mean, bias_exact
 from .errors import CapacityError, InvariantError
-from .f2linalg import (BitMatrix, BitVec, _rref, dual_space, kernel, min_weight,
-                       rank_of_row_ints, span_rank_histogram)
+from .f2linalg import (BitVec, _rref, dual_space, kernel, min_weight, rank_of_row_ints,
+                       span_rank_histogram)
 from .numerics import mrrw_constant
 from .tensors import (DenseTensor, RankDecomposition, RankOneTerm, first_block_slices,
                       outer_bits, tensor_from_decomp)
@@ -104,7 +104,7 @@ def _slice_span_search(span: list[int], rank_ones: list[int], width: int,
     for r in range(len(span), t_max + 1):
         seen: set[int] = set()  # each W of dimension r, RREF rows packed into one int
         for extra in combinations(rank_ones, r - len(span)):
-            rows, _ = _rref(span + list(extra))
+            rows = _rref(span + list(extra))
             key = sum(row << (i * width) for i, row in enumerate(rows))
             if len(rows) < r or key in seen:
                 continue
@@ -127,7 +127,7 @@ def rank_exact(t: DenseTensor, t_max: int) -> int | None:
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    span, _ = _rref(first_block_slices(t))
+    span = _rref(first_block_slices(t))
     s = len(span)
     if s > t_max:
         return None
@@ -200,8 +200,7 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
         for r in range(k):
             if (col.bits >> r) & 1:
                 a_rows[r] |= 1 << i
-    a = BitMatrix.from_row_ints(a_rows, t)
-    ker = kernel(a)
+    ker = kernel(a_rows, t)
     dual = dual_space(ker)
     dmw = min_weight(dual)
 
@@ -217,9 +216,8 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
             for i, pair in enumerate(pairs):
                 if (v >> i) & 1:
                     m ^= pair
-            gens.append(BitMatrix.from_row_ints(
-                [(m >> (r * k)) & ones(k) for r in range(k)], k))
-        counts = span_rank_histogram(gens)
+            gens.append(m)
+        counts = span_rank_histogram(gens, k, k)
     # (|K| / 2^t) * sum_v 2^-rank(M_v)
     reconstructed = _histogram_to_mean(counts, t - ker.dim)
     tensor = tensor_from_decomp(decomp)

@@ -10,12 +10,11 @@ from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
-from f2lab.f2linalg import LANE_CHUNK_BITS, BitMatrix, BitVec, mat_rank
+from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
-                           first_block_slices, matmul_tensor, random_tensor,
-                           trace_tensor)
+                           matmul_tensor, random_tensor, trace_tensor)
 from oracles import below, entry, poly_eval
 
 rng = Prng(31337)
@@ -277,7 +276,7 @@ def test_bilinear_bias_is_rank_law():
     for _ in range(300):
         k = 2 + below(rng, 5)
         t = random_tensor(2, k, rng.u64())
-        r = mat_rank(BitMatrix.from_row_ints(first_block_slices(t), k))
+        r = mat_rank(t.bits, k, k)
         assert bias_exact(t) == D.half_pow(r)
 
 

@@ -157,6 +157,15 @@ class TestBiasTail:
         b = verify_bias_tail(2, 6, 0.25, samples=2_000, seed=9)
         assert a == b
 
+    def test_d2_beyond_rank_count_refused_before_sampling(self, monkeypatch):
+        def no_sampling(t):
+            raise AssertionError("bias_exact called before the refusal")
+
+        monkeypatch.setattr(harness, "bias_exact", no_sampling)
+        with pytest.raises(CapacityError) as info:
+            verify_bias_tail(2, 17, 0.25, samples=1_000_000, seed=9)
+        assert (info.value.required, info.value.budget) == (17, 16)
+
 
 class TestFloors:
     def test_low_rank_bias_floor(self):

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from f2lab.numerics import (MaxProblemPoint, f_dk_bound, inequality_checks,
-                            mrrw_constant, profile_max_check)
+from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _trial_draws, f_dk_bound,
+                            inequality_checks, mrrw_constant, profile_max_check)
 from f2lab.prng import Prng
 
 
@@ -76,8 +76,19 @@ def test_profile_max_grid():
     rng = Prng(4)
     for k in range(1, 7):
         for _ in range(25):
-            u = rng.float01() * k * k
+            u = rng.floats(1)[0] * k * k
             assert profile_max_check(k, u, random_trials=40, seed=rng.u64()).holds is True
+
+
+@pytest.mark.parametrize("trials", [0, 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 3])
+@pytest.mark.parametrize("width", [1, 6])
+def test_trial_draws_follow_the_stream(trials, width):
+    # blockwise draws are the one long draw cut into trials, and use it up exactly
+    rng, ref = Prng(17), Prng(17)
+    got = list(_trial_draws(rng, trials, width))
+    flat = ref.floats(trials * width)
+    assert got == [flat[i * width:(i + 1) * width] for i in range(trials)]
+    assert rng.u64() == ref.u64()
 
 
 def test_inequalities_hold():

@@ -57,7 +57,7 @@ def test_u64_and_bits_interleaved():
 @pytest.mark.parametrize("n", [0, 1, 6, 1023, 1024, 6 * 1024 + 5])
 def test_floats_are_float01_draws(n):
     a, b = Prng(31), Prng(31)
-    assert a.floats(n) == [b.float01() for _ in range(n)]
+    assert a.floats(n) == [b.u64() / 2 ** 64 for _ in range(n)]
     assert a.u64() == b.u64()
 
 

@@ -10,14 +10,14 @@ import f2lab.rank as rank_mod
 from f2lab._bitops import budget_bytes
 from f2lab.bias import DyadicRational as D, bias_exact
 from f2lab.errors import CapacityError
-from f2lab.f2linalg import LANE_CHUNK_BITS, BitMatrix, BitVec, mat_rank, rank_of_row_ints
+from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank, rank_of_row_ints
 from f2lab.prng import Prng
 from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, decompositions,
                         matmul_bias_exact, mrrw_rank_lb, rank_count,
                         rank_exact, rank_lb_bias)
-from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm,
-                           first_block_slices, matmul_tensor, random_rank_decomp,
-                           random_tensor, tensor_from_decomp, trace_tensor)
+from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm, matmul_tensor,
+                           random_rank_decomp, random_tensor, tensor_from_decomp,
+                           trace_tensor)
 from oracles import below
 
 rng = Prng(90210)
@@ -54,10 +54,10 @@ def test_rank_exact_d2_matches_matrix_rank(monkeypatch):
     for _ in range(100):
         k = 1 + below(rng, 6)
         t = random_tensor(2, k, rng.u64())
-        r = mat_rank(BitMatrix.from_row_ints(first_block_slices(t), k))
+        r = mat_rank(t.bits, k, k)
         assert rank_exact(t, k) == r
     t = random_tensor(2, 24, 5)
-    assert rank_exact(t, 24) == mat_rank(BitMatrix.from_row_ints(first_block_slices(t), 24))
+    assert rank_exact(t, 24) == mat_rank(t.bits, 24, 24)
 
 
 def test_rank_exact_matches_decomposition_oracle():
@@ -195,8 +195,7 @@ def test_rank_count_small():
 def test_rank_count_matches_enumeration(n):
     counts = [0] * (n + 1)
     for bits in range(1 << (n * n)):
-        rows = [(bits >> (i * n)) & ((1 << n) - 1) for i in range(n)]
-        counts[mat_rank(BitMatrix.from_row_ints(rows, n))] += 1
+        counts[mat_rank(bits, n, n)] += 1
     assert tuple(counts) == rank_count(n).counts
 
 

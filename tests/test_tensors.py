@@ -83,7 +83,7 @@ def test_evaluate_multilinear():
         xs = [BitVec.random(k, rng) for _ in range(d)]
         j = below(rng, d)
         y = BitVec.random(k, rng)
-        lhs = evaluate(t, xs[:j] + [xs[j] ^ y] + xs[j + 1:])
+        lhs = evaluate(t, xs[:j] + [BitVec(k, xs[j].bits ^ y.bits)] + xs[j + 1:])
         rhs = evaluate(t, xs) ^ evaluate(t, xs[:j] + [y] + xs[j + 1:])
         assert lhs == rhs
 
