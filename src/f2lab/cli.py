@@ -1,15 +1,20 @@
 """Command-line interface.
 
 One binary, subcommands for generation, bias/correlation, rank bounds,
-and the verification suite.  `--json` switches any command to machine
-output.  Exit codes: 0 when every assertion holds, 1 when a verified
-statement fails, 2 for usage, format, or capacity errors, 3 when an
-internal invariant of a computed result is violated (a program fault).
+and the verification suite.  `--json` switches every command but `gen`,
+which writes a file format, to machine output.  Exit codes: 0 when every
+assertion holds, 1 when a verified statement fails, 2 for usage, format,
+or capacity errors, 3 when an internal invariant of a computed result is
+violated (a program fault).
 
-`verify NAME` runs `harness.verify_<NAME>` (dashes for underscores) and
-passes each of its parameters the value of the flag of the same name, or
-None where there is no such flag, so the experiment's signature is the
-only list of its arguments.  `timed` sets the wall time of every report.
+The flags of `verify NAME` and `gen KIND` come from signatures.  `verify
+NAME` runs `harness.verify_<NAME>` (dashes for underscores) and passes
+each of its parameters the value of the flag of the same name, or None
+where there is no such flag, so the experiment's signature is the only
+list of its arguments.  `timed` sets the wall time of every report.
+`gen KIND` takes one required int flag per parameter of its builder in
+`GENERATORS`, plus `--out`.  `bias mc` and `rank certify` print the
+fields of their result types, under the same names in text and JSON.
 
 Environment: F2LAB_BUDGET_BYTES, the byte budget of every enumeration
 guard, is the only way to set that budget.  The library reads it at each
@@ -21,14 +26,24 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import io
 import json
 import sys
+from dataclasses import asdict
 
 from . import harness, numerics, rank, tensors
 from .bias import bias_bruteforce, bias_exact, bias_mc, corr_class_max, corr_exact
 from .errors import CapacityError, FormatError, InvariantError
 from .report import fmt_float, timed
+
+# the builders as bound at import: `gen` reads their signatures, which a
+# wrapper installed later without functools.wraps would hide
+GENERATORS = {
+    "trace": tensors.trace_tensor,
+    "matmul": tensors.matmul_tensor,
+    "explicit": tensors.explicit_form_tensor,
+    "random": tensors.random_tensor,
+    "random-rank": tensors.random_rank_decomp,
+}
 
 
 def _read_arg(path: str, reader):
@@ -37,14 +52,6 @@ def _read_arg(path: str, reader):
         return reader(sys.stdin)
     with open(path, "r", encoding="ascii") as fp:
         return reader(fp)
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="ascii") as fp:
-            fp.write(text)
 
 
 def _print_obj(obj: dict, as_json: bool) -> None:
@@ -56,22 +63,15 @@ def _print_obj(obj: dict, as_json: bool) -> None:
 
 
 def _cmd_gen(args) -> int:
-    kind = args.what
-    if kind == "trace":
-        t = tensors.trace_tensor(args.k)
-    elif kind == "matmul":
-        t = tensors.matmul_tensor(args.n)
-    elif kind == "explicit":
-        t = tensors.explicit_form_tensor(args.d, args.k)
-    elif kind == "random":
-        t = tensors.random_tensor(args.d, args.k, args.seed)
-    else:  # random-rank
-        decomp = tensors.random_rank_decomp(args.d, args.k, args.t, args.seed)
-        buf = io.StringIO()
-        tensors.write_decomp(buf, decomp)
-        _emit(buf.getvalue(), args.out)
-        return 0
-    _emit(tensors.tensor_to_string(t), args.out)
+    builder = GENERATORS[args.what]
+    made = builder(**{p: getattr(args, p) for p in inspect.signature(builder).parameters})
+    write = (tensors.write_decomp if isinstance(made, tensors.RankDecomposition)
+             else tensors.write_tensor)
+    if args.out is None:
+        write(sys.stdout, made)
+    else:
+        with open(args.out, "w", encoding="ascii") as fp:
+            write(fp, made)
     return 0
 
 
@@ -83,13 +83,8 @@ def _cmd_bias(args) -> int:
                    args.json)
         return 0
     est = bias_mc(t, args.samples, args.confidence, args.seed)
-    _print_obj({
-        "point": fmt_float(est.point),
-        "ci_halfwidth": fmt_float(est.ci_halfwidth),
-        "samples": est.samples,
-        "confidence": fmt_float(est.confidence),
-        "seed": est.seed,
-    }, args.json)
+    _print_obj({key: fmt_float(val) if isinstance(val, float) else val
+                for key, val in asdict(est).items()}, args.json)
     return 0
 
 
@@ -127,18 +122,7 @@ def _cmd_rank(args) -> int:
         _print_obj({"bias": str(b), "rank_lower_bound": lb}, args.json)
         return 0
     decomp = _read_arg(args.file, tensors.read_decomp)
-    cert = rank.code_certificate(decomp)
-    if args.json:
-        print(cert.to_json())
-    else:
-        _print_obj({
-            "method": cert.method,
-            "rank_lower_bound": cert.lower_bound,
-            "kernel_dim": cert.kernel_dim,
-            "dual_dim": cert.dual_dim,
-            "dual_min_weight": cert.dual_min_weight,
-            "reconstructed_bias": str(cert.reconstructed_bias),
-        }, False)
+    _print_obj(rank.code_certificate(decomp).to_dict(), args.json)
     return 0
 
 
@@ -188,23 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate tensors and decompositions")
     gsub = gen.add_subparsers(dest="what", required=True)
-    g = gsub.add_parser("trace")
-    g.add_argument("--k", type=int, required=True)
-    g = gsub.add_parser("matmul")
-    g.add_argument("--n", type=int, required=True)
-    g = gsub.add_parser("explicit")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g = gsub.add_parser("random")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    g = gsub.add_parser("random-rank")
-    g.add_argument("--d", type=int, required=True)
-    g.add_argument("--k", type=int, required=True)
-    g.add_argument("--t", type=int, required=True)
-    g.add_argument("--seed", type=int, required=True)
-    for g in gsub.choices.values():
+    for kind, builder in GENERATORS.items():
+        g = gsub.add_parser(kind)
+        for param in inspect.signature(builder).parameters:
+            g.add_argument(f"--{param}", type=int, required=True)
         g.add_argument("--out", default=None, help="output path (default stdout)")
     gen.set_defaults(func=_cmd_gen)
 

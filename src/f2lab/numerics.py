@@ -177,6 +177,10 @@ def profile_max_check(k: int, u: float, random_trials: int,
     Extreme points are enumerated exactly (their max must equal the
     bound); random feasible profiles must stay below it.
     """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if random_trials < 0:
+        raise ValueError("trials must be >= 0")
     if not 0 <= u <= k * k:
         raise ValueError("u must lie in [0, k^2]")
     bound = (2.0 ** k - 1.0) * 2.0 ** (u / k)

@@ -17,8 +17,7 @@ Three rank routes live here:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from math import comb
 from typing import Iterator
@@ -46,12 +45,8 @@ class RankBoundCertificate:
     dual_min_weight: int
     reconstructed_bias: DyadicRational
 
-    def to_json(self) -> str:
-        return json.dumps({"method": self.method, "lower_bound": self.lower_bound,
-                           "kernel_dim": self.kernel_dim, "dual_dim": self.dual_dim,
-                           "dual_min_weight": self.dual_min_weight,
-                           "reconstructed_bias": str(self.reconstructed_bias)},
-                          sort_keys=True)
+    def to_dict(self) -> dict:
+        return {**asdict(self), "reconstructed_bias": str(self.reconstructed_bias)}
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,12 @@ File formats:
         d whitespace-separated 0/1 strings, char j = coordinate j+1.
   F2P1  polynomial  `F2P1 n=<n>` then one monomial per line as sorted
         1-based variable indices; `#` alone is the constant-1 monomial.
+A header names each of its fields once, in any order, and holds nothing
+else; F2T1's shape line counts as the rest of its `F2T1` line.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
@@ -44,10 +45,7 @@ class DenseTensor:
     def __post_init__(self):
         if self.d < 1 or self.k < 1:
             raise ValueError("d and k must be >= 1")
-        # 2^((bit_length(k) - 1) d) <= k^d: bits that short fit without
-        # forming k ** d, which takes seconds for a huge shape
-        if self.bits < 0 or (self.bits.bit_length() > self.d * (self.k.bit_length() - 1)
-                             and self.bits >> self.size):
+        if self.bits < 0 or self.bits.bit_length() > _tensor_bits(self.d, self.k):
             raise ValueError("bits outside k^d entries")
 
     @property
@@ -290,12 +288,23 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _payload_bytes(t: DenseTensor) -> bytes:
-    return t.bits.to_bytes((t.size + 7) // 8, "little")
+def _header(line: str, magic: str, names: Sequence[str]) -> list[int]:
+    """The ints of a header line `magic name=<int> ...`, in the order of
+    `names`.  Each name must appear exactly once, in any order, and nothing
+    else may be on the line."""
+    words = line.split()
+    fields = dict(word.partition("=")[::2] for word in words[1:])
+    if words[:1] != [magic] or len(fields) != len(words) - 1 or sorted(fields) != sorted(names):
+        raise FormatError(f"bad {magic} header: {line!r}")
+    try:
+        return [int(fields[name]) for name in names]
+    except ValueError as exc:
+        raise FormatError(f"bad {magic} header: {line!r}") from exc
 
 
 def write_tensor(fp, t: DenseTensor) -> None:
-    fp.write(f"F2T1\nd={t.d} k={t.k}\n{_payload_bytes(t).hex()}\n")
+    payload = t.bits.to_bytes((t.size + 7) // 8, "little")
+    fp.write(f"F2T1\nd={t.d} k={t.k}\n{payload.hex()}\n")
 
 
 def read_tensor(fp) -> DenseTensor:
@@ -304,12 +313,8 @@ def read_tensor(fp) -> DenseTensor:
         raise FormatError("missing F2T1 header")
     if any(ln.strip() for ln in lines[3:]):
         raise FormatError("unexpected text after the F2T1 payload line")
-    try:
-        fields = dict(part.split("=", 1) for part in lines[1].split())
-        d = int(fields["d"])
-        k = int(fields["k"])
-    except (ValueError, KeyError) as exc:
-        raise FormatError(f"bad F2T1 shape line: {lines[1]!r}") from exc
+    # the shape line is the rest of the header, which the magic line opens
+    d, k = _header("F2T1 " + lines[1], "F2T1", ("d", "k"))
     if d < 1 or k < 1:
         raise FormatError("d and k must be positive")
     size = _tensor_bits(d, k)
@@ -335,19 +340,8 @@ def write_decomp(fp, decomp: RankDecomposition) -> None:
 
 
 def read_decomp(fp) -> RankDecomposition:
-    lines = fp.read().splitlines()
-    if not lines:
-        raise FormatError("empty decomposition file")
-    head = lines[0].split()
-    if not head or head[0] != "F2D1":
-        raise FormatError("missing F2D1 header")
-    try:
-        fields = dict(part.split("=", 1) for part in head[1:])
-        d = int(fields["d"])
-        k = int(fields["k"])
-        t = int(fields["t"])
-    except (ValueError, KeyError) as exc:
-        raise FormatError(f"bad F2D1 header: {lines[0]!r}") from exc
+    lines = fp.read().splitlines() or [""]
+    d, k, t = _header(lines[0], "F2D1", ("d", "k", "t"))
     if d < 1 or k < 1:
         raise FormatError("d and k must be positive")
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -371,16 +365,8 @@ def read_decomp(fp) -> RankDecomposition:
 
 
 def read_poly(fp) -> Polynomial:
-    lines = fp.read().splitlines()
-    if not lines:
-        raise FormatError("empty polynomial file")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "F2P1" or not head[1].startswith("n="):
-        raise FormatError("missing F2P1 header")
-    try:
-        n = int(head[1][2:])
-    except ValueError as exc:
-        raise FormatError("bad variable count") from exc
+    lines = fp.read().splitlines() or [""]
+    n, = _header(lines[0], "F2P1", ("n",))
     if n < 0:
         raise FormatError("negative variable count")
     raw = []
@@ -399,9 +385,3 @@ def read_poly(fp) -> Polynomial:
             raise FormatError(f"variable out of range in {ln!r}")
         raw.append(idxs)
     return Polynomial.reduce(n, raw)
-
-
-def tensor_to_string(t: DenseTensor) -> str:
-    buf = io.StringIO()
-    write_tensor(buf, t)
-    return buf.getvalue()

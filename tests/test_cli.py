@@ -1,13 +1,19 @@
 """CLI surface: formats in, values out, exit codes."""
 
+import argparse
+import inspect
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from f2lab import harness
-from f2lab.cli import main
+from f2lab import harness, tensors
+from f2lab.cli import GENERATORS, build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 EXPERIMENTS = sorted(name[len("verify_"):].replace("_", "-")
                      for name in vars(harness) if name.startswith("verify_"))
@@ -31,6 +37,75 @@ def test_gen_and_bias_pipe(tmp_path):
     assert json.loads(out)["bias"] == "15/2^6"
     code, out, _ = run_cli("bias", "brute", str(path), "--json")
     assert json.loads(out)["bias"] == "15/2^6"
+
+
+# a small valid value for each builder parameter
+GEN_VALUES = {"k": 3, "n": 2, "d": 3, "t": 4, "seed": 5}
+
+
+def _subparsers(parser):
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_gen_flags_are_the_builder_parameters(capsys, kind):
+    builder = GENERATORS[kind]
+    params = list(inspect.signature(builder).parameters)
+    sub = _subparsers(_subparsers(build_parser())["gen"])[kind]
+    flags = {flag for a in sub._actions for flag in a.option_strings}
+    assert flags == {"-h", "--help", "--out"} | {f"--{p}" for p in params}
+    argv = [word for p in params for word in (f"--{p}", str(GEN_VALUES[p]))]
+    assert main(["gen", kind, *argv]) == 0
+    made = builder(*(GEN_VALUES[p] for p in params))
+    want = io.StringIO()
+    if kind == "random-rank":
+        tensors.write_decomp(want, made)
+    else:
+        tensors.write_tensor(want, made)
+    assert capsys.readouterr().out == want.getvalue()
+
+
+def test_gen_runs_under_the_benchmark_tracer(capsys, monkeypatch):
+    # the tracer's wrappers take (*args, **kwargs), so `gen` must not read
+    # the signature of whatever the module binds at call time
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import Tracer
+
+    assert main(["gen", "trace", "--k", "3"]) == 0
+    plain = capsys.readouterr().out
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(["gen", "trace", "--k", "3"]) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+
+
+def test_result_fields_print_under_one_name(tmp_path, capsys):
+    tpath, dpath = tmp_path / "t.f2t", tmp_path / "d.f2d"
+    assert main(["gen", "trace", "--k", "3", "--out", str(tpath)]) == 0
+    assert main(["gen", "random-rank", "--d", "3", "--k", "3", "--t", "5",
+                 "--seed", "2", "--out", str(dpath)]) == 0
+    for argv in (["bias", "mc", str(tpath), "--samples", "500"],
+                 ["rank", "certify", str(dpath)]):
+        assert main(argv) == 0
+        text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert main([*argv, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert text == {key: str(value) for key, value in payload.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "0", "--u", "0"],
+    ["--k", "-1", "--u", "0", "--trials", "0"],
+    ["--k", "2", "--u", "2", "--trials", "-5"],
+])
+def test_appendix_max_rejects_bad_input(capsys, argv):
+    assert main(["appendix-max", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("f2lab: error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])

@@ -179,7 +179,7 @@ def test_certificate_dual_span_over_lane_chunks():
 
 def test_certificate_json():
     dec = next(iter(decompositions(trace_tensor(2), 3)))
-    payload = json.loads(code_certificate(dec).to_json())
+    payload = code_certificate(dec).to_dict()
     assert payload["method"] == "code"
     assert payload["reconstructed_bias"] == "7/2^4"
     assert payload["kernel_dim"] == 1

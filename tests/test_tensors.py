@@ -16,7 +16,7 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            matmul_tensor, outer_bits, random_rank_decomp,
                            random_tensor, read_decomp, read_poly, read_tensor,
-                           tensor_from_decomp, tensor_to_string, trace_tensor,
+                           tensor_from_decomp, trace_tensor,
                            write_decomp, write_tensor)
 from oracles import below, contract, entry, poly_eval, write_poly
 
@@ -225,10 +225,16 @@ def test_random_decomp_determinism_and_balance():
     assert 0.49 <= freq <= 0.51
 
 
+def _tensor_text(t):
+    buf = io.StringIO()
+    write_tensor(buf, t)
+    return buf.getvalue()
+
+
 def test_tensor_file_roundtrip():
     for t in [trace_tensor(3), matmul_tensor(2), random_tensor(4, 2, 7),
               DenseTensor(2, 5, 0)]:
-        assert read_tensor(io.StringIO(tensor_to_string(t))) == t
+        assert read_tensor(io.StringIO(_tensor_text(t))) == t
 
 
 def test_tensor_file_format_errors():
@@ -284,11 +290,63 @@ def test_file_roundtrip_random_sweep():
         d = 1 + below(rng, 3)
         k = 1 + below(rng, 4)
         t = random_tensor(d, k, rng.u64())
-        assert read_tensor(io.StringIO(tensor_to_string(t))) == t
+        assert read_tensor(io.StringIO(_tensor_text(t))) == t
         dec = random_rank_decomp(d, k, below(rng, 4), rng.u64())
         buf = io.StringIO()
         write_decomp(buf, dec)
         assert read_decomp(io.StringIO(buf.getvalue())) == dec
+
+
+# each reader and texts whose header breaks the rule: the right magic word,
+# each field exactly once, nothing else on the line
+_HEADER_CASES = {
+    "F2T1": (read_tensor, {
+        "extra key": "F2T1\nd=3 k=2 t=1\nff\n",
+        "stray word": "F2T1\nd=3 k=2 x\nff\n",
+        "missing key": "F2T1\nd=3\nff\n",
+        "duplicate key": "F2T1\nd=3 k=2 k=2\nff\n",
+        "wrong magic": "F2X1\nd=3 k=2\nff\n",
+        "magic on the shape line": "F2T1\nF2T1 d=3 k=2\nff\n",
+        "empty magic line": "\nd=3 k=2\nff\n",
+        "empty shape line": "F2T1\n\nff\n",
+        "blank shape line": "F2T1\n \t \nff\n",
+    }),
+    "F2D1": (read_decomp, {
+        "extra key": "F2D1 d=2 k=2 t=1 n=1\n11 01\n",
+        "stray word": "F2D1 d=2 k=2 t=1 x\n11 01\n",
+        "missing key": "F2D1 d=2 k=2\n11 01\n",
+        "duplicate key": "F2D1 d=2 d=2 k=2 t=1\n11 01\n",
+        "wrong magic": "F2T1 d=2 k=2 t=1\n11 01\n",
+        "empty file": "",
+        "empty header": "\n11 01\n",
+        "blank header": "  \t\n11 01\n",
+    }),
+    "F2P1": (read_poly, {
+        "extra key": "F2P1 n=2 d=1\n1 2\n",
+        "stray word": "F2P1 n=2 x\n1 2\n",
+        "missing key": "F2P1\n1 2\n",
+        "duplicate key": "F2P1 n=2 n=2\n1 2\n",
+        "wrong magic": "F2D1 n=2\n1 2\n",
+        "empty file": "",
+        "empty header": "\n1 2\n",
+        "blank header": " \n1 2\n",
+    }),
+}
+
+
+def test_header_fields_parse_in_any_order():
+    for reader, valid, flipped in [
+            (read_tensor, "F2T1\nd=3 k=2\nff\n", "F2T1\nk=2 d=3\nff\n"),
+            (read_decomp, "F2D1 d=2 k=2 t=1\n11 01\n", "F2D1 t=1 k=2 d=2\n11 01\n")]:
+        assert reader(io.StringIO(flipped)) == reader(io.StringIO(valid))
+
+
+@pytest.mark.parametrize("fmt, case", [(fmt, case) for fmt in sorted(_HEADER_CASES)
+                                       for case in _HEADER_CASES[fmt][1]])
+def test_header_rule_violations_raise_format_error(fmt, case):
+    reader, bad = _HEADER_CASES[fmt]
+    with pytest.raises(FormatError):
+        reader(io.StringIO(bad[case]))
 
 
 _VALID_TEXTS = {
