@@ -6,9 +6,11 @@ forms is literal, not approximate.
 
 Two exact routes check each other:
 
-* `bias_bruteforce` popcounts truth tables over all 2^(kd) inputs: the
-  first-block slice tables from `_bitops.form_table`, XORed in Gray
-  order over the first block.  It knows nothing about ranks.
+* `bias_bruteforce` counts the ones of the form from truth tables: the
+  form is linear in the first block, so it is 1 at half of the first
+  block exactly where some first-block slice is nonzero, and one popcount
+  of the OR of the slice tables from `_bitops.form_table` over the other
+  blocks gives the count.  It knows nothing about ranks.
 * `bias_exact` enumerates only the first d-2 blocks; each residual
   bilinear form contributes 2^-rank, computed by the bit-sliced batched
   rank kernel.  All contributions are nonnegative probabilities, so the
@@ -245,17 +247,22 @@ def _bruteforce_bytes(k: int, d: int) -> int:
     if d == 1:  # the table, a variable mask being built and their XOR
         return 4096 + 5 * (4 * ((1 << k) // 30 + 1) + 64)
     pieces = 1 << k if d > 2 else 1
-    # k slice tables, and the last one's list and join being built
-    return 4096 + (k + 4) * (4 * ((1 << (k * d - k)) // 30 + 1) + 64 * pieces)
+    # the support table, and one slice table with the list and join
+    # that build it
+    return 4096 + 5 * (4 * ((1 << (k * d - k)) // 30 + 1) + 64 * pieces)
 
 
 def bias_bruteforce(t: DenseTensor) -> DyadicRational:
     """Bias by counting the ones of the form over all 2^(kd) inputs.
 
-    d = 1 popcounts the linear form's table.  For d >= 2 the k first-block
-    slices are tabulated over the other blocks (`form_table`); a Gray walk
-    over the first block XORs one slice table into the residual table per
-    step and popcounts it.  The tables must fit the byte budget.
+    d = 1 popcounts the linear form's table.  For d >= 2 the form is
+    linear in the first block: at a point of the other blocks it is
+    <x_1, v> with v the vector of first-block slice values there, so it
+    is 1 at exactly half of the 2^k first-block values when v != 0 and
+    nowhere when v = 0.  The k slice tables over the other blocks
+    (`form_table`) are ORed into the support of v, and the ones of the
+    form are 2^(k-1) times its popcount.  The tables must fit the byte
+    budget.
     """
     k, d = t.k, t.d
     n = k * d
@@ -271,11 +278,11 @@ def bias_bruteforce(t: DenseTensor) -> DyadicRational:
     if d == 1:
         ones_count = linear_form_table(t.bits, k).bit_count()
     else:
-        tables = [form_table(s, d - 1, k) for s in first_block_slices(t)]
-        ones_count = residual = 0
-        for flip in gray_flips(k):
-            residual ^= tables[flip]
-            ones_count += residual.bit_count()
+        support = 0
+        for s in first_block_slices(t):
+            if s:
+                support |= form_table(s, d - 1, k)
+        ones_count = support.bit_count() << (k - 1)
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
@@ -338,9 +345,20 @@ def _input_bit(v: int, k: int, d: int) -> int:
     return (d - 1 - j) * k + i
 
 
+def _corr_bytes(k: int, d: int) -> int:
+    """Bytes `corr_exact` holds at once, counted as in `_bruteforce_bytes`:
+    the form table, held while `anf_table` builds the polynomial's table
+    (a Moebius step holds the table, its shifted copy and a variable mask
+    being built: under 5 tables), and then their XOR.  The form table's
+    2^k pieces cost 128 bytes each while `form_table` joins them."""
+    pieces = 1 << k if d > 1 else 1
+    return 4096 + 6 * (4 * ((1 << (k * d)) // 30 + 1)) + 128 * pieces
+
+
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     """Corr(f_T, P) = bias(f_T - P), from the popcount of the XOR of the
-    2^n-bit truth tables of f_T and of P."""
+    2^n-bit truth tables of f_T and of P.  The tables must fit the byte
+    budget."""
     k, d = t.k, t.d
     n = k * d
     if poly.n != n:
@@ -348,9 +366,16 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     if n > CORR_MAX_VARS:
         raise CapacityError(f"corr_exact over 2^{n} inputs (guard 2^{CORR_MAX_VARS})",
                             required=1 << n, budget=1 << CORR_MAX_VARS)
-    anf = sum(1 << sum(1 << _input_bit(v, k, d) for v in mono)
-              for mono in poly.monomials)  # distinct monomials: no carries
-    ones_count = (form_table(t.bits, d, k) ^ anf_table(anf, n)).bit_count()
+    required = _corr_bytes(k, d)
+    if required > budget_bytes():
+        raise CapacityError(
+            f"corr_exact holds {required} bytes of truth tables",
+            required=required, budget=budget_bytes())
+    ftab = form_table(t.bits, d, k)
+    # the ANF goes straight in, so the Moebius steps free it as they go
+    ptab = anf_table(sum(1 << sum(1 << _input_bit(v, k, d) for v in mono)
+                         for mono in poly.monomials), n)  # distinct monomials: no carries
+    ones_count = (ftab ^ ptab).bit_count()
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
@@ -365,9 +390,13 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     """Exact max correlation over all multilinear polynomials of degree
     <= `degree`, with one maximizer.
 
-    Enumerates the whole class; the class has 2^(#monomials) members and
-    the guard message reports that size.  Each member costs one XOR and
-    popcount of a 2^n-bit table, and that work is guarded too.
+    The class has 2^(#monomials) members and the guard message reports
+    that size.  Adding the constant 1 only flips the sign of the
+    correlation, so a Gray walk over the non-constant monomials visits
+    half of the class; the witness is the first maximizer of a walk over
+    the whole class.  Each member walked costs one XOR and popcount of a
+    2^n-bit table, and the work of the whole class is guarded.  The
+    degree -1 class is {0}: its maximum is the bias.
     """
     n = t.k * t.d
     if n > CORR_MAX_VARS:
@@ -391,23 +420,27 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     ftab = form_table(t.bits, t.d, t.k)
     size = 1 << n
     mono_tables = []
-    for mono in monos:
+    for mono in monos[1:]:  # monos[0] is the constant
         mt = ones(size)
         for v in mono:
             mt &= var_mask(_input_bit(v, t.k, t.d), n)
         mono_tables.append(mt)
 
+    # P and P + 1 have opposite correlations, so one member of each pair
+    # is walked: the Gray walk over the class visits the pair at steps 2s
+    # and 2s + 1, and gray(2s) = (gray(s) << 1) | (s & 1) is the member
+    # it would keep as a maximizer.
     best_num = abs(size - 2 * (ftab.bit_count()))
     best_set = 0
     cur = ftab
     subset = 0
-    for flip in gray_flips(class_bits):
+    for step, flip in enumerate(gray_flips(max(class_bits - 1, 0)), 1):
         cur ^= mono_tables[flip]
         subset ^= 1 << flip
         num = abs(size - 2 * cur.bit_count())
         if num > best_num:
             best_num = num
-            best_set = subset
+            best_set = (subset << 1) | (step & 1)
     witness = Polynomial.reduce(
         n, [monos[i] for i in range(class_bits) if (best_set >> i) & 1])
     return DyadicRational.from_ratio(best_num, n), witness

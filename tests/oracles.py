@@ -5,6 +5,8 @@ element at a time, what the library computes in bulk, so a test can
 check a packed or bit-sliced route against a plain one.
 """
 
+from itertools import combinations
+
 from f2lab._bitops import gray_flips, ones
 from f2lab.tensors import DenseTensor
 
@@ -79,3 +81,36 @@ def write_poly(fp, poly):
     fp.write(f"F2P1 n={poly.n}\n")
     for m in poly.monomials:
         fp.write("#\n" if not m else " ".join(str(v + 1) for v in m) + "\n")
+
+
+def class_max_walk(t, degree):
+    """Max |correlation| of f_T over the polynomials of degree <= `degree`
+    in the variables j*k + i (coordinate i of block j), as (numerator over
+    2^(kd), monomials of the maximizer).
+
+    A Gray walk over every member of the class from the zero polynomial,
+    monomials in order of degree then lexicographically, keeping the first
+    strict maximizer.  Tables are built input by input, variable v at bit v.
+    """
+    k, d = t.k, t.d
+    n = k * d
+    size = 1 << n
+
+    def table(mono):
+        return sum(1 << x for x in range(size) if all((x >> v) & 1 for v in mono))
+
+    form = 0
+    for flat in range(k ** d):
+        if (t.bits >> flat) & 1:
+            form ^= table([j * k + (flat // k ** (d - 1 - j)) % k for j in range(d)])
+    monos = [m for deg in range(degree + 1) for m in combinations(range(n), deg)]
+    tables = [table(m) for m in monos]
+    best = abs(size - 2 * form.bit_count())
+    best_set = subset = 0
+    for flip in gray_flips(len(monos)):
+        form ^= tables[flip]
+        subset ^= 1 << flip
+        num = abs(size - 2 * form.bit_count())
+        if num > best:
+            best, best_set = num, subset
+    return best, [m for i, m in enumerate(monos) if (best_set >> i) & 1]

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from itertools import permutations
+from math import comb
 
 import pytest
 
@@ -15,7 +16,7 @@ from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            matmul_tensor, random_tensor, trace_tensor)
-from oracles import below, entry, poly_eval
+from oracles import below, class_max_walk, entry, poly_eval
 
 rng = Prng(31337)
 
@@ -148,9 +149,16 @@ def _table_bias(ones_count, n):
     return D.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
+def _no_ranks(*args):
+    raise AssertionError("brute force ranked a matrix")
+
+
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 5) for k in range(1, 4)]
-                         + [(1, 5), (2, 4)])
-def test_bias_bruteforce_matches_per_input_count(d, k):
+                         + [(1, 5), (2, 4), (5, 1), (5, 2)])
+def test_bias_bruteforce_matches_per_input_count(d, k, monkeypatch):
+    # brute force shares no rank kernel with bias_exact
+    for name in ("mat_rank", "span_rank_histogram", "_batched_rank_histogram"):
+        monkeypatch.setattr(f"f2lab.bias.{name}", _no_ranks)
     step = k ** (d - 1)
     for seed in (1, 2):
         t = random_tensor(d, k, 200 * d + 10 * k + seed)
@@ -405,6 +413,37 @@ def test_corr_exact_guards_table_size(monkeypatch):
         corr_exact(DenseTensor(3, 9, 0), Polynomial(27, ((),)))
     assert ei.value.required == 1 << 27
     assert ei.value.budget == 1 << 26
+    # within the variable count, the byte budget refuses: a 2^20-bit table
+    # alone is 128 KiB
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 18))
+    with pytest.raises(CapacityError) as ei:
+        corr_exact(DenseTensor(2, 10, 0), Polynomial(20, ((),)))
+    assert ei.value.budget == 1 << 18
+    assert ei.value.required > 3 * (1 << 20) // 8
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
+def test_corr_exact_peak_within_budget(budget, monkeypatch):
+    # every shape up to the first refusal; the monomial of all n variables
+    # makes the polynomial's ANF as long as its table
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    for d in (1, 2, 3, 4, 6):
+        for k in range(1, 27):
+            n = k * d
+            t = random_tensor(d, k, 70 * d + k)
+            p = Polynomial.reduce(n, [(), (0,), (n - 1,), tuple(range(n))])
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                try:
+                    corr_exact(t, p)
+                except CapacityError as e:
+                    assert e.required > e.budget
+                    break
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak <= budget, (d, k, peak, budget)
 
 
 def test_corr_class_max_contains_self():
@@ -433,6 +472,22 @@ def test_corr_class_max_guard_reports_size():
     # <= 4 in 8 variables against the 2^24-member cap
     assert ei.value.required == 1 << 163
     assert ei.value.budget == 1 << 24
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 1, 2])
+def test_corr_class_max_matches_whole_class_walk(degree):
+    # the oracle walks every member, P and P + 1 alike; the value and the
+    # first maximizer must agree (classes up to 2^16 members, kd <= 12)
+    prng = Prng(90 + degree)
+    for d in range(1, 13):
+        for k in range(1, 12 // d + 1):
+            n = k * d
+            if sum(comb(n, j) for j in range(min(degree, n) + 1)) > 16:
+                continue
+            t = random_tensor(d, k, prng.u64())
+            num, monos = class_max_walk(t, degree)
+            val, wit = corr_class_max(t, degree)
+            assert (val, wit) == (D.from_ratio(num, n), Polynomial.reduce(n, monos)), (d, k)
 
 
 @pytest.mark.parametrize("seed", [3, 4])

@@ -200,6 +200,19 @@ def test_corr_with_poly_and_class(tmp_path):
     assert "max_correlation" in json.loads(out)
 
 
+def test_corr_negative_degree_is_the_bias(tmp_path, capsys):
+    # the degree <= -1 class is {0}: the bias, witnessed by the zero polynomial
+    tpath = str(tmp_path / "t.f2t")
+    assert main(["gen", "trace", "--k", "3", "--out", tpath]) == 0
+    assert main(["corr", tpath, "--max-degree", "-1"]) == 0
+    assert capsys.readouterr().out == ("max_correlation: 15/2^6\nfloat: 0.234375\n"
+                                       "witness_monomials: (zero polynomial)\n")
+    assert main(["corr", tpath, "--max-degree", "-1", "--json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"float": "0.234375", "max_correlation": "15/2^6", '
+        '"witness_monomials": "(zero polynomial)"}\n')
+
+
 def test_verify_single_and_exit_codes():
     code, out, _ = run_cli("verify", "moment-identity",
                            "--d", "2", "--k", "2", "--t", "2", "--json")

@@ -211,13 +211,19 @@ class TestExplicitTensors:
         assert r.holds is True
         assert dict(r.params)["routes"] == "fast"
 
-    @pytest.mark.parametrize("budget", [1 << 18, 1 << 20])
+    @pytest.mark.parametrize("budget", [1 << 18, 1 << 19])
     def test_bias_trace_brute_route_follows_the_byte_budget(self, budget, monkeypatch):
-        # k = 10 is within the input guard, but its tables hold 2,878,968 bytes
+        # k = 10 is within the input guard, but its tables hold 1,030,836 bytes
         monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
         r = verify_bias_trace(10)
         assert r.holds is True
         assert dict(r.params)["routes"] == "fast"
+
+    def test_bias_trace_brute_route_fits_one_mib(self, monkeypatch):
+        monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 20))
+        r = verify_bias_trace(10)
+        assert r.holds is True
+        assert dict(r.params)["routes"] == "fast+brute"
 
     def test_bias_matmul(self):
         r = verify_bias_matmul(2)
