@@ -92,7 +92,12 @@ def form_table(bits: int, dims: int, k: int) -> int:
         s = (bits >> (i * step)) & mask
         ti = form_table(s, dims - 1, k) if s else 0
         tabs += [a ^ ti for a in tabs] if ti else tabs  # tabs[x] = xor of t_i, i in x
-    width = 1 << (k * (dims - 1))
+    return join_tables(tabs, 1 << (k * (dims - 1)))
+
+
+def join_tables(tabs: list[int], width: int) -> int:
+    """The tables of `width` bits each, width a power of two, side by side:
+    tabs[x] at bits [x width, (x+1) width)."""
     if width >= 8:  # a power of two, so whole bytes
         nb = width >> 3
         return int.from_bytes(b"".join(a.to_bytes(nb, "little") for a in tabs),

@@ -11,9 +11,14 @@ Two exact routes check each other:
   block exactly where some first-block slice is nonzero, and one popcount
   of the OR of the slice tables from `_bitops.form_table` over the other
   blocks gives the count.  It knows nothing about ranks.
-* `bias_exact` enumerates only the first d-2 blocks; each residual
-  bilinear form contributes 2^-rank, computed by the bit-sliced batched
-  rank kernel.  All contributions are nonnegative probabilities, so the
+* `bias_exact` ranges over the prefixes x_1..x_{d-2} only: at each, the
+  form is the bilinear form of a residual k x k matrix and contributes
+  2^-rank, computed by the bit-sliced batched rank kernel in chunks of
+  at most 2^16 lanes.  At d = 3 the matrices are the span of the
+  first-block slices (`span_rank_histogram`).  From d = 4 on a lane
+  holds the low bits of x_1 and all of x_2..x_{d-2}, and a Gray walk
+  over the high bits of x_1 XORs one delta plane set into the planes
+  per chunk.  All contributions are nonnegative probabilities, so the
   absolute value in the definition never needs a sign.
 
 At d = 3 the two share no code; from d = 4 on both build tables with
@@ -28,9 +33,10 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._bitops import (anf_table, budget_bytes, ctz, form_table, gray_flips,
-                      linear_form_table, ones, var_mask)
+                      join_tables, linear_form_table, ones, var_mask)
 from .errors import CapacityError
-from .f2linalg import mat_rank, span_rank_histogram, _batched_rank_histogram
+from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
+                       _batched_rank_histogram)
 from .prng import Prng
 from .tensors import DenseTensor, Polynomial, first_block_slices
 
@@ -170,8 +176,13 @@ def _hoeffding_halfwidth(samples: int, confidence: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Exact bias: first d-2 blocks enumerated, residual matrices ranked in bulk.
+# Exact bias: the residual matrices of every prefix, ranked in lane chunks.
 # ---------------------------------------------------------------------------
+
+# Work cap of `bias_exact`, in residual-matrix entries ranked (2^(k(d-2))
+# prefixes x k^2 entries): the work at d = 3, k = 30, the largest shape the
+# earlier guard of 2^30 residual matrices admitted.
+EXACT_WORK = (30 * 30) << 30
 
 
 def _histogram_to_mean(counts: Sequence[int], log2_batch: int) -> DyadicRational:
@@ -183,33 +194,108 @@ def _histogram_to_mean(counts: Sequence[int], log2_batch: int) -> DyadicRational
     return DyadicRational.from_ratio(num, top + log2_batch)
 
 
-def _tail_matrix_planes(t: DenseTensor, prefix_bits: int) -> list[list[int]]:
-    """Truth tables over the 2^prefix_bits prefixes of M(prefix)[i][j].
+def _walk_low_bits(k: int, inner_bits: int) -> int | None:
+    """The bits c of x_1 that a lane of the d >= 4 walk holds beside the
+    inner_bits of x_2..x_{d-2}: the most that keep a chunk within
+    2^LANE_CHUNK_BITS lanes and the byte budget, or None when not even
+    c = 0 fits.  The budget covers the base planes, the k - c delta plane
+    sets, the current planes, and the k^2 slot rows and k-entry row of
+    `_batched_rank_histogram`: 4 bytes per 30-bit digit of a plane and
+    32 bytes of header and list slot."""
+    for c in range(min(k, LANE_CHUNK_BITS - inner_bits), -1, -1):
+        plane = 4 * ((1 << (c + inner_bits)) // 30 + 1) + 32
+        if ((k - c + 3) * k * k + k) * plane <= budget_bytes():
+            return c
+    return None
 
-    Block r (0-based, r <= d-3) occupies bits [(d-3-r)k, (d-2-r)k) of the
-    prefix index, so the first block is slowest, matching the flat
-    layout of the tensor itself.  Entry (i, j) is itself a (d-2)-linear
-    form of the prefix; its plane is that form's `form_table`.
+
+def _tail_matrix_planes(t: DenseTensor, c: int) -> tuple[list[list[int]],
+                                                         list[list[list[int]]]]:
+    """Base and delta planes of the d >= 4 walk over the residual matrices.
+
+    Entry (i, j) of the residual matrix is a (d-2)-linear form of the
+    prefix x_1..x_{d-2}; its slice at coordinate a of x_1 has a table t_a
+    over the inner blocks x_2..x_{d-2} (`form_table`, x_2 slowest).  A
+    lane is (l, y): l the low c bits of x_1 at the high lane bits, y the
+    inner blocks at the low ones.  base[i][j] holds the XOR of t_a(y) over
+    the bits a of l, which is the entry where the other bits of x_1 are 0;
+    deltas[a - c][i][j] holds t_a(y) at every lane, for a >= c.
     """
     k, d = t.k, t.d
-    planes = [[0] * k for _ in range(k)]
     kk = k * k
-    for i in range(k):
-        for j in range(k):
-            sub = 0
-            pos = i * k + j
-            for p in range(k ** (d - 2)):
-                sub |= ((t.bits >> (p * kk + pos)) & 1) << p
-            planes[i][j] = form_table(sub, d - 2, k)
-    return planes
+    inner = k ** (d - 3)
+    mask = ones(inner)
+    width = 1 << (k * (d - 3))
+    bits = format(t.bits, "b").zfill(t.size)[::-1]  # bits[n] is bit n of T
+    base = [[0] * k for _ in range(k)]
+    deltas = [[[0] * k for _ in range(k)] for _ in range(k - c)]
+    for pos in range(kk):
+        i, j = divmod(pos, k)
+        entry = int(bits[pos::kk][::-1], 2)  # the (d-2)-tensor of entry (i, j)
+        tabs = [0]
+        for a in range(k):
+            ta = form_table((entry >> (a * inner)) & mask, d - 3, k)
+            if a < c:
+                tabs += [x ^ ta for x in tabs]  # tabs[l] = xor of t_a, a in l
+            elif width >= 8:  # 2^c copies, as whole bytes
+                deltas[a - c][i][j] = int.from_bytes(
+                    ta.to_bytes(width >> 3, "little") * (1 << c), "little")
+            else:
+                deltas[a - c][i][j] = join_tables([ta] * (1 << c), width)
+        base[i][j] = join_tables(tabs, width)
+    return base, deltas
+
+
+def _add(counts: list[int], part: Sequence[int]) -> None:
+    for r, n in enumerate(part):
+        counts[r] += n
+
+
+def _prefix_rank_histogram(t: DenseTensor) -> list[int]:
+    """hist[r] = number of prefixes x_1..x_{d-2} whose residual k x k
+    matrix M[i][j] = T(x_1, ..., x_{d-2}, e_i, e_j) has rank r, for d >= 3.
+
+    d = 3 is the span of the first-block slices (`span_rank_histogram`).
+    From d = 4 on, the lanes of a chunk hold the low bits of x_1 and all
+    of x_2..x_{d-2} (`_tail_matrix_planes`), and a Gray walk over the high
+    bits of x_1 XORs one delta plane set into the planes per chunk: the
+    plane-valued form of `_lane_chunks`' walk.  When the inner blocks do
+    not fit one chunk, a Gray walk over the first-block slices contracts
+    x_1 instead, one (d-1)-tensor per value.
+    """
+    k, d = t.k, t.d
+    if d == 3:
+        return span_rank_histogram(first_block_slices(t), k, k)
+    counts = [0] * (k + 1)
+    c = _walk_low_bits(k, k * (d - 3))
+    if c is None:
+        slices = first_block_slices(t)
+        cur = 0
+        for step in range(1 << k):
+            if step:
+                cur ^= slices[ctz(step)]
+            _add(counts, _prefix_rank_histogram(DenseTensor(d - 1, k, cur)))
+        return counts
+    planes, deltas = _tail_matrix_planes(t, c)
+    nlanes = 1 << (c + k * (d - 3))
+    for step in range(1 << (k - c)):
+        if step:
+            planes = [[p ^ q for p, q in zip(pi, qi)]
+                      for pi, qi in zip(planes, deltas[ctz(step)])]
+        _add(counts, _batched_rank_histogram(planes, k, k, nlanes))
+    return counts
 
 
 def bias_exact(t: DenseTensor) -> DyadicRational:
     """|E (-1)^f_T| exactly.
 
-    d=1 is 1 or 0 directly; d=2 is 2^-rank; for d >= 3 the first d-2
-    blocks are enumerated and each residual bilinear form contributes
-    2^-rank via the batched kernel.
+    d = 1 is 1 or 0 directly and d = 2 is 2^-rank.  For d >= 3 the form
+    at a prefix x_1..x_{d-2} is the bilinear form of the residual matrix
+    M(prefix), whose bias is 2^-rank M; the mean over all 2^(k(d-2))
+    prefixes comes from the rank histogram of `_prefix_rank_histogram`,
+    which ranks the matrices in chunks of at most 2^LANE_CHUNK_BITS lanes
+    that the byte budget can only shrink.  The guard counts work: the
+    k^2 entries of every residual matrix, against `EXACT_WORK`.
     """
     k, d = t.k, t.d
     if d == 1:
@@ -217,22 +303,13 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
     if d == 2:
         return DyadicRational.half_pow(mat_rank(t.bits, k, k))
     prefix_bits = k * (d - 2)
-    if prefix_bits > BRUTEFORCE_MAX_BITS:
+    work = k * k << prefix_bits
+    if work > EXACT_WORK:
         raise CapacityError(
-            f"bias_exact needs 2^{prefix_bits} residual matrices "
-            f"(guard 2^{BRUTEFORCE_MAX_BITS})",
-            required=1 << prefix_bits, budget=1 << BRUTEFORCE_MAX_BITS)
-    if d == 3:
-        counts = span_rank_histogram(first_block_slices(t), k, k)
-    else:
-        plane_bytes = (k * k << prefix_bits) >> 3
-        if plane_bytes > budget_bytes():
-            raise CapacityError(
-                f"residual-matrix planes need {plane_bytes} bytes",
-                required=plane_bytes, budget=budget_bytes())
-        planes = _tail_matrix_planes(t, prefix_bits)
-        counts = _batched_rank_histogram(planes, k, k, 1 << prefix_bits)
-    return _histogram_to_mean(counts, prefix_bits)
+            f"bias_exact ranks 2^{prefix_bits} residual {k} x {k} matrices: "
+            f"{work} entries (guard {EXACT_WORK})",
+            required=work, budget=EXACT_WORK)
+    return _histogram_to_mean(_prefix_rank_histogram(t), prefix_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -355,6 +432,17 @@ def _corr_bytes(k: int, d: int) -> int:
     return 4096 + 6 * (4 * ((1 << (k * d)) // 30 + 1)) + 128 * pieces
 
 
+def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
+    """Bytes `corr_class_max` holds at once, counted as in `_corr_bytes`:
+    the form table, a table per non-constant monomial, the walk's current
+    table and the next one, and a monomial table being built (a mask of
+    ones and the variable mask ANDed into it); `form_table` holds about
+    four tables and 128 bytes per piece while it joins them."""
+    pieces = 1 << k if d > 1 else 1
+    return (4096 + (class_bits + 4) * (4 * ((1 << (k * d)) // 30 + 1))
+            + 128 * pieces)
+
+
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     """Corr(f_T, P) = bias(f_T - P), from the popcount of the XOR of the
     2^n-bit truth tables of f_T and of P.  The tables must fit the byte
@@ -396,7 +484,8 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     half of the class; the witness is the first maximizer of a walk over
     the whole class.  Each member walked costs one XOR and popcount of a
     2^n-bit table, and the work of the whole class is guarded.  The
-    degree -1 class is {0}: its maximum is the bias.
+    tables of the form and of every monomial must fit the byte budget.
+    The degree -1 class is {0}: its maximum is the bias.
     """
     n = t.k * t.d
     if n > CORR_MAX_VARS:
@@ -417,6 +506,11 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
             f"degree-{degree} class over {n} variables needs 2^{class_bits + n} "
             f"table-bit XORs; work budget is 2^{CORR_CLASS_WORK_LOG2}",
             required=1 << (class_bits + n), budget=1 << CORR_CLASS_WORK_LOG2)
+    required = _class_max_bytes(t.k, t.d, class_bits)
+    if required > budget_bytes():
+        raise CapacityError(
+            f"corr_class_max holds {required} bytes of truth tables",
+            required=required, budget=budget_bytes())
     ftab = form_table(t.bits, t.d, t.k)
     size = 1 << n
     mono_tables = []

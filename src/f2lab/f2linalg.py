@@ -330,6 +330,9 @@ def _lane_chunks(gens: Sequence[int], nrows: int, ncols: int):
     a chunk smaller than 2^LANE_CHUNK_BITS lanes.  It covers every plane a
     chunk holds at once: the shared and the flipped entry planes, and the
     ncols^2 slot rows and ncols-entry row of `_batched_rank_histogram`.
+    It serves exact bias at d = 3 and `min_weight`.  `bias_exact` at
+    d >= 4 runs the same walk with plane-valued steps, since there a step
+    of x_1 changes each residual matrix by a matrix that varies by lane.
     """
     planes_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
     lane_budget_bits = max(64, (budget_bytes() * 8) // planes_per_lane)

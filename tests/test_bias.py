@@ -1,13 +1,14 @@
 """Bias and correlation: exact routes agree, closed forms hit exactly."""
 
-import tracemalloc
+from collections import Counter
 from itertools import permutations
 from math import comb
 
 import pytest
 
 from f2lab._bitops import anf_table, budget_bytes, form_table
-from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, BiasEstimate,
+from f2lab import bias
+from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
@@ -250,26 +251,6 @@ def test_bias_bruteforce_guards_table_bytes(monkeypatch):
         assert ei.value.required >= (1 << (t.k * (t.d - 1))) // 8
 
 
-@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
-def test_bias_bruteforce_peak_within_budget(budget, monkeypatch):
-    # every shape up to the first one the budget refuses
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
-    for d in (1, 2, 3, 4, 6, 9):
-        for k in range(1, 31):
-            t = random_tensor(d, k, 90 * d + k)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                try:
-                    bias_bruteforce(t)
-                except CapacityError:
-                    break
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= budget, (d, k, peak, budget)
-
-
 @pytest.mark.parametrize("d,k", [(5, 1), (5, 2), (5, 3), (6, 1), (6, 2)])
 def test_exact_equals_bruteforce_high_degree(d, k):
     # d >= 5 ranks residual matrices over (d-2)-linear planes
@@ -300,6 +281,79 @@ def test_bias_capacity_guards():
         bias_bruteforce(DenseTensor(2, 16, 0))
     with pytest.raises(CapacityError):
         bias_exact(DenseTensor(4, 16, 0))
+
+
+def test_bias_exact_reach_and_work_guard(monkeypatch):
+    # d = 4, k = 12 ranks 2^24 residual matrices in 2^16-lane chunks at the
+    # default budget; k = 16 is refused by the work guard before any plane
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    lanes = []
+    kernel = bias._batched_rank_histogram
+
+    def chunk(planes, nrows, ncols, nlanes):
+        lanes.append(nlanes)
+        return kernel(planes, nrows, ncols, nlanes)
+    monkeypatch.setattr(bias, "_batched_rank_histogram", chunk)
+    want = D.one() - (D.one() - D.half_pow(12)) ** 3
+    assert bias_exact(explicit_form_tensor(4, 12)) == want
+    assert lanes == [1 << LANE_CHUNK_BITS] * (1 << (24 - LANE_CHUNK_BITS))
+
+    def no_planes(*args):
+        raise AssertionError("built planes before the guard")
+    for name in ("_tail_matrix_planes", "_batched_rank_histogram",
+                 "span_rank_histogram"):
+        monkeypatch.setattr(f"f2lab.bias.{name}", no_planes)
+    with pytest.raises(CapacityError) as ei:
+        bias_exact(DenseTensor(4, 16, 0))
+    assert ei.value.required == 16 * 16 << 32
+    assert ei.value.budget == EXACT_WORK
+    assert ei.value.required > ei.value.budget
+
+
+def _counting(monkeypatch, calls, name):
+    fn = getattr(bias, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fn(*args)
+    monkeypatch.setattr(bias, name, counted)
+
+
+@pytest.mark.parametrize("budget", [1 << 13, 1 << 15])
+def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
+    # tiny budgets split the d >= 4 walk into many chunks and delta steps even
+    # at small k, and contract x_1 where not even one of its values fits
+    shapes = ([(4, k) for k in range(1, 8)] + [(5, k) for k in range(1, 6)]
+              + [(6, k) for k in range(1, 5)])
+    tensors = [random_tensor(d, k, 300 * d + k) for d, k in shapes]
+    tensors += [explicit_form_tensor(d, k) for d, k in shapes]
+    want = [bias_bruteforce(t) for t in tensors]
+    calls = Counter()
+    for name in ("_tail_matrix_planes", "_batched_rank_histogram",
+                 "span_rank_histogram"):
+        _counting(monkeypatch, calls, name)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    walked = contracted = 0
+    for t, w in zip(tensors, want):
+        calls.clear()
+        assert bias_exact(t) == w, (t, budget)
+        walked += calls["_batched_rank_histogram"] > calls["_tail_matrix_planes"] == 1
+        contracted += calls["_tail_matrix_planes"] > 1 or calls["span_rank_histogram"] > 0
+    assert walked >= 4 and contracted >= 4, (walked, contracted)
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 13])
+def test_bias_exact_d4_block_permutation_invariant(budget, monkeypatch):
+    # the 24 orders of the blocks put other slices in x_1, the lanes and the
+    # residual matrices
+    if budget is not None:
+        monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    for k in (1, 2, 3):
+        for seed in range(3):
+            t = random_tensor(4, k, 700 + 10 * k + seed)
+            want = bias_exact(t)
+            for perm in permutations(range(4)):
+                assert bias_exact(permute_blocks(t, perm)) == want, (k, seed, perm)
 
 
 def test_bias_mc_zero_tensor_and_reproducibility():
@@ -420,30 +474,6 @@ def test_corr_exact_guards_table_size(monkeypatch):
         corr_exact(DenseTensor(2, 10, 0), Polynomial(20, ((),)))
     assert ei.value.budget == 1 << 18
     assert ei.value.required > 3 * (1 << 20) // 8
-
-
-@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
-def test_corr_exact_peak_within_budget(budget, monkeypatch):
-    # every shape up to the first refusal; the monomial of all n variables
-    # makes the polynomial's ANF as long as its table
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
-    for d in (1, 2, 3, 4, 6):
-        for k in range(1, 27):
-            n = k * d
-            t = random_tensor(d, k, 70 * d + k)
-            p = Polynomial.reduce(n, [(), (0,), (n - 1,), tuple(range(n))])
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                try:
-                    corr_exact(t, p)
-                except CapacityError as e:
-                    assert e.required > e.budget
-                    break
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak <= budget, (d, k, peak, budget)
 
 
 def test_corr_class_max_contains_self():

@@ -1,11 +1,22 @@
 """Every capacity guard reports what it needed and what it was allowed."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
+import pytest
+
 import f2lab
+from f2lab.bias import bias_bruteforce, bias_exact, corr_class_max, corr_exact
+from f2lab.errors import CapacityError
+from f2lab.f2linalg import echelonize, min_weight, span_rank_histogram
+from f2lab.prng import Prng
+from f2lab.rank import code_certificate
+from f2lab.tensors import (Polynomial, first_block_slices, random_rank_decomp,
+                           random_tensor, trace_tensor)
 
 SRC = Path(f2lab.__file__).resolve().parent
+REFUSAL_BYTES = 16 << 10  # a refusal builds its message, no table or plane
 
 
 def _capacity_raises():
@@ -28,3 +39,122 @@ def test_every_capacity_error_carries_required_and_budget():
             value = given[key]
             assert not (isinstance(value, ast.Constant) and value.value is None), \
                 f"{where}: {key}=None"
+
+
+# ---------------------------------------------------------------------------
+# Every exact route stays inside the byte budget or refuses before it builds.
+# ---------------------------------------------------------------------------
+
+
+def _bias_exact_shapes(d, k_max):
+    # the d >= 3 walk sizes its chunks from the budget, and its work guard does
+    # not depend on the budget, so the shapes stop at k_max (tracemalloc makes
+    # the larger ones take seconds)
+    def calls():
+        for k in range(1, k_max + 1):
+            t = random_tensor(d, k, 40 * d + k)
+            yield lambda: bias_exact(t)
+    return [calls()]
+
+
+def _bruteforce_shapes():
+    def calls(d):
+        for k in range(1, 31):
+            t = random_tensor(d, k, 90 * d + k)
+            yield lambda: bias_bruteforce(t)
+    return [calls(d) for d in (1, 2, 3, 4, 6, 9)]
+
+
+def _corr_exact_shapes():
+    # the monomial of all n variables makes the polynomial's ANF as long as
+    # its table
+    def calls(d):
+        for k in range(1, 27):
+            n = k * d
+            t = random_tensor(d, k, 70 * d + k)
+            p = Polynomial.reduce(n, [(), (0,), (n - 1,), tuple(range(n))])
+            yield lambda: corr_exact(t, p)
+    return [calls(d) for d in (1, 2, 3, 4, 6)]
+
+
+def _class_max_shapes():
+    # degree 0 grows the tables up to the byte refusal; degree 1 adds a table
+    # per variable, and its walk stops at 2^12 members for time
+    def calls(d, degree, k_max):
+        for k in range(1, k_max + 1):
+            t = random_tensor(d, k, 30 * d + k)
+            yield lambda: corr_class_max(t, degree)
+    return [calls(1, 0, 26), calls(3, 0, 8), calls(2, 1, 6)]
+
+
+def _min_weight_shapes():
+    # random codes of dimension up to 18 in F2^24: several lane chunks at
+    # every budget; the dimension guard (28) does not depend on the budget
+    def calls():
+        rng = Prng(17)
+        for dim in range(1, 19):
+            s = echelonize([rng.bits(24) for _ in range(dim)], 24)
+            yield lambda: min_weight(s)
+    return [calls()]
+
+
+def _code_certificate_shapes():
+    # the k <= 24 guard does not depend on the budget
+    def calls():
+        for k in range(2, 13):
+            dec = random_rank_decomp(3, k, k + 3, 20 + k)
+            yield lambda: code_certificate(dec)
+    return [calls()]
+
+
+def _span_rank_shapes():
+    # 20x20 slices of trace_tensor(20), as bias_exact ranks them; 16 of the
+    # 20 generators keep several chunks with high generators at every budget
+    gens = first_block_slices(trace_tensor(20))[:16]
+    return [iter([lambda: span_rank_histogram(gens, 20, 20)])]
+
+
+ROUTES = {
+    "bias_exact-d3": lambda: _bias_exact_shapes(3, 16),
+    "bias_exact-d4": lambda: _bias_exact_shapes(4, 9),
+    "bias_exact-d5": lambda: _bias_exact_shapes(5, 6),
+    "bias_bruteforce": _bruteforce_shapes,
+    "corr_exact": _corr_exact_shapes,
+    "corr_class_max": _class_max_shapes,
+    "min_weight": _min_weight_shapes,
+    "code_certificate": _code_certificate_shapes,
+    "span_rank_histogram": _span_rank_shapes,
+}
+
+
+def _traced_call(call):
+    """(peak bytes, CapacityError or None) of one call under tracemalloc."""
+    refused = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            call()
+        except CapacityError as e:
+            refused = e
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, refused
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
+@pytest.mark.parametrize("route", list(ROUTES))
+def test_exact_route_peak_within_budget(route, budget, monkeypatch):
+    # each family of shapes grows up to its first refusal: every call peaks
+    # within the budget, or refuses with required > budget before it builds
+    # anything
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    for family in ROUTES[route]():
+        for call in family:
+            peak, refused = _traced_call(call)
+            if refused is not None:
+                assert refused.required > refused.budget, refused
+                assert peak <= REFUSAL_BYTES, (peak, refused)
+                break
+            assert peak <= budget, (peak, budget)

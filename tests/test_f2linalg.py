@@ -1,7 +1,5 @@
 """f2linalg: rank, echelon bases, kernels, duals, weights, batching."""
 
-import tracemalloc
-
 import pytest
 
 from f2lab._bitops import parity
@@ -10,7 +8,7 @@ from f2lab.f2linalg import (LANE_CHUNK_BITS, BitVec, Subspace, dual_space,
                             echelonize, kernel, mat_rank, min_weight,
                             rank_of_row_ints, span_rank_histogram)
 from f2lab.prng import Prng
-from f2lab.tensors import first_block_slices, random_tensor, trace_tensor
+from f2lab.tensors import random_tensor
 from oracles import below, span_elements
 
 
@@ -300,23 +298,6 @@ def test_span_rank_histogram_high_chunks(n, extra):
     last = 1 + below(rng, (1 << n) - 1)
     gens = [gen(0) for _ in range(LANE_CHUNK_BITS)] + [gen(last) for _ in range(extra)]
     assert span_rank_histogram(gens, n, n) == brute_span_hist(gens, n, n)
-
-
-@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
-def test_span_rank_histogram_peak_within_budget(budget, monkeypatch):
-    # 20x20 slices of trace_tensor(20), as bias_exact ranks them; 16 of the 20
-    # generators keep several chunks with high generators at every budget
-    k = 20
-    gens = first_block_slices(trace_tensor(k))[:16]
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        span_rank_histogram(gens, k, k)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak <= budget, (peak, budget)
 
 
 def test_repr_names_shape_not_the_bits():
