@@ -216,8 +216,8 @@ def min_weight(s: Subspace) -> int:
 # Lanes per chunk, a measured constant.  At 2^16 lanes every plane is an
 # 8 KiB int and a k=22 chunk's planes and slot rows take about 8 MiB; at
 # 2^20 they are 128 KiB ints and about 120 MiB.  bias_exact(trace_tensor(22))
-# took a median 0.83 s at 2^16 and 1.32 s at 2^20 (five runs each, 2-vCPU
-# x86-64 host, Python 3.11).
+# took a median 0.43 s at 2^16 and 0.70 s at 2^20 lanes with a budget fitting
+# both (nine alternating runs each, 2-vCPU x86-64 host, Python 3.11).
 LANE_CHUNK_BITS = 16
 
 
@@ -263,6 +263,22 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
     planes[i][j] holds entry (i, j) of every matrix, one bit per lane.
     Gaussian elimination runs lane-parallel: each lane inserts its row
     into a pivot-indexed slot table, with divergence handled by masks.
+    `planes` is read, never written.
+
+    The loop relies on these invariants, which keep every step to as few
+    operations on whole lane planes as it can:
+    - slot_occ[p] holds the lanes whose slot p is occupied, and
+      slot_rows[p][j] is zero outside them, so hit & slot_occ[p] splits
+      the lanes that reach pivot p into those to reduce (red) and those
+      to install (hit ^ red);
+    - the pivot column is not stored: slot_rows[p][p] stays 0 and both
+      slot loops start at p + 1, because after step p nothing reads
+      row[p] again and slot_occ[p] already records the pivot;
+    - a row is frozen in a lane once that lane installs it: the lane
+      leaves `live`, so later steps of the row neither read nor change
+      its entries there, and full ^ live counts the lanes that installed;
+    - the last row is never installed, since no later row reads its
+      slots: its rank contribution is whether it leaves `live`.
     """
     full = ones(nlanes)
     slot_occ = [0] * ncols
@@ -272,30 +288,28 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
     for i in range(nrows):
         row = list(planes[i])
         live = full
-        installed = 0
         for p in range(ncols):
             hit = row[p] & live
             if not hit:
                 continue
+            sr = slot_rows[p]
             red = hit & slot_occ[p]
             if red:
-                sr = slot_rows[p]
-                for j in range(p, ncols):
+                for j in range(p + 1, ncols):
                     if sr[j]:
                         row[j] ^= sr[j] & red
-            inst = hit & (full ^ slot_occ[p])
+            inst = hit ^ red
             if inst:
-                sr = slot_rows[p]
-                for j in range(p, ncols):
-                    rj = row[j] & inst
-                    if rj:
-                        sr[j] |= rj
-                slot_occ[p] |= inst
-                installed |= inst
+                if i < nrows - 1:
+                    for j in range(p + 1, ncols):
+                        rj = row[j] & inst
+                        if rj:
+                            sr[j] |= rj
+                    slot_occ[p] |= inst
                 live ^= inst
                 if not live:
                     break
-        counter.add(installed)
+        counter.add(full ^ live)
     return counter.histogram()
 
 

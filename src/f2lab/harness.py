@@ -34,6 +34,8 @@ MOMENT_TENSOR_BITS_LIMIT = 16      # 2^(k^d) tensors enumerated
 TUPLE_BITS_LIMIT = 24              # 2^(k t d) vector tuples enumerated
 ASSIGN_BITS_LIMIT = 22             # 2^(k d) assignments per instance
 PREIMAGE_K_LIMIT = 16
+# relative slack of a float bound, a few thousand ulps of its computation
+FLOAT_REL_SLACK = 1e-12
 
 D = DyadicRational
 
@@ -94,6 +96,14 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
         ("equality", str(rhs)), holds, "exhaustive")
 
 
+def _at_most(exact: DyadicRational, bound: DyadicRational | float) -> bool:
+    """exact <= bound: in exact arithmetic when the bound is dyadic, else
+    against the float bound widened by FLOAT_REL_SLACK of itself."""
+    if isinstance(bound, DyadicRational):
+        return exact <= bound
+    return exact.to_float() <= bound * (1.0 + FLOAT_REL_SLACK)
+
+
 def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationReport:
     """Exact Pr[sum of t random rank-one d-tensors = 0] against its
     bounds.
@@ -101,7 +111,9 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     The in-proof bound ((d + 2^(t/k^(d-2)))/2^k)^t is always asserted;
     the headline 2^(-(1-eps/2)kt) is asserted only when its
     preconditions d < 2^(eps k/5), t < eps k^(d-1)/5 hold, and is
-    otherwise displayed report-only.
+    otherwise displayed report-only.  At d = 2 the proof bound
+    ((2 + 2^t)/2^k)^t is dyadic and compared exactly; the float bounds
+    get a relative slack (`_at_most`).
     """
     if d < 2:
         raise ValueError("d must be >= 2")
@@ -112,8 +124,9 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
     applies = d < 2.0 ** (eps * k / 5.0) and t < eps * (k ** (d - 1)) / 5.0
-    proof_ok = exact.to_float() <= proof_bound + 1e-12
-    headline_ok = (not applies) or exact.to_float() <= headline + 1e-12
+    bound = D.from_ratio((2 + (1 << t)) ** t, k * t) if d == 2 else proof_bound
+    proof_ok = _at_most(exact, bound)
+    headline_ok = (not applies) or _at_most(exact, headline)
     return _report(
         "sum-zero",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("eps", fmt_float(eps))],

@@ -5,9 +5,10 @@ element at a time, what the library computes in bulk, so a test can
 check a packed or bit-sliced route against a plain one.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from f2lab._bitops import gray_flips, ones
+from f2lab.f2linalg import rank_of_row_ints
 from f2lab.tensors import DenseTensor
 
 
@@ -56,6 +57,43 @@ def contract(t, block, x):
                 seg = (t.bits >> (a * stride * k + c * stride)) & chunk
                 inner ^= seg << (a * stride)
     return DenseTensor(t.d - 1, k, inner)
+
+
+def permute_blocks(t, perm):
+    """The tensor whose block j is block perm[j] of t."""
+    k, d = t.k, t.d
+    out = 0
+    for flat in range(k ** d):
+        if (t.bits >> flat) & 1:
+            idx = [(flat // k ** (d - 1 - j)) % k for j in range(d)]
+            new = 0
+            for j in range(d):
+                new = new * k + idx[perm[j]]
+            out |= 1 << new
+    return DenseTensor(d, k, out)
+
+
+def random_invertible(k, rng):
+    """A uniform invertible k x k matrix over F2 as its k column ints, by
+    rejection from rng.bits."""
+    while True:
+        cols = [rng.bits(k) for _ in range(k)]
+        if rank_of_row_ints(cols) == k:
+            return cols
+
+
+def change_basis(t, mats):
+    """The tensor of f_T(A_1 x_1, ..., A_d x_d), where mats[b][j] is
+    column j of A_{b+1}: entry (j_1..j_d) is T(A_1 e_j1, ..., A_d e_jd),
+    the parity of T over the product of the columns' supports."""
+    k, d = t.k, t.d
+    out = 0
+    for flat, idx in enumerate(product(range(k), repeat=d)):
+        supports = [[i for i in range(k) if (mats[b][j] >> i) & 1]
+                    for b, j in enumerate(idx)]
+        if sum(entry(t, src) for src in product(*supports)) & 1:
+            out |= 1 << flat
+    return DenseTensor(d, k, out)
 
 
 def poly_eval(p, assignment_bits):

@@ -17,7 +17,7 @@ from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            matmul_tensor, random_tensor, trace_tensor)
-from oracles import below, class_max_walk, entry, poly_eval
+from oracles import below, class_max_walk, entry, permute_blocks, poly_eval
 
 rng = Prng(31337)
 
@@ -539,20 +539,6 @@ def test_corr_class_max_affine_is_bias(d):
         for _ in range(2):
             t = random_tensor(d, k, prng.u64())
             assert corr_class_max(t, 1)[0] == bias_exact(t)
-
-
-def permute_blocks(t, perm):
-    """The tensor whose block j is block perm[j] of t."""
-    k, d = t.k, t.d
-    out = 0
-    for flat in range(k ** d):
-        if (t.bits >> flat) & 1:
-            idx = [(flat // k ** (d - 1 - j)) % k for j in range(d)]
-            new = 0
-            for j in range(d):
-                new = new * k + idx[perm[j]]
-            out |= 1 << new
-    return DenseTensor(d, k, out)
 
 
 @pytest.mark.parametrize("k", [LANE_CHUNK_BITS + 1, LANE_CHUNK_BITS + 2])

@@ -1,12 +1,14 @@
 """f2linalg: rank, echelon bases, kernels, duals, weights, batching."""
 
+from collections import Counter
+
 import pytest
 
-from f2lab._bitops import parity
+from f2lab._bitops import ones, parity
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import (LANE_CHUNK_BITS, BitVec, Subspace, dual_space,
-                            echelonize, kernel, mat_rank, min_weight,
-                            rank_of_row_ints, span_rank_histogram)
+                            _batched_rank_histogram, echelonize, kernel, mat_rank,
+                            min_weight, rank_of_row_ints, span_rank_histogram)
 from f2lab.prng import Prng
 from f2lab.tensors import random_tensor
 from oracles import below, span_elements
@@ -298,6 +300,57 @@ def test_span_rank_histogram_high_chunks(n, extra):
     last = 1 + below(rng, (1 << n) - 1)
     gens = [gen(0) for _ in range(LANE_CHUNK_BITS)] + [gen(last) for _ in range(extra)]
     assert span_rank_histogram(gens, n, n) == brute_span_hist(gens, n, n)
+
+
+def lane_matrix(kind, nrows, ncols, rng):
+    """One lane's matrix as row ints: random, all-zero, all-ones, or
+    random with rows copied from earlier ones (the last row always a
+    copy), so the lane is rank-deficient; `mixed` picks one per lane."""
+    if kind == "mixed":
+        kind = ("random", "zero", "ones", "duplicated")[below(rng, 4)]
+    if kind == "zero":
+        return [0] * nrows
+    if kind == "ones":
+        return [ones(ncols)] * nrows
+    rows = random_matrix(nrows, ncols, rng)
+    if kind == "duplicated":
+        for i in range(1, nrows):
+            if i == nrows - 1 or rng.bits(1):
+                rows[i] = rows[below(rng, i)]
+    return rows
+
+
+def lane_planes(matrices, nrows, ncols):
+    """planes[i][j] holds entry (i, j) of matrices[lane] at bit `lane`."""
+    return [[sum(((m[i] >> j) & 1) << lane for lane, m in enumerate(matrices))
+             for j in range(ncols)] for i in range(nrows)]
+
+
+@pytest.mark.parametrize("kind", ["random", "zero", "ones", "duplicated", "mixed"])
+def test_batched_rank_histogram_matches_mat_rank_per_lane(kind):
+    # the kernel on explicit per-lane matrices, against mat_rank of each
+    # lane: as a whole histogram and, lane by lane, one lane per call
+    rng = Prng(sum(map(ord, kind)))
+    for nrows in range(1, 7):
+        for ncols in range(1, 7):
+            for nlanes in (1, 3, 64, 200):
+                matrices = [lane_matrix(kind, nrows, ncols, rng) for _ in range(nlanes)]
+                ranks = [mat_rank(pack(m, ncols), nrows, ncols) for m in matrices]
+                planes = lane_planes(matrices, nrows, ncols)
+                before = [list(row) for row in planes]
+                counts = Counter(ranks)
+                want = [counts[r] for r in range(min(nrows, ncols) + 1)]
+                shape = (kind, nrows, ncols, nlanes)
+                assert _batched_rank_histogram(planes, nrows, ncols, nlanes) == want, shape
+                # chunks after the first are chunk 0's planes flipped, so the
+                # kernel must leave its input as it found it
+                assert planes == before, shape
+                if nlanes > 3:
+                    continue
+                for m, r in zip(matrices, ranks):
+                    alone = _batched_rank_histogram(lane_planes([m], nrows, ncols),
+                                                    nrows, ncols, 1)
+                    assert alone.index(1) == r, (shape, m)
 
 
 def test_repr_names_shape_not_the_bits():

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from f2lab import harness
+from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
-from f2lab.harness import (_sum_census, run_all, verify_bias_matmul, verify_bias_tail,
-                           verify_bias_trace, verify_corank_margin,
+from f2lab.harness import (_at_most, _sum_census, run_all, verify_bias_matmul,
+                           verify_bias_tail, verify_bias_trace, verify_corank_margin,
                            verify_expected_bias, verify_explicit_form,
                            verify_joint_vanishing, verify_linear_preimage,
                            verify_low_rank_bias_floor, verify_mc_bias,
@@ -115,6 +116,14 @@ class TestSumZero:
     def test_headline_gating_is_reported(self):
         r = verify_sum_zero(2, 2, 2)
         assert measured(r)["headline_asserted"] == "no"
+
+    def test_bounds_have_no_absolute_slack(self):
+        bound = D.half_pow(40)            # about 9.1e-13
+        over = D.from_ratio(3, 41)        # 1.5 x bound, over it by 4.5e-13
+        assert over.to_float() <= bound.to_float() + 1e-12  # the old slack passed it
+        assert not _at_most(over, bound)
+        assert not _at_most(over, bound.to_float())
+        assert _at_most(bound, bound) and _at_most(bound, bound.to_float())
 
 
 class TestSubspaceMembership:

@@ -1,7 +1,7 @@
 """Rank search, the bias ladder, code certificates, rank distributions."""
 
 import json
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -18,7 +18,7 @@ from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, deco
 from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm, matmul_tensor,
                            random_rank_decomp, random_tensor, tensor_from_decomp,
                            trace_tensor)
-from oracles import below
+from oracles import below, change_basis, permute_blocks, random_invertible
 
 rng = Prng(90210)
 
@@ -92,6 +92,49 @@ def test_rank_exact_guard(monkeypatch):
     with pytest.raises(CapacityError) as ei:
         next(decompositions(trace_tensor(3), 4))
     assert ei.value.required == comb(7 ** 3, 4) and ei.value.budget == cap
+
+
+def transformed(t, rng):
+    """t under each of the 6 orders of its 3 blocks, then under one random
+    invertible change of basis in every block: each has t's bias and rank,
+    and a different slice span."""
+    for perm in permutations(range(3)):
+        yield permute_blocks(t, perm)
+    yield change_basis(t, [random_invertible(t.k, rng) for _ in range(3)])
+
+
+def test_exact_bias_and_rank_invariant_on_every_2x2x2_tensor():
+    rng = Prng(2222)
+    moved = 0
+    for bits in range(256):
+        t = DenseTensor(3, 2, bits)
+        want = (bias_exact(t), rank_exact(t, 3))  # 3 is the largest rank here
+        for u in transformed(t, rng):
+            assert (bias_exact(u), rank_exact(u, 3)) == want, (bits, u.bits)
+            moved += u.bits != bits
+    assert moved > 1000
+
+
+@pytest.mark.parametrize("t, r", [(trace_tensor(2), 3), (trace_tensor(3), 6),
+                                  (matmul_tensor(2), 7)], ids=["trace2", "trace3", "matmul2"])
+def test_exact_bias_and_rank_invariant_on_known_tensors(t, r):
+    # the trace tensors are symmetric, so only the change of basis moves them
+    rng = Prng(r)
+    want = bias_exact(t)
+    assert rank_exact(t, r) == r
+    for u in transformed(t, rng):
+        assert bias_exact(u) == want
+        assert rank_exact(u, r) == r
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_exact_bias_invariant_on_random_tensors(k):
+    t = random_tensor(3, k, 300 + k)
+    want = bias_exact(t)
+    variants = list(transformed(t, Prng(k)))
+    assert len({u.bits for u in variants}) == 7
+    for u in variants:
+        assert bias_exact(u) == want
 
 
 def test_decomposition_is_rank_witness():
