@@ -20,7 +20,7 @@ from ._bitops import form_table
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
                    corr_exact, dyadic_mean)
 from .errors import CapacityError, InvariantError
-from .f2linalg import Subspace, echelonize, rank_of_row_ints
+from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
 from .numerics import f_dk_bound, inequality_checks, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
@@ -243,18 +243,21 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
     if samples < 1:
         raise ValueError("samples must be >= 1")
     threshold = 2.0 ** (-(1.0 - eps) * k)
-    if d == 2:  # before sampling, so that a k beyond rank_count is refused at once
-        dist = rank_count(k)
-        p_exact = D.zero()
-        for r in range(k + 1):
-            if 2.0 ** -r >= threshold - 1e-15:
-                p_exact = p_exact + dist.prob(r)
     rng = Prng(seed)
-    hits = 0
-    for _ in range(samples):
-        t = DenseTensor(d, k, rng.bits(k ** d))
-        if bias_exact(t).to_float() >= threshold - 1e-15:
-            hits += 1
+    if d == 2:
+        # a rank-r matrix has bias 2^-r; rank_count refuses a k beyond its
+        # reach before anything is sampled
+        dist = rank_count(k)
+        tail = [r for r in range(k + 1) if 2.0 ** -r >= threshold - 1e-15]
+        p_exact = sum((dist.prob(r) for r in tail), D.zero())
+        ranks = sampled_rank_histogram(rng, samples, k, k)
+        hits = sum(ranks[r] for r in tail)
+    else:
+        hits = 0
+        for _ in range(samples):
+            t = DenseTensor(d, k, rng.bits(k ** d))
+            if bias_exact(t).to_float() >= threshold - 1e-15:
+                hits += 1
     empirical = hits / samples
     displayed = 2.0 ** (-(eps * eps) * (k ** d) / 20.0)
     measured = [("empirical", fmt_float(empirical))]

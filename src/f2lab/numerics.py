@@ -18,8 +18,8 @@ from .report import VerificationReport, fmt_float
 
 PROFILE_TOL = 1e-9
 INEQ_REL_TOL = 1e-12
-# trials per Prng.floats call in `_trial_draws`, which bounds the floats
-# held at once to width * _TRIAL_BLOCK
+# trials per Prng.floats call in `_trial_draws` and `_sampled_max`, which
+# bounds the floats held at once to width * _TRIAL_BLOCK
 _TRIAL_BLOCK = 1024
 
 
@@ -134,39 +134,61 @@ def _extreme_points(k: int, u: float):
                     yield MaxProblemPoint(k, u, prof)
 
 
-def _random_feasible(k: int, u: float, draws: list[float]) -> MaxProblemPoint:
-    """Random profile from k uniform draws: sort descending, rescale to sum
-    u, clamp to [0, k] redistributing any clamped excess."""
-    vals = sorted(draws, reverse=True)
-    total = sum(vals)
-    if total == 0.0:
-        vals = [u / k] * k
-    else:
-        vals = [v * u / total for v in vals]
-    for _ in range(k + 1):
-        excess = 0.0
-        room = 0
-        for i, v in enumerate(vals):
-            if v > k:
-                excess += v - k
-                vals[i] = float(k)
-            elif v < k:
-                room += 1
-        if excess <= 1e-12 or room == 0:
-            break
-        add = excess / room
-        vals = [min(float(k), v + add) if v < k else v for v in vals]
-    vals.sort(reverse=True)
-    # final touch-up for rounding drift
-    drift = u - sum(vals)
-    for i in range(k):
-        take = min(max(vals[i] + drift, 0.0), float(k))
-        drift -= take - vals[i]
-        vals[i] = take
-        if abs(drift) < 1e-12:
-            break
-    vals.sort(reverse=True)
-    return MaxProblemPoint(k, u, tuple(vals))
+def _sampled_max(k: int, u: float, trials: int, seed: int) -> float:
+    """Largest objective over `trials` random feasible profiles.
+
+    Each trial's k uniform draws are sorted descending and rescaled to sum
+    u; where a value exceeds k, the excess is clamped off and spread over
+    the values still below k, repeatedly.  A last pass moves the rounding
+    drift into the leading values, and the profile is sorted again.  A
+    profile that is not monotone in [0, k] or does not sum to u within
+    1e-9 is an `InvariantError`.
+    """
+    fk = float(k)
+    weights = [2.0 ** i for i in range(k)]
+    best = -math.inf
+    rng = Prng(seed)
+    for start in range(0, trials, _TRIAL_BLOCK):
+        block = rng.floats(k * min(_TRIAL_BLOCK, trials - start))
+        for lo in range(0, len(block), k):
+            vals = sorted(block[lo:lo + k], reverse=True)
+            total = sum(vals)
+            if total == 0.0:
+                vals = [u / k] * k
+            else:
+                vals = [v * u / total for v in vals]
+            if max(vals) > fk:
+                for _ in range(k + 1):
+                    excess = 0.0
+                    room = 0
+                    for i, v in enumerate(vals):
+                        if v > fk:
+                            excess += v - fk
+                            vals[i] = fk
+                        elif v < fk:
+                            room += 1
+                    if excess <= 1e-12 or room == 0:
+                        break
+                    add = excess / room
+                    vals = [min(fk, v + add) if v < fk else v for v in vals]
+                vals.sort(reverse=True)
+            drift = u - sum(vals)
+            for i in range(k):
+                take = min(max(vals[i] + drift, 0.0), fk)
+                drift -= take - vals[i]
+                vals[i] = take
+                if abs(drift) < 1e-12:
+                    break
+            vals.sort(reverse=True)
+            prev = fk
+            for v in vals:
+                if not -1e-12 <= v <= prev + 1e-12:
+                    raise InvariantError(f"sampled profile {vals} not monotone in [0, {k}]")
+                prev = v
+            if not abs(sum(vals) - u) <= 1e-9:
+                raise InvariantError(f"sampled profile {vals} does not sum to u = {u}")
+            best = max(best, sum([w * 2.0 ** v for w, v in zip(weights, vals)]))
+    return best
 
 
 def profile_max_check(k: int, u: float, random_trials: int,
@@ -195,10 +217,7 @@ def profile_max_check(k: int, u: float, random_trials: int,
             argmax_count = 1
         elif abs(val - best) <= PROFILE_TOL * max(1.0, abs(best)):
             argmax_count += 1
-    sampled_max = -math.inf
-    for draws in _trial_draws(Prng(seed), random_trials, k):
-        pt = _random_feasible(k, u, draws)
-        sampled_max = max(sampled_max, pt.objective())
+    sampled_max = _sampled_max(k, u, random_trials, seed)
     scale = max(1.0, bound)
     holds = (abs(best - bound) <= PROFILE_TOL * scale
              and best <= bound + PROFILE_TOL * scale

@@ -2,12 +2,13 @@
 
 SplitMix64 over a counter: output i is a fixed mix of (seed, i), so
 results are reproducible from the seed alone.  Multi-word draws
-(`bits` past 64 bits, `floats`) mix their words in parallel on one big
-int, and the stream is the one the word-at-a-time mix gives, so seeded
-values match earlier versions.  Floats come in blocks only: one float is
-`floats(1)[0]`, the same word `u64() / 2^64` gives.  Streams are stable within this
-implementation; no cross-implementation bit-equality is promised, which
-is why reports carry seeds rather than expected values.
+(`bits` past 64 bits, `floats`, and `words`, a block of raw stream words)
+mix their words in parallel on one big int, and the stream is the one
+the word-at-a-time mix gives, so seeded values match earlier versions.
+Floats come in blocks only: one float is `floats(1)[0]`, the same word
+`u64() / 2^64` gives.  Streams are stable within this implementation;
+no cross-implementation bit-equality is promised, which is why reports
+carry seeds rather than expected values.
 """
 
 from __future__ import annotations
@@ -76,8 +77,10 @@ class Prng:
         self._i += 1
         return _mix(self._base + self._i * _GOLDEN)
 
-    def _next_words(self, n: int) -> bytearray:
-        """Little-endian bytes of the next n words of the stream."""
+    def words(self, n: int) -> bytearray:
+        """Little-endian bytes of the next n words of the stream, the words
+        n `u64` calls would give.  `bits(m)` takes ceil(m/64) of them, so
+        a block of c ceil(m/64) words holds c consecutive `bits(m)` draws."""
         first = self._base + (self._i + 1) * _GOLDEN
         self._i += n
         return _mix_words(first, n)
@@ -89,7 +92,7 @@ class Prng:
             raise ValueError("bits() needs n >= 0")
         if n <= 64:
             return self.u64() & ((1 << n) - 1) if n else 0
-        data = self._next_words((n + 63) >> 6)
+        data = self.words((n + 63) >> 6)
         del data[(n + 7) >> 3:]
         if n & 7:
             data[-1] &= (1 << (n & 7)) - 1
@@ -100,7 +103,7 @@ class Prng:
         word-parallel."""
         if n < 0:
             raise ValueError("floats() needs n >= 0")
-        words = array("Q", self._next_words(n))
+        block = array("Q", self.words(n))
         if sys.byteorder == "big":
-            words.byteswap()
-        return [w / _TWO64 for w in words]
+            block.byteswap()
+        return [w / _TWO64 for w in block]

@@ -5,10 +5,14 @@ element at a time, what the library computes in bulk, so a test can
 check a packed or bit-sliced route against a plain one.
 """
 
+import math
 from itertools import combinations, product
 
 from f2lab._bitops import gray_flips, ones
+from f2lab.bias import bias_exact
 from f2lab.f2linalg import rank_of_row_ints
+from f2lab.numerics import MaxProblemPoint, _trial_draws
+from f2lab.prng import Prng
 from f2lab.tensors import DenseTensor
 
 
@@ -152,3 +156,58 @@ def class_max_walk(t, degree):
         if num > best:
             best, best_set = num, subset
     return best, [m for i, m in enumerate(monos) if (best_set >> i) & 1]
+
+
+def bias_tail_hits(d, k, threshold, samples, rng):
+    """How many of `samples` random d-tensors of side k, each rng.bits(k^d),
+    have bias_exact >= threshold - 1e-15: one DenseTensor per sample."""
+    hits = 0
+    for _ in range(samples):
+        t = DenseTensor(d, k, rng.bits(k ** d))
+        if bias_exact(t).to_float() >= threshold - 1e-15:
+            hits += 1
+    return hits
+
+
+def random_feasible(k, u, draws):
+    """Random profile from k uniform draws as a validated MaxProblemPoint:
+    sort descending, rescale to sum u, clamp to [0, k] redistributing any
+    clamped excess, then move the rounding drift into the leading values."""
+    vals = sorted(draws, reverse=True)
+    total = sum(vals)
+    if total == 0.0:
+        vals = [u / k] * k
+    else:
+        vals = [v * u / total for v in vals]
+    for _ in range(k + 1):
+        excess = 0.0
+        room = 0
+        for i, v in enumerate(vals):
+            if v > k:
+                excess += v - k
+                vals[i] = float(k)
+            elif v < k:
+                room += 1
+        if excess <= 1e-12 or room == 0:
+            break
+        add = excess / room
+        vals = [min(float(k), v + add) if v < k else v for v in vals]
+    vals.sort(reverse=True)
+    drift = u - sum(vals)
+    for i in range(k):
+        take = min(max(vals[i] + drift, 0.0), float(k))
+        drift -= take - vals[i]
+        vals[i] = take
+        if abs(drift) < 1e-12:
+            break
+    vals.sort(reverse=True)
+    return MaxProblemPoint(k, u, tuple(vals))
+
+
+def sampled_profile_max(k, u, trials, seed):
+    """Largest objective over `trials` random feasible profiles, one
+    MaxProblemPoint per trial."""
+    best = -math.inf
+    for draws in _trial_draws(Prng(seed), trials, k):
+        best = max(best, random_feasible(k, u, draws).objective())
+    return best

@@ -9,7 +9,8 @@ import pytest
 import f2lab
 from f2lab.bias import bias_bruteforce, bias_exact, corr_class_max, corr_exact
 from f2lab.errors import CapacityError
-from f2lab.f2linalg import echelonize, min_weight, span_rank_histogram
+from f2lab.f2linalg import (echelonize, min_weight, sampled_rank_histogram,
+                            span_rank_histogram)
 from f2lab.prng import Prng
 from f2lab.rank import code_certificate
 from f2lab.tensors import (Polynomial, first_block_slices, random_rank_decomp,
@@ -114,6 +115,15 @@ def _span_rank_shapes():
     return [iter([lambda: span_rank_histogram(gens, 20, 20)])]
 
 
+def _sampled_rank_shapes():
+    # enough samples for several chunks at every budget; k = 9 and 12 take
+    # two and three words a matrix
+    def calls():
+        for k in (1, 2, 8, 9, 12):
+            yield lambda: sampled_rank_histogram(Prng(k), 40_000, k, k)
+    return [calls()]
+
+
 ROUTES = {
     "bias_exact-d3": lambda: _bias_exact_shapes(3, 16),
     "bias_exact-d4": lambda: _bias_exact_shapes(4, 9),
@@ -124,6 +134,7 @@ ROUTES = {
     "min_weight": _min_weight_shapes,
     "code_certificate": _code_certificate_shapes,
     "span_rank_histogram": _span_rank_shapes,
+    "sampled_rank_histogram": _sampled_rank_shapes,
 }
 
 

@@ -4,11 +4,13 @@ from collections import Counter
 
 import pytest
 
+from f2lab import f2linalg
 from f2lab._bitops import ones, parity
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import (LANE_CHUNK_BITS, BitVec, Subspace, dual_space,
                             _batched_rank_histogram, echelonize, kernel, mat_rank,
-                            min_weight, rank_of_row_ints, span_rank_histogram)
+                            min_weight, rank_of_row_ints, sampled_rank_histogram,
+                            span_rank_histogram)
 from f2lab.prng import Prng
 from f2lab.tensors import random_tensor
 from oracles import below, span_elements
@@ -351,6 +353,62 @@ def test_batched_rank_histogram_matches_mat_rank_per_lane(kind):
                     alone = _batched_rank_histogram(lane_planes([m], nrows, ncols),
                                                     nrows, ncols, 1)
                     assert alone.index(1) == r, (shape, m)
+
+
+@pytest.mark.parametrize("k, samples, budget", [
+    (1, 1, None), (2, 1, None), (8, 1, None), (9, 1, None), (10, 1, None),
+    (1, 200, None), (2, (1 << LANE_CHUNK_BITS) + 77, None), (8, 777, None),
+    (9, 130, None), (10, 333, None),
+    (2, 1_000, "4096"), (8, 1_500, "65536"), (9, 300, "4096"), (10, 200, "65536")])
+def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch):
+    # against mat_rank of the matrices that `samples` bits(k^2) calls draw:
+    # as a histogram, and lane by lane in every chunk the kernel ranks
+    if budget is not None:
+        monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
+    chunks = []
+
+    def spy(planes, nrows, ncols, nlanes):
+        hist = _batched_rank_histogram(planes, nrows, ncols, nlanes)
+        chunks.append((planes, nlanes, hist))
+        return hist
+
+    monkeypatch.setattr(f2linalg, "_batched_rank_histogram", spy)
+    rng, ref = Prng(1000 * k + samples), Prng(1000 * k + samples)
+    got = sampled_rank_histogram(rng, samples, k, k)
+    matrices = [ref.bits(k * k) for _ in range(samples)]
+    ranks = [mat_rank(m, k, k) for m in matrices]
+    counts = Counter(ranks)
+    assert got == [counts[r] for r in range(k + 1)]
+    assert rng.u64() == ref.u64()  # the stream is left where bits() leaves it
+
+    # the chunk the byte model gives: 2^16 lanes by default, 64 lanes
+    # under 4 KiB and 512 under 64 KiB at these k
+    limit = {None: 1 << LANE_CHUNK_BITS, "4096": 64, "65536": 512}[budget]
+    assert all(nlanes <= limit for _, nlanes, _ in chunks)
+    assert sum(nlanes for _, nlanes, _ in chunks) == samples
+    if samples > limit:
+        assert len(chunks) > 1
+    first = 0
+    for planes, nlanes, hist in chunks:
+        part = Counter(ranks[first:first + nlanes])
+        assert hist == [part[r] for r in range(k + 1)]
+        for lane in range(nlanes):
+            s = first + lane
+            one_lane = [[(p >> lane) & 1 for p in row] for row in planes]
+            assert pack([sum(bit << j for j, bit in enumerate(row)) for row in one_lane],
+                        k) == matrices[s], s
+            if lane < 3 or lane == nlanes - 1:
+                alone = _batched_rank_histogram(one_lane, k, k, 1)
+                assert alone.index(1) == ranks[s], s
+        first += nlanes
+
+
+def test_sampled_rank_histogram_arguments():
+    assert sampled_rank_histogram(Prng(1), 0, 3, 3) == [0, 0, 0, 0]
+    with pytest.raises(ValueError):
+        sampled_rank_histogram(Prng(1), -1, 3, 3)
+    with pytest.raises(ValueError):
+        sampled_rank_histogram(Prng(1), 5, 0, 3)
 
 
 def test_repr_names_shape_not_the_bits():

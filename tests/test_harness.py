@@ -2,13 +2,14 @@
 
 import json
 import re
+import tracemalloc
 from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from f2lab import harness
+from f2lab import f2linalg, harness
 from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
 from f2lab.harness import (_at_most, _sum_census, run_all, verify_bias_matmul,
@@ -18,9 +19,11 @@ from f2lab.harness import (_at_most, _sum_census, run_all, verify_bias_matmul,
                            verify_low_rank_bias_floor, verify_mc_bias,
                            verify_moment_identity, verify_span_dimension,
                            verify_subspace_membership, verify_sum_zero)
+from f2lab.prng import Prng
 from f2lab.rank import code_certificate
-from f2lab.report import REPORT_ONLY
+from f2lab.report import REPORT_ONLY, fmt_float
 from f2lab.tensors import RankDecomposition
+from oracles import bias_tail_hits
 
 
 QUICK_PROFILE = Path(__file__).parent / "data" / "quick_profile.json"
@@ -167,13 +170,51 @@ class TestBiasTail:
         assert a == b
 
     def test_d2_beyond_rank_count_refused_before_sampling(self, monkeypatch):
-        def no_sampling(t):
-            raise AssertionError("bias_exact called before the refusal")
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the refusal")
 
+        # neither the per-sample route, the batch ranker nor any stream draw
+        # may run before rank_count refuses k = 17
         monkeypatch.setattr(harness, "bias_exact", no_sampling)
+        monkeypatch.setattr(harness, "sampled_rank_histogram", no_sampling)
+        monkeypatch.setattr(f2linalg, "_batched_rank_histogram", no_sampling)
+        for draw in ("words", "bits", "u64"):
+            monkeypatch.setattr(Prng, draw, no_sampling)
         with pytest.raises(CapacityError) as info:
             verify_bias_tail(2, 17, 0.25, samples=1_000_000, seed=9)
         assert (info.value.required, info.value.budget) == (17, 16)
+
+    @pytest.mark.parametrize("d, k, eps, samples", [
+        (2, 1, 0.25, 1_001), (2, 2, 0.5, 333), (2, 8, 0.25, 5_003),
+        (2, 10, 0.2, 1_111), (3, 2, 0.25, 301)])
+    def test_hits_match_one_sample_at_a_time(self, d, k, eps, samples):
+        # d = 2 ranks the samples in kernel lanes; the oracle takes the
+        # same stream one DenseTensor and one bias_exact at a time
+        seed = 100 * k + samples
+        r = verify_bias_tail(d, k, eps, samples=samples, seed=seed)
+        hits = bias_tail_hits(d, k, 2.0 ** (-(1.0 - eps) * k), samples, Prng(seed))
+        assert measured(r)["empirical"] == fmt_float(hits / samples)
+
+    @pytest.mark.parametrize("budget, few", [(None, 1 << 16), ("262144", 1 << 12)])
+    def test_d2_peak_does_not_grow_with_samples(self, budget, few, monkeypatch):
+        # the samples are drawn and ranked one lane chunk at a time: past
+        # one full chunk (2^16 lanes by default, 2^11 under a 256 KiB
+        # budget) the peak stays where it is
+        if budget is not None:
+            monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                verify_bias_tail(2, 8, 0.25, samples=samples, seed=18)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(few), peak(1 << 18)
+        assert large <= small + (64 << 10), (small, large)
+        assert large <= 6 << 20, large
 
 
 class TestFloors:

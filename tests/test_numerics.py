@@ -4,9 +4,13 @@ import math
 
 import pytest
 
-from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _trial_draws, f_dk_bound,
-                            inequality_checks, mrrw_constant, profile_max_check)
+from f2lab.errors import InvariantError
+from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _sampled_max, _trial_draws,
+                            f_dk_bound, inequality_checks, mrrw_constant,
+                            profile_max_check)
 from f2lab.prng import Prng
+from f2lab.report import fmt_float
+from oracles import random_feasible, sampled_profile_max
 
 
 def test_f1k_closed_form():
@@ -78,6 +82,44 @@ def test_profile_max_grid():
         for _ in range(25):
             u = rng.floats(1)[0] * k * k
             assert profile_max_check(k, u, random_trials=40, seed=rng.u64()).holds is True
+
+
+# (k, u, trials, seed) of the full profile's profile-max reports, and the
+# two ends u = 0 and u = k^2 of every k there
+FULL_PROFILE_CASES = [(k, (i + 0.37) * k * k / 4.0, 5_000, 600 + 10 * k + i)
+                      for k in range(1, 7) for i in range(4)]
+END_CASES = [(k, u, 700, 90 + k) for k in range(1, 7) for u in (0.0, float(k * k))]
+
+
+@pytest.mark.parametrize("k, u, trials, seed", FULL_PROFILE_CASES + END_CASES)
+def test_sampled_max_matches_one_point_per_trial(k, u, trials, seed):
+    # the flat loop against one validated MaxProblemPoint per trial: the
+    # same float operations in the same order, so the same float
+    want = sampled_profile_max(k, u, trials, seed)
+    assert _sampled_max(k, u, trials, seed) == want
+    r = profile_max_check(k, u, random_trials=trials, seed=seed)
+    assert dict(r.measured)["sampled_max"] == fmt_float(want)
+
+
+@pytest.mark.parametrize("k, u, draws", [(2, 4.0, [0.5, -1.0]), (2, 2.0, [1.0, -3.0])])
+def test_sampled_max_clamps_like_one_point_per_trial_on_a_negative_sum(k, u, draws,
+                                                                      monkeypatch):
+    # a negative sum reverses the rescaled order, so the value above k is
+    # the last one: the clamp must still run, as it does per point
+    monkeypatch.setattr(Prng, "floats", lambda self, n: (draws * n)[:n])
+    assert _sampled_max(k, u, 3, seed=1) == random_feasible(k, u, draws).objective()
+
+
+@pytest.mark.parametrize("k, u, draws, why", [
+    (3, 4.0, [math.nan], "not monotone"), (3, 4.0, [math.inf], "not monotone"),
+    (3, 4.0, [-1.0, 2.0, 0.0], "not monotone"), (3, 2.0, [0.5, 2.0, -2.0], "does not sum")])
+def test_infeasible_sampled_profile_is_an_invariant_error(k, u, draws, why, monkeypatch):
+    # draws outside [0, 1): NaN and infinite ones give a NaN profile, a
+    # negative one a negative entry, and a negative sum a profile whose
+    # mass the clamp cannot place
+    monkeypatch.setattr(Prng, "floats", lambda self, n: (draws * n)[:n])
+    with pytest.raises(InvariantError, match=why):
+        profile_max_check(k, u, random_trials=5, seed=1)
 
 
 @pytest.mark.parametrize("trials", [0, 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 3])

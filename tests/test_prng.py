@@ -54,6 +54,20 @@ def test_u64_and_bits_interleaved():
         assert a.u64() == b.u64(), n
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 100, 129])
+def test_words_block_is_consecutive_bits_draws(n):
+    # a block of ceil(n/64) words per draw, long enough to cross the mix's
+    # 1024-word chunks, is the draws bits(n) would make one by one
+    a, b = Prng(n), Prng(n)
+    per, count = (n + 63) // 64, 700
+    block = a.words(per * count)
+    assert len(block) == 8 * per * count
+    for s in range(count):
+        record = int.from_bytes(block[8 * per * s:8 * per * (s + 1)], "little")
+        assert record & ((1 << n) - 1) == b.bits(n), (n, s)
+    assert a.u64() == b.u64()
+
+
 @pytest.mark.parametrize("n", [0, 1, 6, 1023, 1024, 6 * 1024 + 5])
 def test_floats_are_float01_draws(n):
     a, b = Prng(31), Prng(31)
