@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from typing import Iterable
 
 _DEFAULT_BUDGET_BYTES = 1 << 27  # 128 MiB of table bits per operation
 
@@ -109,12 +110,35 @@ def join_tables(tabs: list[int], width: int) -> int:
     return out
 
 
-def anf_table(anf: int, m: int) -> int:
-    """Truth table over 2^m inputs of the polynomial whose bit u is the
-    monomial prod_{i in u} x_i (the binary Moebius transform)."""
+def anf_pieces(monomials: Iterable[int], n: int, m: int) -> list[int]:
+    """Truth table over 2^n inputs of the sum of the distinct monomials
+    prod_{i in w} x_i, w an n-bit input mask, in 2^(n-m) pieces of 2^m
+    bits: piece x is the table where the high n - m input bits are x.
+
+    The monomials are bucketed by their high part S into ANFs over the m
+    low bits.  The binary Moebius passes run over the low bits of the
+    nonzero buckets, each variable mask built once, and then a subset
+    transform over the high bits makes piece x the XOR of the buckets
+    S within x.  A piece no bucket reaches is 0, and equal pieces may be
+    one shared int.  m = n gives the whole table as the one piece.
+    """
+    low = ones(m)
+    pieces = [0] * (1 << (n - m))
+    for w in monomials:
+        pieces[w >> m] ^= 1 << (w & low)
+    live = [x for x, b in enumerate(pieces) if b]
     for v in range(m):
-        anf ^= (anf << (1 << v)) & var_mask(v, m)
-    return anf
+        mask = var_mask(v, m)
+        for x in live:
+            b = pieces[x]
+            pieces[x] = b ^ ((b << (1 << v)) & mask)
+    for j in range(n - m):
+        bit = 1 << j
+        for x, sub in enumerate(pieces):
+            if sub and not x & bit:
+                y = x | bit
+                pieces[y] = pieces[y] ^ sub if pieces[y] else sub
+    return pieces
 
 
 def gray_flips(nbits: int):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._bitops import (anf_table, budget_bytes, ctz, form_table, gray_flips,
+from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, gray_flips,
                       join_tables, linear_form_table, ones, var_mask)
 from .errors import CapacityError
 from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
@@ -424,12 +424,19 @@ def _input_bit(v: int, k: int, d: int) -> int:
 
 def _corr_bytes(k: int, d: int) -> int:
     """Bytes `corr_exact` holds at once, counted as in `_bruteforce_bytes`:
-    the form table, held while `anf_table` builds the polynomial's table
-    (a Moebius step holds the table, its shifted copy and a variable mask
-    being built: under 5 tables), and then their XOR.  The form table's
-    2^k pieces cost 128 bytes each while `form_table` joins them."""
-    pieces = 1 << k if d > 1 else 1
-    return 4096 + 6 * (4 * ((1 << (k * d)) // 30 + 1)) + 128 * pieces
+    the polynomial's 2^(kd)-bit table in 2^h pieces of 2^m bits (h = k
+    for d >= 2 and 0 at d = 1, m = kd - h), with 64 bytes of header and
+    list slot per piece; the form's k first-block slice tables of 2^m
+    bits; and five more pieces for the one slice table being built (its
+    own pieces, their bytes and their join), or for a Moebius step's
+    variable mask and temporaries, or for the walk's current piece and
+    its XOR.  `form_table` joins 2^k pieces per slice at 128 bytes each
+    from d = 3 on."""
+    h = k if d > 1 else 0
+    m = k * d - h
+    piece = 4 * ((1 << m) // 30 + 1)
+    joined = 1 << k if d > 2 else 0
+    return 4096 + ((64 + piece) << h) + (h + 5) * piece + 128 * joined
 
 
 def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
@@ -444,9 +451,18 @@ def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
 
 
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
-    """Corr(f_T, P) = bias(f_T - P), from the popcount of the XOR of the
-    2^n-bit truth tables of f_T and of P.  The tables must fit the byte
-    budget."""
+    """Corr(f_T, P) = bias(f_T - P), from the popcount of f_T + P over
+    all 2^n inputs, n = kd, counted in first-block pieces.
+
+    `form_table` lays the first block out at the high k input bits, so
+    both tables split there into 2^k pieces of 2^(n-k) bits, and neither
+    is ever joined whole.  The form is linear in x_1, so a Gray walk over
+    x_1 gives each form piece with one XOR of a first-block slice table.
+    The polynomial's pieces come from `anf_pieces`, with its monomials as
+    input-bit masks.  At d = 1 the split is 0 bits wide: one piece, the
+    whole linear form.  The pieces, the slice tables and their builders'
+    transients must fit the byte budget (`_corr_bytes`).
+    """
     k, d = t.k, t.d
     n = k * d
     if poly.n != n:
@@ -459,11 +475,18 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
         raise CapacityError(
             f"corr_exact holds {required} bytes of truth tables",
             required=required, budget=budget_bytes())
-    ftab = form_table(t.bits, d, k)
-    # the ANF goes straight in, so the Moebius steps free it as they go
-    ptab = anf_table(sum(1 << sum(1 << _input_bit(v, k, d) for v in mono)
-                         for mono in poly.monomials), n)  # distinct monomials: no carries
-    ones_count = (ftab ^ ptab).bit_count()
+    h = k if d > 1 else 0
+    ppieces = anf_pieces([sum(1 << _input_bit(v, k, d) for v in mono)
+                          for mono in poly.monomials], n, n - h)
+    if d == 1:
+        cur, slices = form_table(t.bits, 1, k), []
+    else:
+        cur = 0
+        slices = [form_table(s, d - 1, k) if s else 0 for s in first_block_slices(t)]
+    ones_count = (cur ^ ppieces[0]).bit_count()
+    for step in range(1, 1 << h):
+        cur ^= slices[ctz(step)]
+        ones_count += (cur ^ ppieces[step ^ (step >> 1)]).bit_count()
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 

@@ -169,22 +169,27 @@ def evaluate(t: DenseTensor, xs: Sequence[BitVec]) -> int:
 
 
 def trace_tensor(k: int) -> DenseTensor:
-    """T(i,j,l) = Trace(b_i b_j b_l) in GF(2^k), polynomial basis."""
+    """T(i,j,l) = Trace(b_i b_j b_l) in GF(2^k), polynomial basis.
+
+    b_i b_j b_l = x^(i+j+l), so T is a Hankel tensor: bit s of `hankel`
+    is Trace(x^s) for s <= 3k - 3, and the row T(i, j, .) is bits
+    i + j .. i + j + k - 1 of it."""
     if not 1 <= k <= TRACE_TENSOR_MAX_K:
         raise CapacityError(f"trace_tensor needs 1 <= k <= {TRACE_TENSOR_MAX_K}",
                             required=k ** 3, budget=TRACE_TENSOR_MAX_K ** 3)
     gf = make_field(k)
+    hankel = 0
+    power = 1  # x^s, reduced
+    for s in range(3 * k - 2):
+        hankel |= gf.trace_bits(power) << s
+        power <<= 1
+        if power >> k:
+            power ^= gf.modulus
+    mask = ones(k)
     bits = 0
-    flat = 0
-    # flat = (i*k + j)*k + l walks l fastest, matching the layout
     for i in range(k):
-        bi = 1 << i
         for j in range(k):
-            bij = gf.mul_bits(bi, 1 << j)
-            for l in range(k):
-                if gf.trace_bits(gf.mul_bits(bij, 1 << l)):
-                    bits |= 1 << flat
-                flat += 1
+            bits |= ((hankel >> (i + j)) & mask) << ((i * k + j) * k)
     return DenseTensor(3, k, bits)
 
 

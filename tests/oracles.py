@@ -8,9 +8,10 @@ check a packed or bit-sliced route against a plain one.
 import math
 from itertools import combinations, product
 
-from f2lab._bitops import gray_flips, ones
+from f2lab._bitops import form_table, gray_flips, ones, var_mask
 from f2lab.bias import bias_exact
 from f2lab.f2linalg import rank_of_row_ints
+from f2lab.gf2k import make_field
 from f2lab.numerics import MaxProblemPoint, _trial_draws
 from f2lab.prng import Prng
 from f2lab.tensors import DenseTensor
@@ -211,3 +212,41 @@ def sampled_profile_max(k, u, trials, seed):
     for draws in _trial_draws(Prng(seed), trials, k):
         best = max(best, random_feasible(k, u, draws).objective())
     return best
+
+
+def anf_table(anf, m):
+    """Truth table over 2^m inputs of the polynomial whose bit u is the
+    monomial prod_{i in u} x_i: the binary Moebius transform of the whole
+    table, one variable at a time."""
+    for v in range(m):
+        anf ^= (anf << (1 << v)) & var_mask(v, m)
+    return anf
+
+
+def corr_whole_table(t, poly):
+    """Corr(f_T, P) as (numerator, exponent n = kd): the popcount of the
+    XOR of the whole 2^n-bit tables of f_T (`form_table`) and of P
+    (`anf_table`), polynomial variable j*k + i at input bit (d-1-j)k + i."""
+    k, d = t.k, t.d
+    n = k * d
+    anf = 0
+    for mono in poly.monomials:
+        anf ^= 1 << sum(1 << ((d - 1 - v // k) * k + v % k) for v in mono)
+    ones_count = (form_table(t.bits, d, k) ^ anf_table(anf, n)).bit_count()
+    return abs((1 << n) - 2 * ones_count), n
+
+
+def trace_tensor_cubic(k):
+    """T(i,j,l) = Trace(b_i b_j b_l) in GF(2^k), polynomial basis, from k^3
+    field multiplications and traces, l fastest."""
+    gf = make_field(k)
+    bits = 0
+    flat = 0
+    for i in range(k):
+        for j in range(k):
+            bij = gf.mul_bits(1 << i, 1 << j)
+            for l in range(k):
+                if gf.trace_bits(gf.mul_bits(bij, 1 << l)):
+                    bits |= 1 << flat
+                flat += 1
+    return DenseTensor(3, k, bits)

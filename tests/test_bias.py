@@ -3,21 +3,24 @@
 from collections import Counter
 from itertools import permutations
 from math import comb
+import tracemalloc
 
 import pytest
 
-from f2lab._bitops import anf_table, budget_bytes, form_table
+from f2lab._bitops import anf_pieces, budget_bytes, form_table
 from f2lab import bias
 from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank
+from f2lab.harness import _lifted_form
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            matmul_tensor, random_tensor, trace_tensor)
-from oracles import below, class_max_walk, entry, permute_blocks, poly_eval
+from oracles import (anf_table, below, class_max_walk, corr_whole_table, entry,
+                     permute_blocks, poly_eval)
 
 rng = Prng(31337)
 
@@ -198,15 +201,24 @@ def test_corr_exact_matches_per_input_count(d, k):
 
 @pytest.mark.parametrize("m", range(1, 7))
 def test_anf_table_matches_polynomial_evaluate(m):
+    # anf_pieces at every split width, and the whole-table oracle, against
+    # the polynomial evaluated input by input
     prng = Prng(70 + m)
     for _ in range(4):
         p = Polynomial.reduce(m, [sorted({below(prng, m) for _ in range(below(prng, m + 1))})
                                   for _ in range(1 + below(prng, 6))])
+        masks = [sum(1 << v for v in mono) for mono in p.monomials]
+        want = [poly_eval(p, x) for x in range(1 << m)]
         anf = 0
-        for mono in p.monomials:
-            anf ^= 1 << sum(1 << v for v in mono)
+        for w in masks:
+            anf ^= 1 << w
         table = anf_table(anf, m)
-        assert all((table >> x) & 1 == poly_eval(p, x) for x in range(1 << m)), p
+        assert [(table >> x) & 1 for x in range(1 << m)] == want, p
+        for low in range(m + 1):
+            pieces = anf_pieces(masks, m, low)
+            assert len(pieces) == 1 << (m - low)
+            assert [(pieces[x >> low] >> (x & ((1 << low) - 1))) & 1
+                    for x in range(1 << m)] == want, (p, low)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -226,6 +238,55 @@ def test_corr_exact_of_a_form_is_bias_of_the_sum(d):
                     monos.append(tuple(j * k + i for j, i in enumerate(idx)))
             p = Polynomial.reduce(n, monos)
             assert corr_exact(t, p) == bias_exact(DenseTensor(d, k, t.bits ^ other.bits))
+
+
+def _random_monomials(prng, variables, count):
+    return [sorted({variables[below(prng, len(variables))]
+                    for _ in range(below(prng, 5))}) for _ in range(count)]
+
+
+@pytest.mark.parametrize("d,ks", [(1, (1, 3, 8)), (2, (1, 3, 6)), (3, (1, 2, 4)),
+                                  (4, (1, 2, 3)), (5, (1, 2))])
+def test_corr_exact_matches_whole_table_oracle(d, ks):
+    # the first-block pieces against the popcount of the whole 2^n-bit tables
+    prng = Prng(90 + d)
+    for k in ks:
+        n = k * d
+        first, rest = list(range(k)), list(range(k, n))
+        polys = [[], [()], _random_monomials(prng, first, 6),
+                 _random_monomials(prng, rest or first, 6), [tuple(range(n))],
+                 _random_monomials(prng, list(range(n)), 60) + [tuple(range(n))]]
+        for t in (random_tensor(d, k, prng.u64()), DenseTensor(d, k, 0)):
+            for monos in polys:
+                p = Polynomial.reduce(n, monos)
+                assert corr_exact(t, p) == D.from_ratio(*corr_whole_table(t, p)), (k, p)
+
+
+def test_corr_exact_matches_whole_table_oracle_at_26_variables():
+    prng = Prng(96)
+    t = random_tensor(2, 13, prng.u64())
+    p = Polynomial.reduce(26, _random_monomials(prng, list(range(26)), 40)
+                          + [(0, 1), (2,), (13, 25), tuple(range(26))])
+    assert corr_exact(t, p) == D.from_ratio(*corr_whole_table(t, p))
+
+
+@pytest.mark.parametrize("case", ["explicit d=3 k=8, lifted", "dense d=2 k=12"])
+def test_corr_exact_peaks_below_a_table_and_a_half(case, monkeypatch):
+    # the 2^24-bit table is held once, in first-block pieces, and never joined
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    if case.startswith("explicit"):
+        t, p = explicit_form_tensor(3, 8), _lifted_form(3, 8, Prng(97))
+    else:
+        t = random_tensor(2, 12, 98)
+        p = Polynomial.reduce(24, _random_monomials(Prng(99), list(range(24)), 3000))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corr_exact(t, p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (1 << 24) / 8, peak
 
 
 def _no_tables(*args):
@@ -462,16 +523,16 @@ def test_corr_exact_validates_variables():
 
 def test_corr_exact_guards_table_size(monkeypatch):
     monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
-    monkeypatch.setattr("f2lab.bias.anf_table", _no_tables)
+    monkeypatch.setattr("f2lab.bias.anf_pieces", _no_tables)
     with pytest.raises(CapacityError) as ei:
         corr_exact(DenseTensor(3, 9, 0), Polynomial(27, ((),)))
     assert ei.value.required == 1 << 27
     assert ei.value.budget == 1 << 26
-    # within the variable count, the byte budget refuses: a 2^20-bit table
-    # alone is 128 KiB
+    # within the variable count, the byte budget refuses: a 2^22-bit table
+    # alone is 512 KiB, even in 2^11 pieces
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 18))
     with pytest.raises(CapacityError) as ei:
-        corr_exact(DenseTensor(2, 10, 0), Polynomial(20, ((),)))
+        corr_exact(DenseTensor(2, 11, 0), Polynomial(22, ((),)))
     assert ei.value.budget == 1 << 18
     assert ei.value.required > 3 * (1 << 20) // 8
 

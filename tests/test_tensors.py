@@ -18,7 +18,7 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            random_tensor, read_decomp, read_poly, read_tensor,
                            tensor_from_decomp, trace_tensor,
                            write_decomp, write_tensor)
-from oracles import below, contract, entry, poly_eval, write_poly
+from oracles import below, contract, entry, poly_eval, trace_tensor_cubic, write_poly
 
 rng = Prng(20240)
 
@@ -141,6 +141,11 @@ def test_trace_tensor_cyclic_symmetry():
         for idx in product(range(k), repeat=3):
             i, j, l = idx
             assert entry(t, (i, j, l)) == entry(t, (j, l, i))
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_trace_tensor_matches_cubic_construction(k):
+    assert trace_tensor(k) == trace_tensor_cubic(k)
 
 
 def test_trace_tensor_k1():
