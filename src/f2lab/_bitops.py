@@ -9,8 +9,11 @@ of everything here.
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from typing import Iterable
+
+from .errors import InvariantError
 
 _DEFAULT_BUDGET_BYTES = 1 << 27  # 128 MiB of table bits per operation
 
@@ -139,6 +142,49 @@ def anf_pieces(monomials: Iterable[int], n: int, m: int) -> list[int]:
                 y = x | bit
                 pieces[y] = pieces[y] ^ sub if pieces[y] else sub
     return pieces
+
+
+_FIELD_OF_BIT = bytes.maketrans(b"01", b"\x02\x00")  # (-1)^b + 1, as a byte
+
+
+def walsh_spectrum(table: int, n: int) -> tuple[int, array]:
+    """Walsh-Hadamard spectrum W(u) = sum_x (-1)^(table(x) + u.x) of the
+    2^n-bit truth table `table` (u.x the parity of u & x), as 2^n 32-bit
+    fields W(u) + 2^n: packed in one int, field u at bit 32u, and as
+    array("I") entry u.
+
+    Field x starts at (-1)^table(x) + 1 and holds W + 2^s after stage s,
+    W the sum over the 2^s inputs that agree with x above bit s.  Stage s
+    sends the fields (a, b) that differ only in bit s of x to
+    (a + b, a - b + 2^(s+1)) on masked halves: both lie in [0, 2^(s+2)],
+    so no field borrows or carries while 2^(n+1) < 2^32.  W(0) and the
+    sum of the spectrum, 2^n (-1)^table(0), are checked.
+    """
+    size = 1 << n
+    field_bytes = format(table, "b").zfill(size)[::-1].encode().translate(_FIELD_OF_BIT)
+    buf = bytearray(4 << n)
+    buf[::4] = field_bytes
+    x = int.from_bytes(buf, "little")
+    del buf, field_bytes
+    for s in range(n):
+        half, reps = 4 << s, size >> (s + 1)
+        # a, the fields with bit s clear, in lo; b, shifted onto them, in x
+        lo = x & int.from_bytes((b"\xff" * half + bytes(half)) * reps, "little")
+        x ^= lo
+        x >>= 32 << s
+        diff = lo + int.from_bytes(((2 << s).to_bytes(4, "little") * (1 << s)
+                                    + bytes(half)) * reps, "little")
+        diff -= x
+        lo += x
+        x = lo | (diff << (32 << s))
+        del lo, diff
+    spectrum = array("I", x.to_bytes(4 << n, "little"))
+    if sys.byteorder == "big":
+        spectrum.byteswap()
+    if (spectrum[0] != 2 * (size - table.bit_count())
+            or sum(spectrum) != size * size + (-size if table & 1 else size)):
+        raise InvariantError("Walsh spectrum fields carried or borrowed")
+    return x, spectrum
 
 
 def gray_flips(nbits: int):

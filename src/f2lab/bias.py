@@ -28,12 +28,14 @@ At d = 3 the two share no code; from d = 4 on both build tables with
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, gray_flips,
-                      join_tables, linear_form_table, ones, var_mask)
+from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, join_tables,
+                      linear_form_table, ones, var_mask, walsh_spectrum)
 from .errors import CapacityError
 from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
                        _batched_rank_histogram)
@@ -42,7 +44,7 @@ from .tensors import DenseTensor, Polynomial, first_block_slices
 
 BRUTEFORCE_MAX_BITS = 30  # full-table enumerations up to 2^30 inputs
 CORR_MAX_VARS = 26
-CORR_CLASS_WORK_LOG2 = 40  # corr_class_max: class size x 2^n table bits XORed
+CORR_CLASS_WORK_LOG2 = 40  # corr_class_max: class size x 2^n, a member walk's XORed bits
 _MC_BLOCK = 1 << 16            # Monte-Carlo samples per bit-sliced block,
 _MC_PLANE_BITS = 8 << 20       # fewer when one block's d*k planes pass 1 MiB
 
@@ -425,14 +427,14 @@ def _input_bit(v: int, k: int, d: int) -> int:
 def _corr_bytes(k: int, d: int) -> int:
     """Bytes `corr_exact` holds at once, counted as in `_bruteforce_bytes`:
     the polynomial's 2^(kd)-bit table in 2^h pieces of 2^m bits (h = k
-    for d >= 2 and 0 at d = 1, m = kd - h), with 64 bytes of header and
-    list slot per piece; the form's k first-block slice tables of 2^m
-    bits; and five more pieces for the one slice table being built (its
-    own pieces, their bytes and their join), or for a Moebius step's
-    variable mask and temporaries, or for the walk's current piece and
-    its XOR.  `form_table` joins 2^k pieces per slice at 128 bytes each
-    from d = 3 on."""
-    h = k if d > 1 else 0
+    for d >= 2 and k // 2 at d = 1, m = kd - h), with 64 bytes of header
+    and list slot per piece; the form's h slice tables of 2^m bits; and
+    five more pieces for the one slice table being built (its own
+    pieces, their bytes and their join), or for a Moebius step's variable
+    mask and temporaries, or for the walk's current piece and its XOR.
+    `form_table` joins 2^k pieces per slice at 128 bytes each from d = 3
+    on."""
+    h = k if d > 1 else k // 2
     m = k * d - h
     piece = 4 * ((1 << m) // 30 + 1)
     joined = 1 << k if d > 2 else 0
@@ -440,14 +442,23 @@ def _corr_bytes(k: int, d: int) -> int:
 
 
 def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
-    """Bytes `corr_class_max` holds at once, counted as in `_corr_bytes`:
-    the form table, a table per non-constant monomial, the walk's current
-    table and the next one, and a monomial table being built (a mask of
-    ones and the variable mask ANDed into it); `form_table` holds about
-    four tables and 128 bytes per piece while it joins them."""
+    """Bytes `corr_class_max` holds at once, counted as in `_corr_bytes`
+    (4 bytes per 30-bit digit): the form table, a table per monomial of
+    degree >= 2, the walk's current table and the next one, and a monomial
+    table being built (a mask of ones and the variable mask ANDed into
+    it); `form_table` holds about four tables and 128 bytes per piece
+    while it joins them.  From degree 1 on, add eight ints of 2^n 32-bit
+    fields: the transform's fields with its butterfly temporaries and
+    `bytes` and `array` copies, or the marking of the maximizers with
+    their keys (tracemalloc peaks near six and a half)."""
+    n = k * d
+    table = 4 * ((1 << n) // 30 + 1)
     pieces = 1 << k if d > 1 else 1
-    return (4096 + (class_bits + 4) * (4 * ((1 << (k * d)) // 30 + 1))
-            + 128 * pieces)
+    held = 4096 + 4 * table + 128 * pieces
+    if class_bits <= 1:
+        return held
+    high = class_bits - 1 - n
+    return held + high * table + 8 * (4 * ((32 << n) // 30 + 1))
 
 
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
@@ -459,9 +470,12 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     is ever joined whole.  The form is linear in x_1, so a Gray walk over
     x_1 gives each form piece with one XOR of a first-block slice table.
     The polynomial's pieces come from `anf_pieces`, with its monomials as
-    input-bit masks.  At d = 1 the split is 0 bits wide: one piece, the
-    whole linear form.  The pieces, the slice tables and their builders'
-    transients must fit the byte budget (`_corr_bytes`).
+    input-bit masks.  At d = 1 the split is at the high k // 2 input
+    bits instead: each form piece is the low bits' linear table,
+    complemented by the high bits of the form that the piece's index
+    sets, so the same walk XORs all-ones "slice" tables.  The pieces, the
+    slice tables and their builders' transients must fit the byte budget
+    (`_corr_bytes`).
     """
     k, d = t.k, t.d
     n = k * d
@@ -475,11 +489,16 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
         raise CapacityError(
             f"corr_exact holds {required} bytes of truth tables",
             required=required, budget=budget_bytes())
-    h = k if d > 1 else 0
+    h = k if d > 1 else k // 2
+    m = n - h
     ppieces = anf_pieces([sum(1 << _input_bit(v, k, d) for v in mono)
-                          for mono in poly.monomials], n, n - h)
+                          for mono in poly.monomials], n, m)
     if d == 1:
-        cur, slices = form_table(t.bits, 1, k), []
+        # <a, x> is <a_low, x_low> + <a_high, x_high>: each piece is the
+        # low form's table, complemented by every set bit of a_high in x_high
+        cur = linear_form_table(t.bits & ones(m), m)
+        every = ones(1 << m)  # one shared int for every high bit of the form
+        slices = [every if (t.bits >> (m + j)) & 1 else 0 for j in range(h)]
     else:
         cur = 0
         slices = [form_table(s, d - 1, k) if s else 0 for s in first_block_slices(t)]
@@ -497,18 +516,65 @@ def _monomials_upto(n: int, degree: int) -> list[tuple[int, ...]]:
     return out
 
 
+def _walsh_keys(k: int, d: int, flip: int) -> int:
+    """2^n 32-bit fields, n = kd: field u is flip ^ g^-1(a), g^-1(a) =
+    a ^ (a >> 1) ^ (a >> 2) ^ ... the inverse Gray code of the linear
+    part a whose Walsh index is u (polynomial variable v at bit v of a,
+    at input bit `_input_bit(v)` of u).  g^-1 is F2-linear, so the fields
+    double over the input bits: those with input bit b set are those
+    without it, XOR the key of the one variable there."""
+    n = k * d
+    key_of_bit = [0] * n
+    for v in range(n):
+        key_of_bit[_input_bit(v, k, d)] = ones(v + 1)  # g^-1(1 << v)
+    keys = flip
+    rep = 1  # 1 in each of the fields built so far
+    for b, key in enumerate(key_of_bit):
+        keys |= (keys ^ rep * key) << (32 << b)
+        rep |= rep << (32 << b)
+    return keys
+
+
+def _least_key(fields: int, hits: set[int], k: int, d: int, flip: int) -> int:
+    """Least `_walsh_keys` field u among the 2^n 32-bit fields u whose
+    `fields` field is in `hits`.  SWAR zero test: a field y < 2^31 is
+    nonzero exactly when y + 0x7FFFFFFF sets bit 31, so `miss` keeps 1 at
+    the fields that match no hit, and those keys become all ones, above
+    every key, before the min."""
+    n = k * d
+    rep = int.from_bytes(b"\x01\x00\x00\x00" * (1 << n), "little")  # 1 per field
+    miss = rep
+    for v in hits:
+        miss &= ((fields ^ rep * v) + rep * 0x7FFFFFFF) >> 31
+    del rep
+    keyed = _walsh_keys(k, d, flip) | miss * 0xFFFFFFFF
+    # the min reads no field position, so the host byte order may reverse them
+    return min(array("I", keyed.to_bytes(4 << n, sys.byteorder)))
+
+
 def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynomial]:
     """Exact max correlation over all multilinear polynomials of degree
     <= `degree`, with one maximizer.
 
     The class has 2^(#monomials) members and the guard message reports
-    that size.  Adding the constant 1 only flips the sign of the
-    correlation, so a Gray walk over the non-constant monomials visits
-    half of the class; the witness is the first maximizer of a walk over
-    the whole class.  Each member walked costs one XOR and popcount of a
-    2^n-bit table, and the work of the whole class is guarded.  The
-    tables of the form and of every monomial must fit the byte budget.
-    The degree -1 class is {0}: its maximum is the bias.
+    that size.  Its affine part needs no walk: the correlation of f with
+    a.x + c is |W(a)| / 2^n for the Walsh spectrum W of f's table
+    (`walsh_spectrum`), P and P + 1 alike.  A Gray walk over the monomials
+    of degree >= 2 (one state at degree 1) XORs their tables into the
+    form's, and each state costs one transform.  The witness is the first
+    maximizer of a Gray walk over the whole class, constant first, then
+    the n linear monomials, then the rest: the member of least step
+    g^-1(member), the constant set to make that step even.  Within a
+    state that is the least key (`_walsh_keys`, XORed with all ones when
+    the state's high part has odd parity) among the maximizers, found
+    with a packed zero test, never one at a time.  Degree 0 is {0, 1}
+    and degree -1 is {0}: both give the bias, from one popcount.
+
+    The guards count the whole class as a member-by-member walk would:
+    its size, and its size times 2^n table bits against
+    2^CORR_CLASS_WORK_LOG2, so the work guard is conservative.  The
+    tables and the 2^n 32-bit fields must fit the byte budget
+    (`_class_max_bytes`).
     """
     n = t.k * t.d
     if n > CORR_MAX_VARS:
@@ -536,28 +602,40 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
             required=required, budget=budget_bytes())
     ftab = form_table(t.bits, t.d, t.k)
     size = 1 << n
-    mono_tables = []
-    for mono in monos[1:]:  # monos[0] is the constant
+    if class_bits <= 1:
+        return (DyadicRational.from_ratio(abs(size - 2 * ftab.bit_count()), n),
+                Polynomial(n, ()))
+    high_tables = []
+    for mono in monos[1 + n:]:
         mt = ones(size)
         for v in mono:
             mt &= var_mask(_input_bit(v, t.k, t.d), n)
-        mono_tables.append(mt)
+        high_tables.append(mt)
 
-    # P and P + 1 have opposite correlations, so one member of each pair
-    # is walked: the Gray walk over the class visits the pair at steps 2s
-    # and 2s + 1, and gray(2s) = (gray(s) << 1) | (s & 1) is the member
-    # it would keep as a maximizer.
-    best_num = abs(size - 2 * (ftab.bit_count()))
-    best_set = 0
+    # member Q (constant left out) comes first in the walk at step
+    # g^-1(Q): its high bits are the outer state, its low n bits the key
+    best_num = -1
+    best_step = 0
     cur = ftab
-    subset = 0
-    for step, flip in enumerate(gray_flips(max(class_bits - 1, 0)), 1):
-        cur ^= mono_tables[flip]
-        subset ^= 1 << flip
-        num = abs(size - 2 * cur.bit_count())
+    for state in range(1 << len(high_tables)):
+        if state:
+            cur ^= high_tables[ctz(state)]
+        fields, spectrum = walsh_spectrum(cur, n)
+        top, low = max(spectrum), min(spectrum)
+        del spectrum  # the marking and the next transform run without it
+        num = max(top - size, size - low)
         if num > best_num:
+            # the low n bits of g^-1(Q) are g^-1(a) XOR the parity of the
+            # high part H = g(state), which is bit 0 of state
+            flip = ones(n) if state & 1 else 0
             best_num = num
-            best_set = (subset << 1) | (step & 1)
+            best_step = (state << n) | _least_key(fields, {size + num, size - num},
+                                                  t.k, t.d, flip)
+        del fields
+    # the whole-class walk meets {Q, Q + 1} first at step 2 g^-1(Q), at the
+    # member whose constant bit is bit 0 of g^-1(Q)
+    subset = best_step ^ (best_step >> 1)
+    best_set = (subset << 1) | (best_step & 1)
     witness = Polynomial.reduce(
         n, [monos[i] for i in range(class_bits) if (best_set >> i) & 1])
     return DyadicRational.from_ratio(best_num, n), witness

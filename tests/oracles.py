@@ -159,6 +159,12 @@ def class_max_walk(t, degree):
     return best, [m for i, m in enumerate(monos) if (best_set >> i) & 1]
 
 
+def walsh_sum(table, n, u):
+    """W(u) = sum over the 2^n inputs x of (-1)^(table(x) + parity(u & x)),
+    one input at a time."""
+    return sum(1 - 2 * (((table >> x) ^ (u & x).bit_count()) & 1) for x in range(1 << n))
+
+
 def bias_tail_hits(d, k, threshold, samples, rng):
     """How many of `samples` random d-tensors of side k, each rng.bits(k^d),
     have bias_exact >= threshold - 1e-15: one DenseTensor per sample."""

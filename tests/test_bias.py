@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from f2lab._bitops import anf_pieces, budget_bytes, form_table
+from f2lab._bitops import anf_pieces, budget_bytes, form_table, walsh_spectrum
 from f2lab import bias
 from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
@@ -20,7 +20,7 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            matmul_tensor, random_tensor, trace_tensor)
 from oracles import (anf_table, below, class_max_walk, corr_whole_table, entry,
-                     permute_blocks, poly_eval)
+                     permute_blocks, poly_eval, random_invertible, walsh_sum)
 
 rng = Prng(31337)
 
@@ -270,14 +270,17 @@ def test_corr_exact_matches_whole_table_oracle_at_26_variables():
     assert corr_exact(t, p) == D.from_ratio(*corr_whole_table(t, p))
 
 
-@pytest.mark.parametrize("case", ["explicit d=3 k=8, lifted", "dense d=2 k=12"])
+@pytest.mark.parametrize("case", ["explicit d=3 k=8, lifted", "dense d=2 k=12",
+                                  "dense d=1 k=24"])
 def test_corr_exact_peaks_below_a_table_and_a_half(case, monkeypatch):
-    # the 2^24-bit table is held once, in first-block pieces, and never joined
+    # the 2^24-bit table is held once, in pieces (first-block pieces, or at
+    # d = 1 the high half of the input bits), and never joined
     monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
     if case.startswith("explicit"):
         t, p = explicit_form_tensor(3, 8), _lifted_form(3, 8, Prng(97))
     else:
-        t = random_tensor(2, 12, 98)
+        d = int(case[len("dense d=")])
+        t = random_tensor(d, 24 // d, 98)
         p = Polynomial.reduce(24, _random_monomials(Prng(99), list(range(24)), 3000))
     tracemalloc.start()
     try:
@@ -600,6 +603,79 @@ def test_corr_class_max_affine_is_bias(d):
         for _ in range(2):
             t = random_tensor(d, k, prng.u64())
             assert corr_class_max(t, 1)[0] == bias_exact(t)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_walsh_spectrum_matches_direct_sum(n):
+    # every field of the packed int and of the array, against the sum over
+    # the inputs, for the all-zero, all-one and four random tables
+    prng = Prng(120 + n)
+    size = 1 << n
+    for table in [0, (1 << size) - 1] + [prng.bits(size) for _ in range(4)]:
+        fields, spectrum = walsh_spectrum(table, n)
+        want = [walsh_sum(table, n, u) + size for u in range(size)]
+        assert list(spectrum) == want, (n, table)
+        assert [(fields >> (32 * u)) & 0xFFFFFFFF for u in range(size)] == want
+
+
+def _full_rank_form(k, prng):
+    rows = random_invertible(k, prng)
+    return DenseTensor(2, k, sum(row << (i * k) for i, row in enumerate(rows)))
+
+
+def test_corr_class_max_matches_whole_class_walk_on_flat_spectra():
+    # a full-rank bilinear form has |W| = 2^k everywhere, so all 2^n
+    # entries are maximizers; the zero tensor has W = 2^n at 0 only
+    prng = Prng(130)
+    tensors = [_full_rank_form(k, prng) for k in (1, 2, 3, 4, 5)]
+    tensors += [DenseTensor(2, k, sum(1 << (i * k + i) for i in range(k))) for k in (1, 3, 6)]
+    tensors += [DenseTensor(d, k, 0) for d, k in ((1, 4), (2, 3), (3, 2), (4, 3))]
+    for t in tensors:
+        n = t.k * t.d
+        num, monos = class_max_walk(t, 1)
+        assert corr_class_max(t, 1) == (D.from_ratio(num, n), Polynomial.reduce(n, monos)), t
+
+
+def test_corr_class_max_matches_whole_class_walk_at_odd_high_parity():
+    # the first maximizer has an odd number of degree-2 monomials, so its
+    # key is complemented: f_T itself for an odd number of entries at d = 2
+    for t in (DenseTensor(2, 1, 1), DenseTensor(2, 2, 0b0001), DenseTensor(2, 2, 0b0111),
+              DenseTensor(2, 2, 0b1110)):
+        n = t.k * t.d
+        num, monos = class_max_walk(t, 2)
+        assert sum(len(m) == 2 for m in monos) % 2 == 1, t
+        assert corr_class_max(t, 2) == (D.from_ratio(num, n), Polynomial.reduce(n, monos)), t
+
+
+@pytest.mark.parametrize("d,k", [(1, 5), (2, 3), (3, 2)])
+def test_least_key_matches_a_scan(d, k):
+    # the forms' own maximizers almost always sit at the zero linear part,
+    # so the packed zero test and the keys are checked on random fields:
+    # the least flip ^ g^-1(a(u)) over the fields u holding a hit
+    n = k * d
+    prng = Prng(140 + n)
+    for _ in range(6):
+        values = [below(prng, 4) for _ in range(1 << n)]
+        fields = sum(v << (32 * u) for u, v in enumerate(values))
+        hits = {values[below(prng, 1 << n)], below(prng, 4)}
+        flip = prng.bits(n)
+        want = []
+        for u, v in enumerate(values):
+            if v in hits:
+                a = sum(1 << (j * k + i) for j in range(d) for i in range(k)
+                        if (u >> ((d - 1 - j) * k + i)) & 1)
+                key = 0
+                while a:
+                    key ^= a
+                    a >>= 1
+                want.append(key ^ flip)
+        assert bias._least_key(fields, hits, k, d, flip) == min(want)
+
+
+def test_corr_class_max_matches_whole_class_walk_on_the_benchmark_shape():
+    t = random_tensor(3, 5, 131)
+    num, monos = class_max_walk(t, 1)
+    assert corr_class_max(t, 1) == (D.from_ratio(num, 15), Polynomial.reduce(15, monos))
 
 
 @pytest.mark.parametrize("k", [LANE_CHUNK_BITS + 1, LANE_CHUNK_BITS + 2])

@@ -79,13 +79,14 @@ def _corr_exact_shapes():
 
 
 def _class_max_shapes():
-    # degree 0 grows the tables up to the byte refusal; degree 1 adds a table
-    # per variable, and its walk stops at 2^12 members for time
+    # degree 0 grows the tables up to the byte refusal; degree 1 adds the
+    # Walsh transform's 32-bit fields, and grows to its byte refusal too
+    # (k = 7, 8 and 9 at the three budgets)
     def calls(d, degree, k_max):
         for k in range(1, k_max + 1):
             t = random_tensor(d, k, 30 * d + k)
             yield lambda: corr_class_max(t, degree)
-    return [calls(1, 0, 26), calls(3, 0, 8), calls(2, 1, 6)]
+    return [calls(1, 0, 26), calls(3, 0, 8), calls(2, 1, 9)]
 
 
 def _min_weight_shapes():
