@@ -153,7 +153,7 @@ def _cmd_mrrw(args) -> int:
 
 
 def _cmd_profile_max(args) -> int:
-    report = timed(numerics.profile_max_check, args.k, args.u, args.trials, args.seed)
+    report = timed(numerics.profile_max_check, args.k, args.u)
     if args.json:
         print(report.to_json())
     else:
@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="monotone-profile maximization check")
     x.add_argument("--k", type=int, required=True)
     x.add_argument("--u", type=float, required=True)
-    x.add_argument("--trials", type=int, default=1000)
-    x.add_argument("--seed", type=int, default=0)
     add_json(x)
     x.set_defaults(func=_cmd_profile_max)
 

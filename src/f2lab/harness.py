@@ -584,8 +584,8 @@ def _quick_plan() -> list[Callable[[], VerificationReport]]:
         lambda: verify_corank_margin(3),
         lambda: verify_corank_margin(4),
         lambda: verify_mc_bias(3, 4, samples=20_000, seed=309),
-        lambda: profile_max_check(2, 2.0, random_trials=2_000, seed=310),
-        lambda: profile_max_check(5, 13.7, random_trials=2_000, seed=311),
+        lambda: profile_max_check(2, 2.0),
+        lambda: profile_max_check(5, 13.7),
         lambda: inequality_checks(trials=20_000, seed=312),
     ]
     for (d, k), us in dims.items():
@@ -624,8 +624,7 @@ def _full_plan() -> list[Callable[[], VerificationReport]]:
     ]
     for k in range(1, 7):
         for i in range(4):
-            plan.append(lambda k=k, i=i: profile_max_check(
-                k, (i + 0.37) * k * k / 4.0, random_trials=5_000, seed=600 + 10 * k + i))
+            plan.append(lambda k=k, i=i: profile_max_check(k, (i + 0.37) * k * k / 4.0))
     for d, k, t in [(2, 2, 5), (2, 3, 5), (3, 2, 5), (3, 3, 5)]:
         plan.append(lambda d=d, k=k, t=t: verify_low_rank_bias_floor(
             d, k, t, trials=400, seed=700 + d + k + t))

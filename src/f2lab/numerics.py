@@ -3,14 +3,16 @@
 Exact rationals cover every probability; what remains transcendental
 lives here with explicit tolerances: the refined subspace-membership
 bound f_{d,k}, the rate-distance fixed point behind the 3.52 constant,
-the weighted-power maximization over monotone profiles, and two scalar
-inequalities the maximization proof leans on.
+the weighted-power maximization over monotone profiles (taken at the
+polytope's vertices, which an exact rational enumeration confirms), and
+two sampled scalar inequalities the maximization proof leans on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InvariantError
 from .prng import Prng
@@ -18,8 +20,8 @@ from .report import VerificationReport, fmt_float
 
 PROFILE_TOL = 1e-9
 INEQ_REL_TOL = 1e-12
-# trials per Prng.floats call in `_trial_draws` and `_sampled_max`, which
-# bounds the floats held at once to width * _TRIAL_BLOCK
+# trials per Prng.floats call in `_trial_draws`, which bounds the floats
+# held at once to width * _TRIAL_BLOCK
 _TRIAL_BLOCK = 1024
 
 
@@ -134,106 +136,99 @@ def _extreme_points(k: int, u: float):
                     yield MaxProblemPoint(k, u, prof)
 
 
-def _sampled_max(k: int, u: float, trials: int, seed: int) -> float:
-    """Largest objective over `trials` random feasible profiles.
+def _solve_exact(rows: list, rhs: list) -> list | None:
+    """The one solution x of rows . x = rhs for a square system of
+    Fractions, or None when it is singular.  Gauss-Jordan elimination."""
+    n = len(rows)
+    m = [list(row) + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [x / lead for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n] for row in m]
 
-    Each trial's k uniform draws are sorted descending and rescaled to sum
-    u; where a value exceeds k, the excess is clamped off and spread over
-    the values still below k, repeatedly.  A last pass moves the rounding
-    drift into the leading values, and the profile is sorted again.  A
-    profile that is not monotone in [0, k] or does not sum to u within
-    1e-9 is an `InvariantError`.
+
+def _exact_vertices(k: int, u: float) -> set[tuple]:
+    """Vertices of {k >= b_1 >= ... >= b_k >= 0, sum_i b_i = u} as tuples
+    of Fractions, with u read exactly.
+
+    Chain inequality j (j = 0..k) is b_j >= b_{j+1}, reading b_0 = k and
+    b_{k+1} = 0.  A vertex makes k independent constraints tight, the sum
+    among them, so at most two chain inequalities are free: each choice
+    of two gives a k x k system, solved exactly and kept when feasible.
     """
-    fk = float(k)
-    weights = [2.0 ** i for i in range(k)]
-    best = -math.inf
-    rng = Prng(seed)
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = rng.floats(k * min(_TRIAL_BLOCK, trials - start))
-        for lo in range(0, len(block), k):
-            vals = sorted(block[lo:lo + k], reverse=True)
-            total = sum(vals)
-            if total == 0.0:
-                vals = [u / k] * k
-            else:
-                vals = [v * u / total for v in vals]
-            if max(vals) > fk:
-                for _ in range(k + 1):
-                    excess = 0.0
-                    room = 0
-                    for i, v in enumerate(vals):
-                        if v > fk:
-                            excess += v - fk
-                            vals[i] = fk
-                        elif v < fk:
-                            room += 1
-                    if excess <= 1e-12 or room == 0:
-                        break
-                    add = excess / room
-                    vals = [min(fk, v + add) if v < fk else v for v in vals]
-                vals.sort(reverse=True)
-            drift = u - sum(vals)
-            for i in range(k):
-                take = min(max(vals[i] + drift, 0.0), fk)
-                drift -= take - vals[i]
-                vals[i] = take
-                if abs(drift) < 1e-12:
-                    break
-            vals.sort(reverse=True)
-            prev = fk
-            for v in vals:
-                if not -1e-12 <= v <= prev + 1e-12:
-                    raise InvariantError(f"sampled profile {vals} not monotone in [0, {k}]")
-                prev = v
-            if not abs(sum(vals) - u) <= 1e-9:
-                raise InvariantError(f"sampled profile {vals} does not sum to u = {u}")
-            best = max(best, sum([w * 2.0 ** v for w, v in zip(weights, vals)]))
-    return best
+    from fractions import Fraction  # off the import path of f2lab
+
+    # tight, inequality j is the row (+1 at b_j, -1 at b_{j+1}) = rhs
+    chain = [([Fraction((i == j - 1) - (i == j)) for i in range(k)],
+              Fraction(-k if j == 0 else 0)) for j in range(k + 1)]
+    total = ([Fraction(1)] * k, Fraction(u))
+    vertices = set()
+    for free in combinations(range(k + 1), 2):
+        eqs = [c for j, c in enumerate(chain) if j not in free] + [total]
+        b = _solve_exact([row for row, _ in eqs], [rhs for _, rhs in eqs])
+        if b is not None and all(x >= y for x, y in zip([k, *b], [*b, 0])):
+            vertices.add(tuple(b))
+    return vertices
 
 
-def profile_max_check(k: int, u: float, random_trials: int,
-                      seed: int) -> VerificationReport:
-    """Check max sum_i 2^(i-1) 2^(b_i) = (2^k - 1) 2^(u/k) over monotone
-    profiles summing to u.
+def profile_max_check(k: int, u: float) -> VerificationReport:
+    """Check max sum_i 2^(i-1) 2^(b_i) = (2^k - 1) 2^(u/k) over profiles
+    k >= b_1 >= ... >= b_k >= 0 summing to u.
 
-    Extreme points are enumerated exactly (their max must equal the
-    bound); random feasible profiles must stay below it.
+    The objective is a sum of exponentials, hence convex, and the
+    feasible set is a polytope, so the maximum is taken at a vertex.  The
+    float extreme profiles of `_extreme_points` must therefore be the
+    polytope's vertices, which `_exact_vertices` derives independently:
+    every vertex within PROFILE_TOL of an extreme profile and every
+    extreme profile within PROFILE_TOL of a vertex.  Their largest
+    objective must equal the closed form.  A mismatch in either is an
+    `InvariantError`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if random_trials < 0:
-        raise ValueError("trials must be >= 0")
     if not 0 <= u <= k * k:
         raise ValueError("u must lie in [0, k^2]")
+    points = list(_extreme_points(k, u))
+    vertices = [tuple(map(float, v)) for v in _exact_vertices(k, u)]
+
+    def near(p, q):
+        return all(abs(x - y) <= PROFILE_TOL for x, y in zip(p, q, strict=True))
+
+    missing = [v for v in vertices if not any(near(v, pt.b) for pt in points)]
+    extra = [pt.b for pt in points if not any(near(pt.b, v) for v in vertices)]
+    if missing or extra:
+        raise InvariantError(f"extreme profiles at k = {k}, u = {u} miss the vertices "
+                             f"{missing} and add the non-vertices {extra}")
     bound = (2.0 ** k - 1.0) * 2.0 ** (u / k)
     best = -math.inf
     argmax_count = 0
-    npoints = 0
-    for pt in _extreme_points(k, u):
-        npoints += 1
+    for pt in points:
         val = pt.objective()
         if val > best:
             best = val
             argmax_count = 1
         elif abs(val - best) <= PROFILE_TOL * max(1.0, abs(best)):
             argmax_count += 1
-    sampled_max = _sampled_max(k, u, random_trials, seed)
-    scale = max(1.0, bound)
-    holds = (abs(best - bound) <= PROFILE_TOL * scale
-             and best <= bound + PROFILE_TOL * scale
-             and (random_trials == 0 or sampled_max <= bound + PROFILE_TOL * scale))
+    if not abs(best - bound) <= PROFILE_TOL * max(1.0, bound):
+        raise InvariantError(f"vertex maximum {best!r} at k = {k}, u = {u} is not "
+                             f"the closed form {bound!r}")
     return VerificationReport(
         name="profile-max",
-        params=(("k", str(k)), ("u", fmt_float(u)), ("trials", str(random_trials))),
+        params=(("k", str(k)), ("u", fmt_float(u))),
         measured=(("extreme_max", fmt_float(best)),
                   ("extreme_argmax_count", str(argmax_count)),
-                  ("extreme_points", str(npoints)),
-                  ("sampled_max", fmt_float(sampled_max if random_trials else 0.0))),
+                  ("extreme_points", str(len(points)))),
         bound=("closed_form", fmt_float(bound)),
-        holds=holds,
-        method="closed-form",
-        samples=random_trials or None,
-        seed=seed if random_trials else None)
+        holds=True,
+        method="closed-form")
 
 
 def inequality_checks(trials: int, seed: int) -> VerificationReport:

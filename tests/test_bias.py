@@ -18,7 +18,8 @@ from f2lab.harness import _lifted_form
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
-                           matmul_tensor, random_tensor, trace_tensor)
+                           matmul_tensor, random_tensor, tensor_from_decomp,
+                           trace_tensor)
 from oracles import (anf_table, below, class_max_walk, corr_whole_table, entry,
                      permute_blocks, poly_eval, random_invertible, walsh_sum)
 
@@ -338,6 +339,17 @@ def test_trilinear_bias_floor():
         k = 2 + below(rng, 5)
         t = random_tensor(3, k, rng.u64())
         assert bias_exact(t) >= D.from_ratio((1 << (k + 1)) - 1, 2 * k)
+
+
+@pytest.mark.parametrize("d, k", [(3, 12), (4, 8), (5, 4)])
+def test_diagonal_tensors_reach_the_rank_bias_floor(d, k):
+    # T_t = sum_{i<t} e_i^(x)d is t independent forms x1_i ... xd_i, each of
+    # bias 1 - 2^(1-d): rank t with bias exactly (1 - 2^(1-d))^t, the least
+    # value the floor allows at rank t
+    for t in range(k + 1):
+        terms = tuple(RankOneTerm((BitVec(k, 1 << i),) * d) for i in range(t))
+        tensor = tensor_from_decomp(RankDecomposition(d, k, terms))
+        assert bias_exact(tensor) == D.from_ratio(((1 << (d - 1)) - 1) ** t, (d - 1) * t)
 
 
 def test_bias_capacity_guards():

@@ -99,13 +99,24 @@ def test_result_fields_print_under_one_name(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--k", "0", "--u", "0"],
-    ["--k", "-1", "--u", "0", "--trials", "0"],
-    ["--k", "2", "--u", "2", "--trials", "-5"],
+    ["--k", "-1", "--u", "0"],
+    ["--k", "2", "--u", "5"],
 ])
 def test_appendix_max_rejects_bad_input(capsys, argv):
     assert main(["appendix-max", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("f2lab: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", [["--trials", "5"], ["--seed", "1"]])
+def test_appendix_max_has_no_sampling_options(capsys, option):
+    # the check is exact: the random-profile options are gone, and argparse
+    # rejects them as usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["appendix-max", "--k", "2", "--u", "2", *option])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"unrecognized arguments: {' '.join(option)}" in err
 
 
 @pytest.mark.parametrize("value", ["abc", "1e6", "0", "-5"])
@@ -271,8 +282,7 @@ def test_mrrw_and_profile_max():
     code, out, _ = run_cli("mrrw", "--tol", "1e-9", "--json")
     assert code == 0
     assert 3.51 <= float(json.loads(out)["one_over_rho"]) <= 3.53
-    code, out, _ = run_cli("appendix-max", "--k", "2", "--u", "2",
-                           "--trials", "200", "--seed", "1")
+    code, out, _ = run_cli("appendix-max", "--k", "2", "--u", "2")
     assert code == 0 and "extreme_argmax_count=2" in out
 
 

@@ -1,16 +1,16 @@
 """Float-side checks: membership bound, fixed-point constant, profile max."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
+from f2lab import numerics
 from f2lab.errors import InvariantError
-from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _sampled_max, _trial_draws,
-                            f_dk_bound, inequality_checks, mrrw_constant,
-                            profile_max_check)
+from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _exact_vertices, _extreme_points,
+                            _solve_exact, _trial_draws, f_dk_bound, inequality_checks,
+                            mrrw_constant, profile_max_check)
 from f2lab.prng import Prng
-from f2lab.report import fmt_float
-from oracles import random_feasible, sampled_profile_max
 
 
 def test_f1k_closed_form():
@@ -62,7 +62,7 @@ def test_profile_point_validation():
 
 
 def test_profile_max_double_maximum():
-    r = profile_max_check(2, 2.0, random_trials=500, seed=1)
+    r = profile_max_check(2, 2.0)
     measured = dict(r.measured)
     assert r.holds is True
     assert float(measured["extreme_max"]) == pytest.approx(6.0)
@@ -70,9 +70,9 @@ def test_profile_max_double_maximum():
 
 
 def test_profile_max_boundaries():
-    r = profile_max_check(4, 0.0, random_trials=50, seed=2)
+    r = profile_max_check(4, 0.0)
     assert float(dict(r.measured)["extreme_max"]) == pytest.approx(2 ** 4 - 1)
-    r = profile_max_check(4, 16.0, random_trials=50, seed=3)
+    r = profile_max_check(4, 16.0)
     assert float(dict(r.measured)["extreme_max"]) == pytest.approx((2 ** 4 - 1) * 2 ** 4)
 
 
@@ -81,45 +81,77 @@ def test_profile_max_grid():
     for k in range(1, 7):
         for _ in range(25):
             u = rng.floats(1)[0] * k * k
-            assert profile_max_check(k, u, random_trials=40, seed=rng.u64()).holds is True
+            assert profile_max_check(k, u).holds is True
 
 
-# (k, u, trials, seed) of the full profile's profile-max reports, and the
-# two ends u = 0 and u = k^2 of every k there
-FULL_PROFILE_CASES = [(k, (i + 0.37) * k * k / 4.0, 5_000, 600 + 10 * k + i)
-                      for k in range(1, 7) for i in range(4)]
-END_CASES = [(k, u, 700, 90 + k) for k in range(1, 7) for u in (0.0, float(k * k))]
+def test_exact_vertices_by_hand():
+    F = Fraction
+    assert _exact_vertices(1, 0.5) == {(F(1, 2),)}
+    assert _exact_vertices(2, 2.0) == {(F(2), F(0)), (F(1), F(1))}
+    assert _exact_vertices(3, 4.0) == {(F(3), F(1), F(0)), (F(3), F(1, 2), F(1, 2)),
+                                       (F(2), F(2), F(0)), (F(4, 3), F(4, 3), F(4, 3))}
+    assert _exact_vertices(3, 0.0) == {(F(0), F(0), F(0))}
+    assert _exact_vertices(3, 9.0) == {(F(3), F(3), F(3))}
+    # u is read as the float's exact binary value, not as 1/10
+    assert _exact_vertices(1, 0.1) == {(F(0.1),)} != {(F(1, 10),)}
 
 
-@pytest.mark.parametrize("k, u, trials, seed", FULL_PROFILE_CASES + END_CASES)
-def test_sampled_max_matches_one_point_per_trial(k, u, trials, seed):
-    # the flat loop against one validated MaxProblemPoint per trial: the
-    # same float operations in the same order, so the same float
-    want = sampled_profile_max(k, u, trials, seed)
-    assert _sampled_max(k, u, trials, seed) == want
-    r = profile_max_check(k, u, random_trials=trials, seed=seed)
-    assert dict(r.measured)["sampled_max"] == fmt_float(want)
+def test_solve_exact():
+    F = Fraction
+    assert _solve_exact([[F(0), F(2)], [F(1), F(1)]], [F(1), F(3)]) == [F(5, 2), F(1, 2)]
+    assert _solve_exact([[F(1), F(-1)], [F(-1), F(1)]], [F(0), F(0)]) is None
 
 
-@pytest.mark.parametrize("k, u, draws", [(2, 4.0, [0.5, -1.0]), (2, 2.0, [1.0, -3.0])])
-def test_sampled_max_clamps_like_one_point_per_trial_on_a_negative_sum(k, u, draws,
-                                                                      monkeypatch):
-    # a negative sum reverses the rescaled order, so the value above k is
-    # the last one: the clamp must still run, as it does per point
-    monkeypatch.setattr(Prng, "floats", lambda self, n: (draws * n)[:n])
-    assert _sampled_max(k, u, 3, seed=1) == random_feasible(k, u, draws).objective()
+# (k, u) of the quick and full profiles' profile-max reports
+PROFILE_CASES = [(2, 2.0), (5, 13.7)] + [(k, (i + 0.37) * k * k / 4.0)
+                                          for k in range(1, 7) for i in range(4)]
 
 
-@pytest.mark.parametrize("k, u, draws, why", [
-    (3, 4.0, [math.nan], "not monotone"), (3, 4.0, [math.inf], "not monotone"),
-    (3, 4.0, [-1.0, 2.0, 0.0], "not monotone"), (3, 2.0, [0.5, 2.0, -2.0], "does not sum")])
-def test_infeasible_sampled_profile_is_an_invariant_error(k, u, draws, why, monkeypatch):
-    # draws outside [0, 1): NaN and infinite ones give a NaN profile, a
-    # negative one a negative entry, and a negative sum a profile whose
-    # mass the clamp cannot place
-    monkeypatch.setattr(Prng, "floats", lambda self, n: (draws * n)[:n])
-    with pytest.raises(InvariantError, match=why):
-        profile_max_check(k, u, random_trials=5, seed=1)
+def _unchecked_point(k, u, b):
+    """A MaxProblemPoint built without its feasibility checks."""
+    pt = object.__new__(MaxProblemPoint)
+    for name, value in (("k", k), ("u", u), ("b", b)):
+        object.__setattr__(pt, name, value)
+    return pt
+
+
+@pytest.mark.parametrize("k, u", [(k, u) for k, u in PROFILE_CASES if k >= 2])
+def test_profile_max_catches_a_dropped_vertex(k, u, monkeypatch):
+    points = list(_extreme_points(k, u))
+    assert len(points) >= 2
+    for drop in range(len(points)):
+        kept = points[:drop] + points[drop + 1:]
+        monkeypatch.setattr(numerics, "_extreme_points", lambda k, u: iter(kept))
+        with pytest.raises(InvariantError, match="miss the vertices"):
+            profile_max_check(k, u)
+
+
+@pytest.mark.parametrize("k, u", PROFILE_CASES)
+def test_profile_max_catches_an_added_profile(k, u, monkeypatch):
+    real = list(_extreme_points(k, u))
+    level = u / k
+    bad = [
+        (float(k),) * k,                           # monotone but sums to k^2, not u
+        (0.0,) * (k - 1) + (min(u, k),),           # sums to at most u, not descending
+        tuple(level + 0.25 * (k - 1 - 2 * i) / k   # feasible, not a vertex when k >= 2
+              for i in range(k)),
+    ]
+    tried = 0
+    for b in bad:
+        if any(b == pt.b for pt in real) or max(b) > k or min(b) < 0:
+            continue
+        extra = real + [_unchecked_point(k, u, b)]
+        monkeypatch.setattr(numerics, "_extreme_points", lambda k, u: iter(extra))
+        with pytest.raises(InvariantError, match="add the non-vertices"):
+            profile_max_check(k, u)
+        tried += 1
+    assert tried >= (1 if k == 1 else 2)
+
+
+def test_profile_max_catches_a_wrong_objective(monkeypatch):
+    monkeypatch.setattr(MaxProblemPoint, "objective", lambda self: 0.0)
+    with pytest.raises(InvariantError, match="not the closed form"):
+        profile_max_check(3, 4.0)
 
 
 @pytest.mark.parametrize("trials", [0, 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 3])

@@ -15,9 +15,9 @@ from f2lab.prng import Prng
 from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, decompositions,
                         matmul_bias_exact, mrrw_rank_lb, rank_count,
                         rank_exact, rank_lb_bias)
-from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm, matmul_tensor,
-                           random_rank_decomp, random_tensor, tensor_from_decomp,
-                           trace_tensor)
+from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm, first_block_slices,
+                           matmul_tensor, random_rank_decomp, random_tensor,
+                           tensor_from_decomp, trace_tensor)
 from oracles import below, change_basis, permute_blocks, random_invertible
 
 rng = Prng(90210)
@@ -73,6 +73,26 @@ def test_rank_exact_known_values():
     assert rank_exact(trace_tensor(3), 6) == 6
     assert rank_exact(trace_tensor(3), 5) is None
     assert rank_exact(matmul_tensor(2), 7) == 7  # Hopcroft-Kerr 1971
+
+
+def test_rank_search_tells_apart_spans_sharing_leading_rows(monkeypatch):
+    # s = 3 and rank 4: the 4-dimensional spans S + <R> differ only in later
+    # RREF rows, so a search keyed on fewer than all rows skips the one that
+    # works and reports 5
+    dec = random_rank_decomp(3, 3, 5, 181)
+    t = tensor_from_decomp(dec)
+    assert len(rank_mod._rref(first_block_slices(t))) == 3
+    assert rank_exact(t, 5) == 4
+    assert rank_exact(t, 3) is None
+    # the 4 from outside the search: one term has a zero factor, so the
+    # other four decompose t; no decomposition into 3 or fewer terms exists,
+    # and the bias ladder gives 4 from below as well
+    nonzero = tuple(term for term in dec.terms if all(v.bits for v in term.vectors))
+    assert len(nonzero) == 4
+    assert tensor_from_decomp(RankDecomposition(3, 3, nonzero)) == t
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 30))  # C(343, 3) sets
+    assert all(next(decompositions(t, n), None) is None for n in range(4))
+    assert rank_lb_bias(bias_exact(t), 3) == 4
 
 
 def test_rank_exact_guard(monkeypatch):
