@@ -11,6 +11,7 @@ from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _exact_vertices, _ext
                             _solve_exact, _trial_draws, f_dk_bound, inequality_checks,
                             mrrw_constant, profile_max_check)
 from f2lab.prng import Prng
+from oracles import sampled_profile_max
 
 
 def test_f1k_closed_form():
@@ -82,6 +83,28 @@ def test_profile_max_grid():
         for _ in range(25):
             u = rng.floats(1)[0] * k * k
             assert profile_max_check(k, u).holds is True
+
+
+# (k, u, trials, seed) of the full profile's profile-max reports as they
+# were sampled, and the two ends u = 0 and u = k^2 of every k there
+FULL_PROFILE_CASES = [(k, (i + 0.37) * k * k / 4.0, 5_000, 600 + 10 * k + i)
+                      for k in range(1, 7) for i in range(4)]
+END_CASES = [(k, u, 700, 90 + k) for k in range(1, 7) for u in (0.0, float(k * k))]
+
+
+@pytest.mark.parametrize("k, u, trials, seed", FULL_PROFILE_CASES + END_CASES)
+def test_sampled_max_matches_one_point_per_trial(k, u, trials, seed):
+    # the convexity argument of profile_max_check, checked from outside:
+    # no random feasible profile, one validated MaxProblemPoint per trial,
+    # beats the maximum over the vertices, which is the closed form
+    r = profile_max_check(k, u)
+    extreme_max = float(dict(r.measured)["extreme_max"])
+    assert extreme_max == pytest.approx((2.0 ** k - 1.0) * 2.0 ** (u / k), rel=1e-9)
+    sampled = sampled_profile_max(k, u, trials, seed)
+    assert sampled <= extreme_max * (1.0 + 1e-9)
+    if u in (0.0, float(k * k)):
+        # a single feasible profile, so every sample is the vertex itself
+        assert sampled == pytest.approx(extreme_max, rel=1e-9)
 
 
 def test_exact_vertices_by_hand():
