@@ -38,6 +38,11 @@ def budget_bytes() -> int:
     return value
 
 
+def int_bytes(nbits: int) -> int:
+    """Digit bytes of an nbits-bit int in the byte models: 4 per 30 bits."""
+    return 4 * (nbits // 30 + 1)
+
+
 def ones(n: int) -> int:
     """n consecutive set bits."""
     return (1 << n) - 1

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, join_tables,
-                      linear_form_table, ones, var_mask, walsh_spectrum)
+from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
+                      join_tables, linear_form_table, ones, var_mask, walsh_spectrum)
 from .errors import CapacityError
 from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
                        _batched_rank_histogram)
@@ -44,7 +44,7 @@ from .tensors import DenseTensor, Polynomial, first_block_slices
 
 BRUTEFORCE_MAX_BITS = 30  # full-table enumerations up to 2^30 inputs
 CORR_MAX_VARS = 26
-CORR_CLASS_WORK_LOG2 = 40  # corr_class_max: class size x 2^n, a member walk's XORed bits
+CORR_CLASS_WORK = 1 << 25  # corr_class_max: 32-bit fields transformed, states x n x 2^n
 _MC_BLOCK = 1 << 16            # Monte-Carlo samples per bit-sliced block,
 _MC_PLANE_BITS = 8 << 20       # fewer when one block's d*k planes pass 1 MiB
 
@@ -202,10 +202,10 @@ def _walk_low_bits(k: int, inner_bits: int) -> int | None:
     2^LANE_CHUNK_BITS lanes and the byte budget, or None when not even
     c = 0 fits.  The budget covers the base planes, the k - c delta plane
     sets, the current planes, and the k^2 slot rows and k-entry row of
-    `_batched_rank_histogram`: 4 bytes per 30-bit digit of a plane and
-    32 bytes of header and list slot."""
+    `_batched_rank_histogram`: `int_bytes` of a plane and 32 bytes of
+    header and list slot."""
     for c in range(min(k, LANE_CHUNK_BITS - inner_bits), -1, -1):
-        plane = 4 * ((1 << (c + inner_bits)) // 30 + 1) + 32
+        plane = int_bytes(1 << (c + inner_bits)) + 32
         if ((k - c + 3) * k * k + k) * plane <= budget_bytes():
             return c
     return None
@@ -320,15 +320,15 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
 
 
 def _bruteforce_bytes(k: int, d: int) -> int:
-    """Bytes `bias_bruteforce` holds at once: 4 bytes per 30-bit digit of
-    a table, 64 bytes of headers per piece `form_table` joins, and 4 KiB
-    of frames and small lists."""
+    """Bytes `bias_bruteforce` holds at once: `int_bytes` of a table,
+    64 bytes of headers per piece `form_table` joins, and 4 KiB of frames
+    and small lists."""
     if d == 1:  # the table, a variable mask being built and their XOR
-        return 4096 + 5 * (4 * ((1 << k) // 30 + 1) + 64)
+        return 4096 + 5 * (int_bytes(1 << k) + 64)
     pieces = 1 << k if d > 2 else 1
     # the support table, and one slice table with the list and join
     # that build it
-    return 4096 + 5 * (4 * ((1 << (k * d - k)) // 30 + 1) + 64 * pieces)
+    return 4096 + 5 * (int_bytes(1 << (k * d - k)) + 64 * pieces)
 
 
 def bias_bruteforce(t: DenseTensor) -> DyadicRational:
@@ -436,29 +436,29 @@ def _corr_bytes(k: int, d: int) -> int:
     on."""
     h = k if d > 1 else k // 2
     m = k * d - h
-    piece = 4 * ((1 << m) // 30 + 1)
+    piece = int_bytes(1 << m)
     joined = 1 << k if d > 2 else 0
     return 4096 + ((64 + piece) << h) + (h + 5) * piece + 128 * joined
 
 
 def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
-    """Bytes `corr_class_max` holds at once, counted as in `_corr_bytes`
-    (4 bytes per 30-bit digit): the form table, a table per monomial of
-    degree >= 2, the walk's current table and the next one, and a monomial
-    table being built (a mask of ones and the variable mask ANDed into
-    it); `form_table` holds about four tables and 128 bytes per piece
-    while it joins them.  From degree 1 on, add eight ints of 2^n 32-bit
-    fields: the transform's fields with its butterfly temporaries and
-    `bytes` and `array` copies, or the marking of the maximizers with
-    their keys (tracemalloc peaks near six and a half)."""
+    """Bytes `corr_class_max` holds at once, counted as in `_corr_bytes`:
+    the form table, a table per monomial of degree >= 2, the walk's
+    current table and the next one, and a monomial table being built (a
+    mask of ones and the variable mask ANDed into it); `form_table` holds
+    about four tables and 128 bytes per piece while it joins them.  From
+    degree 1 on, add eight ints of 2^n 32-bit fields: the transform's
+    fields with its butterfly temporaries and `bytes` and `array` copies,
+    or the marking of the maximizers with their keys (tracemalloc peaks
+    near six and a half)."""
     n = k * d
-    table = 4 * ((1 << n) // 30 + 1)
+    table = int_bytes(1 << n)
     pieces = 1 << k if d > 1 else 1
     held = 4096 + 4 * table + 128 * pieces
     if class_bits <= 1:
         return held
     high = class_bits - 1 - n
-    return held + high * table + 8 * (4 * ((32 << n) // 30 + 1))
+    return held + high * table + 8 * int_bytes(32 << n)
 
 
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
@@ -510,10 +510,7 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
 
 
 def _monomials_upto(n: int, degree: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
-    for deg in range(degree + 1):
-        out.extend(combinations(range(n), deg))
-    return out
+    return [m for deg in range(degree + 1) for m in combinations(range(n), deg)]
 
 
 def _walsh_keys(k: int, d: int, flip: int) -> int:
@@ -556,25 +553,24 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     """Exact max correlation over all multilinear polynomials of degree
     <= `degree`, with one maximizer.
 
-    The class has 2^(#monomials) members and the guard message reports
-    that size.  Its affine part needs no walk: the correlation of f with
-    a.x + c is |W(a)| / 2^n for the Walsh spectrum W of f's table
-    (`walsh_spectrum`), P and P + 1 alike.  A Gray walk over the monomials
-    of degree >= 2 (one state at degree 1) XORs their tables into the
-    form's, and each state costs one transform.  The witness is the first
-    maximizer of a Gray walk over the whole class, constant first, then
-    the n linear monomials, then the rest: the member of least step
-    g^-1(member), the constant set to make that step even.  Within a
-    state that is the least key (`_walsh_keys`, XORed with all ones when
-    the state's high part has odd parity) among the maximizers, found
-    with a packed zero test, never one at a time.  Degree 0 is {0, 1}
-    and degree -1 is {0}: both give the bias, from one popcount.
+    The class has 2^(#monomials) members.  Its affine part needs no walk:
+    the correlation of f with a.x + c is |W(a)| / 2^n for the Walsh
+    spectrum W of f's table (`walsh_spectrum`), P and P + 1 alike.  A Gray
+    walk over the monomials of degree >= 2 (one state at degree 1) XORs
+    their tables into the form's, and each state costs one transform.  The
+    witness is the first maximizer of a Gray walk over the whole class,
+    constant first, then the n linear monomials, then the rest: the member
+    of least step g^-1(member), the constant set to make that step even.
+    Within a state that is the least key (`_walsh_keys`, XORed with all
+    ones when the state's high part has odd parity) among the maximizers,
+    found with a packed zero test, never one at a time.  Degree 0 is
+    {0, 1} and degree -1 is {0}: both give the bias, from one popcount.
 
-    The guards count the whole class as a member-by-member walk would:
-    its size, and its size times 2^n table bits against
-    2^CORR_CLASS_WORK_LOG2, so the work guard is conservative.  The
-    tables and the 2^n 32-bit fields must fit the byte budget
-    (`_class_max_bytes`).
+    The work guard counts the 32-bit fields the transforms touch, 2^h
+    states x n stages x 2^n fields for the h monomials of degree >= 2
+    (binomial sums: a refusal lists no monomial), against CORR_CLASS_WORK;
+    degree <= 0 runs no transform.  The tables and the 2^n fields must fit
+    the byte budget (`_class_max_bytes`).
     """
     n = t.k * t.d
     if n > CORR_MAX_VARS:
@@ -582,19 +578,14 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
             f"corr_class_max builds 2^{n}-bit truth tables "
             f"(guard 2^{CORR_MAX_VARS})",
             required=1 << n, budget=1 << CORR_MAX_VARS)
-    monos = _monomials_upto(n, min(degree, n))
-    class_bits = len(monos)
-    limit = max(16, (8 * budget_bytes()).bit_length() - 1)
-    if class_bits > min(limit, 24):
+    class_bits = sum(math.comb(n, j) for j in range(min(degree, n) + 1))
+    work = (n << n) << (class_bits - 1 - n) if class_bits > 1 else 0
+    if work > CORR_CLASS_WORK:
         raise CapacityError(
-            f"degree-{degree} class over {n} variables has 2^{class_bits} "
-            f"polynomials; enumeration budget is 2^{min(limit, 24)}",
-            required=1 << class_bits, budget=1 << min(limit, 24))
-    if class_bits + n > CORR_CLASS_WORK_LOG2:
-        raise CapacityError(
-            f"degree-{degree} class over {n} variables needs 2^{class_bits + n} "
-            f"table-bit XORs; work budget is 2^{CORR_CLASS_WORK_LOG2}",
-            required=1 << (class_bits + n), budget=1 << CORR_CLASS_WORK_LOG2)
+            f"degree-{degree} class over {n} variables: 2^{class_bits - 1 - n} "
+            f"transforms of {n} x 2^{n} fields, over the {CORR_CLASS_WORK}-field "
+            "work budget",
+            required=work, budget=CORR_CLASS_WORK)
     required = _class_max_bytes(t.k, t.d, class_bits)
     if required > budget_bytes():
         raise CapacityError(
@@ -605,6 +596,7 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     if class_bits <= 1:
         return (DyadicRational.from_ratio(abs(size - 2 * ftab.bit_count()), n),
                 Polynomial(n, ()))
+    monos = _monomials_upto(n, min(degree, n))
     high_tables = []
     for mono in monos[1 + n:]:
         mt = ones(size)

@@ -69,14 +69,11 @@ class RankDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _base_terms(d: int, k: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """All rank-one tensors with nonzero factor vectors, as packed bits.
-
-    Zero factors never help a minimal decomposition, so they are
-    excluded from the search base.
-    """
-    vecs = list(product(range(1, 1 << k), repeat=d))
-    return [outer_bits(vs, k) for vs in vecs], vecs
+def _base_terms(d: int, k: int) -> list[int]:
+    """All rank-one tensors with nonzero factor vectors (zero factors never
+    help a minimal decomposition), packed, in the order of
+    `product(range(1, 2^k), repeat=d)`: first factor slowest."""
+    return [outer_bits(vs, k) for vs in product(range(1, 1 << k), repeat=d)]
 
 
 def _check_search_size(d: int, k: int, m: int):
@@ -129,8 +126,7 @@ def rank_exact(t: DenseTensor, t_max: int) -> int | None:
     if t.d <= 2 or s == 0:
         return s
     _check_search_size(t.d - 1, t.k, t_max - s)
-    rank_ones, _ = _base_terms(t.d - 1, t.k)
-    return _slice_span_search(span, rank_ones, t.k ** (t.d - 1), t_max)
+    return _slice_span_search(span, _base_terms(t.d - 1, t.k), t.k ** (t.d - 1), t_max)
 
 
 def decompositions(t: DenseTensor, length: int) -> Iterator[RankDecomposition]:
@@ -142,7 +138,8 @@ def decompositions(t: DenseTensor, length: int) -> Iterator[RankDecomposition]:
     if t.d < 2:
         raise ValueError("decomposition search needs d >= 2")
     _check_search_size(t.d, t.k, length)
-    base_bits, base_vecs = _base_terms(t.d, t.k)
+    base_bits = _base_terms(t.d, t.k)
+    base_vecs = list(product(range(1, 1 << t.k), repeat=t.d))
     for idxs in combinations(range(len(base_bits)), length):
         acc = 0
         for i in idxs:

@@ -249,6 +249,11 @@ def random_tensor(d: int, k: int, seed: int) -> DenseTensor:
 
 def random_rank_decomp(d: int, k: int, t: int, seed: int) -> RankDecomposition:
     """t terms of d independent uniform vectors each; seed-deterministic."""
+    size = t * d * k
+    if size > 8 * budget_bytes():
+        raise CapacityError(f"random_rank_decomp({d},{k},{t}): its t*d*k bits exceed "
+                            f"the budget of {8 * budget_bytes()} bits",
+                            required=size, budget=8 * budget_bytes())
     rng = Prng(seed)
     terms = tuple(
         RankOneTerm(tuple(BitVec.random(k, rng) for _ in range(d)))

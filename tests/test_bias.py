@@ -9,7 +9,7 @@ import pytest
 
 from f2lab._bitops import anf_pieces, budget_bytes, form_table, walsh_spectrum
 from f2lab import bias
-from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK_LOG2, EXACT_WORK, BiasEstimate,
+from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
@@ -575,9 +575,10 @@ def test_corr_class_max_guard_reports_size():
         corr_class_max(random_tensor(2, 4, 1), 4)
     assert "2^" in str(ei.value)
     # counts, like every other capacity error: 163 monomials of degree
-    # <= 4 in 8 variables against the 2^24-member cap
-    assert ei.value.required == 1 << 163
-    assert ei.value.budget == 1 << 24
+    # <= 4 in 8 variables, 154 of degree >= 2, so 2^154 transforms of
+    # 8 x 2^8 fields against the 2^25-field cap
+    assert ei.value.required == 8 << 162
+    assert ei.value.budget == CORR_CLASS_WORK == 2**25
 
 
 @pytest.mark.parametrize("degree", [-1, 0, 1, 2])
@@ -712,12 +713,63 @@ def test_corr_class_max_guards_table_size(monkeypatch):
 
 
 def test_corr_class_max_guards_work(monkeypatch):
-    # degree 1 over 20 variables: 2^21 members, each a 2^20-bit table XOR
+    # degree 1 over 21 variables: one transform of 21 x 2^21 fields
     def no_tables(*args):
         raise AssertionError("built a truth table before the guard")
     monkeypatch.setattr("f2lab.bias.form_table", no_tables)
     with pytest.raises(CapacityError) as ei:
-        corr_class_max(DenseTensor(4, 5, 0), 1)
-    assert ei.value.required == 1 << 41
-    assert ei.value.budget == 1 << CORR_CLASS_WORK_LOG2 == 1 << 40
+        corr_class_max(DenseTensor(3, 7, 0), 1)
+    assert ei.value.required == 21 << 21
+    assert ei.value.budget == 1 << 25
 
+
+def test_corr_class_max_refuses_before_listing(monkeypatch):
+    # degree 11 over 22 variables: 2,449,845 monomials of degree 2..11,
+    # counted by binomial sums; neither the class nor a table is built
+    def no_build(*args):
+        raise AssertionError("listed monomials or built a table before the guard")
+    monkeypatch.setattr("f2lab.bias._monomials_upto", no_build)
+    monkeypatch.setattr("f2lab.bias.form_table", no_build)
+    high = sum(comb(22, j) for j in range(2, 12))
+    with pytest.raises(CapacityError) as ei:
+        corr_class_max(random_tensor(1, 22, 7), 11)
+    assert ei.value.required == (22 << 22) << high
+    assert ei.value.budget == 1 << 25
+
+
+def test_corr_class_max_degree_one_over_20_variables():
+    # x . y over 10 + 10 variables is bent: |W| = 2^10 everywhere, so every
+    # affine polynomial sits at correlation 2^-10; one 20 x 2^20-field
+    # transform, within the work cap
+    ident = DenseTensor(2, 10, sum(1 << (11 * i) for i in range(10)))
+    val, wit = corr_class_max(ident, 1)
+    assert val == D.half_pow(10)
+    assert all(len(m) <= 1 for m in wit.monomials)
+    assert corr_exact(ident, wit) == val
+
+
+@pytest.mark.parametrize("d,degree,refused_k", [(3, 1, 7), (1, 2, 7)])
+def test_corr_class_max_work_is_the_transforms(d, degree, refused_k, monkeypatch):
+    # the guard's count, read from its refusal under a zero cap, against
+    # the fields of the transforms the call runs, on every shape the cap
+    # admits: the family grows until the cap refuses at refused_k
+    cap = bias.CORR_CLASS_WORK
+    spectrum = bias.walsh_spectrum
+    transforms = []
+
+    def spy(table, n):
+        transforms.append(n)
+        return spectrum(table, n)
+    monkeypatch.setattr(bias, "walsh_spectrum", spy)
+    for k in range(1, refused_k + 1):
+        t = random_tensor(d, k, 150 + k)
+        monkeypatch.setattr(bias, "CORR_CLASS_WORK", 0)
+        with pytest.raises(CapacityError) as ei:
+            corr_class_max(t, degree)
+        monkeypatch.setattr(bias, "CORR_CLASS_WORK", cap)
+        if k == refused_k:
+            assert ei.value.required > cap
+            break
+        transforms.clear()
+        corr_class_max(t, degree)
+        assert sum(n << n for n in transforms) == ei.value.required, (d, k)

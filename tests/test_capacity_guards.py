@@ -81,12 +81,15 @@ def _corr_exact_shapes():
 def _class_max_shapes():
     # degree 0 grows the tables up to the byte refusal; degree 1 adds the
     # Walsh transform's 32-bit fields, and grows to its byte refusal too
-    # (k = 7, 8 and 9 at the three budgets)
+    # (k = 7, 8 and 9 at the three budgets); degree 6 over 12 variables has
+    # 2,510 monomials, refused by the work guard before they are listed
     def calls(d, degree, k_max):
         for k in range(1, k_max + 1):
             t = random_tensor(d, k, 30 * d + k)
             yield lambda: corr_class_max(t, degree)
-    return [calls(1, 0, 26), calls(3, 0, 8), calls(2, 1, 9)]
+    wide = random_tensor(2, 6, 66)
+    return [calls(1, 0, 26), calls(3, 0, 8), calls(2, 1, 9),
+            iter([lambda: corr_class_max(wide, 6)])]
 
 
 def _min_weight_shapes():

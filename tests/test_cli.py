@@ -161,6 +161,17 @@ def test_gen_random_rank_and_certify(tmp_path):
     assert "reconstructed_bias" in payload
 
 
+def test_gen_random_rank_refuses_past_the_budget(tmp_path, capsys, monkeypatch):
+    # 5 terms of 3 vectors of 1,000 bits against a 1 KiB budget's 8,192
+    # bits: refused before any draw or write
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1024")
+    path = tmp_path / "d.f2d"
+    assert main(["gen", "random-rank", "--d", "3", "--k", "1000", "--t", "5",
+                 "--seed", "1", "--out", str(path)]) == 2
+    assert "t*d*k bits exceed" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_invariant_violation_exits_3_under_optimize(tmp_path):
     # the certificate's bias identity is checked even under python -O,
     # where assert statements are stripped

@@ -230,6 +230,22 @@ def test_random_decomp_determinism_and_balance():
     assert 0.49 <= freq <= 0.51
 
 
+def test_random_rank_decomp_guards_bits(monkeypatch):
+    # t*d*k bits against 8 x the byte budget, as random_tensor's k^d: four
+    # vectors of 2^24 bits pass a 1 MiB budget's 2^23 bits; a decomposition
+    # of exactly 2^23 bits is built, drawn vector by vector as before
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 20))
+    with pytest.raises(CapacityError) as ei:
+        random_rank_decomp(1, 1 << 24, 4, 1)
+    assert ei.value.required == 1 << 26 and ei.value.budget == 1 << 23
+    with pytest.raises(CapacityError):
+        random_tensor(1, 1 << 24, 1)
+    dec = random_rank_decomp(2, 1 << 19, 8, 3)
+    draws = Prng(3)
+    assert [v.bits for term in dec.terms for v in term.vectors] == \
+        [draws.bits(1 << 19) for _ in range(16)]
+
+
 def _tensor_text(t):
     buf = io.StringIO()
     write_tensor(buf, t)
