@@ -16,6 +16,8 @@ from __future__ import annotations
 import sys
 from array import array
 
+from ._bitops import int_bytes
+
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _TWO64 = float(1 << 64)
@@ -63,6 +65,14 @@ def _mix_words(first: int, n: int) -> bytearray:
         out[8 * start:8 * (start + m)] = low_halves
         f = (f + _CHUNK_WORDS * _GOLDEN) & _M64
     return out
+
+
+def draw_bytes(n: int) -> int:
+    """Bytes a `Prng.bits(n)` call holds at its peak beside the int it
+    returns: the word block and its copy, and at most 2 bytes per bit of
+    one `_CHUNK_WORDS`-word chunk's fields and their temporaries (measured
+    under tracemalloc, Python 3.11)."""
+    return 2 * int_bytes(n) + 2 * min(n, 64 * _CHUNK_WORDS) + 1024
 
 
 class Prng:

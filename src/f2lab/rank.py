@@ -10,9 +10,10 @@ Three rank routes live here:
 * the kernel/dual-code certificate (`code_certificate`): for a d=3
   decomposition, the first-block vectors define a matrix whose kernel K
   and dual code K-perp reconstruct the bias as
-  (|K|/2^t) * sum_{v in K-perp} 2^-rank(M_v); the certificate records
-  the dual dimension and its minimum weight, the quantities a
-  rate-distance bound converts into a rank lower bound.
+  (|K|/2^t) * sum_{v in K-perp} 2^-rank(M_v), ranking each M_v once
+  and checking by equality the two premises that make this the bias;
+  the certificate records the dual dimension and its minimum weight, the
+  quantities a rate-distance bound converts into a rank lower bound.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Iterator
 from ._bitops import budget_bytes
 from .bias import DyadicRational, _histogram_to_mean, bias_exact
 from .errors import CapacityError, InvariantError
-from .f2linalg import (BitVec, _rref, dual_space, kernel, min_weight, rank_of_row_ints,
-                       span_rank_histogram)
+from .f2linalg import (BitVec, _rref, dual_space, echelonize, kernel, min_weight,
+                       rank_of_row_ints, span_rank_histogram)
 from .numerics import mrrw_constant
 from .tensors import (DenseTensor, RankDecomposition, RankOneTerm, first_block_slices,
                       outer_bits, tensor_from_decomp)
@@ -176,9 +177,15 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
     """Kernel/dual-code certificate for a d=3 decomposition.
 
     Builds the k x t matrix A of first-block vectors, K = ker(A) and its
-    dual, enumerates the dual code reconstructing the bias exactly, and
-    records the dual minimum weight.  When the tensor has no zero
-    first-block contraction, dim K = t - k is asserted.
+    dual, ranks M_v = sum_i v_i (y_i (x) z_i) once for every dual word v,
+    and records the dual minimum weight.  The reconstruction is the bias
+    exactly when two premises hold, and both are checked by equality
+    before any dual word is enumerated: the dual is the row space of A,
+    and M_a for row a of A is the matching first-block slice of the
+    tensor.  Then the tensor's contraction at x is M_{x^T A}, so its 2^k
+    contractions cover the dual span 2^(k - dim dual) times each.  When
+    the tensor has no zero first-block contraction, dim K = t - k is
+    checked too.
     """
     if decomp.d != 3:
         raise ValueError("code certificates are for 3-dimensional decompositions")
@@ -194,35 +201,34 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
                 a_rows[r] |= 1 << i
     ker = kernel(a_rows, t)
     dual = dual_space(ker)
-    dmw = min_weight(dual)
+    pairs = [outer_bits([u.bits for u in term.vectors[1:]], k) for term in decomp.terms]
 
+    def contraction(v: int) -> int:
+        """M_v = XOR of y_i (x) z_i over the set coordinates i of v."""
+        m = 0
+        for i, pair in enumerate(pairs):
+            if (v >> i) & 1:
+                m ^= pair
+        return m
+
+    slices = first_block_slices(tensor_from_decomp(decomp))
+    if (echelonize(a_rows, t) != dual
+            or [contraction(row) for row in a_rows] != slices):
+        raise InvariantError("code-certificate bias identity violated")
+    dmw = min_weight(dual)
     if dual.dim == 0:
         counts = [1]  # only v = 0, the zero matrix
     else:
-        # M_v = XOR of y_i (x) z_i over the set coordinates i of v
-        pairs = [outer_bits([u.bits for u in term.vectors[1:]], k)
-                 for term in decomp.terms]
-        gens = []
-        for v in dual.basis:
-            m = 0
-            for i, pair in enumerate(pairs):
-                if (v >> i) & 1:
-                    m ^= pair
-            gens.append(m)
-        counts = span_rank_histogram(gens, k, k)
+        counts = span_rank_histogram([contraction(v) for v in dual.basis], k, k)
     # (|K| / 2^t) * sum_v 2^-rank(M_v)
     reconstructed = _histogram_to_mean(counts, t - ker.dim)
-    tensor = tensor_from_decomp(decomp)
-    direct = bias_exact(tensor)
-    if reconstructed != direct:
-        raise InvariantError("code-certificate bias identity violated")
     # nondegenerate in the first block: no x != 0 kills the whole form,
     # i.e. the k first-index slices are linearly independent
-    if rank_of_row_ints(first_block_slices(tensor)) == k and ker.dim != t - k:
+    if rank_of_row_ints(slices) == k and ker.dim != t - k:
         raise InvariantError("kernel dimension should be t - k")
     return RankBoundCertificate(
         method="code",
-        lower_bound=rank_lb_bias(direct, 3),
+        lower_bound=rank_lb_bias(reconstructed, 3),
         kernel_dim=ker.dim,
         dual_dim=dual.dim,
         dual_min_weight=dmw,

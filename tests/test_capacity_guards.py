@@ -112,6 +112,17 @@ def _code_certificate_shapes():
     return [calls()]
 
 
+def _random_rank_decomp_shapes():
+    # many small terms, where the objects around the bits dominate, and a
+    # few long vectors, where the digits and one draw's workspace do
+    def calls(d, k, t, grow):
+        for step in range(13):
+            dims = {"k": k, "t": t}
+            dims[grow] <<= 2 * step
+            yield lambda: random_rank_decomp(d, dims["k"], dims["t"], step)
+    return [calls(1, 1, 1, "t"), calls(3, 20, 1, "t"), calls(2, 1, 3, "k")]
+
+
 def _span_rank_shapes():
     # 20x20 slices of trace_tensor(20), as bias_exact ranks them; 16 of the
     # 20 generators keep several chunks with high generators at every budget
@@ -137,6 +148,7 @@ ROUTES = {
     "corr_class_max": _class_max_shapes,
     "min_weight": _min_weight_shapes,
     "code_certificate": _code_certificate_shapes,
+    "random_rank_decomp": _random_rank_decomp_shapes,
     "span_rank_histogram": _span_rank_shapes,
     "sampled_rank_histogram": _sampled_rank_shapes,
 }

@@ -162,29 +162,32 @@ def test_gen_random_rank_and_certify(tmp_path):
 
 
 def test_gen_random_rank_refuses_past_the_budget(tmp_path, capsys, monkeypatch):
-    # 5 terms of 3 vectors of 1,000 bits against a 1 KiB budget's 8,192
-    # bits: refused before any draw or write
+    # 5 terms of 3 vectors of 1,000 bits need 12,152 bytes against a 1 KiB
+    # budget: refused before any draw or write
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1024")
     path = tmp_path / "d.f2d"
     assert main(["gen", "random-rank", "--d", "3", "--k", "1000", "--t", "5",
                  "--seed", "1", "--out", str(path)]) == 2
-    assert "t*d*k bits exceed" in capsys.readouterr().err
+    assert "its terms need 12152 bytes, over the 1024-byte budget" in capsys.readouterr().err
     assert not path.exists()
 
 
 def test_invariant_violation_exits_3_under_optimize(tmp_path):
-    # the certificate's bias identity is checked even under python -O,
-    # where assert statements are stripped
+    # the premises of the certificate's bias identity are checked even
+    # under python -O, where assert statements are stripped: here the dual
+    # code has the right dimension, 2, but is span(e_0, e_1), not the row
+    # space {0, 010, 101, 111} of the first-block matrix
     path = tmp_path / "d.f2d"
     run_cli("gen", "random-rank", "--d", "3", "--k", "2", "--t", "3",
             "--seed", "5", "--out", str(path))
     script = (
         "import sys\n"
         "from f2lab import cli, rank\n"
-        "from f2lab.bias import DyadicRational\n"
+        "from f2lab.f2linalg import echelonize\n"
         "if not sys.flags.optimize:\n"
         "    sys.exit(99)\n"
-        "rank.bias_exact = lambda t: DyadicRational.zero()\n"
+        "rank.dual_space = lambda s: echelonize(\n"
+        "    [1 << j for j in range(s.ambient_dim - s.dim)], s.ambient_dim)\n"
         "sys.exit(cli.main(sys.argv[1:]))\n")
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, "rank", "certify", str(path)],

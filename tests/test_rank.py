@@ -6,10 +6,11 @@ from math import comb
 
 import pytest
 
+import f2lab.f2linalg as f2linalg
 import f2lab.rank as rank_mod
 from f2lab._bitops import budget_bytes
 from f2lab.bias import DyadicRational as D, bias_exact
-from f2lab.errors import CapacityError
+from f2lab.errors import CapacityError, InvariantError
 from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank, rank_of_row_ints
 from f2lab.prng import Prng
 from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, decompositions,
@@ -224,20 +225,102 @@ def test_certificate_random_reconstruction():
         t_count = 1 + below(rng, 5)
         k = 2 + below(rng, 2)
         dec = random_rank_decomp(3, k, t_count, rng.u64())
-        cert = code_certificate(dec)  # internal equality assert
+        cert = code_certificate(dec)
         assert cert.kernel_dim + cert.dual_dim == t_count
 
 
 def test_certificate_dual_span_over_lane_chunks():
-    # k = t - 6 = LANE_CHUNK_BITS + 2: the dual span, bias_exact and
-    # min_weight all run over several lane chunks
+    # k = t - 6 = LANE_CHUNK_BITS + 2: the dual span, min_weight and the
+    # outside check bias_exact all run over several lane chunks
     k = LANE_CHUNK_BITS + 2
     for seed in (61, 62):
         dec = random_rank_decomp(3, k, k + 6, seed)
-        cert = code_certificate(dec)  # checks the bias identity itself
+        cert = code_certificate(dec)
         rank_a = rank_of_row_ints(term.vectors[0].bits for term in dec.terms)
         assert rank_a > LANE_CHUNK_BITS
         assert (cert.dual_dim, cert.kernel_dim) == (rank_a, dec.t - rank_a)
+        assert cert.reconstructed_bias == bias_exact(tensor_from_decomp(dec))
+
+
+def _certificate_family():
+    """Seeded d=3 decompositions: t below, at and above k, and the
+    degenerate shapes (repeated terms, a zero first-block vector, an
+    all-zero first block with dual dimension 0)."""
+    draws = Prng(2323)
+    for k in range(1, 7):
+        for t_count in (0, 1, k - 1, k, k + 2, 2 * k + 2):
+            yield random_rank_decomp(3, k, t_count, draws.u64())
+        terms = random_rank_decomp(3, k, k + 1, draws.u64()).terms
+        yield RankDecomposition(3, k, terms + terms[:2])
+        zero = BitVec(k, 0)
+        yield RankDecomposition(3, k, terms + (RankOneTerm((zero,) + terms[0].vectors[1:]),))
+        yield RankDecomposition(3, k, tuple(RankOneTerm((zero,) + term.vectors[1:])
+                                            for term in terms))
+
+
+def test_certificate_bias_is_the_exact_bias():
+    # outside check: the certificate never calls bias_exact
+    duals = set()
+    for dec in _certificate_family():
+        cert = code_certificate(dec)
+        bias = bias_exact(tensor_from_decomp(dec))
+        assert cert.reconstructed_bias == bias, dec
+        assert cert.lower_bound == rank_lb_bias(bias, 3)
+        duals.add(cert.dual_dim)
+    assert min(duals) == 0 and max(duals) == 6
+
+
+def test_certificate_premise_faults_raise(monkeypatch):
+    dec = random_rank_decomp(3, 3, 5, 44)
+    code_certificate(dec)
+    real_dual = rank_mod.dual_space
+
+    def shifted_dual(s):
+        # same dimension, but not the row space of the first-block matrix
+        dual = real_dual(s)
+        other = f2linalg.echelonize([1 << j for j in range(dual.dim)], s.ambient_dim)
+        assert other != dual
+        return other
+
+    monkeypatch.setattr(rank_mod, "dual_space", shifted_dual)
+    with pytest.raises(InvariantError, match="bias identity violated"):
+        code_certificate(dec)
+    monkeypatch.undo()
+    built = []
+
+    def skip_first_term(vectors, k):
+        # the contraction helper's pair of term 0 goes missing
+        built.append(vectors)
+        return 0 if len(built) == 1 else outer_bits(vectors, k)
+
+    monkeypatch.setattr(rank_mod, "outer_bits", skip_first_term)
+    with pytest.raises(InvariantError, match="bias identity violated"):
+        code_certificate(dec)
+    assert len(built) == dec.t
+
+
+def test_certificate_ranks_the_dual_span_once(monkeypatch):
+    decs = [*_certificate_family(), random_rank_decomp(3, 9, 12, 45)]
+    # a 1 KiB budget splits the span of dimension 9 into 64-lane chunks
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1024")
+
+    def no_bias_exact(t):
+        raise AssertionError("the certificate ranked the slices again")
+
+    monkeypatch.setattr(rank_mod, "bias_exact", no_bias_exact)
+    lanes = []
+    real = f2linalg._batched_rank_histogram
+
+    def counted(planes, nrows, ncols, nlanes):
+        lanes.append(nlanes)
+        return real(planes, nrows, ncols, nlanes)
+
+    monkeypatch.setattr(f2linalg, "_batched_rank_histogram", counted)
+    for dec in decs:
+        lanes.clear()
+        cert = code_certificate(dec)
+        assert sum(lanes) == (1 << cert.dual_dim if cert.dual_dim else 0)
+    assert lanes == [64] * 8
 
 
 def test_certificate_json():

@@ -231,15 +231,22 @@ def test_random_decomp_determinism_and_balance():
 
 
 def test_random_rank_decomp_guards_bits(monkeypatch):
-    # t*d*k bits against 8 x the byte budget, as random_tensor's k^d: four
-    # vectors of 2^24 bits pass a 1 MiB budget's 2^23 bits; a decomposition
-    # of exactly 2^23 bits is built, drawn vector by vector as before
+    # bytes against the byte budget: 4 KiB, then per term 160 bytes and per
+    # vector 128 bytes beside its digits, and one draw's workspace
+    # (`draw_bytes`); four vectors of 2^24 bits need 13,559,128 bytes, over
+    # 1 MiB.  Sixteen vectors of 2^19 bits (2^23 bits in all) need 1,397,864
+    # bytes: refused at 1 MiB, built at exactly that budget, drawn vector by
+    # vector as before
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 20))
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(1, 1 << 24, 4, 1)
-    assert ei.value.required == 1 << 26 and ei.value.budget == 1 << 23
+    assert ei.value.required == 13_559_128 and ei.value.budget == 1 << 20
     with pytest.raises(CapacityError):
         random_tensor(1, 1 << 24, 1)
+    with pytest.raises(CapacityError) as ei:
+        random_rank_decomp(2, 1 << 19, 8, 3)
+    assert ei.value.required == 1_397_864
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1397864")
     dec = random_rank_decomp(2, 1 << 19, 8, 3)
     draws = Prng(3)
     assert [v.bits for term in dec.terms for v in term.vectors] == \
