@@ -28,8 +28,6 @@ At d = 3 the two share no code; from d = 4 on both build tables with
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -370,6 +368,8 @@ def _sliced_form(bits: int, planes: list[list[int]], j: int, k: int) -> int:
 
     planes[j][c] holds coordinate c of block j for all samples, sample s
     at bit s; bit s of the result is the form at sample s's blocks j..d-1.
+    The samples are `bias_mc`'s random draws, or all 2^(kd) inputs of
+    `corr_class_max`, where each plane is a variable's truth table.
     """
     if j == len(planes) - 1:
         out = 0
@@ -442,23 +442,16 @@ def _corr_bytes(k: int, d: int) -> int:
 
 
 def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
-    """Bytes `corr_class_max` holds at once, counted as in `_corr_bytes`:
-    the form table, a table per monomial of degree >= 2, the walk's
-    current table and the next one, and a monomial table being built (a
-    mask of ones and the variable mask ANDed into it); `form_table` holds
-    about four tables and 128 bytes per piece while it joins them.  From
-    degree 1 on, add eight ints of 2^n 32-bit fields: the transform's
-    fields with its butterfly temporaries and `bytes` and `array` copies,
-    or the marking of the maximizers with their keys (tracemalloc peaks
-    near six and a half)."""
+    """Bytes `corr_class_max` holds at once from degree 1 on, counted as in
+    `_corr_bytes`: the n = kd variable tables, a table per monomial of
+    degree >= 2, and d + 3 more for the form `_sliced_form` builds (an
+    output per block, and an AND and XOR at the last) or for the walk's
+    current table and the next one; and eight ints of 2^n 32-bit fields,
+    the transform's fields with its butterfly temporaries and `bytes` and
+    `array` copies (tracemalloc peaks near five)."""
     n = k * d
-    table = int_bytes(1 << n)
-    pieces = 1 << k if d > 1 else 1
-    held = 4096 + 4 * table + 128 * pieces
-    if class_bits <= 1:
-        return held
     high = class_bits - 1 - n
-    return held + high * table + 8 * int_bytes(32 << n)
+    return 4096 + (n + high + d + 3) * int_bytes(1 << n) + 8 * int_bytes(32 << n)
 
 
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
@@ -513,42 +506,6 @@ def _monomials_upto(n: int, degree: int) -> list[tuple[int, ...]]:
     return [m for deg in range(degree + 1) for m in combinations(range(n), deg)]
 
 
-def _walsh_keys(k: int, d: int, flip: int) -> int:
-    """2^n 32-bit fields, n = kd: field u is flip ^ g^-1(a), g^-1(a) =
-    a ^ (a >> 1) ^ (a >> 2) ^ ... the inverse Gray code of the linear
-    part a whose Walsh index is u (polynomial variable v at bit v of a,
-    at input bit `_input_bit(v)` of u).  g^-1 is F2-linear, so the fields
-    double over the input bits: those with input bit b set are those
-    without it, XOR the key of the one variable there."""
-    n = k * d
-    key_of_bit = [0] * n
-    for v in range(n):
-        key_of_bit[_input_bit(v, k, d)] = ones(v + 1)  # g^-1(1 << v)
-    keys = flip
-    rep = 1  # 1 in each of the fields built so far
-    for b, key in enumerate(key_of_bit):
-        keys |= (keys ^ rep * key) << (32 << b)
-        rep |= rep << (32 << b)
-    return keys
-
-
-def _least_key(fields: int, hits: set[int], k: int, d: int, flip: int) -> int:
-    """Least `_walsh_keys` field u among the 2^n 32-bit fields u whose
-    `fields` field is in `hits`.  SWAR zero test: a field y < 2^31 is
-    nonzero exactly when y + 0x7FFFFFFF sets bit 31, so `miss` keeps 1 at
-    the fields that match no hit, and those keys become all ones, above
-    every key, before the min."""
-    n = k * d
-    rep = int.from_bytes(b"\x01\x00\x00\x00" * (1 << n), "little")  # 1 per field
-    miss = rep
-    for v in hits:
-        miss &= ((fields ^ rep * v) + rep * 0x7FFFFFFF) >> 31
-    del rep
-    keyed = _walsh_keys(k, d, flip) | miss * 0xFFFFFFFF
-    # the min reads no field position, so the host byte order may reverse them
-    return min(array("I", keyed.to_bytes(4 << n, sys.byteorder)))
-
-
 def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynomial]:
     """Exact max correlation over all multilinear polynomials of degree
     <= `degree`, with one maximizer.
@@ -561,10 +518,13 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     witness is the first maximizer of a Gray walk over the whole class,
     constant first, then the n linear monomials, then the rest: the member
     of least step g^-1(member), the constant set to make that step even.
-    Within a state that is the least key (`_walsh_keys`, XORed with all
-    ones when the state's high part has odd parity) among the maximizers,
-    found with a packed zero test, never one at a time.  Degree 0 is
-    {0, 1} and degree -1 is {0}: both give the bias, from one popcount.
+    Within a state the step's low n bits are the key g^-1(a), XORed with
+    all ones when the state's high part has odd parity.  The tables are
+    built over the key coordinates y_v = x_v + x_(v-1), variable v at bit
+    v, so that field u of the spectrum is the linear part a = g(u): the
+    least key among the maximizers is the first maximal field, or the
+    last one complemented at odd parity.  Degree 0 is {0, 1} and degree
+    -1 is {0}: both give the bias, from `bias_bruteforce`.
 
     The work guard counts the 32-bit fields the transforms touch, 2^h
     states x n stages x 2^n fields for the h monomials of degree >= 2
@@ -572,58 +532,62 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     degree <= 0 runs no transform.  The tables and the 2^n fields must fit
     the byte budget (`_class_max_bytes`).
     """
-    n = t.k * t.d
+    k, d = t.k, t.d
+    n = k * d
     if n > CORR_MAX_VARS:
         raise CapacityError(
             f"corr_class_max builds 2^{n}-bit truth tables "
             f"(guard 2^{CORR_MAX_VARS})",
             required=1 << n, budget=1 << CORR_MAX_VARS)
     class_bits = sum(math.comb(n, j) for j in range(min(degree, n) + 1))
-    work = (n << n) << (class_bits - 1 - n) if class_bits > 1 else 0
+    if class_bits <= 1:
+        return bias_bruteforce(t), Polynomial(n, ())
+    work = (n << n) << (class_bits - 1 - n)
     if work > CORR_CLASS_WORK:
         raise CapacityError(
             f"degree-{degree} class over {n} variables: 2^{class_bits - 1 - n} "
             f"transforms of {n} x 2^{n} fields, over the {CORR_CLASS_WORK}-field "
             "work budget",
             required=work, budget=CORR_CLASS_WORK)
-    required = _class_max_bytes(t.k, t.d, class_bits)
+    required = _class_max_bytes(k, d, class_bits)
     if required > budget_bytes():
         raise CapacityError(
             f"corr_class_max holds {required} bytes of truth tables",
             required=required, budget=budget_bytes())
-    ftab = form_table(t.bits, t.d, t.k)
-    size = 1 << n
-    if class_bits <= 1:
-        return (DyadicRational.from_ratio(abs(size - 2 * ftab.bit_count()), n),
-                Polynomial(n, ()))
+    # x_v = y_0 + ... + y_v over the key coordinates
+    variables = [var_mask(0, n)]
+    for v in range(1, n):
+        variables.append(variables[-1] ^ var_mask(v, n))
+    cur = _sliced_form(t.bits, [variables[j * k:(j + 1) * k] for j in range(d)], 0, k)
     monos = _monomials_upto(n, min(degree, n))
     high_tables = []
     for mono in monos[1 + n:]:
-        mt = ones(size)
-        for v in mono:
-            mt &= var_mask(_input_bit(v, t.k, t.d), n)
+        mt = variables[mono[0]]
+        for v in mono[1:]:
+            mt &= variables[v]
         high_tables.append(mt)
+    del variables
 
     # member Q (constant left out) comes first in the walk at step
     # g^-1(Q): its high bits are the outer state, its low n bits the key
+    size = 1 << n
     best_num = -1
     best_step = 0
-    cur = ftab
     for state in range(1 << len(high_tables)):
         if state:
             cur ^= high_tables[ctz(state)]
-        fields, spectrum = walsh_spectrum(cur, n)
+        spectrum = walsh_spectrum(cur, n)[1]
         top, low = max(spectrum), min(spectrum)
-        del spectrum  # the marking and the next transform run without it
         num = max(top - size, size - low)
         if num > best_num:
             # the low n bits of g^-1(Q) are g^-1(a) XOR the parity of the
-            # high part H = g(state), which is bit 0 of state
-            flip = ones(n) if state & 1 else 0
+            # high part H = g(state), which is bit 0 of state; reversed,
+            # field j is field ones(n) ^ j, so key j at odd parity
+            if state & 1:
+                spectrum.reverse()
             best_num = num
-            best_step = (state << n) | _least_key(fields, {size + num, size - num},
-                                                  t.k, t.d, flip)
-        del fields
+            best_step = (state << n) | min(spectrum.index(v) for v in (top, low)
+                                           if abs(v - size) == num)
     # the whole-class walk meets {Q, Q + 1} first at step 2 g^-1(Q), at the
     # member whose constant bit is bit 0 of g^-1(Q)
     subset = best_step ^ (best_step >> 1)

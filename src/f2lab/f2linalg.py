@@ -179,8 +179,6 @@ def kernel(rows: Sequence[int], cols: int) -> Subspace:
 
 def dual_space(s: Subspace) -> Subspace:
     """Orthogonal complement under the standard bilinear form."""
-    if s.dim == 0:
-        return echelonize([1 << j for j in range(s.ambient_dim)], s.ambient_dim)
     return kernel(s.basis, s.ambient_dim)
 
 

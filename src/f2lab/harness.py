@@ -160,7 +160,8 @@ def _membership_prob(s: Subspace, d: int, k: int) -> D:
 def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | None,
                                trials: int, seed: int) -> VerificationReport:
     """Exact Pr[random rank-one tensor lies in U] for random subspaces U,
-    against the refined bound f_{d,k}(dim U) and its relaxation.
+    against the refined bound f_{d,k}(dim U) (`_at_most`), which
+    `f_dk_bound` checks against its relaxation.
 
     `subspace_dims=None` sweeps dim U from 0 to k^d in steps of
     max(1, k^d // 8).
@@ -178,12 +179,11 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     for u in subspace_dims:
         for _ in range(trials):
             s = _random_subspace(ambient, u, rng)
-            pr = _membership_prob(s, d, k).to_float()
+            pr = _membership_prob(s, d, k)
             refined = f_dk_bound(d, k, float(u))
-            relaxed = d * 2.0 ** -k + 2.0 ** (u / k ** (d - 1)) / 2.0 ** k
-            if pr > refined + 1e-12 or refined > relaxed + 1e-12:
+            if not _at_most(pr, refined):
                 holds = False
-            worst_gap = min(worst_gap, refined - pr)
+            worst_gap = min(worst_gap, refined - pr.to_float())
             checked += 1
     return _report(
         "subspace-membership",
@@ -212,11 +212,10 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     worst_ratio = 0.0
     for r, pr in enumerate(dist):
         bound = comb(t, r) * base ** (t - r)
-        val = pr.to_float()
-        if val > bound + 1e-12:
+        if not _at_most(pr, bound):
             holds = False
         if bound > 0:
-            worst_ratio = max(worst_ratio, val / bound)
+            worst_ratio = max(worst_ratio, pr.to_float() / bound)
     return _report(
         "span-dimension", [("d", str(d)), ("k", str(k)), ("t", str(t))],
         [("distribution", " ".join(str(p) for p in dist)),
@@ -413,7 +412,7 @@ def verify_bias_matmul(n: int) -> VerificationReport:
         mt = matmul_tensor(n)
         cross_ok = bias_exact(mt) == value and bias_bruteforce(mt) == value
         routes += ["fast", "brute"]
-    bound_ok = value.to_float() <= n * 2.0 ** (-3.0 * n * n / 4.0) + 1e-15
+    bound_ok = _at_most(value, n * 2.0 ** (-3.0 * n * n / 4.0))
     if n == 1:
         # the bound only kicks in at n >= 2 (at n=1 the exact bias 3/4
         # exceeds it); only the route cross-check is asserted

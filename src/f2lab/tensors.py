@@ -238,12 +238,18 @@ def explicit_form_tensor(d: int, k: int) -> DenseTensor:
 
 
 def random_tensor(d: int, k: int, seed: int) -> DenseTensor:
-    """Uniform tensor, deterministic for a fixed seed."""
+    """Uniform tensor, deterministic for a fixed seed.
+
+    Refused before the draw when the tensor's digits and the draw's
+    workspace (`draw_bytes`) exceed the byte budget.
+    """
     size = _tensor_bits(d, k)
-    if size > 8 * budget_bytes():
-        raise CapacityError(f"random_tensor({d},{k}): its k^d bits exceed "
-                            f"the budget of {8 * budget_bytes()} bits",
-                            required=size, budget=8 * budget_bytes())
+    required = int_bytes(size) + draw_bytes(size)
+    budget = budget_bytes()
+    if required > budget:
+        raise CapacityError(f"random_tensor({d},{k}): its k^d bits and their draw need "
+                            f"{required} bytes, over the {budget}-byte budget",
+                            required=required, budget=budget)
     return DenseTensor(d, k, Prng(seed).bits(size))
 
 

@@ -1,13 +1,13 @@
 """Bias and correlation: exact routes agree, closed forms hit exactly."""
 
 from collections import Counter
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
 import tracemalloc
 
 import pytest
 
-from f2lab._bitops import anf_pieces, budget_bytes, form_table, walsh_spectrum
+from f2lab._bitops import anf_pieces, budget_bytes, form_table, var_mask, walsh_spectrum
 from f2lab import bias
 from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
@@ -660,29 +660,53 @@ def test_corr_class_max_matches_whole_class_walk_at_odd_high_parity():
         assert corr_class_max(t, 2) == (D.from_ratio(num, n), Polynomial.reduce(n, monos)), t
 
 
-@pytest.mark.parametrize("d,k", [(1, 5), (2, 3), (3, 2)])
-def test_least_key_matches_a_scan(d, k):
-    # the forms' own maximizers almost always sit at the zero linear part,
-    # so the packed zero test and the keys are checked on random fields:
-    # the least flip ^ g^-1(a(u)) over the fields u holding a hit
-    n = k * d
-    prng = Prng(140 + n)
-    for _ in range(6):
-        values = [below(prng, 4) for _ in range(1 << n)]
-        fields = sum(v << (32 * u) for u, v in enumerate(values))
-        hits = {values[below(prng, 1 << n)], below(prng, 4)}
-        flip = prng.bits(n)
-        want = []
-        for u, v in enumerate(values):
-            if v in hits:
-                a = sum(1 << (j * k + i) for j in range(d) for i in range(k)
-                        if (u >> ((d - 1 - j) * k + i)) & 1)
-                key = 0
-                while a:
-                    key ^= a
-                    a >>= 1
-                want.append(key ^ flip)
-        assert bias._least_key(fields, hits, k, d, flip) == min(want)
+@pytest.mark.parametrize("degree", [1, 2])
+def test_class_max_spectrum_is_over_the_key_coordinates(degree, monkeypatch):
+    # every field of every transform the walk runs: field `key` is W(a) of
+    # the state's table over the inputs (`form_table`, degree-2 monomials
+    # XORed in), a = key ^ (key >> 1) with variable v at `_input_bit(v)`;
+    # the witnesses of degree 1 are 0 from d = 2 on, so only this sees
+    # the order of the blocks and the direction of the Gray code
+    spectra = []
+
+    def spy(table, n):
+        fields, spectrum = walsh_spectrum(table, n)
+        spectra.append(list(spectrum))
+        return fields, spectrum
+    monkeypatch.setattr(bias, "walsh_spectrum", spy)
+    prng = Prng(140 + degree)
+    max_vars = 8 if degree == 1 else 4
+    for d in range(1, 5):
+        for k in range(1, max_vars // d + 1):
+            n = k * d
+            size = 1 << n
+            t = random_tensor(d, k, prng.u64())
+            spectra.clear()
+            corr_class_max(t, degree)
+            pairs = list(combinations(range(n), 2)) if degree == 2 else []
+            assert len(spectra) == 1 << len(pairs)
+            form = form_table(t.bits, d, k)
+            for state, spectrum in enumerate(spectra):
+                high = state ^ (state >> 1)
+                table = form
+                for i, (v, w) in enumerate(pairs):
+                    if (high >> i) & 1:
+                        table ^= (var_mask(bias._input_bit(v, k, d), n)
+                                  & var_mask(bias._input_bit(w, k, d), n))
+                for key in range(size):
+                    a = key ^ (key >> 1)
+                    u = sum(1 << bias._input_bit(v, k, d) for v in range(n) if (a >> v) & 1)
+                    assert spectrum[key] == walsh_sum(table, n, u) + size, (d, k, state, key)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_corr_class_max_degree_one_witness_is_zero(d):
+    # from d = 2 on the bias is W(0) / 2^n, met first at the walk's start:
+    # classes of up to 2^16 members, beyond the whole-class oracle's reach
+    prng = Prng(160 + d)
+    for k in range(1, 15 // d + 1):
+        t = random_tensor(d, k, prng.u64())
+        assert corr_class_max(t, 1) == (bias_exact(t), Polynomial(k * d, ())), k
 
 
 def test_corr_class_max_matches_whole_class_walk_on_the_benchmark_shape():
@@ -706,6 +730,7 @@ def test_corr_class_max_guards_table_size(monkeypatch):
     def no_tables(*args):
         raise AssertionError("built a truth table before the guard")
     monkeypatch.setattr("f2lab.bias.form_table", no_tables)
+    monkeypatch.setattr("f2lab.bias.var_mask", no_tables)
     with pytest.raises(CapacityError) as ei:
         corr_class_max(DenseTensor(3, 9, 0), 0)
     assert ei.value.required == 1 << 27
@@ -717,6 +742,7 @@ def test_corr_class_max_guards_work(monkeypatch):
     def no_tables(*args):
         raise AssertionError("built a truth table before the guard")
     monkeypatch.setattr("f2lab.bias.form_table", no_tables)
+    monkeypatch.setattr("f2lab.bias.var_mask", no_tables)
     with pytest.raises(CapacityError) as ei:
         corr_class_max(DenseTensor(3, 7, 0), 1)
     assert ei.value.required == 21 << 21
@@ -730,6 +756,7 @@ def test_corr_class_max_refuses_before_listing(monkeypatch):
         raise AssertionError("listed monomials or built a table before the guard")
     monkeypatch.setattr("f2lab.bias._monomials_upto", no_build)
     monkeypatch.setattr("f2lab.bias.form_table", no_build)
+    monkeypatch.setattr("f2lab.bias.var_mask", no_build)
     high = sum(comb(22, j) for j in range(2, 12))
     with pytest.raises(CapacityError) as ei:
         corr_class_max(random_tensor(1, 22, 7), 11)

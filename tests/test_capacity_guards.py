@@ -123,6 +123,16 @@ def _random_rank_decomp_shapes():
     return [calls(1, 1, 1, "t"), calls(3, 20, 1, "t"), calls(2, 1, 3, "k")]
 
 
+def _random_tensor_shapes():
+    # one long vector, where the digits and the draw's workspace dominate,
+    # and d = 3, where k^d grows eightfold a step
+    def calls(d, grow):
+        for step in range(16):
+            k = 1 << (grow * step)
+            yield lambda: random_tensor(d, k, step)
+    return [calls(1, 2), calls(3, 1)]
+
+
 def _span_rank_shapes():
     # 20x20 slices of trace_tensor(20), as bias_exact ranks them; 16 of the
     # 20 generators keep several chunks with high generators at every budget
@@ -149,6 +159,7 @@ ROUTES = {
     "min_weight": _min_weight_shapes,
     "code_certificate": _code_certificate_shapes,
     "random_rank_decomp": _random_rank_decomp_shapes,
+    "random_tensor": _random_tensor_shapes,
     "span_rank_histogram": _span_rank_shapes,
     "sampled_rank_histogram": _sampled_rank_shapes,
 }
