@@ -74,48 +74,64 @@ def var_mask(v: int, m: int) -> int:
     return block
 
 
-def linear_form_table(support: int, m: int) -> int:
-    """Truth table over 2^m inputs of the linear form <support, x>."""
+def linear_form_table(support: int, m: int, masks: list[int] | None = None) -> int:
+    """Truth table over 2^m inputs of the linear form <support, x>: the
+    XOR of the variable tables `var_mask(v, m)` over the support, taken
+    from `masks` when given, else each built as its bit needs it."""
     t = 0
     s = support
     while s:
         v = ctz(s)
         s &= s - 1
-        t ^= var_mask(v, m)
+        t ^= var_mask(v, m) if masks is None else masks[v]
     return t
 
 
-def form_table(bits: int, dims: int, k: int) -> int:
+def repeat(table: int, width: int, copies: int) -> int:
+    """`copies` copies, a power of two, of the width-bit `table` side by
+    side: copy x at bits [x width, (x+1) width).  Built by doubling."""
+    total = width * copies
+    while width < total:
+        table |= table << width
+        width <<= 1
+    return table
+
+
+def subset_xor_table(tables: Iterable[int], width: int) -> int:
+    """Bits [x width, (x+1) width) hold the XOR of tables[a] over the set
+    bits a of x, for every x below 2^len(tables); width a power of two.
+
+    Built by doubling: after step a, `acc` covers the x below 2^(a+1), and
+    its new upper half is the lower one XOR 2^a copies of tables[a], so a
+    step is one big-int expression and the tables may come one at a time.
+    """
+    acc = 0
+    for a, t in enumerate(tables):
+        acc |= (acc ^ repeat(t, width, 1 << a)) << (width << a)
+    return acc
+
+
+def form_table(bits: int, dims: int, k: int, masks: list[int] | None = None) -> int:
     """Truth table over 2^(k*dims) inputs of the dims-linear form `bits`.
 
     `bits` is a packed tensor of side k (first index slowest).  The input
     index packs the blocks with the first block at the high bits, so
     bits [x * 2^(k(dims-1)), (x+1) * 2^(k(dims-1))) hold the residual
-    table at first-block value x.  dims == 1 is `linear_form_table`.
+    table at first-block value x: the `subset_xor_table` of the k slice
+    tables, built one at a time.  The linear tables at the bottom share
+    the k variable masks `masks`, which a dims >= 2 call builds once and a
+    caller building many tables may pass in; a linear table alone builds
+    one mask at a time (`linear_form_table`), not k of its own size.
     """
+    if not bits:
+        return 0
     if dims == 1:
-        return linear_form_table(bits, k)
+        return linear_form_table(bits, k, masks)
+    if masks is None:
+        masks = [var_mask(v, k) for v in range(k)]
     step = k ** (dims - 1)
-    mask = ones(step)
-    tabs = [0]
-    for i in range(k):
-        s = (bits >> (i * step)) & mask
-        ti = form_table(s, dims - 1, k) if s else 0
-        tabs += [a ^ ti for a in tabs] if ti else tabs  # tabs[x] = xor of t_i, i in x
-    return join_tables(tabs, 1 << (k * (dims - 1)))
-
-
-def join_tables(tabs: list[int], width: int) -> int:
-    """The tables of `width` bits each, width a power of two, side by side:
-    tabs[x] at bits [x width, (x+1) width)."""
-    if width >= 8:  # a power of two, so whole bytes
-        nb = width >> 3
-        return int.from_bytes(b"".join(a.to_bytes(nb, "little") for a in tabs),
-                              "little")
-    out = 0
-    for x, a in enumerate(tabs):
-        out |= a << (x * width)
-    return out
+    return subset_xor_table((form_table((bits >> (i * step)) & ones(step), dims - 1, k, masks)
+                             for i in range(k)), 1 << (k * (dims - 1)))
 
 
 def anf_pieces(monomials: Iterable[int], n: int, m: int) -> list[int]:

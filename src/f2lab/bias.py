@@ -33,7 +33,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
-                      join_tables, linear_form_table, ones, var_mask, walsh_spectrum)
+                      linear_form_table, ones, repeat, subset_xor_table, var_mask,
+                      walsh_spectrum)
 from .errors import CapacityError
 from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
                        _batched_rank_histogram)
@@ -201,7 +202,9 @@ def _walk_low_bits(k: int, inner_bits: int) -> int | None:
     c = 0 fits.  The budget covers the base planes, the k - c delta plane
     sets, the current planes, and the k^2 slot rows and k-entry row of
     `_batched_rank_histogram`: `int_bytes` of a plane and 32 bytes of
-    header and list slot."""
+    header and list slot.  `_tail_matrix_planes` holds less: beside the
+    planes built so far, one entry's slice tables, the k variable masks
+    and a doubling step fit in the two k^2 plane sets the walk adds."""
     for c in range(min(k, LANE_CHUNK_BITS - inner_bits), -1, -1):
         plane = int_bytes(1 << (c + inner_bits)) + 32
         if ((k - c + 3) * k * k + k) * plane <= budget_bytes():
@@ -215,34 +218,32 @@ def _tail_matrix_planes(t: DenseTensor, c: int) -> tuple[list[list[int]],
 
     Entry (i, j) of the residual matrix is a (d-2)-linear form of the
     prefix x_1..x_{d-2}; its slice at coordinate a of x_1 has a table t_a
-    over the inner blocks x_2..x_{d-2} (`form_table`, x_2 slowest).  A
-    lane is (l, y): l the low c bits of x_1 at the high lane bits, y the
-    inner blocks at the low ones.  base[i][j] holds the XOR of t_a(y) over
-    the bits a of l, which is the entry where the other bits of x_1 are 0;
-    deltas[a - c][i][j] holds t_a(y) at every lane, for a >= c.
+    over the inner blocks x_2..x_{d-2} (`form_table`, x_2 slowest, with
+    the k variable masks built once per call).  A lane is (l, y): l the
+    low c bits of x_1 at the high lane bits, y the inner blocks at the low
+    ones.  base[i][j] holds the XOR of t_a(y) over the bits a of l, which
+    is the entry where the other bits of x_1 are 0: the
+    `subset_xor_table` of t_0..t_(c-1), built by doubling.
+    deltas[a - c][i][j] holds t_a(y) at every lane, for a >= c: 2^c
+    copies of t_a (`repeat`).
     """
     k, d = t.k, t.d
     kk = k * k
     inner = k ** (d - 3)
     mask = ones(inner)
     width = 1 << (k * (d - 3))
+    masks = [var_mask(v, k) for v in range(k)]
     bits = format(t.bits, "b").zfill(t.size)[::-1]  # bits[n] is bit n of T
     base = [[0] * k for _ in range(k)]
     deltas = [[[0] * k for _ in range(k)] for _ in range(k - c)]
     for pos in range(kk):
         i, j = divmod(pos, k)
         entry = int(bits[pos::kk][::-1], 2)  # the (d-2)-tensor of entry (i, j)
-        tabs = [0]
-        for a in range(k):
-            ta = form_table((entry >> (a * inner)) & mask, d - 3, k)
-            if a < c:
-                tabs += [x ^ ta for x in tabs]  # tabs[l] = xor of t_a, a in l
-            elif width >= 8:  # 2^c copies, as whole bytes
-                deltas[a - c][i][j] = int.from_bytes(
-                    ta.to_bytes(width >> 3, "little") * (1 << c), "little")
-            else:
-                deltas[a - c][i][j] = join_tables([ta] * (1 << c), width)
-        base[i][j] = join_tables(tabs, width)
+        tabs = [form_table((entry >> (a * inner)) & mask, d - 3, k, masks)
+                for a in range(k)]
+        base[i][j] = subset_xor_table(tabs[:c], width)
+        for a in range(c, k):
+            deltas[a - c][i][j] = repeat(tabs[a], width, 1 << c)
     return base, deltas
 
 
@@ -318,15 +319,18 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
 
 
 def _bruteforce_bytes(k: int, d: int) -> int:
-    """Bytes `bias_bruteforce` holds at once: `int_bytes` of a table,
-    64 bytes of headers per piece `form_table` joins, and 4 KiB of frames
-    and small lists."""
-    if d == 1:  # the table, a variable mask being built and their XOR
+    """Bytes `bias_bruteforce` holds at once: `int_bytes` of a table and
+    64 bytes of header, and 4 KiB of frames and small lists.
+
+    Up to d = 2 five tables of 2^k bits: the support and a linear table,
+    a variable mask, their XOR and the OR.  From d = 3 on the support and
+    the last doubling step of a slice table (`form_table`): its lower
+    half, shifted upper half and OR, 3.5 tables counted as four; and the
+    k variable masks of 2^k bits.
+    """
+    if d <= 2:
         return 4096 + 5 * (int_bytes(1 << k) + 64)
-    pieces = 1 << k if d > 2 else 1
-    # the support table, and one slice table with the list and join
-    # that build it
-    return 4096 + 5 * (int_bytes(1 << (k * d - k)) + 64 * pieces)
+    return 4096 + 4 * (int_bytes(1 << (k * d - k)) + 64) + k * (int_bytes(1 << k) + 64)
 
 
 def bias_bruteforce(t: DenseTensor) -> DyadicRational:
@@ -357,8 +361,7 @@ def bias_bruteforce(t: DenseTensor) -> DyadicRational:
     else:
         support = 0
         for s in first_block_slices(t):
-            if s:
-                support |= form_table(s, d - 1, k)
+            support |= form_table(s, d - 1, k)
         ones_count = support.bit_count() << (k - 1)
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
@@ -429,16 +432,14 @@ def _corr_bytes(k: int, d: int) -> int:
     the polynomial's 2^(kd)-bit table in 2^h pieces of 2^m bits (h = k
     for d >= 2 and k // 2 at d = 1, m = kd - h), with 64 bytes of header
     and list slot per piece; the form's h slice tables of 2^m bits; and
-    five more pieces for the one slice table being built (its own
-    pieces, their bytes and their join), or for a Moebius step's variable
-    mask and temporaries, or for the walk's current piece and its XOR.
-    `form_table` joins 2^k pieces per slice at 128 bytes each from d = 3
-    on."""
+    five more pieces for the one slice table being built (a linear
+    table's mask and XOR, or from d = 3 on the last doubling step's lower
+    half, shifted upper half and OR, and the k variable masks, at most
+    half a piece in all), or for a Moebius step's variable mask and
+    temporaries, or for the walk's current piece and its XOR."""
     h = k if d > 1 else k // 2
-    m = k * d - h
-    piece = int_bytes(1 << m)
-    joined = 1 << k if d > 2 else 0
-    return 4096 + ((64 + piece) << h) + (h + 5) * piece + 128 * joined
+    piece = int_bytes(1 << (k * d - h))
+    return 4096 + ((64 + piece) << h) + (h + 5) * piece
 
 
 def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
@@ -446,12 +447,13 @@ def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
     `_corr_bytes`: the n = kd variable tables, a table per monomial of
     degree >= 2, and d + 3 more for the form `_sliced_form` builds (an
     output per block, and an AND and XOR at the last) or for the walk's
-    current table and the next one; and eight ints of 2^n 32-bit fields,
-    the transform's fields with its butterfly temporaries and `bytes` and
-    `array` copies (tracemalloc peaks near five)."""
+    current table and the next one; and six ints of 2^n 32-bit fields:
+    a butterfly stage holds five (the fields, the masked half, the
+    difference, its shift and their OR), and one is margin.  Under
+    tracemalloc a whole call peaks near five of them from n = 12 on."""
     n = k * d
     high = class_bits - 1 - n
-    return 4096 + (n + high + d + 3) * int_bytes(1 << n) + 8 * int_bytes(32 << n)
+    return 4096 + (n + high + d + 3) * int_bytes(1 << n) + 6 * int_bytes(32 << n)
 
 
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
@@ -494,7 +496,7 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
         slices = [every if (t.bits >> (m + j)) & 1 else 0 for j in range(h)]
     else:
         cur = 0
-        slices = [form_table(s, d - 1, k) if s else 0 for s in first_block_slices(t)]
+        slices = [form_table(s, d - 1, k) for s in first_block_slices(t)]
     ones_count = (cur ^ ppieces[0]).bit_count()
     for step in range(1, 1 << h):
         cur ^= slices[ctz(step)]

@@ -23,7 +23,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator
 
-from ._bitops import budget_bytes
+from ._bitops import budget_bytes, int_bytes
 from .bias import DyadicRational, _histogram_to_mean, bias_exact
 from .errors import CapacityError, InvariantError
 from .f2linalg import (BitVec, _rref, dual_space, echelonize, kernel, min_weight,
@@ -77,9 +77,23 @@ def _base_terms(d: int, k: int) -> list[int]:
     return [outer_bits(vs, k) for vs in product(range(1, 1 << k), repeat=d)]
 
 
+def _factors(i: int, d: int, k: int) -> list[int]:
+    """The factor vectors of rank-one i of `_base_terms`: the base 2^k - 1
+    digits of i, first factor most significant, each plus one."""
+    vs = []
+    for _ in range(d):
+        i, digit = divmod(i, (1 << k) - 1)
+        vs.append(digit + 1)
+    return vs[::-1]
+
+
 def _check_search_size(d: int, k: int, m: int):
     """Refuse, before anything is listed, the sets of m of the (2^k-1)^d
-    rank-one d-tensors (or the tensors alone, if more) beyond the budget."""
+    rank-one d-tensors (or the tensors alone, if more) beyond the budget,
+    and rank-ones that would not fit the byte budget: each is a k^d-bit
+    int (`int_bytes`) with 40 bytes of header and list slot, and up to
+    four 16-byte slots of the search's lookup set.  Under tracemalloc
+    `rank_exact` holds about 90 bytes a rank-one at k^d = 100."""
     nbase = ((1 << k) - 1) ** d
     entries = max(nbase, comb(nbase, m))
     cap = max(1 << 12, budget_bytes() // 64)
@@ -87,6 +101,11 @@ def _check_search_size(d: int, k: int, m: int):
         raise CapacityError(
             f"sets of {m} of the {nbase} rank-one tensors need {entries} "
             f"entries, over the {cap}-entry budget", required=entries, budget=cap)
+    held = nbase * (int_bytes(k ** d) + 104)
+    if held > budget_bytes():
+        raise CapacityError(
+            f"the {nbase} rank-one tensors and their lookup set hold {held} bytes",
+            required=held, budget=budget_bytes())
 
 
 def _slice_span_search(span: list[int], rank_ones: list[int], width: int,
@@ -116,7 +135,8 @@ def rank_exact(t: DenseTensor, t_max: int) -> int | None:
     rank(T) is the least r such that the span S of the first-block slices
     lies in the span of r rank-one (d-1)-tensors (Buergisser-Clausen-
     Shokrollahi); for d <= 2 it is s = dim S.  The C(#rank-ones, t_max - s)
-    sets of rank-ones tried beyond S are guarded before any search.
+    sets of rank-ones tried beyond S, and the bytes of the rank-ones and
+    their lookup set, are guarded before any is listed.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
@@ -140,16 +160,14 @@ def decompositions(t: DenseTensor, length: int) -> Iterator[RankDecomposition]:
         raise ValueError("decomposition search needs d >= 2")
     _check_search_size(t.d, t.k, length)
     base_bits = _base_terms(t.d, t.k)
-    base_vecs = list(product(range(1, 1 << t.k), repeat=t.d))
     for idxs in combinations(range(len(base_bits)), length):
         acc = 0
         for i in idxs:
             acc ^= base_bits[i]
         if acc == t.bits:
-            terms = tuple(
-                RankOneTerm(tuple(BitVec(t.k, v) for v in base_vecs[i]))
-                for i in idxs)
-            yield RankDecomposition(t.d, t.k, terms)
+            yield RankDecomposition(t.d, t.k, tuple(
+                RankOneTerm(tuple(BitVec(t.k, v) for v in _factors(i, t.d, t.k)))
+                for i in idxs))
 
 
 def rank_lb_bias(bias: DyadicRational, d: int) -> int:

@@ -242,6 +242,19 @@ def corr_whole_table(t, poly):
     return abs((1 << n) - 2 * ones_count), n
 
 
+def preimage_counts(h, a, k):
+    """#{x : h(x) = a} and #{x : h(x) = 0}, one input x at a time: bit i
+    of h(x) is the parity of h[i] & x."""
+    fiber = kernel = 0
+    for x in range(1 << k):
+        hx = 0
+        for i in range(k):
+            hx |= ((h[i] & x).bit_count() & 1) << i
+        fiber += hx == a
+        kernel += hx == 0
+    return fiber, kernel
+
+
 def trace_tensor_cubic(k):
     """T(i,j,l) = Trace(b_i b_j b_l) in GF(2^k), polynomial basis, from k^3
     field multiplications and traces, l fastest."""

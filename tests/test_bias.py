@@ -139,8 +139,10 @@ def _form_table_reference(t):
 
 
 @pytest.mark.parametrize("d,k", [(d, k) for d in range(1, 6) for k in range(1, 4)]
-                         + [(1, 4), (2, 4), (3, 4)])
+                         + [(1, 4), (2, 4), (3, 4), (1, 5), (2, 5)])
 def test_form_table_matches_evaluate(d, k):
+    # residual tables of 2^(k(d-1)) bits: below one byte at d = 2, k <= 2,
+    # one byte at k = 3 and above it at k = 4, 5
     step = k ** (d - 1)
     for seed in (1, 2):
         t = random_tensor(d, k, 100 * d + 10 * k + seed)
@@ -301,10 +303,11 @@ def test_bias_bruteforce_guards_table_bytes(monkeypatch):
     monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
     monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
     monkeypatch.setattr("f2lab.bias.linear_form_table", _no_tables)
-    # d = 30, k = 1: one 2^29-bit slice table alone is 64 MiB
+    # d = 30, k = 1: one 2^29-bit slice table alone is 64 MiB; trace k = 9
+    # holds four 32 KiB tables at once
     for t, budget in [(DenseTensor(30, 1, 0), None),
                       (DenseTensor(1, 30, 0), None),
-                      (trace_tensor(9), 1 << 18)]:
+                      (trace_tensor(9), 1 << 17)]:
         if budget is None:
             monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
         else:
@@ -357,6 +360,39 @@ def test_bias_capacity_guards():
         bias_bruteforce(DenseTensor(2, 16, 0))
     with pytest.raises(CapacityError):
         bias_exact(DenseTensor(4, 16, 0))
+
+
+def _tail_plane_reference(t, c):
+    """Base and delta planes of the d >= 4 walk, lane by lane from
+    `evaluate`: lane (l, y) has x_1 = l (low c bits) at the high lane bits
+    and x_2..x_{d-2} at the low ones, x_2 slowest; base entry (i, j) is
+    T(x_1, x_2, ..., e_i, e_j) and delta a - c is T(e_a, x_2, ..., e_i, e_j)."""
+    k, d = t.k, t.d
+    inner = k * (d - 3)
+    base = [[0] * k for _ in range(k)]
+    deltas = [[[0] * k for _ in range(k)] for _ in range(k - c)]
+    for lane in range(1 << (c + inner)):
+        rest = [BitVec(k, (lane >> ((d - 4 - m) * k)) & ((1 << k) - 1))
+                for m in range(d - 3)]
+        for i in range(k):
+            for j in range(k):
+                tail = rest + [BitVec(k, 1 << i), BitVec(k, 1 << j)]
+                base[i][j] |= evaluate(t, [BitVec(k, lane >> inner)] + tail) << lane
+                for a in range(c, k):
+                    deltas[a - c][i][j] |= evaluate(t, [BitVec(k, 1 << a)] + tail) << lane
+    return base, deltas
+
+
+@pytest.mark.parametrize("d,k", [(4, 2), (4, 3), (4, 4), (5, 2)])
+def test_tail_matrix_planes_match_evaluate(d, k, monkeypatch):
+    # c = 0 and 1, and the most low bits of x_1 the default budget gives a lane
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    widest = bias._walk_low_bits(k, k * (d - 3))
+    assert widest == k
+    for seed in (1, 2):
+        t = random_tensor(d, k, 500 * d + 10 * k + seed)
+        for c in sorted({0, 1, widest}):
+            assert bias._tail_matrix_planes(t, c) == _tail_plane_reference(t, c), (seed, c)
 
 
 def test_bias_exact_reach_and_work_guard(monkeypatch):
@@ -735,6 +771,22 @@ def test_corr_class_max_guards_table_size(monkeypatch):
         corr_class_max(DenseTensor(3, 9, 0), 0)
     assert ei.value.required == 1 << 27
     assert ei.value.budget == 1 << 26
+
+
+def test_corr_class_max_degree_one_runs_in_two_mib(monkeypatch):
+    # 16 variables: the transform's 2^16 32-bit fields are 256 KiB an int,
+    # and the call peaks near five of them
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(2 << 20))
+    t = random_tensor(2, 8, 7)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        val, wit = corr_class_max(t, 1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
+    assert (val, wit) == (bias_exact(t), Polynomial(16, ()))
 
 
 def test_corr_class_max_guards_work(monkeypatch):

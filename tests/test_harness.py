@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from f2lab import f2linalg, harness
+from f2lab._bitops import var_mask
 from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
 from f2lab.harness import (_at_most, _sum_census, run_all, verify_bias_matmul,
@@ -23,7 +24,7 @@ from f2lab.prng import Prng
 from f2lab.rank import code_certificate
 from f2lab.report import REPORT_ONLY, fmt_float
 from f2lab.tensors import RankDecomposition
-from oracles import bias_tail_hits
+from oracles import bias_tail_hits, preimage_counts
 
 
 QUICK_PROFILE = Path(__file__).parent / "data" / "quick_profile.json"
@@ -293,6 +294,24 @@ class TestExplicitTensors:
 
 def test_linear_preimage():
     assert verify_linear_preimage(5, trials=200, seed=15).holds is True
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8])
+def test_preimage_counts_match_per_input_loop(k):
+    # random maps, mostly of full rank, and maps of rank < k: a zero row
+    # leaves output bit i at 0, so an a with bit i set is outside the image
+    prng = Prng(400 + k)
+    masks = [var_mask(v, k) for v in range(k)]
+    outside = 0
+    for trial in range(12):
+        h = [prng.bits(k) for _ in range(k)]
+        if trial % 3 == 0:
+            h[trial % k] = 0
+        for a in (0, prng.bits(k), 1 << (trial % k)):
+            want = preimage_counts(h, a, k)
+            assert harness._preimage_counts(h, a, k, masks) == want, (h, a)
+            outside += want[0] == 0
+    assert outside > 0
 
 
 def test_corank_margin_report_only():

@@ -29,6 +29,7 @@ def test_base_terms_order():
     bits = _base_terms(3, 2)
     assert bits == [outer_bits(vs, 2) for vs in product(range(1, 4), repeat=3)]
     assert bits[0] == 1 and bits[-1] == (1 << 8) - 1 and len(set(bits)) == 27
+    assert [outer_bits(rank_mod._factors(i, 3, 2), 2) for i in range(27)] == bits
 
 
 def test_rank_exact_trivia():
@@ -113,6 +114,21 @@ def test_rank_exact_guard(monkeypatch):
     with pytest.raises(CapacityError) as ei:
         next(decompositions(trace_tensor(3), 4))
     assert ei.value.required == comb(7 ** 3, 4) and ei.value.budget == cap
+
+
+def test_rank_exact_guards_the_rank_ones_bytes(monkeypatch):
+    # trace10 at t_max = s lists no set but 1023^2 rank-one matrices and
+    # their lookup set, about 94 MiB: refused at a 64 MiB budget before
+    # any is listed, within the 128 MiB default
+    monkeypatch.setattr(rank_mod, "_slice_span_search", _fail)
+    monkeypatch.setattr(rank_mod, "_base_terms", _fail)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(64 << 20))
+    with pytest.raises(CapacityError) as ei:
+        rank_exact(trace_tensor(10), 10)
+    assert ei.value.budget == 64 << 20
+    assert ei.value.required == 1023 ** 2 * 120 > ei.value.budget
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES")
+    rank_mod._check_search_size(2, 10, 0)
 
 
 def transformed(t, rng):
