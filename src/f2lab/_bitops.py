@@ -174,12 +174,18 @@ def walsh_spectrum(table: int, n: int) -> tuple[int, array]:
     fields W(u) + 2^n: packed in one int, field u at bit 32u, and as
     array("I") entry u.
 
-    Field x starts at (-1)^table(x) + 1 and holds W + 2^s after stage s,
-    W the sum over the 2^s inputs that agree with x above bit s.  Stage s
-    sends the fields (a, b) that differ only in bit s of x to
-    (a + b, a - b + 2^(s+1)) on masked halves: both lie in [0, 2^(s+2)],
-    so no field borrows or carries while 2^(n+1) < 2^32.  W(0) and the
-    sum of the spectrum, 2^n (-1)^table(0), are checked.
+    Field x starts at (-1)^table(x) + 1.  The stages run over the bits of
+    x from the highest down; after j of them field x holds W + 2^j, W the
+    sum over the 2^j inputs that differ from x only in those bits.  The
+    stage on bit s sends the fields (a, b) that differ only in bit s of x
+    to (a + b, a - b + 2^(j+1)): both lie in [0, 2^(j+2)], so no field
+    borrows or carries while 2^(n+1) < 2^32, and the stage is one integer
+    sum of its parts, (a + b) + ((a - b) << 32*2^s) + offset, whose
+    intermediates may borrow freely.  Its mask `high` (the fields with bit
+    s set) and `offset` (2^(j+1) in those fields) come from the previous
+    stage's by one shift-XOR doubling, starting from the high half of the
+    fields.  W(0) and the sum of the spectrum, 2^n (-1)^table(0), are
+    checked.
     """
     size = 1 << n
     field_bytes = format(table, "b").zfill(size)[::-1].encode().translate(_FIELD_OF_BIT)
@@ -187,18 +193,23 @@ def walsh_spectrum(table: int, n: int) -> tuple[int, array]:
     buf[::4] = field_bytes
     x = int.from_bytes(buf, "little")
     del buf, field_bytes
-    for s in range(n):
-        half, reps = 4 << s, size >> (s + 1)
-        # a, the fields with bit s clear, in lo; b, shifted onto them, in x
-        lo = x & int.from_bytes((b"\xff" * half + bytes(half)) * reps, "little")
-        x ^= lo
-        x >>= 32 << s
-        diff = lo + int.from_bytes(((2 << s).to_bytes(4, "little") * (1 << s)
-                                    + bytes(half)) * reps, "little")
-        diff -= x
-        lo += x
-        x = lo | (diff << (32 << s))
-        del lo, diff
+    high = ones(16 << n) << (16 << n)
+    offset = (high // 0xFFFFFFFF) << 1
+    for s in reversed(range(n)):
+        width = 32 << s
+        b = x & high  # the fields with bit s set
+        x ^= b  # a, the fields with bit s clear
+        b >>= width  # b on a's fields
+        x += b  # a + b
+        b <<= 1
+        b = x - b  # a - b, in place to hold one int less
+        b <<= width
+        x += b
+        del b
+        x += offset
+        if s:
+            high ^= high >> (width >> 1)
+            offset = (offset ^ (offset >> (width >> 1))) << 1
     spectrum = array("I", x.to_bytes(4 << n, "little"))
     if sys.byteorder == "big":
         spectrum.byteswap()

@@ -448,8 +448,8 @@ def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
     degree >= 2, and d + 3 more for the form `_sliced_form` builds (an
     output per block, and an AND and XOR at the last) or for the walk's
     current table and the next one; and six ints of 2^n 32-bit fields:
-    a butterfly stage holds five (the fields, the masked half, the
-    difference, its shift and their OR), and one is margin.  Under
+    a butterfly stage holds five (the fields, the stage's mask and offset,
+    the masked half and one partial sum), and one is margin.  Under
     tracemalloc a whole call peaks near five of them from n = 12 on."""
     n = k * d
     high = class_bits - 1 - n

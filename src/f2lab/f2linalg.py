@@ -55,10 +55,6 @@ class BitVec:
                 bits |= 1 << j
         return cls(len(s), bits)
 
-    @classmethod
-    def random(cls, length: int, rng: Prng) -> "BitVec":
-        return cls(length, rng.bits(length))
-
     def to01(self) -> str:
         return "".join("1" if (self.bits >> j) & 1 else "0" for j in range(self.length))
 

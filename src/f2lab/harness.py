@@ -152,9 +152,12 @@ def _random_subspace(ambient: int, dim: int, rng: Prng) -> Subspace:
             return s
 
 
-def _membership_prob(s: Subspace, d: int, k: int) -> D:
-    hits = sum(c for x, c in _rank_one_census(d, k).items() if s.contains_bits(x))
-    return D.from_ratio(hits, k * d)
+def _membership_prob(s: Subspace, census: dict[int, int], tuple_bits: int) -> D:
+    """Pr[a uniform vector tuple's outer product lies in s], from the
+    rank-one `census` of the 2^tuple_bits tuples, which the caller builds
+    once for all its subspaces."""
+    hits = sum(c for x, c in census.items() if s.contains_bits(x))
+    return D.from_ratio(hits, tuple_bits)
 
 
 def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | None,
@@ -172,6 +175,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     ambient = k ** d
     if subspace_dims is None:
         subspace_dims = range(0, ambient + 1, max(1, ambient // 8))
+    census = _rank_one_census(d, k)
     rng = Prng(seed)
     checked = 0
     worst_gap = math.inf
@@ -179,7 +183,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     for u in subspace_dims:
         for _ in range(trials):
             s = _random_subspace(ambient, u, rng)
-            pr = _membership_prob(s, d, k)
+            pr = _membership_prob(s, census, k * d)
             refined = f_dk_bound(d, k, float(u))
             if not _at_most(pr, refined):
                 holds = False
@@ -428,22 +432,35 @@ def verify_bias_matmul(n: int) -> VerificationReport:
         holds, "closed-form")
 
 
-def _lifted_form(d: int, k: int, rng: Prng) -> Polynomial:
-    """Random degree-(d-1) multilinear form as a sum over i of a random
-    (d-1)-linear form on the blocks other than i."""
-    monos: list[tuple[int, ...]] = []
+def _lifted_monomials(d: int, k: int) -> list[list[tuple[int, ...]]]:
+    """For each block left out, the monomial of each flat index of a
+    (d-1)-linear form on the other blocks: entry (i_1..i_(d-1)), first
+    index slowest, is the sorted variables j*k + i_j of those blocks."""
+    table = []
     for skip in range(d):
         blocks = [j for j in range(d) if j != skip]
+        table.append([tuple(sorted(j * k + i for j, i in zip(blocks, idx)))
+                      for idx in product(range(k), repeat=d - 1)])
+    return table
+
+
+def _lifted_form(d: int, k: int, rng: Prng,
+                 monomials: list[list[tuple[int, ...]]]) -> Polynomial:
+    """Random degree-(d-1) multilinear form as a sum over i of a random
+    (d-1)-linear form on the blocks other than i: one `rng.bits(k^(d-1))`
+    per block left out picks its monomials from `_lifted_monomials(d, k)`,
+    which the caller builds once for all its forms.  Monomials of
+    different blocks left out differ, so none cancels and the sorted
+    picks are the reduced polynomial."""
+    monos: list[tuple[int, ...]] = []
+    for table in monomials:
         sub = rng.bits(k ** (d - 1))
-        for flat in range(k ** (d - 1)):
-            if (sub >> flat) & 1:
-                idx = []
-                rest = flat
-                for j in reversed(blocks):
-                    idx.append(j * k + rest % k)
-                    rest //= k
-                monos.append(tuple(sorted(idx)))
-    return Polynomial.reduce(k * d, monos)
+        while sub:
+            low = sub & -sub
+            sub ^= low
+            monos.append(table[low.bit_length() - 1])
+    monos.sort()
+    return Polynomial(k * d, tuple(monos))
 
 
 def verify_explicit_form(d: int, k: int, samples: int,
@@ -456,9 +473,10 @@ def verify_explicit_form(d: int, k: int, samples: int,
     holds = bias_exact(t) == formula
     cap = D.from_ratio(d - 1, k)
     worst = D.zero()
+    monomials = _lifted_monomials(d, k)
     rng = Prng(seed)
     for _ in range(samples):
-        g = _lifted_form(d, k, rng)
+        g = _lifted_form(d, k, rng, monomials)
         c = corr_exact(t, g)
         if c > cap:
             holds = False

@@ -255,9 +255,10 @@ def random_tensor(d: int, k: int, seed: int) -> DenseTensor:
 
 # Bytes of a `random_rank_decomp` term beside its vectors' digits (a
 # RankOneTerm, its d-tuple and its slot in the terms), and of a vector beside
-# its digits (a BitVec): bounds of the 225 bytes a term measured at d = k = 1
-# and 418 at d = 3, k = 1 under tracemalloc (Python 3.11).  4 KiB more cover
-# the Prng, the generators and their frames.
+# its digits (a BitVec and its slot in the vector list): bounds of the 235
+# bytes a term peaked at, at d = k = 1, and 443 at d = 3, k = 1, its words of
+# the block included, under tracemalloc (Python 3.11).  4 KiB more cover the
+# Prng and the frames.
 DECOMP_TERM_BYTES = 160
 DECOMP_VECTOR_BYTES = 128
 
@@ -265,20 +266,25 @@ DECOMP_VECTOR_BYTES = 128
 def random_rank_decomp(d: int, k: int, t: int, seed: int) -> RankDecomposition:
     """t terms of d independent uniform vectors each; seed-deterministic.
 
-    Refused before any draw when the terms and one draw's workspace
-    exceed the byte budget.
+    The t*d vectors come from one `Prng.words` block, ceil(k/64) words
+    each, masked to k bits: the values t*d `Prng.bits(k)` calls give.
+    Refused before the draw when the terms and the block's workspace
+    (`draw_bytes` of the whole block) exceed the byte budget.
     """
+    words = (k + 63) >> 6
     size = (4096 + t * (DECOMP_TERM_BYTES + d * (DECOMP_VECTOR_BYTES + int_bytes(k)))
-            + draw_bytes(k))
+            + draw_bytes(64 * words * t * d))
     budget = budget_bytes()
     if size > budget:
         raise CapacityError(f"random_rank_decomp({d},{k},{t}): its terms need {size} "
                             f"bytes, over the {budget}-byte budget",
                             required=size, budget=budget)
-    rng = Prng(seed)
-    terms = tuple(
-        RankOneTerm(tuple(BitVec.random(k, rng) for _ in range(d)))
-        for _ in range(t))
+    block = Prng(seed).words(words * t * d)
+    step = 8 * words
+    mask = ones(k)
+    vectors = [BitVec(k, int.from_bytes(block[i:i + step], "little") & mask)
+               for i in range(0, len(block), step)]
+    terms = tuple(RankOneTerm(tuple(vectors[i:i + d])) for i in range(0, t * d, d))
     return RankDecomposition(d, k, terms)
 
 

@@ -10,11 +10,11 @@ from itertools import combinations, product
 
 from f2lab._bitops import form_table, gray_flips, ones, var_mask
 from f2lab.bias import bias_exact
-from f2lab.f2linalg import rank_of_row_ints
+from f2lab.f2linalg import BitVec, rank_of_row_ints
 from f2lab.gf2k import make_field
 from f2lab.numerics import MaxProblemPoint, _trial_draws
 from f2lab.prng import Prng
-from f2lab.tensors import DenseTensor
+from f2lab.tensors import DenseTensor, Polynomial, RankDecomposition, RankOneTerm
 
 
 def below(rng, n):
@@ -269,3 +269,52 @@ def trace_tensor_cubic(k):
                     bits |= 1 << flat
                 flat += 1
     return DenseTensor(3, k, bits)
+
+
+def rank_decomp_per_vector(d, k, t, seed):
+    """t terms of d vectors, each vector its own rng.bits(k) draw, in
+    term order then block order."""
+    rng = Prng(seed)
+    return RankDecomposition(d, k, tuple(
+        RankOneTerm(tuple(BitVec(k, rng.bits(k)) for _ in range(d))) for _ in range(t)))
+
+
+def inequality_worst(draws, tol):
+    """(worst relative slack, every slack within tol) of the two scalar
+    inequalities over the trials in `draws`, each scaled by
+    max(1, |lhs|, |rhs|) through `max` and `abs`."""
+    worst = 0.0
+    holds = True
+    for u_r, u_x, u_y, u_z, beta, lam in draws:
+        r = 1.0 + 9.0 * u_r
+        x = 1.0 + 7.0 * u_x
+        y = 1.0 + (x - 1.0) * u_y
+        z = 1.0 + 7.0 * u_z
+        for lhs, rhs in (((y ** r - 1.0) * (x - 1.0), (x ** r - 1.0) * (y - 1.0)),
+                         ((z ** lam - 1.0) * (z ** beta - 1.0),
+                          (z ** (beta * lam) - 1.0) * (z - 1.0))):
+            slack = rhs - lhs
+            scale = max(1.0, abs(lhs), abs(rhs))
+            worst = min(worst, slack / scale)
+            if slack < -tol * scale:
+                holds = False
+    return worst, holds
+
+
+def lifted_form(d, k, rng):
+    """Random degree-(d-1) multilinear form, one rng.bits(k^(d-1)) per block
+    left out: each set flat index's variables found by division, and the
+    monomials reduced mod 2."""
+    monos = []
+    for skip in range(d):
+        blocks = [j for j in range(d) if j != skip]
+        sub = rng.bits(k ** (d - 1))
+        for flat in range(k ** (d - 1)):
+            if (sub >> flat) & 1:
+                idx = []
+                rest = flat
+                for j in reversed(blocks):
+                    idx.append(j * k + rest % k)
+                    rest //= k
+                monos.append(tuple(sorted(idx)))
+    return Polynomial.reduce(k * d, monos)

@@ -13,7 +13,7 @@ import pytest
 
 from f2lab.bias import DyadicRational as D, bias_bruteforce, bias_exact, corr_exact
 from f2lab.f2linalg import mat_rank
-from f2lab.harness import (_lifted_form, run_all, verify_bias_tail,
+from f2lab.harness import (_lifted_form, _lifted_monomials, run_all, verify_bias_tail,
                            verify_bias_trace, verify_expected_bias,
                            verify_low_rank_bias_floor, verify_moment_identity,
                            verify_subspace_membership)
@@ -189,8 +189,9 @@ def test_criterion_13_explicit_form_bias_and_correlation():
     for d, k, n_forms in [(3, 2, 400), (4, 2, 300), (3, 3, 300)]:
         t = explicit_form_tensor(d, k)
         cap = D.from_ratio(d - 1, k)
+        monomials = _lifted_monomials(d, k)
         for _ in range(n_forms):
-            g = _lifted_form(d, k, rng)
+            g = _lifted_form(d, k, rng, monomials)
             assert corr_exact(t, g) <= cap, (d, k)
             forms += 1
     assert forms >= 1000

@@ -14,7 +14,7 @@ from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank
-from f2lab.harness import _lifted_form
+from f2lab.harness import _lifted_form, _lifted_monomials
 from f2lab.prng import Prng
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
@@ -280,7 +280,7 @@ def test_corr_exact_peaks_below_a_table_and_a_half(case, monkeypatch):
     # d = 1 the high half of the input bits), and never joined
     monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
     if case.startswith("explicit"):
-        t, p = explicit_form_tensor(3, 8), _lifted_form(3, 8, Prng(97))
+        t, p = explicit_form_tensor(3, 8), _lifted_form(3, 8, Prng(97), _lifted_monomials(3, 8))
     else:
         d = int(case[len("dense d=")])
         t = random_tensor(d, 24 // d, 98)

@@ -24,7 +24,7 @@ from f2lab.prng import Prng
 from f2lab.rank import code_certificate
 from f2lab.report import REPORT_ONLY, fmt_float
 from f2lab.tensors import RankDecomposition
-from oracles import bias_tail_hits, preimage_counts
+from oracles import bias_tail_hits, lifted_form, preimage_counts
 
 
 QUICK_PROFILE = Path(__file__).parent / "data" / "quick_profile.json"
@@ -290,6 +290,31 @@ class TestExplicitTensors:
         r = verify_explicit_form(2, 3, samples=50, seed=14)
         assert measured(r)["bias"] == "1/2^3"
         assert r.holds is True
+
+
+@pytest.mark.parametrize("d, k", [(2, 6), (3, 2), (3, 3), (4, 2), (5, 2)])
+def test_lifted_form_matches_the_division_loop(d, k):
+    # the profiles' explicit-form shapes and (5, 2): the shared monomial map
+    # picks the forms the per-index division gave, from the same draws
+    monomials = harness._lifted_monomials(d, k)
+    rng, ref = Prng(60 + d * k), Prng(60 + d * k)
+    for _ in range(40):
+        assert harness._lifted_form(d, k, rng, monomials) == lifted_form(d, k, ref)
+    assert rng.u64() == ref.u64()
+
+
+def test_subspace_membership_builds_the_census_once(monkeypatch):
+    calls = Counter()
+    census = harness._rank_one_census
+
+    def spy(d, k):
+        calls[d, k] += 1
+        return census(d, k)
+
+    monkeypatch.setattr(harness, "_rank_one_census", spy)
+    r = verify_subspace_membership(2, 2, None, trials=3, seed=7)
+    assert r.samples == 15 and r.holds is True
+    assert calls == {(2, 2): 1}
 
 
 def test_linear_preimage():

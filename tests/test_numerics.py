@@ -11,7 +11,7 @@ from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _exact_vertices, _ext
                             _solve_exact, _trial_draws, f_dk_bound, inequality_checks,
                             mrrw_constant, profile_max_check)
 from f2lab.prng import Prng
-from oracles import sampled_profile_max
+from oracles import inequality_worst, sampled_profile_max
 
 
 def test_f1k_closed_form():
@@ -184,8 +184,34 @@ def test_trial_draws_follow_the_stream(trials, width):
     rng, ref = Prng(17), Prng(17)
     got = list(_trial_draws(rng, trials, width))
     flat = ref.floats(trials * width)
-    assert got == [flat[i * width:(i + 1) * width] for i in range(trials)]
+    assert got == [tuple(flat[i * width:(i + 1) * width]) for i in range(trials)]
     assert rng.u64() == ref.u64()
+
+
+def _stretched_draws(rng, trials, width):
+    # y = 1 + (x - 1) u_y runs past x, where the first inequality fails
+    for u_r, u_x, u_y, *rest in _trial_draws(rng, trials, width):
+        yield (u_r, u_x, 1.0 + 3.0 * u_y, *rest)
+
+
+@pytest.mark.parametrize("trials", [1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK + 1, 3000])
+@pytest.mark.parametrize("case", ["as drawn", "every trial fails", "negative slack"])
+def test_inequality_checks_match_the_max_abs_loop(trials, case, monkeypatch):
+    # the conditional expressions give the floats of max(1, |lhs|, |rhs|) and
+    # min(worst, q): same worst slack, to the last bit (the report prints its
+    # repr), and verdict as the loop that calls them
+    monkeypatch.setattr(numerics, "fmt_float", repr)
+    if case == "every trial fails":
+        monkeypatch.setattr(numerics, "INEQ_REL_TOL", -10.0)  # slack < 10 scale always
+    if case == "negative slack":
+        monkeypatch.setattr(numerics, "_trial_draws", _stretched_draws)
+    r = inequality_checks(trials, seed=40 + trials)
+    want_worst, want_holds = inequality_worst(
+        numerics._trial_draws(Prng(40 + trials), trials, 6), numerics.INEQ_REL_TOL)
+    assert dict(r.measured)["worst_relative_slack"] == repr(want_worst)
+    assert r.holds is want_holds
+    assert want_holds is (case == "as drawn")
+    assert (want_worst < 0) is (case == "negative slack")
 
 
 def test_inequalities_hold():

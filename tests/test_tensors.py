@@ -18,7 +18,8 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            random_tensor, read_decomp, read_poly, read_tensor,
                            tensor_from_decomp, trace_tensor,
                            write_decomp, write_tensor)
-from oracles import below, contract, entry, poly_eval, trace_tensor_cubic, write_poly
+from oracles import (below, contract, entry, poly_eval, rank_decomp_per_vector,
+                     trace_tensor_cubic, write_poly)
 
 rng = Prng(20240)
 
@@ -80,9 +81,9 @@ def test_evaluate_multilinear():
         d = 2 + below(rng, 3)
         k = 1 + below(rng, 3)
         t = random_tensor(d, k, rng.u64())
-        xs = [BitVec.random(k, rng) for _ in range(d)]
+        xs = [BitVec(k, rng.bits(k)) for _ in range(d)]
         j = below(rng, d)
-        y = BitVec.random(k, rng)
+        y = BitVec(k, rng.bits(k))
         lhs = evaluate(t, xs[:j] + [BitVec(k, xs[j].bits ^ y.bits)] + xs[j + 1:])
         rhs = evaluate(t, xs) ^ evaluate(t, xs[:j] + [y] + xs[j + 1:])
         assert lhs == rhs
@@ -94,7 +95,7 @@ def test_decomp_evaluation_agrees_with_inner_products():
         k = 1 + below(rng, 3)
         t_count = below(rng, 4)
         dec = random_rank_decomp(d, k, t_count, rng.u64())
-        xs = [BitVec.random(k, rng) for _ in range(d)]
+        xs = [BitVec(k, rng.bits(k)) for _ in range(d)]
         direct = 0
         for term in dec.terms:
             prod_val = 1
@@ -109,7 +110,7 @@ def test_contract_commutes_with_evaluate():
         d = 2 + below(rng, 3)
         k = 1 + below(rng, 3)
         t = random_tensor(d, k, rng.u64())
-        xs = [BitVec.random(k, rng) for _ in range(d)]
+        xs = [BitVec(k, rng.bits(k)) for _ in range(d)]
         j = 1 + below(rng, d)
         c = contract(t, j, xs[j - 1])
         assert evaluate(c, xs[:j - 1] + xs[j:]) == evaluate(t, xs)
@@ -230,23 +231,33 @@ def test_random_decomp_determinism_and_balance():
     assert 0.49 <= freq <= 0.51
 
 
+@pytest.mark.parametrize("k", [1, 3, 63, 64, 65, 130])
+@pytest.mark.parametrize("t", [0, 1, 5])
+@pytest.mark.parametrize("d", [1, 3])
+def test_random_rank_decomp_is_the_per_vector_draw(d, k, t):
+    # one word block, ceil(k/64) words a vector, masked to k bits, gives the
+    # vectors of t*d Prng.bits(k) calls, also from a seed above 2^64
+    for seed in (7, (1 << 64) + 11):
+        assert random_rank_decomp(d, k, t, seed) == rank_decomp_per_vector(d, k, t, seed)
+
+
 def test_random_rank_decomp_guards_bits(monkeypatch):
     # bytes against the byte budget: 4 KiB, then per term 160 bytes and per
-    # vector 128 bytes beside its digits, and one draw's workspace
-    # (`draw_bytes`); four vectors of 2^24 bits need 13,559,128 bytes, over
-    # 1 MiB.  Sixteen vectors of 2^19 bits (2^23 bits in all) need 1,397,864
-    # bytes: refused at 1 MiB, built at exactly that budget, drawn vector by
-    # vector as before
+    # vector 128 bytes beside its digits, and the workspace of the one word
+    # block all vectors are drawn from (`draw_bytes`); four vectors of 2^24
+    # bits need 26,980,904 bytes, over 1 MiB.  Sixteen vectors of 2^19 bits
+    # (2^23 bits in all) need 3,495,016 bytes: refused at 1 MiB, built at
+    # exactly that budget, with the values of sixteen `Prng.bits` draws
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 20))
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(1, 1 << 24, 4, 1)
-    assert ei.value.required == 13_559_128 and ei.value.budget == 1 << 20
+    assert ei.value.required == 26_980_904 and ei.value.budget == 1 << 20
     with pytest.raises(CapacityError):
         random_tensor(1, 1 << 24, 1)
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(2, 1 << 19, 8, 3)
-    assert ei.value.required == 1_397_864
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1397864")
+    assert ei.value.required == 3_495_016
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "3495016")
     dec = random_rank_decomp(2, 1 << 19, 8, 3)
     draws = Prng(3)
     assert [v.bits for term in dec.terms for v in term.vectors] == \
