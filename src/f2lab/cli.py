@@ -7,12 +7,12 @@ assertion holds, 1 when a verified statement fails, 2 for usage, format,
 or capacity errors, 3 when an internal invariant of a computed result is
 violated (a program fault).
 
-The flags of `verify NAME` and `gen KIND` come from signatures.  `verify
-NAME` runs `harness.verify_<NAME>` (dashes for underscores) and passes
-each of its parameters the value of the flag of the same name, or None
-where there is no such flag, so the experiment's signature is the only
-list of its arguments.  `timed` sets the wall time of every report.
-`gen KIND` takes one required int flag per parameter of its builder in
+The flags of `verify NAME` and `gen KIND` come from signatures read at
+import.  `verify NAME`, one per entry of `harness.EXPERIMENTS`, takes a
+flag per parameter of the entry's function, typed by its annotation and
+defaulting to the entry's first quick row, and calls the harness's
+binding of that name.  `timed` sets the wall time of every report.  `gen
+KIND` takes one required int flag per parameter of its builder in
 `GENERATORS`, plus `--out`.  `bias mc` and `rank certify` print the
 fields of their result types, under the same names in text and JSON.
 
@@ -28,7 +28,9 @@ import argparse
 import inspect
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict
+from typing import get_args, get_origin, get_type_hints
 
 from . import harness, numerics, rank, tensors
 from .bias import bias_bruteforce, bias_exact, bias_mc, corr_class_max, corr_exact
@@ -130,14 +132,9 @@ def _cmd_verify(args) -> int:
     if args.name == "all":
         reports = harness.run_all(args.profile)
     else:
-        names = sorted(attr[len("verify_"):].replace("_", "-")
-                       for attr in vars(harness) if attr.startswith("verify_"))
-        if args.name not in names:
-            choices = ", ".join(names + ["all"])
-            raise FormatError(f"unknown experiment {args.name!r}; choose from: {choices}")
-        experiment = getattr(harness, "verify_" + args.name.replace("-", "_"))
-        params = inspect.signature(experiment).parameters
-        reports = [timed(experiment, **{p: getattr(args, p, None) for p in params})]
+        fn = harness.EXPERIMENTS[args.name][0]
+        reports = [timed(getattr(harness, fn.__name__),
+                         *(getattr(args, p) for p in inspect.signature(fn).parameters))]
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -152,13 +149,13 @@ def _cmd_mrrw(args) -> int:
     return 0
 
 
-def _cmd_profile_max(args) -> int:
-    report = timed(numerics.profile_max_check, args.k, args.u)
-    if args.json:
-        print(report.to_json())
-    else:
-        print(report.format_line())
-    return 0 if report.ok() else 1
+def _flag_options(hint) -> dict:
+    """argparse options of a parameter annotated `hint`: `X | None` takes
+    an X, and a sequence of ints one or more ints."""
+    if get_origin(hint) is Sequence:
+        return {"type": get_args(hint)[0], "nargs": "+"}
+    inner = [a for a in get_args(hint) if a is not type(None)]
+    return _flag_options(inner[0]) if inner else {"type": hint}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,30 +201,24 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=_cmd_rank)
 
     v = sub.add_parser("verify", help="run a named experiment or the whole suite")
-    v.add_argument("name", help="experiment name, or 'all'")
-    v.add_argument("--profile", choices=sorted(harness.PROFILES), default="quick")
-    v.add_argument("--d", type=int, default=2)
-    v.add_argument("--k", type=int, default=2)
-    v.add_argument("--t", type=int, default=2)
-    v.add_argument("--n", type=int, default=2)
-    v.add_argument("--eps", type=float, default=0.25)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--samples", type=int, default=10_000)
-    v.add_argument("--seed", type=int, default=0)
-    add_json(v)
+    vsub = v.add_subparsers(dest="name", required=True)
+    a = vsub.add_parser("all", help="every experiment of a profile")
+    a.add_argument("--profile", choices=harness.PROFILES, default="quick")
+    add_json(a)
+    for name, (fn, quick, _) in harness.EXPERIMENTS.items():
+        e = vsub.add_parser(name)
+        hints = get_type_hints(fn)
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            default = quick[0][i] if i < len(quick[0]) else param.default
+            e.add_argument(f"--{param.name.replace('_', '-')}", default=default,
+                           help="default: %(default)s", **_flag_options(hints[param.name]))
+        add_json(e)
     v.set_defaults(func=_cmd_verify)
 
     m = sub.add_parser("mrrw", help="rate-distance fixed-point constant")
     m.add_argument("--tol", type=float, default=1e-9)
     add_json(m)
     m.set_defaults(func=_cmd_mrrw)
-
-    x = sub.add_parser("appendix-max",
-                       help="monotone-profile maximization check")
-    x.add_argument("--k", type=int, required=True)
-    x.add_argument("--u", type=float, required=True)
-    add_json(x)
-    x.set_defaults(func=_cmd_profile_max)
 
     return ap
 

@@ -6,6 +6,9 @@ asymptotic statements are displayed next to the measurement but never
 asserted (`holds = "report-only"`), so a failing suite always means a
 checkable statement broke.  Reports include the measured/bound gap so a
 tightness regression is visible even while everything still passes.
+
+`EXPERIMENTS` is the one list of experiments, read by `run_all` and by
+`f2lab verify NAME`: per report name, its function and argument rows.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 from collections import Counter
 from itertools import product
 from math import comb, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._bitops import form_table, linear_form_table, ones, var_mask
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
@@ -577,98 +580,62 @@ def verify_mc_bias(d: int, k: int, samples: int, seed: int) -> VerificationRepor
 # ---------------------------------------------------------------------------
 
 
-def _quick_plan() -> list[Callable[[], VerificationReport]]:
-    dims = {
-        (2, 2): range(0, 5), (2, 3): range(0, 10),
-        (3, 2): range(0, 9), (3, 3): range(0, 28),
-    }
-    plan: list[Callable[[], VerificationReport]] = [
-        lambda: verify_moment_identity(2, 1, 1),
-        lambda: verify_moment_identity(2, 1, 2),
-        lambda: verify_moment_identity(2, 2, 1),
-        lambda: verify_moment_identity(2, 2, 2),
-        lambda: verify_moment_identity(3, 1, 2),
-        lambda: verify_sum_zero(2, 1, 1),
-        lambda: verify_sum_zero(2, 2, 2),
-        lambda: verify_sum_zero(2, 4, 2),
-        lambda: verify_sum_zero(3, 2, 2),
-        lambda: verify_span_dimension(2, 2, 2),
-        lambda: verify_span_dimension(2, 2, 3),
-        lambda: verify_span_dimension(3, 2, 2),
-        lambda: verify_bias_tail(2, 8, 0.25, 10_000, seed=301),
-        lambda: verify_joint_vanishing(3, 2, 3, trials=100, seed=302),
-        lambda: verify_joint_vanishing(2, 3, 4, trials=100, seed=303),
-        lambda: verify_expected_bias(2, 1, 1),
-        lambda: verify_expected_bias(2, 1, 2),
-        lambda: verify_expected_bias(2, 2, 1),
-        lambda: verify_expected_bias(3, 2, 1),
-        lambda: verify_explicit_form(3, 2, samples=200, seed=304),
-        lambda: verify_explicit_form(4, 2, samples=100, seed=305),
-        lambda: verify_explicit_form(3, 3, samples=100, seed=306),
-        lambda: verify_linear_preimage(4, trials=150, seed=307),
-        lambda: verify_linear_preimage(6, trials=100, seed=308),
-        lambda: verify_corank_margin(2),
-        lambda: verify_corank_margin(3),
-        lambda: verify_corank_margin(4),
-        lambda: verify_mc_bias(3, 4, samples=20_000, seed=309),
-        lambda: profile_max_check(2, 2.0),
-        lambda: profile_max_check(5, 13.7),
-        lambda: inequality_checks(trials=20_000, seed=312),
-    ]
-    for (d, k), us in dims.items():
-        plan.append(lambda d=d, k=k, us=us: verify_subspace_membership(
-            d, k, list(us), trials=2, seed=1000 + d * 10 + k))
-    for d, k, t in [(2, 2, 2), (2, 3, 3), (3, 2, 3), (3, 3, 4)]:
-        plan.append(lambda d=d, k=k, t=t: verify_low_rank_bias_floor(
-            d, k, t, trials=150, seed=400 + d + k + t))
-    for k in range(2, 21):
-        plan.append(lambda k=k: verify_bias_trace(k))
-    for n in range(1, 5):
-        plan.append(lambda n=n: verify_bias_matmul(n))
-    return plan
+# report name -> (experiment, quick rows, rows the full profile adds); a
+# row is the experiment's positional arguments
+EXPERIMENTS = {
+    "moment-identity": (verify_moment_identity,
+                        [(2, 1, 1), (2, 1, 2), (2, 2, 1), (2, 2, 2), (3, 1, 2)],
+                        [(2, 2, 3)]),
+    "sum-zero": (verify_sum_zero, [(2, 1, 1), (2, 2, 2), (2, 4, 2), (3, 2, 2)],
+                 [(3, 2, 3), (2, 3, 3)]),
+    "subspace-membership": (verify_subspace_membership,
+                            [(2, 2, None, 2, 1022), (2, 3, None, 2, 1023),
+                             (3, 2, None, 2, 1032), (3, 3, list(range(28)), 2, 1033)],
+                            []),
+    "span-dimension": (verify_span_dimension, [(2, 2, 2), (2, 2, 3), (3, 2, 2)],
+                       [(2, 3, 2), (2, 2, 4)]),
+    "bias-tail": (verify_bias_tail, [(2, 8, 0.25, 10_000, 301)],
+                  [(2, 8, 0.25, 40_000, 501), (2, 10, 0.2, 10_000, 502),
+                   (3, 3, 0.3, 2_000, 503)]),
+    "low-rank-bias-floor": (verify_low_rank_bias_floor,
+                            [(2, 2, 2, 150, 406), (2, 3, 3, 150, 408),
+                             (3, 2, 3, 150, 408), (3, 3, 4, 150, 410)],
+                            [(2, 2, 5, 400, 709), (2, 3, 5, 400, 710),
+                             (3, 2, 5, 400, 710), (3, 3, 5, 400, 711)]),
+    "joint-vanishing": (verify_joint_vanishing,
+                        [(3, 2, 3, 100, 302), (2, 3, 4, 100, 303)], []),
+    "expected-bias": (verify_expected_bias,
+                      [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 2, 1)],
+                      [(3, 2, 2), (2, 3, 5, 4_000, 504)]),
+    "bias-trace": (verify_bias_trace, [(k,) for k in range(2, 21)], []),
+    "bias-matmul": (verify_bias_matmul, [(n,) for n in range(1, 5)], []),
+    "explicit-form": (verify_explicit_form,
+                      [(3, 2, 200, 304), (4, 2, 100, 305), (3, 3, 100, 306)],
+                      [(3, 2, 400, 505), (4, 2, 300, 506), (3, 3, 300, 507),
+                       (2, 6, 200, 508)]),
+    "linear-preimage": (verify_linear_preimage, [(4, 150, 307), (6, 100, 308)],
+                        [(8, 200, 509)]),
+    "corank-margin": (verify_corank_margin, [(2,), (3,), (4,)], []),
+    "mc-bias": (verify_mc_bias, [(3, 4, 20_000, 309)], [(2, 8, 200_000, 510)]),
+    "profile-max": (profile_max_check, [(2, 2.0), (5, 13.7)],
+                    [(k, (i + 0.37) * k * k / 4.0) for k in range(1, 7) for i in range(4)]),
+    "scalar-inequalities": (inequality_checks, [(20_000, 312)], [(100_000, 511)]),
+}
 
-
-def _full_plan() -> list[Callable[[], VerificationReport]]:
-    plan = _quick_plan()
-    plan += [
-        lambda: verify_sum_zero(3, 2, 3),
-        lambda: verify_sum_zero(2, 3, 3),
-        lambda: verify_moment_identity(2, 2, 3),
-        lambda: verify_span_dimension(2, 3, 2),
-        lambda: verify_span_dimension(2, 2, 4),
-        lambda: verify_bias_tail(2, 8, 0.25, 40_000, seed=501),
-        lambda: verify_bias_tail(2, 10, 0.2, 10_000, seed=502),
-        lambda: verify_bias_tail(3, 3, 0.3, 2_000, seed=503),
-        lambda: verify_expected_bias(3, 2, 2),
-        lambda: verify_expected_bias(2, 3, 5, samples=4_000, seed=504),
-        lambda: verify_explicit_form(3, 2, samples=400, seed=505),
-        lambda: verify_explicit_form(4, 2, samples=300, seed=506),
-        lambda: verify_explicit_form(3, 3, samples=300, seed=507),
-        lambda: verify_explicit_form(2, 6, samples=200, seed=508),
-        lambda: verify_linear_preimage(8, trials=200, seed=509),
-        lambda: verify_mc_bias(2, 8, samples=200_000, seed=510),
-        lambda: inequality_checks(trials=100_000, seed=511),
-    ]
-    for k in range(1, 7):
-        for i in range(4):
-            plan.append(lambda k=k, i=i: profile_max_check(k, (i + 0.37) * k * k / 4.0))
-    for d, k, t in [(2, 2, 5), (2, 3, 5), (3, 2, 5), (3, 3, 5)]:
-        plan.append(lambda d=d, k=k, t=t: verify_low_rank_bias_floor(
-            d, k, t, trials=400, seed=700 + d + k + t))
-    return plan
-
-
-PROFILES = {"quick": _quick_plan, "full": _full_plan}
+PROFILES = ("quick", "full")
 
 
 def run_all(profile: str) -> list[VerificationReport]:
-    """Run every experiment in the named profile; reports sorted by name.
+    """Run every row of the named profile; reports sorted by name.
 
-    The caller decides what a failure means; `all(r.ok() for r in ...)`
-    is the suite verdict.
+    Each experiment is called through this module's binding of its name,
+    so a wrapper installed after import sees the call.  The caller decides
+    what a failure means; `all(r.ok() for r in ...)` is the suite verdict.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    reports = [timed(fn) for fn in PROFILES[profile]()]
+    reports = [timed(globals()[fn.__name__], *row)
+               for fn, quick, full in EXPERIMENTS.values()
+               for row in (quick + full if profile == "full" else quick)]
     reports.sort(key=lambda r: (r.name, r.params))
     return reports

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -56,9 +55,6 @@ class VerificationReport:
         if timing:
             d["elapsed_ms"] = round(self.elapsed_ms, 3)
         return d
-
-    def to_json(self, *, timing: bool = True) -> str:
-        return json.dumps(self.to_dict(timing=timing), sort_keys=True)
 
     def format_line(self) -> str:
         if self.holds == REPORT_ONLY:

@@ -4,8 +4,10 @@ import argparse
 import inspect
 import io
 import json
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,8 +17,8 @@ from f2lab.cli import GENERATORS, build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
-EXPERIMENTS = sorted(name[len("verify_"):].replace("_", "-")
-                     for name in vars(harness) if name.startswith("verify_"))
+EXPERIMENTS = sorted(harness.EXPERIMENTS)
+FULL_PROFILE = ROOT / "tests" / "data" / "full_profile.json"
 
 
 def run_cli(*args):
@@ -83,6 +85,25 @@ def test_gen_runs_under_the_benchmark_tracer(capsys, monkeypatch):
     assert capsys.readouterr().out == plain
 
 
+def test_verify_runs_under_the_benchmark_tracer(capsys, monkeypatch):
+    # `verify NAME` reads the signature of the function bound at import and
+    # calls the traced binding
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import Tracer
+
+    argv = ["verify", "bias-trace", "--k", "3"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert capsys.readouterr().out == plain
+    assert [s["name"] for s in tracer.spans] == ["harness.bias-trace"]
+
+
 def test_result_fields_print_under_one_name(tmp_path, capsys):
     tpath, dpath = tmp_path / "t.f2t", tmp_path / "d.f2d"
     assert main(["gen", "trace", "--k", "3", "--out", str(tpath)]) == 0
@@ -97,13 +118,14 @@ def test_result_fields_print_under_one_name(tmp_path, capsys):
         assert text == {key: str(value) for key, value in payload.items()}
 
 
+# the appendix's profile maximization check runs as `verify profile-max`
 @pytest.mark.parametrize("argv", [
     ["--k", "0", "--u", "0"],
     ["--k", "-1", "--u", "0"],
     ["--k", "2", "--u", "5"],
 ])
 def test_appendix_max_rejects_bad_input(capsys, argv):
-    assert main(["appendix-max", *argv]) == 2
+    assert main(["verify", "profile-max", *argv]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("f2lab: error: ") and err.count("\n") == 1
 
@@ -113,7 +135,7 @@ def test_appendix_max_has_no_sampling_options(capsys, option):
     # the check is exact: the random-profile options are gone, and argparse
     # rejects them as usage errors
     with pytest.raises(SystemExit) as exc:
-        main(["appendix-max", "--k", "2", "--u", "2", *option])
+        main(["verify", "profile-max", "--k", "2", "--u", "2", *option])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and f"unrecognized arguments: {' '.join(option)}" in err
@@ -253,29 +275,54 @@ def verify_json(capsys, *argv):
     return json.loads(capsys.readouterr().out)
 
 
+def test_every_report_name_is_a_table_key():
+    # tests/data/full_profile.json is `run_all("full")`, timings stripped
+    # (test_acceptance holds them equal): each entry's rows give as many
+    # reports under its name
+    names = Counter(r["name"] for r in json.loads(FULL_PROFILE.read_text()))
+    assert names == {name: len(quick) + len(full)
+                     for name, (_, quick, full) in harness.EXPERIMENTS.items()}
+
+
+def test_readme_lists_every_experiment():
+    readme = (ROOT / "README.md").read_text()
+    listing = readme.split("Experiment names for `verify`:", 1)[1].split("or `all`", 1)[0]
+    assert re.findall(r"`([a-z-]+)`", listing) == EXPERIMENTS
+
+
 @pytest.mark.parametrize("name", EXPERIMENTS)
-def test_every_experiment_runs_by_name(capsys, name):
-    reports = verify_json(capsys, name, "--samples", "300", "--trials", "5")
+def test_every_experiment_runs_by_name(capsys, quick_profile, name):
+    # with no flags, `verify NAME` runs the entry's first quick row
+    fn, quick, _ = harness.EXPERIMENTS[name]
+    reports = verify_json(capsys, name)
     assert [r["name"] for r in reports] == [name]
-    assert reports[0]["elapsed_ms"] > 0
+    assert reports[0].pop("elapsed_ms") > 0
+    want = fn(*quick[0]).to_dict(timing=False)
+    assert reports == [want]
+    assert want in [r.to_dict(timing=False) for r in quick_profile[0]]
 
 
 # each experiment's arguments as the CLI spelled them out before it read
-# the signatures, for `verify NAME --d 3 --k 2 --samples 60 --trials 3 --seed 4`
+# the signatures, for `verify NAME --d 3 --k 2 --samples 60 --trials 3 --seed 4`;
+# each experiment now takes only the flags of its own parameters
 OLD_CALLS = {
-    "subspace-membership": lambda: harness.verify_subspace_membership(
-        3, 2, list(range(0, 2 ** 3 + 1, max(1, 2 ** 3 // 8))), 3, 4),
-    "mc-bias": lambda: harness.verify_mc_bias(3, 2, 60, 4),
-    "explicit-form": lambda: harness.verify_explicit_form(3, 2, 60, 4),
+    "subspace-membership": (
+        ["--d", "3", "--k", "2", "--trials", "3", "--seed", "4"],
+        lambda: harness.verify_subspace_membership(
+            3, 2, list(range(0, 2 ** 3 + 1, max(1, 2 ** 3 // 8))), 3, 4)),
+    "mc-bias": (["--d", "3", "--k", "2", "--samples", "60", "--seed", "4"],
+                lambda: harness.verify_mc_bias(3, 2, 60, 4)),
+    "explicit-form": (["--d", "3", "--k", "2", "--samples", "60", "--seed", "4"],
+                      lambda: harness.verify_explicit_form(3, 2, 60, 4)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OLD_CALLS))
 def test_verify_by_name_matches_old_call(capsys, name):
-    got = verify_json(capsys, name, "--d", "3", "--k", "2", "--samples", "60",
-                      "--trials", "3", "--seed", "4")
+    argv, call = OLD_CALLS[name]
+    got = verify_json(capsys, name, *argv)
     assert got[0].pop("elapsed_ms") > 0
-    assert got == [OLD_CALLS[name]().to_dict(timing=False)]
+    assert got == [call().to_dict(timing=False)]
 
 
 def test_verify_expected_bias_past_guard_samples(capsys):
@@ -297,14 +344,16 @@ def test_mrrw_and_profile_max():
     code, out, _ = run_cli("mrrw", "--tol", "1e-9", "--json")
     assert code == 0
     assert 3.51 <= float(json.loads(out)["one_over_rho"]) <= 3.53
-    code, out, _ = run_cli("appendix-max", "--k", "2", "--u", "2")
+    code, out, _ = run_cli("verify", "profile-max", "--k", "2", "--u", "2")
     assert code == 0 and "extreme_argmax_count=2" in out
 
 
 def test_usage_errors_exit_2(tmp_path):
     code, _, err = run_cli("verify", "no-such-experiment")
-    assert code == 2 and "unknown experiment" in err
-    assert len(EXPERIMENTS) == 14 and ", ".join(EXPERIMENTS + ["all"]) in err
+    assert code == 2 and "invalid choice: 'no-such-experiment'" in err
+    choices = err.split("choose from ", 1)[1]
+    assert len(EXPERIMENTS) == 16
+    assert sorted(re.findall(r"[a-z][a-z-]*", choices)) == sorted(EXPERIMENTS + ["all"])
     code, _, err = run_cli("bias", "exact", str(tmp_path / "missing.f2t"))
     assert code == 2
     bad = tmp_path / "bad.f2t"
