@@ -28,7 +28,7 @@ from ._bitops import budget_bytes, int_bytes, ones
 from .errors import CapacityError, FormatError
 from .f2linalg import BitVec
 from .gf2k import make_field
-from .prng import Prng, draw_bytes
+from .prng import Prng, draw_bytes, words_bytes
 
 TRACE_TENSOR_MAX_K = 24
 MATMUL_TENSOR_MAX_N = 4
@@ -268,18 +268,20 @@ def random_rank_decomp(d: int, k: int, t: int, seed: int) -> RankDecomposition:
 
     The t*d vectors come from one `Prng.words` block, ceil(k/64) words
     each, masked to k bits: the values t*d `Prng.bits(k)` calls give.
-    Refused before the draw when the terms and the block's workspace
-    (`draw_bytes` of the whole block) exceed the byte budget.
+    Refused before the draw when the terms, the block (`words_bytes`)
+    and the cutting of one vector exceed the byte budget.  Cutting holds
+    three ints' worth of one vector's words: the k-bit mask, the copy of
+    the words `int.from_bytes` makes, and the unmasked int.
     """
     words = (k + 63) >> 6
     size = (4096 + t * (DECOMP_TERM_BYTES + d * (DECOMP_VECTOR_BYTES + int_bytes(k)))
-            + draw_bytes(64 * words * t * d))
+            + words_bytes(words * t * d) + 3 * int_bytes(64 * words))
     budget = budget_bytes()
     if size > budget:
         raise CapacityError(f"random_rank_decomp({d},{k},{t}): its terms need {size} "
                             f"bytes, over the {budget}-byte budget",
                             required=size, budget=budget)
-    block = Prng(seed).words(words * t * d)
+    block = memoryview(Prng(seed).words(words * t * d))
     step = 8 * words
     mask = ones(k)
     vectors = [BitVec(k, int.from_bytes(block[i:i + step], "little") & mask)

@@ -9,7 +9,8 @@ import math
 from itertools import combinations, product
 
 from f2lab._bitops import form_table, gray_flips, ones, var_mask
-from f2lab.bias import bias_exact
+from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, BiasEstimate, _hoeffding_halfwidth,
+                        _sliced_form, bias_exact)
 from f2lab.f2linalg import BitVec, rank_of_row_ints
 from f2lab.gf2k import make_field
 from f2lab.numerics import MaxProblemPoint, _trial_draws
@@ -277,6 +278,22 @@ def rank_decomp_per_vector(d, k, t, seed):
     rng = Prng(seed)
     return RankDecomposition(d, k, tuple(
         RankOneTerm(tuple(BitVec(k, rng.bits(k)) for _ in range(d))) for _ in range(t)))
+
+
+def bias_mc_per_plane(t, samples, confidence, seed):
+    """bias_mc's estimate with each of a block's d*k planes drawn by its
+    own rng.bits(n) call, block-major and coordinate-minor."""
+    k, d = t.k, t.d
+    block = max(64, min(_MC_BLOCK, _MC_PLANE_BITS // (d * k)))
+    rng = Prng(seed)
+    acc = 0
+    for start in range(0, samples, block):
+        n = min(block, samples - start)
+        planes = [[rng.bits(n) for _ in range(k)] for _ in range(d)]
+        acc += n - 2 * _sliced_form(t.bits, planes, 0, k).bit_count()
+    return BiasEstimate(point=acc / samples,
+                        ci_halfwidth=_hoeffding_halfwidth(samples, confidence),
+                        samples=samples, confidence=confidence, seed=seed)
 
 
 def inequality_worst(draws, tol):

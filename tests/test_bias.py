@@ -9,7 +9,7 @@ import pytest
 
 from f2lab._bitops import anf_pieces, budget_bytes, form_table, var_mask, walsh_spectrum
 from f2lab import bias
-from f2lab.bias import (_MC_BLOCK, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
+from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
 from f2lab.errors import CapacityError
@@ -20,8 +20,9 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
                            matmul_tensor, random_tensor, tensor_from_decomp,
                            trace_tensor)
-from oracles import (anf_table, below, class_max_walk, corr_whole_table, entry,
-                     permute_blocks, poly_eval, random_invertible, walsh_sum)
+from oracles import (anf_table, below, bias_mc_per_plane, class_max_walk,
+                     corr_whole_table, entry, permute_blocks, poly_eval,
+                     random_invertible, walsh_sum)
 
 rng = Prng(31337)
 
@@ -526,6 +527,17 @@ def test_bias_mc_matches_per_sample_evaluate(d, k, samples):
     t = random_tensor(d, k, 40 + d)
     est = bias_mc(t, samples, 0.95, seed=d)
     assert est.point == _bias_mc_reference(t, samples, d) / samples
+
+
+@pytest.mark.parametrize("d,k,samples", [
+    (3, 4, 100_000), (2, 8, 200_000), (2, 65, 2 * 64_527 + 1_001)])
+def test_bias_mc_equals_the_per_plane_draws(d, k, samples):
+    # a sample block's d*k planes cut from one Prng.words draw are the planes
+    # d*k successive Prng.bits(n) calls give; at (2, 65) the planes' bits cap
+    # the block at 64,527 samples, so each plane's last word is cut short
+    assert (d, k) != (2, 65) or _MC_PLANE_BITS // (d * k) == 64_527
+    t = random_tensor(d, k, 50 + k)
+    assert bias_mc(t, samples, 0.99, seed=k) == bias_mc_per_plane(t, samples, 0.99, seed=k)
 
 
 def test_bias_mc_rejects_bad_confidence_before_sampling(monkeypatch):

@@ -7,11 +7,12 @@ from pathlib import Path
 import pytest
 
 import f2lab
+from f2lab._bitops import int_bytes
 from f2lab.bias import bias_bruteforce, bias_exact, corr_class_max, corr_exact
 from f2lab.errors import CapacityError
 from f2lab.f2linalg import (echelonize, min_weight, sampled_rank_histogram,
                             span_rank_histogram)
-from f2lab.prng import Prng
+from f2lab.prng import Prng, draw_bytes, words_bytes
 from f2lab.rank import code_certificate
 from f2lab.tensors import (Polynomial, first_block_slices, random_rank_decomp,
                            random_tensor, trace_tensor)
@@ -196,3 +197,17 @@ def test_exact_route_peak_within_budget(route, budget, monkeypatch):
                 assert peak <= REFUSAL_BYTES, (peak, refused)
                 break
             assert peak <= budget, (peak, budget)
+
+
+@pytest.mark.parametrize("nwords", [1, 15, 1023, 1024, 1025, 3 * 1024 + 1023, 20 * 1024 - 1])
+def test_prng_draws_peak_within_their_models(nwords):
+    # `words_bytes` covers a Prng.words block and its mixing, the stepped
+    # counters of full chunks held while a last partial chunk is mixed;
+    # `draw_bytes` covers what Prng.bits holds beside the int it returns
+    rng = Prng(nwords)
+    rng.u64()  # start off a chunk boundary of the counter
+    peak, _ = _traced_call(lambda: rng.words(nwords))
+    assert peak <= words_bytes(nwords), (peak, words_bytes(nwords))
+    n = 64 * nwords - 5
+    peak, _ = _traced_call(lambda: rng.bits(n))
+    assert peak <= int_bytes(n) + draw_bytes(n), (peak, int_bytes(n) + draw_bytes(n))

@@ -185,13 +185,13 @@ def test_gen_random_rank_and_certify(tmp_path):
 
 def test_gen_random_rank_refuses_past_the_budget(tmp_path, capsys, monkeypatch):
     # 5 terms of 3 vectors of 1,000 bits, drawn from one block of 240 words,
-    # need 44,704 bytes against a 1 KiB budget: refused before any draw or
+    # need 42,940 bytes against a 1 KiB budget: refused before any draw or
     # write
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1024")
     path = tmp_path / "d.f2d"
     assert main(["gen", "random-rank", "--d", "3", "--k", "1000", "--t", "5",
                  "--seed", "1", "--out", str(path)]) == 2
-    assert "its terms need 44704 bytes, over the 1024-byte budget" in capsys.readouterr().err
+    assert "its terms need 42940 bytes, over the 1024-byte budget" in capsys.readouterr().err
     assert not path.exists()
 
 

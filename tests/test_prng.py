@@ -39,12 +39,13 @@ def test_bits_at_chunk_edges(n):
 
 @pytest.mark.parametrize("wraps", [3, 5, 1 << 70])
 def test_bits_past_counter_wraps(wraps):
-    # the counter is reduced mod 2^64 only inside the mix
+    # the counter is reduced mod 2^64 only inside the mix; the second draw
+    # takes three full chunks, whose counters are stepped, and a partial one
     a, b = Prng(7), Prng(7)
     a._i = b._i = wraps * (1 << 64) + 11
-    n = 64 * 1500 + 3
-    assert a.bits(n) == _word_stream(b, (n + 63) // 64) & ((1 << n) - 1)
-    assert a.u64() == b.u64()
+    for n in (64 * 1500 + 3, 64 * 3 * 1024 + 3):
+        assert a.bits(n) == _word_stream(b, (n + 63) // 64) & ((1 << n) - 1), n
+        assert a.u64() == b.u64(), n
 
 
 def test_u64_and_bits_interleaved():

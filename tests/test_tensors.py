@@ -243,21 +243,22 @@ def test_random_rank_decomp_is_the_per_vector_draw(d, k, t):
 
 def test_random_rank_decomp_guards_bits(monkeypatch):
     # bytes against the byte budget: 4 KiB, then per term 160 bytes and per
-    # vector 128 bytes beside its digits, and the workspace of the one word
-    # block all vectors are drawn from (`draw_bytes`); four vectors of 2^24
-    # bits need 26,980,904 bytes, over 1 MiB.  Sixteen vectors of 2^19 bits
-    # (2^23 bits in all) need 3,495,016 bytes: refused at 1 MiB, built at
-    # exactly that budget, with the values of sixteen `Prng.bits` draws
+    # vector 128 bytes beside its digits, the one word block all vectors are
+    # drawn from (`words_bytes`) and the cutting of one vector; four vectors
+    # of 2^24 bits need 24,184,700 bytes, over 1 MiB.  Sixteen vectors of
+    # 2^19 bits (2^23 bits in all) need 2,516,348 bytes: refused at 1 MiB,
+    # built at exactly that budget, with the values of sixteen `Prng.bits`
+    # draws
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 20))
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(1, 1 << 24, 4, 1)
-    assert ei.value.required == 26_980_904 and ei.value.budget == 1 << 20
+    assert ei.value.required == 24_184_700 and ei.value.budget == 1 << 20
     with pytest.raises(CapacityError):
         random_tensor(1, 1 << 24, 1)
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(2, 1 << 19, 8, 3)
-    assert ei.value.required == 3_495_016
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "3495016")
+    assert ei.value.required == 2_516_348
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "2516348")
     dec = random_rank_decomp(2, 1 << 19, 8, 3)
     draws = Prng(3)
     assert [v.bits for term in dec.terms for v in term.vectors] == \
