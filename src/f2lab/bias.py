@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
                       linear_form_table, ones, repeat, subset_xor_table, var_mask,
                       walsh_spectrum)
-from .errors import CapacityError
+from .errors import check_capacity
 from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
                        _batched_rank_histogram)
 from .prng import Prng
@@ -304,12 +304,8 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
     if d == 2:
         return DyadicRational.half_pow(mat_rank(t.bits, k, k))
     prefix_bits = k * (d - 2)
-    work = k * k << prefix_bits
-    if work > EXACT_WORK:
-        raise CapacityError(
-            f"bias_exact ranks 2^{prefix_bits} residual {k} x {k} matrices: "
-            f"{work} entries (guard {EXACT_WORK})",
-            required=work, budget=EXACT_WORK)
+    check_capacity(f"bias_exact(d={d}, k={k})", k * k << prefix_bits, EXACT_WORK,
+                   "residual-matrix entries")
     return _histogram_to_mean(_prefix_rank_histogram(t), prefix_bits)
 
 
@@ -347,15 +343,9 @@ def bias_bruteforce(t: DenseTensor) -> DyadicRational:
     """
     k, d = t.k, t.d
     n = k * d
-    if n > BRUTEFORCE_MAX_BITS:
-        raise CapacityError(
-            f"bias_bruteforce over 2^{n} inputs (guard 2^{BRUTEFORCE_MAX_BITS})",
-            required=1 << n, budget=1 << BRUTEFORCE_MAX_BITS)
-    required = _bruteforce_bytes(k, d)
-    if required > budget_bytes():
-        raise CapacityError(
-            f"bias_bruteforce holds {required} bytes of truth tables",
-            required=required, budget=budget_bytes())
+    what = f"bias_bruteforce(d={d}, k={k})"
+    check_capacity(what, 1 << n, 1 << BRUTEFORCE_MAX_BITS, "inputs")
+    check_capacity(what, _bruteforce_bytes(k, d), budget_bytes(), "bytes")
     if d == 1:
         ones_count = linear_form_table(t.bits, k).bit_count()
     else:
@@ -486,14 +476,9 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     n = k * d
     if poly.n != n:
         raise ValueError(f"polynomial has {poly.n} variables, form has {n}")
-    if n > CORR_MAX_VARS:
-        raise CapacityError(f"corr_exact over 2^{n} inputs (guard 2^{CORR_MAX_VARS})",
-                            required=1 << n, budget=1 << CORR_MAX_VARS)
-    required = _corr_bytes(k, d)
-    if required > budget_bytes():
-        raise CapacityError(
-            f"corr_exact holds {required} bytes of truth tables",
-            required=required, budget=budget_bytes())
+    what = f"corr_exact(d={d}, k={k})"
+    check_capacity(what, 1 << n, 1 << CORR_MAX_VARS, "inputs")
+    check_capacity(what, _corr_bytes(k, d), budget_bytes(), "bytes")
     h = k if d > 1 else k // 2
     m = n - h
     ppieces = anf_pieces([sum(1 << _input_bit(v, k, d) for v in mono)
@@ -546,26 +531,14 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     """
     k, d = t.k, t.d
     n = k * d
-    if n > CORR_MAX_VARS:
-        raise CapacityError(
-            f"corr_class_max builds 2^{n}-bit truth tables "
-            f"(guard 2^{CORR_MAX_VARS})",
-            required=1 << n, budget=1 << CORR_MAX_VARS)
+    what = f"corr_class_max(d={d}, k={k}, degree={degree})"
+    check_capacity(what, 1 << n, 1 << CORR_MAX_VARS, "inputs")
     class_bits = sum(math.comb(n, j) for j in range(min(degree, n) + 1))
     if class_bits <= 1:
         return bias_bruteforce(t), Polynomial(n, ())
-    work = (n << n) << (class_bits - 1 - n)
-    if work > CORR_CLASS_WORK:
-        raise CapacityError(
-            f"degree-{degree} class over {n} variables: 2^{class_bits - 1 - n} "
-            f"transforms of {n} x 2^{n} fields, over the {CORR_CLASS_WORK}-field "
-            "work budget",
-            required=work, budget=CORR_CLASS_WORK)
-    required = _class_max_bytes(k, d, class_bits)
-    if required > budget_bytes():
-        raise CapacityError(
-            f"corr_class_max holds {required} bytes of truth tables",
-            required=required, budget=budget_bytes())
+    check_capacity(what, (n << n) << (class_bits - 1 - n), CORR_CLASS_WORK,
+                   "transform fields")
+    check_capacity(what, _class_max_bytes(k, d, class_bits), budget_bytes(), "bytes")
     # x_v = y_0 + ... + y_v over the key coordinates
     variables = [var_mask(0, n)]
     for v in range(1, n):

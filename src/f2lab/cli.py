@@ -5,7 +5,8 @@ and the verification suite.  `--json` switches every command but `gen`,
 which writes a file format, to machine output.  Exit codes: 0 when every
 assertion holds, 1 when a verified statement fails, 2 for usage, format,
 or capacity errors, 3 when an internal invariant of a computed result is
-violated (a program fault).
+violated (a program fault).  A capacity error (`errors.check_capacity`)
+reads "ROUTE: REQUIRED UNIT exceed the budget of BUDGET UNIT".
 
 The flags of `verify NAME` and `gen KIND` come from signatures read at
 import.  `verify NAME`, one per entry of `harness.EXPERIMENTS`, takes a

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ._bitops import bit_planes, budget_bytes, gray_flips, ones
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError, check_capacity
 from .prng import Prng
 
 MIN_WEIGHT_DIM_LIMIT = 28  # exhaustive codeword count guard
@@ -189,11 +189,8 @@ def min_weight(s: Subspace) -> int:
     """
     if s.dim == 0:
         return s.ambient_dim + 1
-    if s.dim > MIN_WEIGHT_DIM_LIMIT:
-        raise CapacityError(
-            f"min_weight over 2^{s.dim} codewords exceeds the dim <= "
-            f"{MIN_WEIGHT_DIM_LIMIT} guard",
-            required=1 << s.dim, budget=1 << MIN_WEIGHT_DIM_LIMIT)
+    check_capacity(f"min_weight(dim={s.dim})", 1 << s.dim, 1 << MIN_WEIGHT_DIM_LIMIT,
+                   "codewords")
     n = s.ambient_dim
     counts = [0] * (n + 1)
     for planes, nlanes in _lane_chunks(s.basis, 1, n):

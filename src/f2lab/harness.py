@@ -22,7 +22,7 @@ from typing import Sequence
 from ._bitops import form_table, linear_form_table, ones, var_mask
 from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
                    corr_exact, dyadic_mean)
-from .errors import CapacityError, InvariantError
+from .errors import CapacityError, InvariantError, check_capacity
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
 from .numerics import f_dk_bound, inequality_checks, profile_max_check
 from .prng import Prng
@@ -82,12 +82,9 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     """E over all tensors of bias^t equals Pr[sum of t random rank-one
     tensors is zero]; both sides by full enumeration, compared exactly."""
     cells = k ** d
-    if cells > MOMENT_TENSOR_BITS_LIMIT:
-        raise CapacityError(f"2^{cells} tensors exceed the 2^{MOMENT_TENSOR_BITS_LIMIT} guard",
-                            required=1 << cells, budget=1 << MOMENT_TENSOR_BITS_LIMIT)
-    if k * t * d > TUPLE_BITS_LIMIT:
-        raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
-                            required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
+    what = f"moment-identity(d={d}, k={k}, t={t})"
+    check_capacity(what, 1 << cells, 1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
+    check_capacity(what, 1 << (k * t * d), 1 << TUPLE_BITS_LIMIT, "tuples")
     lhs = dyadic_mean(
         (bias_exact(DenseTensor(d, k, bits)) ** t for bits in range(1 << cells)),
         cells)
@@ -120,9 +117,8 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if k * t * d > TUPLE_BITS_LIMIT:
-        raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
-                            required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
+    check_capacity(f"sum-zero(d={d}, k={k}, t={t})", 1 << (k * t * d),
+                   1 << TUPLE_BITS_LIMIT, "tuples")
     exact = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
@@ -172,9 +168,8 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     `subspace_dims=None` sweeps dim U from 0 to k^d in steps of
     max(1, k^d // 8).
     """
-    if k * d > ASSIGN_BITS_LIMIT:
-        raise CapacityError(f"2^{k*d} tuples exceed the 2^{ASSIGN_BITS_LIMIT} guard",
-                            required=1 << (k * d), budget=1 << ASSIGN_BITS_LIMIT)
+    check_capacity(f"subspace-membership(d={d}, k={k})", 1 << (k * d),
+                   1 << ASSIGN_BITS_LIMIT, "tuples")
     ambient = k ** d
     if subspace_dims is None:
         subspace_dims = range(0, ambient + 1, max(1, ambient // 8))
@@ -204,9 +199,8 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
 def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     """Exact distribution of dim span(T_1..T_t) for independent rank-one
     tensors, against the binomial-style bound for every r."""
-    if k * t * d > TUPLE_BITS_LIMIT:
-        raise CapacityError(f"2^{k*t*d} tuples exceed the 2^{TUPLE_BITS_LIMIT} guard",
-                            required=1 << (k * t * d), budget=1 << TUPLE_BITS_LIMIT)
+    check_capacity(f"span-dimension(d={d}, k={k}, t={t})", 1 << (k * t * d),
+                   1 << TUPLE_BITS_LIMIT, "tuples")
     counts = [0] * (t + 1)
     for combo in product(_rank_one_census(d, k).items(), repeat=t):
         counts[rank_of_row_ints([x for x, _ in combo])] += prod(c for _, c in combo)
@@ -309,9 +303,8 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
                            seed: int) -> VerificationReport:
     """Pr[all of t rank-one forms vanish] >= (1 - 2^-d)^t, with the
     probability computed exactly per random tuple."""
-    if k * d > ASSIGN_BITS_LIMIT:
-        raise CapacityError(f"2^{k*d} assignments exceed the 2^{ASSIGN_BITS_LIMIT} guard",
-                            required=1 << (k * d), budget=1 << ASSIGN_BITS_LIMIT)
+    check_capacity(f"joint-vanishing(d={d}, k={k})", 1 << (k * d),
+                   1 << ASSIGN_BITS_LIMIT, "assignments")
     floor = D.from_ratio((1 << d) - 1, d) ** t
     rng = Prng(seed)
     holds = True
@@ -361,11 +354,10 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
             [("mean", str(mean)), ("closed_form", str(closed)),
              ("relaxed", str(relaxed))],
             ("equality", str(closed)), holds, "exhaustive")
-    if samples is None or seed is None:
-        raise CapacityError(
-            f"2^{nbits} decompositions exceed the exhaustive guard; "
-            "pass samples and seed for Monte-Carlo mode",
-            required=1 << nbits, budget=1 << TUPLE_BITS_LIMIT)
+    if samples is None or seed is None:  # nbits is past the guard: always refused
+        check_capacity(f"expected-bias(d={d}, k={k}, t={t}) (pass samples and seed for "
+                       "Monte-Carlo mode)", 1 << nbits, 1 << TUPLE_BITS_LIMIT,
+                       "tuples")
     rng = Prng(seed)
     acc = 0.0
     for _ in range(samples):
@@ -515,9 +507,7 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
     """For linear maps h, no fiber beats the kernel:
     #{x : h(x) = a} <= #{x : h(x) = 0}, counted over all 2^k inputs
     (`_preimage_counts`)."""
-    if k > PREIMAGE_K_LIMIT:
-        raise CapacityError(f"preimage counting needs k <= {PREIMAGE_K_LIMIT}",
-                            required=1 << k, budget=1 << PREIMAGE_K_LIMIT)
+    check_capacity(f"linear-preimage(k={k})", 1 << k, 1 << PREIMAGE_K_LIMIT, "inputs")
     rng = Prng(seed)
     masks = [var_mask(v, k) for v in range(k)]
     holds = True

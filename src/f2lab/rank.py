@@ -25,7 +25,7 @@ from typing import Iterator
 
 from ._bitops import budget_bytes, int_bytes
 from .bias import DyadicRational, _histogram_to_mean, bias_exact
-from .errors import CapacityError, InvariantError
+from .errors import InvariantError, check_capacity
 from .f2linalg import (BitVec, _rref, dual_space, echelonize, kernel, min_weight,
                        rank_of_row_ints, span_rank_histogram)
 from .numerics import mrrw_constant
@@ -95,17 +95,10 @@ def _check_search_size(d: int, k: int, m: int):
     four 16-byte slots of the search's lookup set.  Under tracemalloc
     `rank_exact` holds about 90 bytes a rank-one at k^d = 100."""
     nbase = ((1 << k) - 1) ** d
-    entries = max(nbase, comb(nbase, m))
-    cap = max(1 << 12, budget_bytes() // 64)
-    if entries > cap:
-        raise CapacityError(
-            f"sets of {m} of the {nbase} rank-one tensors need {entries} "
-            f"entries, over the {cap}-entry budget", required=entries, budget=cap)
-    held = nbase * (int_bytes(k ** d) + 104)
-    if held > budget_bytes():
-        raise CapacityError(
-            f"the {nbase} rank-one tensors and their lookup set hold {held} bytes",
-            required=held, budget=budget_bytes())
+    what = f"rank search over sets of {m} of the {nbase} rank-one tensors"
+    budget = budget_bytes()
+    check_capacity(what, max(nbase, comb(nbase, m)), max(1 << 12, budget // 64), "sets")
+    check_capacity(what, nbase * (int_bytes(k ** d) + 104), budget, "bytes")
 
 
 def _slice_span_search(span: list[int], rank_ones: list[int], width: int,
@@ -208,9 +201,7 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
     if decomp.d != 3:
         raise ValueError("code certificates are for 3-dimensional decompositions")
     k, t = decomp.k, decomp.t
-    if k > 24:
-        raise CapacityError("dual-code enumeration needs k <= 24",
-                            required=1 << k, budget=1 << 24)
+    check_capacity(f"code_certificate(k={k})", 1 << k, 1 << 24, "dual codewords")
     a_cols = [term.vectors[0] for term in decomp.terms]
     a_rows = [0] * k
     for i, col in enumerate(a_cols):
@@ -269,9 +260,9 @@ def mrrw_rank_lb(k: int) -> float:
 
 def rank_count(n: int) -> RankDistribution:
     """Exact rank counts of n x n matrices by the subspace product formula."""
-    if not 1 <= n <= RANK_COUNT_MAX_N:
-        raise CapacityError(f"rank_count needs 1 <= n <= {RANK_COUNT_MAX_N}",
-                            required=n, budget=RANK_COUNT_MAX_N)
+    if n < 1:
+        raise ValueError("rank_count needs n >= 1")
+    check_capacity(f"rank_count(n={n})", n, RANK_COUNT_MAX_N, "matrix rows")
     counts = []
     for r in range(n + 1):
         surj = 1

@@ -25,7 +25,7 @@ from itertools import product
 from typing import Sequence
 
 from ._bitops import budget_bytes, int_bytes, ones
-from .errors import CapacityError, FormatError
+from .errors import FormatError, check_capacity
 from .f2linalg import BitVec
 from .gf2k import make_field
 from .prng import Prng, draw_bytes, words_bytes
@@ -174,9 +174,9 @@ def trace_tensor(k: int) -> DenseTensor:
     b_i b_j b_l = x^(i+j+l), so T is a Hankel tensor: bit s of `hankel`
     is Trace(x^s) for s <= 3k - 3, and the row T(i, j, .) is bits
     i + j .. i + j + k - 1 of it."""
-    if not 1 <= k <= TRACE_TENSOR_MAX_K:
-        raise CapacityError(f"trace_tensor needs 1 <= k <= {TRACE_TENSOR_MAX_K}",
-                            required=k ** 3, budget=TRACE_TENSOR_MAX_K ** 3)
+    if k < 1:
+        raise ValueError("trace_tensor needs k >= 1")
+    check_capacity(f"trace_tensor(k={k})", k ** 3, TRACE_TENSOR_MAX_K ** 3, "tensor entries")
     gf = make_field(k)
     hankel = 0
     power = 1  # x^s, reduced
@@ -195,9 +195,9 @@ def trace_tensor(k: int) -> DenseTensor:
 
 def matmul_tensor(n: int) -> DenseTensor:
     """The n x n matrix product tensor: entries at X_ij Y_jl Z_il."""
-    if not 1 <= n <= MATMUL_TENSOR_MAX_N:
-        raise CapacityError(f"matmul_tensor needs 1 <= n <= {MATMUL_TENSOR_MAX_N}",
-                            required=n ** 6, budget=MATMUL_TENSOR_MAX_N ** 6)
+    if n < 1:
+        raise ValueError("matmul_tensor needs n >= 1")
+    check_capacity(f"matmul_tensor(n={n})", n ** 6, MATMUL_TENSOR_MAX_N ** 6, "tensor entries")
     k = n * n
     bits = 0
     for i in range(n):
@@ -219,11 +219,8 @@ def explicit_form_tensor(d: int, k: int) -> DenseTensor:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    size = _tensor_bits(d, k)
-    if size > 8 * budget_bytes():
-        raise CapacityError(f"explicit_form_tensor({d},{k}): its k^d bits exceed "
-                            f"the budget of {8 * budget_bytes()} bits",
-                            required=size, budget=8 * budget_bytes())
+    check_capacity(f"explicit_form_tensor(d={d}, k={k})", _tensor_bits(d, k),
+                   8 * budget_bytes(), "bits")
     gf = make_field(k)
     bits = 0
     # each product over the first d-1 indices fills k consecutive entries
@@ -244,12 +241,8 @@ def random_tensor(d: int, k: int, seed: int) -> DenseTensor:
     workspace (`draw_bytes`) exceed the byte budget.
     """
     size = _tensor_bits(d, k)
-    required = int_bytes(size) + draw_bytes(size)
-    budget = budget_bytes()
-    if required > budget:
-        raise CapacityError(f"random_tensor({d},{k}): its k^d bits and their draw need "
-                            f"{required} bytes, over the {budget}-byte budget",
-                            required=required, budget=budget)
+    check_capacity(f"random_tensor(d={d}, k={k})", int_bytes(size) + draw_bytes(size),
+                   budget_bytes(), "bytes")
     return DenseTensor(d, k, Prng(seed).bits(size))
 
 
@@ -267,24 +260,26 @@ def random_rank_decomp(d: int, k: int, t: int, seed: int) -> RankDecomposition:
     """t terms of d independent uniform vectors each; seed-deterministic.
 
     The t*d vectors come from one `Prng.words` block, ceil(k/64) words
-    each, masked to k bits: the values t*d `Prng.bits(k)` calls give.
-    Refused before the draw when the terms, the block (`words_bytes`)
-    and the cutting of one vector exceed the byte budget.  Cutting holds
-    three ints' worth of one vector's words: the k-bit mask, the copy of
-    the words `int.from_bytes` makes, and the unmasked int.
+    each, cut to ceil(k/8) bytes, the last masked in place to k bits: the
+    values t*d `Prng.bits(k)` calls give.  Refused before the draw when the
+    terms, the block (`words_bytes`) and the cutting of one vector exceed
+    the byte budget; cutting holds one int of a vector's words, the copy
+    `int.from_bytes` makes.
     """
     words = (k + 63) >> 6
-    size = (4096 + t * (DECOMP_TERM_BYTES + d * (DECOMP_VECTOR_BYTES + int_bytes(k)))
-            + words_bytes(words * t * d) + 3 * int_bytes(64 * words))
-    budget = budget_bytes()
-    if size > budget:
-        raise CapacityError(f"random_rank_decomp({d},{k},{t}): its terms need {size} "
-                            f"bytes, over the {budget}-byte budget",
-                            required=size, budget=budget)
-    block = memoryview(Prng(seed).words(words * t * d))
+    check_capacity(f"random_rank_decomp(d={d}, k={k}, t={t})",
+                   4096 + t * (DECOMP_TERM_BYTES + d * (DECOMP_VECTOR_BYTES + int_bytes(k)))
+                   + words_bytes(words * t * d) + int_bytes(64 * words),
+                   budget_bytes(), "bytes")
+    block = Prng(seed).words(words * t * d)
     step = 8 * words
-    mask = ones(k)
-    vectors = [BitVec(k, int.from_bytes(block[i:i + step], "little") & mask)
+    cut = (k + 7) >> 3
+    if k & 7:
+        top = (1 << (k & 7)) - 1
+        for i in range(cut - 1, len(block), step):
+            block[i] &= top
+    block = memoryview(block)
+    vectors = [BitVec(k, int.from_bytes(block[i:i + cut], "little"))
                for i in range(0, len(block), step)]
     terms = tuple(RankOneTerm(tuple(vectors[i:i + d])) for i in range(0, t * d, d))
     return RankDecomposition(d, k, terms)

@@ -9,38 +9,163 @@ import pytest
 import f2lab
 from f2lab._bitops import int_bytes
 from f2lab.bias import bias_bruteforce, bias_exact, corr_class_max, corr_exact
-from f2lab.errors import CapacityError
+from f2lab.errors import CapacityError, check_capacity
 from f2lab.f2linalg import (echelonize, min_weight, sampled_rank_histogram,
                             span_rank_histogram)
+from f2lab.harness import (verify_expected_bias, verify_joint_vanishing,
+                           verify_linear_preimage, verify_moment_identity,
+                           verify_span_dimension, verify_subspace_membership,
+                           verify_sum_zero)
 from f2lab.prng import Prng, draw_bytes, words_bytes
-from f2lab.rank import code_certificate
-from f2lab.tensors import (Polynomial, first_block_slices, random_rank_decomp,
+from f2lab.rank import code_certificate, rank_count, rank_exact
+from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition, explicit_form_tensor,
+                           first_block_slices, matmul_tensor, random_rank_decomp,
                            random_tensor, trace_tensor)
 
 SRC = Path(f2lab.__file__).resolve().parent
 REFUSAL_BYTES = 16 << 10  # a refusal builds its message, no table or plane
 
 
-def _capacity_raises():
+def _callee(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def _capacity_checks():
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
-                func = node.exc.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "CapacityError":
-                    yield f"{path.name}:{node.lineno}", node.exc
+            if isinstance(node, ast.Call) and _callee(node) == "check_capacity":
+                yield f"{path.name}:{node.lineno}", node
 
 
 def test_every_capacity_error_carries_required_and_budget():
-    raises = list(_capacity_raises())
-    assert len(raises) >= 24  # the guards in the tree when this check was written
-    for where, call in raises:
-        given = {kw.arg: kw.value for kw in call.keywords}
-        for key in ("required", "budget"):
-            assert key in given, f"{where}: CapacityError without {key}="
-            value = given[key]
-            assert not (isinstance(value, ast.Constant) and value.value is None), \
-                f"{where}: {key}=None"
+    # every guard refuses through check_capacity, passing what, required,
+    # budget and a named unit, none of them None
+    checks = list(_capacity_checks())
+    assert len(checks) >= 26  # the guards in the tree when this check was written
+    for where, call in checks:
+        assert len(call.args) == 4 and not call.keywords, where
+        assert not any(isinstance(a, ast.Constant) and a.value is None for a in call.args), \
+            where
+        unit = call.args[3]
+        assert isinstance(unit, ast.Constant) and isinstance(unit.value, str), where
+
+
+def test_only_check_capacity_constructs_capacity_error():
+    # one refusal policy: no module builds a CapacityError of its own
+    sites = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _callee(node) == "CapacityError"]
+    assert sites == [("errors.py", "check_capacity")]
+
+
+def test_check_capacity_refuses_only_past_the_budget():
+    check_capacity("route", 5, 5, "bytes")
+    with pytest.raises(CapacityError, match=r"^route: 6 bytes exceed the budget of 5 bytes$"):
+        check_capacity("route", 6, 5, "bytes")
+    # powers of two from 2^10 print as 2^e, other multiples of 2^10 as
+    # m*2^e, so a count of a million bits prints at once
+    with pytest.raises(CapacityError) as ei:
+        check_capacity("route", 3 << 10**6, 1 << 10, "sets")
+    assert str(ei.value) == "route: 3*2^1000000 sets exceed the budget of 2^10 sets"
+    assert (ei.value.required, ei.value.budget) == (3 << 10**6, 1024)
+    with pytest.raises(CapacityError, match=r": 1025 bits exceed the budget of 512 bits$"):
+        check_capacity("route", 1025, 512, "bits")
+
+
+# One row per guard site: (byte budget or None for the default, the refused
+# call, its message's route, required and budget as printed, and the unit).
+GUARDS = {
+    "bias_exact-work": (None, lambda: bias_exact(DenseTensor(3, 31, 0)),
+                        "bias_exact(d=3, k=31)", "961*2^31", "225*2^32",
+                        "residual-matrix entries"),
+    "bias_bruteforce-inputs": (None, lambda: bias_bruteforce(DenseTensor(3, 11, 0)),
+                               "bias_bruteforce(d=3, k=11)", "2^33", "2^30", "inputs"),
+    "bias_bruteforce-bytes": (1 << 18, lambda: bias_bruteforce(DenseTensor(3, 10, 0)),
+                              "bias_bruteforce(d=3, k=10)", "565640", "2^18", "bytes"),
+    "corr_exact-inputs": (None, lambda: corr_exact(DenseTensor(3, 9, 0), Polynomial(27, ((),))),
+                          "corr_exact(d=3, k=9)", "2^27", "2^26", "inputs"),
+    "corr_exact-bytes": (1 << 18, lambda: corr_exact(DenseTensor(2, 11, 0),
+                                                     Polynomial(22, ((),))),
+                         "corr_exact(d=2, k=11)", "704832", "2^18", "bytes"),
+    "corr_class_max-inputs": (None, lambda: corr_class_max(DenseTensor(3, 9, 0), 0),
+                              "corr_class_max(d=3, k=9, degree=0)", "2^27", "2^26", "inputs"),
+    "corr_class_max-work": (None, lambda: corr_class_max(DenseTensor(3, 7, 0), 1),
+                            "corr_class_max(d=3, k=7, degree=1)", "21*2^21", "2^25",
+                            "transform fields"),
+    "corr_class_max-bytes": (1 << 18, lambda: corr_class_max(DenseTensor(2, 8, 0), 1),
+                             "corr_class_max(d=2, k=8, degree=1)", "1865380", "2^18", "bytes"),
+    "moment-identity-tensors": (None, lambda: verify_moment_identity(3, 3, 2),
+                                "moment-identity(d=3, k=3, t=2)", "2^27", "2^16", "tensors"),
+    "moment-identity-tuples": (None, lambda: verify_moment_identity(2, 2, 7),
+                               "moment-identity(d=2, k=2, t=7)", "2^28", "2^24", "tuples"),
+    "sum-zero": (None, lambda: verify_sum_zero(2, 4, 4),
+                 "sum-zero(d=2, k=4, t=4)", "2^32", "2^24", "tuples"),
+    "subspace-membership": (None, lambda: verify_subspace_membership(2, 12, [1], 1, 0),
+                            "subspace-membership(d=2, k=12)", "2^24", "2^22", "tuples"),
+    "span-dimension": (None, lambda: verify_span_dimension(2, 4, 4),
+                       "span-dimension(d=2, k=4, t=4)", "2^32", "2^24", "tuples"),
+    "joint-vanishing": (None, lambda: verify_joint_vanishing(2, 12, 1, 1, 0),
+                        "joint-vanishing(d=2, k=12)", "2^24", "2^22", "assignments"),
+    "expected-bias": (None, lambda: verify_expected_bias(2, 4, 4),
+                      "expected-bias(d=2, k=4, t=4) (pass samples and seed for "
+                      "Monte-Carlo mode)", "2^32", "2^24", "tuples"),
+    "linear-preimage": (None, lambda: verify_linear_preimage(17, 1, 0),
+                        "linear-preimage(k=17)", "2^17", "2^16", "inputs"),
+    "trace_tensor": (None, lambda: trace_tensor(25),
+                     "trace_tensor(k=25)", "15625", "13824", "tensor entries"),
+    "matmul_tensor": (None, lambda: matmul_tensor(5),
+                      "matmul_tensor(n=5)", "15625", "2^12", "tensor entries"),
+    "explicit_form_tensor": (1 << 18, lambda: explicit_form_tensor(3, 200),
+                             "explicit_form_tensor(d=3, k=200)", "8000000", "2^21", "bits"),
+    "random_tensor": (1 << 18, lambda: random_tensor(3, 200, 0),
+                      "random_tensor(d=3, k=200)", "3265432", "2^18", "bytes"),
+    "random_rank_decomp": (1 << 18, lambda: random_rank_decomp(3, 1000, 100, 0),
+                           "random_rank_decomp(d=3, k=1000, t=100)", "269932", "2^18",
+                           "bytes"),
+    "rank-search-sets": (None, lambda: rank_exact(matmul_tensor(2), 8),
+                         "rank search over sets of 4 of the 225 rank-one tensors",
+                         "103962600", "2^21", "sets"),
+    "rank-search-bytes": (64 << 20, lambda: rank_exact(trace_tensor(10), 10),
+                          "rank search over sets of 0 of the 1046529 rank-one tensors",
+                          "125583480", "2^26", "bytes"),
+    "code_certificate": (None, lambda: code_certificate(RankDecomposition(3, 25, ())),
+                         "code_certificate(k=25)", "2^25", "2^24", "dual codewords"),
+    "rank_count": (None, lambda: rank_count(17),
+                   "rank_count(n=17)", "17", "16", "matrix rows"),
+    "min_weight": (None, lambda: min_weight(echelonize([1 << j for j in range(30)], 40)),
+                   "min_weight(dim=30)", "2^30", "2^28", "codewords"),
+}
+
+
+def _printed(count):
+    """The int a count printed as n, 2^e or m*2^e stands for."""
+    head, power, e = count.partition("2^")
+    return int(head.rstrip("*") or 1) << int(e) if power else int(count)
+
+
+@pytest.mark.parametrize("budget, call, what, required, allowed, unit", GUARDS.values(),
+                         ids=list(GUARDS))
+def test_every_guard_names_its_unit(budget, call, what, required, allowed, unit, monkeypatch):
+    if budget is None:
+        monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    else:
+        monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    with pytest.raises(CapacityError) as ei:
+        call()
+    assert ei.value.required > ei.value.budget
+    assert (ei.value.required, ei.value.budget) == (_printed(required), _printed(allowed))
+    assert str(ei.value) == f"{what}: {required} {unit} exceed the budget of {allowed} {unit}"
+
+
+def test_every_guard_site_has_a_row():
+    assert len(GUARDS) == len(list(_capacity_checks()))
 
 
 # ---------------------------------------------------------------------------

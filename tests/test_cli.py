@@ -185,13 +185,14 @@ def test_gen_random_rank_and_certify(tmp_path):
 
 def test_gen_random_rank_refuses_past_the_budget(tmp_path, capsys, monkeypatch):
     # 5 terms of 3 vectors of 1,000 bits, drawn from one block of 240 words,
-    # need 42,940 bytes against a 1 KiB budget: refused before any draw or
+    # need 42,660 bytes against a 1 KiB budget: refused before any draw or
     # write
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "1024")
     path = tmp_path / "d.f2d"
     assert main(["gen", "random-rank", "--d", "3", "--k", "1000", "--t", "5",
                  "--seed", "1", "--out", str(path)]) == 2
-    assert "its terms need 42940 bytes, over the 1024-byte budget" in capsys.readouterr().err
+    assert ("random_rank_decomp(d=3, k=1000, t=5): 42660 bytes exceed the budget of "
+            "2^10 bytes") in capsys.readouterr().err
     assert not path.exists()
 
 
@@ -362,6 +363,16 @@ def test_usage_errors_exit_2(tmp_path):
     assert code == 2 and "hex" in err
     code, _, err = run_cli("corr", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "trace", "--k", "0"], "trace_tensor needs k >= 1"),
+    (["gen", "matmul", "--n", "-1"], "matmul_tensor needs n >= 1"),
+    (["verify", "bias-tail", "--d", "2", "--k", "0"], "rank_count needs n >= 1")])
+def test_sizes_below_one_exit_2(argv, message, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "t.f2t")] if argv[0] == "gen" else []
+    assert main(argv + out) == 2
+    assert capsys.readouterr().err == f"f2lab: error: {message}\n"
 
 
 def test_main_callable_directly(capsys):

@@ -59,19 +59,25 @@ def test_sum_census_matches_literal_enumeration(d, k, t):
 
 
 @pytest.mark.parametrize("call,bits,limit,message", [
-    (lambda: verify_moment_identity(3, 3, 2), 27, 16, "2^27 tensors exceed the 2^16 guard"),
-    (lambda: verify_moment_identity(2, 2, 7), 28, 24, "2^28 tuples exceed the 2^24 guard"),
-    (lambda: verify_sum_zero(2, 4, 4), 32, 24, "2^32 tuples exceed the 2^24 guard"),
+    (lambda: verify_moment_identity(3, 3, 2), 27, 16,
+     "moment-identity(d=3, k=3, t=2): 2^27 tensors exceed the budget of 2^16 tensors"),
+    (lambda: verify_moment_identity(2, 2, 7), 28, 24,
+     "moment-identity(d=2, k=2, t=7): 2^28 tuples exceed the budget of 2^24 tuples"),
+    (lambda: verify_sum_zero(2, 4, 4), 32, 24,
+     "sum-zero(d=2, k=4, t=4): 2^32 tuples exceed the budget of 2^24 tuples"),
     (lambda: verify_subspace_membership(2, 12, [1], 1, 0), 24, 22,
-     "2^24 tuples exceed the 2^22 guard"),
-    (lambda: verify_span_dimension(2, 4, 4), 32, 24, "2^32 tuples exceed the 2^24 guard"),
+     "subspace-membership(d=2, k=12): 2^24 tuples exceed the budget of 2^22 tuples"),
+    (lambda: verify_span_dimension(2, 4, 4), 32, 24,
+     "span-dimension(d=2, k=4, t=4): 2^32 tuples exceed the budget of 2^24 tuples"),
     (lambda: verify_joint_vanishing(2, 12, 1, 1, 0), 24, 22,
-     "2^24 assignments exceed the 2^22 guard"),
+     "joint-vanishing(d=2, k=12): 2^24 assignments exceed the budget of 2^22 assignments"),
     (lambda: verify_expected_bias(2, 4, 4), 32, 24,
-     "2^32 decompositions exceed the exhaustive guard"),
-    (lambda: verify_linear_preimage(17, 1, 0), 17, 16, "preimage counting needs k <= 16"),
+     "expected-bias(d=2, k=4, t=4) (pass samples and seed for Monte-Carlo mode): "
+     "2^32 tuples exceed the budget of 2^24 tuples"),
+    (lambda: verify_linear_preimage(17, 1, 0), 17, 16,
+     "linear-preimage(k=17): 2^17 inputs exceed the budget of 2^16 inputs"),
     (lambda: code_certificate(RankDecomposition(3, 25, ())), 25, 24,
-     "dual-code enumeration needs k <= 24"),
+     "code_certificate(k=25): 2^25 dual codewords exceed the budget of 2^24 dual codewords"),
 ], ids=["moment-tensors", "moment-tuples", "sum-zero", "subspace-membership",
         "span-dimension", "joint-vanishing", "expected-bias", "linear-preimage",
         "code-certificate"])

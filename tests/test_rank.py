@@ -347,6 +347,12 @@ def test_certificate_json():
     assert payload["kernel_dim"] == 1
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_rank_count_rejects_sizes_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        rank_count(n)
+
+
 def test_rank_count_small():
     assert rank_count(1).counts == (1, 1)
     assert rank_count(2).counts == (1, 9, 6)

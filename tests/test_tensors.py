@@ -158,6 +158,14 @@ def test_trace_tensor_guard():
         trace_tensor(25)
 
 
+@pytest.mark.parametrize("size", [0, -1])
+@pytest.mark.parametrize("build", [trace_tensor, matmul_tensor])
+def test_builders_reject_sizes_below_one(build, size):
+    # an invalid size is a bad argument, not a requirement over a budget
+    with pytest.raises(ValueError, match=">= 1"):
+        build(size)
+
+
 @pytest.mark.parametrize("build", [lambda: random_tensor(10000, 3, 0),
                                    lambda: explicit_form_tensor(10000, 3),
                                    lambda: random_tensor(10**7, 3, 0)])
@@ -245,20 +253,20 @@ def test_random_rank_decomp_guards_bits(monkeypatch):
     # bytes against the byte budget: 4 KiB, then per term 160 bytes and per
     # vector 128 bytes beside its digits, the one word block all vectors are
     # drawn from (`words_bytes`) and the cutting of one vector; four vectors
-    # of 2^24 bits need 24,184,700 bytes, over 1 MiB.  Sixteen vectors of
-    # 2^19 bits (2^23 bits in all) need 2,516,348 bytes: refused at 1 MiB,
+    # of 2^24 bits need 19,710,772 bytes, over 1 MiB.  Sixteen vectors of
+    # 2^19 bits (2^23 bits in all) need 2,376,532 bytes: refused at 1 MiB,
     # built at exactly that budget, with the values of sixteen `Prng.bits`
     # draws
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(1 << 20))
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(1, 1 << 24, 4, 1)
-    assert ei.value.required == 24_184_700 and ei.value.budget == 1 << 20
+    assert ei.value.required == 19_710_772 and ei.value.budget == 1 << 20
     with pytest.raises(CapacityError):
         random_tensor(1, 1 << 24, 1)
     with pytest.raises(CapacityError) as ei:
         random_rank_decomp(2, 1 << 19, 8, 3)
-    assert ei.value.required == 2_516_348
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "2516348")
+    assert ei.value.required == 2_376_532
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "2376532")
     dec = random_rank_decomp(2, 1 << 19, 8, 3)
     draws = Prng(3)
     assert [v.bits for term in dec.terms for v in term.vectors] == \
