@@ -434,9 +434,10 @@ def _corr_bytes(k: int, d: int) -> int:
     and list slot per piece; the form's h slice tables of 2^m bits; and
     five more pieces for the one slice table being built (a linear
     table's mask and XOR, or from d = 3 on the last doubling step's lower
-    half, shifted upper half and OR, and the k variable masks, at most
-    half a piece in all), or for a Moebius step's variable mask and
-    temporaries, or for the walk's current piece and its XOR."""
+    half, shifted upper half and OR, and the k variable masks the slice
+    tables share, at most half a piece in all and held to the end), or
+    for a Moebius step's variable mask and temporaries, or for the walk's
+    current piece and its XOR."""
     h = k if d > 1 else k // 2
     piece = int_bytes(1 << (k * d - h))
     return 4096 + ((64 + piece) << h) + (h + 5) * piece
@@ -491,7 +492,9 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
         slices = [every if (t.bits >> (m + j)) & 1 else 0 for j in range(h)]
     else:
         cur = 0
-        slices = [form_table(s, d - 1, k) for s in first_block_slices(t)]
+        # from d = 3 on the slice tables share k masks; at d = 2 a mask is a piece
+        masks = [var_mask(v, k) for v in range(k)] if d > 2 else None
+        slices = [form_table(s, d - 1, k, masks) for s in first_block_slices(t)]
     ones_count = (cur ^ ppieces[0]).bit_count()
     for step in range(1, 1 << h):
         cur ^= slices[ctz(step)]

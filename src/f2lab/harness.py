@@ -73,6 +73,16 @@ def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
     return sums
 
 
+def _vanish_count(d: int, k: int, t: int) -> int:
+    """`_sum_census(d, k, t)[0]`, the tuples whose t rank-ones sum to zero:
+    a sum s of t - 1 plus a rank-one x is zero exactly when x = s, so it
+    is the (t-1)-fold census dotted with the rank-one census."""
+    if t == 0:
+        return 1
+    sums = _sum_census(d, k, t - 1)
+    return sum(m * sums.get(x, 0) for x, m in _rank_one_census(d, k).items())
+
+
 # ---------------------------------------------------------------------------
 # Moment identity and vanishing-sum probabilities.
 # ---------------------------------------------------------------------------
@@ -88,7 +98,7 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     lhs = dyadic_mean(
         (bias_exact(DenseTensor(d, k, bits)) ** t for bits in range(1 << cells)),
         cells)
-    rhs = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
+    rhs = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     holds = lhs == rhs
     return _report(
         "moment-identity", [("d", str(d)), ("k", str(k)), ("t", str(t))],
@@ -119,7 +129,7 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
         raise ValueError("d must be >= 2")
     check_capacity(f"sum-zero(d={d}, k={k}, t={t})", 1 << (k * t * d),
                    1 << TUPLE_BITS_LIMIT, "tuples")
-    exact = D.from_ratio(_sum_census(d, k, t).get(0, 0), k * t * d)
+    exact = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
     applies = d < 2.0 ** (eps * k / 5.0) and t < eps * (k ** (d - 1)) / 5.0

@@ -137,22 +137,30 @@ def _extreme_points(k: int, u: float):
 
 
 def _solve_exact(rows: list, rhs: list) -> list | None:
-    """The one solution x of rows . x = rhs for a square system of
-    Fractions, or None when it is singular.  Gauss-Jordan elimination."""
+    """The one solution x of rows . x = rhs for a square integer system,
+    as Fractions, or None when it is singular.  Fraction-free (Bareiss)
+    elimination keeps each entry below the pivots a minor, an integer, so
+    dividing by the last pivot is exact; only back substitution is not."""
+    from fractions import Fraction  # off the import path of f2lab
+
     n = len(rows)
     m = [list(row) + [r] for row, r in zip(rows, rhs)]
+    last = 1
     for col in range(n):
         piv = next((i for i in range(col, n) if m[i][col]), None)
         if piv is None:
             return None
         m[col], m[piv] = m[piv], m[col]
-        lead = m[col][col]
-        m[col] = [x / lead for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
-    return [row[n] for row in m]
+        top = m[col]
+        for i in range(col + 1, n):
+            f = m[i][col]
+            m[i] = [(top[col] * a - f * b) // last for a, b in zip(m[i], top)]
+        last = top[col]
+    x = [0] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n) if row[j]), row[i])
+    return x
 
 
 def _exact_vertices(k: int, u: float) -> set[tuple]:
@@ -163,13 +171,14 @@ def _exact_vertices(k: int, u: float) -> set[tuple]:
     b_{k+1} = 0.  A vertex makes k independent constraints tight, the sum
     among them, so at most two chain inequalities are free: each choice
     of two gives a k x k system, solved exactly and kept when feasible.
+    u = p/q exactly, so the sum row scaled by q (q b_1 + ... + q b_k = p)
+    keeps every system in integers.
     """
-    from fractions import Fraction  # off the import path of f2lab
-
+    p, q = u.as_integer_ratio()
     # tight, inequality j is the row (+1 at b_j, -1 at b_{j+1}) = rhs
-    chain = [([Fraction((i == j - 1) - (i == j)) for i in range(k)],
-              Fraction(-k if j == 0 else 0)) for j in range(k + 1)]
-    total = ([Fraction(1)] * k, Fraction(u))
+    chain = [([(i == j - 1) - (i == j) for i in range(k)], -k if j == 0 else 0)
+             for j in range(k + 1)]
+    total = ([q] * k, p)
     vertices = set()
     for free in combinations(range(k + 1), 2):
         eqs = [c for j, c in enumerate(chain) if j not in free] + [total]

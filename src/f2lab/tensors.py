@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from operator import lt
 from typing import Sequence
 
 from ._bitops import budget_bytes, int_bytes, ones
@@ -300,9 +301,9 @@ class Polynomial:
     def __post_init__(self):
         seen = set()
         for m in self.monomials:
-            if any(not 0 <= v < self.n for v in m):
+            if m and not (0 <= min(m) and max(m) < self.n):
                 raise ValueError("variable index out of range")
-            if tuple(sorted(set(m))) != m:
+            if not isinstance(m, tuple) or not all(map(lt, m, m[1:])):
                 raise ValueError("monomial not sorted/reduced")
             if m in seen:
                 raise ValueError("duplicate monomial")

@@ -6,6 +6,7 @@ check a packed or bit-sliced route against a plain one.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations, product
 
 from f2lab._bitops import form_table, gray_flips, ones, var_mask
@@ -219,6 +220,59 @@ def sampled_profile_max(k, u, trials, seed):
     for draws in _trial_draws(Prng(seed), trials, k):
         best = max(best, random_feasible(k, u, draws).objective())
     return best
+
+
+def solve_gauss_jordan(rows, rhs):
+    """The one solution x of rows . x = rhs for a square system of
+    Fractions, or None when it is singular: Gauss-Jordan elimination,
+    every entry a Fraction, each pivot row divided through."""
+    n = len(rows)
+    m = [list(row) + [r] for row, r in zip(rows, rhs)]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        lead = m[col][col]
+        m[col] = [x / lead for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return [row[n] for row in m]
+
+
+def exact_vertices_gauss_jordan(k, u):
+    """Vertices of {k >= b_1 >= ... >= b_k >= 0, sum_i b_i = u}, u read
+    as Fraction(u): every k x k system of the chain inequalities with two
+    left free, plus the sum row, all in Fractions, by
+    `solve_gauss_jordan`, kept when feasible."""
+    chain = [([Fraction((i == j - 1) - (i == j)) for i in range(k)],
+              Fraction(-k if j == 0 else 0)) for j in range(k + 1)]
+    total = ([Fraction(1)] * k, Fraction(u))
+    vertices = set()
+    for free in combinations(range(k + 1), 2):
+        eqs = [c for j, c in enumerate(chain) if j not in free] + [total]
+        b = solve_gauss_jordan([row for row, _ in eqs], [rhs for _, rhs in eqs])
+        if b is not None and all(x >= y for x, y in zip([k, *b], [*b, 0])):
+            vertices.add(tuple(b))
+    return vertices
+
+
+def validate_polynomial(n, monomials):
+    """Polynomial's checks monomial by monomial, each its own scan: every
+    index in [0, n), then the monomial equal to its sorted distinct
+    indices, then no monomial seen before; raises the first failure's
+    ValueError."""
+    seen = set()
+    for m in monomials:
+        if any(not 0 <= v < n for v in m):
+            raise ValueError("variable index out of range")
+        if tuple(sorted(set(m))) != m:
+            raise ValueError("monomial not sorted/reduced")
+        if m in seen:
+            raise ValueError("duplicate monomial")
+        seen.add(m)
 
 
 def anf_table(anf, m):

@@ -13,7 +13,7 @@ from f2lab import f2linalg, harness
 from f2lab._bitops import var_mask
 from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
-from f2lab.harness import (_at_most, _sum_census, run_all, verify_bias_matmul,
+from f2lab.harness import (EXPERIMENTS, _at_most, _sum_census, _vanish_count, run_all, verify_bias_matmul,
                            verify_bias_tail, verify_bias_trace, verify_corank_margin,
                            verify_expected_bias, verify_explicit_form,
                            verify_joint_vanishing, verify_linear_preimage,
@@ -56,6 +56,22 @@ def test_sum_census_matches_literal_enumeration(d, k, t):
     census = _sum_census(d, k, t)
     assert dict(census) == dict(_literal_sum_census(d, k, t))
     assert sum(census.values()) == 1 << (k * t * d)
+
+
+@pytest.mark.parametrize("d,k,t", sorted({row[:3] for name in ("sum-zero", "moment-identity")
+                                          for rows in EXPERIMENTS[name][1:] for row in rows}))
+def test_vanish_count_matches_census_on_profile_rows(d, k, t):
+    assert _vanish_count(d, k, t) == _sum_census(d, k, t).get(0, 0)
+
+
+def test_vanish_count_matches_census_up_to_16_tuple_bits():
+    # every shape with k t d <= 16 and t <= 4; t = 0 counts as 1 in the
+    # size, and its one tuple, the empty one, sums to zero
+    shapes = [(d, k, t) for t in range(5) for d in range(1, 17) for k in range(1, 17)
+              if k * max(t, 1) * d <= 16]
+    assert len(shapes) == 138
+    for d, k, t in shapes:
+        assert _vanish_count(d, k, t) == _sum_census(d, k, t).get(0, 0), (d, k, t)
 
 
 @pytest.mark.parametrize("call,bits,limit,message", [

@@ -11,7 +11,9 @@ from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _exact_vertices, _ext
                             _solve_exact, _trial_draws, f_dk_bound, inequality_checks,
                             mrrw_constant, profile_max_check)
 from f2lab.prng import Prng
-from oracles import inequality_worst, sampled_profile_max
+from f2lab.harness import EXPERIMENTS
+from oracles import (below, exact_vertices_gauss_jordan, inequality_worst, sampled_profile_max,
+                     solve_gauss_jordan)
 
 
 def test_f1k_closed_form():
@@ -123,6 +125,39 @@ def test_solve_exact():
     F = Fraction
     assert _solve_exact([[F(0), F(2)], [F(1), F(1)]], [F(1), F(3)]) == [F(5, 2), F(1, 2)]
     assert _solve_exact([[F(1), F(-1)], [F(-1), F(1)]], [F(0), F(0)]) is None
+
+
+def test_solve_exact_matches_gauss_jordan_on_random_integer_systems():
+    # small entries make zero pivots (row swaps) and singular systems common
+    rng = Prng(3001)
+    singular = 0
+    for trial in range(600):
+        n = 1 + trial % 6
+        rows = [[below(rng, 7) - 3 for _ in range(n)] for _ in range(n)]
+        rhs = [below(rng, 41) - 20 for _ in range(n)]
+        want = solve_gauss_jordan([[Fraction(a) for a in row] for row in rows],
+                                  [Fraction(r) for r in rhs])
+        assert _solve_exact(rows, rhs) == want, (rows, rhs)
+        singular += want is None
+    assert 30 < singular < 300
+
+
+@pytest.mark.parametrize("k, u", EXPERIMENTS["profile-max"][1] + EXPERIMENTS["profile-max"][2])
+def test_exact_vertices_match_gauss_jordan_on_profile_rows(k, u):
+    assert _exact_vertices(k, u) == exact_vertices_gauss_jordan(k, u)
+
+
+def test_exact_vertices_match_gauss_jordan_on_a_seeded_sweep():
+    # per k: both ends, multiples of 2^-3 and 2^-20, and decimals whose
+    # binary value has a denominator near 2^52
+    rng = Prng(3002)
+    for k in range(1, 8):
+        us = [0.0, float(k * k)]
+        us += [below(rng, 8 * k * k + 1) / 8 for _ in range(3)]
+        us += [below(rng, (k * k << 20) + 1) / 2 ** 20 for _ in range(2)]
+        us += [round(k * k * x, 3) for x in rng.floats(3)]
+        for u in us:
+            assert _exact_vertices(k, u) == exact_vertices_gauss_jordan(k, u), (k, u)
 
 
 # (k, u) of the quick and full profiles' profile-max reports

@@ -19,7 +19,7 @@ from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            tensor_from_decomp, trace_tensor,
                            write_decomp, write_tensor)
 from oracles import (below, contract, entry, poly_eval, rank_decomp_per_vector,
-                     trace_tensor_cubic, write_poly)
+                     trace_tensor_cubic, validate_polynomial, write_poly)
 
 rng = Prng(20240)
 
@@ -431,6 +431,29 @@ def test_reader_mutations_return_or_raise_format_error(fmt):
             reader(io.StringIO("".join(chars)))
         except FormatError:
             pass
+
+
+@pytest.mark.parametrize("monomials", [
+    ((-1,),), ((3,),), ((0, 3),), ((4, 1),), ((2, 0, -1),), ((1, 1),), ((2, 1),),
+    ((0,), (0,)), ((), ()), ((0, 2), (1,), (0, 2)),
+    # the first bad monomial names the error, whatever comes after it
+    ((0,), (0,), (7,)), ((1, 0), (5,)), ((0,), [0, 1]), ([],), ([0, 9],)],
+    ids=["index -1", "index n", "index n last", "unsorted, range wins", "unsorted, -1 last",
+         "repeated variable", "unsorted", "duplicate", "duplicate constant",
+         "duplicate later", "duplicate before range", "order before range", "list",
+         "empty list", "list, range wins"])
+def test_polynomial_raises_the_old_validators_error(monomials):
+    with pytest.raises(ValueError) as old:
+        validate_polynomial(3, monomials)
+    with pytest.raises(ValueError) as new:
+        Polynomial(3, monomials)
+    assert str(new.value) == str(old.value)
+
+
+def test_polynomial_accepts_what_the_old_validator_accepts():
+    for monomials in [(), ((),), ((0,), (1, 2), (0, 1, 2), ()), ((2,), (0, 1))]:
+        validate_polynomial(3, monomials)
+        assert Polynomial(3, monomials).monomials == monomials
 
 
 def test_polynomial_evaluate():
