@@ -130,6 +130,10 @@ class DyadicRational:
     def __ge__(self, other):
         return self._cmp(other) >= 0
 
+    @property
+    def denominator(self) -> int:
+        return 1 << self.exponent
+
     def to_float(self) -> float:
         num = self.numerator
         e = self.exponent

@@ -24,7 +24,7 @@ from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
                    corr_exact, dyadic_mean)
 from .errors import CapacityError, InvariantError, check_capacity
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
-from .numerics import f_dk_bound, inequality_checks, profile_max_check
+from .numerics import f_dk_bound, inequality_checks, power_at_most, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
                    rank_lb_bias)
@@ -37,8 +37,6 @@ MOMENT_TENSOR_BITS_LIMIT = 16      # 2^(k^d) tensors enumerated
 TUPLE_BITS_LIMIT = 24              # 2^(k t d) vector tuples enumerated
 ASSIGN_BITS_LIMIT = 22             # 2^(k d) assignments per instance
 PREIMAGE_K_LIMIT = 16
-# relative slack of a float bound, a few thousand ulps of its computation
-FLOAT_REL_SLACK = 1e-12
 
 D = DyadicRational
 
@@ -106,14 +104,6 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
         ("equality", str(rhs)), holds, "exhaustive")
 
 
-def _at_most(exact: DyadicRational, bound: DyadicRational | float) -> bool:
-    """exact <= bound: in exact arithmetic when the bound is dyadic, else
-    against the float bound widened by FLOAT_REL_SLACK of itself."""
-    if isinstance(bound, DyadicRational):
-        return exact <= bound
-    return exact.to_float() <= bound * (1.0 + FLOAT_REL_SLACK)
-
-
 def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationReport:
     """Exact Pr[sum of t random rank-one d-tensors = 0] against its
     bounds.
@@ -121,10 +111,11 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     The in-proof bound ((d + 2^(t/k^(d-2)))/2^k)^t is always asserted;
     the headline 2^(-(1-eps/2)kt) is asserted only when its
     preconditions d < 2^(eps k/5), t < eps k^(d-1)/5 hold, and is
-    otherwise displayed report-only.  At d = 2 the proof bound
-    ((2 + 2^t)/2^k)^t is dyadic and compared exactly; the float bounds
-    get a relative slack (`_at_most`).
+    otherwise displayed report-only.  Bounds and preconditions are decided
+    exactly, eps read as the decimal it prints as (`power_at_most`).
     """
+    from fractions import Fraction  # off the import path of f2lab
+
     if d < 2:
         raise ValueError("d must be >= 2")
     check_capacity(f"sum-zero(d={d}, k={k}, t={t})", 1 << (k * t * d),
@@ -132,10 +123,11 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     exact = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
-    applies = d < 2.0 ** (eps * k / 5.0) and t < eps * (k ** (d - 1)) / 5.0
-    bound = D.from_ratio((2 + (1 << t)) ** t, k * t) if d == 2 else proof_bound
-    proof_ok = _at_most(exact, bound)
-    headline_ok = (not applies) or _at_most(exact, headline)
+    e = Fraction(str(eps))
+    cut, power = e * k / 5, -(1 - e / 2) * k * t   # d < 2^cut; the headline is 2^power
+    applies = d ** cut.denominator < Fraction(2) ** cut.numerator and t < e * k ** (d - 1) / 5
+    proof_ok = power_at_most(exact, lambda w: ((d + w) / (1 << k)) ** t, t, k ** (d - 2))
+    headline_ok = not applies or power_at_most(exact, lambda w: w, *power.as_integer_ratio())
     return _report(
         "sum-zero",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("eps", fmt_float(eps))],
@@ -172,8 +164,9 @@ def _membership_prob(s: Subspace, census: dict[int, int], tuple_bits: int) -> D:
 def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | None,
                                trials: int, seed: int) -> VerificationReport:
     """Exact Pr[random rank-one tensor lies in U] for random subspaces U,
-    against the refined bound f_{d,k}(dim U) (`_at_most`), which
-    `f_dk_bound` checks against its relaxation.
+    against the refined bound f_{d,k}(dim U) (`power_at_most`), which
+    `f_dk_bound` checks against its relaxation.  `min_gap_to_refined`
+    skips dim U = 0 and k^d, where value and bound are equal.
 
     `subspace_dims=None` sweeps dim U from 0 to k^d in steps of
     max(1, k^d // 8).
@@ -184,6 +177,11 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     if subspace_dims is None:
         subspace_dims = range(0, ambient + 1, max(1, ambient // 8))
     census = _rank_one_census(d, k)
+    a = ((1 << k) - 1) ** (d - 1)
+
+    def refined_exact(w):  # f_{d,k} at w = 2^(u/k^(d-1)): 1 - c + c w/2^k, c = a/2^(k(d-1))
+        return ((((1 << k * (d - 1)) - a) << k) + a * w) / (1 << k * d)
+
     rng = Prng(seed)
     checked = 0
     worst_gap = math.inf
@@ -192,10 +190,11 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
         for _ in range(trials):
             s = _random_subspace(ambient, u, rng)
             pr = _membership_prob(s, census, k * d)
-            refined = f_dk_bound(d, k, float(u))
-            if not _at_most(pr, refined):
+            if not power_at_most(pr, refined_exact, u, k ** (d - 1)):
                 holds = False
-            worst_gap = min(worst_gap, refined - pr.to_float())
+            refined = f_dk_bound(d, k, float(u))
+            if 0 < u < ambient:
+                worst_gap = min(worst_gap, refined - pr.to_float())
             checked += 1
     return _report(
         "subspace-membership",
@@ -208,7 +207,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
 
 def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     """Exact distribution of dim span(T_1..T_t) for independent rank-one
-    tensors, against the binomial-style bound for every r."""
+    tensors, against the binomial-style bound for every r (exactly)."""
     check_capacity(f"span-dimension(d={d}, k={k}, t={t})", 1 << (k * t * d),
                    1 << TUPLE_BITS_LIMIT, "tuples")
     counts = [0] * (t + 1)
@@ -222,11 +221,10 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     holds = True
     worst_ratio = 0.0
     for r, pr in enumerate(dist):
-        bound = comb(t, r) * base ** (t - r)
-        if not _at_most(pr, bound):
+        if not power_at_most(pr, lambda w: comb(t, r) * ((d + w) / (1 << k)) ** (t - r),
+                             t, k ** (d - 1)):
             holds = False
-        if bound > 0:
-            worst_ratio = max(worst_ratio, pr.to_float() / bound)
+        worst_ratio = max(worst_ratio, pr.to_float() / (comb(t, r) * base ** (t - r)))
     return _report(
         "span-dimension", [("d", str(d)), ("k", str(k)), ("t", str(t))],
         [("distribution", " ".join(str(p) for p in dist)),
@@ -242,7 +240,8 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
 
 def verify_bias_tail(d: int, k: int, eps: float, samples: int,
                      seed: int) -> VerificationReport:
-    """Empirical Pr[bias >= 2^(-(1-eps)k)] over random tensors.
+    """Empirical Pr[bias >= 2^(-(1-eps)k)] over random tensors, with eps
+    read as the decimal it prints as and the threshold decided exactly.
 
     The tail bound 2^(-eps^2 k^d / 20) is proof-internal and asymptotic,
     so it is displayed but never asserted.  For d = 2 the exact tail is
@@ -250,24 +249,25 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
     agree with it within 3 Hoeffding standard errors; that cross-check
     is the asserted part.
     """
+    from fractions import Fraction  # off the import path of f2lab
+
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    threshold = 2.0 ** (-(1.0 - eps) * k)
+    power = -(1 - Fraction(str(eps))) * k     # the threshold is 2^power
     rng = Prng(seed)
     if d == 2:
         # a rank-r matrix has bias 2^-r; rank_count refuses a k beyond its
         # reach before anything is sampled
         dist = rank_count(k)
-        tail = [r for r in range(k + 1) if 2.0 ** -r >= threshold - 1e-15]
+        tail = [r for r in range(k + 1) if r <= -power]
         p_exact = sum((dist.prob(r) for r in tail), D.zero())
         ranks = sampled_rank_histogram(rng, samples, k, k)
         hits = sum(ranks[r] for r in tail)
     else:
-        hits = 0
-        for _ in range(samples):
-            t = DenseTensor(d, k, rng.bits(k ** d))
-            if bias_exact(t).to_float() >= threshold - 1e-15:
-                hits += 1
+        p, q = power.as_integer_ratio()  # bias = n/2^e >= 2^(p/q) is n^q 2^-p >= 2^(eq)
+        biases = (bias_exact(DenseTensor(d, k, rng.bits(k ** d))) for _ in range(samples))
+        hits = sum((b.numerator ** q << max(0, -p)) >= 1 << (max(0, p) + b.exponent * q)
+                   for b in biases)
     empirical = hits / samples
     displayed = 2.0 ** (-(eps * eps) * (k ** d) / 20.0)
     measured = [("empirical", fmt_float(empirical))]
@@ -411,9 +411,9 @@ def verify_bias_trace(k: int) -> VerificationReport:
 
 def verify_bias_matmul(n: int) -> VerificationReport:
     """Matrix-product tensor bias: rank-distribution formula, cross-checked
-    by tensor routes at n <= 2, against the n 2^(-3n^2/4) bound; the rank
-    lower bound implied by the ladder is displayed next to the asymptotic
-    1.8 n^2."""
+    by tensor routes at n <= 2, against the n 2^(-3n^2/4) bound (exactly);
+    the rank lower bound implied by the ladder is displayed next to the
+    asymptotic 1.8 n^2."""
     value = matmul_bias_exact(n)
     routes = ["rank-distribution"]
     cross_ok = True
@@ -421,7 +421,7 @@ def verify_bias_matmul(n: int) -> VerificationReport:
         mt = matmul_tensor(n)
         cross_ok = bias_exact(mt) == value and bias_bruteforce(mt) == value
         routes += ["fast", "brute"]
-    bound_ok = _at_most(value, n * 2.0 ** (-3.0 * n * n / 4.0))
+    bound_ok = power_at_most(value, lambda w: n * w, -3 * n * n, 4)
     if n == 1:
         # the bound only kicks in at n >= 2 (at n=1 the exact bias 3/4
         # exceeds it); only the route cross-check is asserted
@@ -619,7 +619,7 @@ EXPERIMENTS = {
     "mc-bias": (verify_mc_bias, [(3, 4, 20_000, 309)], [(2, 8, 200_000, 510)]),
     "profile-max": (profile_max_check, [(2, 2.0), (5, 13.7)],
                     [(k, (i + 0.37) * k * k / 4.0) for k in range(1, 7) for i in range(4)]),
-    "scalar-inequalities": (inequality_checks, [(20_000, 312)], [(100_000, 511)]),
+    "scalar-inequalities": (inequality_checks, [(4, 8)], [(6, 12)]),
 }
 
 PROFILES = ("quick", "full")

@@ -1,38 +1,52 @@
-"""Floating-point side of the laboratory.
+"""Floating-point side of the laboratory, and its exact checks: x <=
+bound(2^(p/q)) at the irrational powers bounds are made of
+(`power_at_most`), and two scalar inequalities on an integer grid.
 
-Exact rationals cover every probability; what remains transcendental
-lives here with explicit tolerances: the refined subspace-membership
-bound f_{d,k}, the rate-distance fixed point behind the 3.52 constant,
-the weighted-power maximization over monotone profiles (taken at the
-polytope's vertices, which an exact rational enumeration confirms), and
-two sampled scalar inequalities the maximization proof leans on.
+What remains transcendental has explicit tolerances: the float of the
+refined subspace bound f_{d,k}, the rate-distance fixed point behind the
+3.52 constant, and the weighted-power maximization over monotone
+profiles (at the polytope's vertices, confirmed by exact enumeration).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 
 from .errors import InvariantError
-from .prng import Prng
 from .report import VerificationReport, fmt_float
 
 PROFILE_TOL = 1e-9
-INEQ_REL_TOL = 1e-12
-# trials per Prng.floats call in `_trial_draws`, which bounds the floats
-# held at once to width * _TRIAL_BLOCK
-_TRIAL_BLOCK = 1024
+POWER_BITS_CAP = 1 << 12   # the most bits of 2^(p/q) `power_at_most` brackets
 
 
-def _trial_draws(rng: Prng, trials: int, width: int):
-    """Each trial's `width` floats in stream order, as a tuple, drawn with
-    one `Prng.floats` call per block of `_TRIAL_BLOCK` trials: `zip` of
-    `width` references to one iterator over the block takes the trials'
-    floats in turn, and copies no slice."""
-    for start in range(0, trials, _TRIAL_BLOCK):
-        block = rng.floats(width * min(_TRIAL_BLOCK, trials - start))
-        yield from zip(*[iter(block)] * width)
+def power_at_most(x, bound, p: int, q: int) -> bool:
+    """x <= bound(2^(p/q)) exactly, for q >= 1 and a nondecreasing `bound`
+    from Fractions to Fractions; x is an int, a Fraction or a DyadicRational.
+
+    When q divides p the power is rational and is compared at once.  Else
+    it lies strictly between n/2^m and (n+1)/2^m, n the integer q-th root
+    of 2^(p+mq): x <= bound at the lower end is yes, x > bound at the
+    upper end is no, and otherwise m doubles, up to POWER_BITS_CAP.
+    """
+    from fractions import Fraction  # off the import path of f2lab
+
+    x = Fraction(x.numerator, x.denominator)
+    if p % q == 0:
+        return x <= bound(Fraction(2) ** (p // q))
+    m = max(1, -(p // q))
+    while m <= POWER_BITS_CAP:
+        a = 1 << (p + m * q)
+        n = 1 << -(-a.bit_length() // q)  # Newton's iteration from above falls to the root
+        while (y := ((q - 1) * n + a // n ** (q - 1)) // q) < n:
+            n = y
+        if x <= bound(Fraction(n, 1 << m)):
+            return True
+        if x > bound(Fraction(n + 1, 1 << m)):
+            return False
+        m *= 2
+    raise InvariantError(f"{x} is not separated from the bound at 2^({p}/{q})")
 
 
 @dataclass(frozen=True)
@@ -240,46 +254,43 @@ def profile_max_check(k: int, u: float) -> VerificationReport:
         method="closed-form")
 
 
-def inequality_checks(trials: int, seed: int) -> VerificationReport:
-    """Sampled checks of the two scalar inequalities behind the profile
-    maximization: monotonicity of (x^r - 1)/(x - 1) in x for r >= 1, and
-    (z^l - 1)(z^b - 1) <= (z^(bl) - 1)(z - 1) for z >= 1, b, l in [0,1].
+def _inequality_sides(q_max: int, s: int):
+    """(lhs, rhs, interior) of each check of `inequality_checks`."""
+    top = range(s, 2 * s + 1)
+    for q in range(1, q_max + 1):
+        for i, (a, b) in product(range(q, q * q_max + 1), combinations_with_replacement(top, 2)):
+            yield ((a ** i - s ** i) * (b ** q - s ** q),
+                   (b ** i - s ** i) * (a ** q - s ** q), s < a < b and i > q)
+        for i, j, w in product(range(q + 1), range(q + 1), top):
+            yield ((w ** (i * q) - s ** (i * q)) * (w ** (j * q) - s ** (j * q))
+                   * s ** ((q - i) * (q - j)),
+                   (w ** (i * j) - s ** (i * j)) * (w ** (q * q) - s ** (q * q)),
+                   0 < i < q and 0 < j < q and w > s)
 
-    Both are checked cross-multiplied so the x = 1 and z = 1 boundary
-    cases stay exact.  Each side is scaled by max(1, |lhs|, |rhs|),
-    written as conditional expressions, which give the same floats as
-    `max` and `abs` without their calls.
+
+def inequality_checks(q_max: int, s: int) -> VerificationReport:
+    """Exact checks of the two scalar inequalities the profile maximization
+    leans on, on grids where every power is an integer power, one integer
+    comparison each once denominators are cleared.  For q = 1..q_max:
+    - (y^r - 1)(x - 1) <= (x^r - 1)(y - 1), so (x^r - 1)/(x - 1) grows, at
+      r = i/q, x = (b/s)^q, y = (a/s)^q, q <= i <= q q_max, s <= a <= b <= 2s;
+    - (z^l - 1)(z^b - 1) <= (z^(bl) - 1)(z - 1) at l = i/q, b = j/q, z =
+      (w/s)^(q^2), 0 <= i, j <= q, s <= w <= 2s; clearing s^(q^2+ij) leaves
+      s^((q-i)(q-j)) on the left.
+    Reported: the count of checks and the least relative slack (rhs - lhs)/rhs
+    where both are strict (s < a < b, i > q; 0 < i, j < q, w > s).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    worst = 0.0
-    holds = True
-    tol = INEQ_REL_TOL
-    for u_r, u_x, u_y, u_z, beta, lam in _trial_draws(Prng(seed), trials, 6):
-        r = 1.0 + 9.0 * u_r
-        x = 1.0 + 7.0 * u_x
-        y = 1.0 + (x - 1.0) * u_y
-        z = 1.0 + 7.0 * u_z
-        for lhs, rhs in (((y ** r - 1.0) * (x - 1.0), (x ** r - 1.0) * (y - 1.0)),
-                         ((z ** lam - 1.0) * (z ** beta - 1.0),
-                          (z ** (beta * lam) - 1.0) * (z - 1.0))):
-            a = lhs if lhs >= 0.0 else -lhs
-            b = rhs if rhs >= 0.0 else -rhs
-            scale = a if a > b else b
-            if scale < 1.0:
-                scale = 1.0
-            slack = rhs - lhs
-            q = slack / scale
-            if q < worst:
-                worst = q
-            if slack < -tol * scale:
-                holds = False
+    if q_max < 2 or s < 2:
+        raise ValueError("q_max and s must be >= 2, so the grid has an interior")
+    holds, least = True, math.inf
+    for checks, (lhs, rhs, interior) in enumerate(_inequality_sides(q_max, s), 1):
+        holds = holds and lhs <= rhs
+        if interior:
+            least = min(least, (rhs - lhs) / rhs)
     return VerificationReport(
         name="scalar-inequalities",
-        params=(("trials", str(trials)),),
-        measured=(("worst_relative_slack", fmt_float(worst)),),
-        bound=("relative_tolerance", fmt_float(-INEQ_REL_TOL)),
+        params=(("q_max", str(q_max)), ("s", str(s))),
+        measured=(("checks", str(checks)), ("least_relative_slack", fmt_float(least))),
+        bound=("integer_comparison", "lhs <= rhs"),
         holds=holds,
-        method="monte-carlo",
-        samples=trials,
-        seed=seed)
+        method="exhaustive")

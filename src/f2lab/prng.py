@@ -1,28 +1,24 @@
 """Seedable counter-based pseudo-random generator.
 
 SplitMix64 over a counter: output i is a fixed mix of (seed, i), so
-results are reproducible from the seed alone.  Multi-word draws
-(`bits` past 64 bits, `floats`, and `words`, a block of raw stream words)
-mix their words in parallel on one big int, and the stream is the one
-the word-at-a-time mix gives, so seeded values match earlier versions.
-Floats come in blocks only: one float is `floats(1)[0]`, the same word
-`u64() / 2^64` gives.  They lie in [0, 1], not [0, 1): the top 2^10
-words round to 2^64 as floats, so their quotient is exactly 1.0.
-Streams are stable within this implementation; no cross-implementation
-bit-equality is promised, which is why reports carry seeds rather than
-expected values.
+results are reproducible from the seed alone.  Multi-word draws (`bits`
+past 64 bits, and `words`, a block of raw stream words) mix their words
+in parallel on one big int, and the stream is the one the
+word-at-a-time mix gives, so seeded values match earlier versions.  It
+draws integers only; a caller that wants a float in [0, 1] divides a
+`u64` word by 2^64.  Streams are stable within this implementation; no
+cross-implementation bit-equality is promised, which is why reports
+carry seeds rather than expected values.
 """
 
 from __future__ import annotations
 
-import sys
 from array import array
 
 from ._bitops import int_bytes
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_TWO64 = float(1 << 64)
 # the SplitMix64 finalizer's multipliers
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
@@ -131,15 +127,3 @@ class Prng:
         if n & 7:
             data[-1] &= (1 << (n & 7)) - 1
         return int.from_bytes(data, "little")
-
-    def floats(self, n: int) -> list[float]:
-        """The next n words as floats in [0, 1], each `word / 2^64`, drawn
-        word-parallel.  1.0 is reached: a word of 2^64 - 2^10 or more
-        rounds to 2^64 as a float (`float(2^64 - 1) == 2^64`), one word in
-        2^54."""
-        if n < 0:
-            raise ValueError("floats() needs n >= 0")
-        block = array("Q", self.words(n))
-        if sys.byteorder == "big":
-            block.byteswap()
-        return [w / _TWO64 for w in block]

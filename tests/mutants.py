@@ -117,6 +117,54 @@ MUTANTS = [
            "_corr_bytes does not count, but the byte test's calls peak at 0.27 of the "
            "model or less (their polynomials' pieces are mostly one shared zero), so "
            "the one-sided test passes: a blind spot, not a harmless change"),
+    # numerics.power_at_most: x <= bound(2^(p/q)), exactly
+    Mutant("power-exact-strict", "numerics.py",
+           "return x <= bound(Fraction(2) ** (p // q))", "return x < bound(Fraction(2) ** (p // q))",
+           (N + "test_power_at_most_accepts_equality_at_rational_powers",
+            N + "test_power_at_most_brackets_any_power")),
+    Mutant("power-no-exact-branch", "numerics.py",
+           "    if p % q == 0:\n        return x <= bound(Fraction(2) ** (p // q))\n", "",
+           (N + "test_power_at_most_compares_a_rational_power_at_once",)),
+    Mutant("power-lo-strict", "numerics.py",
+           "if x <= bound(Fraction(n, 1 << m)):", "if x < bound(Fraction(n, 1 << m)):",
+           (N + "test_power_at_most_accepts_a_bound_flat_around_the_power",)),
+    Mutant("power-hi-is-lo", "numerics.py",
+           "if x > bound(Fraction(n + 1, 1 << m)):", "if x > bound(Fraction(n, 1 << m)):",
+           (N + "test_power_at_most_brackets_any_power",
+            N + "test_power_at_most_fails_what_the_float_slack_passed",
+            N + "test_power_at_most_agrees_with_floats_away_from_the_bound")),
+    Mutant("power-newton-one-step", "numerics.py",
+           "        while (y := ((q - 1) * n", "        if (y := ((q - 1) * n",
+           (N + "test_power_at_most_brackets_any_power",
+            N + "test_power_at_most_agrees_with_floats_away_from_the_bound")),
+    Mutant("power-step-by-one", "numerics.py", "        m *= 2\n", "        m += 1\n",
+           equivalent="the brackets still shrink to the power and the same comparisons "
+           "decide; only more of them run before one does"),
+    # numerics.inequality_checks: the scalar inequalities on the integer grid
+    Mutant("grid-dropped-factor", "numerics.py",
+           "(w ** (j * q) - s ** (j * q))\n                   * s ** ((q - i) * (q - j)),",
+           "(w ** (j * q) - s ** (j * q)),",
+           (N + "test_inequality_sides_match_the_fraction_oracle",)),
+    Mutant("grid-no-interior", "numerics.py", "        if interior:\n", "        if True:\n",
+           (N + "test_profile_rows_show_a_positive_least_slack",
+            N + "test_inequality_checks_match_the_fraction_oracle")),
+    Mutant("grid-interior-at-r1", "numerics.py",
+           "s < a < b and i > q)", "s < a < b and i >= q)",
+           (N + "test_inequality_sides_match_the_fraction_oracle",
+            N + "test_profile_rows_show_a_positive_least_slack")),
+    Mutant("grid-strict-check", "numerics.py",
+           "holds = holds and lhs <= rhs", "holds = holds and lhs < rhs",
+           (N + "test_inequalities_hold", N + "test_inequality_checks_match_the_fraction_oracle")),
+    # harness: the exact threshold of bias-tail and the interior gap of subspace-membership
+    Mutant("bias-tail-strict-threshold", "harness.py",
+           "if r <= -power]", "if r < -power]",
+           (H + "TestBiasTail::test_hits_match_one_sample_at_a_time",)),
+    Mutant("bias-tail-d3-power-sign", "harness.py",
+           "(b.numerator ** q << max(0, -p))", "(b.numerator ** q << max(0, p))",
+           (H + "TestBiasTail::test_hits_match_one_sample_at_a_time",)),
+    Mutant("subspace-gap-at-ends", "harness.py",
+           "if 0 < u < ambient:", "if 0 <= u <= ambient:",
+           (H + "TestSubspaceMembership::test_min_gap_skips_the_ends",)),
 ]
 
 

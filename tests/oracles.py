@@ -14,7 +14,7 @@ from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, BiasEstimate, _hoeffding_half
                         _sliced_form, bias_exact)
 from f2lab.f2linalg import BitVec, rank_of_row_ints
 from f2lab.gf2k import make_field
-from f2lab.numerics import MaxProblemPoint, _trial_draws
+from f2lab.numerics import MaxProblemPoint
 from f2lab.prng import Prng
 from f2lab.tensors import DenseTensor, Polynomial, RankDecomposition, RankOneTerm
 
@@ -215,9 +215,11 @@ def random_feasible(k, u, draws):
 
 def sampled_profile_max(k, u, trials, seed):
     """Largest objective over `trials` random feasible profiles, one
-    MaxProblemPoint per trial."""
+    MaxProblemPoint per trial, each from k stream words read as floats."""
+    rng = Prng(seed)
     best = -math.inf
-    for draws in _trial_draws(Prng(seed), trials, k):
+    for _ in range(trials):
+        draws = [rng.u64() / 2 ** 64 for _ in range(k)]
         best = max(best, random_feasible(k, u, draws).objective())
     return best
 
@@ -350,26 +352,29 @@ def bias_mc_per_plane(t, samples, confidence, seed):
                         samples=samples, confidence=confidence, seed=seed)
 
 
-def inequality_worst(draws, tol):
-    """(worst relative slack, every slack within tol) of the two scalar
-    inequalities over the trials in `draws`, each scaled by
-    max(1, |lhs|, |rhs|) through `max` and `abs`."""
-    worst = 0.0
-    holds = True
-    for u_r, u_x, u_y, u_z, beta, lam in draws:
-        r = 1.0 + 9.0 * u_r
-        x = 1.0 + 7.0 * u_x
-        y = 1.0 + (x - 1.0) * u_y
-        z = 1.0 + 7.0 * u_z
-        for lhs, rhs in (((y ** r - 1.0) * (x - 1.0), (x ** r - 1.0) * (y - 1.0)),
-                         ((z ** lam - 1.0) * (z ** beta - 1.0),
-                          (z ** (beta * lam) - 1.0) * (z - 1.0))):
-            slack = rhs - lhs
-            scale = max(1.0, abs(lhs), abs(rhs))
-            worst = min(worst, slack / scale)
-            if slack < -tol * scale:
-                holds = False
-    return worst, holds
+def inequality_grid(q_max, s):
+    """(lhs, rhs, interior) of the two scalar inequalities at each point of
+    `inequality_checks`' grid, as Fractions of the real-valued sides: r, x,
+    y, l, b and z themselves, and each power taken as the rational it is."""
+    F = Fraction
+    out = []
+    for q in range(1, q_max + 1):
+        for i in range(q, q * q_max + 1):
+            for a in range(s, 2 * s + 1):
+                for b in range(a, 2 * s + 1):
+                    x, y = F(b, s) ** q, F(a, s) ** q
+                    xr, yr = F(b, s) ** i, F(a, s) ** i       # x^(i/q), y^(i/q)
+                    out.append(((yr - 1) * (x - 1), (xr - 1) * (y - 1),
+                                1 < y < x and F(i, q) > 1))
+        for i in range(q + 1):
+            for j in range(q + 1):
+                lam, beta = F(i, q), F(j, q)
+                for w in range(s, 2 * s + 1):
+                    # z = (w/s)^(q^2), so z^e = (w/s)^(e q^2), an integer power
+                    z = {e: F(w, s) ** int(e * q * q) for e in (lam, beta, lam * beta, 1)}
+                    out.append(((z[lam] - 1) * (z[beta] - 1), (z[lam * beta] - 1) * (z[1] - 1),
+                                0 < lam < 1 and 0 < beta < 1 and z[1] > 1))
+    return out
 
 
 def lifted_form(d, k, rng):

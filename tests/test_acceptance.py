@@ -158,7 +158,7 @@ def test_criterion_11_profile_maximization():
     vertices = 0
     for k in range(1, 7):
         for _ in range(100):
-            u = rng.floats(1)[0] * k * k
+            u = rng.u64() / 2 ** 64 * k * k
             rng.u64()  # a skipped word per point keeps the grid's 600 points fixed
             # the exact vertex check: a missing or extra extreme profile, or
             # a maximum off the closed form, raises InvariantError
@@ -174,9 +174,14 @@ def test_criterion_11_profile_maximization():
 
 
 def test_criterion_12_scalar_inequalities():
-    r = inequality_checks(trials=100_000, seed=2212)
+    # the full profile's grid: every check one exact integer comparison,
+    # and each inequality strict inside the grid
+    r = inequality_checks(6, 12)
     assert r.holds is True
-    _line(12, "100000 sampled instances of both inequalities within 1e-12")
+    checks, least = (value for _, value in r.measured)
+    assert int(checks) == 11_908 and float(least) > 0
+    _line(12, f"{checks} grid points of both inequalities compared exactly; "
+              f"least interior relative slack {least}")
 
 
 def test_criterion_13_explicit_form_bias_and_correlation():

@@ -4,6 +4,7 @@ import json
 import re
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -13,13 +14,14 @@ from f2lab import f2linalg, harness
 from f2lab._bitops import var_mask
 from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
-from f2lab.harness import (EXPERIMENTS, _at_most, _sum_census, _vanish_count, run_all, verify_bias_matmul,
+from f2lab.harness import (EXPERIMENTS, _sum_census, _vanish_count, run_all, verify_bias_matmul,
                            verify_bias_tail, verify_bias_trace, verify_corank_margin,
                            verify_expected_bias, verify_explicit_form,
                            verify_joint_vanishing, verify_linear_preimage,
                            verify_low_rank_bias_floor, verify_mc_bias,
                            verify_moment_identity, verify_span_dimension,
                            verify_subspace_membership, verify_sum_zero)
+from f2lab.numerics import power_at_most
 from f2lab.prng import Prng
 from f2lab.rank import code_certificate
 from f2lab.report import REPORT_ONLY, fmt_float
@@ -146,10 +148,19 @@ class TestSumZero:
     def test_bounds_have_no_absolute_slack(self):
         bound = D.half_pow(40)            # about 9.1e-13
         over = D.from_ratio(3, 41)        # 1.5 x bound, over it by 4.5e-13
-        assert over.to_float() <= bound.to_float() + 1e-12  # the old slack passed it
-        assert not _at_most(over, bound)
-        assert not _at_most(over, bound.to_float())
-        assert _at_most(bound, bound) and _at_most(bound, bound.to_float())
+        assert over.to_float() <= bound.to_float() + 1e-12  # an absolute slack passes it
+        # at the rational 2^-40 and at the irrational 2^(-79/2), 1.41 x bound
+        assert not power_at_most(over, lambda w: w, -40, 1)
+        assert not power_at_most(over, lambda w: w, -79, 2)
+        assert power_at_most(bound, lambda w: w, -40, 1)
+        assert power_at_most(bound, lambda w: w, -79, 2)
+
+    @pytest.mark.parametrize("excess, holds", [(0, True), (1, False)])
+    def test_proof_bound_is_exact_at_its_value(self, excess, holds, monkeypatch):
+        # (2, 4, 2) binds: its proof bound ((2 + 2^2)/2^4)^2 = 9/64 is 9216
+        # of the 2^16 tuples; one tuple more fails it
+        monkeypatch.setattr(harness, "_vanish_count", lambda d, k, t: 9216 + excess)
+        assert verify_sum_zero(2, 4, 2).holds is holds
 
 
 class TestSubspaceMembership:
@@ -162,6 +173,28 @@ class TestSubspaceMembership:
     def test_full_space_dim(self):
         r = verify_subspace_membership(2, 2, [4], trials=1, seed=1)
         assert r.holds is True
+
+    def test_profile_row_meets_the_bound_inside(self):
+        # the (2, 2) row's draws, redone: at u = 2, where 2^(u/k^(d-1)) = 2
+        # is rational, a subspace holds f_{2,2}(2) = 1/4 + 3/4 2/4 = 5/8 of
+        # the rank-ones exactly, and the exact comparison accepts it
+        d, k, dims, trials, seed = EXPERIMENTS["subspace-membership"][1][0]
+        assert (d, k, dims) == (2, 2, None)
+        census, rng = harness._rank_one_census(d, k), Prng(seed)
+        probs = {u: [harness._membership_prob(harness._random_subspace(4, u, rng), census, 4)
+                     for _ in range(trials)] for u in range(5)}
+        assert D.from_ratio(5, 3) in probs[2]
+        assert power_at_most(D.from_ratio(5, 3), lambda w: 1 - Fraction(3, 4) * (1 - w / 4), 2, 2)
+        r = verify_subspace_membership(*EXPERIMENTS["subspace-membership"][1][0])
+        assert r.holds is True and measured(r)["min_gap_to_refined"] == "0"
+
+    @pytest.mark.parametrize("row", EXPERIMENTS["subspace-membership"][1][1:])
+    def test_min_gap_skips_the_ends(self, row):
+        # at dim U = 0 and k^d value and bound are equal; inside, these rows
+        # stay strictly below f_{d,k}
+        assert float(measured(verify_subspace_membership(*row))["min_gap_to_refined"]) > 0
+        r = verify_subspace_membership(row[0], row[1], [0, row[1] ** row[0]], 2, 7)
+        assert measured(r)["min_gap_to_refined"] == "inf"
 
 
 class TestSpanDimension:

@@ -1,18 +1,24 @@
-"""Float-side checks: membership bound, fixed-point constant, profile max."""
+"""Float-side checks (membership bound, fixed-point constant, profile max)
+and the exact ones: `power_at_most` and the scalar-inequality grid."""
 
+import inspect
 import math
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
 from f2lab import numerics
 from f2lab.errors import InvariantError
-from f2lab.numerics import (_TRIAL_BLOCK, MaxProblemPoint, _exact_vertices, _extreme_points,
-                            _solve_exact, _trial_draws, f_dk_bound, inequality_checks,
-                            mrrw_constant, profile_max_check)
+from f2lab.bias import DyadicRational as D
+from f2lab.numerics import (MaxProblemPoint, _exact_vertices, _extreme_points,
+                            _inequality_sides, _solve_exact, f_dk_bound, inequality_checks,
+                            mrrw_constant, power_at_most, profile_max_check)
 from f2lab.prng import Prng
 from f2lab.harness import EXPERIMENTS
-from oracles import (below, exact_vertices_gauss_jordan, inequality_worst, sampled_profile_max,
+from f2lab.report import fmt_float
+from oracles import (below, exact_vertices_gauss_jordan, inequality_grid, sampled_profile_max,
                      solve_gauss_jordan)
 
 
@@ -83,7 +89,7 @@ def test_profile_max_grid():
     rng = Prng(4)
     for k in range(1, 7):
         for _ in range(25):
-            u = rng.floats(1)[0] * k * k
+            u = rng.u64() / 2 ** 64 * k * k
             assert profile_max_check(k, u).holds is True
 
 
@@ -155,7 +161,7 @@ def test_exact_vertices_match_gauss_jordan_on_a_seeded_sweep():
         us = [0.0, float(k * k)]
         us += [below(rng, 8 * k * k + 1) / 8 for _ in range(3)]
         us += [below(rng, (k * k << 20) + 1) / 2 ** 20 for _ in range(2)]
-        us += [round(k * k * x, 3) for x in rng.floats(3)]
+        us += [round(k * k * (rng.u64() / 2 ** 64), 3) for _ in range(3)]
         for u in us:
             assert _exact_vertices(k, u) == exact_vertices_gauss_jordan(k, u), (k, u)
 
@@ -212,45 +218,8 @@ def test_profile_max_catches_a_wrong_objective(monkeypatch):
         profile_max_check(3, 4.0)
 
 
-@pytest.mark.parametrize("trials", [0, 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 2 * _TRIAL_BLOCK + 3])
-@pytest.mark.parametrize("width", [1, 6])
-def test_trial_draws_follow_the_stream(trials, width):
-    # blockwise draws are the one long draw cut into trials, and use it up exactly
-    rng, ref = Prng(17), Prng(17)
-    got = list(_trial_draws(rng, trials, width))
-    flat = ref.floats(trials * width)
-    assert got == [tuple(flat[i * width:(i + 1) * width]) for i in range(trials)]
-    assert rng.u64() == ref.u64()
-
-
-def _stretched_draws(rng, trials, width):
-    # y = 1 + (x - 1) u_y runs past x, where the first inequality fails
-    for u_r, u_x, u_y, *rest in _trial_draws(rng, trials, width):
-        yield (u_r, u_x, 1.0 + 3.0 * u_y, *rest)
-
-
-@pytest.mark.parametrize("trials", [1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK + 1, 3000])
-@pytest.mark.parametrize("case", ["as drawn", "every trial fails", "negative slack"])
-def test_inequality_checks_match_the_max_abs_loop(trials, case, monkeypatch):
-    # the conditional expressions give the floats of max(1, |lhs|, |rhs|) and
-    # min(worst, q): same worst slack, to the last bit (the report prints its
-    # repr), and verdict as the loop that calls them
-    monkeypatch.setattr(numerics, "fmt_float", repr)
-    if case == "every trial fails":
-        monkeypatch.setattr(numerics, "INEQ_REL_TOL", -10.0)  # slack < 10 scale always
-    if case == "negative slack":
-        monkeypatch.setattr(numerics, "_trial_draws", _stretched_draws)
-    r = inequality_checks(trials, seed=40 + trials)
-    want_worst, want_holds = inequality_worst(
-        numerics._trial_draws(Prng(40 + trials), trials, 6), numerics.INEQ_REL_TOL)
-    assert dict(r.measured)["worst_relative_slack"] == repr(want_worst)
-    assert r.holds is want_holds
-    assert want_holds is (case == "as drawn")
-    assert (want_worst < 0) is (case == "negative slack")
-
-
 def test_inequalities_hold():
-    r = inequality_checks(trials=30_000, seed=5)
+    r = inequality_checks(3, 5)
     assert r.holds is True
     # hand values: z=4, beta=lambda=1/2
     lhs = (2 - 1) * (2 - 1)
@@ -258,6 +227,171 @@ def test_inequalities_hold():
     assert lhs <= rhs
 
 
-def test_inequalities_require_trials():
-    with pytest.raises(ValueError):
-        inequality_checks(0, seed=0)
+def test_inequalities_reject_bad_sizes():
+    # the grid's interior needs two levels of q and two of w/s above 1
+    for q_max, s in [(1, 8), (4, 1), (0, 0), (-2, 5), (1, 1)]:
+        with pytest.raises(ValueError, match="q_max and s must be >= 2"):
+            inequality_checks(q_max, s)
+
+
+GRID_SIZES = [(2, 2), (3, 5), (4, 8)]
+
+
+@pytest.mark.parametrize("q_max, s", GRID_SIZES)
+def test_inequality_sides_match_the_fraction_oracle(q_max, s):
+    # each check's integer sides are the real-valued sides times one
+    # positive factor: proportional, with the same signs
+    got = list(_inequality_sides(q_max, s))
+    want = inequality_grid(q_max, s)
+    assert len(got) == len(want)
+    for (lhs, rhs, interior), (wl, wr, w_interior) in zip(got, want):
+        assert interior == w_interior
+        assert lhs * wr == rhs * wl
+        assert (lhs > 0, lhs < 0, rhs > 0, rhs < 0) == (wl > 0, wl < 0, wr > 0, wr < 0)
+
+
+@pytest.mark.parametrize("q_max, s", GRID_SIZES)
+def test_inequality_checks_match_the_fraction_oracle(q_max, s):
+    want = inequality_grid(q_max, s)
+    least = min((wr - wl) / wr for wl, wr, interior in want if interior)
+    r = inequality_checks(q_max, s)
+    assert dict(r.measured) == {"checks": str(len(want)),
+                                "least_relative_slack": fmt_float(float(least))}
+    assert r.holds is True and all(wl <= wr for wl, wr, _ in want)
+    assert r.method == "exhaustive" and r.seed is None and r.samples is None
+
+
+@pytest.mark.parametrize("q_max, s", EXPERIMENTS["scalar-inequalities"][1]
+                         + EXPERIMENTS["scalar-inequalities"][2])
+def test_profile_rows_show_a_positive_least_slack(q_max, s):
+    r = inequality_checks(q_max, s)
+    assert r.holds is True
+    assert float(dict(r.measured)["least_relative_slack"]) > 0
+
+
+def _patched(old, new, monkeypatch):
+    """A module run from numerics' source with `old` replaced by `new`."""
+    source = inspect.getsource(numerics)
+    assert source.count(old) == 1, old
+    module = types.ModuleType("f2lab.patched_numerics")
+    module.__package__ = "f2lab"
+    monkeypatch.setitem(sys.modules, module.__name__, module)  # dataclasses look it up
+    exec(compile(source.replace(old, new), "<patched numerics>", "exec"), module.__dict__)
+    return module
+
+
+@pytest.mark.parametrize("old, new", [
+    # the factor the second inequality's left side keeps, one power too many
+    ("* s ** ((q - i) * (q - j))", "* s ** ((q - i) * (q - j) + 1)"),
+    # z's exponent one short on the right
+    ("(w ** (q * q) - s ** (q * q))", "(w ** (q * q - 1) - s ** (q * q - 1))"),
+    # x^r read as x on the right of the first
+    ("(b ** i - s ** i) * (a ** q - s ** q)", "(b ** q - s ** q) * (a ** q - s ** q)"),
+    # the first inequality's sides swapped
+    ("yield ((a ** i - s ** i) * (b ** q - s ** q),\n"
+     "                   (b ** i - s ** i) * (a ** q - s ** q),",
+     "yield ((b ** i - s ** i) * (a ** q - s ** q),\n"
+     "                   (a ** i - s ** i) * (b ** q - s ** q),"),
+    # every comparison turned round
+    ("holds = holds and lhs <= rhs", "holds = holds and rhs <= lhs"),
+])
+def test_inequality_checks_fail_on_a_patched_grid(old, new, monkeypatch):
+    assert _patched(old, old, monkeypatch).inequality_checks(3, 4).holds is True
+    assert _patched(old, new, monkeypatch).inequality_checks(3, 4).holds is False
+
+
+# ---------------------------------------------------------------------------
+# power_at_most: x <= bound(2^(p/q)), exactly
+# ---------------------------------------------------------------------------
+
+
+def _sum_zero_d2(k, t):
+    # the d = 2 proof bound ((2 + 2^t)/2^k)^t, in 2^(t/k^0) = 2^t
+    return lambda w: ((2 + w) / (1 << k)) ** t
+
+
+@pytest.mark.parametrize("x, bound, p, q", [
+    (D(1, 2), lambda w: 2 * w, -3 * 2 * 2, 4),      # bias-matmul n = 2: 2 2^-3
+    (D(1, 10), lambda w: 4 * w, -3 * 4 * 4, 4),     # bias-matmul n = 4: 4 2^-12
+    *[(D.from_ratio((2 + (1 << t)) ** t, k * t), _sum_zero_d2(k, t), t, 1)
+      for d, k, t in EXPERIMENTS["sum-zero"][1] + EXPERIMENTS["sum-zero"][2] if d == 2],
+])
+def test_power_at_most_accepts_equality_at_rational_powers(x, bound, p, q):
+    assert power_at_most(x, bound, p, q)
+    above = D(2 * x.numerator + 1, x.exponent + 1)   # x + 2^-(exponent + 1)
+    assert not power_at_most(above, bound, p, q)
+
+
+def test_power_at_most_fails_what_the_float_slack_passed():
+    # 3 2^(-27/4), the bias-matmul bound at n = 3, is irrational; `over` is
+    # the 70-bit dyadic just above it, about 1e-19 of it over
+    root = math.isqrt(math.isqrt(1 << 253))     # floor(2^(253/4)) = floor(2^(70 - 27/4))
+    over, under = D.from_ratio(3 * root + 3, 70), D.from_ratio(3 * root, 70)
+    float_bound = 3 * 2.0 ** (-27 / 4)
+    assert over.to_float() <= float_bound * (1 + 1e-12)   # the old relative slack passed it
+    assert not power_at_most(over, lambda w: 3 * w, -27, 4)
+    assert power_at_most(under, lambda w: 3 * w, -27, 4)
+
+
+def _scaled_root(p, q, bits):
+    """floor(2^(p/q) 2^bits) by bisection on n^q <= 2^(p + q bits)."""
+    lo, hi = 0, 1 << (bits + abs(p) + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** q <= 1 << (p + q * bits) else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("p, q", [(-3, 1), (0, 1), (5, 1), (-1, 2), (1, 2), (-7, 3),
+                                  (-80, 9), (7, 5), (-30, 4), (12, 4), (-9, 12)])
+def test_power_at_most_brackets_any_power(p, q):
+    # the 200-bit dyadics on either side of 2^(p/q), or on it when q | p
+    n = _scaled_root(p, q, 200)
+    assert power_at_most(Fraction(n, 1 << 200), lambda w: w, p, q)
+    assert not power_at_most(Fraction(n + 1, 1 << 200), lambda w: w, p, q)
+    assert (n ** q == 1 << (p + 200 * q)) is (p % q == 0)
+
+
+def test_power_at_most_accepts_a_bound_flat_around_the_power():
+    # bound(lo) equals x: accepted at the first bracket
+    assert power_at_most(Fraction(1, 2), lambda w: Fraction(1, 2), 1, 2)
+    assert power_at_most(1, lambda w: Fraction(1), -5, 3)
+
+
+def test_power_at_most_compares_a_rational_power_at_once():
+    # a bound that jumps just above 2^(2/2) = 2: only the exact comparison
+    # at the power itself decides 1 > bound(2) = 0
+    step = lambda w: Fraction(0) if w <= 2 else Fraction(10)  # noqa: E731
+    assert not power_at_most(1, step, 2, 2)
+    assert power_at_most(0, step, 2, 2)
+
+
+def test_power_at_most_raises_when_no_precision_separates():
+    # not monotone, and across x = 5/4 exactly at the irrational sqrt(2):
+    # every bracket straddles x, up to POWER_BITS_CAP bits
+    def jumpy(w):
+        return (2 if w * w > 2 else 0) + Fraction(1, w.denominator)
+
+    with pytest.raises(InvariantError, match="not separated from the bound at 2\\^\\(1/2\\)"):
+        power_at_most(Fraction(5, 4), jumpy, 1, 2)
+
+
+def test_power_at_most_agrees_with_floats_away_from_the_bound():
+    # seeded: bounds of the harness' two shapes at random powers, and x
+    # 1e-9 to 1e-1 relative off them; floats decide these correctly
+    rng = Prng(3101)
+    checked = 0
+    for _ in range(600):
+        p, q = below(rng, 161) - 80, 1 + below(rng, 12)
+        k, t = 1 + below(rng, 6), 1 + below(rng, 4)
+        if below(rng, 2):
+            bound, value = (lambda w: w), 2.0 ** (p / q)
+        else:
+            bound, value = _sum_zero_d2(k, t), ((2 + 2.0 ** (p / q)) / 2 ** k) ** t
+        off = 10.0 ** (-1 - 8 * (rng.u64() / 2 ** 64))
+        x = value * (1 + off if below(rng, 2) else 1 - off)
+        if abs(x - value) < 1e-9 * value:
+            continue
+        assert power_at_most(Fraction(x), bound, p, q) is (x <= value), (p, q, k, t, x)
+        checked += 1
+    assert checked >= 590

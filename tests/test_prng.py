@@ -67,15 +67,3 @@ def test_words_block_is_consecutive_bits_draws(n):
         record = int.from_bytes(block[8 * per * s:8 * per * (s + 1)], "little")
         assert record & ((1 << n) - 1) == b.bits(n), (n, s)
     assert a.u64() == b.u64()
-
-
-@pytest.mark.parametrize("n", [0, 1, 6, 1023, 1024, 6 * 1024 + 5])
-def test_floats_are_float01_draws(n):
-    a, b = Prng(31), Prng(31)
-    assert a.floats(n) == [b.u64() / 2 ** 64 for _ in range(n)]
-    assert a.u64() == b.u64()
-
-
-def test_floats_negative():
-    with pytest.raises(ValueError, match="n >= 0"):
-        Prng(0).floats(-1)
