@@ -1,10 +1,10 @@
 """Exact-arithmetic laboratory for multilinear forms and tensors over F2.
 
 Bit-packed linear algebra, GF(2^k) with the trace map, dense tensors
-and rank-one decompositions, exact (dyadic-rational) bias and
-correlation, tensor-rank lower bounds from bias and from kernel/dual-
-code certificates, and a reproducible verification harness over all of
-it.
+and rank-one decompositions, exact bias and correlation (Fractions
+n/2^e, `DyadicRational`), tensor-rank lower bounds from bias and from
+kernel/dual-code certificates, and a reproducible verification harness
+over all of it.
 
 Field elements, vectors, matrices, subspace bases and tensors are
 plain packed ints (coordinate j at bit j; a matrix is packed as a

@@ -1,8 +1,8 @@
 """Exact and Monte-Carlo bias/correlation of multilinear forms.
 
-Every exact probability here is a dyadic rational held as an integer
-numerator over a power-of-two denominator, so equality with closed
-forms is literal, not approximate.
+Every exact probability here is a `DyadicRational`, a Fraction whose
+denominator is a power of two, so equality with closed forms is
+literal, not approximate.
 
 Two exact routes check each other:
 
@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
                       linear_form_table, ones, repeat, subset_xor_table, var_mask,
@@ -39,6 +40,7 @@ from .errors import check_capacity
 from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
                        _batched_rank_histogram)
 from .prng import Prng
+from .report import fmt_dyadic
 from .tensors import DenseTensor, Polynomial, first_block_slices
 
 BRUTEFORCE_MAX_BITS = 30  # full-table enumerations up to 2^30 inputs
@@ -48,115 +50,41 @@ _MC_BLOCK = 1 << 16            # Monte-Carlo samples per bit-sliced block,
 _MC_PLANE_BITS = 8 << 20       # fewer when one block's d*k planes pass 1 MiB
 
 
-@dataclass(frozen=True, order=False)
-class DyadicRational:
-    """Exact nonnegative value numerator / 2^exponent, kept reduced."""
+class DyadicRational(Fraction):
+    """An exact probability n/2^e: a Fraction with its exponent e and
+    `fmt_dyadic` as its text.  Arithmetic gives plain Fractions."""
 
-    numerator: int
-    exponent: int
-
-    def __post_init__(self):
-        if self.numerator < 0 or self.exponent < 0:
-            raise ValueError("numerator and exponent must be nonnegative")
-        if self.numerator == 0:
-            if self.exponent != 0:
-                raise ValueError("zero must carry exponent 0")
-        elif self.numerator % 2 == 0 and self.exponent != 0:
-            raise ValueError("numerator must be odd (reduced form)")
+    __slots__ = ()
+    __str__ = fmt_dyadic
 
     @classmethod
     def from_ratio(cls, numerator: int, exponent: int) -> "DyadicRational":
+        """numerator / 2^exponent, reduced; a nonzero value needs exponent >= 0."""
         if numerator < 0:
             raise ValueError("negative value")
-        if numerator == 0:
-            return cls(0, 0)
-        s = min(ctz(numerator), max(exponent, 0))
-        numerator >>= s
-        exponent -= s
-        if exponent < 0:
+        if numerator and exponent < 0:
             raise ValueError("value exceeds dyadic range")
-        return cls(numerator, exponent)
+        return cls(numerator, 1 << max(exponent, 0))
 
     @classmethod
     def zero(cls) -> "DyadicRational":
-        return cls(0, 0)
+        return cls(0)
 
     @classmethod
     def one(cls) -> "DyadicRational":
-        return cls(1, 0)
+        return cls(1)
 
     @classmethod
     def half_pow(cls, e: int) -> "DyadicRational":
         """2^-e."""
-        return cls(1, e)
-
-    def _aligned(self, other: "DyadicRational") -> tuple[int, int, int]:
-        e = max(self.exponent, other.exponent)
-        return (self.numerator << (e - self.exponent),
-                other.numerator << (e - other.exponent), e)
-
-    def __add__(self, other: "DyadicRational") -> "DyadicRational":
-        a, b, e = self._aligned(other)
-        return DyadicRational.from_ratio(a + b, e)
-
-    def __sub__(self, other: "DyadicRational") -> "DyadicRational":
-        a, b, e = self._aligned(other)
-        if a < b:
-            raise ValueError("dyadic values here are nonnegative")
-        return DyadicRational.from_ratio(a - b, e)
-
-    def __mul__(self, other: "DyadicRational") -> "DyadicRational":
-        return DyadicRational.from_ratio(self.numerator * other.numerator,
-                                         self.exponent + other.exponent)
-
-    def __pow__(self, e: int) -> "DyadicRational":
-        if e < 0:
-            raise ValueError("negative power")
-        return DyadicRational.from_ratio(self.numerator ** e, self.exponent * e)
-
-    def _cmp(self, other: "DyadicRational") -> int:
-        a, b, _ = self._aligned(other)
-        return (a > b) - (a < b)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return cls(1, 1 << e)
 
     @property
-    def denominator(self) -> int:
-        return 1 << self.exponent
+    def exponent(self) -> int:
+        return self.denominator.bit_length() - 1
 
     def to_float(self) -> float:
-        num = self.numerator
-        e = self.exponent
-        if num.bit_length() > 60:
-            shift = num.bit_length() - 60
-            num >>= shift
-            e -= shift
-        return math.ldexp(num, -e)
-
-    def __str__(self):
-        return f"{self.numerator}/2^{self.exponent}"
-
-
-def dyadic_mean(values: Iterable[DyadicRational], log2_count: int) -> DyadicRational:
-    """Exact mean of 2^log2_count values."""
-    total = DyadicRational.zero()
-    n = 0
-    for v in values:
-        total = total + v
-        n += 1
-    if n != 1 << log2_count:
-        raise ValueError("value count is not 2^log2_count")
-    return DyadicRational.from_ratio(total.numerator, total.exponent + log2_count)
+        return float(self)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import get_args, get_origin, get_type_hints
 from . import harness, numerics, rank, tensors
 from .bias import bias_bruteforce, bias_exact, bias_mc, corr_class_max, corr_exact
 from .errors import CapacityError, FormatError, InvariantError
-from .report import fmt_float, timed
+from .report import fmt_dyadic, fmt_float, timed
 
 # the builders as bound at import: `gen` reads their signatures, which a
 # wrapper installed later without functools.wraps would hide
@@ -82,7 +82,7 @@ def _cmd_bias(args) -> int:
     t = _read_arg(args.file, tensors.read_tensor)
     if args.mode != "mc":
         value = (bias_exact if args.mode == "exact" else bias_bruteforce)(t)
-        _print_obj({"bias": str(value), "float": fmt_float(value.to_float())},
+        _print_obj({"bias": fmt_dyadic(value), "float": fmt_float(float(value))},
                    args.json)
         return 0
     est = bias_mc(t, args.samples, args.confidence, args.seed)
@@ -97,15 +97,15 @@ def _cmd_corr(args) -> int:
         raise FormatError("pass exactly one of --poly or --max-degree")
     if args.poly is not None:
         value = corr_exact(t, _read_arg(args.poly, tensors.read_poly))
-        _print_obj({"correlation": str(value), "float": fmt_float(value.to_float())},
+        _print_obj({"correlation": fmt_dyadic(value), "float": fmt_float(float(value))},
                    args.json)
         return 0
     value, witness = corr_class_max(t, args.max_degree)
     monos = ["#" if not m else " ".join(str(v + 1) for v in m)
              for m in witness.monomials]
     _print_obj({
-        "max_correlation": str(value),
-        "float": fmt_float(value.to_float()),
+        "max_correlation": fmt_dyadic(value),
+        "float": fmt_float(float(value)),
         "witness_monomials": "; ".join(monos) if monos else "(zero polynomial)",
     }, args.json)
     return 0
@@ -122,7 +122,7 @@ def _cmd_rank(args) -> int:
         t = _read_arg(args.file, tensors.read_tensor)
         b = bias_exact(t)
         lb = rank.rank_lb_bias(b, t.d)
-        _print_obj({"bias": str(b), "rank_lower_bound": lb}, args.json)
+        _print_obj({"bias": fmt_dyadic(b), "rank_lower_bound": lb}, args.json)
         return 0
     decomp = _read_arg(args.file, tensors.read_decomp)
     _print_obj(rank.code_certificate(decomp).to_dict(), args.json)

@@ -15,20 +15,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from typing import Sequence
 
 from ._bitops import form_table, linear_form_table, ones, var_mask
-from .bias import (DyadicRational, bias_bruteforce, bias_exact, bias_mc,
-                   corr_exact, dyadic_mean)
+from .bias import DyadicRational, bias_bruteforce, bias_exact, bias_mc, corr_exact
 from .errors import CapacityError, InvariantError, check_capacity
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
 from .numerics import f_dk_bound, inequality_checks, power_at_most, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
                    rank_lb_bias)
-from .report import REPORT_ONLY, VerificationReport, fmt_float, timed
+from .report import REPORT_ONLY, VerificationReport, fmt_dyadic, fmt_float, timed
 from .tensors import (DenseTensor, Polynomial, explicit_form_tensor, matmul_tensor,
                       outer_bits, random_rank_decomp, random_tensor,
                       tensor_from_decomp, trace_tensor)
@@ -93,15 +93,13 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     what = f"moment-identity(d={d}, k={k}, t={t})"
     check_capacity(what, 1 << cells, 1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
     check_capacity(what, 1 << (k * t * d), 1 << TUPLE_BITS_LIMIT, "tuples")
-    lhs = dyadic_mean(
-        (bias_exact(DenseTensor(d, k, bits)) ** t for bits in range(1 << cells)),
-        cells)
+    lhs = sum(bias_exact(DenseTensor(d, k, x)) ** t for x in range(1 << cells)) / (1 << cells)
     rhs = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     holds = lhs == rhs
     return _report(
         "moment-identity", [("d", str(d)), ("k", str(k)), ("t", str(t))],
-        [("moment", str(lhs)), ("vanish_prob", str(rhs))],
-        ("equality", str(rhs)), holds, "exhaustive")
+        [("moment", fmt_dyadic(lhs)), ("vanish_prob", fmt_dyadic(rhs))],
+        ("equality", fmt_dyadic(rhs)), holds, "exhaustive")
 
 
 def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationReport:
@@ -114,8 +112,6 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     otherwise displayed report-only.  Bounds and preconditions are decided
     exactly, eps read as the decimal it prints as (`power_at_most`).
     """
-    from fractions import Fraction  # off the import path of f2lab
-
     if d < 2:
         raise ValueError("d must be >= 2")
     check_capacity(f"sum-zero(d={d}, k={k}, t={t})", 1 << (k * t * d),
@@ -131,7 +127,7 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     return _report(
         "sum-zero",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("eps", fmt_float(eps))],
-        [("exact", str(exact)),
+        [("exact", fmt_dyadic(exact)),
          ("headline", fmt_float(headline)),
          ("headline_asserted", "yes" if applies else "no")],
         ("proof_bound", fmt_float(proof_bound)),
@@ -194,7 +190,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
                 holds = False
             refined = f_dk_bound(d, k, float(u))
             if 0 < u < ambient:
-                worst_gap = min(worst_gap, refined - pr.to_float())
+                worst_gap = min(worst_gap, refined - float(pr))
             checked += 1
     return _report(
         "subspace-membership",
@@ -224,10 +220,10 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
         if not power_at_most(pr, lambda w: comb(t, r) * ((d + w) / (1 << k)) ** (t - r),
                              t, k ** (d - 1)):
             holds = False
-        worst_ratio = max(worst_ratio, pr.to_float() / (comb(t, r) * base ** (t - r)))
+        worst_ratio = max(worst_ratio, float(pr) / (comb(t, r) * base ** (t - r)))
     return _report(
         "span-dimension", [("d", str(d)), ("k", str(k)), ("t", str(t))],
-        [("distribution", " ".join(str(p) for p in dist)),
+        [("distribution", " ".join(map(fmt_dyadic, dist))),
          ("worst_ratio_to_bound", fmt_float(worst_ratio))],
         ("bound", "C(t,r) ((d + 2^(t/k^(d-1)))/2^k)^(t-r)"),
         holds, "exhaustive")
@@ -249,8 +245,6 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
     agree with it within 3 Hoeffding standard errors; that cross-check
     is the asserted part.
     """
-    from fractions import Fraction  # off the import path of f2lab
-
     if samples < 1:
         raise ValueError("samples must be >= 1")
     power = -(1 - Fraction(str(eps))) * k     # the threshold is 2^power
@@ -260,21 +254,20 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
         # reach before anything is sampled
         dist = rank_count(k)
         tail = [r for r in range(k + 1) if r <= -power]
-        p_exact = sum((dist.prob(r) for r in tail), D.zero())
+        p_exact = sum(dist.prob(r) for r in tail)
         ranks = sampled_rank_histogram(rng, samples, k, k)
         hits = sum(ranks[r] for r in tail)
     else:
-        p, q = power.as_integer_ratio()  # bias = n/2^e >= 2^(p/q) is n^q 2^-p >= 2^(eq)
+        p, q = power.as_integer_ratio()  # bias >= 2^(p/q) is bias^q >= 2^p
         biases = (bias_exact(DenseTensor(d, k, rng.bits(k ** d))) for _ in range(samples))
-        hits = sum((b.numerator ** q << max(0, -p)) >= 1 << (max(0, p) + b.exponent * q)
-                   for b in biases)
+        hits = sum(b ** q >= Fraction(2) ** p for b in biases)
     empirical = hits / samples
     displayed = 2.0 ** (-(eps * eps) * (k ** d) / 20.0)
     measured = [("empirical", fmt_float(empirical))]
     if d == 2:
         se3 = 3.0 / (2.0 * math.sqrt(samples))
-        holds: bool | str = abs(empirical - p_exact.to_float()) <= se3
-        measured += [("exact_tail", str(p_exact)), ("allowed_dev", fmt_float(se3))]
+        holds: bool | str = abs(empirical - float(p_exact)) <= se3
+        measured += [("exact_tail", fmt_dyadic(p_exact)), ("allowed_dev", fmt_float(se3))]
     else:
         holds = REPORT_ONLY
     return _report(
@@ -294,7 +287,7 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
     floor = D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
     rng = Prng(seed)
     holds = True
-    min_bias = D.one()
+    min_bias = 1
     for _ in range(trials):
         decomp = random_rank_decomp(d, k, t, rng.u64())
         b = bias_exact(tensor_from_decomp(decomp))
@@ -305,8 +298,8 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
     return _report(
         "low-rank-bias-floor",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("trials", str(trials))],
-        [("min_bias", str(min_bias))],
-        ("floor", str(floor)), holds, "exhaustive", samples=trials, seed=seed)
+        [("min_bias", fmt_dyadic(min_bias))],
+        ("floor", fmt_dyadic(floor)), holds, "exhaustive", samples=trials, seed=seed)
 
 
 def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
@@ -318,7 +311,7 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
     floor = D.from_ratio((1 << d) - 1, d) ** t
     rng = Prng(seed)
     holds = True
-    min_pr = D.one()
+    min_pr = 1
     for _ in range(trials):
         forms = [[rng.bits(k) for _ in range(d)] for _ in range(t)]
         nonzero = 0  # inputs where some form is 1
@@ -332,8 +325,8 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
     return _report(
         "joint-vanishing",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("trials", str(trials))],
-        [("min_prob", str(min_pr))],
-        ("floor", str(floor)), holds, "exhaustive", samples=trials, seed=seed)
+        [("min_prob", fmt_dyadic(min_pr))],
+        ("floor", fmt_dyadic(floor)), holds, "exhaustive", samples=trials, seed=seed)
 
 
 def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
@@ -347,23 +340,22 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    q = D.one() - D.half_pow(k)
-    closed = (D.one() - q ** d) + q ** d * (D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t)
-    relaxed = D.from_ratio(d, k) + D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
+    q = 1 - D.half_pow(k)
+    floor = D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
+    closed = (1 - q ** d) + q ** d * floor
+    relaxed = D.from_ratio(d, k) + floor
     relaxed_ok = closed <= relaxed
     nbits = k * t * d
     if nbits <= TUPLE_BITS_LIMIT:
-        total = D.zero()
-        for x, c in _sum_census(d, k, t).items():
-            total = total + D.from_ratio(c, 0) * bias_exact(DenseTensor(d, k, x))
-        mean = D.from_ratio(total.numerator, total.exponent + nbits)
+        mean = sum(c * bias_exact(DenseTensor(d, k, x))
+                   for x, c in _sum_census(d, k, t).items()) / (1 << nbits)
         holds = mean == closed and relaxed_ok
         return _report(
             "expected-bias",
             [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "exhaustive")],
-            [("mean", str(mean)), ("closed_form", str(closed)),
-             ("relaxed", str(relaxed))],
-            ("equality", str(closed)), holds, "exhaustive")
+            [("mean", fmt_dyadic(mean)), ("closed_form", fmt_dyadic(closed)),
+             ("relaxed", fmt_dyadic(relaxed))],
+            ("equality", fmt_dyadic(closed)), holds, "exhaustive")
     if samples is None or seed is None:  # nbits is past the guard: always refused
         check_capacity(f"expected-bias(d={d}, k={k}, t={t}) (pass samples and seed for "
                        "Monte-Carlo mode)", 1 << nbits, 1 << TUPLE_BITS_LIMIT,
@@ -372,16 +364,16 @@ def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
     acc = 0.0
     for _ in range(samples):
         decomp = random_rank_decomp(d, k, t, rng.u64())
-        acc += bias_exact(tensor_from_decomp(decomp)).to_float()
+        acc += float(bias_exact(tensor_from_decomp(decomp)))
     mean_f = acc / samples
     hw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))  # 99% band
-    holds = abs(mean_f - closed.to_float()) <= hw and relaxed_ok
+    holds = abs(mean_f - float(closed)) <= hw and relaxed_ok
     return _report(
         "expected-bias",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "monte-carlo")],
-        [("mean", fmt_float(mean_f)), ("closed_form", str(closed)),
+        [("mean", fmt_float(mean_f)), ("closed_form", fmt_dyadic(closed)),
          ("ci_halfwidth", fmt_float(hw))],
-        ("coverage", str(closed)), holds, "monte-carlo", samples=samples, seed=seed)
+        ("coverage", fmt_dyadic(closed)), holds, "monte-carlo", samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -405,8 +397,8 @@ def verify_bias_trace(k: int) -> VerificationReport:
         pass  # tables over the byte budget: the fast route alone
     return _report(
         "bias-trace", [("k", str(k)), ("routes", "+".join(routes))],
-        [("bias", str(fast))],
-        ("formula", str(formula)), holds, "exhaustive")
+        [("bias", fmt_dyadic(fast))],
+        ("formula", fmt_dyadic(formula)), holds, "exhaustive")
 
 
 def verify_bias_matmul(n: int) -> VerificationReport:
@@ -431,7 +423,7 @@ def verify_bias_matmul(n: int) -> VerificationReport:
     ladder = rank_lb_bias(value, 3)
     return _report(
         "bias-matmul", [("n", str(n)), ("routes", "+".join(routes))],
-        [("bias", str(value)), ("ladder_rank_lb", str(ladder)),
+        [("bias", fmt_dyadic(value)), ("ladder_rank_lb", str(ladder)),
          ("asymptotic_1.8n^2", fmt_float(1.8 * n * n))],
         ("bound_n*2^(-3n^2/4)", fmt_float(n * 2.0 ** (-3.0 * n * n / 4.0))),
         holds, "closed-form")
@@ -474,10 +466,10 @@ def verify_explicit_form(d: int, k: int, samples: int,
     exactly, and its correlation with random degree-(d-1) multilinear
     forms never exceeds (d-1) 2^-k."""
     t = explicit_form_tensor(d, k)
-    formula = D.one() - (D.one() - D.half_pow(k)) ** (d - 1)
+    formula = 1 - (1 - D.half_pow(k)) ** (d - 1)
     holds = bias_exact(t) == formula
     cap = D.from_ratio(d - 1, k)
-    worst = D.zero()
+    worst = 0
     monomials = _lifted_monomials(d, k)
     rng = Prng(seed)
     for _ in range(samples):
@@ -490,8 +482,8 @@ def verify_explicit_form(d: int, k: int, samples: int,
     return _report(
         "explicit-form",
         [("d", str(d)), ("k", str(k)), ("g_samples", str(samples))],
-        [("bias", str(formula)), ("max_correlation_seen", str(worst))],
-        ("correlation_cap", str(cap)), holds, "exhaustive",
+        [("bias", fmt_dyadic(formula)), ("max_correlation_seen", fmt_dyadic(worst))],
+        ("correlation_cap", fmt_dyadic(cap)), holds, "exhaustive",
         samples=samples or None, seed=seed if samples else None)
 
 
@@ -562,7 +554,7 @@ def verify_mc_bias(d: int, k: int, samples: int, seed: int) -> VerificationRepor
     """
     confidence = 0.99
     t = random_tensor(d, k, seed ^ 0x5EED)
-    exact = bias_exact(t).to_float()
+    exact = float(bias_exact(t))
     est = bias_mc(t, samples, confidence, seed)
     allowed = max(est.ci_halfwidth, 3.5 / math.sqrt(samples))
     holds = abs(est.point - exact) <= allowed

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
 from .errors import InvariantError
@@ -23,16 +24,13 @@ POWER_BITS_CAP = 1 << 12   # the most bits of 2^(p/q) `power_at_most` brackets
 
 def power_at_most(x, bound, p: int, q: int) -> bool:
     """x <= bound(2^(p/q)) exactly, for q >= 1 and a nondecreasing `bound`
-    from Fractions to Fractions; x is an int, a Fraction or a DyadicRational.
+    from Fractions to Fractions; x is an int or a Fraction.
 
     When q divides p the power is rational and is compared at once.  Else
     it lies strictly between n/2^m and (n+1)/2^m, n the integer q-th root
     of 2^(p+mq): x <= bound at the lower end is yes, x > bound at the
     upper end is no, and otherwise m doubles, up to POWER_BITS_CAP.
     """
-    from fractions import Fraction  # off the import path of f2lab
-
-    x = Fraction(x.numerator, x.denominator)
     if p % q == 0:
         return x <= bound(Fraction(2) ** (p // q))
     m = max(1, -(p // q))
@@ -155,8 +153,6 @@ def _solve_exact(rows: list, rhs: list) -> list | None:
     as Fractions, or None when it is singular.  Fraction-free (Bareiss)
     elimination keeps each entry below the pivots a minor, an integer, so
     dividing by the last pivot is exact; only back substitution is not."""
-    from fractions import Fraction  # off the import path of f2lab
-
     n = len(rows)
     m = [list(row) + [r] for row, r in zip(rows, rhs)]
     last = 1

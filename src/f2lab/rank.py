@@ -29,6 +29,7 @@ from .errors import InvariantError, check_capacity
 from .f2linalg import (BitVec, _rref, dual_space, echelonize, kernel, min_weight,
                        rank_of_row_ints, span_rank_histogram)
 from .numerics import mrrw_constant
+from .report import fmt_dyadic
 from .tensors import (DenseTensor, RankDecomposition, RankOneTerm, first_block_slices,
                       outer_bits, tensor_from_decomp)
 
@@ -47,7 +48,7 @@ class RankBoundCertificate:
     reconstructed_bias: DyadicRational
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "reconstructed_bias": str(self.reconstructed_bias)}
+        return {**asdict(self), "reconstructed_bias": fmt_dyadic(self.reconstructed_bias)}
 
 
 @dataclass(frozen=True)
@@ -171,16 +172,14 @@ def rank_lb_bias(bias: DyadicRational, d: int) -> int:
     """
     if d < 2:
         raise ValueError("d must be >= 2")
-    if bias.numerator == 0 or bias > DyadicRational.one():
+    if not 0 < bias <= 1:
         raise ValueError("bias must lie in (0, 1]")
-    if bias == DyadicRational.one():
-        return 0
     c = DyadicRational.from_ratio((1 << (d - 1)) - 1, d - 1)  # 1 - 2^(1-d)
-    power = DyadicRational.one()
+    power = 1
     t = 0
     while power > bias:
         t += 1
-        power = power * c
+        power *= c
     return t
 
 
@@ -288,7 +287,7 @@ def corank_bound_margin(n: int) -> list[tuple[int, DyadicRational, DyadicRationa
     for r in range(n + 1):
         exact = dist.prob(r)
         bound = DyadicRational.half_pow((n - r) ** 2)
-        ratio = exact.to_float() / bound.to_float()
+        ratio = float(exact) / float(bound)
         rows.append((r, exact, bound, ratio))
     return rows
 

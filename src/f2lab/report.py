@@ -4,13 +4,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable
+
+from .errors import InvariantError
 
 REPORT_ONLY = "report-only"
 
 
 def fmt_float(x: float) -> str:
     return f"{x:.12g}"
+
+
+def fmt_dyadic(x: Fraction | int) -> str:
+    """The text of every exact value: n/2^e.  Exact values here are
+    nonnegative dyadic rationals, so any other x is a fault."""
+    n, den = x.numerator, x.denominator
+    if n < 0 or den & (den - 1):
+        raise InvariantError(f"{n}/{den} is not a nonnegative dyadic rational")
+    return f"{n}/2^{den.bit_length() - 1}"
 
 
 @dataclass(frozen=True)

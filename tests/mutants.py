@@ -43,6 +43,7 @@ H = "tests/test_harness.py::"
 N = "tests/test_numerics.py::"
 T = "tests/test_tensors.py::"
 B = "tests/test_bias.py::"
+R = "tests/test_report.py::"
 
 MUTANTS = [
     # harness._vanish_count: the sum-zero and moment-identity vanishing count
@@ -160,11 +161,36 @@ MUTANTS = [
            "if r <= -power]", "if r < -power]",
            (H + "TestBiasTail::test_hits_match_one_sample_at_a_time",)),
     Mutant("bias-tail-d3-power-sign", "harness.py",
-           "(b.numerator ** q << max(0, -p))", "(b.numerator ** q << max(0, p))",
+           "b ** q >= Fraction(2) ** p", "b ** q >= Fraction(2) ** -p",
            (H + "TestBiasTail::test_hits_match_one_sample_at_a_time",)),
     Mutant("subspace-gap-at-ends", "harness.py",
            "if 0 < u < ambient:", "if 0 <= u <= ambient:",
            (H + "TestSubspaceMembership::test_min_gap_skips_the_ends",)),
+    # harness: the exact means of expected-bias and moment-identity
+    Mutant("expected-bias-half-count", "harness.py",
+           "for x, c in _sum_census(d, k, t).items()) / (1 << nbits)",
+           "for x, c in _sum_census(d, k, t).items()) / (1 << nbits - 1)",
+           (H + "TestExpectedBias::test_exhaustive_closed_form",)),
+    Mutant("moment-mean-half-count", "harness.py",
+           "for x in range(1 << cells)) / (1 << cells)",
+           "for x in range(1 << cells)) / (2 << cells)",
+           (H + "TestMomentIdentity::test_222_is_29_128",)),
+    # bias.DyadicRational.from_ratio and report.fmt_dyadic: the range of exact values
+    Mutant("from-ratio-negative-allowed", "bias.py",
+           "        if numerator < 0:\n            raise", "        if False:\n            raise",
+           (B + "TestDyadicRational::test_from_ratio_matches_halving_loop",
+            B + "TestDyadicRational::test_reduction_and_str")),
+    Mutant("from-ratio-zero-exponent-checked", "bias.py",
+           "if numerator and exponent < 0:", "if exponent < 0:",
+           (B + "TestDyadicRational::test_from_ratio_matches_halving_loop",)),
+    Mutant("printer-any-denominator", "report.py",
+           "if n < 0 or den & (den - 1):", "if n < 0:",
+           (R + "test_refuses_what_is_no_nonnegative_dyadic",
+            R + "test_a_non_dyadic_value_in_the_cli_is_an_invariant_fault")),
+    Mutant("printer-any-sign", "report.py",
+           "if n < 0 or den & (den - 1):", "if den & (den - 1):",
+           (R + "test_refuses_what_is_no_nonnegative_dyadic",
+            B + "TestDyadicRational::test_arithmetic")),
 ]
 
 

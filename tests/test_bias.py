@@ -1,6 +1,7 @@
 """Bias and correlation: exact routes agree, closed forms hit exactly."""
 
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 import tracemalloc
@@ -12,14 +13,16 @@ from f2lab import bias
 from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
-from f2lab.errors import CapacityError
+from f2lab.errors import CapacityError, InvariantError
 from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank
 from f2lab.harness import _lifted_form, _lifted_monomials
 from f2lab.prng import Prng
+from f2lab.rank import code_certificate, matmul_bias_exact, rank_count
+from f2lab.report import fmt_dyadic
 from f2lab.tensors import (DenseTensor, Polynomial, RankDecomposition,
                            RankOneTerm, evaluate, explicit_form_tensor,
-                           matmul_tensor, random_tensor, tensor_from_decomp,
-                           trace_tensor)
+                           matmul_tensor, random_rank_decomp, random_tensor,
+                           tensor_from_decomp, trace_tensor)
 from oracles import (anf_table, below, bias_mc_per_plane, class_max_walk,
                      corr_whole_table, entry, permute_blocks, poly_eval,
                      random_invertible, walsh_sum)
@@ -33,17 +36,19 @@ class TestDyadicRational:
         assert D.from_ratio(0, 9) == D.zero()
         assert str(D.from_ratio(29, 7)) == "29/2^7"
         with pytest.raises(ValueError):
-            D(2, 1)   # not reduced
+            D.from_ratio(-1, 0)
         with pytest.raises(ValueError):
-            D(-1, 0)
+            D.from_ratio(1, -1)
 
     def test_arithmetic(self):
         assert D.from_ratio(7, 4) + D.from_ratio(1, 4) == D.from_ratio(1, 1)
         assert D.one() - D.from_ratio(1, 2) == D.from_ratio(3, 2)
         assert D.from_ratio(7, 4) * D.from_ratio(2, 3) == D.from_ratio(7, 6)
         assert D.from_ratio(3, 2) ** 3 == D.from_ratio(27, 6)
-        with pytest.raises(ValueError):
-            D.zero() - D.one()
+        # a difference may leave the exact values' range; printing it is the fault
+        assert D.zero() - D.one() == -1
+        with pytest.raises(InvariantError):
+            fmt_dyadic(D.zero() - D.one())
 
     def test_ordering_exact(self):
         assert D.from_ratio(7, 4) > D.from_ratio(27, 6)   # 28/64 > 27/64
@@ -51,7 +56,15 @@ class TestDyadicRational:
         assert D.from_ratio(7, 4).to_float() == 0.4375
 
     def test_integers_allowed(self):
-        assert (D.one() + D.one()).to_float() == 2.0
+        assert float(D.one() + D.one()) == 2.0
+
+    def test_compares_and_hashes_as_a_number(self):
+        assert bias_exact(DenseTensor(3, 2, 0)) == 1
+        assert D.half_pow(1) == Fraction(1, 2)
+        assert D.half_pow(2) < 1 and 1 > D.half_pow(2)
+        assert D.from_ratio(3, 3) >= Fraction(1, 3)
+        assert hash(D.one()) == hash(1)
+        assert hash(D.from_ratio(7, 4)) == hash(Fraction(7, 16))
 
     def test_from_ratio_matches_halving_loop(self):
         def halving(numerator, exponent):
@@ -77,6 +90,33 @@ class TestDyadicRational:
                     continue
                 got = D.from_ratio(numerator, exponent)
                 assert (got.numerator, got.exponent) == want, (numerator, exponent)
+
+
+# every route whose result the benchmark reads (`perfbench/workloads.py`):
+# it takes the numerator, the exponent and the float of a DyadicRational
+ROUTES = {
+    "bias_exact-d1-one": lambda: bias_exact(DenseTensor(1, 3, 0)),
+    "bias_exact-d1-zero": lambda: bias_exact(DenseTensor(1, 3, 0b101)),
+    "bias_exact-d2": lambda: bias_exact(DenseTensor(2, 3, 0b100_010_000)),
+    "bias_exact-d3": lambda: bias_exact(trace_tensor(5)),
+    "bias_exact-d4": lambda: bias_exact(explicit_form_tensor(4, 2)),
+    "bias_bruteforce": lambda: bias_bruteforce(trace_tensor(4)),
+    "corr_exact": lambda: corr_exact(trace_tensor(2), Polynomial(6, ((0, 3), (1,)))),
+    "corr_class_max": lambda: corr_class_max(trace_tensor(2), 1)[0],
+    "corr_class_max-degree0": lambda: corr_class_max(trace_tensor(2), 0)[0],
+    "code_certificate": lambda: code_certificate(
+        random_rank_decomp(3, 3, 4, 7)).reconstructed_bias,
+    "matmul_bias_exact": lambda: matmul_bias_exact(3),
+    "rank_count-prob": lambda: rank_count(3).prob(2),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_routes_return_dyadic_rationals(route):
+    value = ROUTES[route]()
+    assert type(value) is D
+    assert Fraction(value.numerator, 2 ** value.exponent) == value
+    assert value.to_float() == float(Fraction(value.numerator, 2 ** value.exponent))
 
 
 def test_bias_zero_tensor():

@@ -311,14 +311,14 @@ def _sum_zero_d2(k, t):
 
 
 @pytest.mark.parametrize("x, bound, p, q", [
-    (D(1, 2), lambda w: 2 * w, -3 * 2 * 2, 4),      # bias-matmul n = 2: 2 2^-3
-    (D(1, 10), lambda w: 4 * w, -3 * 4 * 4, 4),     # bias-matmul n = 4: 4 2^-12
+    (D.from_ratio(1, 2), lambda w: 2 * w, -3 * 2 * 2, 4),    # bias-matmul n = 2: 2 2^-3
+    (D.from_ratio(1, 10), lambda w: 4 * w, -3 * 4 * 4, 4),   # bias-matmul n = 4: 4 2^-12
     *[(D.from_ratio((2 + (1 << t)) ** t, k * t), _sum_zero_d2(k, t), t, 1)
       for d, k, t in EXPERIMENTS["sum-zero"][1] + EXPERIMENTS["sum-zero"][2] if d == 2],
 ])
 def test_power_at_most_accepts_equality_at_rational_powers(x, bound, p, q):
     assert power_at_most(x, bound, p, q)
-    above = D(2 * x.numerator + 1, x.exponent + 1)   # x + 2^-(exponent + 1)
+    above = D.from_ratio(2 * x.numerator + 1, x.exponent + 1)   # x + 2^-(exponent + 1)
     assert not power_at_most(above, bound, p, q)
 
 
