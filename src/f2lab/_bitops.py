@@ -227,39 +227,3 @@ def gray_flips(nbits: int):
     """
     for step in range(1, 1 << nbits):
         yield ctz(step)
-
-
-def _transpose_stage_mask(j: int, nwords: int) -> int:
-    """Mask of stage j of `bit_planes`' transpose over nwords words: the
-    bits c with c & j == 0 of the words r with r & j == 0 of every
-    64-word block."""
-    low = sum(1 << c for c in range(64) if not c & j).to_bytes(8, "little")
-    block = b"".join(bytes(8) if r & j else low for r in range(64))
-    return int.from_bytes(block * (nwords // 64), "little")
-
-
-def bit_planes(data: bytes, period: int, nbits: int) -> list[int]:
-    """The first nbits bit planes of the records in `data`: record s is
-    `period` little-endian 64-bit words (a `Prng.words` block of `bits`
-    draws), and bit s of plane b is bit b of record s.
-
-    Word q of every record is bit-transposed 64 x 64 at a time, on one big
-    int for all records (Warren, Hacker's Delight, section 7-3): after
-    six mask/shift/XOR stages, word 64B + c holds bit 64q + c of records
-    64B..64B+63, so the strided slice [c::64] is plane 64q + c.  `array`
-    moves whole 8-byte words and never reads them, so the host byte order
-    does not matter.
-    """
-    words = array("Q", data)
-    nrecords = len(words) // period
-    nwords = nrecords + (-nrecords % 64)
-    planes: list[int] = []
-    for q in range((nbits + 63) >> 6):
-        x = int.from_bytes(words[q::period].tobytes(), "little")
-        for j in (32, 16, 8, 4, 2, 1):
-            t = ((x >> j) ^ (x >> (64 * j))) & _transpose_stage_mask(j, nwords)
-            x ^= (t << j) | (t << (64 * j))
-        columns = array("Q", x.to_bytes(8 * nwords, "little"))
-        planes += [int.from_bytes(columns[c::64].tobytes(), "little")
-                   for c in range(min(64, nbits - 64 * q))]
-    return planes

@@ -319,11 +319,10 @@ def bias_mc(t: DenseTensor, samples: int, confidence: float,
 
     Bit-sliced: samples are drawn in blocks of up to 2^16, one plane per
     coordinate, and the form is contracted over the planes, so a block
-    costs about nnz(T) big-int AND/XORs.  A block's d*k planes are cut
-    from one `Prng.words` draw of ceil(n/64) words a plane, each masked to
-    its n samples: block-major, coordinate-minor, sample s at bit s, the
-    values d*k successive `Prng.bits(n)` calls give.  The result depends
-    only on the seed.
+    costs about nnz(T) big-int AND/XORs.  A block of n samples is
+    `Prng.draws(d * k, n)`, one n-bit plane per coordinate, sample s at
+    bit s: block-major, coordinate-minor.  The result depends only on
+    the seed.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -334,12 +333,7 @@ def bias_mc(t: DenseTensor, samples: int, confidence: float,
     acc = 0
     for start in range(0, samples, block):
         n = min(block, samples - start)
-        step = 8 * ((n + 63) >> 6)  # bytes of one plane's words
-        drawn = memoryview(rng.words(d * k * step >> 3))
-        mask = ones(n)
-        flat = [int.from_bytes(drawn[i:i + step], "little") & mask
-                for i in range(0, len(drawn), step)]
-        del drawn  # not held while the form is contracted
+        flat = rng.draws(d * k, n)
         planes = [flat[j * k:(j + 1) * k] for j in range(d)]
         acc += n - 2 * _sliced_form(t.bits, planes, 0, k).bit_count()
         del flat, planes  # not held while the next block is drawn

@@ -15,8 +15,8 @@ G_1..G_m, it computes the histogram of rank(sum c_j G_j) over all 2^m
 coefficient vectors simultaneously, bit-sliced across a lane per
 coefficient vector.  This is the inner engine of the exact bias
 computation and of the kernel/dual-code certificates.  The same kernel
-ranks blocks of random matrices, one lane per sample
-(`sampled_rank_histogram`).
+ranks blocks of random matrices, one lane per sample, whose entry planes
+are drawn as they stand by `Prng.planes` (`sampled_rank_histogram`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ._bitops import bit_planes, budget_bytes, gray_flips, ones
+from ._bitops import budget_bytes, gray_flips, ones
 from .errors import InvariantError, check_capacity
 from .prng import Prng
 
@@ -377,30 +377,29 @@ def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int
 
 def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> list[int]:
     """hist[r] = how many of `samples` random nrows x ncols matrices have
-    rank r, where matrix s is what the s-th of `samples` successive
-    rng.bits(nrows * ncols) calls would return (row i at bits
-    [i ncols, (i+1) ncols)); the stream ends where those calls leave it.
+    rank r, where matrix s is lane s of rng.planes(nrows * ncols, samples):
+    entry (i, j) is bit s of plane i ncols + j.
 
-    Each chunk's matrices are one `Prng.words` block, ceil(nrows ncols / 64)
-    words a matrix, turned into entry planes by `bit_planes` and ranked in
-    the lanes of `_batched_rank_histogram`.  Chunks have at most
-    2^LANE_CHUNK_BITS lanes, and the byte budget can only make them
-    smaller.  It covers the drawn words and their array copy, the
-    transpose's big ints, the entry planes and the kernel's slot rows and row.
+    Each chunk's entry planes are one `Prng.planes` draw, ranked in the
+    lanes of `_batched_rank_histogram`.  Every chunk but the last holds a
+    multiple of 64 lanes, so lane s gets the same matrix however the
+    chunks are cut, and the stream ends where one draw would leave it.
+    Chunks have at most 2^LANE_CHUNK_BITS lanes, and the byte budget can
+    only make them smaller.  It covers the word block, its array copy,
+    the entry planes and the kernel's slot rows and row.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
     nbits = nrows * ncols
     if nbits < 1:
         raise ValueError("need nrows, ncols >= 1")
-    period = (nbits + 63) >> 6
-    bits_per_lane = 2 * 64 * period + 6 * 64 + nbits + ncols * ncols + ncols
+    bits_per_lane = 3 * nbits + ncols * ncols + ncols
     lane_budget_bits = max(64, (budget_bytes() * 8) // bits_per_lane)
     chunk = 1 << min(LANE_CHUNK_BITS, lane_budget_bits.bit_length() - 1)
     counts = [0] * (min(nrows, ncols) + 1)
     for start in range(0, samples, chunk):
         nlanes = min(chunk, samples - start)
-        planes = bit_planes(rng.words(nlanes * period), period, nbits)
+        planes = rng.planes(nbits, nlanes)
         rows = [planes[i * ncols:(i + 1) * ncols] for i in range(nrows)]
         for r, c in enumerate(_batched_rank_histogram(rows, nrows, ncols, nlanes)):
             counts[r] += c

@@ -26,7 +26,7 @@ from .errors import CapacityError, InvariantError, check_capacity
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
 from .numerics import f_dk_bound, inequality_checks, power_at_most, profile_max_check
 from .prng import Prng
-from .rank import (corank_bound_margin, matmul_bias_exact, rank_count,
+from .rank import (corank_bound, corank_bound_margin, matmul_bias_exact, rank_count,
                    rank_lb_bias)
 from .report import REPORT_ONLY, VerificationReport, fmt_dyadic, fmt_float, timed
 from .tensors import (DenseTensor, Polynomial, explicit_form_tensor, matmul_tensor,
@@ -526,12 +526,12 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
 
 
 def verify_corank_margin(n: int) -> VerificationReport:
-    """Exact Pr[rank = r] against the 2^-(n-r)^2 corank bound.
+    """Exact Pr[rank = r] against the corank bound, for every r.
 
-    Report-only by design: the bound is violated by a bounded factor at
-    small n (ratio 1.125 at n=2, r=1), and only its downstream
-    consequence (the matrix-product bias bound) is asserted, in
-    `verify_bias_matmul`.
+    Asserts Pr[corank = s] <= 2^(-s^2) / prod_{i<=s} (1 - 2^-i)^2
+    (`corank_bound`) exactly in Fractions.  The ratios printed are to the
+    plain 2^-(n-r)^2, which fails by a bounded factor at small n (1.125
+    at n=2, r=1).
     """
     rows = corank_bound_margin(n)
     worst = max(r[3] for r in rows)
@@ -539,8 +539,8 @@ def verify_corank_margin(n: int) -> VerificationReport:
     return _report(
         "corank-margin", [("n", str(n))],
         [("ratios", cells), ("worst_ratio", fmt_float(worst))],
-        ("corank_bound", "2^(-(n-r)^2), not asserted"),
-        REPORT_ONLY, "closed-form")
+        ("corank_bound", "2^(-s^2)/prod_{i<=s}(1-2^-i)^2 at s=n-r"),
+        all(exact <= corank_bound(n - r) for r, exact, _, _ in rows), "closed-form")
 
 
 def verify_mc_bias(d: int, k: int, samples: int, seed: int) -> VerificationReport:

@@ -1,14 +1,16 @@
 """Seedable counter-based pseudo-random generator.
 
 SplitMix64 over a counter: output i is a fixed mix of (seed, i), so
-results are reproducible from the seed alone.  Multi-word draws (`bits`
-past 64 bits, and `words`, a block of raw stream words) mix their words
-in parallel on one big int, and the stream is the one the
-word-at-a-time mix gives, so seeded values match earlier versions.  It
-draws integers only; a caller that wants a float in [0, 1] divides a
-`u64` word by 2^64.  Streams are stable within this implementation; no
-cross-implementation bit-equality is promised, which is why reports
-carry seeds rather than expected values.
+results are reproducible from the seed alone.  Multi-word draws mix
+their words in parallel on one big int, and the stream is the one the
+word-at-a-time mix gives.  `Prng` alone cuts stream words into values,
+in two layouts: `draws` (ceil(n/64) words a value, the values successive
+`bits(n)` calls give) and `planes` (groups of one word per plane, 64
+lanes a group, for bit-sliced lanes).  It draws integers only; a caller
+that wants a float in [0, 1] divides a `u64` word by 2^64.  Streams are
+stable within this implementation; no cross-implementation bit-equality
+is promised, which is why reports carry seeds rather than expected
+values.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ def words_bytes(nwords: int) -> int:
 def draw_bytes(n: int) -> int:
     """Bytes a `Prng.bits(n)` call holds at its peak beside the int it
     returns: its ceil(n/64)-word block (`words_bytes`) and the bytes copy
-    of the block that `int.from_bytes` makes."""
+    of the cut that `int.from_bytes` makes."""
     return int_bytes(n) + words_bytes((n + 63) >> 6)
 
 
@@ -109,8 +111,7 @@ class Prng:
 
     def words(self, n: int) -> bytearray:
         """Little-endian bytes of the next n words of the stream, the words
-        n `u64` calls would give.  `bits(m)` takes ceil(m/64) of them, so
-        a block of c ceil(m/64) words holds c consecutive `bits(m)` draws."""
+        n `u64` calls would give."""
         first = self._base + (self._i + 1) * _GOLDEN
         self._i += n
         return _mix_words(first, n)
@@ -122,8 +123,31 @@ class Prng:
             raise ValueError("bits() needs n >= 0")
         if n <= 64:
             return self.u64() & ((1 << n) - 1) if n else 0
-        data = self.words((n + 63) >> 6)
-        del data[(n + 7) >> 3:]
+        return self.draws(1, n)[0]
+
+    def draws(self, count: int, n: int) -> list[int]:
+        """The values of `count` successive `bits(n)` calls, cut from one
+        `words` block: ceil(n/64) words a draw, cut to ceil(n/8) bytes,
+        the last byte masked in place to n bits."""
+        if n < 1 or count < 0:
+            raise ValueError(f"draws needs n >= 1 and count >= 0, got n={n}, count={count}")
+        step = 8 * ((n + 63) >> 6)
+        cut = (n + 7) >> 3
+        block = self.words(count * step >> 3)
         if n & 7:
-            data[-1] &= (1 << (n & 7)) - 1
-        return int.from_bytes(data, "little")
+            top = (1 << (n & 7)) - 1
+            for i in range(cut - 1, len(block), step):
+                block[i] &= top
+        block = memoryview(block)
+        return [int.from_bytes(block[i:i + cut], "little") for i in range(0, len(block), step)]
+
+    def planes(self, nplanes: int, nlanes: int) -> list[int]:
+        """`nplanes` uniform nlanes-bit ints from ceil(nlanes/64) groups of
+        `nplanes` words, word j of group g holding lanes 64g..64g+63 of
+        plane j: draws of 64a and then b lanes give the lanes one draw of
+        64a + b gives, and leave the stream where it does.  `array` moves
+        whole words and never reads them, so host byte order does not matter."""
+        block = array("Q", self.words(nplanes * ((nlanes + 63) >> 6)))
+        mask = (1 << nlanes) - 1
+        return [int.from_bytes(block[j::nplanes].tobytes(), "little") & mask
+                for j in range(nplanes)]

@@ -19,8 +19,9 @@ Three rank routes live here:
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Iterator
 
 from ._bitops import budget_bytes, int_bytes
@@ -274,13 +275,20 @@ def rank_count(n: int) -> RankDistribution:
     return RankDistribution(n, tuple(counts))
 
 
+def corank_bound(s: int) -> Fraction:
+    """2^(-s^2) / prod_{i<=s} (1 - 2^-i)^2, a bound at every n on Pr[corank
+    = s] of a uniform n x n matrix over F2, which is 2^(-s^2) times
+    prod_{s<i<=n} (1 - 2^-i)^2 / prod_{i<=n-s} (1 - 2^-i)."""
+    return Fraction(1, 1 << (s * s)) / prod(1 - Fraction(1, 1 << i) for i in range(1, s + 1)) ** 2
+
+
 def corank_bound_margin(n: int) -> list[tuple[int, DyadicRational, DyadicRational, float]]:
     """Per-rank comparison of the exact rank probability against the
     2^-(n-r)^2 corank bound.
 
-    Report-only: the bound is violated by a bounded constant factor at
-    small n (e.g. 9/16 > 1/2 at n=2, r=1), so callers must not assert
-    it; downstream consequences are asserted on their own.
+    That bound fails by a bounded constant factor at small n (e.g.
+    9/16 > 1/2 at n=2, r=1), so it is only displayed; callers assert
+    `corank_bound(n - r)`, which holds at every n.
     """
     dist = rank_count(n)
     rows = []

@@ -260,28 +260,21 @@ DECOMP_VECTOR_BYTES = 128
 def random_rank_decomp(d: int, k: int, t: int, seed: int) -> RankDecomposition:
     """t terms of d independent uniform vectors each; seed-deterministic.
 
-    The t*d vectors come from one `Prng.words` block, ceil(k/64) words
-    each, cut to ceil(k/8) bytes, the last masked in place to k bits: the
-    values t*d `Prng.bits(k)` calls give.  Refused before the draw when the
-    terms, the block (`words_bytes`) and the cutting of one vector exceed
-    the byte budget; cutting holds one int of a vector's words, the copy
+    The t*d vectors are `Prng.draws(t * d, k)`, the values t*d
+    `Prng.bits(k)` calls give.  Refused before the draw when the terms,
+    the block (`words_bytes`) and the cutting of one vector exceed the
+    byte budget; cutting holds one int of a vector's words, the copy
     `int.from_bytes` makes.
     """
+    for name, value, least in (("d", d, 1), ("k", k, 1), ("t", t, 0)):
+        if value < least:
+            raise ValueError(f"random_rank_decomp needs {name} >= {least}")
     words = (k + 63) >> 6
     check_capacity(f"random_rank_decomp(d={d}, k={k}, t={t})",
                    4096 + t * (DECOMP_TERM_BYTES + d * (DECOMP_VECTOR_BYTES + int_bytes(k)))
                    + words_bytes(words * t * d) + int_bytes(64 * words),
                    budget_bytes(), "bytes")
-    block = Prng(seed).words(words * t * d)
-    step = 8 * words
-    cut = (k + 7) >> 3
-    if k & 7:
-        top = (1 << (k & 7)) - 1
-        for i in range(cut - 1, len(block), step):
-            block[i] &= top
-    block = memoryview(block)
-    vectors = [BitVec(k, int.from_bytes(block[i:i + cut], "little"))
-               for i in range(0, len(block), step)]
+    vectors = [BitVec(k, v) for v in Prng(seed).draws(t * d, k)]
     terms = tuple(RankOneTerm(tuple(vectors[i:i + d])) for i in range(0, t * d, d))
     return RankDecomposition(d, k, terms)
 

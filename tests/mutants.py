@@ -44,6 +44,9 @@ N = "tests/test_numerics.py::"
 T = "tests/test_tensors.py::"
 B = "tests/test_bias.py::"
 R = "tests/test_report.py::"
+P = "tests/test_prng.py::"
+L = "tests/test_f2linalg.py::"
+K = "tests/test_rank.py::"
 
 MUTANTS = [
     # harness._vanish_count: the sum-zero and moment-identity vanishing count
@@ -191,6 +194,40 @@ MUTANTS = [
            "if n < 0 or den & (den - 1):", "if den & (den - 1):",
            (R + "test_refuses_what_is_no_nonnegative_dyadic",
             B + "TestDyadicRational::test_arithmetic")),
+    # prng.Prng.draws and Prng.planes: the two stream layouts
+    Mutant("draws-mask-off-by-one", "prng.py",
+           "top = (1 << (n & 7)) - 1", "top = (2 << (n & 7)) - 1",
+           (P + "test_words_block_is_consecutive_bits_draws",
+            P + "test_seeded_streams_match_their_digest")),
+    Mutant("draws-record-stride", "prng.py",
+           "for i in range(0, len(block), step)]", "for i in range(0, len(block), cut)]",
+           (P + "test_words_block_is_consecutive_bits_draws",
+            T + "test_random_rank_decomp_is_the_per_vector_draw")),
+    Mutant("draws-count-unchecked", "prng.py",
+           "if n < 1 or count < 0:", "if n < 1:",
+           (P + "test_draws_rejects_bad_sizes",)),
+    Mutant("planes-group-stride", "prng.py",
+           "block[j::nplanes]", "block[j::nplanes + 1]",
+           (P + "test_planes_are_word_groups", P + "test_planes_in_two_draws_are_the_lanes_of_one",
+            L + "test_sampled_rank_histogram_does_not_depend_on_the_budget")),
+    Mutant("planes-unmasked", "prng.py",
+           '.tobytes(), "little") & mask', '.tobytes(), "little")',
+           (P + "test_planes_are_word_groups",)),
+    # f2linalg.sampled_rank_histogram: the chunk's byte model
+    Mutant("sampled-model-no-array-copy", "f2linalg.py",
+           "bits_per_lane = 3 * nbits", "bits_per_lane = 2 * nbits",
+           (L + "test_sampled_rank_histogram_matches_mat_rank",)),
+    # tensors.random_rank_decomp: its named size errors
+    Mutant("random-rank-decomp-negative-t", "tensors.py",
+           '("t", t, 0)', '("t", t, -1)',
+           (T + "test_random_rank_decomp_rejects_bad_sizes",)),
+    # rank.corank_bound and harness.verify_corank_margin
+    Mutant("corank-bound-no-square", "rank.py",
+           "range(1, s + 1)) ** 2", "range(1, s + 1))",
+           (K + "test_corank_bound_values_and_slack",)),
+    Mutant("corank-margin-strict", "harness.py",
+           "exact <= corank_bound(n - r)", "exact < corank_bound(n - r)",
+           (H + "test_corank_margin_asserts_the_corrected_bound",)),
 ]
 
 

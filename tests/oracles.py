@@ -167,13 +167,24 @@ def walsh_sum(table, n, u):
     return sum(1 - 2 * (((table >> x) ^ (u & x).bit_count()) & 1) for x in range(1 << n))
 
 
+def lane_matrices(planes, samples):
+    """The `samples` matrices held in entry planes, one bit at a time:
+    bit b of matrix s is bit s of plane b."""
+    return [sum(((p >> s) & 1) << b for b, p in enumerate(planes)) for s in range(samples)]
+
+
 def bias_tail_hits(d, k, threshold, samples, rng):
-    """How many of `samples` random d-tensors of side k, each rng.bits(k^d),
-    have bias_exact >= threshold - 1e-15: one DenseTensor per sample."""
+    """How many of `samples` random d-tensors of side k have bias_exact >=
+    threshold - 1e-15, one DenseTensor per sample: at d = 2 matrix s is
+    lane s of rng.planes(k^2, samples) (`lane_matrices`), and from d = 3
+    on tensor s is the s-th rng.bits(k^d)."""
+    if d == 2:
+        draws = lane_matrices(rng.planes(k * k, samples), samples)
+    else:
+        draws = [rng.bits(k ** d) for _ in range(samples)]
     hits = 0
-    for _ in range(samples):
-        t = DenseTensor(d, k, rng.bits(k ** d))
-        if bias_exact(t).to_float() >= threshold - 1e-15:
+    for bits in draws:
+        if bias_exact(DenseTensor(d, k, bits)).to_float() >= threshold - 1e-15:
             hits += 1
     return hits
 

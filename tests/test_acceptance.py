@@ -128,9 +128,9 @@ def test_criterion_08_corank_margin_documented(quick_profile):
     assert rows[1][3] == pytest.approx(1.125)
     reports, _ = quick_profile
     margin_reports = [r for r in reports if r.name == "corank-margin"]
-    assert margin_reports and all(r.holds == "report-only" for r in margin_reports)
+    assert margin_reports and all(r.holds is True for r in margin_reports)
     assert all(r.ok() for r in reports)
-    _line(8, "corank bound violation (ratio 1.125) reported; suite still green")
+    _line(8, "corank bound violation (ratio 1.125) reported; corrected bound holds")
 
 
 def test_criterion_09_code_certificates_for_trace2():

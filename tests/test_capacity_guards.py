@@ -240,13 +240,14 @@ def _code_certificate_shapes():
 
 def _random_rank_decomp_shapes():
     # many small terms, where the objects around the bits dominate, and a
-    # few long vectors, where the digits and one draw's workspace do
+    # few long vectors, where the digits and one draw's workspace do; k = 9
+    # masks the last byte of each vector's cut
     def calls(d, k, t, grow):
         for step in range(13):
             dims = {"k": k, "t": t}
             dims[grow] <<= 2 * step
             yield lambda: random_rank_decomp(d, dims["k"], dims["t"], step)
-    return [calls(1, 1, 1, "t"), calls(3, 20, 1, "t"), calls(2, 1, 3, "k")]
+    return [calls(1, 1, 1, "t"), calls(3, 20, 1, "t"), calls(2, 1, 3, "k"), calls(2, 9, 1, "t")]
 
 
 def _random_tensor_shapes():
@@ -267,10 +268,10 @@ def _span_rank_shapes():
 
 
 def _sampled_rank_shapes():
-    # enough samples for several chunks at every budget; k = 9 and 12 take
-    # two and three words a matrix
+    # one chunk at k <= 2, up to 20 at k = 12 under the least budget;
+    # k = 3, 9 and 12 draw 9, 81 and 144 planes
     def calls():
-        for k in (1, 2, 8, 9, 12):
+        for k in (1, 2, 3, 8, 9, 12):
             yield lambda: sampled_rank_histogram(Prng(k), 40_000, k, k)
     return [calls()]
 

@@ -368,7 +368,13 @@ def test_usage_errors_exit_2(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["gen", "trace", "--k", "0"], "trace_tensor needs k >= 1"),
     (["gen", "matmul", "--n", "-1"], "matmul_tensor needs n >= 1"),
-    (["verify", "bias-tail", "--d", "2", "--k", "0"], "rank_count needs n >= 1")])
+    (["verify", "bias-tail", "--d", "2", "--k", "0"], "rank_count needs n >= 1"),
+    (["gen", "random-rank", "--d", "3", "--k", "0", "--t", "2", "--seed", "1"],
+     "random_rank_decomp needs k >= 1"),
+    (["gen", "random-rank", "--d", "0", "--k", "3", "--t", "2", "--seed", "1"],
+     "random_rank_decomp needs d >= 1"),
+    (["gen", "random-rank", "--d", "2", "--k", "3", "--t", "-1", "--seed", "1"],
+     "random_rank_decomp needs t >= 0")])
 def test_sizes_below_one_exit_2(argv, message, tmp_path, capsys):
     out = ["--out", str(tmp_path / "t.f2t")] if argv[0] == "gen" else []
     assert main(argv + out) == 2

@@ -13,7 +13,7 @@ from f2lab.f2linalg import (LANE_CHUNK_BITS, BitVec, Subspace, dual_space,
                             span_rank_histogram)
 from f2lab.prng import Prng
 from f2lab.tensors import random_tensor
-from oracles import below, span_elements
+from oracles import below, lane_matrices, span_elements
 
 
 def identity(n):
@@ -359,9 +359,10 @@ def test_batched_rank_histogram_matches_mat_rank_per_lane(kind):
     (1, 1, None), (2, 1, None), (8, 1, None), (9, 1, None), (10, 1, None),
     (1, 200, None), (2, (1 << LANE_CHUNK_BITS) + 77, None), (8, 777, None),
     (9, 130, None), (10, 333, None),
-    (2, 1_000, "4096"), (8, 1_500, "65536"), (9, 300, "4096"), (10, 200, "65536")])
+    (2, 1_000, "4096"), (8, 1_500, "65536"), (9, 300, "4096"), (10, 200, "65536"),
+    (2, 3_000, "4096"), (10, 1_500, "65536")])
 def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch):
-    # against mat_rank of the matrices that `samples` bits(k^2) calls draw:
+    # against mat_rank of lane s of the twin stream's planes(k^2, samples):
     # as a histogram, and lane by lane in every chunk the kernel ranks
     if budget is not None:
         monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
@@ -375,19 +376,21 @@ def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch
     monkeypatch.setattr(f2linalg, "_batched_rank_histogram", spy)
     rng, ref = Prng(1000 * k + samples), Prng(1000 * k + samples)
     got = sampled_rank_histogram(rng, samples, k, k)
-    matrices = [ref.bits(k * k) for _ in range(samples)]
+    matrices = lane_matrices(ref.planes(k * k, samples), samples)
     ranks = [mat_rank(m, k, k) for m in matrices]
     counts = Counter(ranks)
     assert got == [counts[r] for r in range(k + 1)]
-    assert rng.u64() == ref.u64()  # the stream is left where bits() leaves it
+    assert rng.u64() == ref.u64()  # the stream is left where one draw leaves it
 
-    # the chunk the byte model gives: 2^16 lanes by default, 64 lanes
-    # under 4 KiB and 512 under 64 KiB at these k
-    limit = {None: 1 << LANE_CHUNK_BITS, "4096": 64, "65536": 512}[budget]
+    # the chunk the byte model (4 k^2 + k bits a lane) gives: 2^16 lanes by
+    # default; under 4 KiB 1,024 lanes at k = 2 and 64 at k = 9, and under
+    # 64 KiB 1,024 lanes at k = 8 and 10
+    limit = {None: 1 << LANE_CHUNK_BITS, "4096": 1024 if k == 2 else 64,
+             "65536": 1024}[budget]
     assert all(nlanes <= limit for _, nlanes, _ in chunks)
     assert sum(nlanes for _, nlanes, _ in chunks) == samples
     if samples > limit:
-        assert len(chunks) > 1
+        assert len(chunks) > 1 and chunks[0][1] == limit
     first = 0
     for planes, nlanes, hist in chunks:
         part = Counter(ranks[first:first + nlanes])
@@ -401,6 +404,23 @@ def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch
                 alone = _batched_rank_histogram(one_lane, k, k, 1)
                 assert alone.index(1) == ranks[s], s
         first += nlanes
+
+
+@pytest.mark.parametrize("k, samples", [(2, 70_001), (9, 70_001)])
+def test_sampled_rank_histogram_does_not_depend_on_the_budget(k, samples, monkeypatch):
+    # past the chunk at every budget (unset, 64 KiB, 4 KiB): 2^16, 2^14 or
+    # 2^10 lanes at k = 2, and 2^16, 2^10 or 64 at k = 9; lane s is the
+    # same matrix however the chunks are cut
+    hists = []
+    for budget in (None, "65536", "4096"):
+        if budget is None:
+            monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+        else:
+            monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
+        rng = Prng(k + samples)
+        hists.append((sampled_rank_histogram(rng, samples, k, k), rng.u64()))
+    assert hists[0] == hists[1] == hists[2]
+    assert sum(hists[0][0]) == samples
 
 
 def test_sampled_rank_histogram_arguments():

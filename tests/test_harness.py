@@ -23,7 +23,7 @@ from f2lab.harness import (EXPERIMENTS, _sum_census, _vanish_count, run_all, ver
                            verify_subspace_membership, verify_sum_zero)
 from f2lab.numerics import power_at_most
 from f2lab.prng import Prng
-from f2lab.rank import code_certificate
+from f2lab.rank import code_certificate, corank_bound_margin
 from f2lab.report import REPORT_ONLY, fmt_float
 from f2lab.tensors import RankDecomposition
 from oracles import bias_tail_hits, lifted_form, preimage_counts
@@ -254,7 +254,7 @@ class TestBiasTail:
     @pytest.mark.parametrize("budget, few", [(None, 1 << 16), ("262144", 1 << 12)])
     def test_d2_peak_does_not_grow_with_samples(self, budget, few, monkeypatch):
         # the samples are drawn and ranked one lane chunk at a time: past
-        # one full chunk (2^16 lanes by default, 2^11 under a 256 KiB
+        # one full chunk (2^16 lanes by default, 2^12 under a 256 KiB
         # budget) the peak stays where it is
         if budget is not None:
             monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
@@ -394,10 +394,22 @@ def test_preimage_counts_match_per_input_loop(k):
     assert outside > 0
 
 
-def test_corank_margin_report_only():
-    r = verify_corank_margin(2)
-    assert r.holds == REPORT_ONLY
-    assert "1.125" in dict(r.measured)["worst_ratio"]
+def test_corank_margin_asserts_the_corrected_bound(monkeypatch):
+    # it asserts 2^(-s^2) / prod_{i<=s} (1 - 2^-i)^2 exactly and prints the
+    # ratios to 2^(-(n-r)^2), which it does not assert; a bound met with
+    # equality holds, and one a hair too small at one corank fails
+    assert "1.125" in dict(verify_corank_margin(2).measured)["worst_ratio"]
+    for n in (1, 2, 3, 4, 8, 16):
+        r = verify_corank_margin(n)
+        assert r.holds is True, n
+        assert r.bound == ("corank_bound", "2^(-s^2)/prod_{i<=s}(1-2^-i)^2 at s=n-r")
+        exact = {n - rr: e for rr, e, _, _ in corank_bound_margin(n)}  # keyed by corank
+        with monkeypatch.context() as m:
+            m.setattr(harness, "corank_bound", exact.get)
+            assert verify_corank_margin(n).holds is True, n
+            m.setattr(harness, "corank_bound",
+                      lambda s: exact[s] * (Fraction(1023, 1024) if s == 0 else 1))
+            assert verify_corank_margin(n).holds is False, n
 
 
 def test_mc_bias_experiment():

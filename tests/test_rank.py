@@ -1,6 +1,7 @@
 """Rank search, the bias ladder, code certificates, rank distributions."""
 
 import json
+from fractions import Fraction
 from itertools import permutations, product
 from math import comb
 
@@ -13,8 +14,8 @@ from f2lab.bias import DyadicRational as D, bias_exact
 from f2lab.errors import CapacityError, InvariantError
 from f2lab.f2linalg import LANE_CHUNK_BITS, BitVec, mat_rank, rank_of_row_ints
 from f2lab.prng import Prng
-from f2lab.rank import (_base_terms, code_certificate, corank_bound_margin, decompositions,
-                        matmul_bias_exact, mrrw_rank_lb, rank_count,
+from f2lab.rank import (_base_terms, code_certificate, corank_bound, corank_bound_margin,
+                        decompositions, matmul_bias_exact, mrrw_rank_lb, rank_count,
                         rank_exact, rank_lb_bias)
 from f2lab.tensors import (DenseTensor, RankDecomposition, RankOneTerm, first_block_slices,
                            matmul_tensor, outer_bits, random_rank_decomp,
@@ -374,6 +375,27 @@ def test_corank_margin_documents_violation():
     assert ratio == pytest.approx(1.125)
     assert rows[2][3] <= 1.0
     assert corank_bound_margin(1)[0][1] == D.half_pow(1)
+
+
+def test_corank_bound_values_and_slack():
+    # 2^(-s^2) / prod_{i<=s} (1 - 2^-i)^2 by hand; Pr[corank = s] divided
+    # by it is prod_{i<=n} (1 - 2^-i)^2 / prod_{i<=n-s} (1 - 2^-i), at most
+    # 1/2, which n = 1, s = 0 reaches
+    assert [corank_bound(s) for s in range(4)] == [1, 2, Fraction(4, 9), Fraction(8, 441)]
+
+    def keep(m):  # prod_{i<=m} (1 - 2^-i)
+        out = Fraction(1)
+        for i in range(1, m + 1):
+            out *= 1 - Fraction(1, 1 << i)
+        return out
+
+    worst = 0
+    for n in range(1, 17):
+        for r, exact, _, _ in corank_bound_margin(n):
+            ratio = exact / corank_bound(n - r)
+            assert ratio == keep(n) ** 2 / keep(r), (n, r)
+            worst = max(worst, ratio)
+    assert worst == Fraction(1, 2)
 
 
 def test_matmul_bias_values():

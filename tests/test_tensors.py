@@ -166,6 +166,15 @@ def test_builders_reject_sizes_below_one(build, size):
         build(size)
 
 
+@pytest.mark.parametrize("d, k, t, message", [
+    (3, 0, 2, "k >= 1"), (0, 3, 2, "d >= 1"), (2, 3, -1, "t >= 0"), (-1, -1, -1, "d >= 1")])
+def test_random_rank_decomp_rejects_bad_sizes(d, k, t, message):
+    # named before the capacity check or any draw, not a range() or count error
+    with pytest.raises(ValueError) as ei:
+        random_rank_decomp(d, k, t, 1)
+    assert str(ei.value) == f"random_rank_decomp needs {message}"
+
+
 @pytest.mark.parametrize("build", [lambda: random_tensor(10000, 3, 0),
                                    lambda: explicit_form_tensor(10000, 3),
                                    lambda: random_tensor(10**7, 3, 0)])
