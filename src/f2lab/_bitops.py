@@ -218,12 +218,3 @@ def walsh_spectrum(table: int, n: int) -> tuple[int, array]:
         raise InvariantError("Walsh spectrum fields carried or borrowed")
     return x, spectrum
 
-
-def gray_flips(nbits: int):
-    """Yield the bit flipped at each step of a full Gray-code walk.
-
-    The walk starts at 0 (not yielded) and visits all 2^nbits values;
-    2^nbits - 1 flips are produced.
-    """
-    for step in range(1, 1 << nbits):
-        yield ctz(step)

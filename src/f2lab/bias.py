@@ -37,8 +37,8 @@ from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
                       linear_form_table, ones, repeat, subset_xor_table, var_mask,
                       walsh_spectrum)
 from .errors import check_capacity
-from .f2linalg import (LANE_CHUNK_BITS, mat_rank, span_rank_histogram,
-                       _batched_rank_histogram)
+from .f2linalg import (LANE_CHUNK_BITS, _add, _batched_rank_histogram, mat_rank,
+                       span_rank_histogram)
 from .prng import Prng
 from .report import fmt_dyadic
 from .tensors import DenseTensor, Polynomial, first_block_slices
@@ -179,11 +179,6 @@ def _tail_matrix_planes(t: DenseTensor, c: int) -> tuple[list[list[int]],
     return base, deltas
 
 
-def _add(counts: list[int], part: Sequence[int]) -> None:
-    for r, n in enumerate(part):
-        counts[r] += n
-
-
 def _prefix_rank_histogram(t: DenseTensor) -> list[int]:
     """hist[r] = number of prefixes x_1..x_{d-2} whose residual k x k
     matrix M[i][j] = T(x_1, ..., x_{d-2}, e_i, e_j) has rank r, for d >= 3.
@@ -192,9 +187,9 @@ def _prefix_rank_histogram(t: DenseTensor) -> list[int]:
     From d = 4 on, the lanes of a chunk hold the low bits of x_1 and all
     of x_2..x_{d-2} (`_tail_matrix_planes`), and a Gray walk over the high
     bits of x_1 XORs one delta plane set into the planes per chunk: the
-    plane-valued form of `_lane_chunks`' walk.  When the inner blocks do
-    not fit one chunk, a Gray walk over the first-block slices contracts
-    x_1 instead, one (d-1)-tensor per value.
+    plane-valued form of `_span_walk`, in one process.  When the inner
+    blocks do not fit one chunk, a Gray walk over the first-block slices
+    contracts x_1 instead, one (d-1)-tensor per value.
     """
     k, d = t.k, t.d
     if d == 3:

@@ -14,19 +14,24 @@ Also hosts the batched rank kernel: given generator matrices
 G_1..G_m, it computes the histogram of rank(sum c_j G_j) over all 2^m
 coefficient vectors simultaneously, bit-sliced across a lane per
 coefficient vector.  This is the inner engine of the exact bias
-computation and of the kernel/dual-code certificates.  The same kernel
-ranks blocks of random matrices, one lane per sample, whose entry planes
-are drawn as they stand by `Prng.planes` (`sampled_rank_histogram`).
+computation and of the kernel/dual-code certificates.  Its walk over
+the span's lane chunks (`_span_walk`, which `min_weight` shares) uses up
+to one forked process per usable CPU, and the byte budget covers them
+all together.  The same kernel ranks blocks of random matrices, one lane
+per sample, whose entry planes are drawn as they stand by `Prng.planes`
+(`sampled_rank_histogram`), in one process, in stream order.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ._bitops import budget_bytes, gray_flips, ones
+from ._bitops import budget_bytes, ctz, int_bytes, ones
 from .errors import InvariantError, check_capacity
-from .prng import Prng
+from .prng import Prng, words_bytes
 
 MIN_WEIGHT_DIM_LIMIT = 28  # exhaustive codeword count guard
 
@@ -184,7 +189,8 @@ def min_weight(s: Subspace) -> int:
     The zero space returns the sentinel ambient_dim + 1: certificate
     paths treat "no nonzero codeword" as vacuously heavy.  Counts the
     weight of all 2^dim codewords bit-sliced, one lane per codeword, in
-    the lane chunks of the rank kernel; the basis is independent, so only
+    the lane chunks of the rank kernel's walk (`_span_walk`), split over
+    up to one process per usable CPU; the basis is independent, so only
     the zero codeword has weight 0.
     """
     if s.dim == 0:
@@ -192,13 +198,14 @@ def min_weight(s: Subspace) -> int:
     check_capacity(f"min_weight(dim={s.dim})", 1 << s.dim, 1 << MIN_WEIGHT_DIM_LIMIT,
                    "codewords")
     n = s.ambient_dim
-    counts = [0] * (n + 1)
-    for planes, nlanes in _lane_chunks(s.basis, 1, n):
+
+    def weights(planes, nlanes):
         counter = _LaneCounter(nlanes, n)
         for coordinate in planes[0]:
             counter.add(coordinate)
-        for w, c in enumerate(counter.histogram()):
-            counts[w] += c
+        return counter.histogram()
+
+    counts = _span_walk(s.basis, 1, n, n + 1, weights)
     return next(w for w in range(1, n + 1) if counts[w])
 
 
@@ -327,52 +334,183 @@ def _doubling_planes(gens: Sequence[int], nrows: int, ncols: int) -> list[list[i
     return planes
 
 
-def _lane_chunks(gens: Sequence[int], nrows: int, ncols: int):
-    """Yield (planes, nlanes) chunks that together cover every one of the
-    2^m coefficient vectors of the packed generators exactly once.
+def _add(counts: list[int], part: Sequence[int]) -> None:
+    for r, n in enumerate(part):
+        counts[r] += n
 
-    The low generators are doubled into planes once.  Each later chunk
-    XORs one high generator into `base` (Gray order) and flips the shared
-    planes wherever `base` has a bit set.  The byte budget can only make
-    a chunk smaller than 2^LANE_CHUNK_BITS lanes.  It covers every plane a
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the host does not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity off Linux
+        return 1
+
+
+_in_walk_worker = False  # set in a forked walk worker, which never splits again
+
+
+def _walk_workers(nsteps: int) -> int:
+    """Processes a walk of `nsteps` lane chunks is split over: one per
+    usable CPU, each with at least two chunks (a fork round trip costs a few
+    milliseconds).  One inside a walk worker, and one beside other threads,
+    since a forked child holds only the forking thread and any lock another
+    thread held stays locked in it."""
+    if _in_walk_worker or threading.active_count() > 1:
+        return 1
+    return max(1, min(_usable_cpus(), nsteps // 2))
+
+
+def _read_histogram(data: bytes, nbins: int) -> list[int] | None:
+    """The histogram a walk worker wrote, or None when it is malformed."""
+    fields = data.split()
+    if len(fields) != nbins or not all(f.isdigit() for f in fields):
+        return None
+    return [int(f) for f in fields]
+
+
+def _walk_child(chunk_histograms, lo: int, hi: int, nbins: int, fd: int, parent: int) -> None:
+    """Body of a forked walk worker: sum the histograms of steps [lo, hi),
+    write them to `fd` and leave by os._exit, so no atexit hook runs and no
+    copy of the parent's buffered output is flushed.  It stops early once
+    its parent is gone."""
+    global _in_walk_worker
+    status = 1
+    try:
+        _in_walk_worker = True
+        counts = [0] * nbins
+        for part in chunk_histograms(lo, hi):
+            _add(counts, part)
+            if os.getppid() != parent:
+                return
+        with os.fdopen(fd, "wb") as out:
+            out.write(" ".join(map(str, counts)).encode())
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _split_walk(chunk_histograms, nsteps: int, workers: int, nbins: int) -> list[int]:
+    """Sum of the histograms `chunk_histograms(lo, hi)` yields for the
+    steps of [0, nsteps), split into `workers` contiguous ranges.
+
+    The parent forks a worker for each range but the first, walks the
+    first itself, and then reads every worker's histogram from its pipe to
+    EOF and reaps it, also when its own walk raised (its workers are
+    killed then).  A worker that exits nonzero or writes a malformed
+    histogram is an InvariantError naming its step range."""
+    bounds = [nsteps * i // workers for i in range(workers + 1)]
+    parent = os.getpid()
+    children = []
+    counts = [0] * nbins
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _walk_child(chunk_histograms, lo, hi, nbins, w, parent)
+            os.close(w)
+            children.append((pid, r, lo, hi))
+        for part in chunk_histograms(0, bounds[1]):
+            _add(counts, part)
+    except BaseException:
+        import signal  # here only: importing it costs a CLI run about a millisecond
+
+        for pid, *_ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        results = []
+        for pid, r, lo, hi in children:
+            with os.fdopen(r, "rb") as pipe:
+                data = pipe.read()
+            results.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data, lo, hi))
+    for code, data, lo, hi in results:
+        part = _read_histogram(data, nbins)
+        if code or part is None:
+            raise InvariantError(f"walk worker for steps [{lo}, {hi}) exited with status "
+                                 f"{code} and wrote {len(data)} bytes")
+        _add(counts, part)
+    return counts
+
+
+def _span_walk(gens: Sequence[int], nrows: int, ncols: int, nbins: int,
+               chunk_histogram) -> list[int]:
+    """Sum of chunk_histogram(planes, nlanes) over lane chunks that together
+    cover every one of the 2^m coefficient vectors of the packed generators
+    exactly once; the sum must count 2^m lanes.
+
+    The low generators are doubled into planes once.  Chunk s, for
+    0 <= s < 2^h, is those planes flipped wherever `base` has a bit set,
+    `base` the XOR of the h high generators over the set bits of
+    gray(s) = s ^ (s >> 1).  A range of steps [lo, hi) builds its first
+    base from gray(lo) and then XORs one high generator per step.  The
+    steps are split over up to one forked process per usable CPU
+    (`_walk_workers`), which share the planes copy-on-write.
+
+    The byte budget can only make a chunk smaller than 2^LANE_CHUNK_BITS
+    lanes, and each process gets its share of it.  It covers every plane a
     chunk holds at once: the shared and the flipped entry planes, and the
     ncols^2 slot rows and ncols-entry row of `_batched_rank_histogram`.
-    It serves exact bias at d = 3 and `min_weight`.  `bias_exact` at
-    d >= 4 runs the same walk with plane-valued steps, since there a step
-    of x_1 changes each residual matrix by a matrix that varies by lane.
+    `bias_exact` at d >= 4 runs the same walk with plane-valued steps,
+    serially, since there a step of x_1 changes each residual matrix by a
+    matrix that varies by lane.
     """
-    planes_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
-    lane_budget_bits = max(64, (budget_bytes() * 8) // planes_per_lane)
-    chunk_m = min(len(gens), max(1, lane_budget_bits.bit_length() - 1),
-                  LANE_CHUNK_BITS)
-    low, high = gens[:chunk_m], gens[chunk_m:]
+    bits_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
+
+    def chunk_bits(budget: int) -> int:
+        lane_budget_bits = max(64, (budget * 8) // bits_per_lane)
+        return min(len(gens), max(1, lane_budget_bits.bit_length() - 1), LANE_CHUNK_BITS)
+
+    budget = budget_bytes()
+    workers = _walk_workers(1 << (len(gens) - chunk_bits(budget)))
+    chunk_m = chunk_bits(budget // workers)
+    high = gens[chunk_m:]
     nlanes = 1 << chunk_m
-    planes = _doubling_planes(low, nrows, ncols)
-    yield planes, nlanes
     lane_ones = ones(nlanes)
-    base = 0
-    for flip in gray_flips(len(high)):
-        base ^= high[flip]
-        yield [[p ^ lane_ones if (base >> (i * ncols + j)) & 1 else p
-                for j, p in enumerate(pi)] for i, pi in enumerate(planes)], nlanes
+    planes = _doubling_planes(gens[:chunk_m], nrows, ncols)
+
+    def chunk_histograms(lo: int, hi: int):
+        gray = lo ^ (lo >> 1)
+        base = 0
+        for j, g in enumerate(high):
+            if (gray >> j) & 1:
+                base ^= g
+        for step in range(lo, hi):
+            if step > lo:
+                base ^= high[ctz(step)]
+            yield chunk_histogram(
+                [[p ^ lane_ones if (base >> (i * ncols + j)) & 1 else p for j, p in enumerate(pi)]
+                 for i, pi in enumerate(planes)] if base else planes, nlanes)
+
+    counts = _split_walk(chunk_histograms, 1 << len(high), workers, nbins)
+    if sum(counts) != 1 << len(gens):
+        raise InvariantError(f"span walk counted {sum(counts)} of 2^{len(gens)} lanes")
+    return counts
 
 
 def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int]:
     """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r} for the packed
     nrows x ncols generators G_j (row i at bits [i ncols, (i+1) ncols)).
 
-    Exhausts all 2^m coefficient vectors in lane chunks (`_lane_chunks`).
+    Exhausts all 2^m coefficient vectors in lane chunks (`_span_walk`),
+    split over up to one process per usable CPU; the byte budget covers
+    them all together.
     """
     if not gens:
         raise ValueError("need at least one generator")
     if any(g < 0 or g >> (nrows * ncols) for g in gens):
         raise ValueError(f"generator outside the {nrows} x {ncols} matrices")
-    counts = [0] * (min(nrows, ncols) + 1)
-    for planes, nlanes in _lane_chunks(gens, nrows, ncols):
-        part = _batched_rank_histogram(planes, nrows, ncols, nlanes)
-        for r, c in enumerate(part):
-            counts[r] += c
-    return counts
+
+    def ranks(planes, nlanes):
+        return _batched_rank_histogram(planes, nrows, ncols, nlanes)
+
+    return _span_walk(gens, nrows, ncols, min(nrows, ncols) + 1, ranks)
 
 
 def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> list[int]:
@@ -385,23 +523,35 @@ def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> l
     multiple of 64 lanes, so lane s gets the same matrix however the
     chunks are cut, and the stream ends where one draw would leave it.
     Chunks have at most 2^LANE_CHUNK_BITS lanes, and the byte budget can
-    only make them smaller.  It covers the word block, its array copy,
-    the entry planes and the kernel's slot rows and row.
+    only make them smaller, down to 64 lanes; where those do not fit it
+    refuses before drawing.  It covers the word block and what mixing it
+    holds (`words_bytes`), the block's array copy, and nlanes-bit ints at
+    32 bytes of object and list slot each beside their digits: the entry
+    planes, the kernel's slot rows and row, and 16 for its masks, counter
+    planes and temporaries.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
     nbits = nrows * ncols
     if nbits < 1:
         raise ValueError("need nrows, ncols >= 1")
-    bits_per_lane = 3 * nbits + ncols * ncols + ncols
-    lane_budget_bits = max(64, (budget_bytes() * 8) // bits_per_lane)
-    chunk = 1 << min(LANE_CHUNK_BITS, lane_budget_bits.bit_length() - 1)
+    lane_ints = nbits + ncols * ncols + ncols + 16
+
+    def chunk_bytes(nlanes: int) -> int:
+        nwords = nbits * (nlanes >> 6)
+        return words_bytes(nwords) + 8 * nwords + lane_ints * (int_bytes(nlanes) + 32)
+
+    budget = budget_bytes()
+    chunk = 1 << LANE_CHUNK_BITS
+    while chunk > 64 and chunk_bytes(chunk) > budget:
+        chunk >>= 1
+    check_capacity(f"sampled_rank_histogram(nrows={nrows}, ncols={ncols})",
+                   chunk_bytes(chunk), budget, "bytes")
     counts = [0] * (min(nrows, ncols) + 1)
     for start in range(0, samples, chunk):
         nlanes = min(chunk, samples - start)
         planes = rng.planes(nbits, nlanes)
         rows = [planes[i * ncols:(i + 1) * ncols] for i in range(nrows)]
-        for r, c in enumerate(_batched_rank_histogram(rows, nrows, ncols, nlanes)):
-            counts[r] += c
+        _add(counts, _batched_rank_histogram(rows, nrows, ncols, nlanes))
         del planes, rows  # not held while the next chunk is drawn
     return counts

@@ -111,7 +111,10 @@ class Prng:
 
     def words(self, n: int) -> bytearray:
         """Little-endian bytes of the next n words of the stream, the words
-        n `u64` calls would give."""
+        n `u64` calls would give.  A negative n is refused before the
+        counter moves."""
+        if n < 0:
+            raise ValueError(f"words needs n >= 0, got n={n}")
         first = self._base + (self._i + 1) * _GOLDEN
         self._i += n
         return _mix_words(first, n)
@@ -147,6 +150,9 @@ class Prng:
         plane j: draws of 64a and then b lanes give the lanes one draw of
         64a + b gives, and leave the stream where it does.  `array` moves
         whole words and never reads them, so host byte order does not matter."""
+        if nplanes < 0 or nlanes < 0:
+            raise ValueError("planes needs nplanes >= 0 and nlanes >= 0, "
+                             f"got nplanes={nplanes}, nlanes={nlanes}")
         block = array("Q", self.words(nplanes * ((nlanes + 63) >> 6)))
         mask = (1 << nlanes) - 1
         return [int.from_bytes(block[j::nplanes].tobytes(), "little") & mask

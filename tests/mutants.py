@@ -47,6 +47,7 @@ R = "tests/test_report.py::"
 P = "tests/test_prng.py::"
 L = "tests/test_f2linalg.py::"
 K = "tests/test_rank.py::"
+G = "tests/test_capacity_guards.py::"
 
 MUTANTS = [
     # harness._vanish_count: the sum-zero and moment-identity vanishing count
@@ -215,8 +216,42 @@ MUTANTS = [
            (P + "test_planes_are_word_groups",)),
     # f2linalg.sampled_rank_histogram: the chunk's byte model
     Mutant("sampled-model-no-array-copy", "f2linalg.py",
-           "bits_per_lane = 3 * nbits", "bits_per_lane = 2 * nbits",
-           (L + "test_sampled_rank_histogram_matches_mat_rank",)),
+           "words_bytes(nwords) + 8 * nwords + lane_ints", "words_bytes(nwords) + lane_ints",
+           (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",)),
+    Mutant("sampled-model-no-mixing", "f2linalg.py",
+           "return words_bytes(nwords) + 8 * nwords", "return 16 * nwords",
+           (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",
+            G + "test_sampled_rank_peak_within_4_kib")),
+    Mutant("sampled-model-no-kernel-ints", "f2linalg.py",
+           "ncols * ncols + ncols + 16", "ncols * ncols + ncols",
+           (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",)),
+    # prng.Prng.words and Prng.planes: sizes checked before the counter moves
+    Mutant("words-negative-unchecked", "prng.py",
+           "        if n < 0:\n            raise ValueError(f\"words needs",
+           "        if False:\n            raise ValueError(f\"words needs",
+           (P + "test_refused_sizes_leave_the_stream_where_it_was",)),
+    Mutant("planes-lanes-unchecked", "prng.py",
+           "if nplanes < 0 or nlanes < 0:", "if nplanes < 0:",
+           (P + "test_refused_sizes_leave_the_stream_where_it_was",)),
+    # f2linalg._span_walk and _split_walk: the d = 3 walk over worker processes
+    Mutant("walk-range-off-by-one", "f2linalg.py",
+           "chunk_histograms(0, bounds[1])", "chunk_histograms(0, bounds[1] + 1)",
+           (L + "test_split_walk_matches_one_process",)),
+    Mutant("walk-base-from-lo", "f2linalg.py",
+           "gray = lo ^ (lo >> 1)", "gray = lo",
+           (L + "test_split_walk_matches_one_process",)),
+    Mutant("walk-drops-last-worker", "f2linalg.py",
+           "for code, data, lo, hi in results:", "for code, data, lo, hi in results[:-1]:",
+           (L + "test_split_walk_matches_one_process", L + "test_split_walk_divides_the_budget")),
+    Mutant("walk-budget-undivided", "f2linalg.py",
+           "chunk_m = chunk_bits(budget // workers)", "chunk_m = chunk_bits(budget)",
+           (L + "test_split_walk_divides_the_budget",)),
+    Mutant("walk-one-chunk-a-worker", "f2linalg.py",
+           "min(_usable_cpus(), nsteps // 2)", "min(_usable_cpus(), nsteps)",
+           (L + "test_walk_workers",)),
+    Mutant("walk-worker-splits-again", "f2linalg.py",
+           "if _in_walk_worker or threading", "if threading",
+           (L + "test_walk_workers",)),
     # tensors.random_rank_decomp: its named size errors
     Mutant("random-rank-decomp-negative-t", "tensors.py",
            '("t", t, 0)', '("t", t, -1)',

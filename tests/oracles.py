@@ -9,7 +9,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
-from f2lab._bitops import form_table, gray_flips, ones, var_mask
+from f2lab._bitops import ctz, form_table, ones, var_mask
 from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, BiasEstimate, _hoeffding_halfwidth,
                         _sliced_form, bias_exact)
 from f2lab.f2linalg import BitVec, rank_of_row_ints
@@ -17,6 +17,16 @@ from f2lab.gf2k import make_field
 from f2lab.numerics import MaxProblemPoint
 from f2lab.prng import Prng
 from f2lab.tensors import DenseTensor, Polynomial, RankDecomposition, RankOneTerm
+
+
+def gray_flips(nbits):
+    """Yield the bit flipped at each step of a full Gray-code walk.
+
+    The walk starts at 0 (not yielded) and visits all 2^nbits values;
+    2^nbits - 1 flips are produced.
+    """
+    for step in range(1, 1 << nbits):
+        yield ctz(step)
 
 
 def below(rng, n):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import f2lab
+from f2lab import f2linalg
 from f2lab._bitops import int_bytes
 from f2lab.bias import bias_bruteforce, bias_exact, corr_class_max, corr_exact
 from f2lab.errors import CapacityError, check_capacity
@@ -141,6 +142,9 @@ GUARDS = {
                    "rank_count(n=17)", "17", "16", "matrix rows"),
     "min_weight": (None, lambda: min_weight(echelonize([1 << j for j in range(30)], 40)),
                    "min_weight(dim=30)", "2^30", "2^28", "codewords"),
+    "sampled_rank_histogram": (4096, lambda: sampled_rank_histogram(Prng(9), 5_000, 9, 9),
+                               "sampled_rank_histogram(nrows=9, ncols=9)", "20916", "2^12",
+                               "bytes"),
 }
 
 
@@ -337,3 +341,30 @@ def test_prng_draws_peak_within_their_models(nwords):
     n = 64 * nwords - 5
     peak, _ = _traced_call(lambda: rng.bits(n))
     assert peak <= int_bytes(n) + draw_bytes(n), (peak, int_bytes(n) + draw_bytes(n))
+
+
+@pytest.mark.parametrize("budget", [1 << 18, 1 << 20, 1 << 22])
+def test_split_span_walk_peaks_within_each_process_share(budget, monkeypatch):
+    # two walk processes on any host: each cuts its chunks from half the
+    # budget, so this one peaks within that half
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    for family in _span_rank_shapes():
+        for call in family:
+            peak, refused = _traced_call(call)
+            assert refused is None
+            assert peak <= budget // 2, (peak, budget)
+
+
+@pytest.mark.parametrize("k", [2, 9, 16])
+def test_sampled_rank_peak_within_4_kib(k, monkeypatch):
+    # 5,000 samples under 4 KiB: k = 2 runs in 128-lane chunks; 64 lanes of
+    # 81 or 256 planes do not fit, and are refused before any draw
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
+    peak, refused = _traced_call(lambda: sampled_rank_histogram(Prng(k), 5_000, k, k))
+    if refused is None:
+        assert peak <= 4096, peak
+    else:
+        assert refused.required > refused.budget == 4096
+        assert peak <= REFUSAL_BYTES, peak
+    assert (refused is None) == (k == 2)

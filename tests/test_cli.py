@@ -4,6 +4,7 @@ import argparse
 import inspect
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -385,3 +386,22 @@ def test_main_callable_directly(capsys):
     assert main(["mrrw", "--tol", "1e-6"]) == 0
     out = capsys.readouterr().out
     assert "one_over_rho" in out
+
+
+def test_split_walk_prints_each_line_once():
+    # bias-trace k = 18 ranks 4 lane chunks, split over the usable CPUs (two,
+    # patched in the second run, after a line waiting in the stdout buffer);
+    # the walk workers leave by os._exit and flush no copy of that buffer
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    argv = ["verify", "bias-trace", "--k", "18"]
+    proc = subprocess.run([sys.executable, "-m", "f2lab", *argv], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout
+    assert out.startswith("PASS bias-trace  k=18 ") and out.count("\n") == 1
+    script = ("import sys; from f2lab import f2linalg; from f2lab.cli import main; "
+              f"f2linalg._usable_cpus = lambda: 2; print('before'); sys.exit(main({argv}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "before\n" + out

@@ -1,12 +1,14 @@
 """f2linalg: rank, echelon bases, kernels, duals, weights, batching."""
 
+import os
+import threading
 from collections import Counter
 
 import pytest
 
 from f2lab import f2linalg
 from f2lab._bitops import ones, parity
-from f2lab.errors import CapacityError
+from f2lab.errors import CapacityError, InvariantError
 from f2lab.f2linalg import (LANE_CHUNK_BITS, BitVec, Subspace, dual_space,
                             _batched_rank_histogram, echelonize, kernel, mat_rank,
                             min_weight, rank_of_row_ints, sampled_rank_histogram,
@@ -304,6 +306,124 @@ def test_span_rank_histogram_high_chunks(n, extra):
     assert span_rank_histogram(gens, n, n) == brute_span_hist(gens, n, n)
 
 
+def parent_lanes(monkeypatch):
+    """The lane counts of the kernel calls made in this process (a forked
+    walk worker appends to its own copy)."""
+    lanes = []
+    real = f2linalg._batched_rank_histogram
+
+    def counted(planes, nrows, ncols, nlanes):
+        lanes.append(nlanes)
+        return real(planes, nrows, ncols, nlanes)
+
+    monkeypatch.setattr(f2linalg, "_batched_rank_histogram", counted)
+    return lanes
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: n)
+
+
+# (nrows, ncols, generators): 8 or 16 lane chunks at the budget, so the
+# walk splits over three workers too, which never divide a power of two
+SPLIT_SPANS = {"4096": [(3, 3, 13), (4, 5, 12), (2, 6, 11)],
+               "65536": [(3, 3, 17), (4, 5, 15), (2, 6, 16)]}
+
+
+@pytest.mark.parametrize("budget", list(SPLIT_SPANS))
+def test_split_walk_matches_one_process(budget, monkeypatch):
+    # the CPU count is patched, so the walk splits on any Linux host; the
+    # parent ranks only the first of the ranges
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
+    rng = Prng(int(budget))
+    lanes = parent_lanes(monkeypatch)
+    for nr, nc, m in SPLIT_SPANS[budget]:
+        gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(m)]
+        hists = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            lanes.clear()
+            hists.append(span_rank_histogram(gens, nr, nc))
+            assert (sum(lanes) == 1 << m) == (cpus == 1), (nr, nc, cpus)
+        assert hists[0] == hists[1] == hists[2], (nr, nc)
+        assert sum(hists[0]) == 1 << m
+    codes = [echelonize([rng.bits(20) for _ in range(dim)], 20) for dim in (11, 12, 13, 14)]
+    for s in codes:
+        weights = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            weights.append(min_weight(s))
+        assert weights == [gray_walk_min_weight(s)] * 3, s.dim
+
+
+def test_split_walk_divides_the_budget(monkeypatch):
+    # 4 x 4 slices take 52 bits a lane: 64 KiB gives one process 2^13-lane
+    # chunks and each of two 2^12; the parent walks 8 chunks either way
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "65536")
+    rng = Prng(52)
+    gens = [pack(random_matrix(4, 4, rng), 4) for _ in range(16)]
+    lanes = parent_lanes(monkeypatch)
+    hists = []
+    for cpus, chunk in ((1, 1 << 13), (2, 1 << 12)):
+        use_cpus(monkeypatch, cpus)
+        lanes.clear()
+        hists.append(span_rank_histogram(gens, 4, 4))
+        assert lanes == [chunk] * 8, cpus
+    assert hists[0] == hists[1]
+
+
+def test_walk_workers(monkeypatch):
+    # one per usable CPU with two chunks each; one where the host does not
+    # say, inside a walk worker and beside another thread
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert f2linalg._usable_cpus() == 1
+    use_cpus(monkeypatch, 3)
+    assert [f2linalg._walk_workers(n) for n in (1, 2, 3, 4, 5, 6, 64)] == [1, 1, 1, 2, 2, 3, 3]
+    monkeypatch.setattr(f2linalg, "_in_walk_worker", True)
+    assert f2linalg._walk_workers(64) == 1
+    monkeypatch.setattr(f2linalg, "_in_walk_worker", False)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(10,))
+    other.start()
+    try:
+        assert f2linalg._walk_workers(64) == 1
+    finally:
+        done.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
+@pytest.mark.parametrize("data", [b"", b"1 2", b"1 2 3 4", b"1 -2 3", b"1 x 3", b"1 2.0 3"])
+def test_malformed_worker_histogram_is_refused(data):
+    assert f2linalg._read_histogram(data, 3) is None
+    assert f2linalg._read_histogram(b"1 20 3\n", 3) == [1, 20, 3]
+
+
+@pytest.mark.parametrize("where", ["worker", "parent"])
+def test_a_failed_walk_leaves_no_child(where, monkeypatch):
+    # a worker that raises exits nonzero, an InvariantError naming its
+    # steps; a parent that raises kills its workers; both reap them all
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
+    use_cpus(monkeypatch, 3)
+    parent = os.getpid()
+    real = f2linalg._batched_rank_histogram
+
+    def fails(planes, nrows, ncols, nlanes):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise KeyError(where)
+        return real(planes, nrows, ncols, nlanes)
+
+    monkeypatch.setattr(f2linalg, "_batched_rank_histogram", fails)
+    rng = Prng(53)
+    gens = [pack(random_matrix(4, 4, rng), 4) for _ in range(12)]
+    error, match = ((InvariantError, r"walk worker for steps \[\d+, \d+\) exited with status 1 ")
+                    if where == "worker" else (KeyError, "parent"))
+    with pytest.raises(error, match=match):
+        span_rank_histogram(gens, 4, 4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def lane_matrix(kind, nrows, ncols, rng):
     """One lane's matrix as row ints: random, all-zero, all-ones, or
     random with rows copied from earlier ones (the last row always a
@@ -375,6 +495,13 @@ def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch
 
     monkeypatch.setattr(f2linalg, "_batched_rank_histogram", spy)
     rng, ref = Prng(1000 * k + samples), Prng(1000 * k + samples)
+    if (k, budget) == (9, "4096"):
+        # 64 lanes of 81 planes do not fit 4 KiB: refused before any draw
+        with pytest.raises(CapacityError) as refused:
+            sampled_rank_histogram(rng, samples, k, k)
+        assert refused.value.required > refused.value.budget == 4096
+        assert rng.u64() == ref.u64() and not chunks
+        return
     got = sampled_rank_histogram(rng, samples, k, k)
     matrices = lane_matrices(ref.planes(k * k, samples), samples)
     ranks = [mat_rank(m, k, k) for m in matrices]
@@ -382,11 +509,11 @@ def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch
     assert got == [counts[r] for r in range(k + 1)]
     assert rng.u64() == ref.u64()  # the stream is left where one draw leaves it
 
-    # the chunk the byte model (4 k^2 + k bits a lane) gives: 2^16 lanes by
-    # default; under 4 KiB 1,024 lanes at k = 2 and 64 at k = 9, and under
-    # 64 KiB 1,024 lanes at k = 8 and 10
-    limit = {None: 1 << LANE_CHUNK_BITS, "4096": 1024 if k == 2 else 64,
-             "65536": 1024}[budget]
+    # the chunk the byte model (the mixed word block, its copy, and k^2 + k
+    # + 16 lane ints beside the planes) gives: 2^16 lanes by default; under
+    # 4 KiB 128 lanes at k = 2, and under 64 KiB 256 at k = 8 and 128 at 10
+    limit = {None: 1 << LANE_CHUNK_BITS, "4096": 128,
+             "65536": 256 if k == 8 else 128}[budget]
     assert all(nlanes <= limit for _, nlanes, _ in chunks)
     assert sum(nlanes for _, nlanes, _ in chunks) == samples
     if samples > limit:
@@ -406,13 +533,26 @@ def test_sampled_rank_histogram_matches_mat_rank(k, samples, budget, monkeypatch
         first += nlanes
 
 
+@pytest.mark.parametrize("k, budget, chunk", [(2, "4096", 128), (3, "4096", 64),
+                                              (16, "1048576", 4096), (12, "262144", 1024)])
+def test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits(k, budget, chunk,
+                                                                        monkeypatch):
+    # each part of the model moves one of these chunks: without the mixing
+    # workspace k = 2 takes 512 lanes, without the 16 kernel ints 256, and
+    # without the word block's copy k = 16 takes 8,192
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", budget)
+    lanes = parent_lanes(monkeypatch)
+    assert sum(sampled_rank_histogram(Prng(k), chunk + 1, k, k)) == chunk + 1
+    assert lanes == [chunk, 1]
+
+
 @pytest.mark.parametrize("k, samples", [(2, 70_001), (9, 70_001)])
 def test_sampled_rank_histogram_does_not_depend_on_the_budget(k, samples, monkeypatch):
-    # past the chunk at every budget (unset, 64 KiB, 4 KiB): 2^16, 2^14 or
-    # 2^10 lanes at k = 2, and 2^16, 2^10 or 64 at k = 9; lane s is the
+    # past the chunk at every budget (unset, 64 KiB, 32 KiB): 2^16, 2^12 or
+    # 2^11 lanes at k = 2, and 2^16, 2^8 or 64 at k = 9; lane s is the
     # same matrix however the chunks are cut
     hists = []
-    for budget in (None, "65536", "4096"):
+    for budget in (None, "65536", "32768"):
         if budget is None:
             monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
         else:

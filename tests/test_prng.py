@@ -86,6 +86,20 @@ def test_draws_rejects_bad_sizes(count, n):
     assert p.u64() == q.u64()  # nothing drawn
 
 
+@pytest.mark.parametrize("method, args, message", [
+    ("words", (-2,), "words needs n >= 0, got n=-2"),
+    ("planes", (3, -200), "planes needs nplanes >= 0 and nlanes >= 0, got nplanes=3, nlanes=-200"),
+    ("planes", (-1, 64), "planes needs nplanes >= 0 and nlanes >= 0, got nplanes=-1, nlanes=64")])
+def test_refused_sizes_leave_the_stream_where_it_was(method, args, message):
+    p, q = Prng(5), Prng(5)
+    p.u64(), q.u64()  # off the start of the stream
+    with pytest.raises(ValueError, match=message):
+        getattr(p, method)(*args)
+    assert p.u64() == q.u64()
+    assert p.words(0) == bytearray() and p.planes(0, 64) == [] and p.planes(3, 0) == [0, 0, 0]
+    assert p.u64() == q.u64()  # empty draws take nothing
+
+
 @pytest.mark.parametrize("nplanes, nlanes", [(1, 1), (4, 63), (4, 64), (9, 65), (81, 200),
                                              (3, 64 * 1024 + 5)])
 def test_planes_are_word_groups(nplanes, nlanes):
