@@ -19,8 +19,7 @@ from .errors import CapacityError, FormatError, InvariantError
 from .f2linalg import (BitVec, Subspace, dual_space, echelonize, kernel, mat_rank,
                        min_weight, span_rank_histogram)
 from .gf2k import Gf2kField, make_field
-from .numerics import (MaxProblemPoint, f_dk_bound, inequality_checks,
-                       mrrw_constant, profile_max_check)
+from .numerics import f_dk_bound, inequality_checks, mrrw_constant, profile_max_check
 from .prng import Prng
 from .rank import (RankBoundCertificate, RankDistribution, code_certificate,
                    corank_bound_margin, decompositions, matmul_bias_exact,

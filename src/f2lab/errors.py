@@ -1,4 +1,4 @@
-"""Shared exception types, and the one capacity check."""
+"""Shared exception types, the one capacity check and the one size check."""
 
 from __future__ import annotations
 
@@ -35,6 +35,14 @@ def check_capacity(what: str, required: int, budget: int, unit: str) -> None:
     if required > budget:
         raise CapacityError(f"{what}: {_count(required)} {unit} exceed the budget of "
                             f"{_count(budget)} {unit}", required=required, budget=budget)
+
+
+def check_sizes(what: str, *sizes: tuple[str, int, int]) -> None:
+    """Refuse `what` with a ValueError "WHAT needs NAME >= LEAST" at the
+    first (NAME, value, LEAST) whose value is below LEAST."""
+    for name, value, least in sizes:
+        if value < least:
+            raise ValueError(f"{what} needs {name} >= {least}")
 
 
 class FormatError(ValueError):

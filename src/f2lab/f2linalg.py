@@ -195,8 +195,8 @@ def min_weight(s: Subspace) -> int:
     """
     if s.dim == 0:
         return s.ambient_dim + 1
-    check_capacity(f"min_weight(dim={s.dim})", 1 << s.dim, 1 << MIN_WEIGHT_DIM_LIMIT,
-                   "codewords")
+    what = f"min_weight(dim={s.dim})"
+    check_capacity(what, 1 << s.dim, 1 << MIN_WEIGHT_DIM_LIMIT, "codewords")
     n = s.ambient_dim
 
     def weights(planes, nlanes):
@@ -205,7 +205,8 @@ def min_weight(s: Subspace) -> int:
             counter.add(coordinate)
         return counter.histogram()
 
-    counts = _span_walk(s.basis, 1, n, n + 1, weights)
+    # beside the planes: the counter's planes, their complements, temporaries
+    counts = _span_walk(what, s.basis, 1, n, n + 1, weights, 2 * n.bit_length() + 8)
     return next(w for w in range(1, n + 1) if counts[w])
 
 
@@ -219,6 +220,21 @@ def min_weight(s: Subspace) -> int:
 # took a median 0.43 s at 2^16 and 0.70 s at 2^20 lanes with a budget fitting
 # both (nine alternating runs each, 2-vCPU x86-64 host, Python 3.11).
 LANE_CHUNK_BITS = 16
+
+
+def _chunk_lanes(lane_ints: int, budget: int, most: int = LANE_CHUNK_BITS,
+                 extra=lambda nlanes: 0) -> tuple[int, int]:
+    """(lanes, bytes) of the widest power-of-two lane chunk, from 2^most
+    lanes down to 64 (or 2^most, when that is less), that fits `budget`,
+    or else of the narrowest, which the caller refuses.  A chunk holds
+    `lane_ints` nlanes-bit ints, at their digits and 32 bytes of object and
+    list slot each, and `extra(nlanes)` bytes beside them."""
+    nlanes = 1 << most
+    while True:
+        need = lane_ints * (int_bytes(nlanes) + 32) + extra(nlanes)
+        if need <= budget or nlanes <= 64:
+            return nlanes, need
+        nlanes >>= 1
 
 
 class _LaneCounter:
@@ -427,7 +443,7 @@ def _split_walk(chunk_histograms, nsteps: int, workers: int, nbins: int) -> list
     finally:
         results = []
         for pid, r, lo, hi in children:
-            with os.fdopen(r, "rb") as pipe:
+            with os.fdopen(r, "rb", buffering=0) as pipe:
                 data = pipe.read()
             results.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data, lo, hi))
     for code, data, lo, hi in results:
@@ -439,8 +455,8 @@ def _split_walk(chunk_histograms, nsteps: int, workers: int, nbins: int) -> list
     return counts
 
 
-def _span_walk(gens: Sequence[int], nrows: int, ncols: int, nbins: int,
-               chunk_histogram) -> list[int]:
+def _span_walk(what: str, gens: Sequence[int], nrows: int, ncols: int, nbins: int,
+               chunk_histogram, kernel_ints: int) -> list[int]:
     """Sum of chunk_histogram(planes, nlanes) over lane chunks that together
     cover every one of the 2^m coefficient vectors of the packed generators
     exactly once; the sum must count 2^m lanes.
@@ -453,25 +469,25 @@ def _span_walk(gens: Sequence[int], nrows: int, ncols: int, nbins: int,
     steps are split over up to one forked process per usable CPU
     (`_walk_workers`), which share the planes copy-on-write.
 
-    The byte budget can only make a chunk smaller than 2^LANE_CHUNK_BITS
-    lanes, and each process gets its share of it.  It covers every plane a
-    chunk holds at once: the shared and the flipped entry planes, and the
-    ncols^2 slot rows and ncols-entry row of `_batched_rank_histogram`.
+    Chunks are cut as in `sampled_rank_histogram` (`_chunk_lanes`), and
+    a refusal names the route `what`.  A chunk's ints are the shared and
+    the flipped entry planes and the `kernel_ints` that `chunk_histogram`
+    holds.  Each process cuts its chunks from its share of the budget, and
+    no more run than shares hold the narrowest chunk.
     `bias_exact` at d >= 4 runs the same walk with plane-valued steps,
-    serially, since there a step of x_1 changes each residual matrix by a
-    matrix that varies by lane.
+    serially, since there a step of x_1 changes each residual matrix by
+    a matrix that varies by lane.
     """
-    bits_per_lane = 2 * nrows * ncols + ncols * ncols + ncols
-
-    def chunk_bits(budget: int) -> int:
-        lane_budget_bits = max(64, (budget * 8) // bits_per_lane)
-        return min(len(gens), max(1, lane_budget_bits.bit_length() - 1), LANE_CHUNK_BITS)
-
+    lane_ints = 2 * nrows * ncols + kernel_ints
+    most = min(len(gens), LANE_CHUNK_BITS)
     budget = budget_bytes()
-    workers = _walk_workers(1 << (len(gens) - chunk_bits(budget)))
-    chunk_m = chunk_bits(budget // workers)
+    nlanes, need = _chunk_lanes(lane_ints, budget, most)
+    check_capacity(what, need, budget, "bytes")
+    shares = budget // _chunk_lanes(lane_ints, 0, most)[1]  # each holds the narrowest chunk
+    workers = min(_walk_workers((1 << len(gens)) // nlanes), shares)
+    nlanes = _chunk_lanes(lane_ints, budget // workers, most)[0]
+    chunk_m = nlanes.bit_length() - 1
     high = gens[chunk_m:]
-    nlanes = 1 << chunk_m
     lane_ones = ones(nlanes)
     planes = _doubling_planes(gens[:chunk_m], nrows, ncols)
 
@@ -510,7 +526,10 @@ def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int
     def ranks(planes, nlanes):
         return _batched_rank_histogram(planes, nrows, ncols, nlanes)
 
-    return _span_walk(gens, nrows, ncols, min(nrows, ncols) + 1, ranks)
+    # the kernel's slot rows and row, and 16 for its masks, counter planes
+    # and temporaries
+    return _span_walk(f"span_rank_histogram(nrows={nrows}, ncols={ncols})", gens, nrows,
+                      ncols, min(nrows, ncols) + 1, ranks, ncols * ncols + ncols + 16)
 
 
 def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> list[int]:
@@ -523,30 +542,26 @@ def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> l
     multiple of 64 lanes, so lane s gets the same matrix however the
     chunks are cut, and the stream ends where one draw would leave it.
     Chunks have at most 2^LANE_CHUNK_BITS lanes, and the byte budget can
-    only make them smaller, down to 64 lanes; where those do not fit it
-    refuses before drawing.  It covers the word block and what mixing it
-    holds (`words_bytes`), the block's array copy, and nlanes-bit ints at
-    32 bytes of object and list slot each beside their digits: the entry
-    planes, the kernel's slot rows and row, and 16 for its masks, counter
-    planes and temporaries.
+    only make them smaller, down to 64 lanes (`_chunk_lanes`); where those
+    do not fit it refuses before drawing.  It covers the word block and
+    what mixing it holds (`words_bytes`), the block's array copy, and the
+    nlanes-bit ints: the entry planes, the kernel's slot rows and row,
+    and 16 for its masks, counter planes and temporaries.
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
     nbits = nrows * ncols
     if nbits < 1:
         raise ValueError("need nrows, ncols >= 1")
-    lane_ints = nbits + ncols * ncols + ncols + 16
 
-    def chunk_bytes(nlanes: int) -> int:
+    def mixing_bytes(nlanes: int) -> int:
         nwords = nbits * (nlanes >> 6)
-        return words_bytes(nwords) + 8 * nwords + lane_ints * (int_bytes(nlanes) + 32)
+        return words_bytes(nwords) + 8 * nwords
 
     budget = budget_bytes()
-    chunk = 1 << LANE_CHUNK_BITS
-    while chunk > 64 and chunk_bytes(chunk) > budget:
-        chunk >>= 1
-    check_capacity(f"sampled_rank_histogram(nrows={nrows}, ncols={ncols})",
-                   chunk_bytes(chunk), budget, "bytes")
+    chunk, need = _chunk_lanes(nbits + ncols * ncols + ncols + 16, budget, extra=mixing_bytes)
+    check_capacity(f"sampled_rank_histogram(nrows={nrows}, ncols={ncols})", need, budget,
+                   "bytes")
     counts = [0] * (min(nrows, ncols) + 1)
     for start in range(0, samples, chunk):
         nlanes = min(chunk, samples - start)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ._bitops import form_table, linear_form_table, ones, var_mask
 from .bias import DyadicRational, bias_bruteforce, bias_exact, bias_mc, corr_exact
-from .errors import CapacityError, InvariantError, check_capacity
+from .errors import CapacityError, InvariantError, check_capacity, check_sizes
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
 from .numerics import f_dk_bound, inequality_checks, power_at_most, profile_max_check
 from .prng import Prng
@@ -34,6 +34,7 @@ from .tensors import (DenseTensor, Polynomial, explicit_form_tensor, matmul_tens
                       tensor_from_decomp, trace_tensor)
 
 MOMENT_TENSOR_BITS_LIMIT = 16      # 2^(k^d) tensors enumerated
+CENSUS_STEPS_BITS = 24             # 2^24 steps of a sum census (`_census_work`)
 TUPLE_BITS_LIMIT = 24              # 2^(k t d) vector tuples enumerated
 ASSIGN_BITS_LIMIT = 22             # 2^(k d) assignments per instance
 PREIMAGE_K_LIMIT = 16
@@ -71,6 +72,27 @@ def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
     return sums
 
 
+def _census_work(d: int, k: int, t: int) -> int:
+    """Steps of `_sum_census(d, k, t)`, at least those of `_vanish_count`:
+    the 2^(kd) tuples `_rank_one_census` enumerates, then in round j < t
+    one update for each of the at most min(2^(k^d), |R|^j) sums held and
+    each of the |R| = (2^k - 1)^d + 1 distinct rank-ones (zero among them).
+    Summed term by term until past 2^CENSUS_STEPS_BITS, so a refused count
+    is a lower bound and builds no large int; 2^(kd) tuples past the cap
+    count as 2^(CENSUS_STEPS_BITS + 1)."""
+    if k * d > CENSUS_STEPS_BITS:
+        return 1 << CENSUS_STEPS_BITS + 1
+    work = 1 << k * d
+    rank_ones = ((1 << k) - 1) ** d + 1
+    held = 1
+    for _ in range(t):
+        if work > 1 << CENSUS_STEPS_BITS:
+            break
+        work += held * rank_ones
+        held = min(held * rank_ones, 1 << k ** d)
+    return work
+
+
 def _vanish_count(d: int, k: int, t: int) -> int:
     """`_sum_census(d, k, t)[0]`, the tuples whose t rank-ones sum to zero:
     a sum s of t - 1 plus a rank-one x is zero exactly when x = s, so it
@@ -89,10 +111,11 @@ def _vanish_count(d: int, k: int, t: int) -> int:
 def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     """E over all tensors of bias^t equals Pr[sum of t random rank-one
     tensors is zero]; both sides by full enumeration, compared exactly."""
+    check_sizes("moment-identity", ("d", d, 1), ("k", k, 1), ("t", t, 0))
     cells = k ** d
     what = f"moment-identity(d={d}, k={k}, t={t})"
+    check_capacity(what, _census_work(d, k, t), 1 << CENSUS_STEPS_BITS, "census steps")
     check_capacity(what, 1 << cells, 1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
-    check_capacity(what, 1 << (k * t * d), 1 << TUPLE_BITS_LIMIT, "tuples")
     lhs = sum(bias_exact(DenseTensor(d, k, x)) ** t for x in range(1 << cells)) / (1 << cells)
     rhs = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     holds = lhs == rhs
@@ -112,10 +135,9 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     otherwise displayed report-only.  Bounds and preconditions are decided
     exactly, eps read as the decimal it prints as (`power_at_most`).
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    check_capacity(f"sum-zero(d={d}, k={k}, t={t})", 1 << (k * t * d),
-                   1 << TUPLE_BITS_LIMIT, "tuples")
+    check_sizes("sum-zero", ("d", d, 2), ("k", k, 1), ("t", t, 0))
+    check_capacity(f"sum-zero(d={d}, k={k}, t={t})", _census_work(d, k, t),
+                   1 << CENSUS_STEPS_BITS, "census steps")
     exact = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t
     headline = 2.0 ** (-(1.0 - eps / 2.0) * k * t)
@@ -167,6 +189,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     `subspace_dims=None` sweeps dim U from 0 to k^d in steps of
     max(1, k^d // 8).
     """
+    check_sizes("subspace-membership", ("d", d, 1), ("k", k, 1))
     check_capacity(f"subspace-membership(d={d}, k={k})", 1 << (k * d),
                    1 << ASSIGN_BITS_LIMIT, "tuples")
     ambient = k ** d
@@ -204,6 +227,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
 def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     """Exact distribution of dim span(T_1..T_t) for independent rank-one
     tensors, against the binomial-style bound for every r (exactly)."""
+    check_sizes("span-dimension", ("d", d, 1), ("k", k, 1), ("t", t, 0))
     check_capacity(f"span-dimension(d={d}, k={k}, t={t})", 1 << (k * t * d),
                    1 << TUPLE_BITS_LIMIT, "tuples")
     counts = [0] * (t + 1)
@@ -282,8 +306,7 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
                                seed: int) -> VerificationReport:
     """bias >= (1 - 2^(1-d))^t for tensors given with t rank-one terms,
     by exact rational comparison on random decompositions."""
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    check_sizes("low-rank-bias-floor", ("d", d, 2), ("k", k, 1), ("t", t, 0))
     floor = D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
     rng = Prng(seed)
     holds = True
@@ -306,6 +329,7 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
                            seed: int) -> VerificationReport:
     """Pr[all of t rank-one forms vanish] >= (1 - 2^-d)^t, with the
     probability computed exactly per random tuple."""
+    check_sizes("joint-vanishing", ("d", d, 1), ("k", k, 1), ("t", t, 0))
     check_capacity(f"joint-vanishing(d={d}, k={k})", 1 << (k * d),
                    1 << ASSIGN_BITS_LIMIT, "assignments")
     floor = D.from_ratio((1 << d) - 1, d) ** t
@@ -329,51 +353,27 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
         ("floor", fmt_dyadic(floor)), holds, "exhaustive", samples=trials, seed=seed)
 
 
-def verify_expected_bias(d: int, k: int, t: int, samples: int | None = None,
-                         seed: int | None = None) -> VerificationReport:
-    """Mean bias of a random t-term decomposition against its closed
-    form 1 - (1-2^-k)^d + (1-2^-k)^d (1-2^(1-d))^t.
-
-    Exhaustive mode (small spaces) asserts exact equality; Monte-Carlo
-    mode asserts Hoeffding-CI coverage.  Both assert the closed form is
-    below the relaxed d 2^-k + (1-2^(1-d))^t.
-    """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+def verify_expected_bias(d: int, k: int, t: int) -> VerificationReport:
+    """Mean bias of a random t-term decomposition, over the sum census of
+    all (2^k)^(td) vector tuples, asserted equal to its closed form
+    1 - (1-2^-k)^d + (1-2^-k)^d (1-2^(1-d))^t, and the closed form asserted
+    below the relaxed d 2^-k + (1-2^(1-d))^t."""
+    check_sizes("expected-bias", ("d", d, 2), ("k", k, 1), ("t", t, 0))
+    check_capacity(f"expected-bias(d={d}, k={k}, t={t})", _census_work(d, k, t),
+                   1 << CENSUS_STEPS_BITS, "census steps")
     q = 1 - D.half_pow(k)
     floor = D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
     closed = (1 - q ** d) + q ** d * floor
     relaxed = D.from_ratio(d, k) + floor
-    relaxed_ok = closed <= relaxed
     nbits = k * t * d
-    if nbits <= TUPLE_BITS_LIMIT:
-        mean = sum(c * bias_exact(DenseTensor(d, k, x))
-                   for x, c in _sum_census(d, k, t).items()) / (1 << nbits)
-        holds = mean == closed and relaxed_ok
-        return _report(
-            "expected-bias",
-            [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "exhaustive")],
-            [("mean", fmt_dyadic(mean)), ("closed_form", fmt_dyadic(closed)),
-             ("relaxed", fmt_dyadic(relaxed))],
-            ("equality", fmt_dyadic(closed)), holds, "exhaustive")
-    if samples is None or seed is None:  # nbits is past the guard: always refused
-        check_capacity(f"expected-bias(d={d}, k={k}, t={t}) (pass samples and seed for "
-                       "Monte-Carlo mode)", 1 << nbits, 1 << TUPLE_BITS_LIMIT,
-                       "tuples")
-    rng = Prng(seed)
-    acc = 0.0
-    for _ in range(samples):
-        decomp = random_rank_decomp(d, k, t, rng.u64())
-        acc += float(bias_exact(tensor_from_decomp(decomp)))
-    mean_f = acc / samples
-    hw = math.sqrt(math.log(2.0 / 0.01) / (2.0 * samples))  # 99% band
-    holds = abs(mean_f - float(closed)) <= hw and relaxed_ok
+    mean = sum(c * bias_exact(DenseTensor(d, k, x))
+               for x, c in _sum_census(d, k, t).items()) / (1 << nbits)
     return _report(
         "expected-bias",
-        [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "monte-carlo")],
-        [("mean", fmt_float(mean_f)), ("closed_form", fmt_dyadic(closed)),
-         ("ci_halfwidth", fmt_float(hw))],
-        ("coverage", fmt_dyadic(closed)), holds, "monte-carlo", samples=samples, seed=seed)
+        [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "exhaustive")],
+        [("mean", fmt_dyadic(mean)), ("closed_form", fmt_dyadic(closed)),
+         ("relaxed", fmt_dyadic(relaxed))],
+        ("equality", fmt_dyadic(closed)), mean == closed and closed <= relaxed, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +509,7 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
     """For linear maps h, no fiber beats the kernel:
     #{x : h(x) = a} <= #{x : h(x) = 0}, counted over all 2^k inputs
     (`_preimage_counts`)."""
+    check_sizes("linear-preimage", ("k", k, 1))
     check_capacity(f"linear-preimage(k={k})", 1 << k, 1 << PREIMAGE_K_LIMIT, "inputs")
     rng = Prng(seed)
     masks = [var_mask(v, k) for v in range(k)]
@@ -598,7 +599,7 @@ EXPERIMENTS = {
                         [(3, 2, 3, 100, 302), (2, 3, 4, 100, 303)], []),
     "expected-bias": (verify_expected_bias,
                       [(2, 1, 1), (2, 1, 2), (2, 2, 1), (3, 2, 1)],
-                      [(3, 2, 2), (2, 3, 5, 4_000, 504)]),
+                      [(3, 2, 2), (2, 3, 5)]),
     "bias-trace": (verify_bias_trace, [(k,) for k in range(2, 21)], []),
     "bias-matmul": (verify_bias_matmul, [(n,) for n in range(1, 5)], []),
     "explicit-form": (verify_explicit_form,

@@ -11,7 +11,6 @@ profiles (at the polytope's vertices, confirmed by exact enumeration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -45,33 +44,6 @@ def power_at_most(x, bound, p: int, q: int) -> bool:
             return False
         m *= 2
     raise InvariantError(f"{x} is not separated from the bound at 2^({p}/{q})")
-
-
-@dataclass(frozen=True)
-class MaxProblemPoint:
-    """Feasible point of the monotone-profile maximization.
-
-    Coordinates satisfy k >= b_1 >= ... >= b_k >= 0 and sum to u.
-    """
-
-    k: int
-    u: float
-    b: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.b) != self.k:
-            raise ValueError("profile length != k")
-        prev = float(self.k)
-        for x in self.b:
-            if x < -1e-12 or x > prev + 1e-12:
-                raise ValueError("profile not monotone in [0, k]")
-            prev = x
-        if abs(sum(self.b) - self.u) > 1e-9:
-            raise ValueError("profile does not sum to u")
-
-    def objective(self) -> float:
-        """sum_i 2^(i-1) 2^(b_i)."""
-        return sum(2.0 ** i * 2.0 ** bi for i, bi in enumerate(self.b))
 
 
 def f_dk_bound(d: int, k: int, u: float) -> float:
@@ -123,9 +95,14 @@ def mrrw_constant(tol: float) -> tuple[float, float]:
     return rho, 1.0 / rho
 
 
+def _objective(b: tuple[float, ...]) -> float:
+    """sum_i 2^(i-1) 2^(b_i) of the profile b."""
+    return sum(2.0 ** i * 2.0 ** bi for i, bi in enumerate(b))
+
+
 def _extreme_points(k: int, u: float):
-    """Extreme profiles: a entries at k, then b entries at one level in
-    [0, k], then zeros, with a*k + b*level = u.  Deduplicated."""
+    """Extreme profiles, as tuples: a entries at k, then b entries at one
+    level in [0, k], then zeros, with a*k + b*level = u.  Deduplicated."""
     seen: set[tuple[float, ...]] = set()
     for a in range(k + 1):
         rem = u - a * k
@@ -135,7 +112,7 @@ def _extreme_points(k: int, u: float):
             prof = tuple([float(k)] * a + [0.0] * (k - a))
             if prof not in seen:
                 seen.add(prof)
-                yield MaxProblemPoint(k, u, prof)
+                yield prof
             continue
         for b in range(1, k - a + 1):
             level = rem / b
@@ -145,7 +122,7 @@ def _extreme_points(k: int, u: float):
                 key = tuple(round(x, 9) for x in prof)
                 if key not in seen:
                     seen.add(key)
-                    yield MaxProblemPoint(k, u, prof)
+                    yield prof
 
 
 def _solve_exact(rows: list, rhs: list) -> list | None:
@@ -207,9 +184,10 @@ def profile_max_check(k: int, u: float) -> VerificationReport:
     float extreme profiles of `_extreme_points` must therefore be the
     polytope's vertices, which `_exact_vertices` derives independently:
     every vertex within PROFILE_TOL of an extreme profile and every
-    extreme profile within PROFILE_TOL of a vertex.  Their largest
-    objective must equal the closed form.  A mismatch in either is an
-    `InvariantError`.
+    extreme profile within PROFILE_TOL of a vertex.  That is the one
+    feasibility check of the extreme profiles: one that is not monotone or
+    does not sum to u is no vertex.  Their largest objective must equal
+    the closed form.  A mismatch in either is an `InvariantError`.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -221,8 +199,8 @@ def profile_max_check(k: int, u: float) -> VerificationReport:
     def near(p, q):
         return all(abs(x - y) <= PROFILE_TOL for x, y in zip(p, q, strict=True))
 
-    missing = [v for v in vertices if not any(near(v, pt.b) for pt in points)]
-    extra = [pt.b for pt in points if not any(near(pt.b, v) for v in vertices)]
+    missing = [v for v in vertices if not any(near(v, pt) for pt in points)]
+    extra = [pt for pt in points if not any(near(pt, v) for v in vertices)]
     if missing or extra:
         raise InvariantError(f"extreme profiles at k = {k}, u = {u} miss the vertices "
                              f"{missing} and add the non-vertices {extra}")
@@ -230,7 +208,7 @@ def profile_max_check(k: int, u: float) -> VerificationReport:
     best = -math.inf
     argmax_count = 0
     for pt in points:
-        val = pt.objective()
+        val = _objective(pt)
         if val > best:
             best = val
             argmax_count = 1

@@ -26,7 +26,7 @@ from operator import lt
 from typing import Sequence
 
 from ._bitops import budget_bytes, int_bytes, ones
-from .errors import FormatError, check_capacity
+from .errors import FormatError, check_capacity, check_sizes
 from .f2linalg import BitVec
 from .gf2k import make_field
 from .prng import Prng, draw_bytes, words_bytes
@@ -266,9 +266,7 @@ def random_rank_decomp(d: int, k: int, t: int, seed: int) -> RankDecomposition:
     byte budget; cutting holds one int of a vector's words, the copy
     `int.from_bytes` makes.
     """
-    for name, value, least in (("d", d, 1), ("k", k, 1), ("t", t, 0)):
-        if value < least:
-            raise ValueError(f"random_rank_decomp needs {name} >= {least}")
+    check_sizes("random_rank_decomp", ("d", d, 1), ("k", k, 1), ("t", t, 0))
     words = (k + 63) >> 6
     check_capacity(f"random_rank_decomp(d={d}, k={k}, t={t})",
                    4096 + t * (DECOMP_TERM_BYTES + d * (DECOMP_VECTOR_BYTES + int_bytes(k)))

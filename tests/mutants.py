@@ -48,6 +48,7 @@ P = "tests/test_prng.py::"
 L = "tests/test_f2linalg.py::"
 K = "tests/test_rank.py::"
 G = "tests/test_capacity_guards.py::"
+C = "tests/test_cli.py::"
 
 MUTANTS = [
     # harness._vanish_count: the sum-zero and moment-identity vanishing count
@@ -216,14 +217,14 @@ MUTANTS = [
            (P + "test_planes_are_word_groups",)),
     # f2linalg.sampled_rank_histogram: the chunk's byte model
     Mutant("sampled-model-no-array-copy", "f2linalg.py",
-           "words_bytes(nwords) + 8 * nwords + lane_ints", "words_bytes(nwords) + lane_ints",
+           "return words_bytes(nwords) + 8 * nwords", "return words_bytes(nwords)",
            (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",)),
     Mutant("sampled-model-no-mixing", "f2linalg.py",
            "return words_bytes(nwords) + 8 * nwords", "return 16 * nwords",
            (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",
             G + "test_sampled_rank_peak_within_4_kib")),
     Mutant("sampled-model-no-kernel-ints", "f2linalg.py",
-           "ncols * ncols + ncols + 16", "ncols * ncols + ncols",
+           "nbits + ncols * ncols + ncols + 16", "nbits + ncols * ncols + ncols",
            (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",)),
     # prng.Prng.words and Prng.planes: sizes checked before the counter moves
     Mutant("words-negative-unchecked", "prng.py",
@@ -244,7 +245,8 @@ MUTANTS = [
            "for code, data, lo, hi in results:", "for code, data, lo, hi in results[:-1]:",
            (L + "test_split_walk_matches_one_process", L + "test_split_walk_divides_the_budget")),
     Mutant("walk-budget-undivided", "f2linalg.py",
-           "chunk_m = chunk_bits(budget // workers)", "chunk_m = chunk_bits(budget)",
+           "_chunk_lanes(lane_ints, budget // workers, most)",
+           "_chunk_lanes(lane_ints, budget, most)",
            (L + "test_split_walk_divides_the_budget",)),
     Mutant("walk-one-chunk-a-worker", "f2linalg.py",
            "min(_usable_cpus(), nsteps // 2)", "min(_usable_cpus(), nsteps)",
@@ -252,9 +254,53 @@ MUTANTS = [
     Mutant("walk-worker-splits-again", "f2linalg.py",
            "if _in_walk_worker or threading", "if threading",
            (L + "test_walk_workers",)),
+    Mutant("walk-shares-unbounded", "f2linalg.py",
+           "workers = min(_walk_workers((1 << len(gens)) // nlanes), shares)",
+           "workers = _walk_workers((1 << len(gens)) // nlanes)",
+           (L + "test_split_walk_runs_no_more_workers_than_shares",)),
+    # f2linalg._chunk_lanes: the chunk rule of the span walk and the sampled kernel
+    Mutant("chunk-below-64-lanes", "f2linalg.py",
+           "if need <= budget or nlanes <= 64:", "if need <= budget or nlanes <= 1:",
+           (G + "test_every_guard_names_its_unit",)),
+    Mutant("chunk-ints-without-overhead", "f2linalg.py",
+           "need = lane_ints * (int_bytes(nlanes) + 32)", "need = lane_ints * int_bytes(nlanes)",
+           (G + "test_every_guard_names_its_unit",
+            G + "test_span_walk_peaks_within_small_budgets")),
+    Mutant("span-model-no-kernel-ints", "f2linalg.py",
+           "lane_ints = 2 * nrows * ncols + kernel_ints", "lane_ints = 2 * nrows * ncols",
+           (G + "test_span_walk_peaks_within_small_budgets",)),
+    # harness._census_work: the census guards' unit
+    Mutant("census-one-round-short", "harness.py",
+           "    for _ in range(t):\n        if work > 1 << CENSUS_STEPS_BITS:",
+           "    for _ in range(t - 1):\n        if work > 1 << CENSUS_STEPS_BITS:",
+           (H + "test_census_work_covers_every_census_step",)),
+    Mutant("census-no-zero-rank-one", "harness.py",
+           "rank_ones = ((1 << k) - 1) ** d + 1", "rank_ones = ((1 << k) - 1) ** d",
+           (H + "test_census_work_covers_every_census_step",)),
+    Mutant("census-held-uncapped", "harness.py",
+           "held = min(held * rank_ones, 1 << k ** d)", "held = held * rank_ones",
+           (H + "test_census_work_covers_every_census_step",
+            H + "test_capacity_guards_report_counts")),
+    # errors.check_sizes and the named size errors of the harness
+    Mutant("sizes-least-allowed-below", "errors.py",
+           "if value < least:", "if value < least - 1:",
+           (C + "test_sizes_below_one_exit_2", T + "test_random_rank_decomp_rejects_bad_sizes")),
+    Mutant("sum-zero-k-unchecked", "harness.py",
+           'check_sizes("sum-zero", ("d", d, 2), ("k", k, 1), ("t", t, 0))',
+           'check_sizes("sum-zero", ("d", d, 2), ("t", t, 0))',
+           (C + "test_sizes_below_one_exit_2",)),
+    Mutant("linear-preimage-k-zero-allowed", "harness.py",
+           'check_sizes("linear-preimage", ("k", k, 1))',
+           'check_sizes("linear-preimage", ("k", k, 0))',
+           (C + "test_sizes_below_one_exit_2",)),
+    Mutant("expected-bias-t-unchecked", "harness.py",
+           'check_sizes("expected-bias", ("d", d, 2), ("k", k, 1), ("t", t, 0))',
+           'check_sizes("expected-bias", ("d", d, 2), ("k", k, 1))',
+           (C + "test_sizes_below_one_exit_2",)),
     # tensors.random_rank_decomp: its named size errors
     Mutant("random-rank-decomp-negative-t", "tensors.py",
-           '("t", t, 0)', '("t", t, -1)',
+           'check_sizes("random_rank_decomp", ("d", d, 1), ("k", k, 1), ("t", t, 0))',
+           'check_sizes("random_rank_decomp", ("d", d, 1), ("k", k, 1), ("t", t, -1))',
            (T + "test_random_rank_decomp_rejects_bad_sizes",)),
     # rank.corank_bound and harness.verify_corank_margin
     Mutant("corank-bound-no-square", "rank.py",

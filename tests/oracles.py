@@ -14,7 +14,6 @@ from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, BiasEstimate, _hoeffding_half
                         _sliced_form, bias_exact)
 from f2lab.f2linalg import BitVec, rank_of_row_ints
 from f2lab.gf2k import make_field
-from f2lab.numerics import MaxProblemPoint
 from f2lab.prng import Prng
 from f2lab.tensors import DenseTensor, Polynomial, RankDecomposition, RankOneTerm
 
@@ -199,8 +198,20 @@ def bias_tail_hits(d, k, threshold, samples, rng):
     return hits
 
 
+def feasible_profile(k, u, b):
+    """The profile b, checked to lie in {k >= b_1 >= ... >= b_k >= 0,
+    sum_i b_i = u} up to float rounding; ValueError otherwise."""
+    if len(b) != k:
+        raise ValueError("profile length != k")
+    if any(not -1e-12 <= x <= prev + 1e-12 for prev, x in zip((float(k), *b), b)):
+        raise ValueError("profile not monotone in [0, k]")
+    if abs(sum(b) - u) > 1e-9:
+        raise ValueError("profile does not sum to u")
+    return b
+
+
 def random_feasible(k, u, draws):
-    """Random profile from k uniform draws as a validated MaxProblemPoint:
+    """Random profile from k uniform draws, checked by `feasible_profile`:
     sort descending, rescale to sum u, clamp to [0, k] redistributing any
     clamped excess, then move the rounding drift into the leading values."""
     vals = sorted(draws, reverse=True)
@@ -231,17 +242,19 @@ def random_feasible(k, u, draws):
         if abs(drift) < 1e-12:
             break
     vals.sort(reverse=True)
-    return MaxProblemPoint(k, u, tuple(vals))
+    return feasible_profile(k, u, tuple(vals))
 
 
 def sampled_profile_max(k, u, trials, seed):
-    """Largest objective over `trials` random feasible profiles, one
-    MaxProblemPoint per trial, each from k stream words read as floats."""
+    """Largest objective sum_i 2^(i-1) 2^(b_i) over `trials` random
+    feasible profiles, one checked profile per trial, each from k stream
+    words read as floats."""
     rng = Prng(seed)
     best = -math.inf
     for _ in range(trials):
         draws = [rng.u64() / 2 ** 64 for _ in range(k)]
-        best = max(best, random_feasible(k, u, draws).objective())
+        b = random_feasible(k, u, draws)
+        best = max(best, sum(2.0 ** i * 2.0 ** bi for i, bi in enumerate(b)))
     return best
 
 

@@ -104,10 +104,11 @@ GUARDS = {
                              "corr_class_max(d=2, k=8, degree=1)", "1865380", "2^18", "bytes"),
     "moment-identity-tensors": (None, lambda: verify_moment_identity(3, 3, 2),
                                 "moment-identity(d=3, k=3, t=2)", "2^27", "2^16", "tensors"),
-    "moment-identity-tuples": (None, lambda: verify_moment_identity(2, 2, 7),
-                               "moment-identity(d=2, k=2, t=7)", "2^28", "2^24", "tuples"),
+    "moment-identity-tuples": (None, lambda: verify_moment_identity(2, 4, 4),
+                               "moment-identity(d=2, k=4, t=4)", "26405870", "2^24",
+                               "census steps"),
     "sum-zero": (None, lambda: verify_sum_zero(2, 4, 4),
-                 "sum-zero(d=2, k=4, t=4)", "2^32", "2^24", "tuples"),
+                 "sum-zero(d=2, k=4, t=4)", "26405870", "2^24", "census steps"),
     "subspace-membership": (None, lambda: verify_subspace_membership(2, 12, [1], 1, 0),
                             "subspace-membership(d=2, k=12)", "2^24", "2^22", "tuples"),
     "span-dimension": (None, lambda: verify_span_dimension(2, 4, 4),
@@ -115,8 +116,7 @@ GUARDS = {
     "joint-vanishing": (None, lambda: verify_joint_vanishing(2, 12, 1, 1, 0),
                         "joint-vanishing(d=2, k=12)", "2^24", "2^22", "assignments"),
     "expected-bias": (None, lambda: verify_expected_bias(2, 4, 4),
-                      "expected-bias(d=2, k=4, t=4) (pass samples and seed for "
-                      "Monte-Carlo mode)", "2^32", "2^24", "tuples"),
+                      "expected-bias(d=2, k=4, t=4)", "26405870", "2^24", "census steps"),
     "linear-preimage": (None, lambda: verify_linear_preimage(17, 1, 0),
                         "linear-preimage(k=17)", "2^17", "2^16", "inputs"),
     "trace_tensor": (None, lambda: trace_tensor(25),
@@ -145,6 +145,11 @@ GUARDS = {
     "sampled_rank_histogram": (4096, lambda: sampled_rank_histogram(Prng(9), 5_000, 9, 9),
                                "sampled_rank_histogram(nrows=9, ncols=9)", "20916", "2^12",
                                "bytes"),
+    # 8 of trace_tensor(20)'s slices: 64 lanes of 1,236 ints at 44 bytes each
+    "span_rank_histogram": (4096, lambda: span_rank_histogram(
+                                first_block_slices(trace_tensor(20))[:8], 20, 20),
+                            "span_rank_histogram(nrows=20, ncols=20)", "54384", "2^12",
+                            "bytes"),
 }
 
 
@@ -354,6 +359,31 @@ def test_split_span_walk_peaks_within_each_process_share(budget, monkeypatch):
             peak, refused = _traced_call(call)
             assert refused is None
             assert peak <= budget // 2, (peak, budget)
+
+
+@pytest.mark.parametrize("budget", [1 << 15, 1 << 16])
+def test_span_walk_peaks_within_small_budgets(budget, monkeypatch):
+    # chunks cut down to 64 lanes by the model of `sampled_rank_histogram`:
+    # spans of 10 n x n matrices and codes of dimension 10, n up to 20, each
+    # peak within the budget or are refused before any plane is built; a
+    # 64-lane chunk of n x n matrices needs (3n^2 + n + 16) 44 bytes, past
+    # 32 KiB from n = 16 on
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    rng = Prng(budget)
+    refused = []
+    for n in range(2, 21, 2):
+        gens = [rng.bits(n * n) for _ in range(10)]
+        code = echelonize([rng.bits(n + 6) for _ in range(10)], n + 6)
+        for call in (lambda: span_rank_histogram(gens, n, n), lambda: min_weight(code)):
+            peak, error = _traced_call(call)
+            if error is None:
+                assert peak <= budget, (n, peak)
+            else:
+                assert error.required > error.budget == budget
+                assert peak <= REFUSAL_BYTES, peak
+                refused.append(n)
+    assert refused == ([16, 18, 20] if budget == 1 << 15 else [])
 
 
 @pytest.mark.parametrize("k", [2, 9, 16])

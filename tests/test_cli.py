@@ -327,13 +327,6 @@ def test_verify_by_name_matches_old_call(capsys, name):
     assert got == [call().to_dict(timing=False)]
 
 
-def test_verify_expected_bias_past_guard_samples(capsys):
-    report, = verify_json(capsys, "expected-bias", "--d", "2", "--k", "3", "--t", "5",
-                          "--samples", "500", "--seed", "3")
-    assert report["method"] == "monte-carlo"
-    assert (report["samples"], report["seed"]) == (500, 3)
-
-
 def test_verify_all_quick_json():
     code, out, _ = run_cli("verify", "all", "--profile", "quick", "--json")
     assert code == 0
@@ -356,6 +349,8 @@ def test_usage_errors_exit_2(tmp_path):
     choices = err.split("choose from ", 1)[1]
     assert len(EXPERIMENTS) == 16
     assert sorted(re.findall(r"[a-z][a-z-]*", choices)) == sorted(EXPERIMENTS + ["all"])
+    code, _, err = run_cli("verify", "expected-bias", "--samples", "1")
+    assert code == 2 and "unrecognized arguments: --samples 1" in err
     code, _, err = run_cli("bias", "exact", str(tmp_path / "missing.f2t"))
     assert code == 2
     bad = tmp_path / "bad.f2t"
@@ -375,7 +370,21 @@ def test_usage_errors_exit_2(tmp_path):
     (["gen", "random-rank", "--d", "0", "--k", "3", "--t", "2", "--seed", "1"],
      "random_rank_decomp needs d >= 1"),
     (["gen", "random-rank", "--d", "2", "--k", "3", "--t", "-1", "--seed", "1"],
-     "random_rank_decomp needs t >= 0")])
+     "random_rank_decomp needs t >= 0"),
+    (["verify", "sum-zero", "--d", "3", "--k", "0", "--t", "1"], "sum-zero needs k >= 1"),
+    (["verify", "sum-zero", "--t", "-1"], "sum-zero needs t >= 0"),
+    (["verify", "span-dimension", "--d", "3", "--k", "0", "--t", "1"],
+     "span-dimension needs k >= 1"),
+    (["verify", "span-dimension", "--t", "-1"], "span-dimension needs t >= 0"),
+    (["verify", "subspace-membership", "--d", "2", "--k", "0"],
+     "subspace-membership needs k >= 1"),
+    (["verify", "joint-vanishing", "--d", "2", "--k", "0", "--t", "1"],
+     "joint-vanishing needs k >= 1"),
+    (["verify", "joint-vanishing", "--d", "0"], "joint-vanishing needs d >= 1"),
+    (["verify", "linear-preimage", "--k", "0"], "linear-preimage needs k >= 1"),
+    (["verify", "expected-bias", "--t", "-1"], "expected-bias needs t >= 0"),
+    (["verify", "moment-identity", "--t", "-1"], "moment-identity needs t >= 0"),
+    (["verify", "low-rank-bias-floor", "--d", "1"], "low-rank-bias-floor needs d >= 2")])
 def test_sizes_below_one_exit_2(argv, message, tmp_path, capsys):
     out = ["--out", str(tmp_path / "t.f2t")] if argv[0] == "gen" else []
     assert main(argv + out) == 2

@@ -283,8 +283,8 @@ def test_span_rank_histogram_chunked(monkeypatch):
     rng = Prng(11)
     for nr, nc in ((4, 4), (3, 5)):
         gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(9)]
-        # a tiny budget forces lane chunking; result must not change
-        monkeypatch.setenv("F2LAB_BUDGET_BYTES", "64")
+        # 4 KiB forces 128-lane chunks, four of them; result must not change
+        monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
         chunked = span_rank_histogram(gens, nr, nc)
         monkeypatch.delenv("F2LAB_BUDGET_BYTES")
         assert chunked == span_rank_histogram(gens, nr, nc) == brute_span_hist(gens, nr, nc)
@@ -324,9 +324,11 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: n)
 
 
-# (nrows, ncols, generators): 8 or 16 lane chunks at the budget, so the
-# walk splits over three workers too, which never divide a power of two
-SPLIT_SPANS = {"4096": [(3, 3, 13), (4, 5, 12), (2, 6, 11)],
+# (nrows, ncols, generators): 8 or 16 lane chunks in one process at the
+# budget, so the walk splits over three workers too, which never divide a
+# power of two; under 4 KiB, where only (2, 2) has three shares that hold
+# a 64-lane chunk, the others split over two
+SPLIT_SPANS = {"4096": [(2, 2, 13), (3, 2, 12), (2, 3, 11)],
                "65536": [(3, 3, 17), (4, 5, 15), (2, 6, 16)]}
 
 
@@ -357,9 +359,9 @@ def test_split_walk_matches_one_process(budget, monkeypatch):
 
 
 def test_split_walk_divides_the_budget(monkeypatch):
-    # 4 x 4 slices take 52 bits a lane: 64 KiB gives one process 2^13-lane
+    # a 4 x 4 chunk holds 68 ints: 128 KiB gives one process 2^13-lane
     # chunks and each of two 2^12; the parent walks 8 chunks either way
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "65536")
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "131072")
     rng = Prng(52)
     gens = [pack(random_matrix(4, 4, rng), 4) for _ in range(16)]
     lanes = parent_lanes(monkeypatch)
@@ -370,6 +372,27 @@ def test_split_walk_divides_the_budget(monkeypatch):
         hists.append(span_rank_histogram(gens, 4, 4))
         assert lanes == [chunk] * 8, cpus
     assert hists[0] == hists[1]
+
+
+def test_split_walk_runs_no_more_workers_than_shares(monkeypatch):
+    # a 64-lane chunk of 2 x 2 matrices needs 1,320 bytes and one of 3 x 2
+    # matrices 1,496: 4 KiB holds three shares of the first and two of the
+    # second, so three CPUs fork two workers and one
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
+    use_cpus(monkeypatch, 3)
+    splits = []
+    real = f2linalg._split_walk
+
+    def spy(chunk_histograms, nsteps, workers, nbins):
+        splits.append((nsteps, workers))
+        return real(chunk_histograms, nsteps, workers, nbins)
+
+    monkeypatch.setattr(f2linalg, "_split_walk", spy)
+    rng = Prng(54)
+    for nr, nc, m in ((2, 2, 13), (3, 2, 12)):
+        gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(m)]
+        assert span_rank_histogram(gens, nr, nc) == brute_span_hist(gens, nr, nc)
+    assert splits == [(128, 3), (32, 2)]
 
 
 def test_walk_workers(monkeypatch):
@@ -403,7 +426,8 @@ def test_malformed_worker_histogram_is_refused(data):
 def test_a_failed_walk_leaves_no_child(where, monkeypatch):
     # a worker that raises exits nonzero, an InvariantError naming its
     # steps; a parent that raises kills its workers; both reap them all
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
+    # (10 KiB: three workers, each walking 64-lane chunks)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "10240")
     use_cpus(monkeypatch, 3)
     parent = os.getpid()
     real = f2linalg._batched_rank_histogram

@@ -14,7 +14,8 @@ from f2lab import f2linalg, harness
 from f2lab._bitops import var_mask
 from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
-from f2lab.harness import (EXPERIMENTS, _sum_census, _vanish_count, run_all, verify_bias_matmul,
+from f2lab.harness import (EXPERIMENTS, _census_work, _sum_census, _vanish_count, run_all,
+                           verify_bias_matmul,
                            verify_bias_tail, verify_bias_trace, verify_corank_margin,
                            verify_expected_bias, verify_explicit_form,
                            verify_joint_vanishing, verify_linear_preimage,
@@ -76,34 +77,65 @@ def test_vanish_count_matches_census_up_to_16_tuple_bits():
         assert _vanish_count(d, k, t) == _sum_census(d, k, t).get(0, 0), (d, k, t)
 
 
-@pytest.mark.parametrize("call,bits,limit,message", [
-    (lambda: verify_moment_identity(3, 3, 2), 27, 16,
+def test_census_work_covers_every_census_step(monkeypatch):
+    # each step of _sum_census sets one Counter entry: a tuple of the
+    # rank-one census, or one held sum plus one rank-one; _census_work
+    # counts at least as many, at every k^d <= 9 and t <= 6
+    steps = 0
+
+    class Counted(Counter):
+        def __setitem__(self, key, value):
+            nonlocal steps
+            steps += 1
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(harness, "Counter", Counted)
+    shapes = [(d, k) for k in range(1, 10) for d in range(1, 7) if k ** d <= 9]
+    assert len(shapes) == 17
+    for d, k in shapes:
+        assert len(harness._rank_one_census(d, k)) == ((1 << k) - 1) ** d + 1, (d, k)
+        for t in range(7):
+            steps = 0
+            _sum_census(d, k, t)
+            assert 0 < steps <= _census_work(d, k, t), (d, k, t)
+    # the full profile's (2, 3, 5); (2, 6, 2), the most the 2^24 cap admits
+    # of the shapes with ktd <= 24; two it refuses, (2, 12, 1) for its 2^24
+    # rank-one tuples and 4095^2 + 1 rank-ones
+    assert [_census_work(*shape) for shape in [(2, 3, 5), (2, 6, 2), (2, 4, 4), (2, 12, 1)]] \
+        == [79_414, 15_768_966, 26_405_870, 33_546_242]
+
+
+# (2, 4, 4) takes 26,405,870 census steps: 2^8 tuples, then 226 rank-ones
+# times 1, 226, 226^2 and 2^16 sums (`_census_work`)
+@pytest.mark.parametrize("call,required,budget,message", [
+    (lambda: verify_moment_identity(3, 3, 2), 1 << 27, 1 << 16,
      "moment-identity(d=3, k=3, t=2): 2^27 tensors exceed the budget of 2^16 tensors"),
-    (lambda: verify_moment_identity(2, 2, 7), 28, 24,
-     "moment-identity(d=2, k=2, t=7): 2^28 tuples exceed the budget of 2^24 tuples"),
-    (lambda: verify_sum_zero(2, 4, 4), 32, 24,
-     "sum-zero(d=2, k=4, t=4): 2^32 tuples exceed the budget of 2^24 tuples"),
-    (lambda: verify_subspace_membership(2, 12, [1], 1, 0), 24, 22,
+    (lambda: verify_moment_identity(2, 4, 4), 26_405_870, 1 << 24,
+     "moment-identity(d=2, k=4, t=4): 26405870 census steps exceed the budget of "
+     "2^24 census steps"),
+    (lambda: verify_sum_zero(2, 4, 4), 26_405_870, 1 << 24,
+     "sum-zero(d=2, k=4, t=4): 26405870 census steps exceed the budget of 2^24 census steps"),
+    (lambda: verify_subspace_membership(2, 12, [1], 1, 0), 1 << 24, 1 << 22,
      "subspace-membership(d=2, k=12): 2^24 tuples exceed the budget of 2^22 tuples"),
-    (lambda: verify_span_dimension(2, 4, 4), 32, 24,
+    (lambda: verify_span_dimension(2, 4, 4), 1 << 32, 1 << 24,
      "span-dimension(d=2, k=4, t=4): 2^32 tuples exceed the budget of 2^24 tuples"),
-    (lambda: verify_joint_vanishing(2, 12, 1, 1, 0), 24, 22,
+    (lambda: verify_joint_vanishing(2, 12, 1, 1, 0), 1 << 24, 1 << 22,
      "joint-vanishing(d=2, k=12): 2^24 assignments exceed the budget of 2^22 assignments"),
-    (lambda: verify_expected_bias(2, 4, 4), 32, 24,
-     "expected-bias(d=2, k=4, t=4) (pass samples and seed for Monte-Carlo mode): "
-     "2^32 tuples exceed the budget of 2^24 tuples"),
-    (lambda: verify_linear_preimage(17, 1, 0), 17, 16,
+    (lambda: verify_expected_bias(2, 4, 4), 26_405_870, 1 << 24,
+     "expected-bias(d=2, k=4, t=4): 26405870 census steps exceed the budget of "
+     "2^24 census steps"),
+    (lambda: verify_linear_preimage(17, 1, 0), 1 << 17, 1 << 16,
      "linear-preimage(k=17): 2^17 inputs exceed the budget of 2^16 inputs"),
-    (lambda: code_certificate(RankDecomposition(3, 25, ())), 25, 24,
+    (lambda: code_certificate(RankDecomposition(3, 25, ())), 1 << 25, 1 << 24,
      "code_certificate(k=25): 2^25 dual codewords exceed the budget of 2^24 dual codewords"),
 ], ids=["moment-tensors", "moment-tuples", "sum-zero", "subspace-membership",
         "span-dimension", "joint-vanishing", "expected-bias", "linear-preimage",
         "code-certificate"])
-def test_capacity_guards_report_counts(call, bits, limit, message):
+def test_capacity_guards_report_counts(call, required, budget, message):
     with pytest.raises(CapacityError, match=re.escape(message)) as ei:
         call()
-    assert ei.value.required == 1 << bits
-    assert ei.value.budget == 1 << limit
+    assert ei.value.required == required
+    assert ei.value.budget == budget
 
 
 class TestMomentIdentity:
@@ -293,16 +325,12 @@ class TestExpectedBias:
         (2, 1, 2, "13/2^4"),
         (2, 2, 1, "23/2^5"),
         (3, 2, 1, "229/2^8"),
+        (2, 3, 5, "529/2^11"),
     ])
     def test_exhaustive_closed_form(self, d, k, t, mean):
         r = verify_expected_bias(d, k, t)
         assert measured(r)["mean"] == mean
         assert measured(r)["closed_form"] == mean
-        assert r.holds is True
-
-    def test_monte_carlo_mode(self):
-        r = verify_expected_bias(2, 3, 5, samples=2_000, seed=11)
-        assert r.method == "monte-carlo"
         assert r.holds is True
 
 

@@ -12,14 +12,14 @@ import pytest
 from f2lab import numerics
 from f2lab.errors import InvariantError
 from f2lab.bias import DyadicRational as D
-from f2lab.numerics import (MaxProblemPoint, _exact_vertices, _extreme_points,
+from f2lab.numerics import (_exact_vertices, _extreme_points,
                             _inequality_sides, _solve_exact, f_dk_bound, inequality_checks,
                             mrrw_constant, power_at_most, profile_max_check)
 from f2lab.prng import Prng
 from f2lab.harness import EXPERIMENTS
 from f2lab.report import fmt_float
-from oracles import (below, exact_vertices_gauss_jordan, inequality_grid, sampled_profile_max,
-                     solve_gauss_jordan)
+from oracles import (below, exact_vertices_gauss_jordan, feasible_profile, inequality_grid,
+                     sampled_profile_max, solve_gauss_jordan)
 
 
 def test_f1k_closed_form():
@@ -63,11 +63,16 @@ def test_mrrw_constant():
 
 
 def test_profile_point_validation():
-    MaxProblemPoint(3, 4.0, (3.0, 1.0, 0.0))
+    # the oracle's feasibility check, which every sampled profile passes
+    assert feasible_profile(3, 4.0, (3.0, 1.0, 0.0)) == (3.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        MaxProblemPoint(3, 4.0, (1.0, 3.0, 0.0))   # not descending
+        feasible_profile(3, 4.0, (1.0, 3.0, 0.0))   # not descending
     with pytest.raises(ValueError):
-        MaxProblemPoint(3, 4.0, (3.0, 0.5, 0.0))   # wrong sum
+        feasible_profile(3, 4.0, (3.0, 0.5, 0.0))   # wrong sum
+    with pytest.raises(ValueError):
+        feasible_profile(3, 4.0, (4.0, 0.0, 0.0))   # above k
+    with pytest.raises(ValueError):
+        feasible_profile(3, 4.0, (3.0, 1.0))        # wrong length
 
 
 def test_profile_max_double_maximum():
@@ -103,7 +108,7 @@ END_CASES = [(k, u, 700, 90 + k) for k in range(1, 7) for u in (0.0, float(k * k
 @pytest.mark.parametrize("k, u, trials, seed", FULL_PROFILE_CASES + END_CASES)
 def test_sampled_max_matches_one_point_per_trial(k, u, trials, seed):
     # the convexity argument of profile_max_check, checked from outside:
-    # no random feasible profile, one validated MaxProblemPoint per trial,
+    # no random feasible profile, one checked profile per trial,
     # beats the maximum over the vertices, which is the closed form
     r = profile_max_check(k, u)
     extreme_max = float(dict(r.measured)["extreme_max"])
@@ -171,14 +176,6 @@ PROFILE_CASES = [(2, 2.0), (5, 13.7)] + [(k, (i + 0.37) * k * k / 4.0)
                                           for k in range(1, 7) for i in range(4)]
 
 
-def _unchecked_point(k, u, b):
-    """A MaxProblemPoint built without its feasibility checks."""
-    pt = object.__new__(MaxProblemPoint)
-    for name, value in (("k", k), ("u", u), ("b", b)):
-        object.__setattr__(pt, name, value)
-    return pt
-
-
 @pytest.mark.parametrize("k, u", [(k, u) for k, u in PROFILE_CASES if k >= 2])
 def test_profile_max_catches_a_dropped_vertex(k, u, monkeypatch):
     points = list(_extreme_points(k, u))
@@ -202,9 +199,9 @@ def test_profile_max_catches_an_added_profile(k, u, monkeypatch):
     ]
     tried = 0
     for b in bad:
-        if any(b == pt.b for pt in real) or max(b) > k or min(b) < 0:
+        if b in real or max(b) > k or min(b) < 0:
             continue
-        extra = real + [_unchecked_point(k, u, b)]
+        extra = real + [b]
         monkeypatch.setattr(numerics, "_extreme_points", lambda k, u: iter(extra))
         with pytest.raises(InvariantError, match="add the non-vertices"):
             profile_max_check(k, u)
@@ -213,7 +210,7 @@ def test_profile_max_catches_an_added_profile(k, u, monkeypatch):
 
 
 def test_profile_max_catches_a_wrong_objective(monkeypatch):
-    monkeypatch.setattr(MaxProblemPoint, "objective", lambda self: 0.0)
+    monkeypatch.setattr(numerics, "_objective", lambda b: 0.0)
     with pytest.raises(InvariantError, match="not the closed form"):
         profile_max_check(3, 4.0)
 
