@@ -429,23 +429,19 @@ def _monomials_upto(n: int, degree: int) -> list[tuple[int, ...]]:
 
 def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynomial]:
     """Exact max correlation over all multilinear polynomials of degree
-    <= `degree`, with one maximizer.
+    <= `degree`, with the least maximizer.
 
     The class has 2^(#monomials) members.  Its affine part needs no walk:
     the correlation of f with a.x + c is |W(a)| / 2^n for the Walsh
     spectrum W of f's table (`walsh_spectrum`), P and P + 1 alike.  A Gray
     walk over the monomials of degree >= 2 (one state at degree 1) XORs
-    their tables into the form's, and each state costs one transform.  The
-    witness is the first maximizer of a Gray walk over the whole class,
-    constant first, then the n linear monomials, then the rest: the member
-    of least step g^-1(member), the constant set to make that step even.
-    Within a state the step's low n bits are the key g^-1(a), XORed with
-    all ones when the state's high part has odd parity.  The tables are
-    built over the key coordinates y_v = x_v + x_(v-1), variable v at bit
-    v, so that field u of the spectrum is the linear part a = g(u): the
-    least key among the maximizers is the first maximal field, or the
-    last one complemented at odd parity.  Degree 0 is {0, 1} and degree
-    -1 is {0}: both give the bias, from `bias_bruteforce`.
+    their tables into the form's, and each state costs one transform.
+    Variable v is input bit v of every table, so field a of a transform
+    is the linear part a.  The witness is the least maximizer: the first
+    state whose spectrum reaches the maximum, the least linear part a
+    there, and no constant, since P and P + 1 tie.  Degree 0 is {0, 1}
+    and degree -1 is {0}: both give the bias, from `bias_bruteforce`,
+    and the zero polynomial.
 
     The work guard counts the 32-bit fields the transforms touch, 2^h
     states x n stages x 2^n fields for the h monomials of degree >= 2
@@ -463,25 +459,19 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     check_capacity(what, (n << n) << (class_bits - 1 - n), CORR_CLASS_WORK,
                    "transform fields")
     check_capacity(what, _class_max_bytes(k, d, class_bits), budget_bytes(), "bytes")
-    # x_v = y_0 + ... + y_v over the key coordinates
-    variables = [var_mask(0, n)]
-    for v in range(1, n):
-        variables.append(variables[-1] ^ var_mask(v, n))
+    variables = [var_mask(v, n) for v in range(n)]
     cur = _sliced_form(t.bits, [variables[j * k:(j + 1) * k] for j in range(d)], 0, k)
-    monos = _monomials_upto(n, min(degree, n))
+    monos = _monomials_upto(n, min(degree, n))[1 + n:]
     high_tables = []
-    for mono in monos[1 + n:]:
+    for mono in monos:
         mt = variables[mono[0]]
         for v in mono[1:]:
             mt &= variables[v]
         high_tables.append(mt)
     del variables
 
-    # member Q (constant left out) comes first in the walk at step
-    # g^-1(Q): its high bits are the outer state, its low n bits the key
     size = 1 << n
     best_num = -1
-    best_step = 0
     for state in range(1 << len(high_tables)):
         if state:
             cur ^= high_tables[ctz(state)]
@@ -489,18 +479,9 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
         top, low = max(spectrum), min(spectrum)
         num = max(top - size, size - low)
         if num > best_num:
-            # the low n bits of g^-1(Q) are g^-1(a) XOR the parity of the
-            # high part H = g(state), which is bit 0 of state; reversed,
-            # field j is field ones(n) ^ j, so key j at odd parity
-            if state & 1:
-                spectrum.reverse()
-            best_num = num
-            best_step = (state << n) | min(spectrum.index(v) for v in (top, low)
-                                           if abs(v - size) == num)
-    # the whole-class walk meets {Q, Q + 1} first at step 2 g^-1(Q), at the
-    # member whose constant bit is bit 0 of g^-1(Q)
-    subset = best_step ^ (best_step >> 1)
-    best_set = (subset << 1) | (best_step & 1)
-    witness = Polynomial.reduce(
-        n, [monos[i] for i in range(class_bits) if (best_set >> i) & 1])
+            best_num, best_state = num, state
+            best_a = min(spectrum.index(v) for v in (top, low) if abs(v - size) == num)
+    high = best_state ^ (best_state >> 1)
+    witness = Polynomial.reduce(n, [m for i, m in enumerate(monos) if (high >> i) & 1]
+                                + [(v,) for v in range(n) if (best_a >> v) & 1])
     return DyadicRational.from_ratio(best_num, n), witness

@@ -472,20 +472,25 @@ def _span_walk(what: str, gens: Sequence[int], nrows: int, ncols: int, nbins: in
     Chunks are cut as in `sampled_rank_histogram` (`_chunk_lanes`), and
     a refusal names the route `what`.  A chunk's ints are the shared and
     the flipped entry planes and the `kernel_ints` that `chunk_histogram`
-    holds.  Each process cuts its chunks from its share of the budget, and
-    no more run than shares hold the narrowest chunk.
+    holds.  Beside them a process holds 3 KiB of frames, generators,
+    histograms and small lists, and 144 bytes a row: the headers of the
+    row's lists in the planes and the flipped planes, and the slots a
+    comprehension over-allocates.  Each process cuts its chunks from its
+    share of the budget, and no more run than shares hold the narrowest
+    chunk.
     `bias_exact` at d >= 4 runs the same walk with plane-valued steps,
     serially, since there a step of x_1 changes each residual matrix by
     a matrix that varies by lane.
     """
     lane_ints = 2 * nrows * ncols + kernel_ints
+    fixed = 3072 + 144 * nrows
     most = min(len(gens), LANE_CHUNK_BITS)
     budget = budget_bytes()
-    nlanes, need = _chunk_lanes(lane_ints, budget, most)
-    check_capacity(what, need, budget, "bytes")
-    shares = budget // _chunk_lanes(lane_ints, 0, most)[1]  # each holds the narrowest chunk
+    nlanes, need = _chunk_lanes(lane_ints, budget - fixed, most)
+    check_capacity(what, need + fixed, budget, "bytes")
+    shares = budget // (_chunk_lanes(lane_ints, 0, most)[1] + fixed)  # narrowest chunks that fit
     workers = min(_walk_workers((1 << len(gens)) // nlanes), shares)
-    nlanes = _chunk_lanes(lane_ints, budget // workers, most)[0]
+    nlanes = _chunk_lanes(lane_ints, budget // workers - fixed, most)[0]
     chunk_m = nlanes.bit_length() - 1
     high = gens[chunk_m:]
     lane_ones = ones(nlanes)

@@ -60,9 +60,11 @@ def _rank_one_census(d: int, k: int) -> dict[int, int]:
 def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
     """Each sum of t rank-one d-tensors -> the number of the (2^k)^(td)
     vector tuples giving it: the t-fold XOR convolution of the rank-one
-    census."""
-    one = _rank_one_census(d, k)
+    census, which t = 0 does not build."""
     sums = {0: 1}
+    if t == 0:
+        return sums
+    one = _rank_one_census(d, k)
     for _ in range(t):
         nxt = Counter()
         for s, c in sums.items():
@@ -72,20 +74,27 @@ def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
     return sums
 
 
-def _census_work(d: int, k: int, t: int) -> int:
-    """Steps of `_sum_census(d, k, t)`, at least those of `_vanish_count`:
-    the 2^(kd) tuples `_rank_one_census` enumerates, then in round j < t
-    one update for each of the at most min(2^(k^d), |R|^j) sums held and
-    each of the |R| = (2^k - 1)^d + 1 distinct rank-ones (zero among them).
-    Summed term by term until past 2^CENSUS_STEPS_BITS, so a refused count
-    is a lower bound and builds no large int; 2^(kd) tuples past the cap
-    count as 2^(CENSUS_STEPS_BITS + 1)."""
+def _census_work(d: int, k: int, t: int, vanish: bool = False) -> int:
+    """Steps of `_sum_census(d, k, t)`, or with `vanish` of `_vanish_count(d,
+    k, t)`.  The census runs none at t = 0.  Else it enumerates the 2^(kd)
+    tuples of `_rank_one_census`, then in round j < t makes one update for
+    each of the at most min(2^(k^d), |R|^j) sums held and each of the |R| =
+    (2^k - 1)^d + 1 distinct rank-ones (zero among them).  `_vanish_count`
+    runs t - 1 rounds of that census and then dots it with the rank-one
+    census, built again: 2^(kd) tuples and |R| lookups.  Summed term by term
+    until past 2^CENSUS_STEPS_BITS, so a refused count is a lower bound and
+    builds no large int; 2^(kd) tuples past the cap count as
+    2^(CENSUS_STEPS_BITS + 1)."""
+    if t == 0:
+        return 0
     if k * d > CENSUS_STEPS_BITS:
         return 1 << CENSUS_STEPS_BITS + 1
-    work = 1 << k * d
+    tuples = 1 << k * d
     rank_ones = ((1 << k) - 1) ** d + 1
+    rounds = t - vanish
+    work = (tuples if rounds else 0) + (tuples + rank_ones if vanish else 0)
     held = 1
-    for _ in range(t):
+    for _ in range(rounds):
         if work > 1 << CENSUS_STEPS_BITS:
             break
         work += held * rank_ones
@@ -114,7 +123,8 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     check_sizes("moment-identity", ("d", d, 1), ("k", k, 1), ("t", t, 0))
     cells = k ** d
     what = f"moment-identity(d={d}, k={k}, t={t})"
-    check_capacity(what, _census_work(d, k, t), 1 << CENSUS_STEPS_BITS, "census steps")
+    check_capacity(what, _census_work(d, k, t, vanish=True), 1 << CENSUS_STEPS_BITS,
+                   "census steps")
     check_capacity(what, 1 << cells, 1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
     lhs = sum(bias_exact(DenseTensor(d, k, x)) ** t for x in range(1 << cells)) / (1 << cells)
     rhs = D.from_ratio(_vanish_count(d, k, t), k * t * d)
@@ -136,7 +146,7 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     exactly, eps read as the decimal it prints as (`power_at_most`).
     """
     check_sizes("sum-zero", ("d", d, 2), ("k", k, 1), ("t", t, 0))
-    check_capacity(f"sum-zero(d={d}, k={k}, t={t})", _census_work(d, k, t),
+    check_capacity(f"sum-zero(d={d}, k={k}, t={t})", _census_work(d, k, t, vanish=True),
                    1 << CENSUS_STEPS_BITS, "census steps")
     exact = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     proof_bound = ((d + 2.0 ** (t / k ** (d - 2))) / 2.0 ** k) ** t

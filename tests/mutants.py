@@ -123,6 +123,20 @@ MUTANTS = [
            "_corr_bytes does not count, but the byte test's calls peak at 0.27 of the "
            "model or less (their polynomials' pieces are mostly one shared zero), so "
            "the one-sided test passes: a blind spot, not a harmless change"),
+    # bias.corr_class_max: input coordinates and the least maximizer
+    Mutant("class-max-last-state", "bias.py",
+           "        if num > best_num:\n            best_num, best_state",
+           "        if num >= best_num:\n            best_num, best_state",
+           (B + "test_corr_class_max_matches_whole_class_walk",)),
+    Mutant("class-max-greatest-linear-part", "bias.py",
+           "best_a = min(spectrum.index(v) for v in (top, low)",
+           "best_a = max(size - 1 - spectrum[::-1].index(v) for v in (top, low)",
+           (B + "test_corr_class_max_degree_one_witness_is_zero",
+            B + "test_corr_class_max_matches_whole_class_walk_on_flat_spectra")),
+    Mutant("class-max-variables-reversed", "bias.py",
+           "variables = [var_mask(v, n) for v in range(n)]",
+           "variables = [var_mask(n - 1 - v, n) for v in range(n)]",
+           (B + "test_class_max_spectrum_is_over_the_input_coordinates",)),
     # numerics.power_at_most: x <= bound(2^(p/q)), exactly
     Mutant("power-exact-strict", "numerics.py",
            "return x <= bound(Fraction(2) ** (p // q))", "return x < bound(Fraction(2) ** (p // q))",
@@ -245,8 +259,8 @@ MUTANTS = [
            "for code, data, lo, hi in results:", "for code, data, lo, hi in results[:-1]:",
            (L + "test_split_walk_matches_one_process", L + "test_split_walk_divides_the_budget")),
     Mutant("walk-budget-undivided", "f2linalg.py",
-           "_chunk_lanes(lane_ints, budget // workers, most)",
-           "_chunk_lanes(lane_ints, budget, most)",
+           "_chunk_lanes(lane_ints, budget // workers - fixed, most)",
+           "_chunk_lanes(lane_ints, budget - fixed, most)",
            (L + "test_split_walk_divides_the_budget",)),
     Mutant("walk-one-chunk-a-worker", "f2linalg.py",
            "min(_usable_cpus(), nsteps // 2)", "min(_usable_cpus(), nsteps)",
@@ -266,14 +280,28 @@ MUTANTS = [
            "need = lane_ints * (int_bytes(nlanes) + 32)", "need = lane_ints * int_bytes(nlanes)",
            (G + "test_every_guard_names_its_unit",
             G + "test_span_walk_peaks_within_small_budgets")),
+    Mutant("span-model-no-fixed-bytes", "f2linalg.py",
+           "fixed = 3072 + 144 * nrows", "fixed = 0",
+           (G + "test_span_walk_peaks_within_small_budgets",
+            G + "test_every_guard_names_its_unit")),
     Mutant("span-model-no-kernel-ints", "f2linalg.py",
            "lane_ints = 2 * nrows * ncols + kernel_ints", "lane_ints = 2 * nrows * ncols",
            (G + "test_span_walk_peaks_within_small_budgets",)),
     # harness._census_work: the census guards' unit
     Mutant("census-one-round-short", "harness.py",
-           "    for _ in range(t):\n        if work > 1 << CENSUS_STEPS_BITS:",
-           "    for _ in range(t - 1):\n        if work > 1 << CENSUS_STEPS_BITS:",
+           "    for _ in range(rounds):\n        if work > 1 << CENSUS_STEPS_BITS:",
+           "    for _ in range(rounds - 1):\n        if work > 1 << CENSUS_STEPS_BITS:",
            (H + "test_census_work_covers_every_census_step",)),
+    Mutant("census-vanish-every-round", "harness.py",
+           "rounds = t - vanish", "rounds = t",
+           (H + "test_census_work_covers_every_census_step",)),
+    Mutant("census-vanish-no-second-census", "harness.py",
+           "(tuples + rank_ones if vanish else 0)", "(rank_ones if vanish else 0)",
+           (H + "test_census_work_covers_every_census_step",)),
+    Mutant("census-at-t-0", "harness.py",
+           "    sums = {0: 1}\n    if t == 0:\n        return sums\n", "    sums = {0: 1}\n",
+           (H + "test_vanish_count_builds_one_census_at_t_1",
+            H + "test_census_work_covers_every_census_step")),
     Mutant("census-no-zero-rank-one", "harness.py",
            "rank_ones = ((1 << k) - 1) ** d + 1", "rank_ones = ((1 << k) - 1) ** d",
            (H + "test_census_work_covers_every_census_step",)),

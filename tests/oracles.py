@@ -140,11 +140,14 @@ def write_poly(fp, poly):
 def class_max_walk(t, degree):
     """Max |correlation| of f_T over the polynomials of degree <= `degree`
     in the variables j*k + i (coordinate i of block j), as (numerator over
-    2^(kd), monomials of the maximizer).
+    2^(kd), monomials of the least maximizer).
 
-    A Gray walk over every member of the class from the zero polynomial,
-    monomials in order of degree then lexicographically, keeping the first
-    strict maximizer.  Tables are built input by input, variable v at bit v.
+    Every member without a constant, P and P + 1 tying: a Gray walk over
+    the monomials of degree >= 2 from the zero polynomial, in order of
+    degree then lexicographically, and at each of its states every linear
+    part sum_{v in a} x_v in increasing order of the int a, keeping the
+    first strict maximizer.  Tables are built input by input, variable v
+    at bit v.
     """
     k, d = t.k, t.d
     n = k * d
@@ -157,17 +160,25 @@ def class_max_walk(t, degree):
     for flat in range(k ** d):
         if (t.bits >> flat) & 1:
             form ^= table([j * k + (flat // k ** (d - 1 - j)) % k for j in range(d)])
-    monos = [m for deg in range(degree + 1) for m in combinations(range(n), deg)]
-    tables = [table(m) for m in monos]
-    best = abs(size - 2 * form.bit_count())
-    best_set = subset = 0
-    for flip in gray_flips(len(monos)):
-        form ^= tables[flip]
-        subset ^= 1 << flip
-        num = abs(size - 2 * form.bit_count())
-        if num > best:
-            best, best_set = num, subset
-    return best, [m for i, m in enumerate(monos) if (best_set >> i) & 1]
+    high = [m for deg in range(2, degree + 1) for m in combinations(range(n), deg)]
+    tables = [table(m) for m in high]
+    linear = [table((v,)) for v in range(n)] if degree >= 1 else []
+    best = -1
+    subset = 0
+    for flip in [None, *gray_flips(len(high))]:
+        if flip is not None:
+            form ^= tables[flip]
+            subset ^= 1 << flip
+        for a in range(1 << len(linear)):
+            cur = form
+            for v in range(n):
+                if (a >> v) & 1:
+                    cur ^= linear[v]
+            num = abs(size - 2 * cur.bit_count())
+            if num > best:
+                best, best_set, best_a = num, subset, a
+    return best, ([m for i, m in enumerate(high) if (best_set >> i) & 1]
+                  + [(v,) for v in range(n) if (best_a >> v) & 1])
 
 
 def walsh_sum(table, n, u):

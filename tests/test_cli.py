@@ -156,7 +156,7 @@ def test_bad_budget_env_exits_2(tmp_path, monkeypatch, capsys, value):
 def test_budget_env_allows_surrounding_whitespace(tmp_path, monkeypatch, capsys):
     path = tmp_path / "t.f2t"
     assert main(["gen", "trace", "--k", "3", "--out", str(path)]) == 0
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", " 4096 ")
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", " 8192 ")
     assert main(["bias", "exact", str(path), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["bias"] == "15/2^6"
 

@@ -283,8 +283,8 @@ def test_span_rank_histogram_chunked(monkeypatch):
     rng = Prng(11)
     for nr, nc in ((4, 4), (3, 5)):
         gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(9)]
-        # 4 KiB forces 128-lane chunks, four of them; result must not change
-        monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
+        # 8 KiB forces 128-lane chunks, four of them; result must not change
+        monkeypatch.setenv("F2LAB_BUDGET_BYTES", "8192")
         chunked = span_rank_histogram(gens, nr, nc)
         monkeypatch.delenv("F2LAB_BUDGET_BYTES")
         assert chunked == span_rank_histogram(gens, nr, nc) == brute_span_hist(gens, nr, nc)
@@ -326,9 +326,9 @@ def use_cpus(monkeypatch, n):
 
 # (nrows, ncols, generators): 8 or 16 lane chunks in one process at the
 # budget, so the walk splits over three workers too, which never divide a
-# power of two; under 4 KiB, where only (2, 2) has three shares that hold
+# power of two; under 14 KiB, where only (2, 2) has three shares that hold
 # a 64-lane chunk, the others split over two
-SPLIT_SPANS = {"4096": [(2, 2, 13), (3, 2, 12), (2, 3, 11)],
+SPLIT_SPANS = {"14336": [(2, 2, 14), (3, 2, 14), (2, 3, 13)],
                "65536": [(3, 3, 17), (4, 5, 15), (2, 6, 16)]}
 
 
@@ -376,9 +376,10 @@ def test_split_walk_divides_the_budget(monkeypatch):
 
 def test_split_walk_runs_no_more_workers_than_shares(monkeypatch):
     # a 64-lane chunk of 2 x 2 matrices needs 1,320 bytes and one of 3 x 2
-    # matrices 1,496: 4 KiB holds three shares of the first and two of the
-    # second, so three CPUs fork two workers and one
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "4096")
+    # matrices 1,496, each with 3 KiB and 144 bytes a row beside it: 14 KiB
+    # holds three shares of the first and two of the second, so three CPUs
+    # fork two workers and one
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "14336")
     use_cpus(monkeypatch, 3)
     splits = []
     real = f2linalg._split_walk
@@ -389,10 +390,10 @@ def test_split_walk_runs_no_more_workers_than_shares(monkeypatch):
 
     monkeypatch.setattr(f2linalg, "_split_walk", spy)
     rng = Prng(54)
-    for nr, nc, m in ((2, 2, 13), (3, 2, 12)):
-        gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(m)]
+    for nr, nc in ((2, 2), (3, 2)):
+        gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(14)]
         assert span_rank_histogram(gens, nr, nc) == brute_span_hist(gens, nr, nc)
-    assert splits == [(128, 3), (32, 2)]
+    assert splits == [(256, 3), (32, 2)]
 
 
 def test_walk_workers(monkeypatch):
@@ -426,8 +427,8 @@ def test_malformed_worker_histogram_is_refused(data):
 def test_a_failed_walk_leaves_no_child(where, monkeypatch):
     # a worker that raises exits nonzero, an InvariantError naming its
     # steps; a parent that raises kills its workers; both reap them all
-    # (10 KiB: three workers, each walking 64-lane chunks)
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "10240")
+    # (20 KiB: three workers, each walking 64-lane chunks)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "20480")
     use_cpus(monkeypatch, 3)
     parent = os.getpid()
     real = f2linalg._batched_rank_histogram
@@ -439,7 +440,7 @@ def test_a_failed_walk_leaves_no_child(where, monkeypatch):
 
     monkeypatch.setattr(f2linalg, "_batched_rank_histogram", fails)
     rng = Prng(53)
-    gens = [pack(random_matrix(4, 4, rng), 4) for _ in range(12)]
+    gens = [pack(random_matrix(4, 4, rng), 4) for _ in range(13)]
     error, match = ((InvariantError, r"walk worker for steps \[\d+, \d+\) exited with status 1 ")
                     if where == "worker" else (KeyError, "parent"))
     with pytest.raises(error, match=match):

@@ -79,8 +79,9 @@ def test_vanish_count_matches_census_up_to_16_tuple_bits():
 
 def test_census_work_covers_every_census_step(monkeypatch):
     # each step of _sum_census sets one Counter entry: a tuple of the
-    # rank-one census, or one held sum plus one rank-one; _census_work
-    # counts at least as many, at every k^d <= 9 and t <= 6
+    # rank-one census, or one held sum plus one rank-one; _vanish_count
+    # adds a lookup per rank-one; _census_work counts at least as many for
+    # each route, at every k^d <= 9 and t <= 6, and none at t = 0
     steps = 0
 
     class Counted(Counter):
@@ -93,28 +94,53 @@ def test_census_work_covers_every_census_step(monkeypatch):
     shapes = [(d, k) for k in range(1, 10) for d in range(1, 7) if k ** d <= 9]
     assert len(shapes) == 17
     for d, k in shapes:
-        assert len(harness._rank_one_census(d, k)) == ((1 << k) - 1) ** d + 1, (d, k)
+        rank_ones = ((1 << k) - 1) ** d + 1
+        assert len(harness._rank_one_census(d, k)) == rank_ones, (d, k)
         for t in range(7):
             steps = 0
             _sum_census(d, k, t)
-            assert 0 < steps <= _census_work(d, k, t), (d, k, t)
+            assert steps <= _census_work(d, k, t), (d, k, t)
+            assert (steps > 0) == (_census_work(d, k, t) > 0) == (t > 0), (d, k, t)
+            steps = 0
+            _vanish_count(d, k, t)
+            lookups = rank_ones if t else 0
+            assert steps + lookups <= _census_work(d, k, t, vanish=True), (d, k, t)
     # the full profile's (2, 3, 5); (2, 6, 2), the most the 2^24 cap admits
     # of the shapes with ktd <= 24; two it refuses, (2, 12, 1) for its 2^24
     # rank-one tuples and 4095^2 + 1 rank-ones
     assert [_census_work(*shape) for shape in [(2, 3, 5), (2, 6, 2), (2, 4, 4), (2, 12, 1)]] \
         == [79_414, 15_768_966, 26_405_870, 33_546_242]
+    # the vanishing count of (3, 3, 3): 2^9 tuples, 344 rank-ones times 1
+    # and 344 sums, and the dot product's 2^9 tuples and 344 lookups
+    assert _census_work(3, 3, 3, vanish=True) == 120_048
+
+
+def test_vanish_count_builds_one_census_at_t_1(monkeypatch):
+    # the empty sum needs no rank-one census: one t = 1 count builds it once
+    calls = []
+    census = harness._rank_one_census
+
+    def spy(d, k):
+        calls.append((d, k))
+        return census(d, k)
+    monkeypatch.setattr(harness, "_rank_one_census", spy)
+    assert _sum_census(3, 2, 0) == {0: 1} and calls == []
+    assert _vanish_count(3, 2, 1) == 4 ** 3 - 3 ** 3  # a zero vector among the three
+    assert calls == [(3, 2)]
 
 
 # (2, 4, 4) takes 26,405,870 census steps: 2^8 tuples, then 226 rank-ones
-# times 1, 226, 226^2 and 2^16 sums (`_census_work`)
+# times 1, 226, 226^2 and 2^16 sums (`_census_work`); the vanishing count
+# of (2, 4, 5) runs those four rounds, then dots with a second rank-one
+# census, 2^8 tuples and 226 lookups: 26,406,352 steps
 @pytest.mark.parametrize("call,required,budget,message", [
     (lambda: verify_moment_identity(3, 3, 2), 1 << 27, 1 << 16,
      "moment-identity(d=3, k=3, t=2): 2^27 tensors exceed the budget of 2^16 tensors"),
-    (lambda: verify_moment_identity(2, 4, 4), 26_405_870, 1 << 24,
-     "moment-identity(d=2, k=4, t=4): 26405870 census steps exceed the budget of "
+    (lambda: verify_moment_identity(2, 4, 5), 26_406_352, 1 << 24,
+     "moment-identity(d=2, k=4, t=5): 26406352 census steps exceed the budget of "
      "2^24 census steps"),
-    (lambda: verify_sum_zero(2, 4, 4), 26_405_870, 1 << 24,
-     "sum-zero(d=2, k=4, t=4): 26405870 census steps exceed the budget of 2^24 census steps"),
+    (lambda: verify_sum_zero(2, 4, 5), 26_406_352, 1 << 24,
+     "sum-zero(d=2, k=4, t=5): 26406352 census steps exceed the budget of 2^24 census steps"),
     (lambda: verify_subspace_membership(2, 12, [1], 1, 0), 1 << 24, 1 << 22,
      "subspace-membership(d=2, k=12): 2^24 tuples exceed the budget of 2^22 tuples"),
     (lambda: verify_span_dimension(2, 4, 4), 1 << 32, 1 << 24,

@@ -318,9 +318,9 @@ def test_certificate_premise_faults_raise(monkeypatch):
 
 def test_certificate_ranks_the_dual_span_once(monkeypatch):
     decs = [*_certificate_family(), random_rank_decomp(3, 9, 12, 45)]
-    # a 12 KiB budget splits the span of dimension 9 into 64-lane chunks;
+    # a 16 KiB budget splits the span of dimension 9 into 64-lane chunks;
     # one walk process, so every chunk is ranked where the lanes are counted
-    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "12288")
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", "16384")
     monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
 
     def no_bias_exact(t):
