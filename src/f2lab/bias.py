@@ -14,12 +14,10 @@ Two exact routes check each other:
 * `bias_exact` ranges over the prefixes x_1..x_{d-2} only: at each, the
   form is the bilinear form of a residual k x k matrix and contributes
   2^-rank, computed by the bit-sliced batched rank kernel in chunks of
-  at most 2^16 lanes.  At d = 3 the matrices are the span of the
-  first-block slices (`span_rank_histogram`).  From d = 4 on a lane
-  holds the low bits of x_1 and all of x_2..x_{d-2}, and a Gray walk
-  over the high bits of x_1 XORs one delta plane set into the planes
-  per chunk.  All contributions are nonnegative probabilities, so the
-  absolute value in the definition never needs a sign.
+  at most 2^16 lanes: the span of the k slices of x_1, each a matrix at
+  d = 3 and one per value of x_2..x_{d-2} from d = 4 on (`_span_walk`).
+  All contributions are nonnegative probabilities, so the absolute value
+  in the definition never needs a sign.
 
 At d = 3 the two share no code; from d = 4 on both build tables with
 `form_table`, which the tests check input by input against `evaluate`.
@@ -36,9 +34,9 @@ from typing import Sequence
 from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
                       linear_form_table, ones, repeat, subset_xor_table, var_mask,
                       walsh_spectrum)
-from .errors import check_capacity
-from .f2linalg import (LANE_CHUNK_BITS, _add, _batched_rank_histogram, mat_rank,
-                       span_rank_histogram)
+from .errors import CapacityError, check_capacity
+from .f2linalg import (LANE_CHUNK_BITS, _add, _batched_rank_histogram, _kernel_ints,
+                       _span_walk, mat_rank, span_rank_histogram)
 from .prng import Prng
 from .report import fmt_dyadic
 from .tensors import DenseTensor, Polynomial, first_block_slices
@@ -127,37 +125,20 @@ def _histogram_to_mean(counts: Sequence[int], log2_batch: int) -> DyadicRational
     return DyadicRational.from_ratio(num, top + log2_batch)
 
 
-def _walk_low_bits(k: int, inner_bits: int) -> int | None:
-    """The bits c of x_1 that a lane of the d >= 4 walk holds beside the
-    inner_bits of x_2..x_{d-2}: the most that keep a chunk within
-    2^LANE_CHUNK_BITS lanes and the byte budget, or None when not even
-    c = 0 fits.  The budget covers the base planes, the k - c delta plane
-    sets, the current planes, and the k^2 slot rows and k-entry row of
-    `_batched_rank_histogram`: `int_bytes` of a plane and 32 bytes of
-    header and list slot.  `_tail_matrix_planes` holds less: beside the
-    planes built so far, one entry's slice tables, the k variable masks
-    and a doubling step fit in the two k^2 plane sets the walk adds."""
-    for c in range(min(k, LANE_CHUNK_BITS - inner_bits), -1, -1):
-        plane = int_bytes(1 << (c + inner_bits)) + 32
-        if ((k - c + 3) * k * k + k) * plane <= budget_bytes():
-            return c
-    return None
-
-
 def _tail_matrix_planes(t: DenseTensor, c: int) -> tuple[list[list[int]],
                                                          list[list[list[int]]]]:
-    """Base and delta planes of the d >= 4 walk over the residual matrices.
+    """Built planes and delta plane sets of the d >= 4 span walk.
 
     Entry (i, j) of the residual matrix is a (d-2)-linear form of the
     prefix x_1..x_{d-2}; its slice at coordinate a of x_1 has a table t_a
-    over the inner blocks x_2..x_{d-2} (`form_table`, x_2 slowest, with
-    the k variable masks built once per call).  A lane is (l, y): l the
-    low c bits of x_1 at the high lane bits, y the inner blocks at the low
-    ones.  base[i][j] holds the XOR of t_a(y) over the bits a of l, which
-    is the entry where the other bits of x_1 are 0: the
-    `subset_xor_table` of t_0..t_(c-1), built by doubling.
-    deltas[a - c][i][j] holds t_a(y) at every lane, for a >= c: 2^c
-    copies of t_a (`repeat`).
+    over the inner blocks x_2..x_{d-2}, the walk's inner lanes
+    (`form_table`, x_2 slowest, with the k variable masks built once per
+    call).  A lane is (l, y): l the low c bits of x_1 at the high lane
+    bits, y the inner blocks at the low ones.  base[i][j] holds the XOR of
+    t_a(y) over the bits a of l, the entry where the high bits of x_1 are
+    0: the `subset_xor_table` of t_0..t_(c-1), built by doubling.
+    deltas[a - c][i][j], for a >= c, holds t_a(y) at every lane, 2^c
+    copies of t_a (`repeat`): the high generator the walk XORs in.
     """
     k, d = t.k, t.d
     kk = k * k
@@ -183,34 +164,33 @@ def _prefix_rank_histogram(t: DenseTensor) -> list[int]:
     """hist[r] = number of prefixes x_1..x_{d-2} whose residual k x k
     matrix M[i][j] = T(x_1, ..., x_{d-2}, e_i, e_j) has rank r, for d >= 3.
 
-    d = 3 is the span of the first-block slices (`span_rank_histogram`).
-    From d = 4 on, the lanes of a chunk hold the low bits of x_1 and all
-    of x_2..x_{d-2} (`_tail_matrix_planes`), and a Gray walk over the high
-    bits of x_1 XORs one delta plane set into the planes per chunk: the
-    plane-valued form of `_span_walk`, in one process.  When the inner
-    blocks do not fit one chunk, a Gray walk over the first-block slices
+    M is linear in x_1, the span of its k slices: at d = 3 the first-block
+    slices (`span_rank_histogram`), from d = 4 on a matrix at every value
+    of x_2..x_{d-2}, the inner lanes of the same `_span_walk`, with planes
+    from `_tail_matrix_planes`.  Where the inner blocks pass
+    2^LANE_CHUNK_BITS lanes, or the walk refuses its narrowest chunk
+    (before it builds any plane), a Gray walk over the first-block slices
     contracts x_1 instead, one (d-1)-tensor per value.
     """
     k, d = t.k, t.d
     if d == 3:
         return span_rank_histogram(first_block_slices(t), k, k)
+    inner = k * (d - 3)
+    if inner <= LANE_CHUNK_BITS:
+        try:
+            return _span_walk(f"bias_exact(d={d}, k={k})", k, inner, k, k, k + 1,
+                              lambda c: _tail_matrix_planes(t, c),
+                              lambda planes, nlanes: _batched_rank_histogram(planes, k, k, nlanes),
+                              _kernel_ints(k))
+        except CapacityError:
+            pass  # the contraction below
     counts = [0] * (k + 1)
-    c = _walk_low_bits(k, k * (d - 3))
-    if c is None:
-        slices = first_block_slices(t)
-        cur = 0
-        for step in range(1 << k):
-            if step:
-                cur ^= slices[ctz(step)]
-            _add(counts, _prefix_rank_histogram(DenseTensor(d - 1, k, cur)))
-        return counts
-    planes, deltas = _tail_matrix_planes(t, c)
-    nlanes = 1 << (c + k * (d - 3))
-    for step in range(1 << (k - c)):
+    slices = first_block_slices(t)
+    cur = 0
+    for step in range(1 << k):
         if step:
-            planes = [[p ^ q for p, q in zip(pi, qi)]
-                      for pi, qi in zip(planes, deltas[ctz(step)])]
-        _add(counts, _batched_rank_histogram(planes, k, k, nlanes))
+            cur ^= slices[ctz(step)]
+        _add(counts, _prefix_rank_histogram(DenseTensor(d - 1, k, cur)))
     return counts
 
 

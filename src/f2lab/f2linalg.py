@@ -14,10 +14,11 @@ Also hosts the batched rank kernel: given generator matrices
 G_1..G_m, it computes the histogram of rank(sum c_j G_j) over all 2^m
 coefficient vectors simultaneously, bit-sliced across a lane per
 coefficient vector.  This is the inner engine of the exact bias
-computation and of the kernel/dual-code certificates.  Its walk over
-the span's lane chunks (`_span_walk`, which `min_weight` shares) uses up
-to one forked process per usable CPU, and the byte budget covers them
-all together.  The same kernel ranks blocks of random matrices, one lane
+computation and of the kernel/dual-code certificates.  One walk over
+the span's lane chunks (`_span_walk`) serves `span_rank_histogram`,
+`min_weight`, and `bias_exact` from d = 4 on, whose generators vary over
+inner lanes; it uses up to one forked process per usable CPU within one
+byte budget.  The same kernel ranks blocks of random matrices, one lane
 per sample, whose entry planes are drawn as they stand by `Prng.planes`
 (`sampled_rank_histogram`), in one process, in stream order.
 """
@@ -189,8 +190,7 @@ def min_weight(s: Subspace) -> int:
     The zero space returns the sentinel ambient_dim + 1: certificate
     paths treat "no nonzero codeword" as vacuously heavy.  Counts the
     weight of all 2^dim codewords bit-sliced, one lane per codeword, in
-    the lane chunks of the rank kernel's walk (`_span_walk`), split over
-    up to one process per usable CPU; the basis is independent, so only
+    the lane chunks of `_span_walk`; the basis is independent, so only
     the zero codeword has weight 0.
     """
     if s.dim == 0:
@@ -206,7 +206,9 @@ def min_weight(s: Subspace) -> int:
         return counter.histogram()
 
     # beside the planes: the counter's planes, their complements, temporaries
-    counts = _span_walk(what, s.basis, 1, n, n + 1, weights, 2 * n.bit_length() + 8)
+    counts = _span_walk(what, s.dim, 0, 1, n, n + 1,
+                        lambda c: (_doubling_planes(s.basis[:c], 1, n), s.basis[c:]), weights,
+                        2 * n.bit_length() + 8)
     return next(w for w in range(1, n + 1) if counts[w])
 
 
@@ -223,16 +225,16 @@ LANE_CHUNK_BITS = 16
 
 
 def _chunk_lanes(lane_ints: int, budget: int, most: int = LANE_CHUNK_BITS,
-                 extra=lambda nlanes: 0) -> tuple[int, int]:
+                 extra=lambda nlanes: 0, least: int = 64) -> tuple[int, int]:
     """(lanes, bytes) of the widest power-of-two lane chunk, from 2^most
-    lanes down to 64 (or 2^most, when that is less), that fits `budget`,
-    or else of the narrowest, which the caller refuses.  A chunk holds
-    `lane_ints` nlanes-bit ints, at their digits and 32 bytes of object and
-    list slot each, and `extra(nlanes)` bytes beside them."""
+    lanes down to `least` (or 2^most, when that is less), that fits
+    `budget`, or else of the narrowest, which the caller refuses.  A chunk
+    holds `lane_ints` nlanes-bit ints, at their digits and 32 bytes of
+    object and list slot each, and `extra(nlanes)` bytes beside them."""
     nlanes = 1 << most
     while True:
         need = lane_ints * (int_bytes(nlanes) + 32) + extra(nlanes)
-        if need <= budget or nlanes <= 64:
+        if need <= budget or nlanes <= least:
             return nlanes, need
         nlanes >>= 1
 
@@ -327,6 +329,12 @@ def _batched_rank_histogram(planes: list[list[int]], nrows: int, ncols: int,
                     break
         counter.add(full ^ live)
     return counter.histogram()
+
+
+def _kernel_ints(ncols: int) -> int:
+    """Lane-plane ints `_batched_rank_histogram` holds beside its input: the
+    slot rows above the diagonal, the row, and 16 for masks and temporaries."""
+    return ncols * (ncols - 1) // 2 + ncols + 16
 
 
 def _doubling_planes(gens: Sequence[int], nrows: int, ncols: int) -> list[list[int]]:
@@ -455,63 +463,77 @@ def _split_walk(chunk_histograms, nsteps: int, workers: int, nbins: int) -> list
     return counts
 
 
-def _span_walk(what: str, gens: Sequence[int], nrows: int, ncols: int, nbins: int,
+def _span_walk(what: str, m: int, inner: int, nrows: int, ncols: int, nbins: int, build,
                chunk_histogram, kernel_ints: int) -> list[int]:
-    """Sum of chunk_histogram(planes, nlanes) over lane chunks that together
-    cover every one of the 2^m coefficient vectors of the packed generators
-    exactly once; the sum must count 2^m lanes.
+    """Sum of chunk_histogram(planes, nlanes) over lane chunks that cover
+    each of the 2^(m + inner) lanes of the span of m generators once.
 
-    The low generators are doubled into planes once.  Chunk s, for
-    0 <= s < 2^h, is those planes flipped wherever `base` has a bit set,
-    `base` the XOR of the h high generators over the set bits of
-    gray(s) = s ^ (s >> 1).  A range of steps [lo, hi) builds its first
-    base from gray(lo) and then XORs one high generator per step.  The
-    steps are split over up to one forked process per usable CPU
-    (`_walk_workers`), which share the planes copy-on-write.
+    A generator is an nrows x ncols matrix at each of 2^inner inner lanes.
+    A chunk of 2^(c + inner) lanes holds the low c generators at its high
+    lane bits: build(c) returns its entry planes where the m - c high ones
+    are 0, and the high ones.  At inner = 0 a high generator is a packed
+    int, and adding it flips the entry planes of its set bits; else it is
+    the plane set it XORs in, the same at every value of the low c.
+    Chunk s adds the high generators over the set bits of gray(s) =
+    s ^ (s >> 1), so a range of chunks [lo, hi) steps the built planes to
+    gray(lo), then by one generator a chunk.  Ranges are split over up to
+    one forked process per usable CPU (`_walk_workers`); each pops its
+    process's one copy of what `build` returned, kept by none past its
+    first step.
 
-    Chunks are cut as in `sampled_rank_histogram` (`_chunk_lanes`), and
-    a refusal names the route `what`.  A chunk's ints are the shared and
-    the flipped entry planes and the `kernel_ints` that `chunk_histogram`
-    holds.  Beside them a process holds 3 KiB of frames, generators,
-    histograms and small lists, and 144 bytes a row: the headers of the
-    row's lists in the planes and the flipped planes, and the slots a
-    comprehension over-allocates.  Each process cuts its chunks from its
+    Chunks are cut as in `sampled_rank_histogram` (`_chunk_lanes`), never
+    below 2^inner lanes, and a refusal names the route `what`.  A chunk
+    holds two plane sets (the planes and a step's result), the
+    `kernel_ints` of `chunk_histogram`, and at inner > 0 the plane set of
+    each high generator with 72 bytes a row of list headers.  A process
+    holds 3 KiB of frames, generators, histograms and small lists beside
+    them, and 144 bytes a row: the two plane sets' list headers and a
+    comprehension's spare slots.  Each process cuts its chunks from its
     share of the budget, and no more run than shares hold the narrowest
     chunk.
-    `bias_exact` at d >= 4 runs the same walk with plane-valued steps,
-    serially, since there a step of x_1 changes each residual matrix by
-    a matrix that varies by lane.
     """
-    lane_ints = 2 * nrows * ncols + kernel_ints
+    size = nrows * ncols
     fixed = 3072 + 144 * nrows
-    most = min(len(gens), LANE_CHUNK_BITS)
+
+    def stored(nlanes: int) -> int:
+        high = m + inner + 1 - nlanes.bit_length()
+        return high * (size * (int_bytes(nlanes) + 32) + 72 * nrows) if inner else 0
+
+    def chunk(share: int) -> tuple[int, int]:
+        return _chunk_lanes(2 * size + kernel_ints, share - fixed,
+                            min(m + inner, LANE_CHUNK_BITS), stored, max(64, 1 << inner))
+
     budget = budget_bytes()
-    nlanes, need = _chunk_lanes(lane_ints, budget - fixed, most)
+    nlanes, need = chunk(budget)
     check_capacity(what, need + fixed, budget, "bytes")
-    shares = budget // (_chunk_lanes(lane_ints, 0, most)[1] + fixed)  # narrowest chunks that fit
-    workers = min(_walk_workers((1 << len(gens)) // nlanes), shares)
-    nlanes = _chunk_lanes(lane_ints, budget // workers - fixed, most)[0]
-    chunk_m = nlanes.bit_length() - 1
-    high = gens[chunk_m:]
+    workers = _walk_workers((1 << m + inner) // nlanes)
+    if workers > 1:  # no more processes than the budget holds narrowest chunks
+        workers = min(workers, budget // (chunk(0)[1] + fixed))
+        nlanes = chunk(budget // workers)[0]
+    c = nlanes.bit_length() - 1 - inner
     lane_ones = ones(nlanes)
-    planes = _doubling_planes(gens[:chunk_m], nrows, ncols)
+    held = [build(c)]
+
+    def step(planes, g):
+        if inner:
+            return [[p ^ q for p, q in zip(pi, qi)] for pi, qi in zip(planes, g)]
+        return [[p ^ lane_ones if (g >> (i * ncols + j)) & 1 else p for j, p in enumerate(pi)]
+                for i, pi in enumerate(planes)]
 
     def chunk_histograms(lo: int, hi: int):
+        planes, high = held.pop()
         gray = lo ^ (lo >> 1)
-        base = 0
-        for j, g in enumerate(high):
+        for j in range(m - c):
             if (gray >> j) & 1:
-                base ^= g
-        for step in range(lo, hi):
-            if step > lo:
-                base ^= high[ctz(step)]
-            yield chunk_histogram(
-                [[p ^ lane_ones if (base >> (i * ncols + j)) & 1 else p for j, p in enumerate(pi)]
-                 for i, pi in enumerate(planes)] if base else planes, nlanes)
+                planes = step(planes, high[j])
+        for s in range(lo, hi):
+            if s > lo:
+                planes = step(planes, high[ctz(s)])
+            yield chunk_histogram(planes, nlanes)
 
-    counts = _split_walk(chunk_histograms, 1 << len(high), workers, nbins)
-    if sum(counts) != 1 << len(gens):
-        raise InvariantError(f"span walk counted {sum(counts)} of 2^{len(gens)} lanes")
+    counts = _split_walk(chunk_histograms, 1 << m - c, workers, nbins)
+    if sum(counts) != 1 << m + inner:
+        raise InvariantError(f"span walk counted {sum(counts)} of 2^{m + inner} lanes")
     return counts
 
 
@@ -519,22 +541,18 @@ def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int
     """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r} for the packed
     nrows x ncols generators G_j (row i at bits [i ncols, (i+1) ncols)).
 
-    Exhausts all 2^m coefficient vectors in lane chunks (`_span_walk`),
-    split over up to one process per usable CPU; the byte budget covers
-    them all together.
+    Exhausts all 2^m coefficient vectors in `_span_walk`'s lane chunks.
     """
     if not gens:
         raise ValueError("need at least one generator")
     if any(g < 0 or g >> (nrows * ncols) for g in gens):
         raise ValueError(f"generator outside the {nrows} x {ncols} matrices")
 
-    def ranks(planes, nlanes):
-        return _batched_rank_histogram(planes, nrows, ncols, nlanes)
-
-    # the kernel's slot rows and row, and 16 for its masks, counter planes
-    # and temporaries
-    return _span_walk(f"span_rank_histogram(nrows={nrows}, ncols={ncols})", gens, nrows,
-                      ncols, min(nrows, ncols) + 1, ranks, ncols * ncols + ncols + 16)
+    return _span_walk(f"span_rank_histogram(nrows={nrows}, ncols={ncols})", len(gens), 0,
+                      nrows, ncols, min(nrows, ncols) + 1,
+                      lambda c: (_doubling_planes(gens[:c], nrows, ncols), gens[c:]),
+                      lambda planes, nlanes: _batched_rank_histogram(planes, nrows, ncols, nlanes),
+                      _kernel_ints(ncols))
 
 
 def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> list[int]:
@@ -550,8 +568,7 @@ def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> l
     only make them smaller, down to 64 lanes (`_chunk_lanes`); where those
     do not fit it refuses before drawing.  It covers the word block and
     what mixing it holds (`words_bytes`), the block's array copy, and the
-    nlanes-bit ints: the entry planes, the kernel's slot rows and row,
-    and 16 for its masks, counter planes and temporaries.
+    nlanes-bit ints: the entry planes and the kernel's (`_kernel_ints`).
     """
     if samples < 0:
         raise ValueError("samples must be >= 0")
@@ -564,7 +581,7 @@ def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> l
         return words_bytes(nwords) + 8 * nwords
 
     budget = budget_bytes()
-    chunk, need = _chunk_lanes(nbits + ncols * ncols + ncols + 16, budget, extra=mixing_bytes)
+    chunk, need = _chunk_lanes(nbits + _kernel_ints(ncols), budget, extra=mixing_bytes)
     check_capacity(f"sampled_rank_histogram(nrows={nrows}, ncols={ncols})", need, budget,
                    "bytes")
     counts = [0] * (min(nrows, ncols) + 1)

@@ -57,14 +57,14 @@ def _rank_one_census(d: int, k: int) -> dict[int, int]:
     return Counter(outer_bits(vs, k) for vs in product(range(1 << k), repeat=d))
 
 
-def _sum_census(d: int, k: int, t: int) -> dict[int, int]:
+def _sum_census(d: int, k: int, t: int, one: dict[int, int] | None = None) -> dict[int, int]:
     """Each sum of t rank-one d-tensors -> the number of the (2^k)^(td)
     vector tuples giving it: the t-fold XOR convolution of the rank-one
-    census, which t = 0 does not build."""
+    census `one`, built here unless given and not at all at t = 0."""
     sums = {0: 1}
     if t == 0:
         return sums
-    one = _rank_one_census(d, k)
+    one = _rank_one_census(d, k) if one is None else one
     for _ in range(t):
         nxt = Counter()
         for s, c in sums.items():
@@ -80,8 +80,8 @@ def _census_work(d: int, k: int, t: int, vanish: bool = False) -> int:
     tuples of `_rank_one_census`, then in round j < t makes one update for
     each of the at most min(2^(k^d), |R|^j) sums held and each of the |R| =
     (2^k - 1)^d + 1 distinct rank-ones (zero among them).  `_vanish_count`
-    runs t - 1 rounds of that census and then dots it with the rank-one
-    census, built again: 2^(kd) tuples and |R| lookups.  Summed term by term
+    builds the rank-one census once, runs t - 1 rounds of the sum census
+    on it and then dots the sums with it: |R| lookups.  Summed term by term
     until past 2^CENSUS_STEPS_BITS, so a refused count is a lower bound and
     builds no large int; 2^(kd) tuples past the cap count as
     2^(CENSUS_STEPS_BITS + 1)."""
@@ -92,7 +92,7 @@ def _census_work(d: int, k: int, t: int, vanish: bool = False) -> int:
     tuples = 1 << k * d
     rank_ones = ((1 << k) - 1) ** d + 1
     rounds = t - vanish
-    work = (tuples if rounds else 0) + (tuples + rank_ones if vanish else 0)
+    work = tuples + (rank_ones if vanish else 0)
     held = 1
     for _ in range(rounds):
         if work > 1 << CENSUS_STEPS_BITS:
@@ -105,11 +105,12 @@ def _census_work(d: int, k: int, t: int, vanish: bool = False) -> int:
 def _vanish_count(d: int, k: int, t: int) -> int:
     """`_sum_census(d, k, t)[0]`, the tuples whose t rank-ones sum to zero:
     a sum s of t - 1 plus a rank-one x is zero exactly when x = s, so it
-    is the (t-1)-fold census dotted with the rank-one census."""
+    is the (t-1)-fold census dotted with the rank-one census, built once."""
     if t == 0:
         return 1
-    sums = _sum_census(d, k, t - 1)
-    return sum(m * sums.get(x, 0) for x, m in _rank_one_census(d, k).items())
+    one = _rank_one_census(d, k)
+    sums = _sum_census(d, k, t - 1, one)
+    return sum(m * sums.get(x, 0) for x, m in one.items())
 
 
 # ---------------------------------------------------------------------------

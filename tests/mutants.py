@@ -53,13 +53,16 @@ C = "tests/test_cli.py::"
 MUTANTS = [
     # harness._vanish_count: the sum-zero and moment-identity vanishing count
     Mutant("vanish-empty-sum", "harness.py",
-           "        return 1\n    sums = _sum_census(d, k, t - 1)",
-           "        return 0\n    sums = _sum_census(d, k, t - 1)",
+           "        return 1\n    one = _rank_one_census(d, k)",
+           "        return 0\n    one = _rank_one_census(d, k)",
            (H + "test_vanish_count_matches_census_up_to_16_tuple_bits",)),
     Mutant("vanish-t-fold", "harness.py",
-           "sums = _sum_census(d, k, t - 1)", "sums = _sum_census(d, k, t)",
+           "sums = _sum_census(d, k, t - 1, one)", "sums = _sum_census(d, k, t, one)",
            (H + "test_vanish_count_matches_census_on_profile_rows",
             H + "TestSumZero::test_222", H + "TestMomentIdentity::test_222_is_29_128")),
+    Mutant("vanish-builds-census-twice", "harness.py",
+           "sums = _sum_census(d, k, t - 1, one)", "sums = _sum_census(d, k, t - 1)",
+           (H + "test_vanish_count_builds_one_census_at_t_1",)),
     Mutant("vanish-missing-sum", "harness.py",
            "m * sums.get(x, 0) for x", "m * sums.get(x, 1) for x",
            (H + "test_vanish_count_matches_census_on_profile_rows",
@@ -238,7 +241,7 @@ MUTANTS = [
            (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",
             G + "test_sampled_rank_peak_within_4_kib")),
     Mutant("sampled-model-no-kernel-ints", "f2linalg.py",
-           "nbits + ncols * ncols + ncols + 16", "nbits + ncols * ncols + ncols",
+           "nbits + _kernel_ints(ncols)", "nbits",
            (L + "test_sampled_rank_histogram_takes_the_widest_chunk_its_model_admits",)),
     # prng.Prng.words and Prng.planes: sizes checked before the counter moves
     Mutant("words-negative-unchecked", "prng.py",
@@ -248,7 +251,7 @@ MUTANTS = [
     Mutant("planes-lanes-unchecked", "prng.py",
            "if nplanes < 0 or nlanes < 0:", "if nplanes < 0:",
            (P + "test_refused_sizes_leave_the_stream_where_it_was",)),
-    # f2linalg._span_walk and _split_walk: the d = 3 walk over worker processes
+    # f2linalg._span_walk and _split_walk: the span walk over worker processes
     Mutant("walk-range-off-by-one", "f2linalg.py",
            "chunk_histograms(0, bounds[1])", "chunk_histograms(0, bounds[1] + 1)",
            (L + "test_split_walk_matches_one_process",)),
@@ -258,9 +261,12 @@ MUTANTS = [
     Mutant("walk-drops-last-worker", "f2linalg.py",
            "for code, data, lo, hi in results:", "for code, data, lo, hi in results[:-1]:",
            (L + "test_split_walk_matches_one_process", L + "test_split_walk_divides_the_budget")),
+    Mutant("walk-start-ignores-gray", "f2linalg.py",
+           "            if (gray >> j) & 1:\n                planes = step(planes, high[j])",
+           "            if False:\n                planes = step(planes, high[j])",
+           (L + "test_split_walk_matches_one_process",)),
     Mutant("walk-budget-undivided", "f2linalg.py",
-           "_chunk_lanes(lane_ints, budget // workers - fixed, most)",
-           "_chunk_lanes(lane_ints, budget - fixed, most)",
+           "nlanes = chunk(budget // workers)[0]", "nlanes = chunk(budget)[0]",
            (L + "test_split_walk_divides_the_budget",)),
     Mutant("walk-one-chunk-a-worker", "f2linalg.py",
            "min(_usable_cpus(), nsteps // 2)", "min(_usable_cpus(), nsteps)",
@@ -269,12 +275,11 @@ MUTANTS = [
            "if _in_walk_worker or threading", "if threading",
            (L + "test_walk_workers",)),
     Mutant("walk-shares-unbounded", "f2linalg.py",
-           "workers = min(_walk_workers((1 << len(gens)) // nlanes), shares)",
-           "workers = _walk_workers((1 << len(gens)) // nlanes)",
+           "workers = min(workers, budget // (chunk(0)[1] + fixed))", "pass",
            (L + "test_split_walk_runs_no_more_workers_than_shares",)),
     # f2linalg._chunk_lanes: the chunk rule of the span walk and the sampled kernel
     Mutant("chunk-below-64-lanes", "f2linalg.py",
-           "if need <= budget or nlanes <= 64:", "if need <= budget or nlanes <= 1:",
+           "if need <= budget or nlanes <= least:", "if need <= budget or nlanes <= 1:",
            (G + "test_every_guard_names_its_unit",)),
     Mutant("chunk-ints-without-overhead", "f2linalg.py",
            "need = lane_ints * (int_bytes(nlanes) + 32)", "need = lane_ints * int_bytes(nlanes)",
@@ -285,8 +290,20 @@ MUTANTS = [
            (G + "test_span_walk_peaks_within_small_budgets",
             G + "test_every_guard_names_its_unit")),
     Mutant("span-model-no-kernel-ints", "f2linalg.py",
-           "lane_ints = 2 * nrows * ncols + kernel_ints", "lane_ints = 2 * nrows * ncols",
+           "_chunk_lanes(2 * size + kernel_ints,", "_chunk_lanes(2 * size,",
            (G + "test_span_walk_peaks_within_small_budgets",)),
+    Mutant("walk-chunk-below-inner-lanes", "f2linalg.py",
+           "stored, max(64, 1 << inner))", "stored, 64)",
+           (B + "test_bias_exact_walk_matches_bruteforce",)),
+    Mutant("walk-model-no-delta-sets", "f2linalg.py",
+           "return high * (size * (int_bytes(nlanes) + 32) + 72 * nrows) if inner else 0",
+           "return 0",
+           (G + "test_span_walk_peaks_within_small_budgets",)),
+    # f2linalg._kernel_ints: the rank kernel's ints in every chunk model
+    Mutant("kernel-triangle-drops-last-column", "f2linalg.py",
+           "return ncols * (ncols - 1) // 2 + ncols + 16",
+           "return (ncols - 1) * (ncols - 2) // 2 + ncols + 16",
+           (G + "test_every_guard_names_its_unit",)),
     # harness._census_work: the census guards' unit
     Mutant("census-one-round-short", "harness.py",
            "    for _ in range(rounds):\n        if work > 1 << CENSUS_STEPS_BITS:",
@@ -295,8 +312,8 @@ MUTANTS = [
     Mutant("census-vanish-every-round", "harness.py",
            "rounds = t - vanish", "rounds = t",
            (H + "test_census_work_covers_every_census_step",)),
-    Mutant("census-vanish-no-second-census", "harness.py",
-           "(tuples + rank_ones if vanish else 0)", "(rank_ones if vanish else 0)",
+    Mutant("census-vanish-no-lookups", "harness.py",
+           "work = tuples + (rank_ones if vanish else 0)", "work = tuples",
            (H + "test_census_work_covers_every_census_step",)),
     Mutant("census-at-t-0", "harness.py",
            "    sums = {0: 1}\n    if t == 0:\n        return sums\n", "    sums = {0: 1}\n",

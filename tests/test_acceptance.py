@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from f2lab import f2linalg
 from f2lab.bias import DyadicRational as D, bias_bruteforce, bias_exact, corr_exact
 from f2lab.f2linalg import mat_rank
 from f2lab.harness import (_lifted_form, _lifted_monomials, run_all, verify_bias_tail,
@@ -232,3 +233,21 @@ def test_criterion_15_suite_profiles_within_budget(quick_profile):
         assert g == w
     _line(15, f"quick {quick_s:.1f}s (< 60s), full {full_s:.1f}s (< 30min), "
               f"zero failures")
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_full_profile_does_not_depend_on_the_cpu_count(cpus, monkeypatch):
+    # the span walks split over one process per usable CPU: patched to one,
+    # no walk forks; patched to three, some walk forks two workers on any host
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: cpus)
+    workers = []
+    split = f2linalg._split_walk
+
+    def spy(chunk_histograms, nsteps, nworkers, nbins):
+        workers.append(nworkers)
+        return split(chunk_histograms, nsteps, nworkers, nbins)
+
+    monkeypatch.setattr(f2linalg, "_split_walk", spy)
+    got = [r.to_dict(timing=False) for r in run_all("full")]
+    assert got == json.loads(FULL_PROFILE.read_text())
+    assert max(workers) == cpus

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from f2lab._bitops import anf_pieces, budget_bytes, form_table, var_mask, walsh_spectrum
-from f2lab import bias
+from f2lab import bias, f2linalg
 from f2lab.bias import (_MC_BLOCK, _MC_PLANE_BITS, CORR_CLASS_WORK, EXACT_WORK, BiasEstimate,
                         DyadicRational as D, bias_bruteforce, bias_exact,
                         bias_mc, corr_class_max, corr_exact)
@@ -425,21 +425,21 @@ def _tail_plane_reference(t, c):
 
 
 @pytest.mark.parametrize("d,k", [(4, 2), (4, 3), (4, 4), (5, 2)])
-def test_tail_matrix_planes_match_evaluate(d, k, monkeypatch):
-    # c = 0 and 1, and the most low bits of x_1 the default budget gives a lane
-    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
-    widest = bias._walk_low_bits(k, k * (d - 3))
-    assert widest == k
+def test_tail_matrix_planes_match_evaluate(d, k):
+    # c = 0 and 1, and all k bits of x_1 in the lanes, as the default budget
+    # gives these shapes
     for seed in (1, 2):
         t = random_tensor(d, k, 500 * d + 10 * k + seed)
-        for c in sorted({0, 1, widest}):
+        for c in sorted({0, 1, k}):
             assert bias._tail_matrix_planes(t, c) == _tail_plane_reference(t, c), (seed, c)
 
 
 def test_bias_exact_reach_and_work_guard(monkeypatch):
     # d = 4, k = 12 ranks 2^24 residual matrices in 2^16-lane chunks at the
-    # default budget; k = 16 is refused by the work guard before any plane
+    # default budget; k = 16 is refused by the work guard before any plane;
+    # one walk process, so every chunk is ranked where the lanes are counted
     monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
     lanes = []
     kernel = bias._batched_rank_histogram
 
@@ -474,8 +474,9 @@ def _counting(monkeypatch, calls, name):
 
 @pytest.mark.parametrize("budget", [1 << 13, 1 << 15])
 def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
-    # tiny budgets split the d >= 4 walk into many chunks and delta steps even
-    # at small k, and contract x_1 where not even one of its values fits
+    # 32 KiB splits the d >= 4 walk into several chunks and delta steps even
+    # at small k; both budgets contract x_1 where not even the narrowest
+    # chunk fits; one walk process, so every chunk is counted here
     shapes = ([(4, k) for k in range(1, 8)] + [(5, k) for k in range(1, 6)]
               + [(6, k) for k in range(1, 5)])
     tensors = [random_tensor(d, k, 300 * d + k) for d, k in shapes]
@@ -486,7 +487,8 @@ def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
                  "span_rank_histogram"):
         _counting(monkeypatch, calls, name)
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
-    walked = contracted = 0
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
+    walked = stepped = contracted = 0
     refused = []
     for t, w in zip(tensors, want):
         calls.clear()
@@ -499,9 +501,11 @@ def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
             refused.append((t.d, t.k))
             continue
         assert got == w, (t, budget)
-        walked += calls["_batched_rank_histogram"] > calls["_tail_matrix_planes"] == 1
+        walked += calls["_tail_matrix_planes"] == 1
+        stepped += calls["_batched_rank_histogram"] > calls["_tail_matrix_planes"] > 0
         contracted += calls["_tail_matrix_planes"] > 1 or calls["span_rank_histogram"] > 0
     assert walked >= 4 and contracted >= 4, (walked, contracted)
+    assert (stepped >= 4) == (budget == 1 << 15), stepped
     assert refused == ([(4, 6), (4, 7)] * 2 if budget == 1 << 13 else [])
 
 

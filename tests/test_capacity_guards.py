@@ -105,10 +105,10 @@ GUARDS = {
     "moment-identity-tensors": (None, lambda: verify_moment_identity(3, 3, 2),
                                 "moment-identity(d=3, k=3, t=2)", "2^27", "2^16", "tensors"),
     "moment-identity-tuples": (None, lambda: verify_moment_identity(2, 4, 5),
-                               "moment-identity(d=2, k=4, t=5)", "26406352", "2^24",
+                               "moment-identity(d=2, k=4, t=5)", "26406096", "2^24",
                                "census steps"),
     "sum-zero": (None, lambda: verify_sum_zero(2, 4, 5),
-                 "sum-zero(d=2, k=4, t=5)", "26406352", "2^24", "census steps"),
+                 "sum-zero(d=2, k=4, t=5)", "26406096", "2^24", "census steps"),
     "subspace-membership": (None, lambda: verify_subspace_membership(2, 12, [1], 1, 0),
                             "subspace-membership(d=2, k=12)", "2^24", "2^22", "tuples"),
     "span-dimension": (None, lambda: verify_span_dimension(2, 4, 4),
@@ -143,13 +143,15 @@ GUARDS = {
     "min_weight": (None, lambda: min_weight(echelonize([1 << j for j in range(30)], 40)),
                    "min_weight(dim=30)", "2^30", "2^28", "codewords"),
     "sampled_rank_histogram": (4096, lambda: sampled_rank_histogram(Prng(9), 5_000, 9, 9),
-                               "sampled_rank_histogram(nrows=9, ncols=9)", "20916", "2^12",
+                               "sampled_rank_histogram(nrows=9, ncols=9)", "18936", "2^12",
                                "bytes"),
-    # 8 of trace_tensor(20)'s slices: 64 lanes of 1,236 ints at 44 bytes
-    # each, and 3 KiB and 144 bytes a row beside them
+    # 8 of trace_tensor(20)'s slices: 64 lanes of 1,026 ints at 44 bytes
+    # each (two plane sets of 400, and the kernel's 190 slot rows above the
+    # diagonal, 20-entry row and 16 more), and 3 KiB and 144 bytes a row
+    # beside them
     "span_rank_histogram": (4096, lambda: span_rank_histogram(
                                 first_block_slices(trace_tensor(20))[:8], 20, 20),
-                            "span_rank_histogram(nrows=20, ncols=20)", "60336", "2^12",
+                            "span_rank_histogram(nrows=20, ncols=20)", "51096", "2^12",
                             "bytes"),
 }
 
@@ -368,9 +370,11 @@ def test_span_walk_peaks_within_small_budgets(budget, monkeypatch):
     # spans of 10 n x n matrices and codes of dimension 10, n up to 20, and
     # the 10 x 10 slices of trace_tensor(10), each peak within the budget or
     # are refused before any plane is built; a 64-lane chunk of n x n
-    # matrices needs (3n^2 + n + 16) 44 bytes, and the walk 3 KiB and 144
-    # bytes a row beside it: past 16 KiB from n = 10 on, past 32 KiB from
-    # n = 16 on
+    # matrices needs (2n^2 + n(n-1)/2 + n + 16) 44 bytes, and the walk 3 KiB
+    # and 144 bytes a row beside it: past 16 KiB from n = 10 on, past 32 KiB
+    # from n = 16 on.  bias_exact of a d = 4, k = 7 tensor walks x_1 in 16
+    # chunks under 64 KiB, its 7 delta sets stored beside them, and
+    # contracts x_1 under less
     monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
     rng = Prng(budget)
@@ -382,6 +386,8 @@ def test_span_walk_peaks_within_small_budgets(budget, monkeypatch):
         calls += [(n, lambda gens=gens, n=n: span_rank_histogram(gens, n, n)),
                   (n, lambda code=code: min_weight(code))]
     calls.append(("trace", lambda: span_rank_histogram(trace, 10, 10)))
+    quartic = random_tensor(4, 7, 47)
+    calls.append(("d4", lambda: bias_exact(quartic)))
     refused = []
     for label, call in calls:
         peak, error = _traced_call(call)

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from f2lab import f2linalg
+from f2lab import bias, f2linalg
 from f2lab._bitops import ones, parity
 from f2lab.errors import CapacityError, InvariantError
 from f2lab.f2linalg import (LANE_CHUNK_BITS, BitVec, Subspace, dual_space,
@@ -307,8 +307,9 @@ def test_span_rank_histogram_high_chunks(n, extra):
 
 
 def parent_lanes(monkeypatch):
-    """The lane counts of the kernel calls made in this process (a forked
-    walk worker appends to its own copy)."""
+    """The lane counts of the kernel calls made in this process, through
+    the bindings of `f2linalg` and of `bias` (a forked walk worker appends
+    to its own copy)."""
     lanes = []
     real = f2linalg._batched_rank_histogram
 
@@ -316,7 +317,8 @@ def parent_lanes(monkeypatch):
         lanes.append(nlanes)
         return real(planes, nrows, ncols, nlanes)
 
-    monkeypatch.setattr(f2linalg, "_batched_rank_histogram", counted)
+    for module in (f2linalg, bias):
+        monkeypatch.setattr(module, "_batched_rank_histogram", counted)
     return lanes
 
 
@@ -329,7 +331,13 @@ def use_cpus(monkeypatch, n):
 # power of two; under 14 KiB, where only (2, 2) has three shares that hold
 # a 64-lane chunk, the others split over two
 SPLIT_SPANS = {"14336": [(2, 2, 14), (3, 2, 14), (2, 3, 13)],
-               "65536": [(3, 3, 17), (4, 5, 15), (2, 6, 16)]}
+               "65536": [(3, 3, 17), (4, 5, 15), (2, 6, 16)],
+               "131072": [(4, 4, 16)]}
+# (d, k) of tensors whose d >= 4 walk does not contract x_1: its stored
+# delta sets leave fewer shares than the packed spans have, so only 128
+# KiB holds two or three narrowest chunks of each and 8 or more chunks in
+# one process
+SPLIT_TENSORS = {"14336": [], "65536": [], "131072": [(4, 7), (4, 8), (5, 5)]}
 
 
 @pytest.mark.parametrize("budget", list(SPLIT_SPANS))
@@ -349,6 +357,21 @@ def test_split_walk_matches_one_process(budget, monkeypatch):
             assert (sum(lanes) == 1 << m) == (cpus == 1), (nr, nc, cpus)
         assert hists[0] == hists[1] == hists[2], (nr, nc)
         assert sum(hists[0]) == 1 << m
+    built = []
+    tail_planes = bias._tail_matrix_planes
+    monkeypatch.setattr(bias, "_tail_matrix_planes", lambda t, c: built.append(c) or
+                        tail_planes(t, c))
+    for d, k in SPLIT_TENSORS[budget]:
+        t = random_tensor(d, k, 10 * d + k)
+        hists = []
+        for cpus in (1, 2, 3):
+            use_cpus(monkeypatch, cpus)
+            lanes.clear()
+            built.clear()
+            hists.append(bias._prefix_rank_histogram(t))
+            assert len(built) == 1, (d, k, cpus)
+            assert (sum(lanes) == 1 << k * (d - 2)) == (cpus == 1), (d, k, cpus)
+        assert hists[0] == hists[1] == hists[2], (d, k)
     codes = [echelonize([rng.bits(20) for _ in range(dim)], 20) for dim in (11, 12, 13, 14)]
     for s in codes:
         weights = []
@@ -375,8 +398,8 @@ def test_split_walk_divides_the_budget(monkeypatch):
 
 
 def test_split_walk_runs_no_more_workers_than_shares(monkeypatch):
-    # a 64-lane chunk of 2 x 2 matrices needs 1,320 bytes and one of 3 x 2
-    # matrices 1,496, each with 3 KiB and 144 bytes a row beside it: 14 KiB
+    # a 64-lane chunk of 2 x 2 matrices needs 1,188 bytes and one of 3 x 2
+    # matrices 1,364, each with 3 KiB and 144 bytes a row beside it: 14 KiB
     # holds three shares of the first and two of the second, so three CPUs
     # fork two workers and one
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "14336")
@@ -393,7 +416,7 @@ def test_split_walk_runs_no_more_workers_than_shares(monkeypatch):
     for nr, nc in ((2, 2), (3, 2)):
         gens = [pack(random_matrix(nr, nc, rng), nc) for _ in range(14)]
         assert span_rank_histogram(gens, nr, nc) == brute_span_hist(gens, nr, nc)
-    assert splits == [(256, 3), (32, 2)]
+    assert splits == [(128, 3), (32, 2)]
 
 
 def test_walk_workers(monkeypatch):

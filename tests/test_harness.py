@@ -111,12 +111,13 @@ def test_census_work_covers_every_census_step(monkeypatch):
     assert [_census_work(*shape) for shape in [(2, 3, 5), (2, 6, 2), (2, 4, 4), (2, 12, 1)]] \
         == [79_414, 15_768_966, 26_405_870, 33_546_242]
     # the vanishing count of (3, 3, 3): 2^9 tuples, 344 rank-ones times 1
-    # and 344 sums, and the dot product's 2^9 tuples and 344 lookups
-    assert _census_work(3, 3, 3, vanish=True) == 120_048
+    # and 344 sums, and the dot product's 344 lookups
+    assert _census_work(3, 3, 3, vanish=True) == 119_536
 
 
 def test_vanish_count_builds_one_census_at_t_1(monkeypatch):
-    # the empty sum needs no rank-one census: one t = 1 count builds it once
+    # the empty sum needs no rank-one census, and a count at t = 1, 2 or 3
+    # builds it once, for its sums and its dot product alike
     calls = []
     census = harness._rank_one_census
 
@@ -124,23 +125,28 @@ def test_vanish_count_builds_one_census_at_t_1(monkeypatch):
         calls.append((d, k))
         return census(d, k)
     monkeypatch.setattr(harness, "_rank_one_census", spy)
-    assert _sum_census(3, 2, 0) == {0: 1} and calls == []
+    assert _sum_census(3, 2, 0) == {0: 1} and _vanish_count(3, 2, 0) == 1 and calls == []
     assert _vanish_count(3, 2, 1) == 4 ** 3 - 3 ** 3  # a zero vector among the three
     assert calls == [(3, 2)]
+    for t in (2, 3):
+        calls.clear()
+        count = _vanish_count(2, 2, t)
+        assert calls == [(2, 2)], t
+        assert count == _literal_sum_census(2, 2, t)[0], t
 
 
 # (2, 4, 4) takes 26,405,870 census steps: 2^8 tuples, then 226 rank-ones
 # times 1, 226, 226^2 and 2^16 sums (`_census_work`); the vanishing count
-# of (2, 4, 5) runs those four rounds, then dots with a second rank-one
-# census, 2^8 tuples and 226 lookups: 26,406,352 steps
+# of (2, 4, 5) runs those four rounds, then dots the sums with the same
+# rank-one census, 226 lookups: 26,406,096 steps
 @pytest.mark.parametrize("call,required,budget,message", [
     (lambda: verify_moment_identity(3, 3, 2), 1 << 27, 1 << 16,
      "moment-identity(d=3, k=3, t=2): 2^27 tensors exceed the budget of 2^16 tensors"),
-    (lambda: verify_moment_identity(2, 4, 5), 26_406_352, 1 << 24,
-     "moment-identity(d=2, k=4, t=5): 26406352 census steps exceed the budget of "
+    (lambda: verify_moment_identity(2, 4, 5), 26_406_096, 1 << 24,
+     "moment-identity(d=2, k=4, t=5): 26406096 census steps exceed the budget of "
      "2^24 census steps"),
-    (lambda: verify_sum_zero(2, 4, 5), 26_406_352, 1 << 24,
-     "sum-zero(d=2, k=4, t=5): 26406352 census steps exceed the budget of 2^24 census steps"),
+    (lambda: verify_sum_zero(2, 4, 5), 26_406_096, 1 << 24,
+     "sum-zero(d=2, k=4, t=5): 26406096 census steps exceed the budget of 2^24 census steps"),
     (lambda: verify_subspace_membership(2, 12, [1], 1, 0), 1 << 24, 1 << 22,
      "subspace-membership(d=2, k=12): 2^24 tuples exceed the budget of 2^22 tuples"),
     (lambda: verify_span_dimension(2, 4, 4), 1 << 32, 1 << 24,

@@ -318,7 +318,7 @@ def test_certificate_premise_faults_raise(monkeypatch):
 
 def test_certificate_ranks_the_dual_span_once(monkeypatch):
     decs = [*_certificate_family(), random_rank_decomp(3, 9, 12, 45)]
-    # a 16 KiB budget splits the span of dimension 9 into 64-lane chunks;
+    # a 16 KiB budget splits the span of dimension 9 into 128-lane chunks;
     # one walk process, so every chunk is ranked where the lanes are counted
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "16384")
     monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
@@ -339,7 +339,7 @@ def test_certificate_ranks_the_dual_span_once(monkeypatch):
         lanes.clear()
         cert = code_certificate(dec)
         assert sum(lanes) == (1 << cert.dual_dim if cert.dual_dim else 0)
-    assert lanes == [64] * 8
+    assert lanes == [128] * 4
 
 
 def test_certificate_json():
