@@ -34,9 +34,9 @@ from typing import Sequence
 from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
                       linear_form_table, ones, repeat, subset_xor_table, var_mask,
                       walsh_spectrum)
-from .errors import CapacityError, check_capacity
-from .f2linalg import (LANE_CHUNK_BITS, _add, _batched_rank_histogram, _kernel_ints,
-                       _span_walk, mat_rank, span_rank_histogram)
+from .errors import CapacityError, capped_power, check_capacity
+from .f2linalg import (_add, _batched_rank_histogram, _kernel_ints, _span_walk, mat_rank,
+                       span_rank_histogram)
 from .prng import Prng
 from .report import fmt_dyadic
 from .tensors import DenseTensor, Polynomial, first_block_slices
@@ -160,37 +160,39 @@ def _tail_matrix_planes(t: DenseTensor, c: int) -> tuple[list[list[int]],
     return base, deltas
 
 
-def _prefix_rank_histogram(t: DenseTensor) -> list[int]:
+def _prefix_rank_histogram(t: DenseTensor, held: int = 0) -> list[int]:
     """hist[r] = number of prefixes x_1..x_{d-2} whose residual k x k
     matrix M[i][j] = T(x_1, ..., x_{d-2}, e_i, e_j) has rank r, for d >= 3.
 
     M is linear in x_1, the span of its k slices: at d = 3 the first-block
     slices (`span_rank_histogram`), from d = 4 on a matrix at every value
     of x_2..x_{d-2}, the inner lanes of the same `_span_walk`, with planes
-    from `_tail_matrix_planes`.  Where the inner blocks pass
-    2^LANE_CHUNK_BITS lanes, or the walk refuses its narrowest chunk
-    (before it builds any plane), a Gray walk over the first-block slices
-    contracts x_1 instead, one (d-1)-tensor per value.
+    from `_tail_matrix_planes`.  Where that walk refuses (before it builds
+    any plane), a Gray walk over the first-block slices contracts x_1
+    instead, one (d-1)-tensor per value, and the walks below are charged
+    the `held` bytes of each level: its k slices and current tensor,
+    k^(d-1)-bit ints (`int_bytes`) with 32 bytes of header, and 1 KiB of
+    frame, counts and tensor object; at the outermost 3 KiB more, for the
+    lists and tuples the interpreter keeps on its free lists.
     """
     k, d = t.k, t.d
     if d == 3:
-        return span_rank_histogram(first_block_slices(t), k, k)
-    inner = k * (d - 3)
-    if inner <= LANE_CHUNK_BITS:
-        try:
-            return _span_walk(f"bias_exact(d={d}, k={k})", k, inner, k, k, k + 1,
-                              lambda c: _tail_matrix_planes(t, c),
-                              lambda planes, nlanes: _batched_rank_histogram(planes, k, k, nlanes),
-                              _kernel_ints(k))
-        except CapacityError:
-            pass  # the contraction below
+        return span_rank_histogram(first_block_slices(t), k, k, held)
+    try:
+        return _span_walk(f"bias_exact(d={d}, k={k})", k, k * (d - 3), k, k, k + 1,
+                          lambda c: _tail_matrix_planes(t, c),
+                          lambda planes, nlanes: _batched_rank_histogram(planes, k, k, nlanes),
+                          _kernel_ints(k), held)
+    except CapacityError:
+        pass  # the contraction below
     counts = [0] * (k + 1)
     slices = first_block_slices(t)
+    held += (k + 1) * (int_bytes(k ** (d - 1)) + 32) + (1024 if held else 4096)
     cur = 0
     for step in range(1 << k):
         if step:
             cur ^= slices[ctz(step)]
-        _add(counts, _prefix_rank_histogram(DenseTensor(d - 1, k, cur)))
+        _add(counts, _prefix_rank_histogram(DenseTensor(d - 1, k, cur), held))
     return counts
 
 
@@ -211,7 +213,8 @@ def bias_exact(t: DenseTensor) -> DyadicRational:
     if d == 2:
         return DyadicRational.half_pow(mat_rank(t.bits, k, k))
     prefix_bits = k * (d - 2)
-    check_capacity(f"bias_exact(d={d}, k={k})", k * k << prefix_bits, EXACT_WORK,
+    check_capacity(f"bias_exact(d={d}, k={k})",
+                   k * k * capped_power(prefix_bits, EXACT_WORK.bit_length()), EXACT_WORK,
                    "residual-matrix entries")
     return _histogram_to_mean(_prefix_rank_histogram(t), prefix_bits)
 
@@ -251,7 +254,7 @@ def bias_bruteforce(t: DenseTensor) -> DyadicRational:
     k, d = t.k, t.d
     n = k * d
     what = f"bias_bruteforce(d={d}, k={k})"
-    check_capacity(what, 1 << n, 1 << BRUTEFORCE_MAX_BITS, "inputs")
+    check_capacity(what, capped_power(n, BRUTEFORCE_MAX_BITS), 1 << BRUTEFORCE_MAX_BITS, "inputs")
     check_capacity(what, _bruteforce_bytes(k, d), budget_bytes(), "bytes")
     if d == 1:
         ones_count = linear_form_table(t.bits, k).bit_count()
@@ -379,7 +382,7 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     if poly.n != n:
         raise ValueError(f"polynomial has {poly.n} variables, form has {n}")
     what = f"corr_exact(d={d}, k={k})"
-    check_capacity(what, 1 << n, 1 << CORR_MAX_VARS, "inputs")
+    check_capacity(what, capped_power(n, CORR_MAX_VARS), 1 << CORR_MAX_VARS, "inputs")
     check_capacity(what, _corr_bytes(k, d), budget_bytes(), "bytes")
     h = k if d > 1 else k // 2
     m = n - h
@@ -425,19 +428,20 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
 
     The work guard counts the 32-bit fields the transforms touch, 2^h
     states x n stages x 2^n fields for the h monomials of degree >= 2
-    (binomial sums: a refusal lists no monomial), against CORR_CLASS_WORK;
+    (binomial sums: a refusal lists no monomial, and `capped_power` counts
+    the states), against CORR_CLASS_WORK;
     degree <= 0 runs no transform.  The tables and the 2^n fields must fit
     the byte budget (`_class_max_bytes`).
     """
     k, d = t.k, t.d
     n = k * d
     what = f"corr_class_max(d={d}, k={k}, degree={degree})"
-    check_capacity(what, 1 << n, 1 << CORR_MAX_VARS, "inputs")
+    check_capacity(what, capped_power(n, CORR_MAX_VARS), 1 << CORR_MAX_VARS, "inputs")
     class_bits = sum(math.comb(n, j) for j in range(min(degree, n) + 1))
     if class_bits <= 1:
         return bias_bruteforce(t), Polynomial(n, ())
-    check_capacity(what, (n << n) << (class_bits - 1 - n), CORR_CLASS_WORK,
-                   "transform fields")
+    check_capacity(what, n * capped_power(class_bits - 1, CORR_CLASS_WORK.bit_length()),
+                   CORR_CLASS_WORK, "transform fields")
     check_capacity(what, _class_max_bytes(k, d, class_bits), budget_bytes(), "bytes")
     variables = [var_mask(v, n) for v in range(n)]
     cur = _sliced_form(t.bits, [variables[j * k:(j + 1) * k] for j in range(d)], 0, k)

@@ -26,6 +26,12 @@ def _count(n: int) -> str:
     return f"{n >> e}*2^{e}" if e >= 10 else str(n)
 
 
+def capped_power(exponent: int, limit: int) -> int:
+    """2^exponent against a budget of 2^limit, or 2^(limit + 1024) past
+    that: a lower bound that refuses alike and builds no huge int."""
+    return 1 << min(exponent, limit + 1024)
+
+
 def check_capacity(what: str, required: int, budget: int, unit: str) -> None:
     """Refuse `what` with a CapacityError when it needs more than its budget.
 

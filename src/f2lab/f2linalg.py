@@ -25,13 +25,14 @@ per sample, whose entry planes are drawn as they stand by `Prng.planes`
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ._bitops import budget_bytes, ctz, int_bytes, ones
-from .errors import InvariantError, check_capacity
+from .errors import InvariantError, capped_power, check_capacity
 from .prng import Prng, words_bytes
 
 MIN_WEIGHT_DIM_LIMIT = 28  # exhaustive codeword count guard
@@ -196,7 +197,8 @@ def min_weight(s: Subspace) -> int:
     if s.dim == 0:
         return s.ambient_dim + 1
     what = f"min_weight(dim={s.dim})"
-    check_capacity(what, 1 << s.dim, 1 << MIN_WEIGHT_DIM_LIMIT, "codewords")
+    check_capacity(what, capped_power(s.dim, MIN_WEIGHT_DIM_LIMIT), 1 << MIN_WEIGHT_DIM_LIMIT,
+                   "codewords")
     n = s.ambient_dim
 
     def weights(planes, nlanes):
@@ -385,86 +387,62 @@ def _walk_workers(nsteps: int) -> int:
     return max(1, min(_usable_cpus(), nsteps // 2))
 
 
-def _read_histogram(data: bytes, nbins: int) -> list[int] | None:
-    """The histogram a walk worker wrote, or None when it is malformed."""
-    fields = data.split()
-    if len(fields) != nbins or not all(f.isdigit() for f in fields):
-        return None
-    return [int(f) for f in fields]
-
-
-def _walk_child(chunk_histograms, lo: int, hi: int, nbins: int, fd: int, parent: int) -> None:
-    """Body of a forked walk worker: sum the histograms of steps [lo, hi),
-    write them to `fd` and leave by os._exit, so no atexit hook runs and no
-    copy of the parent's buffered output is flushed.  It stops early once
-    its parent is gone."""
+def _walk_child(chunk_histograms, lo: int, hi: int, row: memoryview, parent: int) -> None:
+    """Body of a forked walk worker: add the histograms of steps [lo, hi)
+    into `row` of the shared count table, and leave by os._exit (no atexit
+    hook or buffer flush), with status 0 only once the range is summed:
+    not once its parent is gone, nor when a count passes 64 bits."""
     global _in_walk_worker
-    status = 1
     try:
         _in_walk_worker = True
-        counts = [0] * nbins
         for part in chunk_histograms(lo, hi):
-            _add(counts, part)
+            _add(row, part)
             if os.getppid() != parent:
-                return
-        with os.fdopen(fd, "wb") as out:
-            out.write(" ".join(map(str, counts)).encode())
-        status = 0
+                os._exit(1)
+        os._exit(0)
     finally:
-        os._exit(status)
+        os._exit(1)  # the walk raised
 
 
 def _split_walk(chunk_histograms, nsteps: int, workers: int, nbins: int) -> list[int]:
     """Sum of the histograms `chunk_histograms(lo, hi)` yields for the
-    steps of [0, nsteps), split into `workers` contiguous ranges.
-
-    The parent forks a worker for each range but the first, walks the
-    first itself, and then reads every worker's histogram from its pipe to
-    EOF and reaps it, also when its own walk raised (its workers are
-    killed then).  A worker that exits nonzero or writes a malformed
-    histogram is an InvariantError naming its step range."""
+    steps of [0, nsteps), in `workers` contiguous ranges: the parent forks
+    a worker for each range i > 0, which adds into row i of a shared map of
+    64-bit counts, walks the first range itself, reaps every worker (killed
+    first if its own walk raised) and adds their rows.  A worker that exits
+    nonzero is an InvariantError naming its step range."""
     bounds = [nsteps * i // workers for i in range(workers + 1)]
     parent = os.getpid()
+    table = memoryview(mmap.mmap(-1, 8 * nbins * workers)).cast("Q") if workers > 1 else None
     children = []
     counts = [0] * nbins
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
+        for i in range(1, workers):
+            pid = os.fork()
             if pid == 0:
-                _walk_child(chunk_histograms, lo, hi, nbins, w, parent)
-            os.close(w)
-            children.append((pid, r, lo, hi))
+                _walk_child(chunk_histograms, bounds[i], bounds[i + 1],
+                            table[i * nbins:(i + 1) * nbins], parent)
+            children.append(pid)
         for part in chunk_histograms(0, bounds[1]):
             _add(counts, part)
     except BaseException:
         import signal  # here only: importing it costs a CLI run about a millisecond
 
-        for pid, *_ in children:
+        for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        results = []
-        for pid, r, lo, hi in children:
-            with os.fdopen(r, "rb", buffering=0) as pipe:
-                data = pipe.read()
-            results.append((os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), data, lo, hi))
-    for code, data, lo, hi in results:
-        part = _read_histogram(data, nbins)
-        if code or part is None:
-            raise InvariantError(f"walk worker for steps [{lo}, {hi}) exited with status "
-                                 f"{code} and wrote {len(data)} bytes")
-        _add(counts, part)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    for i, code in enumerate(codes, 1):
+        if code:
+            raise InvariantError(f"walk worker for steps [{bounds[i]}, {bounds[i + 1]}) "
+                                 f"exited with status {code}")
+        _add(counts, table[i * nbins:(i + 1) * nbins])
     return counts
 
 
 def _span_walk(what: str, m: int, inner: int, nrows: int, ncols: int, nbins: int, build,
-               chunk_histogram, kernel_ints: int) -> list[int]:
+               chunk_histogram, kernel_ints: int, held: int = 0) -> list[int]:
     """Sum of chunk_histogram(planes, nlanes) over lane chunks that cover
     each of the 2^(m + inner) lanes of the span of m generators once.
 
@@ -482,18 +460,20 @@ def _span_walk(what: str, m: int, inner: int, nrows: int, ncols: int, nbins: int
     first step.
 
     Chunks are cut as in `sampled_rank_histogram` (`_chunk_lanes`), never
-    below 2^inner lanes, and a refusal names the route `what`.  A chunk
-    holds two plane sets (the planes and a step's result), the
-    `kernel_ints` of `chunk_histogram`, and at inner > 0 the plane set of
-    each high generator with 72 bytes a row of list headers.  A process
-    holds 3 KiB of frames, generators, histograms and small lists beside
-    them, and 144 bytes a row: the two plane sets' list headers and a
-    comprehension's spare slots.  Each process cuts its chunks from its
-    share of the budget, and no more run than shares hold the narrowest
-    chunk.
+    below 2^inner lanes, and a refusal names the route `what`; inner
+    blocks past 2^LANE_CHUNK_BITS lanes are refused before anything is
+    built.  A chunk holds two plane sets (the planes and a step's result),
+    the `kernel_ints` of `chunk_histogram`, and at inner > 0 the plane set
+    of each high generator with 72 bytes a row of list headers.  Beside
+    them a process holds 3 KiB of frames, generators, histograms and small
+    lists, 144 bytes a row (the two plane sets' list headers and a
+    comprehension's spare slots), and the `held` bytes of its caller.  Each
+    process cuts its chunks from its share of the budget, and no more run
+    than shares hold the narrowest chunk.
     """
+    check_capacity(what, 1 << inner, 1 << LANE_CHUNK_BITS, "inner lanes")
     size = nrows * ncols
-    fixed = 3072 + 144 * nrows
+    fixed = 3072 + 144 * nrows + held
 
     def stored(nlanes: int) -> int:
         high = m + inner + 1 - nlanes.bit_length()
@@ -512,7 +492,7 @@ def _span_walk(what: str, m: int, inner: int, nrows: int, ncols: int, nbins: int
         nlanes = chunk(budget // workers)[0]
     c = nlanes.bit_length() - 1 - inner
     lane_ones = ones(nlanes)
-    held = [build(c)]
+    built = [build(c)]
 
     def step(planes, g):
         if inner:
@@ -521,7 +501,7 @@ def _span_walk(what: str, m: int, inner: int, nrows: int, ncols: int, nbins: int
                 for i, pi in enumerate(planes)]
 
     def chunk_histograms(lo: int, hi: int):
-        planes, high = held.pop()
+        planes, high = built.pop()
         gray = lo ^ (lo >> 1)
         for j in range(m - c):
             if (gray >> j) & 1:
@@ -537,11 +517,12 @@ def _span_walk(what: str, m: int, inner: int, nrows: int, ncols: int, nbins: int
     return counts
 
 
-def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int]:
+def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int, held: int = 0) -> list[int]:
     """hist[r] = #{c in F2^m : rank(sum_j c_j G_j) = r} for the packed
     nrows x ncols generators G_j (row i at bits [i ncols, (i+1) ncols)).
 
-    Exhausts all 2^m coefficient vectors in `_span_walk`'s lane chunks.
+    Exhausts all 2^m coefficient vectors in `_span_walk`'s lane chunks,
+    charging them the `held` bytes the caller keeps beside the walk.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -552,7 +533,7 @@ def span_rank_histogram(gens: Sequence[int], nrows: int, ncols: int) -> list[int
                       nrows, ncols, min(nrows, ncols) + 1,
                       lambda c: (_doubling_planes(gens[:c], nrows, ncols), gens[c:]),
                       lambda planes, nlanes: _batched_rank_histogram(planes, nrows, ncols, nlanes),
-                      _kernel_ints(ncols))
+                      _kernel_ints(ncols), held)
 
 
 def sampled_rank_histogram(rng: Prng, samples: int, nrows: int, ncols: int) -> list[int]:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 from ._bitops import form_table, linear_form_table, ones, var_mask
 from .bias import DyadicRational, bias_bruteforce, bias_exact, bias_mc, corr_exact
-from .errors import CapacityError, InvariantError, check_capacity, check_sizes
+from .errors import CapacityError, InvariantError, capped_power, check_capacity, check_sizes
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
 from .numerics import f_dk_bound, inequality_checks, power_at_most, profile_max_check
 from .prng import Prng
@@ -126,7 +126,8 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
     what = f"moment-identity(d={d}, k={k}, t={t})"
     check_capacity(what, _census_work(d, k, t, vanish=True), 1 << CENSUS_STEPS_BITS,
                    "census steps")
-    check_capacity(what, 1 << cells, 1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
+    check_capacity(what, capped_power(cells, MOMENT_TENSOR_BITS_LIMIT),
+                   1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
     lhs = sum(bias_exact(DenseTensor(d, k, x)) ** t for x in range(1 << cells)) / (1 << cells)
     rhs = D.from_ratio(_vanish_count(d, k, t), k * t * d)
     holds = lhs == rhs
@@ -201,7 +202,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     max(1, k^d // 8).
     """
     check_sizes("subspace-membership", ("d", d, 1), ("k", k, 1))
-    check_capacity(f"subspace-membership(d={d}, k={k})", 1 << (k * d),
+    check_capacity(f"subspace-membership(d={d}, k={k})", capped_power(k * d, ASSIGN_BITS_LIMIT),
                    1 << ASSIGN_BITS_LIMIT, "tuples")
     ambient = k ** d
     if subspace_dims is None:
@@ -239,8 +240,8 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     """Exact distribution of dim span(T_1..T_t) for independent rank-one
     tensors, against the binomial-style bound for every r (exactly)."""
     check_sizes("span-dimension", ("d", d, 1), ("k", k, 1), ("t", t, 0))
-    check_capacity(f"span-dimension(d={d}, k={k}, t={t})", 1 << (k * t * d),
-                   1 << TUPLE_BITS_LIMIT, "tuples")
+    check_capacity(f"span-dimension(d={d}, k={k}, t={t})",
+                   capped_power(k * t * d, TUPLE_BITS_LIMIT), 1 << TUPLE_BITS_LIMIT, "tuples")
     counts = [0] * (t + 1)
     for combo in product(_rank_one_census(d, k).items(), repeat=t):
         counts[rank_of_row_ints([x for x, _ in combo])] += prod(c for _, c in combo)
@@ -341,7 +342,7 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
     """Pr[all of t rank-one forms vanish] >= (1 - 2^-d)^t, with the
     probability computed exactly per random tuple."""
     check_sizes("joint-vanishing", ("d", d, 1), ("k", k, 1), ("t", t, 0))
-    check_capacity(f"joint-vanishing(d={d}, k={k})", 1 << (k * d),
+    check_capacity(f"joint-vanishing(d={d}, k={k})", capped_power(k * d, ASSIGN_BITS_LIMIT),
                    1 << ASSIGN_BITS_LIMIT, "assignments")
     floor = D.from_ratio((1 << d) - 1, d) ** t
     rng = Prng(seed)
@@ -521,7 +522,8 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
     #{x : h(x) = a} <= #{x : h(x) = 0}, counted over all 2^k inputs
     (`_preimage_counts`)."""
     check_sizes("linear-preimage", ("k", k, 1))
-    check_capacity(f"linear-preimage(k={k})", 1 << k, 1 << PREIMAGE_K_LIMIT, "inputs")
+    check_capacity(f"linear-preimage(k={k})", capped_power(k, PREIMAGE_K_LIMIT),
+                   1 << PREIMAGE_K_LIMIT, "inputs")
     rng = Prng(seed)
     masks = [var_mask(v, k) for v in range(k)]
     holds = True

@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, prod
+from math import prod
 from typing import Iterator
 
 from ._bitops import budget_bytes, int_bytes
 from .bias import DyadicRational, _histogram_to_mean, bias_exact
-from .errors import InvariantError, check_capacity
+from .errors import InvariantError, capped_power, check_capacity
 from .f2linalg import (BitVec, _rref, dual_space, echelonize, kernel, min_weight,
                        rank_of_row_ints, span_rank_histogram)
 from .numerics import mrrw_constant
@@ -92,6 +92,7 @@ def _factors(i: int, d: int, k: int) -> list[int]:
 def _check_search_size(d: int, k: int, m: int):
     """Refuse, before anything is listed, the sets of m of the (2^k-1)^d
     rank-one d-tensors (or the tensors alone, if more) beyond the budget,
+    counted until past it (a refused count may be a lower bound),
     and rank-ones that would not fit the byte budget: each is a k^d-bit
     int (`int_bytes`) with 40 bytes of header and list slot, and up to
     four 16-byte slots of the search's lookup set.  Under tracemalloc
@@ -99,7 +100,11 @@ def _check_search_size(d: int, k: int, m: int):
     nbase = ((1 << k) - 1) ** d
     what = f"rank search over sets of {m} of the {nbase} rank-one tensors"
     budget = budget_bytes()
-    check_capacity(what, max(nbase, comb(nbase, m)), max(1 << 12, budget // 64), "sets")
+    cap = max(1 << 12, budget // 64)
+    sets, j = nbase, 1  # max(nbase, C(nbase, m))
+    while j < min(m, nbase - m) and sets <= cap:
+        sets, j = sets * (nbase - j) // (j + 1), j + 1  # C(n, j + 1) = C(n, j) (n - j) / (j + 1)
+    check_capacity(what, sets, cap, "sets")
     check_capacity(what, nbase * (int_bytes(k ** d) + 104), budget, "bytes")
 
 
@@ -201,7 +206,7 @@ def code_certificate(decomp: RankDecomposition) -> RankBoundCertificate:
     if decomp.d != 3:
         raise ValueError("code certificates are for 3-dimensional decompositions")
     k, t = decomp.k, decomp.t
-    check_capacity(f"code_certificate(k={k})", 1 << k, 1 << 24, "dual codewords")
+    check_capacity(f"code_certificate(k={k})", capped_power(k, 24), 1 << 24, "dual codewords")
     a_cols = [term.vectors[0] for term in decomp.terms]
     a_rows = [0] * k
     for i, col in enumerate(a_cols):

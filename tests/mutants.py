@@ -259,8 +259,15 @@ MUTANTS = [
            "gray = lo ^ (lo >> 1)", "gray = lo",
            (L + "test_split_walk_matches_one_process",)),
     Mutant("walk-drops-last-worker", "f2linalg.py",
-           "for code, data, lo, hi in results:", "for code, data, lo, hi in results[:-1]:",
+           "for i, code in enumerate(codes, 1):", "for i, code in enumerate(codes[:-1], 1):",
            (L + "test_split_walk_matches_one_process", L + "test_split_walk_divides_the_budget")),
+    Mutant("walk-worker-adds-into-row-below", "f2linalg.py",
+           "table[i * nbins:(i + 1) * nbins], parent)",
+           "table[(i - 1) * nbins:i * nbins], parent)",
+           (L + "test_split_walk_matches_one_process",)),
+    Mutant("walk-ignores-worker-status", "f2linalg.py",
+           "        if code:\n", "        if False:\n",
+           (L + "test_a_failed_walk_leaves_no_child",)),
     Mutant("walk-start-ignores-gray", "f2linalg.py",
            "            if (gray >> j) & 1:\n                planes = step(planes, high[j])",
            "            if False:\n                planes = step(planes, high[j])",
@@ -295,6 +302,10 @@ MUTANTS = [
     Mutant("walk-chunk-below-inner-lanes", "f2linalg.py",
            "stored, max(64, 1 << inner))", "stored, 64)",
            (B + "test_bias_exact_walk_matches_bruteforce",)),
+    Mutant("walk-admits-wide-inner-blocks", "f2linalg.py",
+           "1 << inner, 1 << LANE_CHUNK_BITS,", "1 << inner, 2 << LANE_CHUNK_BITS,",
+           (B + "test_bias_exact_contracts_inner_lanes_past_the_chunk",
+            G + "test_every_guard_names_its_unit")),
     Mutant("walk-model-no-delta-sets", "f2linalg.py",
            "return high * (size * (int_bytes(nlanes) + 32) + 72 * nrows) if inner else 0",
            "return 0",

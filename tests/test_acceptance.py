@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from f2lab import f2linalg
+from f2lab import f2linalg, harness
 from f2lab.bias import DyadicRational as D, bias_bruteforce, bias_exact, corr_exact
+from f2lab.errors import CapacityError
 from f2lab.f2linalg import mat_rank
 from f2lab.harness import (_lifted_form, _lifted_monomials, run_all, verify_bias_tail,
                            verify_bias_trace, verify_expected_bias,
@@ -251,3 +252,47 @@ def test_full_profile_does_not_depend_on_the_cpu_count(cpus, monkeypatch):
     got = [r.to_dict(timing=False) for r in run_all("full")]
     assert got == json.loads(FULL_PROFILE.read_text())
     assert max(workers) == cpus
+
+
+def _without_routes(report):
+    """A report less `routes`, which names the routes that ran."""
+    return {**report, "params": {k: v for k, v in report["params"].items() if k != "routes"}}
+
+
+def _row_key(report):
+    """What tells a full-profile row's report from every other row's."""
+    return json.dumps([report["name"], report["params"], report.get("samples"),
+                       report.get("seed")], sort_keys=True)
+
+
+# the rows each budget refuses, with the route that refuses them: the
+# sampled kernel's 64-lane chunk of 10 x 10 matrices, and the d = 3 span
+# walk's from k = 10 on, pass 16 KiB
+BUDGET_REFUSALS = {
+    1 << 20: [],
+    16 << 10: ([("bias-tail", (2, 10, 0.2, 10000, 502),
+                 "sampled_rank_histogram(nrows=10, ncols=10)")]
+               + [("bias-trace", (k,), f"span_rank_histogram(nrows={k}, ncols={k})")
+                  for k in range(10, 21)]),
+}
+
+
+@pytest.mark.parametrize("budget", list(BUDGET_REFUSALS))
+def test_full_profile_does_not_depend_on_the_budget(budget, monkeypatch):
+    # every row of the full profile alone: an admitted report equals the
+    # golden apart from `routes` (under 16 KiB bias-trace k = 8 and 9 lose
+    # the brute route), and a refused row is a CapacityError naming its route
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    want = {_row_key(r): r for r in map(_without_routes, json.loads(FULL_PROFILE.read_text()))}
+    admitted, refused = 0, []
+    for name, (fn, quick, full) in harness.EXPERIMENTS.items():
+        for row in quick + full:
+            try:
+                got = _without_routes(fn(*row).to_dict(timing=False))
+            except CapacityError as e:
+                refused.append((name, row, str(e).partition(": ")[0]))
+                continue
+            assert got == want[_row_key(got)], (name, row)
+            admitted += 1
+    assert refused == BUDGET_REFUSALS[budget]
+    assert admitted + len(refused) == len(want) == 107

@@ -472,11 +472,12 @@ def _counting(monkeypatch, calls, name):
     monkeypatch.setattr(bias, name, counted)
 
 
-@pytest.mark.parametrize("budget", [1 << 13, 1 << 15])
+@pytest.mark.parametrize("budget", [1 << 13, 12 << 10, 1 << 15])
 def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
     # 32 KiB splits the d >= 4 walk into several chunks and delta steps even
-    # at small k; both budgets contract x_1 where not even the narrowest
-    # chunk fits; one walk process, so every chunk is counted here
+    # at small k; 12 and 32 KiB contract x_1 where not even the narrowest
+    # chunk fits, and under 8 KiB no contraction fits; one walk process, so
+    # every chunk is counted here
     shapes = ([(4, k) for k in range(1, 8)] + [(5, k) for k in range(1, 6)]
               + [(6, k) for k in range(1, 5)])
     tensors = [random_tensor(d, k, 300 * d + k) for d, k in shapes]
@@ -496,7 +497,8 @@ def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
             got = bias_exact(t)
         except CapacityError as e:
             # contracting x_1 reaches a d = 3 span walk, whose 64-lane chunk
-            # of k x k matrices and fixed costs pass 8 KiB from k = 6 on
+            # of k x k matrices, fixed costs and the contraction's held
+            # bytes pass 8 KiB wherever it contracts, and 12 KiB from 13 KiB
             assert str(e).startswith(f"span_rank_histogram(nrows={t.k}"), e
             refused.append((t.d, t.k))
             continue
@@ -504,9 +506,25 @@ def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
         walked += calls["_tail_matrix_planes"] == 1
         stepped += calls["_batched_rank_histogram"] > calls["_tail_matrix_planes"] > 0
         contracted += calls["_tail_matrix_planes"] > 1 or calls["span_rank_histogram"] > 0
-    assert walked >= 4 and contracted >= 4, (walked, contracted)
+    assert walked >= 4 and (contracted >= 4) == (budget > 1 << 13), (walked, contracted)
     assert (stepped >= 4) == (budget == 1 << 15), stepped
-    assert refused == ([(4, 6), (4, 7)] * 2 if budget == 1 << 13 else [])
+    assert refused == {1 << 13: [(4, 5), (4, 6), (4, 7), (5, 4), (5, 5), (6, 3), (6, 4)],
+                       12 << 10: [(4, 6), (4, 7), (5, 5), (6, 4)], 1 << 15: []}[budget] * 2
+
+
+def test_bias_exact_contracts_inner_lanes_past_the_chunk(monkeypatch):
+    # with 2^6-lane chunks, the d = 4, k = 6 walk has inner blocks of 2^6
+    # lanes and runs; at k = 7 the walk refuses them before building any
+    # plane, and x_1 is contracted into d = 3 spans instead
+    monkeypatch.setattr(f2linalg, "LANE_CHUNK_BITS", 6)
+    calls = Counter()
+    for name in ("_tail_matrix_planes", "span_rank_histogram"):
+        _counting(monkeypatch, calls, name)
+    for k, walked, spans in ((6, 1, 0), (7, 0, 1 << 7)):
+        t = random_tensor(4, k, 400 + k)
+        calls.clear()
+        assert bias_exact(t) == bias_bruteforce(t), k
+        assert (calls["_tail_matrix_planes"], calls["span_rank_histogram"]) == (walked, spans)
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 13])
@@ -874,16 +892,17 @@ def test_corr_class_max_guards_work(monkeypatch):
 
 def test_corr_class_max_refuses_before_listing(monkeypatch):
     # degree 11 over 22 variables: 2,449,845 monomials of degree 2..11,
-    # counted by binomial sums; neither the class nor a table is built
+    # counted by binomial sums; neither the class nor a table is built, and
+    # the count of 22 x 2^(22 + 2,449,845) fields is refused as
+    # 22 x 2^(26 + 1024), `capped_power` of the states against the 26-bit cap
     def no_build(*args):
         raise AssertionError("listed monomials or built a table before the guard")
     monkeypatch.setattr("f2lab.bias._monomials_upto", no_build)
     monkeypatch.setattr("f2lab.bias.form_table", no_build)
     monkeypatch.setattr("f2lab.bias.var_mask", no_build)
-    high = sum(comb(22, j) for j in range(2, 12))
     with pytest.raises(CapacityError) as ei:
         corr_class_max(random_tensor(1, 22, 7), 11)
-    assert ei.value.required == (22 << 22) << high
+    assert ei.value.required == 22 << 26 + 1024
     assert ei.value.budget == 1 << 25
 
 

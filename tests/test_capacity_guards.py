@@ -1,6 +1,7 @@
 """Every capacity guard reports what it needed and what it was allowed."""
 
 import ast
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 import f2lab
 from f2lab import f2linalg
 from f2lab._bitops import int_bytes
+from f2lab.cli import main
 from f2lab.bias import bias_bruteforce, bias_exact, corr_class_max, corr_exact
 from f2lab.errors import CapacityError, check_capacity
 from f2lab.f2linalg import (echelonize, min_weight, sampled_rank_histogram,
@@ -145,6 +147,11 @@ GUARDS = {
     "sampled_rank_histogram": (4096, lambda: sampled_rank_histogram(Prng(9), 5_000, 9, 9),
                                "sampled_rank_histogram(nrows=9, ncols=9)", "18936", "2^12",
                                "bytes"),
+    # inner blocks of 2^17 lanes, refused before anything is built (no
+    # build or kernel is given); bias_exact contracts x_1 instead
+    "span_walk-inner": (None, lambda: f2linalg._span_walk("bias_exact(d=4, k=17)", 17, 17, 17,
+                                                          17, 18, None, None, 0),
+                        "bias_exact(d=4, k=17)", "2^17", "2^16", "inner lanes"),
     # 8 of trace_tensor(20)'s slices: 64 lanes of 1,026 ints at 44 bytes
     # each (two plane sets of 400, and the kernel's 190 slot rows above the
     # diagonal, 20-entry row and 16 more), and 3 KiB and 144 bytes a row
@@ -178,6 +185,78 @@ def test_every_guard_names_its_unit(budget, call, what, required, allowed, unit,
 
 def test_every_guard_site_has_a_row():
     assert len(GUARDS) == len(list(_capacity_checks()))
+
+
+BILLIONS = 4_000_000_000
+TRACE_24 = trace_tensor(24)
+# Sizes in the billions, as a command line or a file header gives them, and
+# counts of thousands of digits: each refusal names its route and builds no
+# count of that size.  (call, the start of the refusal's message)
+GIANT = {
+    "bias_exact": (lambda: bias_exact(DenseTensor(3, BILLIONS, 0)),
+                   f"bias_exact(d=3, k={BILLIONS}): "),
+    "bias_bruteforce": (lambda: bias_bruteforce(DenseTensor(1, BILLIONS, 0)),
+                        f"bias_bruteforce(d=1, k={BILLIONS}): "),
+    "corr_exact": (lambda: corr_exact(DenseTensor(1, BILLIONS, 0), Polynomial(BILLIONS, ())),
+                   f"corr_exact(d=1, k={BILLIONS}): "),
+    "corr_class_max-inputs": (lambda: corr_class_max(DenseTensor(1, BILLIONS, 0), 1),
+                              f"corr_class_max(d=1, k={BILLIONS}, degree=1): "),
+    "corr_class_max-work": (lambda: corr_class_max(DenseTensor(1, 22, 0), 11),
+                            "corr_class_max(d=1, k=22, degree=11): "),
+    "moment-identity": (lambda: verify_moment_identity(1, BILLIONS, 0),
+                        f"moment-identity(d=1, k={BILLIONS}, t=0): "),
+    "subspace-membership": (lambda: verify_subspace_membership(1, BILLIONS, [1], 1, 0),
+                            f"subspace-membership(d=1, k={BILLIONS}): "),
+    "span-dimension": (lambda: verify_span_dimension(1, 1, BILLIONS),
+                       f"span-dimension(d=1, k=1, t={BILLIONS}): "),
+    "joint-vanishing": (lambda: verify_joint_vanishing(1, BILLIONS, 1, 1, 0),
+                        f"joint-vanishing(d=1, k={BILLIONS}): "),
+    "linear-preimage": (lambda: verify_linear_preimage(BILLIONS, 1, 0),
+                        f"linear-preimage(k={BILLIONS}): "),
+    "code_certificate": (lambda: code_certificate(RankDecomposition(3, BILLIONS, ())),
+                         f"code_certificate(k={BILLIONS}): "),
+    "rank-search-500": (lambda: rank_exact(TRACE_24, 500),
+                        "rank search over sets of 476 of the 281474943156225 "),
+    "rank-search-1000000": (lambda: rank_exact(TRACE_24, 1_000_000),
+                            "rank search over sets of 999976 of the 281474943156225 "),
+}
+
+
+@pytest.mark.parametrize("call, start", GIANT.values(), ids=list(GIANT))
+def test_giant_sizes_refuse_at_once(call, start, monkeypatch):
+    # under a second and a megabyte, where the counts once built took
+    # gigabytes, or minutes of binomials and a ValueError for their digits
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    began = time.perf_counter()
+    peak, refused = _traced_call(call)
+    assert time.perf_counter() - began < 1
+    assert isinstance(refused, CapacityError) and str(refused).startswith(start), refused
+    assert refused.required > refused.budget
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("args, start", [
+    (["rank", "certify", "decomp.f2d"], f"code_certificate(k={BILLIONS}): "),
+    (["verify", "span-dimension", "--d", "1", "--k", "1", "--t", str(BILLIONS)],
+     f"span-dimension(d=1, k=1, t={BILLIONS}): "),
+    (["verify", "moment-identity", "--d", "1", "--k", str(BILLIONS), "--t", "0"],
+     f"moment-identity(d=1, k={BILLIONS}, t=0): "),
+    (["rank", "exact", "trace.f2t", "--max-t", "500"], "rank search over sets of 476 "),
+], ids=["rank-certify", "span-dimension", "moment-identity", "rank-exact"])
+def test_giant_cli_sizes_exit_2_at_once(args, start, tmp_path, capsys, monkeypatch):
+    # the 27-byte decomposition file and the command lines that once peaked
+    # at 526 MiB to refuse, and a search count past 4,300 digits
+    monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "decomp.f2d").write_text(f"F2D1 d=3 k={BILLIONS} t=0\n")
+    assert main(["gen", "trace", "--k", "24", "--out", "trace.f2t"]) == 0
+    status = []
+    began = time.perf_counter()
+    peak, _ = _traced_call(lambda: status.append(main(args)))
+    assert time.perf_counter() - began < 1
+    assert peak < 1 << 20, peak
+    assert status == [2]
+    assert capsys.readouterr().err.startswith(f"f2lab: error: {start}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,3 +492,25 @@ def test_sampled_rank_peak_within_4_kib(k, monkeypatch):
         assert refused.required > refused.budget == 4096
         assert peak <= REFUSAL_BYTES, peak
     assert (refused is None) == (k == 2)
+
+
+@pytest.mark.parametrize("d, k, seed, budget, admitted", [
+    (5, 5, 205, 1 << 13, False), (5, 5, 205, 12 << 10, False), (5, 5, 205, 1 << 14, True),
+    (4, 9, 169, 1 << 14, False)])
+def test_contracted_bias_exact_peaks_within_small_budgets(d, k, seed, budget, admitted,
+                                                          monkeypatch):
+    # x_1 contracted down to d = 3 span walks, which are charged the slices
+    # and current tensor each contraction level holds: each call peaks
+    # within the budget, or is refused before any plane is built; the two
+    # shapes once peaked past 8 and 16 KiB (d = 4, k = 9 at 20 KiB peaks
+    # within it too, but takes 13 s under tracemalloc)
+    monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 1)
+    t = random_tensor(d, k, seed)
+    monkeypatch.setenv("F2LAB_BUDGET_BYTES", str(budget))
+    peak, error = _traced_call(lambda: bias_exact(t))
+    if error is None:
+        assert peak <= budget, peak
+    else:
+        assert error.required > error.budget == budget
+        assert peak <= REFUSAL_BYTES, peak
+    assert (error is None) == admitted, error

@@ -440,17 +440,12 @@ def test_walk_workers(monkeypatch):
     assert not other.is_alive()
 
 
-@pytest.mark.parametrize("data", [b"", b"1 2", b"1 2 3 4", b"1 -2 3", b"1 x 3", b"1 2.0 3"])
-def test_malformed_worker_histogram_is_refused(data):
-    assert f2linalg._read_histogram(data, 3) is None
-    assert f2linalg._read_histogram(b"1 20 3\n", 3) == [1, 20, 3]
-
-
-@pytest.mark.parametrize("where", ["worker", "parent"])
+@pytest.mark.parametrize("where", ["worker", "overflow", "parent"])
 def test_a_failed_walk_leaves_no_child(where, monkeypatch):
-    # a worker that raises exits nonzero, an InvariantError naming its
-    # steps; a parent that raises kills its workers; both reap them all
-    # (20 KiB: three workers, each walking 64-lane chunks)
+    # a worker that raises, or whose row of the count table would pass 64
+    # bits, exits nonzero, an InvariantError naming its steps; a parent
+    # that raises kills its workers; both reap them all (20 KiB: three
+    # workers, each walking 64-lane chunks)
     monkeypatch.setenv("F2LAB_BUDGET_BYTES", "20480")
     use_cpus(monkeypatch, 3)
     parent = os.getpid()
@@ -458,14 +453,16 @@ def test_a_failed_walk_leaves_no_child(where, monkeypatch):
 
     def fails(planes, nrows, ncols, nlanes):
         if (os.getpid() == parent) == (where == "parent"):
+            if where == "overflow":
+                return [1 << 64] + real(planes, nrows, ncols, nlanes)[1:]
             raise KeyError(where)
         return real(planes, nrows, ncols, nlanes)
 
     monkeypatch.setattr(f2linalg, "_batched_rank_histogram", fails)
     rng = Prng(53)
     gens = [pack(random_matrix(4, 4, rng), 4) for _ in range(13)]
-    error, match = ((InvariantError, r"walk worker for steps \[\d+, \d+\) exited with status 1 ")
-                    if where == "worker" else (KeyError, "parent"))
+    error, match = ((KeyError, "parent") if where == "parent" else
+                    (InvariantError, r"^walk worker for steps \[\d+, \d+\) exited with status 1$"))
     with pytest.raises(error, match=match):
         span_rank_histogram(gens, 4, 4)
     with pytest.raises(ChildProcessError):
