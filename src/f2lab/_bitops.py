@@ -135,21 +135,31 @@ def form_table(bits: int, dims: int, k: int, masks: list[int] | None = None) -> 
 
 
 def anf_pieces(monomials: Iterable[int], n: int, m: int) -> list[int]:
-    """Truth table over 2^n inputs of the sum of the distinct monomials
+    """Truth table over 2^n inputs of the sum of the monomials
     prod_{i in w} x_i, w an n-bit input mask, in 2^(n-m) pieces of 2^m
-    bits: piece x is the table where the high n - m input bits are x.
+    bits: piece x is the table where the high n - m input bits are x.  A
+    monomial given twice cancels.
 
     The monomials are bucketed by their high part S into ANFs over the m
-    low bits.  The binary Moebius passes run over the low bits of the
-    nonzero buckets, each variable mask built once, and then a subset
-    transform over the high bits makes piece x the XOR of the buckets
-    S within x.  A piece no bucket reaches is 0, and equal pieces may be
-    one shared int.  m = n gives the whole table as the one piece.
+    low bits, each a bytearray in which a monomial flips one bit; each
+    bucket becomes its piece's int and is freed in turn.  The binary
+    Moebius passes run over the low bits of the nonzero buckets, each
+    variable mask built once, and then a subset transform over the high
+    bits makes piece x the XOR of the buckets S within x.  A piece no
+    bucket reaches is 0, and equal pieces may be one shared int.  m = n
+    gives the whole table as the one piece.
     """
     low = ones(m)
-    pieces = [0] * (1 << (n - m))
+    nbytes = ((1 << m) + 7) >> 3
+    pieces: list = [0] * (1 << (n - m))
     for w in monomials:
-        pieces[w >> m] ^= 1 << (w & low)
+        b = pieces[w >> m] = pieces[w >> m] or bytearray(nbytes)
+        lw = w & low
+        b[lw >> 3] ^= 1 << (lw & 7)
+    for x, b in enumerate(pieces):
+        if b:
+            pieces[x] = int.from_bytes(b, "little")
+    del b  # the last bucket, a whole table when m = n
     live = [x for x, b in enumerate(pieces) if b]
     for v in range(m):
         mask = var_mask(v, m)

@@ -21,6 +21,9 @@ Two exact routes check each other:
 
 At d = 3 the two share no code; from d = 4 on both build tables with
 `form_table`, which the tests check input by input against `evaluate`.
+
+`corr_exact` and `corr_class_max` build every truth table from monomials
+(`_bitops.anf_pieces`), f_T's one per set entry, variable v at input bit v.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
@@ -37,7 +40,7 @@ from ._bitops import (anf_pieces, budget_bytes, ctz, form_table, int_bytes,
 from .errors import CapacityError, capped_power, check_capacity
 from .f2linalg import (_add, _batched_rank_histogram, _kernel_ints, _span_walk, mat_rank,
                        span_rank_histogram)
-from .prng import Prng
+from .prng import Prng, words_bytes
 from .report import fmt_dyadic
 from .tensors import DenseTensor, Polynomial, first_block_slices
 
@@ -267,13 +270,10 @@ def bias_bruteforce(t: DenseTensor) -> DyadicRational:
 
 
 def _sliced_form(bits: int, planes: list[list[int]], j: int, k: int) -> int:
-    """f of the (d-j)-tensor `bits` on every sample of a block at once.
-
-    planes[j][c] holds coordinate c of block j for all samples, sample s
-    at bit s; bit s of the result is the form at sample s's blocks j..d-1.
-    The samples are `bias_mc`'s random draws, or all 2^(kd) inputs of
-    `corr_class_max`, where each plane is a variable's truth table.
-    """
+    """f of the (d-j)-tensor `bits` on every sample of a `bias_mc` block
+    at once: planes[j][c] holds coordinate c of block j for all samples,
+    sample s at bit s; bit s of the result is the form at sample s's
+    blocks j..d-1."""
     if j == len(planes) - 1:
         out = 0
         while bits:
@@ -291,6 +291,16 @@ def _sliced_form(bits: int, planes: list[list[int]], j: int, k: int) -> int:
     return out
 
 
+def _mc_bytes(k: int, d: int, n: int) -> int:
+    """Bytes `bias_mc` holds at once for blocks of n samples: the d*k
+    planes of n bits with 32 bytes of header; the `Prng.draws` word block
+    (`words_bytes`) and one plane's cut beside them; and d + 3 planes and
+    three tensor-sized slices and masks for `_sliced_form`."""
+    plane, dk = int_bytes(n) + 32, d * k
+    return (4096 + dk * plane + words_bytes(dk * ((n + 63) >> 6)) + (d + 4) * plane
+            + 3 * int_bytes(k ** d))
+
+
 def bias_mc(t: DenseTensor, samples: int, confidence: float,
             seed: int) -> BiasEstimate:
     """Signed Monte-Carlo estimate of E(-1)^f_T with a Hoeffding CI.
@@ -300,13 +310,16 @@ def bias_mc(t: DenseTensor, samples: int, confidence: float,
     costs about nnz(T) big-int AND/XORs.  A block of n samples is
     `Prng.draws(d * k, n)`, one n-bit plane per coordinate, sample s at
     bit s: block-major, coordinate-minor.  The result depends only on
-    the seed.
+    the seed.  A block and its contraction must fit the byte budget
+    (`_mc_bytes`), which refuses and never shrinks the blocks.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     halfwidth = _hoeffding_halfwidth(samples, confidence)
     k, d = t.k, t.d
     block = max(64, min(_MC_BLOCK, _MC_PLANE_BITS // (d * k)))
+    check_capacity(f"bias_mc(d={d}, k={k})", _mc_bytes(k, d, min(block, samples)),
+                   budget_bytes(), "bytes")
     rng = Prng(seed)
     acc = 0
     for start in range(0, samples, block):
@@ -324,58 +337,55 @@ def bias_mc(t: DenseTensor, samples: int, confidence: float,
 # ---------------------------------------------------------------------------
 
 
-def _input_bit(v: int, k: int, d: int) -> int:
-    """Truth-table input bit of polynomial variable v: coordinate v % k of
-    block v // k, with the first block at the high bits (`form_table`)."""
-    j, i = divmod(v, k)
-    return (d - 1 - j) * k + i
+def _form_monomials(t: DenseTensor) -> list[int]:
+    """f_T as a polynomial: the input-bit mask of the monomial
+    x_{1,i_1} ... x_{d,i_d} of each set entry (i_1..i_d), with variable
+    j*k + i (coordinate i of block j) at input bit j*k + i."""
+    k = t.k
+    masks = [0]
+    for j in range(t.d):  # entry order: the first index slowest
+        masks = [w | 1 << (j * k + i) for w in masks for i in range(k)]
+    bits = format(t.bits, "b").zfill(len(masks))[::-1]  # bits[e] is entry e of T
+    return [w for w, b in zip(masks, bits) if b == "1"]
 
 
 def _corr_bytes(k: int, d: int) -> int:
     """Bytes `corr_exact` holds at once, counted as in `_bruteforce_bytes`:
-    the polynomial's 2^(kd)-bit table in 2^h pieces of 2^m bits (h = k
-    for d >= 2 and k // 2 at d = 1, m = kd - h), with 64 bytes of header
-    and list slot per piece; the form's h slice tables of 2^m bits; and
-    five more pieces for the one slice table being built (a linear
-    table's mask and XOR, or from d = 3 on the last doubling step's lower
-    half, shifted upper half and OR, and the k variable masks the slice
-    tables share, at most half a piece in all and held to the end), or
-    for a Moebius step's variable mask and temporaries, or for the walk's
-    current piece and its XOR."""
-    h = k if d > 1 else k // 2
+    the 2^(kd)-bit table of f_T + P in 2^h pieces of 2^m bits (h =
+    min(k, kd // 2), m = kd - h), 64 bytes of header and list slot a piece,
+    filled first by the buckets' bytearrays; four pieces for a Moebius
+    step's mask, shift, AND and XOR, or a subset step's XOR; and 64 bytes
+    per entry of T for `_form_monomials`' lists and entry string."""
+    h = min(k, k * d // 2)
     piece = int_bytes(1 << (k * d - h))
-    return 4096 + ((64 + piece) << h) + (h + 5) * piece
+    return 4096 + ((64 + piece) << h) + 4 * piece + 64 * k ** d
 
 
 def _class_max_bytes(k: int, d: int, class_bits: int) -> int:
     """Bytes `corr_class_max` holds at once from degree 1 on, counted as in
-    `_corr_bytes`: the n = kd variable tables, a table per monomial of
-    degree >= 2, and d + 3 more for the form `_sliced_form` builds (an
-    output per block, and an AND and XOR at the last) or for the walk's
-    current table and the next one; and six ints of 2^n 32-bit fields:
-    a butterfly stage holds five (the fields, the stage's mask and offset,
-    the masked half and one partial sum), and one is margin.  Under
-    tracemalloc a whole call peaks near five of them from n = 12 on."""
+    `_corr_bytes`: five 2^n-bit tables and 64 bytes an entry of T while
+    the form's one `anf_pieces` piece is built, a table per monomial of
+    degree >= 2, two for the walk's current table and the next one, and
+    six ints of 2^n 32-bit fields: a butterfly stage holds five (the
+    fields, the stage's mask and offset, the masked half and one partial
+    sum), and one is margin.  Under tracemalloc a whole call peaks near
+    five of them from n = 12 on."""
     n = k * d
-    high = class_bits - 1 - n
-    return 4096 + (n + high + d + 3) * int_bytes(1 << n) + 6 * int_bytes(32 << n)
+    return 4096 + (class_bits - n + 6) * int_bytes(1 << n) + 6 * int_bytes(32 << n) + 64 * k ** d
 
 
 def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
-    """Corr(f_T, P) = bias(f_T - P), from the popcount of f_T + P over
-    all 2^n inputs, n = kd, counted in first-block pieces.
+    """Corr(f_T, P) = bias(f_T - P), from the popcount of the truth table
+    of f_T + P over all 2^n inputs, n = kd.
 
-    `form_table` lays the first block out at the high k input bits, so
-    both tables split there into 2^k pieces of 2^(n-k) bits, and neither
-    is ever joined whole.  The form is linear in x_1, so a Gray walk over
-    x_1 gives each form piece with one XOR of a first-block slice table.
-    The polynomial's pieces come from `anf_pieces`, with its monomials as
-    input-bit masks.  At d = 1 the split is at the high k // 2 input
-    bits instead: each form piece is the low bits' linear table,
-    complemented by the high bits of the form that the piece's index
-    sets, so the same walk XORs all-ones "slice" tables.  The pieces, the
-    slice tables and their builders' transients must fit the byte budget
-    (`_corr_bytes`).
+    f_T is a polynomial too, one monomial per set entry of T
+    (`_form_monomials`), so one `anf_pieces` call over the monomials of
+    both builds the table of the sum; a monomial in both cancels.
+    Variable v is input bit v.  The table comes in 2^h pieces split at
+    the high h = min(k, n // 2) input bits and is never joined; each
+    monomial of f_T has one variable in the last block, so f_T reaches
+    at most k + 1 buckets.  The pieces and their builders' transients
+    must fit the byte budget (`_corr_bytes`).
     """
     k, d = t.k, t.d
     n = k * d
@@ -384,25 +394,10 @@ def corr_exact(t: DenseTensor, poly: Polynomial) -> DyadicRational:
     what = f"corr_exact(d={d}, k={k})"
     check_capacity(what, capped_power(n, CORR_MAX_VARS), 1 << CORR_MAX_VARS, "inputs")
     check_capacity(what, _corr_bytes(k, d), budget_bytes(), "bytes")
-    h = k if d > 1 else k // 2
-    m = n - h
-    ppieces = anf_pieces([sum(1 << _input_bit(v, k, d) for v in mono)
-                          for mono in poly.monomials], n, m)
-    if d == 1:
-        # <a, x> is <a_low, x_low> + <a_high, x_high>: each piece is the
-        # low form's table, complemented by every set bit of a_high in x_high
-        cur = linear_form_table(t.bits & ones(m), m)
-        every = ones(1 << m)  # one shared int for every high bit of the form
-        slices = [every if (t.bits >> (m + j)) & 1 else 0 for j in range(h)]
-    else:
-        cur = 0
-        # from d = 3 on the slice tables share k masks; at d = 2 a mask is a piece
-        masks = [var_mask(v, k) for v in range(k)] if d > 2 else None
-        slices = [form_table(s, d - 1, k, masks) for s in first_block_slices(t)]
-    ones_count = (cur ^ ppieces[0]).bit_count()
-    for step in range(1, 1 << h):
-        cur ^= slices[ctz(step)]
-        ones_count += (cur ^ ppieces[step ^ (step >> 1)]).bit_count()
+    pieces = anf_pieces(chain(_form_monomials(t),
+                              (sum(1 << v for v in mono) for mono in poly.monomials)),
+                        n, n - min(k, n // 2))
+    ones_count = sum(p.bit_count() for p in pieces)
     return DyadicRational.from_ratio(abs((1 << n) - 2 * ones_count), n)
 
 
@@ -419,8 +414,9 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     spectrum W of f's table (`walsh_spectrum`), P and P + 1 alike.  A Gray
     walk over the monomials of degree >= 2 (one state at degree 1) XORs
     their tables into the form's, and each state costs one transform.
-    Variable v is input bit v of every table, so field a of a transform
-    is the linear part a.  The witness is the least maximizer: the first
+    Each table is the one piece of `anf_pieces` over its monomials, as in
+    `corr_exact`, variable v at input bit v, so field a of a transform is
+    the linear part a.  The witness is the least maximizer: the first
     state whose spectrum reaches the maximum, the least linear part a
     there, and no constant, since P and P + 1 tie.  Degree 0 is {0, 1}
     and degree -1 is {0}: both give the bias, from `bias_bruteforce`,
@@ -443,16 +439,9 @@ def corr_class_max(t: DenseTensor, degree: int) -> tuple[DyadicRational, Polynom
     check_capacity(what, n * capped_power(class_bits - 1, CORR_CLASS_WORK.bit_length()),
                    CORR_CLASS_WORK, "transform fields")
     check_capacity(what, _class_max_bytes(k, d, class_bits), budget_bytes(), "bytes")
-    variables = [var_mask(v, n) for v in range(n)]
-    cur = _sliced_form(t.bits, [variables[j * k:(j + 1) * k] for j in range(d)], 0, k)
+    cur = anf_pieces(_form_monomials(t), n, n)[0]
     monos = _monomials_upto(n, min(degree, n))[1 + n:]
-    high_tables = []
-    for mono in monos:
-        mt = variables[mono[0]]
-        for v in mono[1:]:
-            mt &= variables[v]
-        high_tables.append(mt)
-    del variables
+    high_tables = [anf_pieces([sum(1 << v for v in mono)], n, n)[0] for mono in monos]
 
     size = 1 << n
     best_num = -1

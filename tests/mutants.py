@@ -110,22 +110,33 @@ MUTANTS = [
     Mutant("polynomial-empty-range", "tensors.py",
            "if m and not (0 <= min(m)", "if not (0 <= min(m)",
            (T + "test_polynomial_accepts_what_the_old_validator_accepts",)),
-    # bias.corr_exact: the slice tables' shared variable masks
-    Mutant("corr-masks-reversed", "bias.py",
-           "[var_mask(v, k) for v in range(k)] if d > 2",
-           "[var_mask(k - 1 - v, k) for v in range(k)] if d > 2",
-           (B + "test_corr_exact_matches_per_input_count",
+    # _bitops.anf_pieces and bias.corr_exact: one ANF table of f_T + P
+    Mutant("anf-bucket-bit-from-w", "_bitops.py",
+           "b[lw >> 3] ^= 1 << (lw & 7)", "b[lw >> 3] ^= 1 << (w & 7)",
+           (B + "test_anf_pieces_cancels_pairs_inside_narrow_buckets",
+            "tests/test_route_digests.py::test_route_matches_its_digest")),
+    Mutant("anf-moebius-skips-top-variable", "_bitops.py",
+           "    for v in range(m):\n        mask = var_mask(v, m)",
+           "    for v in range(m - 1):\n        mask = var_mask(v, m)",
+           (B + "test_anf_table_matches_polynomial_evaluate",
             B + "test_corr_exact_matches_whole_table_oracle")),
-    Mutant("corr-masks-from-d4", "bias.py",
-           "for v in range(k)] if d > 2 else None", "for v in range(k)] if d > 3 else None",
-           equivalent="d = 3 then builds its masks per slice table: the same tables, "
-           "only slower, and no tier-1 test times corr_exact"),
-    Mutant("corr-masks-at-d2", "bias.py",
-           "for v in range(k)] if d > 2 else None", "for v in range(k)] if d > 1 else None",
-           equivalent="the same tables; at d = 2 the k masks are k more pieces, which "
-           "_corr_bytes does not count, but the byte test's calls peak at 0.27 of the "
-           "model or less (their polynomials' pieces are mostly one shared zero), so "
-           "the one-sided test passes: a blind spot, not a harmless change"),
+    Mutant("form-monomials-blocks-reversed", "bias.py",
+           "[w | 1 << (j * k + i) for w in masks",
+           "[w | 1 << ((t.d - 1 - j) * k + i) for w in masks",
+           (B + "test_corr_exact_matches_per_input_count",
+            B + "test_corr_exact_matches_whole_table_oracle",
+            "tests/test_route_digests.py::test_route_matches_its_digest")),
+    Mutant("form-monomials-entries-reversed", "bias.py",
+           ".zfill(len(masks))[::-1]", ".zfill(len(masks))",
+           (B + "test_corr_exact_matches_per_input_count",
+            B + "test_corr_exact_matches_whole_table_oracle",
+            B + "test_class_max_spectrum_is_over_the_input_coordinates")),
+    Mutant("corr-bytes-half-table", "bias.py",
+           "4096 + ((64 + piece) << h) + 4 * piece", "4096 + ((64 + piece) << h >> 1) + 4 * piece",
+           (G + "test_exact_route_peak_within_budget", G + "test_every_guard_names_its_unit")),
+    Mutant("mc-bytes-without-planes", "bias.py",
+           "return (4096 + dk * plane + words_bytes", "return (4096 + words_bytes",
+           (G + "test_exact_route_peak_within_budget", G + "test_every_guard_names_its_unit")),
     # bias.corr_class_max: input coordinates and the least maximizer
     Mutant("class-max-last-state", "bias.py",
            "        if num > best_num:\n            best_num, best_state",
@@ -137,8 +148,8 @@ MUTANTS = [
            (B + "test_corr_class_max_degree_one_witness_is_zero",
             B + "test_corr_class_max_matches_whole_class_walk_on_flat_spectra")),
     Mutant("class-max-variables-reversed", "bias.py",
-           "variables = [var_mask(v, n) for v in range(n)]",
-           "variables = [var_mask(n - 1 - v, n) for v in range(n)]",
+           "anf_pieces([sum(1 << v for v in mono)], n, n)",
+           "anf_pieces([sum(1 << (n - 1 - v) for v in mono)], n, n)",
            (B + "test_class_max_spectrum_is_over_the_input_coordinates",)),
     # numerics.power_at_most: x <= bound(2^(p/q)), exactly
     Mutant("power-exact-strict", "numerics.py",

@@ -273,7 +273,9 @@ BUDGET_REFUSALS = {
     16 << 10: ([("bias-tail", (2, 10, 0.2, 10000, 502),
                  "sampled_rank_histogram(nrows=10, ncols=10)")]
                + [("bias-trace", (k,), f"span_rank_histogram(nrows={k}, ncols={k})")
-                  for k in range(10, 21)]),
+                  for k in range(10, 21)]
+               + [("mc-bias", row, f"bias_mc(d={row[0]}, k={row[1]})")
+                  for row in [(3, 4, 20_000, 309), (2, 8, 200_000, 510)]]),
 }
 
 

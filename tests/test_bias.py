@@ -265,6 +265,24 @@ def test_anf_table_matches_polynomial_evaluate(m):
                     for x in range(1 << m)] == want, (p, low)
 
 
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_anf_pieces_cancels_pairs_inside_narrow_buckets(m):
+    # pieces of 2^m < 8 bits, one byte a bucket: a monomial flips bit
+    # w & (2^m - 1) of its bucket, so a monomial given twice cancels there
+    # and no bit of its high part reaches the piece
+    n = m + 3
+    prng = Prng(75 + m)
+    for _ in range(30):
+        masks = [below(prng, 1 << n) for _ in range(1 + below(prng, 8))]
+        given = masks + masks[:1 + below(prng, len(masks))]
+        anf = 0
+        for w in given:
+            anf ^= 1 << w
+        pieces = anf_pieces(given, n, m)
+        assert all(p >> (1 << m) == 0 for p in pieces), given
+        assert sum(p << (x << m) for x, p in enumerate(pieces)) == anf_table(anf, n), given
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_corr_exact_of_a_form_is_bias_of_the_sum(d):
     # P_{T'} has one monomial per entry of T', so f_T - P_{T'} = f_{T ^ T'};
@@ -290,9 +308,12 @@ def _random_monomials(prng, variables, count):
 
 
 @pytest.mark.parametrize("d,ks", [(1, (1, 3, 8)), (2, (1, 3, 6)), (3, (1, 2, 4)),
-                                  (4, (1, 2, 3)), (5, (1, 2))])
+                                  (4, (1, 2, 3)), (5, (1, 2)), (6, (4,)), (13, (2,))])
 def test_corr_exact_matches_whole_table_oracle(d, ks):
-    # the first-block pieces against the popcount of the whole 2^n-bit tables
+    # the pieces of one ANF table of f_T + P against the popcount of the
+    # whole 2^n-bit tables of f_T (`form_table`) and of P; at (6, 4) and
+    # (13, 2) a random form sends thousands of monomials into the pieces,
+    # checked with three of the polynomials (the whole tables take seconds)
     prng = Prng(90 + d)
     for k in ks:
         n = k * d
@@ -300,7 +321,10 @@ def test_corr_exact_matches_whole_table_oracle(d, ks):
         polys = [[], [()], _random_monomials(prng, first, 6),
                  _random_monomials(prng, rest or first, 6), [tuple(range(n))],
                  _random_monomials(prng, list(range(n)), 60) + [tuple(range(n))]]
-        for t in (random_tensor(d, k, prng.u64()), DenseTensor(d, k, 0)):
+        tensors = [random_tensor(d, k, prng.u64()), DenseTensor(d, k, 0)]
+        if n > 20:
+            polys, tensors = polys[1::2], tensors[:1]
+        for t in tensors:
             for monos in polys:
                 p = Polynomial.reduce(n, monos)
                 assert corr_exact(t, p) == D.from_ratio(*corr_whole_table(t, p)), (k, p)
@@ -317,8 +341,8 @@ def test_corr_exact_matches_whole_table_oracle_at_26_variables():
 @pytest.mark.parametrize("case", ["explicit d=3 k=8, lifted", "dense d=2 k=12",
                                   "dense d=1 k=24"])
 def test_corr_exact_peaks_below_a_table_and_a_half(case, monkeypatch):
-    # the 2^24-bit table is held once, in pieces (first-block pieces, or at
-    # d = 1 the high half of the input bits), and never joined
+    # the 2^24-bit table of f_T + P is held once, in pieces split at the
+    # high min(k, n // 2) input bits, and never joined
     monkeypatch.delenv("F2LAB_BUDGET_BYTES", raising=False)
     if case.startswith("explicit"):
         t, p = explicit_form_tensor(3, 8), _lifted_form(3, 8, Prng(97), _lifted_monomials(3, 8))
@@ -657,7 +681,7 @@ def test_corr_exact_validates_variables():
 
 
 def test_corr_exact_guards_table_size(monkeypatch):
-    monkeypatch.setattr("f2lab.bias.form_table", _no_tables)
+    monkeypatch.setattr("f2lab.bias._form_monomials", _no_tables)
     monkeypatch.setattr("f2lab.bias.anf_pieces", _no_tables)
     with pytest.raises(CapacityError) as ei:
         corr_exact(DenseTensor(3, 9, 0), Polynomial(27, ((),)))
@@ -790,9 +814,14 @@ def test_corr_class_max_matches_whole_class_walk_at_odd_high_parity():
 def test_class_max_spectrum_is_over_the_input_coordinates(degree, monkeypatch):
     # every field of every transform the walk runs: field a is W(u) of the
     # state's table over the inputs (`form_table`, degree-2 monomials XORed
-    # in), u the linear part a with variable v at `_input_bit(v)`; the
-    # witnesses of degree 1 are 0 from d = 2 on, so only this sees the
-    # order of the blocks and the variables
+    # in), u the linear part a with variable v at `form_table`'s input bit
+    # of v; the witnesses of degree 1 are 0 from d = 2 on, so only this sees
+    # the order of the blocks and the variables
+    def input_bit(v):
+        # coordinate v % k of block v // k, the first block at the high bits
+        j, i = divmod(v, k)
+        return (d - 1 - j) * k + i
+
     spectra = []
 
     def spy(table, n):
@@ -817,10 +846,9 @@ def test_class_max_spectrum_is_over_the_input_coordinates(degree, monkeypatch):
                 table = form
                 for i, (v, w) in enumerate(pairs):
                     if (high >> i) & 1:
-                        table ^= (var_mask(bias._input_bit(v, k, d), n)
-                                  & var_mask(bias._input_bit(w, k, d), n))
+                        table ^= var_mask(input_bit(v), n) & var_mask(input_bit(w), n)
                 for a in range(size):
-                    u = sum(1 << bias._input_bit(v, k, d) for v in range(n) if (a >> v) & 1)
+                    u = sum(1 << input_bit(v) for v in range(n) if (a >> v) & 1)
                     assert spectrum[a] == walsh_sum(table, n, u) + size, (d, k, state, a)
 
 
@@ -854,8 +882,8 @@ def test_bias_exact_block_permutation_invariant(k):
 def test_corr_class_max_guards_table_size(monkeypatch):
     def no_tables(*args):
         raise AssertionError("built a truth table before the guard")
-    monkeypatch.setattr("f2lab.bias.form_table", no_tables)
-    monkeypatch.setattr("f2lab.bias.var_mask", no_tables)
+    monkeypatch.setattr("f2lab.bias._form_monomials", no_tables)
+    monkeypatch.setattr("f2lab.bias.anf_pieces", no_tables)
     with pytest.raises(CapacityError) as ei:
         corr_class_max(DenseTensor(3, 9, 0), 0)
     assert ei.value.required == 1 << 27
@@ -882,8 +910,8 @@ def test_corr_class_max_guards_work(monkeypatch):
     # degree 1 over 21 variables: one transform of 21 x 2^21 fields
     def no_tables(*args):
         raise AssertionError("built a truth table before the guard")
-    monkeypatch.setattr("f2lab.bias.form_table", no_tables)
-    monkeypatch.setattr("f2lab.bias.var_mask", no_tables)
+    monkeypatch.setattr("f2lab.bias._form_monomials", no_tables)
+    monkeypatch.setattr("f2lab.bias.anf_pieces", no_tables)
     with pytest.raises(CapacityError) as ei:
         corr_class_max(DenseTensor(3, 7, 0), 1)
     assert ei.value.required == 21 << 21
