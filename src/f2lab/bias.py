@@ -175,8 +175,8 @@ def _prefix_rank_histogram(t: DenseTensor, held: int = 0) -> list[int]:
     instead, one (d-1)-tensor per value, and the walks below are charged
     the `held` bytes of each level: its k slices and current tensor,
     k^(d-1)-bit ints (`int_bytes`) with 32 bytes of header, and 1 KiB of
-    frame, counts and tensor object; at the outermost 3 KiB more, for the
-    lists and tuples the interpreter keeps on its free lists.
+    frame, counts and tensor object.  A d >= 4 walk is also charged the
+    two bit strings of its tensor `_tail_matrix_planes` holds at once.
     """
     k, d = t.k, t.d
     if d == 3:
@@ -185,12 +185,12 @@ def _prefix_rank_histogram(t: DenseTensor, held: int = 0) -> list[int]:
         return _span_walk(f"bias_exact(d={d}, k={k})", k, k * (d - 3), k, k, k + 1,
                           lambda c: _tail_matrix_planes(t, c),
                           lambda planes, nlanes: _batched_rank_histogram(planes, k, k, nlanes),
-                          _kernel_ints(k), held)
+                          _kernel_ints(k), held + 2 * t.size)
     except CapacityError:
         pass  # the contraction below
     counts = [0] * (k + 1)
     slices = first_block_slices(t)
-    held += (k + 1) * (int_bytes(k ** (d - 1)) + 32) + (1024 if held else 4096)
+    held += (k + 1) * (int_bytes(k ** (d - 1)) + 32) + 1024
     cur = 0
     for step in range(1 << k):
         if step:

@@ -1,11 +1,13 @@
 """Named, reproducible verification experiments.
 
-Every experiment returns a VerificationReport.  Exact statements
-(identities, closed forms, finite bounds) are hard assertions; purely
-asymptotic statements are displayed next to the measurement but never
-asserted (`holds = "report-only"`), so a failing suite always means a
-checkable statement broke.  Reports include the measured/bound gap so a
-tightness regression is visible even while everything still passes.
+Every experiment returns a VerificationReport from `numerics.make_report`
+and states each assert as a `Check`, one per value compared: a sampled
+extreme (the least bias) is one.  Exact statements (identities, closed
+forms, finite bounds) are hard assertions; purely asymptotic statements
+are displayed but never asserted (`report_only`), so a failing suite
+always means a checkable statement broke.  Reports include the
+measured/bound gap so a tightness regression is visible even while
+everything still passes.
 
 `EXPERIMENTS` is the one list of experiments, read by `run_all` and by
 `f2lab verify NAME`: per report name, its function and argument rows.
@@ -24,11 +26,11 @@ from ._bitops import form_table, linear_form_table, ones, var_mask
 from .bias import DyadicRational, bias_bruteforce, bias_exact, bias_mc, corr_exact
 from .errors import CapacityError, InvariantError, capped_power, check_capacity, check_sizes
 from .f2linalg import Subspace, echelonize, rank_of_row_ints, sampled_rank_histogram
-from .numerics import f_dk_bound, inequality_checks, power_at_most, profile_max_check
+from .numerics import Check, f_dk_bound, inequality_checks, make_report, profile_max_check
 from .prng import Prng
 from .rank import (corank_bound, corank_bound_margin, matmul_bias_exact, rank_count,
                    rank_lb_bias)
-from .report import REPORT_ONLY, VerificationReport, fmt_dyadic, fmt_float, timed
+from .report import VerificationReport, fmt_dyadic, fmt_float, timed
 from .tensors import (DenseTensor, Polynomial, explicit_form_tensor, matmul_tensor,
                       outer_bits, random_rank_decomp, random_tensor,
                       tensor_from_decomp, trace_tensor)
@@ -40,15 +42,6 @@ ASSIGN_BITS_LIMIT = 22             # 2^(k d) assignments per instance
 PREIMAGE_K_LIMIT = 16
 
 D = DyadicRational
-
-
-def _report(name: str, params: Sequence[tuple[str, str]],
-            measured: Sequence[tuple[str, str]], bound: tuple[str, str],
-            holds, method: str, samples: int | None = None,
-            seed: int | None = None) -> VerificationReport:
-    return VerificationReport(
-        name=name, params=tuple(params), measured=tuple(measured),
-        bound=bound, holds=holds, method=method, samples=samples, seed=seed)
 
 
 def _rank_one_census(d: int, k: int) -> dict[int, int]:
@@ -130,11 +123,10 @@ def verify_moment_identity(d: int, k: int, t: int) -> VerificationReport:
                    1 << MOMENT_TENSOR_BITS_LIMIT, "tensors")
     lhs = sum(bias_exact(DenseTensor(d, k, x)) ** t for x in range(1 << cells)) / (1 << cells)
     rhs = D.from_ratio(_vanish_count(d, k, t), k * t * d)
-    holds = lhs == rhs
-    return _report(
+    return make_report(
         "moment-identity", [("d", str(d)), ("k", str(k)), ("t", str(t))],
         [("moment", fmt_dyadic(lhs)), ("vanish_prob", fmt_dyadic(rhs))],
-        ("equality", fmt_dyadic(rhs)), holds, "exhaustive")
+        ("equality", fmt_dyadic(rhs)), [Check("moment", lhs, "==", rhs)], "exhaustive")
 
 
 def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationReport:
@@ -156,16 +148,17 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     e = Fraction(str(eps))
     cut, power = e * k / 5, -(1 - e / 2) * k * t   # d < 2^cut; the headline is 2^power
     applies = d ** cut.denominator < Fraction(2) ** cut.numerator and t < e * k ** (d - 1) / 5
-    proof_ok = power_at_most(exact, lambda w: ((d + w) / (1 << k)) ** t, t, k ** (d - 2))
-    headline_ok = not applies or power_at_most(exact, lambda w: w, *power.as_integer_ratio())
-    return _report(
+    checks = [Check("proof_bound", exact, "<=", lambda w: ((d + w) / (1 << k)) ** t,
+                    (t, k ** (d - 2)))]
+    if applies:
+        checks.append(Check("headline", exact, "<=", lambda w: w, power.as_integer_ratio()))
+    return make_report(
         "sum-zero",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("eps", fmt_float(eps))],
         [("exact", fmt_dyadic(exact)),
          ("headline", fmt_float(headline)),
          ("headline_asserted", "yes" if applies else "no")],
-        ("proof_bound", fmt_float(proof_bound)),
-        proof_ok and headline_ok, "exhaustive")
+        ("proof_bound", fmt_float(proof_bound)), checks, "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +207,23 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
         return ((((1 << k * (d - 1)) - a) << k) + a * w) / (1 << k * d)
 
     rng = Prng(seed)
-    checked = 0
+    checks = []
     worst_gap = math.inf
-    holds = True
     for u in subspace_dims:
         for _ in range(trials):
-            s = _random_subspace(ambient, u, rng)
-            pr = _membership_prob(s, census, k * d)
-            if not power_at_most(pr, refined_exact, u, k ** (d - 1)):
-                holds = False
+            pr = _membership_prob(_random_subspace(ambient, u, rng), census, k * d)
+            checks.append(Check(f"Pr[in U], dim U={u}", pr, "<=", refined_exact,
+                                (u, k ** (d - 1))))
             refined = f_dk_bound(d, k, float(u))
             if 0 < u < ambient:
                 worst_gap = min(worst_gap, refined - float(pr))
-            checked += 1
-    return _report(
+    return make_report(
         "subspace-membership",
         [("d", str(d)), ("k", str(k)),
          ("dims", ",".join(map(str, subspace_dims))), ("trials", str(trials))],
-        [("subspaces", str(checked)), ("min_gap_to_refined", fmt_float(worst_gap))],
+        [("subspaces", str(len(checks))), ("min_gap_to_refined", fmt_float(worst_gap))],
         ("refined<=relaxed", "f_dk <= d/2^k + 2^(u/k^(d-1))/2^k"),
-        holds, "exhaustive", samples=checked, seed=seed)
+        checks, "exhaustive", samples=len(checks), seed=seed)
 
 
 def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
@@ -250,19 +240,15 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
     if sum(counts) != 1 << total:
         raise InvariantError("span-dimension counts do not cover every tuple")
     base = (d + 2.0 ** (t / k ** (d - 1))) / 2.0 ** k
-    holds = True
-    worst_ratio = 0.0
-    for r, pr in enumerate(dist):
-        if not power_at_most(pr, lambda w: comb(t, r) * ((d + w) / (1 << k)) ** (t - r),
-                             t, k ** (d - 1)):
-            holds = False
-        worst_ratio = max(worst_ratio, float(pr) / (comb(t, r) * base ** (t - r)))
-    return _report(
+    worst_ratio = max(float(pr) / (comb(t, r) * base ** (t - r)) for r, pr in enumerate(dist))
+    return make_report(
         "span-dimension", [("d", str(d)), ("k", str(k)), ("t", str(t))],
         [("distribution", " ".join(map(fmt_dyadic, dist))),
          ("worst_ratio_to_bound", fmt_float(worst_ratio))],
         ("bound", "C(t,r) ((d + 2^(t/k^(d-1)))/2^k)^(t-r)"),
-        holds, "exhaustive")
+        [Check(f"Pr[dim={r}]", pr, "<=",
+               lambda w, r=r: comb(t, r) * ((d + w) / (1 << k)) ** (t - r), (t, k ** (d - 1)))
+         for r, pr in enumerate(dist)], "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +285,17 @@ def verify_bias_tail(d: int, k: int, eps: float, samples: int,
         hits = sum(b ** q >= Fraction(2) ** p for b in biases)
     empirical = hits / samples
     displayed = 2.0 ** (-(eps * eps) * (k ** d) / 20.0)
-    measured = [("empirical", fmt_float(empirical))]
+    measured, checks = [("empirical", fmt_float(empirical))], []
     if d == 2:
         se3 = 3.0 / (2.0 * math.sqrt(samples))
-        holds: bool | str = abs(empirical - float(p_exact)) <= se3
+        checks.append(Check("deviation", abs(empirical - float(p_exact)), "<=", se3))
         measured += [("exact_tail", fmt_dyadic(p_exact)), ("allowed_dev", fmt_float(se3))]
-    else:
-        holds = REPORT_ONLY
-    return _report(
+    return make_report(
         "bias-tail",
         [("d", str(d)), ("k", str(k)), ("eps", fmt_float(eps))],
         measured,
         ("asymptotic_tail_2^(-eps^2 k^d/20)", fmt_float(displayed)),
-        holds, "monte-carlo", samples=samples, seed=seed)
+        checks, "monte-carlo", samples=samples, seed=seed, report_only=d != 2)
 
 
 def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
@@ -321,20 +305,13 @@ def verify_low_rank_bias_floor(d: int, k: int, t: int, trials: int,
     check_sizes("low-rank-bias-floor", ("d", d, 2), ("k", k, 1), ("t", t, 0))
     floor = D.from_ratio((1 << (d - 1)) - 1, d - 1) ** t
     rng = Prng(seed)
-    holds = True
-    min_bias = 1
-    for _ in range(trials):
-        decomp = random_rank_decomp(d, k, t, rng.u64())
-        b = bias_exact(tensor_from_decomp(decomp))
-        if b < floor:
-            holds = False
-        if b < min_bias:
-            min_bias = b
-    return _report(
+    min_bias = min((bias_exact(tensor_from_decomp(random_rank_decomp(d, k, t, rng.u64())))
+                    for _ in range(trials)), default=1)
+    return make_report(
         "low-rank-bias-floor",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("trials", str(trials))],
-        [("min_bias", fmt_dyadic(min_bias))],
-        ("floor", fmt_dyadic(floor)), holds, "exhaustive", samples=trials, seed=seed)
+        [("min_bias", fmt_dyadic(min_bias))], ("floor", fmt_dyadic(floor)),
+        [Check("min_bias", min_bias, ">=", floor)], "exhaustive", samples=trials, seed=seed)
 
 
 def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
@@ -346,23 +323,18 @@ def verify_joint_vanishing(d: int, k: int, t: int, trials: int,
                    1 << ASSIGN_BITS_LIMIT, "assignments")
     floor = D.from_ratio((1 << d) - 1, d) ** t
     rng = Prng(seed)
-    holds = True
     min_pr = 1
     for _ in range(trials):
         forms = [[rng.bits(k) for _ in range(d)] for _ in range(t)]
         nonzero = 0  # inputs where some form is 1
         for form in forms:
             nonzero |= form_table(outer_bits(form, k), d, k)
-        pr = D.from_ratio((1 << (k * d)) - nonzero.bit_count(), k * d)
-        if pr < floor:
-            holds = False
-        if pr < min_pr:
-            min_pr = pr
-    return _report(
+        min_pr = min(min_pr, D.from_ratio((1 << (k * d)) - nonzero.bit_count(), k * d))
+    return make_report(
         "joint-vanishing",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("trials", str(trials))],
-        [("min_prob", fmt_dyadic(min_pr))],
-        ("floor", fmt_dyadic(floor)), holds, "exhaustive", samples=trials, seed=seed)
+        [("min_prob", fmt_dyadic(min_pr))], ("floor", fmt_dyadic(floor)),
+        [Check("min_prob", min_pr, ">=", floor)], "exhaustive", samples=trials, seed=seed)
 
 
 def verify_expected_bias(d: int, k: int, t: int) -> VerificationReport:
@@ -380,12 +352,14 @@ def verify_expected_bias(d: int, k: int, t: int) -> VerificationReport:
     nbits = k * t * d
     mean = sum(c * bias_exact(DenseTensor(d, k, x))
                for x, c in _sum_census(d, k, t).items()) / (1 << nbits)
-    return _report(
+    return make_report(
         "expected-bias",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("mode", "exhaustive")],
         [("mean", fmt_dyadic(mean)), ("closed_form", fmt_dyadic(closed)),
          ("relaxed", fmt_dyadic(relaxed))],
-        ("equality", fmt_dyadic(closed)), mean == closed and closed <= relaxed, "exhaustive")
+        ("equality", fmt_dyadic(closed)),
+        [Check("mean", mean, "==", closed), Check("closed_form", closed, "<=", relaxed)],
+        "exhaustive")
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +374,14 @@ def verify_bias_trace(k: int) -> VerificationReport:
     formula = D.from_ratio((1 << (k + 1)) - 1, 2 * k)
     t = trace_tensor(k)
     fast = bias_exact(t)
-    routes = ["fast"]
-    holds = fast == formula
+    checks = [Check("fast", fast, "==", formula)]
     try:
-        holds = bias_bruteforce(t) == formula and holds
-        routes.append("brute")
+        checks.append(Check("brute", bias_bruteforce(t), "==", formula))
     except CapacityError:
         pass  # tables over the byte budget: the fast route alone
-    return _report(
-        "bias-trace", [("k", str(k)), ("routes", "+".join(routes))],
-        [("bias", fmt_dyadic(fast))],
-        ("formula", fmt_dyadic(formula)), holds, "exhaustive")
+    return make_report(
+        "bias-trace", [("k", str(k)), ("routes", "+".join(c.label for c in checks))],
+        [("bias", fmt_dyadic(fast))], ("formula", fmt_dyadic(formula)), checks, "exhaustive")
 
 
 def verify_bias_matmul(n: int) -> VerificationReport:
@@ -419,26 +390,20 @@ def verify_bias_matmul(n: int) -> VerificationReport:
     the rank lower bound implied by the ladder is displayed next to the
     asymptotic 1.8 n^2."""
     value = matmul_bias_exact(n)
-    routes = ["rank-distribution"]
-    cross_ok = True
+    routes, checks = ["rank-distribution"], []
     if n <= 2:
         mt = matmul_tensor(n)
-        cross_ok = bias_exact(mt) == value and bias_bruteforce(mt) == value
         routes += ["fast", "brute"]
-    bound_ok = power_at_most(value, lambda w: n * w, -3 * n * n, 4)
-    if n == 1:
-        # the bound only kicks in at n >= 2 (at n=1 the exact bias 3/4
-        # exceeds it); only the route cross-check is asserted
-        holds: bool | str = REPORT_ONLY if cross_ok else False
-    else:
-        holds = cross_ok and bound_ok
-    ladder = rank_lb_bias(value, 3)
-    return _report(
+        checks += [Check("fast", bias_exact(mt), "==", value),
+                   Check("brute", bias_bruteforce(mt), "==", value)]
+    if n >= 2:  # at n = 1 the exact bias 3/4 exceeds the bound: the routes alone
+        checks.append(Check("bound", value, "<=", lambda w: n * w, (-3 * n * n, 4)))
+    return make_report(
         "bias-matmul", [("n", str(n)), ("routes", "+".join(routes))],
-        [("bias", fmt_dyadic(value)), ("ladder_rank_lb", str(ladder)),
+        [("bias", fmt_dyadic(value)), ("ladder_rank_lb", str(rank_lb_bias(value, 3))),
          ("asymptotic_1.8n^2", fmt_float(1.8 * n * n))],
         ("bound_n*2^(-3n^2/4)", fmt_float(n * 2.0 ** (-3.0 * n * n / 4.0))),
-        holds, "closed-form")
+        checks, "closed-form", report_only=n == 1)
 
 
 def _lifted_monomials(d: int, k: int) -> list[list[tuple[int, ...]]]:
@@ -479,24 +444,18 @@ def verify_explicit_form(d: int, k: int, samples: int,
     forms never exceeds (d-1) 2^-k."""
     t = explicit_form_tensor(d, k)
     formula = 1 - (1 - D.half_pow(k)) ** (d - 1)
-    holds = bias_exact(t) == formula
     cap = D.from_ratio(d - 1, k)
-    worst = 0
     monomials = _lifted_monomials(d, k)
     rng = Prng(seed)
-    for _ in range(samples):
-        g = _lifted_form(d, k, rng, monomials)
-        c = corr_exact(t, g)
-        if c > cap:
-            holds = False
-        if c > worst:
-            worst = c
-    return _report(
+    worst = max((corr_exact(t, _lifted_form(d, k, rng, monomials)) for _ in range(samples)),
+                default=0)
+    return make_report(
         "explicit-form",
         [("d", str(d)), ("k", str(k)), ("g_samples", str(samples))],
         [("bias", fmt_dyadic(formula)), ("max_correlation_seen", fmt_dyadic(worst))],
-        ("correlation_cap", fmt_dyadic(cap)), holds, "exhaustive",
-        samples=samples or None, seed=seed if samples else None)
+        ("correlation_cap", fmt_dyadic(cap)),
+        [Check("bias", bias_exact(t), "==", formula), Check("max_correlation", worst, "<=", cap)],
+        "exhaustive", samples=samples or None, seed=seed if samples else None)
 
 
 def _preimage_counts(h: list[int], a: int, k: int, masks: list[int]) -> tuple[int, int]:
@@ -526,17 +485,15 @@ def verify_linear_preimage(k: int, trials: int, seed: int) -> VerificationReport
                    1 << PREIMAGE_K_LIMIT, "inputs")
     rng = Prng(seed)
     masks = [var_mask(v, k) for v in range(k)]
-    holds = True
-    for _ in range(trials):
-        h = [rng.bits(k) for _ in range(k)]
-        fiber, kernel_size = _preimage_counts(h, rng.bits(k), k, masks)
-        if fiber > kernel_size:
-            holds = False
-    return _report(
+    def excess() -> int:  # #h^-1(a) - #h^-1(0) for a map h drawn first, then a point a
+        fiber, kernel = _preimage_counts([rng.bits(k) for _ in range(k)], rng.bits(k), k, masks)
+        return fiber - kernel
+
+    return make_report(
         "linear-preimage", [("k", str(k)), ("trials", str(trials))],
-        [("trials", str(trials))],
-        ("fiber<=kernel", "#h^-1(a) <= #h^-1(0)"),
-        holds, "exhaustive", samples=trials, seed=seed)
+        [("trials", str(trials))], ("fiber<=kernel", "#h^-1(a) <= #h^-1(0)"),
+        [Check("fiber-kernel", max((excess() for _ in range(trials)), default=0), "<=", 0)],
+        "exhaustive", samples=trials, seed=seed)
 
 
 def verify_corank_margin(n: int) -> VerificationReport:
@@ -550,11 +507,12 @@ def verify_corank_margin(n: int) -> VerificationReport:
     rows = corank_bound_margin(n)
     worst = max(r[3] for r in rows)
     cells = " ".join(f"r={r}:{fmt_float(ratio)}" for r, _, _, ratio in rows)
-    return _report(
+    return make_report(
         "corank-margin", [("n", str(n))],
         [("ratios", cells), ("worst_ratio", fmt_float(worst))],
         ("corank_bound", "2^(-s^2)/prod_{i<=s}(1-2^-i)^2 at s=n-r"),
-        all(exact <= corank_bound(n - r) for r, exact, _, _ in rows), "closed-form")
+        [Check(f"Pr[rank={r}]", exact, "<=", corank_bound(n - r)) for r, exact, _, _ in rows],
+        "closed-form")
 
 
 def verify_mc_bias(d: int, k: int, samples: int, seed: int) -> VerificationReport:
@@ -571,14 +529,14 @@ def verify_mc_bias(d: int, k: int, samples: int, seed: int) -> VerificationRepor
     exact = float(bias_exact(t))
     est = bias_mc(t, samples, confidence, seed)
     allowed = max(est.ci_halfwidth, 3.5 / math.sqrt(samples))
-    holds = abs(est.point - exact) <= allowed
-    return _report(
+    return make_report(
         "mc-bias",
         [("d", str(d)), ("k", str(k)), ("confidence", fmt_float(confidence))],
         [("point", fmt_float(est.point)), ("exact", fmt_float(exact)),
          ("ci_halfwidth", fmt_float(est.ci_halfwidth))],
         ("allowed_dev", fmt_float(allowed)),
-        holds, "monte-carlo", samples=samples, seed=seed)
+        [Check("deviation", abs(est.point - exact), "<=", allowed)], "monte-carlo",
+        samples=samples, seed=seed)
 
 
 # ---------------------------------------------------------------------------

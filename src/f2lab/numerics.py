@@ -1,6 +1,7 @@
 """Floating-point side of the laboratory, and its exact checks: x <=
 bound(2^(p/q)) at the irrational powers bounds are made of
-(`power_at_most`), and two scalar inequalities on an integer grid.
+(`power_at_most`), every report's verdict (`make_report`, from `Check`
+records), and two scalar inequalities on an integer grid.
 
 What remains transcendental has explicit tolerances: the float of the
 refined subspace bound f_{d,k}, the rate-distance fixed point behind the
@@ -11,11 +12,14 @@ profiles (at the polytope's vertices, confirmed by exact enumeration).
 from __future__ import annotations
 
 import math
+import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from typing import Sequence
 
 from .errors import InvariantError
-from .report import VerificationReport, fmt_float
+from .report import REPORT_ONLY, VerificationReport, fmt_float
 
 PROFILE_TOL = 1e-9
 POWER_BITS_CAP = 1 << 12   # the most bits of 2^(p/q) `power_at_most` brackets
@@ -44,6 +48,43 @@ def power_at_most(x, bound, p: int, q: int) -> bool:
             return False
         m *= 2
     raise InvariantError(f"{x} is not separated from the bound at 2^({p}/{q})")
+
+
+RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One asserted comparison, `value relation bound`, relation "<=", ">="
+    or "==".  With power = (p, q) it is value <= bound(2^(p/q)), relation
+    "<=", for a nondecreasing `bound`, decided by `power_at_most`.  Values
+    are exact but in the float bands of sampled cross-checks and profile-max."""
+
+    label: str
+    value: object
+    relation: str
+    bound: object
+    power: tuple[int, int] | None = None
+
+    def holds(self) -> bool:
+        if self.power is None:
+            return RELATIONS[self.relation](self.value, self.bound)
+        return power_at_most(self.value, self.bound, *self.power)
+
+
+def make_report(name: str, params: Sequence[tuple[str, str]],
+                measured: Sequence[tuple[str, str]], bound: tuple[str, str],
+                checks: Sequence[Check], method: str, samples: int | None = None,
+                seed: int | None = None, report_only: bool = False) -> VerificationReport:
+    """Every report, and so every verdict, is made here: `holds` is whether
+    every check holds, and REPORT_ONLY on a `report_only` row (its
+    displayed `bound` not asserted) whose checks all hold."""
+    checks = tuple(checks)
+    holds = all(c.holds() for c in checks)
+    return VerificationReport(
+        name=name, params=tuple(params), measured=tuple(measured), bound=bound,
+        holds=REPORT_ONLY if report_only and holds else holds, method=method,
+        samples=samples, seed=seed, checks=checks)
 
 
 def f_dk_bound(d: int, k: int, u: float) -> float:
@@ -186,8 +227,9 @@ def profile_max_check(k: int, u: float) -> VerificationReport:
     every vertex within PROFILE_TOL of an extreme profile and every
     extreme profile within PROFILE_TOL of a vertex.  That is the one
     feasibility check of the extreme profiles: one that is not monotone or
-    does not sum to u is no vertex.  Their largest objective must equal
-    the closed form.  A mismatch in either is an `InvariantError`.
+    does not sum to u is no vertex, and a mismatch is an `InvariantError`.
+    The report's check is their largest objective against the closed form,
+    within PROFILE_TOL relative to it.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -214,18 +256,13 @@ def profile_max_check(k: int, u: float) -> VerificationReport:
             argmax_count = 1
         elif abs(val - best) <= PROFILE_TOL * max(1.0, abs(best)):
             argmax_count += 1
-    if not abs(best - bound) <= PROFILE_TOL * max(1.0, bound):
-        raise InvariantError(f"vertex maximum {best!r} at k = {k}, u = {u} is not "
-                             f"the closed form {bound!r}")
-    return VerificationReport(
-        name="profile-max",
-        params=(("k", str(k)), ("u", fmt_float(u))),
-        measured=(("extreme_max", fmt_float(best)),
-                  ("extreme_argmax_count", str(argmax_count)),
-                  ("extreme_points", str(len(points)))),
-        bound=("closed_form", fmt_float(bound)),
-        holds=True,
-        method="closed-form")
+    return make_report(
+        "profile-max", [("k", str(k)), ("u", fmt_float(u))],
+        [("extreme_max", fmt_float(best)), ("extreme_argmax_count", str(argmax_count)),
+         ("extreme_points", str(len(points)))],
+        ("closed_form", fmt_float(bound)),
+        [Check("closed_form_gap", abs(best - bound), "<=", PROFILE_TOL * max(1.0, bound))],
+        "closed-form")
 
 
 def _inequality_sides(q_max: int, s: int):
@@ -252,19 +289,18 @@ def inequality_checks(q_max: int, s: int) -> VerificationReport:
       (w/s)^(q^2), 0 <= i, j <= q, s <= w <= 2s; clearing s^(q^2+ij) leaves
       s^((q-i)(q-j)) on the left.
     Reported: the count of checks and the least relative slack (rhs - lhs)/rhs
-    where both are strict (s < a < b, i > q; 0 < i, j < q, w > s).
+    where both are strict (s < a < b, i > q; 0 < i, j < q, w > s).  Asserted:
+    the least integer slack rhs - lhs over the whole grid is >= 0.
     """
     if q_max < 2 or s < 2:
         raise ValueError("q_max and s must be >= 2, so the grid has an interior")
-    holds, least = True, math.inf
+    slack = least = math.inf
     for checks, (lhs, rhs, interior) in enumerate(_inequality_sides(q_max, s), 1):
-        holds = holds and lhs <= rhs
+        slack = min(slack, rhs - lhs)
         if interior:
             least = min(least, (rhs - lhs) / rhs)
-    return VerificationReport(
-        name="scalar-inequalities",
-        params=(("q_max", str(q_max)), ("s", str(s))),
-        measured=(("checks", str(checks)), ("least_relative_slack", fmt_float(least))),
-        bound=("integer_comparison", "lhs <= rhs"),
-        holds=holds,
-        method="exhaustive")
+    return make_report(
+        "scalar-inequalities", [("q_max", str(q_max)), ("s", str(s))],
+        [("checks", str(checks)), ("least_relative_slack", fmt_float(least))],
+        ("integer_comparison", "lhs <= rhs"), [Check("least_slack", slack, ">=", 0)],
+        "exhaustive")

@@ -31,10 +31,13 @@ class VerificationReport:
 
     `holds` is True/False for asserted statements and "report-only" for
     displayed-but-unasserted ones (asymptotic constants); exhaustive
-    reports carry exact values and no seed.  Equality and serialization
-    ignore elapsed_ms so exhaustive reports are byte-identical across
-    runs.  Experiments do not read the clock: a report from a direct call
-    carries elapsed_ms = 0.0, and `timed` fills it in.
+    reports carry exact values and no seed.  `numerics.make_report` builds
+    every report and decides `holds` from `checks`, the `numerics.Check`
+    records of the comparisons asserted.  Equality and serialization
+    ignore `checks` and elapsed_ms, so exhaustive reports are
+    byte-identical across runs.  Experiments do not read the clock: a
+    report from a direct call carries elapsed_ms = 0.0, and `timed` fills
+    it in.
     """
 
     name: str
@@ -46,6 +49,7 @@ class VerificationReport:
     samples: int | None = None
     seed: int | None = None
     elapsed_ms: float = field(default=0.0, compare=False)
+    checks: tuple = field(default=(), compare=False, repr=False)
 
     def ok(self) -> bool:
         """True unless an asserted statement failed."""

@@ -187,7 +187,7 @@ MUTANTS = [
            (N + "test_inequality_sides_match_the_fraction_oracle",
             N + "test_profile_rows_show_a_positive_least_slack")),
     Mutant("grid-strict-check", "numerics.py",
-           "holds = holds and lhs <= rhs", "holds = holds and lhs < rhs",
+           '[Check("least_slack", slack, ">=", 0)]', '[Check("least_slack", slack, ">=", 1)]',
            (N + "test_inequalities_hold", N + "test_inequality_checks_match_the_fraction_oracle")),
     # harness: the exact threshold of bias-tail and the interior gap of subspace-membership
     Mutant("bias-tail-strict-threshold", "harness.py",
@@ -373,9 +373,28 @@ MUTANTS = [
     Mutant("corank-bound-no-square", "rank.py",
            "range(1, s + 1)) ** 2", "range(1, s + 1))",
            (K + "test_corank_bound_values_and_slack",)),
-    Mutant("corank-margin-strict", "harness.py",
-           "exact <= corank_bound(n - r)", "exact < corank_bound(n - r)",
+    # numerics.Check and make_report: the one verdict path
+    Mutant("corank-margin-strict", "numerics.py",
+           '"<=": operator.le', '"<=": operator.lt',
            (H + "test_corank_margin_asserts_the_corrected_bound",)),
+    Mutant("verdict-ge-strict", "numerics.py",
+           '">=": operator.ge', '">=": operator.gt',
+           (N + "test_inequalities_hold", H + "test_every_check_holds_and_fails_past_its_bound")),
+    Mutant("verdict-eq-as-le", "numerics.py",
+           '"==": operator.eq', '"==": operator.le',
+           (H + "test_every_check_holds_and_fails_past_its_bound",)),
+    Mutant("verdict-any-check", "numerics.py",
+           "holds = all(c.holds() for c in checks)", "holds = any(c.holds() for c in checks)",
+           (H + "test_corank_margin_asserts_the_corrected_bound",
+            H + "test_a_value_past_its_bound_fails")),
+    Mutant("verdict-report-only-hides-failure", "numerics.py",
+           "REPORT_ONLY if report_only and holds else holds",
+           "REPORT_ONLY if report_only else holds",
+           (H + "test_a_value_past_its_bound_fails",)),
+    Mutant("verdict-power-skipped", "numerics.py",
+           "        if self.power is None:\n", "        if True:\n",
+           (H + "TestSumZero::test_proof_bound_is_exact_at_its_value",
+            H + "test_every_check_holds_and_fails_past_its_bound")),
 ]
 
 

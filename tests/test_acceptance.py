@@ -162,8 +162,9 @@ def test_criterion_11_profile_maximization():
         for _ in range(100):
             u = rng.u64() / 2 ** 64 * k * k
             rng.u64()  # a skipped word per point keeps the grid's 600 points fixed
-            # the exact vertex check: a missing or extra extreme profile, or
-            # a maximum off the closed form, raises InvariantError
+            # the exact vertex check: a missing or extra extreme profile
+            # raises InvariantError, and a maximum off the closed form
+            # fails the report's check
             r = profile_max_check(k, u)
             assert r.holds is True, (k, u)
             checks += 1

@@ -500,8 +500,8 @@ def _counting(monkeypatch, calls, name):
 def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
     # 32 KiB splits the d >= 4 walk into several chunks and delta steps even
     # at small k; 12 and 32 KiB contract x_1 where not even the narrowest
-    # chunk fits, and under 8 KiB no contraction fits; one walk process, so
-    # every chunk is counted here
+    # chunk fits, and under 8 KiB only (6, 3) contraction fits; one walk
+    # process, so every chunk is counted here
     shapes = ([(4, k) for k in range(1, 8)] + [(5, k) for k in range(1, 6)]
               + [(6, k) for k in range(1, 5)])
     tensors = [random_tensor(d, k, 300 * d + k) for d, k in shapes]
@@ -522,7 +522,7 @@ def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
         except CapacityError as e:
             # contracting x_1 reaches a d = 3 span walk, whose 64-lane chunk
             # of k x k matrices, fixed costs and the contraction's held
-            # bytes pass 8 KiB wherever it contracts, and 12 KiB from 13 KiB
+            # bytes pass 8 KiB wherever it contracts but at (6, 3)
             assert str(e).startswith(f"span_rank_histogram(nrows={t.k}"), e
             refused.append((t.d, t.k))
             continue
@@ -532,8 +532,8 @@ def test_bias_exact_walk_matches_bruteforce(budget, monkeypatch):
         contracted += calls["_tail_matrix_planes"] > 1 or calls["span_rank_histogram"] > 0
     assert walked >= 4 and (contracted >= 4) == (budget > 1 << 13), (walked, contracted)
     assert (stepped >= 4) == (budget == 1 << 15), stepped
-    assert refused == {1 << 13: [(4, 5), (4, 6), (4, 7), (5, 4), (5, 5), (6, 3), (6, 4)],
-                       12 << 10: [(4, 6), (4, 7), (5, 5), (6, 4)], 1 << 15: []}[budget] * 2
+    assert refused == {1 << 13: [(4, 5), (4, 6), (4, 7), (5, 4), (5, 5), (6, 4)],
+                       12 << 10: [], 1 << 15: []}[budget] * 2
 
 
 def test_bias_exact_contracts_inner_lanes_past_the_chunk(monkeypatch):

@@ -525,8 +525,8 @@ def test_sampled_rank_peak_within_4_kib(k, monkeypatch):
 
 
 @pytest.mark.parametrize("d, k, seed, budget, admitted", [
-    (5, 5, 205, 1 << 13, False), (5, 5, 205, 12 << 10, False), (5, 5, 205, 1 << 14, True),
-    (4, 9, 169, 1 << 14, False)])
+    (5, 5, 205, 1 << 13, False), (5, 5, 205, 12 << 10, True), (5, 5, 205, 1 << 14, True),
+    (4, 9, 169, 1 << 14, False), (6, 3, 243, 1 << 13, True)])
 def test_contracted_bias_exact_peaks_within_small_budgets(d, k, seed, budget, admitted,
                                                           monkeypatch):
     # x_1 contracted down to d = 3 span walks, which are charged the slices

@@ -1,16 +1,18 @@
 """Harness experiments: frozen exact values and suite behavior."""
 
 import json
+import math
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from f2lab import f2linalg, harness
+from f2lab import f2linalg, harness, numerics
 from f2lab._bitops import var_mask
 from f2lab.bias import DyadicRational as D
 from f2lab.errors import CapacityError
@@ -474,6 +476,89 @@ def test_corank_margin_asserts_the_corrected_bound(monkeypatch):
 
 def test_mc_bias_experiment():
     assert verify_mc_bias(3, 4, samples=20_000, seed=16).holds is True
+
+
+TINY = Fraction(1, 1 << 64)
+
+
+def _mc_point_past_the_band(bias_mc):
+    # the estimate moved just outside the band the report allows
+    def shifted(t, samples, confidence, seed):
+        est = bias_mc(t, samples, confidence, seed)
+        allowed = max(est.ci_halfwidth, 3.5 / math.sqrt(samples))
+        return replace(est, point=float(harness.bias_exact(t)) + allowed * (1 + 1e-9))
+    return shifted
+
+
+# per asserting experiment not tested so elsewhere: a row, one binding and
+# its patch, which moves one value just past (or far past) its bound
+PAST_THE_BOUND = {
+    "moment-identity": ("moment-identity", (2, 2, 2), "harness._vanish_count",
+                        lambda f: lambda *a: f(*a) + 1),
+    "subspace-membership": ("subspace-membership", (2, 2, None, 2, 1022),
+                            "harness._membership_prob", lambda f: lambda *a: D.one()),
+    "span-dimension": ("span-dimension", (2, 3, 2), "harness.rank_of_row_ints",
+                       lambda f: lambda rows: 0),
+    "low-rank-bias-floor": ("low-rank-bias-floor", (3, 3, 4, 150, 410), "harness.bias_exact",
+                            lambda f: lambda t: Fraction(3, 4) ** 4 - TINY),
+    "joint-vanishing": ("joint-vanishing", (3, 2, 3, 100, 302), "harness.form_table",
+                        lambda f: lambda bits, d, k: (1 << (1 << k * d)) - 1),
+    "expected-bias": ("expected-bias", (3, 2, 1), "harness.bias_exact",
+                      lambda f: lambda t: D.one()),
+    "bias-trace": ("bias-trace", (8,), "harness.bias_bruteforce",
+                   lambda f: lambda t: f(t) + TINY),
+    "bias-matmul-n1": ("bias-matmul", (1,), "harness.bias_bruteforce",
+                       lambda f: lambda t: f(t) + TINY),
+    "bias-matmul-n2": ("bias-matmul", (2,), "harness.bias_bruteforce",
+                       lambda f: lambda t: f(t) - TINY),
+    "explicit-form": ("explicit-form", (3, 2, 200, 304), "harness.corr_exact",
+                      lambda f: lambda t, g: Fraction(1, 2) + TINY),
+    "linear-preimage": ("linear-preimage", (4, 150, 307), "harness._preimage_counts",
+                        lambda f: lambda *a: (f(*a)[1] + 1, f(*a)[1])),
+    "mc-bias": ("mc-bias", (3, 4, 20_000, 309), "harness.bias_mc", _mc_point_past_the_band),
+    "bias-tail": ("bias-tail", (2, 8, 0.25, 10_000, 301), "harness.sampled_rank_histogram",
+                  lambda f: lambda rng, samples, nrows, ncols: [samples] + [0] * nrows),
+    "profile-max": ("profile-max", (3, 4.0), "numerics._objective",
+                    lambda f: lambda b: 0.0),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_BOUND)
+def test_a_value_past_its_bound_fails(case, monkeypatch):
+    # through the route each report calls, so a verdict left True by hand
+    # or an INFO row that hides a failure shows; bias-matmul at n = 1 is
+    # report-only, and a failed cross-check there must still read FAIL
+    name, row, binding, patch = PAST_THE_BOUND[case]
+    experiment = EXPERIMENTS[name][0]
+    module, attr = binding.split(".")
+    owner = {"harness": harness, "numerics": numerics}[module]
+    assert experiment(*row).holds is (REPORT_ONLY if case == "bias-matmul-n1" else True)
+    monkeypatch.setattr(owner, attr, patch(getattr(owner, attr)))
+    assert experiment(*row).holds is False
+
+
+def _past(check):
+    """`check` with its bound moved just past its value: below it for
+    "<=", above it for ">=" and "==", and a constant for a power bound."""
+    down = check.relation == "<="
+    if isinstance(check.value, float):
+        past = math.nextafter(check.value, -math.inf if down else math.inf)
+    else:
+        past = check.value - TINY if down else check.value + TINY
+    return replace(check, bound=(lambda w: past) if check.power else past)
+
+
+def test_every_check_holds_and_fails_past_its_bound():
+    # every row of the full profile (the quick rows among them) asserts
+    # something, but bias-tail at d = 3; each check holds, and the same
+    # check with its bound just past its value fails
+    for r in run_all("full"):
+        report_only = r.name == "bias-tail" and dict(r.params)["d"] == "3"
+        assert bool(r.checks) != report_only, r.format_line()
+        assert r.ok(), r.format_line()
+        for c in r.checks:
+            assert c.holds(), (r.format_line(), c.label)
+            assert not _past(c).holds(), (r.format_line(), c.label)
 
 
 class TestSuite:

@@ -210,9 +210,10 @@ def test_profile_max_catches_an_added_profile(k, u, monkeypatch):
 
 
 def test_profile_max_catches_a_wrong_objective(monkeypatch):
+    # a vertex maximum off the closed form fails the report's check: FAIL,
+    # where a vertex-list mismatch is a fault of the program
     monkeypatch.setattr(numerics, "_objective", lambda b: 0.0)
-    with pytest.raises(InvariantError, match="not the closed form"):
-        profile_max_check(3, 4.0)
+    assert profile_max_check(3, 4.0).holds is False
 
 
 def test_inequalities_hold():
@@ -290,7 +291,7 @@ def _patched(old, new, monkeypatch):
      "yield ((b ** i - s ** i) * (a ** q - s ** q),\n"
      "                   (a ** i - s ** i) * (b ** q - s ** q),"),
     # every comparison turned round
-    ("holds = holds and lhs <= rhs", "holds = holds and rhs <= lhs"),
+    ("slack = min(slack, rhs - lhs)", "slack = min(slack, lhs - rhs)"),
 ])
 def test_inequality_checks_fail_on_a_patched_grid(old, new, monkeypatch):
     assert _patched(old, old, monkeypatch).inequality_checks(3, 4).holds is True
