@@ -18,9 +18,10 @@ computation and of the kernel/dual-code certificates.  One walk over
 the span's lane chunks (`_span_walk`) serves `span_rank_histogram`,
 `min_weight`, and `bias_exact` from d = 4 on, whose generators vary over
 inner lanes; it uses up to one forked process per usable CPU within one
-byte budget.  The same kernel ranks blocks of random matrices, one lane
-per sample, whose entry planes are drawn as they stand by `Prng.planes`
-(`sampled_rank_histogram`), in one process, in stream order.
+byte budget (one in `verify all`, whose rows run on one process per usable
+CPU, each with the whole budget).  The same kernel ranks blocks of random
+matrices, one lane per sample, whose entry planes are drawn as they stand
+by `Prng.planes` (`sampled_rank_histogram`), in one process, in stream order.
 """
 
 from __future__ import annotations
@@ -373,18 +374,18 @@ def _usable_cpus() -> int:
         return 1
 
 
-_in_walk_worker = False  # set in a forked walk worker, which never splits again
+_in_walk_worker = False  # set in a forked walk worker and in `verify all`'s pool
 
 
-def _walk_workers(nsteps: int) -> int:
-    """Processes a walk of `nsteps` lane chunks is split over: one per
-    usable CPU, each with at least two chunks (a fork round trip costs a few
-    milliseconds).  One inside a walk worker, and one beside other threads,
-    since a forked child holds only the forking thread and any lock another
-    thread held stays locked in it."""
+def _walk_workers(nsteps: int, least: int = 2) -> int:
+    """Processes `nsteps` steps are split over: one per usable CPU, each with
+    at least `least` steps (a walk's two chunks: a fork round trip costs a few
+    milliseconds).  One inside a walk worker or `harness.run_all`'s pool, and
+    one beside other threads, since a forked child holds only the forking
+    thread and any lock another thread held stays locked in it."""
     if _in_walk_worker or threading.active_count() > 1:
         return 1
-    return max(1, min(_usable_cpus(), nsteps // 2))
+    return max(1, min(_usable_cpus(), nsteps // least))
 
 
 def _walk_child(chunk_histograms, lo: int, hi: int, row: memoryview, parent: int) -> None:

@@ -16,12 +16,16 @@ everything still passes.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, prod
+from operator import mul
 from typing import Sequence
 
+from . import f2linalg
 from ._bitops import form_table, linear_form_table, ones, var_mask
 from .bias import DyadicRational, bias_bruteforce, bias_exact, bias_mc, corr_exact
 from .errors import CapacityError, InvariantError, capped_power, check_capacity, check_sizes
@@ -106,6 +110,16 @@ def _vanish_count(d: int, k: int, t: int) -> int:
     return sum(m * sums.get(x, 0) for x, m in one.items())
 
 
+def _span_bound(d: int, k: int, t: int, r: int, w):  # picklable, as every check bound
+    """C(t, r) ((d + w)/2^k)^(t - r), w a power of 2 (`Check.power`)."""
+    return comb(t, r) * ((d + w) / (1 << k)) ** (t - r)
+
+
+def _refined_exact(d: int, k: int, w):  # f_{d,k} at w = 2^(u/k^(d-1)): 1 - c + c w/2^k
+    a = ((1 << k) - 1) ** (d - 1)       # c = a/2^(k(d-1))
+    return ((((1 << k * (d - 1)) - a) << k) + a * w) / (1 << k * d)
+
+
 # ---------------------------------------------------------------------------
 # Moment identity and vanishing-sum probabilities.
 # ---------------------------------------------------------------------------
@@ -148,10 +162,10 @@ def verify_sum_zero(d: int, k: int, t: int, eps: float = 0.5) -> VerificationRep
     e = Fraction(str(eps))
     cut, power = e * k / 5, -(1 - e / 2) * k * t   # d < 2^cut; the headline is 2^power
     applies = d ** cut.denominator < Fraction(2) ** cut.numerator and t < e * k ** (d - 1) / 5
-    checks = [Check("proof_bound", exact, "<=", lambda w: ((d + w) / (1 << k)) ** t,
+    checks = [Check("proof_bound", exact, "<=", partial(_span_bound, d, k, t, 0),
                     (t, k ** (d - 2)))]
     if applies:
-        checks.append(Check("headline", exact, "<=", lambda w: w, power.as_integer_ratio()))
+        checks.append(Check("headline", exact, "<=", partial(mul, 1), power.as_integer_ratio()))
     return make_report(
         "sum-zero",
         [("d", str(d)), ("k", str(k)), ("t", str(t)), ("eps", fmt_float(eps))],
@@ -201,11 +215,7 @@ def verify_subspace_membership(d: int, k: int, subspace_dims: Sequence[int] | No
     if subspace_dims is None:
         subspace_dims = range(0, ambient + 1, max(1, ambient // 8))
     census = _rank_one_census(d, k)
-    a = ((1 << k) - 1) ** (d - 1)
-
-    def refined_exact(w):  # f_{d,k} at w = 2^(u/k^(d-1)): 1 - c + c w/2^k, c = a/2^(k(d-1))
-        return ((((1 << k * (d - 1)) - a) << k) + a * w) / (1 << k * d)
-
+    refined_exact = partial(_refined_exact, d, k)
     rng = Prng(seed)
     checks = []
     worst_gap = math.inf
@@ -246,8 +256,7 @@ def verify_span_dimension(d: int, k: int, t: int) -> VerificationReport:
         [("distribution", " ".join(map(fmt_dyadic, dist))),
          ("worst_ratio_to_bound", fmt_float(worst_ratio))],
         ("bound", "C(t,r) ((d + 2^(t/k^(d-1)))/2^k)^(t-r)"),
-        [Check(f"Pr[dim={r}]", pr, "<=",
-               lambda w, r=r: comb(t, r) * ((d + w) / (1 << k)) ** (t - r), (t, k ** (d - 1)))
+        [Check(f"Pr[dim={r}]", pr, "<=", partial(_span_bound, d, k, t, r), (t, k ** (d - 1)))
          for r, pr in enumerate(dist)], "exhaustive")
 
 
@@ -397,7 +406,7 @@ def verify_bias_matmul(n: int) -> VerificationReport:
         checks += [Check("fast", bias_exact(mt), "==", value),
                    Check("brute", bias_bruteforce(mt), "==", value)]
     if n >= 2:  # at n = 1 the exact bias 3/4 exceeds the bound: the routes alone
-        checks.append(Check("bound", value, "<=", lambda w: n * w, (-3 * n * n, 4)))
+        checks.append(Check("bound", value, "<=", partial(mul, n), (-3 * n * n, 4)))
     return make_report(
         "bias-matmul", [("n", str(n)), ("routes", "+".join(routes))],
         [("bias", fmt_dyadic(value)), ("ladder_rank_lb", str(rank_lb_bias(value, 3))),
@@ -592,14 +601,68 @@ PROFILES = ("quick", "full")
 def run_all(profile: str) -> list[VerificationReport]:
     """Run every row of the named profile; reports sorted by name.
 
-    Each experiment is called through this module's binding of its name,
-    so a wrapper installed after import sees the call.  The caller decides
-    what a failure means; `all(r.ok() for r in ...)` is the suite verdict.
+    Rows run on one process per usable CPU (one under `taskset -c 0`): the
+    parent queues the row indices in one pipe, forks the other workers and
+    takes rows as they do; each worker pickles its reports back.  Walks in
+    this pool do not split, and each row's routes keep the whole byte
+    budget, so reports do not depend on the CPU count and the pool may
+    hold CPUs x budget.  A worker that exits nonzero is an InvariantError,
+    and a row that raised runs again here, lowest first, so this raises as
+    a loop over the rows would.  Experiments are called through this
+    module's bindings, so a wrapper installed after import sees the call.
+    `all(r.ok() for r in ...)` is the suite verdict.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    reports = [timed(globals()[fn.__name__], *row)
-               for fn, quick, full in EXPERIMENTS.values()
-               for row in (quick + full if profile == "full" else quick)]
-    reports.sort(key=lambda r: (r.name, r.params))
-    return reports
+    rows = [partial(timed, globals()[fn.__name__], *row)
+            for fn, quick, full in EXPERIMENTS.values()
+            for row in (quick + full if profile == "full" else quick)]
+    queue, end = os.pipe()  # 2-byte row indices; a 64 KiB pipe holds 2^15
+    os.write(end, b"".join(i.to_bytes(2, "little") for i in range(len(rows))))
+    os.close(end)
+
+    def take() -> dict:  # {i: report} of this process's rows, up to the first to raise (None)
+        done = {}
+        while rec := os.read(queue, 2):
+            i = int.from_bytes(rec, "little")
+            try:
+                done[i] = rows[i]()
+            except Exception:
+                done[i] = None
+                break
+        return done
+
+    workers, split, children = f2linalg._walk_workers(len(rows), 1), f2linalg._in_walk_worker, []
+    try:
+        if workers > 1:
+            import pickle  # here only, as `signal` in `f2linalg._split_walk`
+            f2linalg._in_walk_worker = True
+        for _ in range(workers - 1):
+            out, end = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    with open(end, "wb") as f:
+                        pickle.dump(take(), f)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(end)
+            children.append((pid, out))
+        done = take()
+        parts = [b"".join(iter(partial(os.read, out, 1 << 16), b"")) for _, out in children]
+    except BaseException:
+        import signal
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        f2linalg._in_walk_worker = split
+        for fd in (queue, *(out for _, out in children)):
+            os.close(fd)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for worker, (code, part) in enumerate(zip(codes, parts), 1):
+        if code:
+            raise InvariantError(f"row worker {worker} of {workers} exited with status {code}")
+        done.update(pickle.loads(part))
+    return sorted((done[i] or rows[i]() for i in range(len(rows))),
+                  key=lambda r: (r.name, r.params))

@@ -277,7 +277,8 @@ MUTANTS = [
            "table[(i - 1) * nbins:i * nbins], parent)",
            (L + "test_split_walk_matches_one_process",)),
     Mutant("walk-ignores-worker-status", "f2linalg.py",
-           "        if code:\n", "        if False:\n",
+           '        if code:\n            raise InvariantError(f"walk',
+           '        if False:\n            raise InvariantError(f"walk',
            (L + "test_a_failed_walk_leaves_no_child",)),
     Mutant("walk-start-ignores-gray", "f2linalg.py",
            "            if (gray >> j) & 1:\n                planes = step(planes, high[j])",
@@ -287,7 +288,7 @@ MUTANTS = [
            "nlanes = chunk(budget // workers)[0]", "nlanes = chunk(budget)[0]",
            (L + "test_split_walk_divides_the_budget",)),
     Mutant("walk-one-chunk-a-worker", "f2linalg.py",
-           "min(_usable_cpus(), nsteps // 2)", "min(_usable_cpus(), nsteps)",
+           "least: int = 2", "least: int = 1",
            (L + "test_walk_workers",)),
     Mutant("walk-worker-splits-again", "f2linalg.py",
            "if _in_walk_worker or threading", "if threading",
@@ -295,6 +296,33 @@ MUTANTS = [
     Mutant("walk-shares-unbounded", "f2linalg.py",
            "workers = min(workers, budget // (chunk(0)[1] + fixed))", "pass",
            (L + "test_split_walk_runs_no_more_workers_than_shares",)),
+    # harness.run_all: the row pool of `verify all`
+    Mutant("pool-completion-order", "harness.py",
+           "done[i] or rows[i]() for i in range(len(rows))",
+           "done[i] or rows[i]() for i in done",
+           (H + "TestSuite::test_run_all_shares_its_rows_in_row_order",
+            H + "TestSuite::test_run_all_raises_as_a_loop_and_leaves_no_child")),
+    Mutant("pool-parent-takes-no-rows", "harness.py",
+           "done = take()\n", "done = {}\n",
+           (H + "TestSuite::test_run_all_shares_its_rows_in_row_order",)),
+    Mutant("pool-split-flag-kept", "harness.py",
+           "        f2linalg._in_walk_worker = split\n", "        pass\n",
+           (H + "TestSuite::test_run_all_shares_its_rows_in_row_order",
+            H + "TestSuite::test_run_all_raises_as_a_loop_and_leaves_no_child")),
+    Mutant("pool-first-raise-seen", "harness.py",
+           "                done[i] = None\n                break\n", "                raise\n",
+           (H + "TestSuite::test_run_all_raises_as_a_loop_and_leaves_no_child",)),
+    Mutant("pool-ignores-worker-status", "harness.py",
+           '        if code:\n            raise InvariantError(f"row',
+           '        if False:\n            raise InvariantError(f"row',
+           (H + "TestSuite::test_run_all_raises_as_a_loop_and_leaves_no_child",)),
+    Mutant("pool-parent-kills-no-worker", "harness.py",
+           "for pid, _ in children:\n            os.kill(pid, signal.SIGKILL)",
+           "for pid, _ in children:\n            pass",
+           (H + "TestSuite::test_run_all_raises_as_a_loop_and_leaves_no_child",)),
+    Mutant("pool-walks-split-inside", "harness.py",
+           "            f2linalg._in_walk_worker = True\n", "            pass\n",
+           ("tests/test_acceptance.py::test_full_profile_does_not_depend_on_the_cpu_count",)),
     # f2linalg._chunk_lanes: the chunk rule of the span walk and the sampled kernel
     Mutant("chunk-below-64-lanes", "f2linalg.py",
            "if need <= budget or nlanes <= least:", "if need <= budget or nlanes <= 1:",

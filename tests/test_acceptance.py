@@ -6,6 +6,7 @@ status line itself is the per-criterion verdict either way).
 """
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -238,21 +239,36 @@ def test_criterion_15_suite_profiles_within_budget(quick_profile):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_full_profile_does_not_depend_on_the_cpu_count(cpus, monkeypatch):
-    # the span walks split over one process per usable CPU: patched to one,
-    # no walk forks; patched to three, some walk forks two workers on any host
+def test_full_profile_does_not_depend_on_the_cpu_count(cpus, monkeypatch, tmp_path):
+    # rows run on one process per usable CPU, and no span walk splits in
+    # that pool: patched to three, the parent forks two row workers and
+    # every walk in every process runs in one; patched to one, nothing
+    # forks.  Each process appends what it forks and splits to one log.
     monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: cpus)
-    workers = []
-    split = f2linalg._split_walk
+    log = tmp_path / "log"
+    split, fork = f2linalg._split_walk, os.fork
 
-    def spy(chunk_histograms, nsteps, nworkers, nbins):
-        workers.append(nworkers)
+    def note(line):
+        with open(log, "a") as f:
+            f.write(line + "\n")
+
+    def split_spy(chunk_histograms, nsteps, nworkers, nbins):
+        note(f"walk over {nworkers}")
         return split(chunk_histograms, nsteps, nworkers, nbins)
 
-    monkeypatch.setattr(f2linalg, "_split_walk", spy)
+    def fork_spy():
+        pid = fork()
+        if pid:
+            note("fork")
+        return pid
+
+    monkeypatch.setattr(f2linalg, "_split_walk", split_spy)
+    monkeypatch.setattr(os, "fork", fork_spy)
     got = [r.to_dict(timing=False) for r in run_all("full")]
     assert got == json.loads(FULL_PROFILE.read_text())
-    assert max(workers) == cpus
+    lines = log.read_text().splitlines()
+    assert lines.count("fork") == cpus - 1
+    assert set(lines) - {"fork"} == {"walk over 1"}
 
 
 def _without_routes(report):

@@ -402,19 +402,36 @@ def test_main_callable_directly(capsys):
 
 
 def test_split_walk_prints_each_line_once():
-    # bias-trace k = 18 ranks 4 lane chunks, split over the usable CPUs (two,
-    # patched in the second run, after a line waiting in the stdout buffer);
-    # the walk workers leave by os._exit and flush no copy of that buffer
+    # at two patched CPUs, after a line waiting in the stdout buffer, the 4
+    # lane chunks of bias-trace k = 18 split over two processes and the quick
+    # profile's rows run on two; walk and row workers leave by os._exit and
+    # flush no copy of that buffer, so each output equals the one at one CPU
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    argv = ["verify", "bias-trace", "--k", "18"]
-    proc = subprocess.run([sys.executable, "-m", "f2lab", *argv], capture_output=True,
-                          text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    out = proc.stdout
-    assert out.startswith("PASS bias-trace  k=18 ") and out.count("\n") == 1
+    for argv, first in [(["verify", "bias-trace", "--k", "18"], "PASS bias-trace  k=18 "),
+                        (["verify", "all", "--profile", "quick"], "INFO bias-matmul  n=1 ")]:
+        script = ("import sys; from f2lab import f2linalg; from f2lab.cli import main; "
+                  "f2linalg._usable_cpus = lambda: {}; print('before'); sys.exit(main({}))")
+        proc = subprocess.run([sys.executable, "-c", script.format(1, argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out = proc.stdout
+        assert out.startswith("before\n" + first), out[:80]
+        proc = subprocess.run([sys.executable, "-c", script.format(2, argv)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == out
+
+
+def test_verify_all_refuses_as_one_process_would():
+    # under 16 KiB the full profile's first refused row, in row order, is
+    # bias-tail k = 10: on two processes too it is the one named, exit 2
+    env = {**os.environ, "F2LAB_BUDGET_BYTES": "16384"}
     script = ("import sys; from f2lab import f2linalg; from f2lab.cli import main; "
-              f"f2linalg._usable_cpus = lambda: 2; print('before'); sys.exit(main({argv}))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "before\n" + out
+              "f2linalg._usable_cpus = lambda: {}; "
+              "sys.exit(main(['verify', 'all', '--profile', 'full']))")
+    runs = [subprocess.run([sys.executable, "-c", script.format(cpus)], capture_output=True,
+                           text=True, env=env) for cpus in (1, 2)]
+    assert [(p.returncode, p.stdout) for p in runs] == [(2, "")] * 2
+    assert runs[0].stderr == runs[1].stderr == (
+        "f2lab: error: sampled_rank_histogram(nrows=10, ncols=10): 22948 bytes exceed the "
+        "budget of 2^14 bytes\n")

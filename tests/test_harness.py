@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
+import pickle
 import re
+import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +18,7 @@ import pytest
 from f2lab import f2linalg, harness, numerics
 from f2lab._bitops import var_mask
 from f2lab.bias import DyadicRational as D
-from f2lab.errors import CapacityError
+from f2lab.errors import CapacityError, InvariantError
 from f2lab.harness import (EXPERIMENTS, _census_work, _sum_census, _vanish_count, run_all,
                            verify_bias_matmul,
                            verify_bias_tail, verify_bias_trace, verify_corank_margin,
@@ -537,6 +540,11 @@ def test_a_value_past_its_bound_fails(case, monkeypatch):
     assert experiment(*row).holds is False
 
 
+def _marked(report, label, value):
+    """`report` with one more measured pair, (label, value)."""
+    return replace(report, measured=report.measured + ((label, value),))
+
+
 def _past(check):
     """`check` with its bound moved just past its value: below it for
     "<=", above it for ">=" and "==", and a constant for a power bound."""
@@ -599,16 +607,87 @@ class TestSuite:
 
     def test_run_all_calls_the_module_bindings(self, monkeypatch):
         # a wrapper bound after import, as the benchmark's tracer binds
-        # one, sees every row the table holds for the wrapped function
-        calls = []
-
+        # one, sees every row the table holds for the wrapped function in
+        # whichever process runs the row: it marks the report it returns
         def wrapper(*args):
-            calls.append(args)
-            return verify_corank_margin(*args)
+            return _marked(verify_corank_margin(*args), "wrapped", "yes")
 
         monkeypatch.setattr(harness, "verify_corank_margin", wrapper)
-        run_all("quick")
-        assert calls == harness.EXPERIMENTS["corank-margin"][1]
+        got = [r for r in run_all("quick") if r.name == "corank-margin"]
+        assert [(int(dict(r.params)["n"]),) for r in got] == EXPERIMENTS["corank-margin"][1]
+        assert all(measured(r)["wrapped"] == "yes" for r in got)
+
+    def test_reports_survive_a_pickle_round_trip(self, quick_profile):
+        # a pool worker pickles its reports whole, the check records and
+        # their bounds included
+        for r in quick_profile[0] + run_all("full"):
+            back = pickle.loads(pickle.dumps(r))
+            assert back.to_dict() == r.to_dict(), r.format_line()
+            assert [c.holds() for c in back.checks] == [c.holds() for c in r.checks]
+            assert len(back.checks) == len(r.checks) and back.ok()
+
+    def test_run_all_shares_its_rows_in_row_order(self, monkeypatch):
+        # two processes, the parent among them, take the six slow rows of
+        # one experiment; the reports, equal in name and params, come back
+        # in row order (by seed), and the walk-split flag is restored
+        def slow(*args):
+            time.sleep(0.05)
+            return _marked(verify_linear_preimage(*args), "pid", str(os.getpid()))
+
+        monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "verify_linear_preimage", slow)
+        monkeypatch.setattr(harness, "EXPERIMENTS", {
+            "linear-preimage": (verify_linear_preimage, [(4, 10, s) for s in range(6)], [])})
+        reports = run_all("quick")
+        assert [r.seed for r in reports] == list(range(6))
+        pids = {measured(r)["pid"] for r in reports}
+        assert len(pids) == 2 and str(os.getpid()) in pids
+        assert f2linalg._in_walk_worker is False
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("where", ["worker-row", "worker-exit", "parent"])
+    def test_run_all_raises_as_a_loop_and_leaves_no_child(self, where, monkeypatch):
+        # worker-row: the parent is slow, so a worker takes row 1, which
+        # raises, while the parent takes row 2, which raises too: the lowest
+        # row's error is raised, as a loop over the rows raises it;
+        # worker-exit: a worker leaves with status 3 mid-row; parent: the
+        # parent stops on a BaseException and kills a worker asleep in its
+        # row.  No child is left, and the walk-split flag is restored.
+        parent = os.getpid()
+
+        class Stop(BaseException):
+            pass
+
+        def row(k, trials, seed):
+            if os.getpid() == parent:
+                if where == "parent":
+                    raise Stop
+                time.sleep(0.1)
+            elif where == "worker-exit":
+                os._exit(3)
+            elif where == "parent":
+                time.sleep(5)
+            if where == "worker-row" and seed == 1:
+                raise CapacityError("row 1", 1, 0)
+            if where == "worker-row" and seed == 2:
+                raise InvariantError("row 2")
+            return verify_linear_preimage(k, trials, seed)
+
+        monkeypatch.setattr(f2linalg, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "verify_linear_preimage", row)
+        monkeypatch.setattr(harness, "EXPERIMENTS", {
+            "linear-preimage": (verify_linear_preimage, [(4, 10, s) for s in range(6)], [])})
+        expected = {"worker-row": (CapacityError, "row 1"),
+                    "worker-exit": (InvariantError, "row worker 1 of 2 exited with status 3"),
+                    "parent": (Stop, None)}[where]
+        start = time.perf_counter()
+        with pytest.raises(expected[0], match=expected[1]):
+            run_all("quick")
+        assert time.perf_counter() - start < 4
+        assert f2linalg._in_walk_worker is False
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_exhaustive_reports_deterministic(self):
         a = verify_moment_identity(2, 2, 2)
